@@ -45,10 +45,7 @@ pub use matcher::{CountingMatcher, MatchEngine, NaiveMatcher};
 pub use predicate::{AttrConstraint, Conjunction, DiffRange, Interval};
 pub use profile::{Profile, ProfileEntry, Projection};
 pub use registry::{RegisteredStream, RegistryMode, SchemaRegistry};
-pub use router::{
-    BatchForward, Destination, ForwardDecision, PlanStore, ProjectionPlan, Router, RouterCounters,
-    SharedRouter,
-};
+pub use router::{BatchForward, Destination, Router, RouterCounters};
 pub use sat::{
     conjunction_implies, conjunction_range, conjunction_unsat, filters_imply, filters_intersect,
 };

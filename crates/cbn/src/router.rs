@@ -15,21 +15,10 @@
 //! [`Router::aggregated_interest`] to compute the profile a node must
 //! forward upstream.
 //!
-//! # Shard-per-core routing
-//!
-//! The immutable half of a router — interests and the match engine — is
-//! an [`Arc`]'d core shared copy-on-write between the router and any
-//! number of worker threads ([`Router::shared`]). The mutable half — the
-//! projection-plan cache ([`PlanStore`]) and the counters
-//! ([`RouterCounters`]) — is *owned by the caller* on the threaded path:
-//! each routing shard keeps its own store and counter block, so the hot
-//! path takes no lock whatsoever, and shard state is folded back into
-//! the router ([`Router::absorb_counters`]) on the driver thread.
-//! Interest mutations go through [`Arc::make_mut`] (cheap when no
-//! snapshot is outstanding) and bump [`Router::interest_generation`];
-//! shards watch the sum of generations and drop their plan stores when
-//! it moves — the same blunt "any mutation clears everything"
-//! invalidation contract the serial cache always had.
+//! Routing takes `&self`: the compiled projection plans and the counters
+//! sit behind interior mutability, so a caller holding only a shared
+//! reference to the deployment can still route through its routers.
+//! Every interest mutation clears the whole plan cache.
 
 use crate::matcher::{CountingMatcher, MatchEngine};
 use crate::profile::{Profile, ProfileEntry};
@@ -45,18 +34,6 @@ pub enum Destination {
     Neighbor(NodeId),
     /// Deliver to a locally attached subscriber.
     Local(SubscriberId),
-}
-
-/// One forwarding decision for an incoming datagram: the (possibly
-/// projected) tuple to send and the schema describing its layout.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForwardDecision {
-    /// The next hop.
-    pub dest: Destination,
-    /// The tuple to deliver (projected onto the destination's interest).
-    pub tuple: Tuple,
-    /// The layout of `tuple` (projection of the arriving schema).
-    pub schema: Schema,
 }
 
 /// All tuples of one routed batch bound for one destination: the
@@ -75,7 +52,7 @@ pub struct BatchForward {
 /// the per-tuple work is reduced to a bounds-checked column gather (or
 /// a refcount bump when the projection is the identity).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProjectionPlan {
+struct ProjectionPlan {
     /// Gather indices into the incoming tuple; `None` = identity.
     indices: Option<Box<[usize]>>,
     /// The (interned) layout of the projected tuples.
@@ -108,20 +85,34 @@ impl ProjectionPlan {
         }
     }
 
-    /// The layout this plan produces.
-    pub fn out_schema(&self) -> &Schema {
-        &self.out_schema
-    }
-
-    /// Whether the plan forwards tuples unchanged.
-    pub fn is_identity(&self) -> bool {
-        self.indices.is_none()
+    /// Project `tuple` through the plan, sharing one projected tuple
+    /// among every destination of this fan-out whose plan produces the
+    /// same layout (`memo` lives for one incoming tuple).
+    fn apply(
+        &self,
+        tuple: &Tuple,
+        memo: &mut Vec<(SchemaId, Tuple)>,
+        counters: &mut RouterCounters,
+    ) -> Tuple {
+        let Some(indices) = &self.indices else {
+            return tuple.clone();
+        };
+        let out_id = self.out_schema.id();
+        if let Some((_, shared)) = memo.iter().find(|(id, _)| *id == out_id) {
+            return shared.clone();
+        }
+        let projected = tuple
+            .project_indices(indices)
+            .expect("plan indices are in bounds for the compiled schema");
+        counters.projections_built += 1;
+        memo.push((out_id, projected.clone()));
+        projected
     }
 }
 
-/// The router's throughput and plan-cache counters, one block instead of
-/// five loose cells so per-shard counters fold into snapshots with a
-/// single [`RouterCounters::merge`] and cannot drift field-by-field.
+/// The router's throughput and plan-cache counters as one block, so
+/// they fold into deployment totals with a single
+/// [`RouterCounters::merge`] and cannot drift field-by-field.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterCounters {
     /// Datagrams that produced at least one forwarding decision.
@@ -137,8 +128,8 @@ pub struct RouterCounters {
 }
 
 impl RouterCounters {
-    /// Fold another counter block into this one (shard → router, or
-    /// router → deployment totals).
+    /// Fold another counter block into this one (router → deployment
+    /// totals).
     pub fn merge(&mut self, other: &RouterCounters) {
         self.tuples_routed += other.tuples_routed;
         self.tuples_dropped += other.tuples_dropped;
@@ -151,21 +142,20 @@ impl RouterCounters {
 /// Per-destination compiled plans for one (schema, stream) pair. A
 /// linear-scan small-map: a node forwards to a handful of destinations,
 /// and `Destination` compares as two integers — cheaper per tuple than
-/// hashing into a `HashMap` ever was.
+/// hashing into a `HashMap` ever was. `None` records a destination that
+/// has no entry for the stream.
 type PlanMap = Vec<(Destination, Option<Arc<ProjectionPlan>>)>;
 
-/// Compiled projection plans of one routing shard, keyed by (incoming
-/// schema, stream) and then destination.
+/// A router's compiled projection plans, keyed by (incoming schema,
+/// stream) and then destination.
 ///
 /// Also a linear-scan structure: the first key component is an interned
 /// [`SchemaId`] (an integer compare) and the second an `Arc<str>` whose
 /// pointer identity short-circuits the string compare on the hot path.
-/// A shard only ever sees the few (schema, stream) pairs routed through
-/// it, so the scan beats hashing the stream name per tuple — switching
-/// the serial single-tuple path to this store is what put it back ahead
-/// of the seed path (see `BENCH_routing.json`).
+/// A router only ever sees the few (schema, stream) pairs routed through
+/// it, so the scan beats hashing the stream name per tuple.
 #[derive(Debug, Clone, Default)]
-pub struct PlanStore {
+struct PlanStore {
     entries: Vec<PlanEntry>,
 }
 
@@ -177,19 +167,8 @@ struct PlanEntry {
 }
 
 impl PlanStore {
-    /// An empty store.
-    pub fn new() -> PlanStore {
-        PlanStore::default()
-    }
-
-    /// Drop every compiled plan (the shard-side half of the invalidation
-    /// contract: called whenever the interest generation moves).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Number of compiled plans currently cached.
-    pub fn plan_count(&self) -> usize {
+    fn plan_count(&self) -> usize {
         self.entries.iter().map(|e| e.plans.len()).sum()
     }
 
@@ -215,18 +194,138 @@ impl PlanStore {
     }
 }
 
-/// The immutable half of a router: the installed interests and the match
-/// engine built from them. Shared copy-on-write between the owning
-/// [`Router`] and worker-thread snapshots ([`SharedRouter`]).
+/// The routing state of one CBN node.
 #[derive(Debug, Clone)]
-struct RouterCore {
+pub struct Router {
     node: NodeId,
     neighbor_interest: BTreeMap<NodeId, Profile>,
     local_interest: BTreeMap<SubscriberId, Profile>,
     engine: CountingMatcher<Destination>,
+    /// Compiled projection plans; cleared whenever the installed
+    /// interests change.
+    plans: RefCell<PlanStore>,
+    counters: Cell<RouterCounters>,
 }
 
-impl RouterCore {
+impl Router {
+    /// A router for the given node with no interests installed.
+    pub fn new(node: NodeId) -> Router {
+        Router {
+            node,
+            neighbor_interest: BTreeMap::new(),
+            local_interest: BTreeMap::new(),
+            engine: CountingMatcher::new(),
+            plans: RefCell::new(PlanStore::default()),
+            counters: Cell::new(RouterCounters::default()),
+        }
+    }
+
+    /// Drop every compiled plan. Called by every interest mutator — the
+    /// invalidation contract is "any change to any installed profile
+    /// clears the whole cache".
+    fn invalidate_plans(&mut self) {
+        self.plans.get_mut().entries.clear();
+    }
+
+    /// The node this router belongs to.
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// Replace the merged interest of the subtree behind `neighbor`.
+    pub fn set_neighbor_interest(&mut self, neighbor: NodeId, profile: Profile) {
+        self.invalidate_plans();
+        if profile.is_empty() {
+            self.neighbor_interest.remove(&neighbor);
+            self.engine.remove(&Destination::Neighbor(neighbor));
+        } else {
+            self.engine
+                .insert(Destination::Neighbor(neighbor), profile.clone());
+            self.neighbor_interest.insert(neighbor, profile);
+        }
+    }
+
+    /// Union a new profile into the interest of `neighbor` (what happens
+    /// when one more subscription propagates up through that link).
+    pub fn merge_neighbor_interest(&mut self, neighbor: NodeId, profile: &Profile) {
+        let merged = match self.neighbor_interest.get(&neighbor) {
+            Some(existing) => existing.union(profile),
+            None => profile.clone(),
+        };
+        self.set_neighbor_interest(neighbor, merged);
+    }
+
+    /// Drop every neighbor interest (local subscribers stay). Used when
+    /// the dissemination tree is reorganized and subscriptions are
+    /// re-propagated along the new paths.
+    pub fn clear_neighbor_interests(&mut self) {
+        self.invalidate_plans();
+        for n in self.neighbor_interest.keys() {
+            self.engine.remove(&Destination::Neighbor(*n));
+        }
+        self.neighbor_interest.clear();
+    }
+
+    /// Interest of the subtree behind `neighbor`, if any.
+    pub fn neighbor_interest(&self, neighbor: NodeId) -> Option<&Profile> {
+        self.neighbor_interest.get(&neighbor)
+    }
+
+    /// All neighbor interests, in neighbor order (introspection for
+    /// whole-network snapshots — see `cosmos-verify`).
+    pub fn neighbor_interests(&self) -> impl Iterator<Item = (NodeId, &Profile)> {
+        self.neighbor_interest.iter().map(|(n, p)| (*n, p))
+    }
+
+    /// Install the profile of a locally attached subscriber.
+    pub fn add_local_subscriber(&mut self, sub: SubscriberId, profile: Profile) {
+        self.invalidate_plans();
+        self.engine.insert(Destination::Local(sub), profile.clone());
+        self.local_interest.insert(sub, profile);
+    }
+
+    /// Remove a locally attached subscriber.
+    pub fn remove_local_subscriber(&mut self, sub: SubscriberId) {
+        self.invalidate_plans();
+        self.local_interest.remove(&sub);
+        self.engine.remove(&Destination::Local(sub));
+    }
+
+    /// The profile of a local subscriber, if installed.
+    pub fn local_interest(&self, sub: SubscriberId) -> Option<&Profile> {
+        self.local_interest.get(&sub)
+    }
+
+    /// Iterate over the locally attached subscribers and their profiles.
+    pub fn local_subscribers(&self) -> impl Iterator<Item = (SubscriberId, &Profile)> {
+        self.local_interest.iter().map(|(s, p)| (*s, p))
+    }
+
+    /// Number of installed interests (neighbors plus locals).
+    pub fn interest_count(&self) -> usize {
+        self.neighbor_interest.len() + self.local_interest.len()
+    }
+
+    /// The union of every interest at this node except the one behind
+    /// `exclude` — the profile this node must propagate towards a stream
+    /// origin reachable through `exclude` (reverse-path subscription).
+    ///
+    /// The result is [normalized](Profile::normalized): projections are
+    /// widened to the filters' attributes so this node still receives
+    /// everything its local filtering needs.
+    pub fn aggregated_interest(&self, exclude: Option<NodeId>) -> Profile {
+        let mut out = Profile::new();
+        for (n, p) in &self.neighbor_interest {
+            if Some(*n) != exclude {
+                out = out.union(p);
+            }
+        }
+        for p in self.local_interest.values() {
+            out = out.union(p);
+        }
+        out.normalized()
+    }
+
     /// The profile installed for a destination, if any.
     fn profile_of(&self, dest: Destination) -> Option<&Profile> {
         match dest {
@@ -259,131 +358,21 @@ impl RouterCore {
         plan
     }
 
-    /// Project `tuple` through `plan`, sharing one projected tuple among
-    /// every destination of this fan-out whose plan produces the same
-    /// layout (`memo` lives for one incoming tuple).
-    fn apply_plan(
-        plan: &ProjectionPlan,
-        tuple: &Tuple,
-        memo: &mut Vec<(SchemaId, Tuple)>,
-        counters: &mut RouterCounters,
-    ) -> Tuple {
-        if plan.is_identity() {
-            return tuple.clone();
-        }
-        let out_id = plan.out_schema.id();
-        if let Some((_, shared)) = memo.iter().find(|(id, _)| *id == out_id) {
-            return shared.clone();
-        }
-        let projected = tuple
-            .project_indices(
-                plan.indices
-                    .as_ref()
-                    .expect("non-identity plan has indices"),
-            )
-            .expect("plan indices are in bounds for the compiled schema");
-        counters.projections_built += 1;
-        memo.push((out_id, projected.clone()));
-        projected
-    }
-
-    /// Route one datagram against caller-owned shard state.
-    fn route_with(
+    /// Route a *stream-homogeneous* batch of incoming datagrams (every
+    /// tuple on the same stream, laid out by `schema`) through this
+    /// node; a single datagram is a batch of one.
+    ///
+    /// `from` is the neighbor the batch arrived from (`None` when it was
+    /// published locally); it is excluded from the forwarding set. Each
+    /// [`BatchForward`] carries the tuples projected onto that
+    /// destination's attribute set, in batch order, and the projected
+    /// schema; forwards come out in [`Destination`] order. The
+    /// match-index partition is looked up once per batch, each
+    /// projection plan once per (schema, stream, destination), and
+    /// destinations of one tuple whose plans produce the same layout
+    /// share one projected tuple.
+    pub fn route_batch(
         &self,
-        store: &mut PlanStore,
-        counters: &mut RouterCounters,
-        plan_caching: bool,
-        tuple: &Tuple,
-        schema: &Schema,
-        from: Option<NodeId>,
-    ) -> Vec<ForwardDecision> {
-        let matched = self.engine.matches(tuple, schema);
-        let mut out = Vec::with_capacity(matched.len());
-        if plan_caching {
-            let map = store.map_mut(schema.id(), &tuple.stream);
-            let mut memo: Vec<(SchemaId, Tuple)> = Vec::new();
-            for dest in matched {
-                if let Destination::Neighbor(n) = dest {
-                    if Some(n) == from {
-                        continue;
-                    }
-                }
-                let Some(plan) = self.lookup_plan(map, counters, dest, &tuple.stream, schema)
-                else {
-                    continue;
-                };
-                let t = Self::apply_plan(&plan, tuple, &mut memo, counters);
-                out.push(ForwardDecision {
-                    dest,
-                    tuple: t,
-                    schema: plan.out_schema.clone(),
-                });
-            }
-        } else {
-            // Seed-era path: re-resolve the projection per destination
-            // and clone per destination. Kept as the benchmark baseline.
-            for dest in matched {
-                if let Destination::Neighbor(n) = dest {
-                    if Some(n) == from {
-                        continue;
-                    }
-                }
-                let profile = self.profile_of(dest).expect("matched dest has a profile");
-                if let Some((t, s)) = profile.project_tuple(tuple, schema) {
-                    out.push(ForwardDecision {
-                        dest,
-                        tuple: t,
-                        schema: s,
-                    });
-                }
-            }
-        }
-        if out.is_empty() {
-            counters.tuples_dropped += 1;
-        } else {
-            counters.tuples_routed += 1;
-        }
-        out
-    }
-
-    /// Route a stream-homogeneous batch against caller-owned shard
-    /// state, honoring the plan-caching switch: the off position routes
-    /// tuple-by-tuple through the seed path and groups by destination,
-    /// so A/B runs compare the same shaped work.
-    fn route_batch_any(
-        &self,
-        store: &mut PlanStore,
-        counters: &mut RouterCounters,
-        plan_caching: bool,
-        tuples: &[Tuple],
-        schema: &Schema,
-        from: Option<NodeId>,
-    ) -> Vec<BatchForward> {
-        if plan_caching {
-            return self.route_batch_with(store, counters, tuples, schema, from);
-        }
-        let mut by_dest: BTreeMap<Destination, BatchForward> = BTreeMap::new();
-        for t in tuples {
-            for d in self.route_with(store, counters, false, t, schema, from) {
-                by_dest
-                    .entry(d.dest)
-                    .or_insert_with(|| BatchForward {
-                        dest: d.dest,
-                        tuples: Vec::new(),
-                        schema: d.schema.clone(),
-                    })
-                    .tuples
-                    .push(d.tuple);
-            }
-        }
-        by_dest.into_values().collect()
-    }
-
-    /// Route a stream-homogeneous batch against caller-owned shard state.
-    fn route_batch_with(
-        &self,
-        store: &mut PlanStore,
-        counters: &mut RouterCounters,
         tuples: &[Tuple],
         schema: &Schema,
         from: Option<NodeId>,
@@ -395,8 +384,10 @@ impl RouterCore {
             tuples.iter().all(|t| t.stream == first.stream),
             "route_batch requires a stream-homogeneous batch"
         );
+        let mut counters = self.counters.get();
+        let mut plans = self.plans.borrow_mut();
         let matched = self.engine.matches_batch(tuples, schema);
-        let map = store.map_mut(schema.id(), &first.stream);
+        let map = plans.map_mut(schema.id(), &first.stream);
         let mut by_dest: BTreeMap<Destination, BatchForward> = BTreeMap::new();
         let mut memo: Vec<(SchemaId, Tuple)> = Vec::new();
         for (tuple, dests) in tuples.iter().zip(&matched) {
@@ -408,11 +399,11 @@ impl RouterCore {
                         continue;
                     }
                 }
-                let Some(plan) = self.lookup_plan(map, counters, dest, &first.stream, schema)
+                let Some(plan) = self.lookup_plan(map, &mut counters, dest, &first.stream, schema)
                 else {
                     continue;
                 };
-                let t = Self::apply_plan(&plan, tuple, &mut memo, counters);
+                let t = plan.apply(tuple, &mut memo, &mut counters);
                 by_dest
                     .entry(dest)
                     .or_insert_with(|| BatchForward {
@@ -430,271 +421,8 @@ impl RouterCore {
                 counters.tuples_dropped += 1;
             }
         }
+        self.counters.set(counters);
         by_dest.into_values().collect()
-    }
-}
-
-/// A thread-shareable snapshot of one router's interest state, taken
-/// with [`Router::shared`]. Routing through a snapshot uses shard-owned
-/// [`PlanStore`] and [`RouterCounters`] state — no lock, no interior
-/// mutability — and is observably identical to routing through the
-/// router itself at the same interest generation.
-#[derive(Debug, Clone)]
-pub struct SharedRouter {
-    core: Arc<RouterCore>,
-    generation: u64,
-    plan_caching: bool,
-}
-
-impl SharedRouter {
-    /// The node the snapshot was taken from.
-    pub fn node(&self) -> NodeId {
-        self.core.node
-    }
-
-    /// The interest generation the snapshot was taken at. A shard whose
-    /// store was filled at a different generation must
-    /// [clear](PlanStore::clear) it before routing through this
-    /// snapshot.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Route a stream-homogeneous batch against shard-owned state.
-    /// Identical decisions, counter movements, and plan-store churn as
-    /// [`Router::route_batch`] on the snapshotted router.
-    pub fn route_batch_with(
-        &self,
-        store: &mut PlanStore,
-        counters: &mut RouterCounters,
-        tuples: &[Tuple],
-        schema: &Schema,
-        from: Option<NodeId>,
-    ) -> Vec<BatchForward> {
-        self.core
-            .route_batch_any(store, counters, self.plan_caching, tuples, schema, from)
-    }
-}
-
-/// The routing state of one CBN node.
-#[derive(Debug, Clone)]
-pub struct Router {
-    /// Interests + match engine, shared copy-on-write with worker
-    /// snapshots; mutated through [`Arc::make_mut`].
-    core: Arc<RouterCore>,
-    /// Compiled projection plans of the router's own (serial) shard.
-    /// Cleared whenever the installed interests change (see
-    /// [`Router::interest_generation`]).
-    plans: RefCell<PlanStore>,
-    /// Bumped on every interest mutation; plan caches keyed off a stale
-    /// generation are unreachable because the cache is cleared in the
-    /// same call (and threaded shards clear theirs when the generation
-    /// sum they watch moves).
-    interest_gen: u64,
-    plan_caching: bool,
-    counters: Cell<RouterCounters>,
-}
-
-impl Router {
-    /// A router for the given node with no interests installed.
-    pub fn new(node: NodeId) -> Router {
-        Router {
-            core: Arc::new(RouterCore {
-                node,
-                neighbor_interest: BTreeMap::new(),
-                local_interest: BTreeMap::new(),
-                engine: CountingMatcher::new(),
-            }),
-            plans: RefCell::new(PlanStore::new()),
-            interest_gen: 0,
-            plan_caching: true,
-            counters: Cell::new(RouterCounters::default()),
-        }
-    }
-
-    /// The mutable core (copy-on-write: clones only while a
-    /// [`SharedRouter`] snapshot is outstanding).
-    fn core_mut(&mut self) -> &mut RouterCore {
-        Arc::make_mut(&mut self.core)
-    }
-
-    /// Drop every compiled plan and stamp a new interest generation.
-    /// Called by every interest mutator — the invalidation contract is
-    /// "any change to any installed profile clears the whole cache".
-    ///
-    /// `cosmos-det check` model-checks this contract as the `Mutate`
-    /// action (`cosmos_det::model`): eliding the generation bump is the
-    /// `--inject-skip-bump` canary, caught by the `stale-core` property;
-    /// eliding the clear is `--inject-skip-invalidate`.
-    fn invalidate_plans(&mut self) {
-        self.interest_gen += 1;
-        self.plans.get_mut().clear();
-    }
-
-    /// A copy-on-write snapshot of this router's interest state for a
-    /// worker thread. Cheap (two refcount bumps) unless an interest
-    /// mutation follows while the snapshot is alive.
-    pub fn shared(&self) -> SharedRouter {
-        SharedRouter {
-            core: Arc::clone(&self.core),
-            generation: self.interest_gen,
-            plan_caching: self.plan_caching,
-        }
-    }
-
-    /// The node this router belongs to.
-    pub fn node(&self) -> NodeId {
-        self.core.node
-    }
-
-    /// Replace the merged interest of the subtree behind `neighbor`.
-    pub fn set_neighbor_interest(&mut self, neighbor: NodeId, profile: Profile) {
-        self.invalidate_plans();
-        let core = self.core_mut();
-        if profile.is_empty() {
-            core.neighbor_interest.remove(&neighbor);
-            core.engine.remove(&Destination::Neighbor(neighbor));
-        } else {
-            core.engine
-                .insert(Destination::Neighbor(neighbor), profile.clone());
-            core.neighbor_interest.insert(neighbor, profile);
-        }
-    }
-
-    /// Union a new profile into the interest of `neighbor` (what happens
-    /// when one more subscription propagates up through that link).
-    pub fn merge_neighbor_interest(&mut self, neighbor: NodeId, profile: &Profile) {
-        let merged = match self.core.neighbor_interest.get(&neighbor) {
-            Some(existing) => existing.union(profile),
-            None => profile.clone(),
-        };
-        self.set_neighbor_interest(neighbor, merged);
-    }
-
-    /// Drop every neighbor interest (local subscribers stay). Used when
-    /// the dissemination tree is reorganized and subscriptions are
-    /// re-propagated along the new paths.
-    pub fn clear_neighbor_interests(&mut self) {
-        self.invalidate_plans();
-        let core = self.core_mut();
-        let neighbors: Vec<NodeId> = core.neighbor_interest.keys().copied().collect();
-        for n in neighbors {
-            core.engine.remove(&Destination::Neighbor(n));
-        }
-        core.neighbor_interest.clear();
-    }
-
-    /// Interest of the subtree behind `neighbor`, if any.
-    pub fn neighbor_interest(&self, neighbor: NodeId) -> Option<&Profile> {
-        self.core.neighbor_interest.get(&neighbor)
-    }
-
-    /// All neighbor interests, in neighbor order (introspection for
-    /// whole-network snapshots — see `cosmos-verify`).
-    pub fn neighbor_interests(&self) -> impl Iterator<Item = (NodeId, &Profile)> {
-        self.core.neighbor_interest.iter().map(|(n, p)| (*n, p))
-    }
-
-    /// Install the profile of a locally attached subscriber.
-    pub fn add_local_subscriber(&mut self, sub: SubscriberId, profile: Profile) {
-        self.invalidate_plans();
-        let core = self.core_mut();
-        core.engine.insert(Destination::Local(sub), profile.clone());
-        core.local_interest.insert(sub, profile);
-    }
-
-    /// Remove a locally attached subscriber.
-    pub fn remove_local_subscriber(&mut self, sub: SubscriberId) {
-        self.invalidate_plans();
-        let core = self.core_mut();
-        core.local_interest.remove(&sub);
-        core.engine.remove(&Destination::Local(sub));
-    }
-
-    /// The profile of a local subscriber, if installed.
-    pub fn local_interest(&self, sub: SubscriberId) -> Option<&Profile> {
-        self.core.local_interest.get(&sub)
-    }
-
-    /// Iterate over the locally attached subscribers and their profiles.
-    pub fn local_subscribers(&self) -> impl Iterator<Item = (SubscriberId, &Profile)> {
-        self.core.local_interest.iter().map(|(s, p)| (*s, p))
-    }
-
-    /// Number of installed interests (neighbors plus locals).
-    pub fn interest_count(&self) -> usize {
-        self.core.neighbor_interest.len() + self.core.local_interest.len()
-    }
-
-    /// The union of every interest at this node except the one behind
-    /// `exclude` — the profile this node must propagate towards a stream
-    /// origin reachable through `exclude` (reverse-path subscription).
-    ///
-    /// The result is [normalized](Profile::normalized): projections are
-    /// widened to the filters' attributes so this node still receives
-    /// everything its local filtering needs.
-    pub fn aggregated_interest(&self, exclude: Option<NodeId>) -> Profile {
-        let mut out = Profile::new();
-        for (n, p) in &self.core.neighbor_interest {
-            if Some(*n) != exclude {
-                out = out.union(p);
-            }
-        }
-        for p in self.core.local_interest.values() {
-            out = out.union(p);
-        }
-        out.normalized()
-    }
-
-    /// Route an incoming datagram.
-    ///
-    /// `from` is the neighbor the datagram arrived from (`None` when it
-    /// was published locally); it is excluded from the forwarding set.
-    /// Each decision carries the tuple projected onto that destination's
-    /// attribute set and the projected schema.
-    pub fn route(
-        &self,
-        tuple: &Tuple,
-        schema: &Schema,
-        from: Option<NodeId>,
-    ) -> Vec<ForwardDecision> {
-        let mut counters = self.counters.get();
-        let out = self.core.route_with(
-            &mut self.plans.borrow_mut(),
-            &mut counters,
-            self.plan_caching,
-            tuple,
-            schema,
-            from,
-        );
-        self.counters.set(counters);
-        out
-    }
-
-    /// Route a *stream-homogeneous* batch (every tuple on the same
-    /// stream, laid out by `schema`) through this node together.
-    ///
-    /// Equivalent to calling [`Router::route`] per tuple and grouping
-    /// the decisions by destination — per-destination tuple order is
-    /// batch order — but the match-index partition is looked up once,
-    /// each projection plan once, and the accounting amortized.
-    pub fn route_batch(
-        &self,
-        tuples: &[Tuple],
-        schema: &Schema,
-        from: Option<NodeId>,
-    ) -> Vec<BatchForward> {
-        let mut counters = self.counters.get();
-        let out = self.core.route_batch_any(
-            &mut self.plans.borrow_mut(),
-            &mut counters,
-            self.plan_caching,
-            tuples,
-            schema,
-            from,
-        );
-        self.counters.set(counters);
-        out
     }
 
     /// Route a punctuation (watermark datagram) for `stream`.
@@ -708,12 +436,12 @@ impl Router {
     /// neighbors-then-locals order.
     pub fn route_punctuation(&self, stream: &StreamName, from: Option<NodeId>) -> Vec<Destination> {
         let mut out = Vec::new();
-        for (n, p) in &self.core.neighbor_interest {
+        for (n, p) in &self.neighbor_interest {
             if Some(*n) != from && p.entry(stream).is_some() {
                 out.push(Destination::Neighbor(*n));
             }
         }
-        for (s, p) in &self.core.local_interest {
+        for (s, p) in &self.local_interest {
             if p.entry(stream).is_some() {
                 out.push(Destination::Local(*s));
             }
@@ -728,26 +456,24 @@ impl Router {
     /// Destinations whose whole profile becomes empty are removed.
     pub fn prune_stream(&mut self, stream: &StreamName) {
         let neighbors: Vec<NodeId> = self
-            .core
             .neighbor_interest
             .iter()
             .filter(|(_, p)| p.entry(stream).is_some())
             .map(|(n, _)| *n)
             .collect();
         for n in neighbors {
-            let mut p = self.core.neighbor_interest[&n].clone();
+            let mut p = self.neighbor_interest[&n].clone();
             p.remove_entry(stream);
             self.set_neighbor_interest(n, p);
         }
         let locals: Vec<SubscriberId> = self
-            .core
             .local_interest
             .iter()
             .filter(|(_, p)| p.entry(stream).is_some())
             .map(|(s, _)| *s)
             .collect();
         for s in locals {
-            let mut p = self.core.local_interest[&s].clone();
+            let mut p = self.local_interest[&s].clone();
             p.remove_entry(stream);
             if p.is_empty() {
                 self.remove_local_subscriber(s);
@@ -757,24 +483,7 @@ impl Router {
         }
     }
 
-    /// Enable or disable the projection-plan cache (and with it the
-    /// fan-out sharing of projected tuples). Disabling restores the
-    /// seed-era per-destination projection path; used for A/B
-    /// benchmarking, on by default.
-    pub fn set_plan_caching(&mut self, enabled: bool) {
-        self.plan_caching = enabled;
-        self.invalidate_plans();
-    }
-
-    /// Generation stamp of the installed interests; moves on every
-    /// interest mutation, at which point the plan cache is empty.
-    pub fn interest_generation(&self) -> u64 {
-        self.interest_gen
-    }
-
-    /// Number of compiled plans currently cached in the router's own
-    /// (serial) store. Threaded shards own their stores; the driver
-    /// accounts them separately.
+    /// Number of compiled plans currently cached.
     pub fn cached_plan_count(&self) -> usize {
         self.plans.borrow().plan_count()
     }
@@ -782,15 +491,6 @@ impl Router {
     /// The counter block (throughput + plan-cache counters).
     pub fn counters(&self) -> RouterCounters {
         self.counters.get()
-    }
-
-    /// Fold a shard's counter delta into this router — how per-shard
-    /// counters from worker threads re-enter the deployment totals
-    /// without field-by-field drift.
-    pub fn absorb_counters(&self, delta: &RouterCounters) {
-        let mut c = self.counters.get();
-        c.merge(delta);
-        self.counters.set(c);
     }
 
     /// `(hits, misses)` of the projection-plan cache.
@@ -852,6 +552,11 @@ mod tests {
         p
     }
 
+    /// Route one datagram: a batch of one.
+    fn route(r: &Router, t: &Tuple, s: &Schema, from: Option<NodeId>) -> Vec<BatchForward> {
+        r.route_batch(std::slice::from_ref(t), s, from)
+    }
+
     #[test]
     fn routes_to_matching_neighbors_and_locals() {
         let mut r = Router::new(NodeId(0));
@@ -860,7 +565,7 @@ mod tests {
         r.add_local_subscriber(SubscriberId(7), interest(5, 25, &[]));
         let s = schema();
 
-        let d = r.route(&tup(7, 1.0), &s, None);
+        let d = route(&r, &tup(7, 1.0), &s, None);
         let dests: Vec<_> = d.iter().map(|x| x.dest).collect();
         assert_eq!(
             dests,
@@ -870,7 +575,7 @@ mod tests {
             ]
         );
 
-        let d2 = r.route(&tup(25, 1.0), &s, None);
+        let d2 = route(&r, &tup(25, 1.0), &s, None);
         assert_eq!(d2.len(), 2); // neighbor 2 and local 7
         assert_eq!(r.tuples_routed(), 2);
     }
@@ -880,7 +585,7 @@ mod tests {
         let mut r = Router::new(NodeId(0));
         r.set_neighbor_interest(NodeId(1), interest(0, 10, &[]));
         r.set_neighbor_interest(NodeId(2), interest(0, 10, &[]));
-        let d = r.route(&tup(5, 1.0), &schema(), Some(NodeId(1)));
+        let d = route(&r, &tup(5, 1.0), &schema(), Some(NodeId(1)));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].dest, Destination::Neighbor(NodeId(2)));
     }
@@ -891,28 +596,28 @@ mod tests {
         r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id"]));
         r.set_neighbor_interest(NodeId(2), interest(0, 10, &["id", "price"]));
         let s = schema();
-        let d = r.route(&tup(5, 2.5), &s, None);
+        let d = route(&r, &tup(5, 2.5), &s, None);
         assert_eq!(d.len(), 2);
         let d1 = d
             .iter()
             .find(|x| x.dest == Destination::Neighbor(NodeId(1)))
             .unwrap();
         assert_eq!(d1.schema.names().collect::<Vec<_>>(), vec!["id"]);
-        assert_eq!(d1.tuple.values(), &[Value::Int(5)]);
+        assert_eq!(d1.tuples[0].values(), &[Value::Int(5)]);
         let d2 = d
             .iter()
             .find(|x| x.dest == Destination::Neighbor(NodeId(2)))
             .unwrap();
         assert_eq!(d2.schema.names().collect::<Vec<_>>(), vec!["id", "price"]);
         // the original tuple is untouched
-        assert!(d2.tuple.size_bytes() < tup(5, 2.5).size_bytes());
+        assert!(d2.tuples[0].size_bytes() < tup(5, 2.5).size_bytes());
     }
 
     #[test]
     fn non_matching_tuple_is_dropped() {
         let mut r = Router::new(NodeId(0));
         r.set_neighbor_interest(NodeId(1), interest(0, 10, &[]));
-        let d = r.route(&tup(99, 1.0), &schema(), None);
+        let d = route(&r, &tup(99, 1.0), &schema(), None);
         assert!(d.is_empty());
         assert_eq!(r.tuples_dropped(), 1);
     }
@@ -923,9 +628,9 @@ mod tests {
         r.merge_neighbor_interest(NodeId(1), &interest(0, 10, &[]));
         r.merge_neighbor_interest(NodeId(1), &interest(20, 30, &[]));
         let s = schema();
-        assert_eq!(r.route(&tup(5, 1.0), &s, None).len(), 1);
-        assert_eq!(r.route(&tup(25, 1.0), &s, None).len(), 1);
-        assert_eq!(r.route(&tup(15, 1.0), &s, None).len(), 0);
+        assert_eq!(route(&r, &tup(5, 1.0), &s, None).len(), 1);
+        assert_eq!(route(&r, &tup(25, 1.0), &s, None).len(), 1);
+        assert_eq!(route(&r, &tup(15, 1.0), &s, None).len(), 0);
         assert_eq!(r.interest_count(), 1);
     }
 
@@ -950,9 +655,9 @@ mod tests {
     fn subscriber_removal_stops_delivery() {
         let mut r = Router::new(NodeId(0));
         r.add_local_subscriber(SubscriberId(1), interest(0, 10, &[]));
-        assert_eq!(r.route(&tup(5, 0.0), &schema(), None).len(), 1);
+        assert_eq!(route(&r, &tup(5, 0.0), &schema(), None).len(), 1);
         r.remove_local_subscriber(SubscriberId(1));
-        assert_eq!(r.route(&tup(5, 0.0), &schema(), None).len(), 0);
+        assert_eq!(route(&r, &tup(5, 0.0), &schema(), None).len(), 0);
         assert!(r.local_interest(SubscriberId(1)).is_none());
     }
 
@@ -961,31 +666,30 @@ mod tests {
         let mut r = Router::new(NodeId(0));
         r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id"]));
         r.add_local_subscriber(SubscriberId(7), interest(0, 10, &[]));
-        let g0 = r.interest_generation();
         let s = schema();
         assert_eq!(r.cached_plan_count(), 0);
 
-        r.route(&tup(5, 1.0), &s, None);
+        route(&r, &tup(5, 1.0), &s, None);
         let (h1, m1) = r.plan_cache_stats();
         assert_eq!((h1, m1), (0, 2), "first tuple compiles both plans");
         assert_eq!(r.cached_plan_count(), 2);
 
-        r.route(&tup(6, 1.0), &s, None);
+        route(&r, &tup(6, 1.0), &s, None);
         let (h2, m2) = r.plan_cache_stats();
         assert_eq!((h2, m2), (2, 2), "second tuple hits both plans");
 
-        // Any interest mutation clears the cache and moves the stamp.
+        // Any interest mutation clears the cache.
         r.add_local_subscriber(SubscriberId(8), interest(0, 10, &[]));
-        assert!(r.interest_generation() > g0);
         assert_eq!(r.cached_plan_count(), 0);
-        r.route(&tup(5, 1.0), &s, None);
+        route(&r, &tup(5, 1.0), &s, None);
         assert_eq!(r.cached_plan_count(), 3, "plans recompiled after churn");
 
         r.remove_local_subscriber(SubscriberId(8));
         assert_eq!(r.cached_plan_count(), 0);
-        let g1 = r.interest_generation();
+        route(&r, &tup(5, 1.0), &s, None);
+        assert_eq!(r.cached_plan_count(), 2);
         r.clear_neighbor_interests();
-        assert!(r.interest_generation() > g1);
+        assert_eq!(r.cached_plan_count(), 0);
     }
 
     #[test]
@@ -995,18 +699,18 @@ mod tests {
         r.set_neighbor_interest(NodeId(2), interest(0, 10, &["id"]));
         r.add_local_subscriber(SubscriberId(7), interest(0, 10, &["id"]));
         let s = schema();
-        let d = r.route(&tup(5, 1.0), &s, None);
+        let d = route(&r, &tup(5, 1.0), &s, None);
         assert_eq!(d.len(), 3);
         assert_eq!(
             r.projections_built(),
             1,
             "one gather serves all three destinations"
         );
-        assert!(d.windows(2).all(|w| w[0].tuple == w[1].tuple));
+        assert!(d.windows(2).all(|w| w[0].tuples == w[1].tuples));
     }
 
     #[test]
-    fn route_batch_agrees_with_single_routing() {
+    fn route_batch_agrees_with_profile_reference() {
         let mut r = Router::new(NodeId(0));
         r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id"]));
         r.set_neighbor_interest(NodeId(2), interest(5, 25, &[]));
@@ -1014,30 +718,51 @@ mod tests {
         let s = schema();
         let batch: Vec<Tuple> = (0..40).map(|i| tup(i % 35, i as f64)).collect();
 
-        // Reference: per-tuple routing on the seed path, grouped by dest.
-        let mut reference = r.clone();
-        reference.set_plan_caching(false);
-        let mut grouped: std::collections::BTreeMap<Destination, (Vec<Tuple>, Schema)> =
-            std::collections::BTreeMap::new();
+        // Independent reference: every installed profile decides for
+        // itself, tuple by tuple, whether it covers the datagram and
+        // what its projection looks like — no match index, no plans.
+        let arrival = NodeId(2);
+        let mut installed: Vec<(Destination, &Profile)> = r
+            .neighbor_interests()
+            .filter(|(n, _)| *n != arrival)
+            .map(|(n, p)| (Destination::Neighbor(n), p))
+            .collect();
+        installed.extend(
+            r.local_subscribers()
+                .map(|(sub, p)| (Destination::Local(sub), p)),
+        );
+        let mut grouped: BTreeMap<Destination, (Vec<Tuple>, Schema)> = BTreeMap::new();
+        let (mut routed, mut dropped) = (0u64, 0u64);
         for t in &batch {
-            for d in reference.route(t, &s, Some(NodeId(2))) {
+            let mut forwarded = false;
+            for (dest, profile) in &installed {
+                if !profile.covers_tuple(t, &s) {
+                    continue;
+                }
+                let (pt, ps) = profile.project_tuple(t, &s).expect("covered stream");
                 grouped
-                    .entry(d.dest)
-                    .or_insert_with(|| (Vec::new(), d.schema.clone()))
+                    .entry(*dest)
+                    .or_insert_with(|| (Vec::new(), ps))
                     .0
-                    .push(d.tuple);
+                    .push(pt);
+                forwarded = true;
+            }
+            if forwarded {
+                routed += 1;
+            } else {
+                dropped += 1;
             }
         }
+        assert!(routed > 0 && dropped > 0, "both outcomes are exercised");
 
-        let batched = r.route_batch(&batch, &s, Some(NodeId(2)));
+        let batched = r.route_batch(&batch, &s, Some(arrival));
         assert_eq!(batched.len(), grouped.len());
         for bf in &batched {
             let (ref_tuples, ref_schema) = &grouped[&bf.dest];
             assert_eq!(&bf.tuples, ref_tuples, "dest {:?}", bf.dest);
             assert_eq!(&bf.schema, ref_schema);
         }
-        assert_eq!(reference.tuples_routed(), r.tuples_routed());
-        assert_eq!(reference.tuples_dropped(), r.tuples_dropped());
+        assert_eq!((r.tuples_routed(), r.tuples_dropped()), (routed, dropped));
         assert!(r.route_batch(&[], &s, None).is_empty());
     }
 
@@ -1071,14 +796,14 @@ mod tests {
         multi.add_interest("T", Projection::All, Conjunction::always());
         r.add_local_subscriber(SubscriberId(7), multi);
         let s = schema();
-        r.route(&tup(5, 1.0), &s, None);
+        route(&r, &tup(5, 1.0), &s, None);
         assert!(r.cached_plan_count() > 0);
 
         r.prune_stream(&"S".into());
         // Neighbor 1's profile became empty and was removed entirely;
         // subscriber 7 keeps its interest in T.
         assert!(r.neighbor_interest(NodeId(1)).is_none());
-        assert!(r.route(&tup(5, 1.0), &s, None).is_empty());
+        assert!(route(&r, &tup(5, 1.0), &s, None).is_empty());
         assert!(r.route_punctuation(&"S".into(), None).is_empty());
         assert_eq!(r.cached_plan_count(), 0);
         let p7 = r.local_interest(SubscriberId(7)).unwrap();
@@ -1094,7 +819,7 @@ mod tests {
         assert!(r.neighbor_interest(NodeId(1)).is_some());
         r.set_neighbor_interest(NodeId(1), Profile::new());
         assert!(r.neighbor_interest(NodeId(1)).is_none());
-        assert_eq!(r.route(&tup(5, 0.0), &schema(), None).len(), 0);
+        assert_eq!(route(&r, &tup(5, 0.0), &schema(), None).len(), 0);
     }
 
     #[test]
@@ -1124,112 +849,5 @@ mod tests {
                 projections_built: 55,
             }
         );
-        let mut r = Router::new(NodeId(0));
-        r.set_neighbor_interest(NodeId(1), interest(0, 10, &[]));
-        r.route(&tup(5, 1.0), &schema(), None);
-        r.absorb_counters(&b);
-        assert_eq!(r.tuples_routed(), 11);
-        assert_eq!(r.plan_cache_stats(), (30, 41));
-    }
-
-    #[test]
-    fn shared_snapshot_routes_identically_with_shard_state() {
-        let mut r = Router::new(NodeId(0));
-        r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id"]));
-        r.add_local_subscriber(SubscriberId(7), interest(0, 30, &[]));
-        let s = schema();
-        let batch: Vec<Tuple> = (0..20).map(|i| tup(i % 15, i as f64)).collect();
-
-        let shared = r.shared();
-        let mut store = PlanStore::new();
-        let mut counters = RouterCounters::default();
-        let via_shard = shared.route_batch_with(&mut store, &mut counters, &batch, &s, None);
-        let via_router = r.route_batch(&batch, &s, None);
-        assert_eq!(via_shard, via_router);
-        assert_eq!(counters, r.counters());
-        assert_eq!(store.plan_count(), r.cached_plan_count());
-    }
-
-    /// The cross-thread half of the invalidation contract: a shard that
-    /// keeps routing through a stale plan store after an interest
-    /// mutation on another shard serves stale plans; the generation
-    /// stamp makes the staleness observable on the other thread, and
-    /// clearing the store (what the driver's epoch watch does) restores
-    /// agreement with the mutated router.
-    #[test]
-    fn interest_mutation_is_visible_across_threads_via_generation() {
-        let mut r = Router::new(NodeId(0));
-        r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id"]));
-        let s = schema();
-
-        // Shard thread A: route through a snapshot, fill its own store.
-        let snap_a = r.shared();
-        let schema_a = s.clone();
-        let (store, counters, narrow) = std::thread::spawn(move || {
-            let mut store = PlanStore::new();
-            let mut counters = RouterCounters::default();
-            let fwd =
-                snap_a.route_batch_with(&mut store, &mut counters, &[tup(5, 1.0)], &schema_a, None);
-            (store, counters, fwd[0].tuples[0].values().to_vec())
-        })
-        .join()
-        .unwrap();
-        assert_eq!(narrow, vec![Value::Int(5)], "plan projects onto [id]");
-        assert_eq!(counters.plan_misses, 1);
-
-        // Driver thread: mutate the interest (widen the projection).
-        // The snapshot the shard held is copy-on-write — the mutation
-        // lands in a fresh core and bumps the generation.
-        let gen_before = r.interest_generation();
-        r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id", "price"]));
-        assert!(r.interest_generation() > gen_before);
-
-        // Shard thread B at the new generation. Routing with the STALE
-        // store serves the stale narrow plan — exactly the bug the
-        // generation watch exists to prevent...
-        let snap_b = r.shared();
-        assert!(snap_b.generation() > gen_before);
-        let schema_b = s.clone();
-        let (mut store, stale, fresh) = std::thread::spawn(move || {
-            let mut stale_store = store;
-            let mut c = RouterCounters::default();
-            let stale =
-                snap_b.route_batch_with(&mut stale_store, &mut c, &[tup(5, 2.5)], &schema_b, None);
-            // ...so a shard observing the generation move must clear.
-            stale_store.clear();
-            let fresh =
-                snap_b.route_batch_with(&mut stale_store, &mut c, &[tup(5, 2.5)], &schema_b, None);
-            (stale_store, stale, fresh)
-        })
-        .join()
-        .unwrap();
-        assert_eq!(
-            stale[0].tuples[0].values(),
-            &[Value::Int(5)],
-            "stale store still serves the pre-mutation plan"
-        );
-        assert_eq!(
-            fresh[0].tuples[0].values(),
-            &[Value::Int(5), Value::Float(2.5)],
-            "cleared store recompiles against the mutated interest"
-        );
-        // And the shard's post-clear state agrees with the router's own.
-        store.clear();
-        let mut c = RouterCounters::default();
-        let shard = r
-            .shared()
-            .route_batch_with(&mut store, &mut c, &[tup(5, 2.5)], &s, None);
-        let own = r.route_batch(&[tup(5, 2.5)], &s, None);
-        assert_eq!(shard, own);
-    }
-
-    /// `SharedRouter` and its shard state are Send + Sync by
-    /// construction — the compile-time guarantee the worker pool needs.
-    #[test]
-    fn shared_router_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SharedRouter>();
-        assert_send_sync::<PlanStore>();
-        assert_send_sync::<RouterCounters>();
     }
 }

@@ -3,9 +3,10 @@
 //! COSMOS plans with registration-time estimates; the metrics layer
 //! measures what actually happens. [`Cosmos::autotune`] compares the
 //! two and, past a drift threshold, feeds the measurements back into
-//! the existing optimizers. This module holds the knobs, the scheduler
+//! the existing optimizers. This module holds the knobs, the policy
 //! that decides *when* a pass runs ([`AutotunePolicy`], armed with
-//! [`Cosmos::set_autotune`]), and the structured outcome of one pass.
+//! [`Cosmos::set_autotune`]), the structured outcome of one pass, and
+//! the scheduler's readout ([`AutotuneStatus`]).
 //!
 //! **Hysteresis.** Measured demand drifts continuously, so two
 //! near-equal tree plans can leapfrog each other across consecutive
@@ -90,37 +91,8 @@ impl Default for AutotunePolicy {
     }
 }
 
-/// What one [`Cosmos::autotune`] pass observed and did.
-///
-/// [`Cosmos::autotune`]: crate::Cosmos::autotune
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AutotuneReport {
-    /// Metrics recording is disabled: there are no measurements to
-    /// compare against the plan, so the pass did nothing — it did not
-    /// even compute drift (every measured rate would read zero, which
-    /// is indistinguishable from "no traffic").
-    MetricsDisabled,
-    /// Metrics were live and a measured pass ran (it may still have
-    /// been read-only, when drift stayed under the threshold).
-    Measured(AutotunePass),
-}
-
-impl AutotuneReport {
-    /// Whether drift exceeded the threshold and feedback ran.
-    pub fn triggered(&self) -> bool {
-        matches!(self, AutotuneReport::Measured(p) if p.triggered)
-    }
-
-    /// The measured pass, when metrics were live.
-    pub fn pass(&self) -> Option<&AutotunePass> {
-        match self {
-            AutotuneReport::MetricsDisabled => None,
-            AutotuneReport::Measured(p) => Some(p),
-        }
-    }
-}
-
-/// The measurements and actions of one live [`Cosmos::autotune`] pass.
+/// The measurements and actions of one [`Cosmos::autotune`] pass (it may
+/// have been read-only, when drift stayed under the threshold).
 ///
 /// [`Cosmos::autotune`]: crate::Cosmos::autotune
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,4 +124,21 @@ pub struct AutotunePass {
     ///
     /// [`Cosmos::autotune`]: crate::Cosmos::autotune
     pub tree_rolled_back: bool,
+}
+
+/// The armed scheduler's state, as one value
+/// ([`Cosmos::autotune_status`]).
+///
+/// [`Cosmos::autotune_status`]: crate::Cosmos::autotune_status
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AutotuneStatus {
+    /// The armed policy.
+    pub policy: AutotunePolicy,
+    /// Scheduled passes run since the policy was armed.
+    pub runs: u64,
+    /// Scheduled passes whose tree re-organization was rolled back by
+    /// the hysteresis band.
+    pub rollbacks: u64,
+    /// The most recent scheduled pass, if any ran.
+    pub last: Option<AutotunePass>,
 }

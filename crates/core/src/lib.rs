@@ -31,11 +31,10 @@ pub mod autotune;
 pub mod experiment;
 pub mod fault;
 pub mod overload;
-mod parallel;
 pub mod snapshot;
 pub mod system;
 
-pub use autotune::{AutotuneOptions, AutotunePass, AutotunePolicy, AutotuneReport};
+pub use autotune::{AutotuneOptions, AutotunePass, AutotunePolicy, AutotuneStatus};
 pub use cosmos_metrics::{MetricsConfig, MetricsSnapshot, RouterTotals, METRICS_VERSION};
 pub use cosmos_spe::{DisorderStats, LatePolicy};
 pub use overload::{Budget, OverloadConfig, OverloadController, OverloadPolicy, QueryLedger};

@@ -2,9 +2,8 @@
 //! shedding, coalescing, and upstream throttling.
 //!
 //! Every node gets an intake *budget* — bytes or tuples per metrics
-//! rate window. The controller sits on the single shared delivery
-//! point ([`Cosmos::publish_batch`]'s `deliver_local`, used verbatim by
-//! the serial BFS and the parallel replay), so a user delivery that
+//! rate window. The controller sits on the single delivery point of
+//! the dissemination loop (`deliver_local`), so a user delivery that
 //! would push the node's measured in-window intake past its budget is
 //! intercepted *before* it lands in the delivery buffer and handled by
 //! a deterministic per-query [`OverloadPolicy`]:
@@ -35,7 +34,6 @@
 //! metrics hub's virtual-time windows, so replays of the same scenario
 //! reproduce identical shed decisions bit for bit.
 //!
-//! [`Cosmos::publish_batch`]: crate::Cosmos::publish_batch
 //! [`RateLimit`]: cosmos_types::RateLimit
 
 use cosmos_types::{NodeId, QueryId, RateLimit, StreamName, Tuple};

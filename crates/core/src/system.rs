@@ -1,9 +1,8 @@
 //! The deployed COSMOS system: nodes, routing, query management, and the
 //! discrete-event driver.
 
-use crate::autotune::{AutotuneOptions, AutotunePass, AutotunePolicy, AutotuneReport};
+use crate::autotune::{AutotuneOptions, AutotunePass, AutotunePolicy, AutotuneStatus};
 use crate::overload::{Action, OverloadConfig, OverloadController};
-use crate::parallel::{PreForward, RoutingPool};
 use cosmos_cbn::{BatchForward, Destination, Profile, RegistryMode, Router, SchemaRegistry};
 use cosmos_metrics::{relative_drift, MetricsConfig, MetricsHub, MetricsSnapshot, RouterTotals};
 use cosmos_overlay::{generate, minimum_spanning_tree, Graph, TopologyKind, Tree};
@@ -92,21 +91,19 @@ pub struct DisorderRuntime {
     pub policy: LatePolicy,
 }
 
-/// Book-keeping of an armed [`AutotunePolicy`]: when the last pass
-/// ran, how many consecutive rate windows exceeded the drift
-/// threshold, and the lifetime pass/rollback counters.
+/// Book-keeping of an armed [`AutotunePolicy`]: the public readout
+/// (policy, lifetime pass/rollback counters, last pass) plus when the
+/// last pass ran and how many consecutive rate windows exceeded the
+/// drift threshold.
 #[derive(Debug)]
 struct AutotuneSched {
-    policy: AutotunePolicy,
+    status: AutotuneStatus,
     /// Virtual time of the last scheduled pass.
     last_run_ms: i64,
     /// Last rate-window ordinal the drift trigger evaluated.
     last_window: i64,
     /// Consecutive windows with drift above the threshold so far.
     over_windows: u32,
-    runs: u64,
-    rollbacks: u64,
-    last: Option<AutotuneReport>,
 }
 
 /// One result-stream production site: the representative executor
@@ -196,10 +193,8 @@ pub struct Cosmos {
     /// findings reject the query at submission instead).
     lint_warnings: FxHashMap<QueryId, Vec<String>>,
     link_bytes: BTreeMap<(NodeId, NodeId), u64>,
-    /// Compensated so the readout is association-order insensitive (the
-    /// serial driver and the shard pool replay hops in the same order
-    /// today, but D0501 holds every oracle-feeding accumulation to the
-    /// same standard).
+    /// Compensated summation: D0501 holds every oracle-feeding float
+    /// accumulation to this standard.
     weighted_cost: NeumaierSum,
     tuples_published: u64,
     next_sub: u64,
@@ -228,9 +223,6 @@ pub struct Cosmos {
     /// Source streams closed by their final watermark
     /// ([`Cosmos::close_streams`]); their routing state is pruned.
     closed_streams: BTreeSet<StreamName>,
-    /// Shard-per-core routing workers (`None` = serial driver; see
-    /// [`Cosmos::set_parallelism`]).
-    parallel: Option<RoutingPool>,
     /// Per-node overload controller (`None` = unbounded delivery; see
     /// [`Cosmos::set_overload`]).
     overload: Option<OverloadController>,
@@ -305,7 +297,6 @@ impl Cosmos {
             published_streams: BTreeSet::new(),
             retired_disorder: DisorderStats::default(),
             closed_streams: BTreeSet::new(),
-            parallel: None,
             overload: None,
             autotune_sched: None,
             graph,
@@ -955,26 +946,11 @@ impl Cosmos {
     /// it (and any result datagrams it triggers) through the network to
     /// completion.
     ///
-    /// Thin wrapper over [`Cosmos::publish_batch`]; the input tuple is
-    /// never cloned — the origin router borrows it and only the
+    /// A batch of one through [`Cosmos::publish_batch`]; the input tuple
+    /// is never cloned — the origin router borrows it and only the
     /// (projected, `Arc`-backed) forwarded copies are materialized.
     pub fn publish(&mut self, tuple: &Tuple) -> Result<()> {
         self.publish_batch(std::slice::from_ref(tuple))
-    }
-
-    /// Whether any representative executor consumes a stream that is
-    /// itself produced by a representative. Batching such a topology
-    /// would deliver a source batch and the result batch it triggers
-    /// back-to-back instead of interleaved by timestamp, so
-    /// [`Cosmos::publish_batch`] falls back to per-tuple routing.
-    fn has_cascading_reps(&self) -> bool {
-        self.reps.values().any(|site| {
-            site.executor
-                .query()
-                .streams
-                .iter()
-                .any(|b| self.reps.contains_key(&b.stream))
-        })
     }
 
     /// Publish a *stream-homogeneous* batch of source datagrams at their
@@ -1003,117 +979,22 @@ impl Cosmos {
         if self.disorder.is_some() {
             self.published_streams.insert(first.stream.clone());
         }
-        let cascading = self.has_cascading_reps();
-        if tuples.len() > 1 && cascading {
-            for t in tuples {
-                self.drive(origin, t, &schema);
-            }
-            self.after_publish(tuples);
-            self.autotune_tick();
-            return Ok(());
-        }
-        // Cascading-rep topologies keep all source routing on the main
-        // routers (store-placement consistency with the fallback above);
-        // otherwise route through the worker pool when one is armed.
-        if self.parallel.is_some() && !cascading {
-            let mut pool = self.parallel.take().expect("checked above");
-            pool.ensure_snapshot(&self.routers);
-            let seq = pool.dispatch(origin, tuples.to_vec(), schema);
-            let routed = pool.wait_for(seq);
-            self.replay_routed(routed);
-            self.parallel = Some(pool);
-            self.after_publish(tuples);
-            self.autotune_tick();
-            return Ok(());
-        }
-        let mut queue: VecDeque<Hop> = VecDeque::new();
-        let forwards = self.routers[origin.index()].route_batch(tuples, &schema, None);
-        self.process_forwards(origin, forwards, &mut queue);
-        while let Some(hop) = queue.pop_front() {
-            let forwards =
-                self.routers[hop.at.index()].route_batch(&hop.tuples, &hop.schema, hop.from);
-            self.process_forwards(hop.at, forwards, &mut queue);
-        }
+        self.disseminate(origin, tuples, &schema);
         self.after_publish(tuples);
         self.autotune_tick();
         Ok(())
     }
 
-    /// Replay one worker-routed batch on the driver thread, reproducing
-    /// the serial BFS effect order exactly: precomputed source-derived
-    /// hops are replayed FIFO, and SPE result streams route *live* on
-    /// the main routers, interleaved at the precise queue positions the
-    /// serial driver would give them. Counter deltas from the worker
-    /// shard fold back into the routers first — the same totals, in one
-    /// merge instead of per-tuple cell bumps.
-    fn replay_routed(&mut self, routed: crate::parallel::RoutedBatch) {
-        for (node, delta) in &routed.counters {
-            self.routers[node.index()].absorb_counters(delta);
-        }
-        enum Entry {
-            /// Index into the precomputed source-derived hops.
-            Pre(usize),
-            /// A live hop carrying SPE result tuples.
-            Live(Hop),
-        }
-        let mut hops: Vec<Option<crate::parallel::PreHop>> =
-            routed.hops.into_iter().map(Some).collect();
-        let mut queue: VecDeque<Entry> = VecDeque::new();
-        if !hops.is_empty() {
-            queue.push_back(Entry::Pre(0));
-        }
-        while let Some(entry) = queue.pop_front() {
-            match entry {
-                Entry::Pre(i) => {
-                    let pre = hops[i].take().expect("each pre-hop replays once");
-                    let at = pre.at;
-                    for f in pre.forwards {
-                        match f {
-                            PreForward::Neighbor {
-                                to,
-                                child,
-                                tuples_len,
-                                bytes,
-                            } => {
-                                self.account_link(at, to, bytes);
-                                self.metrics.on_link(at, to, tuples_len, bytes);
-                                queue.push_back(Entry::Pre(child));
-                            }
-                            PreForward::Local {
-                                sub,
-                                tuples,
-                                schema,
-                            } => {
-                                if let Some(hop) = self.deliver_local(at, sub, tuples, &schema) {
-                                    queue.push_back(Entry::Live(hop));
-                                }
-                            }
-                        }
-                    }
-                }
-                Entry::Live(hop) => {
-                    let forwards = self.routers[hop.at.index()].route_batch(
-                        &hop.tuples,
-                        &hop.schema,
-                        hop.from,
-                    );
-                    let mut tmp: VecDeque<Hop> = VecDeque::new();
-                    self.process_forwards(hop.at, forwards, &mut tmp);
-                    for h in tmp {
-                        queue.push_back(Entry::Live(h));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drive one already-validated tuple through the network (the
-    /// per-tuple fallback of [`Cosmos::publish_batch`]).
-    fn drive(&mut self, origin: NodeId, tuple: &Tuple, schema: &Schema) {
+    /// The one dissemination loop: drive a stream-homogeneous batch of
+    /// datagrams entering the network at `at` (a source publish or an
+    /// executor's result batch) through the network to completion,
+    /// including every result batch it triggers on the way. The first
+    /// hop routes the caller's slice borrowed; forwarded hops own their
+    /// (projected) tuples and are served breadth-first.
+    fn disseminate(&mut self, at: NodeId, tuples: &[Tuple], schema: &Schema) {
         let mut queue: VecDeque<Hop> = VecDeque::new();
-        let forwards =
-            self.routers[origin.index()].route_batch(std::slice::from_ref(tuple), schema, None);
-        self.process_forwards(origin, forwards, &mut queue);
+        let forwards = self.routers[at.index()].route_batch(tuples, schema, None);
+        self.process_forwards(at, forwards, &mut queue);
         while let Some(hop) = queue.pop_front() {
             let forwards =
                 self.routers[hop.at.index()].route_batch(&hop.tuples, &hop.schema, hop.from);
@@ -1157,8 +1038,7 @@ impl Cosmos {
     /// SPE input gets the batch pushed through its executor (returning
     /// the result datagrams re-entering the network as a new hop, if
     /// any), a user subscription gets the tuples appended to its
-    /// delivery buffer. Shared verbatim by the serial BFS and the
-    /// parallel replay so the two paths cannot drift.
+    /// delivery buffer (through the overload gate when one is armed).
     fn deliver_local(
         &mut self,
         at: NodeId,
@@ -1185,7 +1065,7 @@ impl Cosmos {
                 });
             }
         } else if let Some(&qid) = self.user_subs.get(&sub) {
-            if self.overload.is_some() && self.metrics.enabled() {
+            if self.overload.is_some() {
                 self.overload_deliver(at, qid, tuples);
             } else {
                 self.metrics.on_delivery(qid, at, &tuples);
@@ -1362,26 +1242,23 @@ impl Cosmos {
         let processor = site.processor;
         let schema = site.executor.result_schema().clone();
         if !outputs.is_empty() {
-            self.metrics.on_publish(stream, &schema, &outputs);
-            self.inject_results(processor, outputs, schema);
+            self.inject_results(stream, processor, &outputs, &schema);
         }
     }
 
-    /// Drive result tuples that entered the network at `at` (an executor
-    /// drain outside the normal publish path) through to completion.
-    fn inject_results(&mut self, at: NodeId, tuples: Vec<Tuple>, schema: Schema) {
-        let mut queue: VecDeque<Hop> = VecDeque::new();
-        queue.push_back(Hop {
-            from: None,
-            at,
-            tuples,
-            schema,
-        });
-        while let Some(hop) = queue.pop_front() {
-            let forwards =
-                self.routers[hop.at.index()].route_batch(&hop.tuples, &hop.schema, hop.from);
-            self.process_forwards(hop.at, forwards, &mut queue);
-        }
+    /// Result tuples of `stream` enter the network at `at` outside the
+    /// normal publish path (an executor drained by a watermark or a
+    /// retirement): observe them like any other published stream and
+    /// drive them through to completion.
+    fn inject_results(
+        &mut self,
+        stream: &StreamName,
+        at: NodeId,
+        tuples: &[Tuple],
+        schema: &Schema,
+    ) {
+        self.metrics.on_publish(stream, schema, tuples);
+        self.disseminate(at, tuples, schema);
     }
 
     /// Disorder-mode epilogue of every publish: advance the global high
@@ -1461,8 +1338,7 @@ impl Cosmos {
                         let after = site.executor.frontier();
                         let schema = site.executor.result_schema().clone();
                         if !outputs.is_empty() {
-                            self.metrics.on_publish(&result_stream, &schema, &outputs);
-                            self.inject_results(processor, outputs, schema);
+                            self.inject_results(&result_stream, processor, &outputs, &schema);
                         }
                         // The executor's frontier is a low-water promise
                         // for its result stream (revision tuples may dip
@@ -1550,137 +1426,6 @@ impl Cosmos {
         Ok(())
     }
 
-    /// Publish a timestamp-ordered input sequence, batching maximal
-    /// consecutive same-stream runs through [`Cosmos::publish_batch`].
-    ///
-    /// With [`Cosmos::set_parallelism`] armed (and no cascading
-    /// representatives), batches are pipelined through the routing
-    /// pool: while the driver replays batch `k`'s effects, workers
-    /// route batches `k+1..` of other streams. Delivery is bit-for-bit
-    /// identical either way.
-    pub fn run_batched<I: IntoIterator<Item = Tuple>>(&mut self, inputs: I) -> Result<()> {
-        if self.parallel.is_some() && !self.has_cascading_reps() {
-            return self.run_batched_parallel(inputs);
-        }
-        let mut pending: Vec<Tuple> = Vec::new();
-        for t in inputs {
-            if pending.last().is_some_and(|p| p.stream != t.stream) {
-                self.publish_batch(&pending)?;
-                pending.clear();
-            }
-            pending.push(t);
-        }
-        if !pending.is_empty() {
-            self.publish_batch(&pending)?;
-        }
-        Ok(())
-    }
-
-    /// The pipelined variant of [`Cosmos::run_batched`]: cut maximal
-    /// same-stream runs, dispatch each to its stream's shard up to a
-    /// bounded in-flight window, and replay routed outputs strictly in
-    /// dispatch order — the deterministic (virtual-time, stream, seq)
-    /// merge. Per batch, the serial prologue (publish accounting,
-    /// metrics observation) runs immediately before its replay and the
-    /// watermark epilogue immediately after, exactly as the serial
-    /// driver interleaves them.
-    ///
-    /// Batch validation happens at dispatch time; this is equivalent to
-    /// the serial driver's validate-at-publish because registration
-    /// state cannot change while a run is in progress. On a validation
-    /// error, every batch dispatched before the bad one is still
-    /// replayed (matching serial partial progress) and the error is
-    /// then returned.
-    fn run_batched_parallel<I: IntoIterator<Item = Tuple>>(&mut self, inputs: I) -> Result<()> {
-        let mut pool = self.parallel.take().expect("caller checked");
-        pool.ensure_snapshot(&self.routers);
-        let window = 2 * pool.parallelism();
-        // Dispatched batches awaiting replay: (seq, tuples, schema).
-        let mut awaiting: VecDeque<(u64, Vec<Tuple>, Schema)> = VecDeque::new();
-        let mut error: Option<CosmosError> = None;
-
-        let replay_front =
-            |sys: &mut Cosmos, pool: &mut RoutingPool, awaiting: &mut VecDeque<_>| {
-                let (seq, tuples, schema): (u64, Vec<Tuple>, Schema) =
-                    awaiting.pop_front().expect("caller checked non-empty");
-                let stream = &tuples.first().expect("batches are non-empty").stream;
-                sys.tuples_published += tuples.len() as u64;
-                sys.metrics.on_publish(stream, &schema, &tuples);
-                if sys.disorder.is_some() {
-                    sys.published_streams.insert(stream.clone());
-                }
-                let routed = pool.wait_for(seq);
-                sys.replay_routed(routed);
-                sys.after_publish(&tuples);
-            };
-
-        let dispatch = |sys: &mut Cosmos,
-                        pool: &mut RoutingPool,
-                        awaiting: &mut VecDeque<(u64, Vec<Tuple>, Schema)>,
-                        batch: Vec<Tuple>|
-         -> Result<()> {
-            let first = batch.first().expect("batches are non-empty");
-            let reg = sys.registry.peek(&first.stream).ok_or_else(|| {
-                CosmosError::System(format!("stream '{}' is not advertised", first.stream))
-            })?;
-            let (origin, schema) = (reg.origin, reg.schema.clone());
-            while awaiting.len() >= window {
-                replay_front(sys, pool, awaiting);
-            }
-            let seq = pool.dispatch(origin, batch.clone(), schema.clone());
-            awaiting.push_back((seq, batch, schema));
-            Ok(())
-        };
-
-        let mut pending: Vec<Tuple> = Vec::new();
-        for t in inputs {
-            if pending.last().is_some_and(|p| p.stream != t.stream) {
-                let batch = std::mem::take(&mut pending);
-                if let Err(e) = dispatch(self, &mut pool, &mut awaiting, batch) {
-                    error = Some(e);
-                    break;
-                }
-            }
-            pending.push(t);
-        }
-        if error.is_none() && !pending.is_empty() {
-            if let Err(e) = dispatch(self, &mut pool, &mut awaiting, pending) {
-                error = Some(e);
-            }
-        }
-        while !awaiting.is_empty() {
-            replay_front(self, &mut pool, &mut awaiting);
-        }
-        self.parallel = Some(pool);
-        // One deferred tick for the whole run: inside the loop a pass
-        // could rebuild routes while later batches are still in flight
-        // against the workers' router snapshots.
-        self.autotune_tick();
-        match error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Arm (or disarm) shard-per-core parallel routing with a fixed
-    /// pool of `n` std worker threads. `n <= 1` restores the serial
-    /// driver (joining any existing workers). Routing through the pool
-    /// is observably identical to the serial driver — same deliveries,
-    /// same byte and cost accounting, same metrics, same digests — at
-    /// any `n`; only wall-clock time changes.
-    pub fn set_parallelism(&mut self, n: usize) {
-        if n <= 1 {
-            self.parallel = None;
-        } else if self.parallel.as_ref().map(RoutingPool::parallelism) != Some(n) {
-            self.parallel = Some(RoutingPool::new(n));
-        }
-    }
-
-    /// Number of routing workers (1 = serial driver).
-    pub fn parallelism(&self) -> usize {
-        self.parallel.as_ref().map_or(1, RoutingPool::parallelism)
-    }
-
     /// Arm (or disarm) the per-node overload controller. With a
     /// configuration set, every user delivery is admission-checked
     /// against the node's intake budget per metrics rate window and
@@ -1691,8 +1436,7 @@ impl Cosmos {
     /// identity after every event).
     ///
     /// Budgets are measured against the metrics hub's virtual-time
-    /// windows; the controller is inert while metrics recording is
-    /// disabled. Disarming (or replacing) a controller first drains its
+    /// windows. Disarming (or replacing) a controller first drains its
     /// pending coalesced batches into the delivery buffers.
     pub fn set_overload(&mut self, cfg: Option<OverloadConfig>) {
         self.drain_overload_staged();
@@ -1718,15 +1462,6 @@ impl Cosmos {
                 self.metrics.on_delivery(qid, node, &tuples);
                 buf.extend(tuples);
             }
-        }
-    }
-
-    /// Enable or disable projection-plan caching (and fan-out sharing)
-    /// in every router. On by default; the off position restores the
-    /// seed-era per-destination projection path for A/B benchmarking.
-    pub fn set_plan_caching(&mut self, enabled: bool) {
-        for r in &mut self.routers {
-            r.set_plan_caching(enabled);
         }
     }
 
@@ -1805,18 +1540,6 @@ impl Cosmos {
         &self.metrics
     }
 
-    /// Whether runtime metrics are being recorded.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.enabled()
-    }
-
-    /// Turn metrics recording on or off (history is kept). The off
-    /// position exists for the bench overhead gate: every observation
-    /// hook becomes an early return.
-    pub fn set_metrics_enabled(&mut self, enabled: bool) {
-        self.metrics.set_enabled(enabled);
-    }
-
     /// Replace the metrics configuration. Resets all recorded history
     /// (windows of a different span are not comparable).
     pub fn set_metrics_config(&mut self, cfg: MetricsConfig) {
@@ -1832,14 +1555,6 @@ impl Cosmos {
         let mut router = RouterTotals::default();
         for r in &self.routers {
             router.fold_counters(&r.counters(), r.cached_plan_count() as u64);
-        }
-        if let Some(pool) = &self.parallel {
-            // Worker shards own the plan stores of the streams they
-            // route; count them here (current-generation stores only)
-            // so the gauge equals the serial driver's, where every plan
-            // lives in the routers' own stores.
-            router.cached_plans +=
-                pool.cached_plans(|n| self.routers[n.index()].interest_generation());
         }
         self.metrics.snapshot(router)
     }
@@ -1909,11 +1624,8 @@ impl Cosmos {
     /// demand ([`Cosmos::optimize_tree_with_demand`]).
     ///
     /// Below the threshold this is read-only and returns a pass with
-    /// `triggered: false`. With metrics recording disabled the pass
-    /// returns [`AutotuneReport::MetricsDisabled`] immediately — every
-    /// measured rate would read zero, so computing the full group-cost
-    /// drift against it would be both wasted work and misleading.
-    pub fn autotune(&mut self, opts: &AutotuneOptions) -> Result<AutotuneReport> {
+    /// `triggered: false`.
+    pub fn autotune(&mut self, opts: &AutotuneOptions) -> Result<AutotunePass> {
         // A direct call runs without a hysteresis band: the optimizer
         // only reports strict improvements, so nothing rolls back.
         self.autotune_gated(opts, 0.0)
@@ -1924,14 +1636,7 @@ impl Cosmos {
     /// `hysteresis` is rolled back (tree restored, routes rebuilt) and
     /// reported with `tree_rolled_back: true`, so near-equal plans
     /// cannot oscillate across scheduled passes.
-    fn autotune_gated(
-        &mut self,
-        opts: &AutotuneOptions,
-        hysteresis: f64,
-    ) -> Result<AutotuneReport> {
-        if !self.metrics.enabled() {
-            return Ok(AutotuneReport::MetricsDisabled);
-        }
+    fn autotune_gated(&mut self, opts: &AutotuneOptions, hysteresis: f64) -> Result<AutotunePass> {
         let (stream_drift, group_drift) = self.measured_drift();
         let drift = stream_drift.max(group_drift);
         let mut pass = AutotunePass {
@@ -1946,7 +1651,7 @@ impl Cosmos {
             tree_rolled_back: false,
         };
         if !drift.is_finite() || drift <= opts.drift_threshold {
-            return Ok(AutotuneReport::Measured(pass));
+            return Ok(pass);
         }
         pass.triggered = true;
         pass.adopted_streams = self.adopt_measured_stats();
@@ -1962,7 +1667,7 @@ impl Cosmos {
             }
         }
         pass.tree = Some(report);
-        Ok(AutotuneReport::Measured(pass))
+        Ok(pass)
     }
 
     /// Arm (or disarm) the self-tuning scheduler. With a policy set,
@@ -1975,81 +1680,63 @@ impl Cosmos {
     /// just ran now".
     pub fn set_autotune(&mut self, policy: Option<AutotunePolicy>) {
         self.autotune_sched = policy.map(|policy| AutotuneSched {
-            policy,
+            status: AutotuneStatus {
+                policy,
+                runs: 0,
+                rollbacks: 0,
+                last: None,
+            },
             last_run_ms: self.metrics.now_ms(),
             last_window: self.metrics.now_ms().div_euclid(self.metrics.window_ms()),
             over_windows: 0,
-            runs: 0,
-            rollbacks: 0,
-            last: None,
         });
     }
 
-    /// The armed self-tuning policy, if any.
-    pub fn autotune_policy(&self) -> Option<AutotunePolicy> {
-        self.autotune_sched.as_ref().map(|s| s.policy)
-    }
-
-    /// Scheduled autotune passes run since the policy was armed.
-    pub fn autotune_runs(&self) -> u64 {
-        self.autotune_sched.as_ref().map_or(0, |s| s.runs)
-    }
-
-    /// Scheduled passes whose tree re-organization was rolled back by
-    /// the hysteresis band.
-    pub fn autotune_rollbacks(&self) -> u64 {
-        self.autotune_sched.as_ref().map_or(0, |s| s.rollbacks)
-    }
-
-    /// The report of the most recent scheduled pass, if any ran.
-    pub fn last_autotune(&self) -> Option<&AutotuneReport> {
-        self.autotune_sched.as_ref().and_then(|s| s.last.as_ref())
+    /// The armed scheduler's policy, lifetime pass and rollback
+    /// counters, and most recent pass; `None` when no policy is armed.
+    pub fn autotune_status(&self) -> Option<AutotuneStatus> {
+        self.autotune_sched.as_ref().map(|s| s.status)
     }
 
     /// Evaluate the armed scheduling policy at the current virtual
-    /// time. Called by the publish driver after each publish completes
-    /// (never mid-replay: a tree rebuild would invalidate in-flight
-    /// worker router snapshots).
+    /// time. Called by the publish driver after each publish completes.
     fn autotune_tick(&mut self) {
         let Some(mut sched) = self.autotune_sched.take() else {
             return;
         };
-        if self.metrics.enabled() {
-            let now = self.metrics.now_ms();
-            let mut due = false;
-            let period = sched.policy.period_virtual.millis();
-            if period > 0 && now - sched.last_run_ms >= period {
-                due = true;
-            }
-            if sched.policy.trigger_after_k_windows > 0 {
-                let win = now.div_euclid(self.metrics.window_ms());
-                if win > sched.last_window {
-                    // Evaluate drift once per rate window, on entry.
-                    sched.last_window = win;
-                    let (sd, gd) = self.measured_drift();
-                    if sd.max(gd) > sched.policy.options.drift_threshold {
-                        sched.over_windows += 1;
-                    } else {
-                        sched.over_windows = 0;
-                    }
-                    if sched.over_windows >= sched.policy.trigger_after_k_windows {
-                        due = true;
-                    }
+        let policy = sched.status.policy;
+        let now = self.metrics.now_ms();
+        let mut due = false;
+        let period = policy.period_virtual.millis();
+        if period > 0 && now - sched.last_run_ms >= period {
+            due = true;
+        }
+        if policy.trigger_after_k_windows > 0 {
+            let win = now.div_euclid(self.metrics.window_ms());
+            if win > sched.last_window {
+                // Evaluate drift once per rate window, on entry.
+                sched.last_window = win;
+                let (sd, gd) = self.measured_drift();
+                if sd.max(gd) > policy.options.drift_threshold {
+                    sched.over_windows += 1;
+                } else {
+                    sched.over_windows = 0;
+                }
+                if sched.over_windows >= policy.trigger_after_k_windows {
+                    due = true;
                 }
             }
-            if due {
-                if let Ok(report) =
-                    self.autotune_gated(&sched.policy.options, sched.policy.hysteresis)
-                {
-                    sched.runs += 1;
-                    if report.pass().is_some_and(|p| p.tree_rolled_back) {
-                        sched.rollbacks += 1;
-                    }
-                    sched.last = Some(report);
+        }
+        if due {
+            if let Ok(pass) = self.autotune_gated(&policy.options, policy.hysteresis) {
+                sched.status.runs += 1;
+                if pass.tree_rolled_back {
+                    sched.status.rollbacks += 1;
                 }
-                sched.last_run_ms = now;
-                sched.over_windows = 0;
+                sched.status.last = Some(pass);
             }
+            sched.last_run_ms = now;
+            sched.over_windows = 0;
         }
         self.autotune_sched = Some(sched);
     }
@@ -2456,146 +2143,6 @@ mod tests {
     }
 
     #[test]
-    fn run_batched_segments_mixed_streams() {
-        let mut sys = line_system(true);
-        sys.register_stream(
-            "T",
-            Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]),
-            StreamStats::with_rate(1.0).attr("k", AttrStats::categorical(10.0)),
-            NodeId(1),
-        )
-        .unwrap();
-        let q = sys
-            .submit_query("SELECT k, x FROM S [Now]", NodeId(3))
-            .unwrap();
-        let mut inputs = Vec::new();
-        for i in 0..12i64 {
-            inputs.push(s_tuple(i * 1000, i, i as f64));
-            if i % 3 == 0 {
-                inputs.push(Tuple::new(
-                    "T",
-                    Timestamp(i * 1000 + 1),
-                    vec![Value::Int(i), Value::Int(i * 1000 + 1)],
-                ));
-            }
-        }
-        sys.run_batched(inputs).unwrap();
-        assert_eq!(sys.results(q).len(), 12);
-        assert_eq!(sys.tuples_published(), 16);
-    }
-
-    /// The tentpole guarantee: the shard-per-core driver is observably
-    /// identical to the serial one — deliveries, link-byte accounting,
-    /// f64 cost accumulation (bit-for-bit), the full metrics snapshot
-    /// (including the plan-cache gauge, whose plans live in worker
-    /// shards), and the routing digest — across interest mutations
-    /// between runs.
-    #[test]
-    fn parallel_routing_is_bit_identical_to_serial() {
-        let mut inputs = Vec::new();
-        for i in 0..30i64 {
-            inputs.push(s_tuple(i * 1000, i % 7, (i * 11 % 100) as f64));
-            if i % 3 == 0 {
-                inputs.push(Tuple::new(
-                    "T",
-                    Timestamp(i * 1000 + 1),
-                    vec![Value::Int(i % 5), Value::Int(i * 1000 + 1)],
-                ));
-            }
-        }
-        let extra: Vec<Tuple> = (30..45i64)
-            .map(|i| s_tuple(i * 1000, i % 7, (i * 13 % 100) as f64))
-            .collect();
-
-        let run = |parallelism: usize| {
-            let mut sys = line_system(true);
-            sys.register_stream(
-                "T",
-                Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]),
-                StreamStats::with_rate(1.0).attr("k", AttrStats::categorical(10.0)),
-                NodeId(1),
-            )
-            .unwrap();
-            sys.set_parallelism(parallelism);
-            assert_eq!(sys.parallelism(), parallelism.max(1));
-            let q1 = sys
-                .submit_query("SELECT k, x FROM S [Now] WHERE x > 30.0", NodeId(3))
-                .unwrap();
-            let q2 = sys
-                .submit_query("SELECT k FROM T [Range 5 Second] WHERE k = 3", NodeId(2))
-                .unwrap();
-            sys.run_batched(inputs.iter().cloned()).unwrap();
-            // Interest mutation between runs: the copy-on-write
-            // snapshot must refresh and stale shard plans must not
-            // survive (serial invalidates its plan caches here too).
-            let q3 = sys
-                .submit_query("SELECT k, x FROM S [Now] WHERE x > 60.0", NodeId(1))
-                .unwrap();
-            sys.run_batched(extra.iter().cloned()).unwrap();
-            let delivered: Vec<Vec<Tuple>> = [q1, q2, q3]
-                .iter()
-                .map(|q| sys.results(*q).to_vec())
-                .collect();
-            (
-                delivered,
-                sys.tuples_published(),
-                sys.total_bytes(),
-                sys.weighted_cost().to_bits(),
-                sys.metrics(),
-                sys.routing_digest(),
-            )
-        };
-
-        let serial = run(1);
-        for p in [2, 4] {
-            let parallel = run(p);
-            assert_eq!(serial.0, parallel.0, "deliveries differ at p={p}");
-            assert_eq!(serial.1, parallel.1, "published counts differ at p={p}");
-            assert_eq!(serial.2, parallel.2, "link bytes differ at p={p}");
-            assert_eq!(serial.3, parallel.3, "weighted cost bits differ at p={p}");
-            assert_eq!(serial.4, parallel.4, "metrics snapshots differ at p={p}");
-            assert_eq!(serial.5, parallel.5, "routing digests differ at p={p}");
-        }
-        assert!(!serial.0[0].is_empty(), "q1 must actually deliver");
-        assert!(!serial.0[2].is_empty(), "q3 must actually deliver");
-    }
-
-    /// Single-batch publishes also route through the pool (correctness
-    /// coverage for the non-pipelined entry point), and validation
-    /// errors behave exactly like the serial driver's.
-    #[test]
-    fn parallel_publish_batch_and_error_paths_match_serial() {
-        let run = |parallelism: usize| {
-            let mut sys = line_system(true);
-            sys.set_parallelism(parallelism);
-            let q = sys
-                .submit_query("SELECT k, x FROM S [Now] WHERE x > 30.0", NodeId(3))
-                .unwrap();
-            for i in 0..10i64 {
-                sys.publish(&s_tuple(i * 1000, i, (i * 12) as f64)).unwrap();
-            }
-            // Unadvertised stream mid-run: earlier batches must have
-            // fully taken effect, the bad one must change nothing.
-            let bad = vec![Tuple::new("Nope", Timestamp(99), vec![Value::Int(1)])];
-            let mixed: Vec<Tuple> = (10..14i64)
-                .map(|i| s_tuple(i * 1000, i, (i * 12) as f64))
-                .chain(bad)
-                .collect();
-            assert!(sys.run_batched(mixed).is_err());
-            (
-                sys.results(q).to_vec(),
-                sys.tuples_published(),
-                sys.total_bytes(),
-                sys.metrics(),
-            )
-        };
-        let serial = run(1);
-        let parallel = run(4);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.1, 14, "the four good tuples before the error count");
-    }
-
-    #[test]
     fn publish_batch_rejects_bad_batches() {
         let mut sys = line_system(true);
         // empty batch is a no-op
@@ -2768,6 +2315,36 @@ mod tests {
             .is_err());
         // empty overlay rejected
         assert!(Cosmos::with_graph(CosmosConfig::default(), Graph::new(0)).is_err());
+    }
+
+    /// No representative can consume a representative: result streams
+    /// are named `result::<node>::g<k>` / `::q<k>`, which CQL cannot
+    /// spell, and any identifier it can spell must be a registered
+    /// stream (lint C0201, ahead of analysis). That is why the
+    /// dissemination loop may batch freely — a source batch never has
+    /// to be interleaved by timestamp with the result batch it
+    /// triggers. A change that lets queries read result streams must
+    /// bring those interleaving semantics with it.
+    #[test]
+    fn queries_cannot_read_result_streams() {
+        for merging in [true, false] {
+            let mut sys = line_system(merging);
+            sys.submit_query("SELECT k, x FROM S [Now]", NodeId(3))
+                .unwrap();
+            let live = sys.rep_states()[0].result_stream.clone();
+            assert!(live.as_str().starts_with("result::"), "{live}");
+            assert!(sys.catalog().schema(&live).is_some(), "advertised");
+            let err = sys
+                .submit_query(&format!("SELECT k FROM {live} [Now]"), NodeId(2))
+                .unwrap_err();
+            assert_eq!(err.kind(), "parse", "{err}");
+            // Every spellable prefix of the name is just an unknown stream.
+            let err = sys
+                .submit_query("SELECT k FROM result [Now]", NodeId(2))
+                .unwrap_err();
+            assert!(err.message().contains("unknown stream 'result'"), "{err}");
+            assert_eq!(sys.query_count(), 1, "rejections leave no state");
+        }
     }
 
     #[test]

@@ -67,14 +67,10 @@ fn autotune_detects_drift_and_strictly_reduces_cost() {
     assert_eq!(tuned.weighted_cost(), control.weighted_cost());
     assert_eq!(tuned.results(q_tuned).len(), 150);
 
-    let report = tuned.autotune(&AutotuneOptions::default()).unwrap();
-    assert!(
-        report.triggered(),
-        "49x rate drift must trigger: {report:?}"
-    );
-    let pass = report.pass().expect("metrics are live");
-    assert!(pass.stream_drift > 10.0, "{report:?}");
-    assert!(pass.adopted_streams >= 1, "{report:?}");
+    let pass = tuned.autotune(&AutotuneOptions::default()).unwrap();
+    assert!(pass.triggered, "49x rate drift must trigger: {pass:?}");
+    assert!(pass.stream_drift > 10.0, "{pass:?}");
+    assert!(pass.adopted_streams >= 1, "{pass:?}");
     assert!(!pass.tree_rolled_back, "direct calls run without a band");
     let tree = pass.tree.expect("tree pass ran");
     assert!(tree.moves >= 1, "measured demand should move node 2");
@@ -114,9 +110,9 @@ fn autotune_is_a_no_op_without_drift() {
     let (mut sys, q) = curved_system(5.0);
     publish_phase(&mut sys, 0..150);
     let cost = sys.weighted_cost();
-    let report = sys.autotune(&AutotuneOptions::default()).unwrap();
-    assert!(!report.triggered(), "{report:?}");
-    assert!(report.pass().expect("metrics are live").tree.is_none());
+    let pass = sys.autotune(&AutotuneOptions::default()).unwrap();
+    assert!(!pass.triggered, "{pass:?}");
+    assert!(pass.tree.is_none());
     assert_eq!(sys.tree().parent(NodeId(2)), Some(NodeId(1)), "unchanged");
     assert_eq!(sys.weighted_cost(), cost);
     assert_eq!(sys.results(q).len(), 150);
@@ -145,22 +141,6 @@ fn metrics_snapshot_agrees_with_driver_accounting() {
 }
 
 #[test]
-fn disabled_metrics_record_nothing_and_block_autotune() {
-    let (mut sys, q) = curved_system(0.1);
-    sys.set_metrics_enabled(false);
-    publish_phase(&mut sys, 0..50);
-    assert_eq!(sys.results(q).len(), 50, "delivery unaffected");
-    let snap = sys.metrics();
-    assert_eq!(snap.link_bytes_total(), 0);
-    assert!(snap.streams.is_empty());
-    // Without observations there is nothing to act on: the pass
-    // reports so explicitly instead of computing drift against zeros.
-    let report = sys.autotune(&AutotuneOptions::default()).unwrap();
-    assert_eq!(report, cosmos::AutotuneReport::MetricsDisabled);
-    assert!(!report.triggered());
-}
-
-#[test]
 fn scheduled_periodic_pass_promotes_without_manual_calls() {
     let (mut sys, q) = curved_system(0.1);
     sys.set_autotune(Some(AutotunePolicy {
@@ -173,12 +153,13 @@ fn scheduled_periodic_pass_promotes_without_manual_calls() {
     // the way, the 49x rate drift triggers, and node 2 is promoted —
     // no explicit autotune() call anywhere.
     publish_phase(&mut sys, 0..150);
-    assert!(sys.autotune_runs() >= 1, "runs {}", sys.autotune_runs());
+    let status = sys.autotune_status().expect("policy armed");
+    assert!(status.runs >= 1, "runs {}", status.runs);
     assert_eq!(sys.tree().parent(NodeId(2)), Some(NodeId(0)), "promoted");
     // The last scheduled pass ran *after* the first one adopted the
-    // measured stats, so it saw no drift — but it did measure.
-    assert!(sys.last_autotune().expect("a pass ran").pass().is_some());
-    assert_eq!(sys.autotune_rollbacks(), 0, "strict improvement adopted");
+    // measured stats, so it saw no drift.
+    assert!(!status.last.expect("a pass ran").triggered);
+    assert_eq!(status.rollbacks, 0, "strict improvement adopted");
     assert_eq!(sys.results(q).len(), 150, "scheduling never drops data");
 }
 
@@ -201,7 +182,8 @@ fn drift_trigger_waits_for_k_consecutive_windows() {
     // Drift exceeded the threshold on (at least) the first three window
     // entries, so exactly one pass fired; after it adopted the measured
     // rate the drift collapsed and the counter never refilled.
-    assert_eq!(sys.autotune_runs(), 1, "one drift-triggered pass");
+    let runs = sys.autotune_status().expect("policy armed").runs;
+    assert_eq!(runs, 1, "one drift-triggered pass");
     assert_eq!(sys.tree().parent(NodeId(2)), Some(NodeId(0)), "promoted");
 }
 
@@ -215,10 +197,11 @@ fn disarmed_scheduler_never_runs() {
         options: AutotuneOptions::default(),
     }));
     publish_phase(&mut sys, 0..60);
-    assert_eq!(sys.autotune_runs(), 0, "both triggers disabled");
+    let runs = sys.autotune_status().expect("policy armed").runs;
+    assert_eq!(runs, 0, "both triggers disabled");
     sys.set_autotune(None);
     publish_phase(&mut sys, 60..120);
-    assert_eq!(sys.autotune_policy(), None);
+    assert_eq!(sys.autotune_status(), None);
     assert_eq!(sys.tree().parent(NodeId(2)), Some(NodeId(1)), "untouched");
 }
 
@@ -378,7 +361,8 @@ fn hysteresis_damps_plan_oscillation() {
         vec![1, 0, 1, 0],
         "zero band must oscillate with the phases"
     );
-    assert_eq!(undamped.autotune_rollbacks(), 0);
+    let rollbacks = |sys: &Cosmos| sys.autotune_status().expect("policy armed").rollbacks;
+    assert_eq!(rollbacks(&undamped), 0);
 
     // Damped: a 0.5 band rolls every flip attempt back — the adoption
     // trajectory is monotone (constant), with the attempts on record.
@@ -392,8 +376,8 @@ fn hysteresis_damps_plan_oscillation() {
     let trajectory = drive_oscillation(&mut damped);
     assert_eq!(trajectory, vec![1], "no flip ever lands under the band");
     assert!(
-        damped.autotune_rollbacks() >= 2,
+        rollbacks(&damped) >= 2,
         "both bursts attempted the promotion and were rolled back (got {})",
-        damped.autotune_rollbacks()
+        rollbacks(&damped)
     );
 }

@@ -2,22 +2,16 @@
 //! COSMOS determinism analysis.
 //!
 //! The replay contract — digests, metrics, and delivery order identical
-//! across replays and at any core count — is enforced dynamically by
-//! the testkit's 64-seed sweeps. This crate adds the static layer:
-//!
-//! - [`lints`] / [`allowlist`]: `cosmos-detlint`, a workspace
-//!   nondeterminism lint (`D` codes in the shared `cosmos_lint::codes`
-//!   registry) with a justified, stale-checked suppression file.
-//! - [`model`]: `cosmos-det check`, a bounded model checker that
-//!   exhaustively enumerates shard-routing-protocol interleavings and
-//!   proves the three properties the seed sweeps can only sample.
-//!
-//! Both CLIs share the `JsonDiagnostic`-style `--json` conventions of
+//! across replays — is enforced dynamically by the testkit's 64-seed
+//! sweeps. This crate adds the static layer: [`lints`] / [`allowlist`]
+//! are `cosmos-detlint`, a workspace nondeterminism lint (`D` codes in
+//! the shared `cosmos_lint::codes` registry) with a justified,
+//! stale-checked suppression file. The CLI shares the
+//! `JsonDiagnostic`-style `--json` conventions of
 //! `cosmos-lint`/`cosmos-verify`/`cosmos-bound`.
 
 pub mod allowlist;
 pub mod lints;
-pub mod model;
 pub mod scan;
 
 use lints::Finding;

@@ -67,8 +67,8 @@ pub mod codes {
     /// `RandomState`): per-process entropy that no seed replays.
     pub const DET_AMBIENT_RNG: &str = "D0301";
     /// Thread spawning or nondeterministic channel receive
-    /// (`try_recv`/`recv_timeout`/select) outside `core/src/parallel.rs`,
-    /// the one module whose interleavings the detcheck model verifies.
+    /// (`try_recv`/`recv_timeout`/select) anywhere in the workspace:
+    /// the simulator is one single-threaded discrete-event driver.
     pub const DET_UNMANAGED_CONC: &str = "D0401";
     /// Bare `f64 +=`/`-=` accumulation in a module that feeds oracles:
     /// association-order drift breaks digest equality; use the

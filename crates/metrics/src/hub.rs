@@ -4,9 +4,9 @@
 //! The hub is clocked by *virtual time* — the max tuple timestamp seen
 //! so far — never the wall clock, so two runs of the same scenario
 //! produce byte-identical metrics. Observation is O(1) per call (plus
-//! O(arity) for the sampled tuples that feed attribute observers), and
-//! every hook early-returns when metrics are disabled, which is what the
-//! bench overhead gate measures.
+//! O(arity) for the sampled tuples that feed attribute observers). The
+//! hub always records: overload budgets and the autotune scheduler read
+//! it, so there is no "off" state for them to disagree with.
 
 use crate::observe::AttrObserver;
 use crate::snapshot::{
@@ -21,9 +21,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Knobs for the metrics layer.
 #[derive(Debug, Clone)]
 pub struct MetricsConfig {
-    /// Record observations at all. Off turns every hook into a cheap
-    /// early return (the ≤5% overhead budget is measured against this).
-    pub enabled: bool,
     /// Sliding-window span, in virtual time.
     pub window: TimeDelta,
     /// Sample every Nth published tuple into the per-attribute
@@ -35,7 +32,6 @@ pub struct MetricsConfig {
 impl Default for MetricsConfig {
     fn default() -> Self {
         MetricsConfig {
-            enabled: true,
             window: TimeDelta::from_secs(60),
             sample_every: 32,
         }
@@ -126,16 +122,6 @@ impl MetricsHub {
         }
     }
 
-    /// Whether observations are being recorded.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
-    }
-
-    /// Turn recording on or off. Already-recorded history is kept.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.cfg.enabled = enabled;
-    }
-
     /// Current virtual time in milliseconds.
     pub fn now_ms(&self) -> i64 {
         self.now_ms
@@ -162,7 +148,7 @@ impl MetricsHub {
     /// virtual time, records the stream's rate window, and samples every
     /// Nth tuple into the attribute observers.
     pub fn on_publish(&mut self, stream: &StreamName, schema: &Schema, tuples: &[Tuple]) {
-        if !self.cfg.enabled || tuples.is_empty() {
+        if tuples.is_empty() {
             return;
         }
         let mut at = self.now_ms;
@@ -210,9 +196,6 @@ impl MetricsHub {
     /// `tuples` tuples totalling `bytes` bytes crossed the overlay link
     /// `from`→`to`.
     pub fn on_link(&mut self, from: NodeId, to: NodeId, tuples: usize, bytes: usize) {
-        if !self.cfg.enabled {
-            return;
-        }
         let key = (from.min(to), from.max(to));
         let (now, w) = (self.now_ms, self.fresh_window());
         self.links
@@ -242,7 +225,7 @@ impl MetricsHub {
     /// A batch of result tuples reached the user of `qid` at `node`.
     /// Delivery latency is `now − tuple timestamp` in virtual time.
     pub fn on_delivery(&mut self, qid: QueryId, node: NodeId, tuples: &[Tuple]) {
-        if !self.cfg.enabled || tuples.is_empty() {
+        if tuples.is_empty() {
             return;
         }
         let now = self.now_ms;
@@ -272,9 +255,6 @@ impl MetricsHub {
     /// call; this hook keeps the dedicated counters. Punctuations carry
     /// no tuple timestamp, so virtual time does not advance.
     pub fn on_punctuation(&mut self, bytes: usize) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.punctuations += 1;
         self.punctuation_bytes += bytes as u64;
     }
@@ -289,9 +269,6 @@ impl MetricsHub {
     /// in these ledger counters and the conservation oracle checks
     /// published = delivered + shed + staged against them.
     pub fn on_shed(&mut self, tuples: u64, bytes: u64) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.shed_tuples += tuples;
         self.shed_bytes += bytes;
     }
@@ -299,9 +276,6 @@ impl MetricsHub {
     /// The `Coalesce` policy merged one pending batch into a staged
     /// buffer instead of delivering it immediately.
     pub fn on_coalesce(&mut self) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.coalesced_batches += 1;
     }
 
@@ -311,9 +285,6 @@ impl MetricsHub {
     /// rate-limits carry no tuple timestamp, so virtual time does not
     /// advance.
     pub fn on_throttle(&mut self, bytes: usize) {
-        if !self.cfg.enabled {
-            return;
-        }
         self.throttles += 1;
         self.throttle_bytes += bytes as u64;
     }
@@ -347,7 +318,7 @@ impl MetricsHub {
     /// `node` (in-network operator intake). Counts toward the node's
     /// consumed demand but not toward any query's deliveries.
     pub fn on_spe_intake(&mut self, node: NodeId, tuples: &[Tuple]) {
-        if !self.cfg.enabled || tuples.is_empty() {
+        if tuples.is_empty() {
             return;
         }
         let bytes: u64 = tuples.iter().map(|t| t.size_bytes() as u64).sum();
@@ -618,21 +589,6 @@ mod tests {
         assert!(cat.stats(&s).unwrap().rate > 3.0, "measured rate adopted");
         let quiet = StreamName::new("quiet");
         assert_eq!(cat.stats(&quiet).unwrap().rate, 7.0, "estimate kept");
-    }
-
-    #[test]
-    fn disabled_hub_records_nothing() {
-        let mut hub = MetricsHub::new(MetricsConfig {
-            enabled: false,
-            ..MetricsConfig::default()
-        });
-        let s = StreamName::new("s");
-        hub.on_publish(&s, &schema(), &[tuple(0, 1, 1.0)]);
-        hub.on_link(NodeId(0), NodeId(1), 1, 100);
-        hub.on_delivery(QueryId(0), NodeId(1), &[tuple(0, 1, 1.0)]);
-        assert!(hub.measured().stream_rate(&s).is_none());
-        assert_eq!(hub.link_bytes_total(), 0);
-        assert_eq!(hub.delivered_count(QueryId(0)), 0);
     }
 
     #[test]

@@ -125,11 +125,9 @@ pub struct RouterTotals {
 
 impl RouterTotals {
     /// Fold one router's counter block (plus its current plan-store
-    /// occupancy) into the deployment totals. Works the same whether
-    /// the block came from a router's own serial state or from a
-    /// per-shard worker delta already absorbed into it — totals are
-    /// sums of [`cosmos_cbn::RouterCounters::merge`]-compatible blocks,
-    /// never reconstructed field by field.
+    /// occupancy) into the deployment totals — sums of
+    /// [`cosmos_cbn::RouterCounters::merge`]-compatible blocks, never
+    /// reconstructed field by field.
     pub fn fold_counters(&mut self, c: &cosmos_cbn::RouterCounters, cached_plans: u64) {
         self.tuples_routed += c.tuples_routed;
         self.tuples_dropped += c.tuples_dropped;

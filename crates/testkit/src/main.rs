@@ -66,11 +66,11 @@ use std::process::ExitCode;
 fn usage(msg: &str) -> ExitCode {
     eprintln!("cosmos-sim: {msg}");
     eprintln!(
-        "usage: cosmos-sim run --seed S [--disorder] [--no-bounds] [--parallelism N] \
+        "usage: cosmos-sim run --seed S [--disorder] [--no-bounds] \
          [--overload [--budget B]] [--no-shrink] [--out FILE]\n\
          \u{20}      cosmos-sim replay FILE\n\
          \u{20}      cosmos-sim sweep --seeds N [--start S0] [--disorder] [--no-bounds] \
-         [--parallelism N] [--overload [--budget B]] [--no-shrink] [--out-dir DIR]\n\
+         [--overload [--budget B]] [--no-shrink] [--out-dir DIR]\n\
          \u{20}      cosmos-sim snapshot --seed S [--baseline] [--disorder] [--out FILE]\n\
          \u{20}      cosmos-sim metrics --seed S [--baseline] [--disorder] [--out FILE]\n\
          \u{20}      cosmos-sim bounds --seed S [--baseline] [--disorder] [--out FILE]\n\
@@ -87,7 +87,6 @@ struct Opts {
     no_bounds: bool,
     baseline: bool,
     disorder: bool,
-    parallelism: usize,
     overload: bool,
     budget: u64,
     inject_shed_leak: bool,
@@ -120,7 +119,6 @@ fn main() -> ExitCode {
         no_bounds: false,
         baseline: false,
         disorder: false,
-        parallelism: 1,
         overload: false,
         budget: u64::MAX / 4,
         inject_shed_leak: false,
@@ -148,10 +146,6 @@ fn main() -> ExitCode {
             },
             "--no-shrink" => o.no_shrink = true,
             "--no-bounds" => o.no_bounds = true,
-            "--parallelism" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => o.parallelism = v,
-                _ => return usage("--parallelism needs an integer >= 1"),
-            },
             "--baseline" => o.baseline = true,
             "--disorder" => o.disorder = true,
             "--overload" => o.overload = true,
@@ -434,13 +428,8 @@ fn run_one(seed: u64, o: &Opts) -> bool {
     let scenario = o.expand(seed);
     let copts = CheckOptions {
         bound_soundness: !o.no_bounds,
-        parallelism: o.parallelism,
         overload_budget: o.overload.then_some(o.budget),
         inject_shed_leak: o.inject_shed_leak,
-        // At --parallelism > 1 every oracle run is already the parallel
-        // driver; CI compares the sweep's digests against a serial
-        // sweep instead of paying for a redundant in-process replay.
-        metamorphic_parallel: o.parallelism <= 1,
         ..CheckOptions::default()
     };
     match check_scenario_opts(&scenario, &copts) {

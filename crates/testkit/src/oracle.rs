@@ -53,8 +53,8 @@ use cosmos_types::{QueryId, Timestamp, Tuple, Value};
 pub struct Failure {
     /// Which oracle fired (`differential (merged)` — `convergence
     /// (merged)` on disordered scenarios —, `metamorphic-merge`,
-    /// `metamorphic-tree`, `metamorphic-batch`, `metamorphic-parallel`,
-    /// `determinism`, `static-verify (…)`, `metrics-conservation (…)`,
+    /// `metamorphic-tree`, `metamorphic-batch`, `determinism`,
+    /// `static-verify (…)`, `metrics-conservation (…)`,
     /// `bound-soundness (…)`, `run-error`).
     pub oracle: String,
     /// The offending query's scenario label, when attributable.
@@ -116,23 +116,13 @@ pub struct CheckOptions {
     /// `cosmos-bound` bounds after every event, in merged, baseline,
     /// and batched modes.
     pub bound_soundness: bool,
-    /// Routing workers for every run ([`RunOptions::parallelism`]);
-    /// 1 = serial driver. All oracles must hold unchanged at any value.
-    pub parallelism: usize,
-    /// Parallel-vs-serial equality: re-run the merged scenario with
-    /// 4 routing workers and demand an identical digest, identical
-    /// per-event routing digests, and a byte-identical metrics
-    /// snapshot. Redundant (and skipped by `cosmos-sim`) when
-    /// `parallelism` is already > 1 — the whole sweep then *is* the
-    /// parallel side, compared against a serial sweep in CI.
-    pub metamorphic_parallel: bool,
     /// Arm the overload controller with this uniform per-node byte
     /// budget in every run ([`RunOptions::overload_budget`]). The
     /// conservation identity is checked after every event; when the
     /// budget is tight enough to actually shed, the semantic oracles
     /// back off per query (a shed buffer is legitimately a sub-multiset
-    /// of the reference output) while determinism and the parallel
-    /// replay still demand bit-identical shed decisions.
+    /// of the reference output) while determinism still demands
+    /// bit-identical shed decisions.
     pub overload_budget: Option<u64>,
     /// Fault-injection canary ([`RunOptions::inject_shed_leak`]): drop
     /// the shed-side ledger accounting so any real shed must be caught
@@ -151,8 +141,6 @@ impl Default for CheckOptions {
             static_verify: true,
             metrics_conservation: true,
             bound_soundness: true,
-            parallelism: 1,
-            metamorphic_parallel: true,
             overload_budget: None,
             inject_shed_leak: false,
         }
@@ -176,7 +164,6 @@ pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<R
         &RunOptions {
             static_verify: opts.static_verify,
             bound_checks: opts.bound_soundness,
-            parallelism: opts.parallelism,
             overload_budget: opts.overload_budget,
             inject_shed_leak: opts.inject_shed_leak,
             ..RunOptions::default()
@@ -202,7 +189,6 @@ pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<R
             &RunOptions {
                 static_verify: false,
                 bound_checks: false,
-                parallelism: opts.parallelism,
                 overload_budget: opts.overload_budget,
                 inject_shed_leak: opts.inject_shed_leak,
                 ..RunOptions::default()
@@ -228,41 +214,6 @@ pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<R
         }
     }
 
-    if opts.metamorphic_parallel && opts.parallelism <= 1 {
-        // The shard-per-core driver must be observably identical to the
-        // serial one: same digest (delivery order included), same
-        // per-event routing digests, byte-identical metrics snapshot.
-        let parallel = run_scenario(
-            scenario,
-            &RunOptions {
-                static_verify: false,
-                bound_checks: false,
-                parallelism: 4,
-                overload_budget: opts.overload_budget,
-                inject_shed_leak: opts.inject_shed_leak,
-                ..RunOptions::default()
-            },
-        )
-        .map_err(run_err)?;
-        if parallel.digest != merged.digest || parallel.routing_digests != merged.routing_digests {
-            return Err(Failure {
-                oracle: "metamorphic-parallel".into(),
-                label: None,
-                detail: format!(
-                    "4-worker run diverged from serial: digest {:016x} vs {:016x}",
-                    parallel.digest, merged.digest
-                ),
-            });
-        }
-        if opts.metrics_conservation && parallel.metrics_json != merged.metrics_json {
-            return Err(Failure {
-                oracle: "metamorphic-parallel".into(),
-                label: None,
-                detail: "4-worker run produced a different metrics snapshot than serial".into(),
-            });
-        }
-    }
-
     if opts.differential {
         differential(&merged, "merged")?;
     }
@@ -273,7 +224,6 @@ pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<R
             merging: false,
             static_verify: opts.static_verify,
             bound_checks: opts.bound_soundness,
-            parallelism: opts.parallelism,
             overload_budget: opts.overload_budget,
             inject_shed_leak: opts.inject_shed_leak,
             ..RunOptions::default()
@@ -303,7 +253,6 @@ pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<R
                 optimize_every_event: true,
                 static_verify: false,
                 bound_checks: false,
-                parallelism: opts.parallelism,
                 overload_budget: opts.overload_budget,
                 inject_shed_leak: opts.inject_shed_leak,
                 ..RunOptions::default()
@@ -323,7 +272,6 @@ pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<R
                 batched: true,
                 static_verify: false,
                 bound_checks: opts.bound_soundness,
-                parallelism: opts.parallelism,
                 overload_budget: opts.overload_budget,
                 inject_shed_leak: opts.inject_shed_leak,
                 ..RunOptions::default()

@@ -55,11 +55,6 @@ pub struct RunOptions {
     /// trace envelope. Violations are collected in
     /// [`RunOutcome::bound_violations`].
     pub bound_checks: bool,
-    /// Routing workers ([`cosmos::Cosmos::set_parallelism`]); 1 runs
-    /// the serial driver. Every outcome — digests included — must be
-    /// identical at any value (the shard-per-core driver is observably
-    /// deterministic), which the metamorphic-parallel oracle enforces.
-    pub parallelism: usize,
     /// Arm the overload controller with this uniform per-node byte
     /// budget per rate window ([`cosmos::Cosmos::set_overload`], Shed
     /// policy). The runner then checks the conservation identity
@@ -83,7 +78,6 @@ impl Default for RunOptions {
             batched: false,
             static_verify: true,
             bound_checks: true,
-            parallelism: 1,
             overload_budget: None,
             inject_shed_leak: false,
         }
@@ -280,9 +274,6 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> Result<RunOutcome
             bound,
             policy: LatePolicy::Revise { grace: bound },
         }));
-    }
-    if opts.parallelism > 1 {
-        sys.set_parallelism(opts.parallelism);
     }
     if let Some(budget) = opts.overload_budget {
         sys.set_overload(Some(cosmos::OverloadConfig::uniform_bytes(budget)));

@@ -71,8 +71,6 @@ fn injected_merge_bug_is_caught_by_metamorphic_oracle() {
         static_verify: false,
         metrics_conservation: false,
         bound_soundness: false,
-        parallelism: 1,
-        metamorphic_parallel: false,
         overload_budget: None,
         inject_shed_leak: false,
     };
@@ -106,8 +104,6 @@ fn injected_merge_bug_is_caught_statically_before_any_publish() {
         static_verify: true,
         metrics_conservation: false,
         bound_soundness: false,
-        parallelism: 1,
-        metamorphic_parallel: false,
         overload_budget: None,
         inject_shed_leak: false,
     };
