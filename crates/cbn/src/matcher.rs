@@ -20,7 +20,6 @@
 use crate::predicate::{AttrConstraint, DiffRange};
 use crate::profile::Profile;
 use cosmos_types::{FxHashMap, Schema, StreamName, Tuple, Value};
-use std::collections::BTreeSet;
 use std::hash::Hash;
 
 /// A pluggable profile-matching engine.
@@ -124,6 +123,9 @@ struct StreamIndex<K> {
 pub struct CountingMatcher<K> {
     profiles: FxHashMap<K, Profile>,
     streams: FxHashMap<StreamName, StreamIndex<K>>,
+    /// Per-stream index rebuilds performed so far — lets a test pin
+    /// "a control operation re-indexes only what moved" without a clock.
+    index_rebuilds: u64,
 }
 
 impl<K: Ord + Clone + Hash + Eq> CountingMatcher<K> {
@@ -132,11 +134,47 @@ impl<K: Ord + Clone + Hash + Eq> CountingMatcher<K> {
         CountingMatcher {
             profiles: FxHashMap::default(),
             streams: FxHashMap::default(),
+            index_rebuilds: 0,
         }
+    }
+
+    /// Number of per-stream index rebuilds performed so far.
+    pub fn index_rebuilds(&self) -> u64 {
+        self.index_rebuilds
+    }
+
+    /// Install (`Some`), replace or remove (`None`) the profile of
+    /// `key`, rebuilding the index of exactly the streams whose entry
+    /// for `key` appeared, disappeared or changed. Returns those
+    /// streams, so a caller caching per-stream state derived from the
+    /// profile knows what to drop.
+    pub fn replace(&mut self, key: K, profile: Option<Profile>) -> Vec<StreamName> {
+        let prev = match profile {
+            Some(p) => self.profiles.insert(key.clone(), p),
+            None => self.profiles.remove(&key),
+        };
+        let prev = prev.unwrap_or_default();
+        let new = self.profiles.get(&key);
+        let changed: Vec<StreamName> = prev
+            .iter()
+            .filter(|(s, e)| new.and_then(|p| p.entry(s)) != Some(e))
+            .map(|(s, _)| s)
+            .chain(
+                new.into_iter()
+                    .flat_map(Profile::streams)
+                    .filter(|s| prev.entry(s).is_none()),
+            )
+            .cloned()
+            .collect();
+        for s in &changed {
+            self.rebuild_stream(s);
+        }
+        changed
     }
 
     /// Rebuild the index of one stream from all installed profiles.
     fn rebuild_stream(&mut self, stream: &StreamName) {
+        self.index_rebuilds += 1;
         let mut idx = StreamIndex {
             accept_all: Vec::new(),
             filters: Vec::new(),
@@ -204,11 +242,6 @@ impl<K: Ord + Clone + Hash + Eq> CountingMatcher<K> {
             self.streams.insert(stream.clone(), idx);
         }
     }
-
-    /// Streams referenced by a profile.
-    fn profile_streams(profile: &Profile) -> Vec<StreamName> {
-        profile.streams().cloned().collect()
-    }
 }
 
 impl<K: Ord + Clone> StreamIndex<K> {
@@ -262,22 +295,11 @@ impl<K: Ord + Clone> StreamIndex<K> {
 
 impl<K: Ord + Clone + Hash + Eq> MatchEngine<K> for CountingMatcher<K> {
     fn insert(&mut self, key: K, profile: Profile) {
-        let mut affected: BTreeSet<StreamName> =
-            Self::profile_streams(&profile).into_iter().collect();
-        if let Some(prev) = self.profiles.insert(key, profile) {
-            affected.extend(Self::profile_streams(&prev));
-        }
-        for s in affected {
-            self.rebuild_stream(&s);
-        }
+        self.replace(key, Some(profile));
     }
 
     fn remove(&mut self, key: &K) {
-        if let Some(prev) = self.profiles.remove(key) {
-            for s in Self::profile_streams(&prev) {
-                self.rebuild_stream(&s);
-            }
-        }
+        self.replace(key.clone(), None);
     }
 
     fn matches(&self, tuple: &Tuple, schema: &Schema) -> Vec<K> {
@@ -592,10 +614,11 @@ mod prop_tests {
         ]
     }
 
-    fn build_profile(constrs: &[Vec<Constr>]) -> Profile {
-        let mut p = Profile::new();
+    /// Add interest in `stream` to `p`: the disjunction of `constrs`,
+    /// or the whole stream when there are none.
+    fn add_stream(p: &mut Profile, stream: &str, constrs: &[Vec<Constr>]) {
         if constrs.is_empty() {
-            return Profile::whole_stream("S");
+            p.add_interest(stream, Projection::All, Conjunction::always());
         }
         for filter in constrs {
             let mut c = Conjunction::always();
@@ -621,32 +644,59 @@ mod prop_tests {
                     }
                 }
             }
-            p.add_interest("S", Projection::All, c);
+            p.add_interest(stream, Projection::All, c);
         }
-        p
+    }
+
+    /// The filters of one stream entry; `None` = no entry for the stream.
+    fn arb_stream() -> impl Strategy<Value = Option<Vec<Vec<Constr>>>> {
+        proptest::option::of(proptest::collection::vec(
+            proptest::collection::vec(arb_constr(), 0..3),
+            0..3,
+        ))
     }
 
     proptest! {
-        /// The counting matcher and the naive matcher agree on arbitrary
-        /// profile sets and tuples.
+        /// The counting matcher and the naive matcher agree after every
+        /// step of an arbitrary install / replace / remove sequence over
+        /// profiles spanning two streams — the counting matcher re-indexes
+        /// only the streams whose entry changed, so a replace that keeps
+        /// one stream's entry and moves the other must leave both right.
         #[test]
         fn engines_agree(
-            profiles in proptest::collection::vec(
-                proptest::collection::vec(
-                    proptest::collection::vec(arb_constr(), 0..3), 0..3), 1..6),
-            points in proptest::collection::vec((-12i64..12, -12i64..12), 1..12),
+            ops in proptest::collection::vec((0u32..4, arb_stream(), arb_stream()), 1..12),
+            points in proptest::collection::vec((-12i64..12, -12i64..12), 1..8),
         ) {
             let mut naive = NaiveMatcher::new();
             let mut counting = CountingMatcher::new();
-            for (i, spec) in profiles.iter().enumerate() {
-                let p = build_profile(spec);
-                naive.insert(i as u32, p.clone());
-                counting.insert(i as u32, p);
-            }
             let s = schema();
-            for (a, b) in points {
-                let t = Tuple::new("S", Timestamp(0), vec![Value::Int(a), Value::Int(b)]);
-                prop_assert_eq!(naive.matches(&t, &s), counting.matches(&t, &s));
+            for (key, on_s, on_t) in ops {
+                let mut p = Profile::new();
+                for (stream, constrs) in [("S", on_s), ("T", on_t)] {
+                    if let Some(constrs) = constrs {
+                        add_stream(&mut p, stream, &constrs);
+                    }
+                }
+                if p.is_empty() {
+                    naive.remove(&key);
+                    counting.remove(&key);
+                } else {
+                    naive.insert(key, p.clone());
+                    counting.insert(key, p);
+                }
+                prop_assert_eq!(naive.len(), counting.len());
+                for stream in ["S", "T"] {
+                    let batch: Vec<Tuple> = points
+                        .iter()
+                        .map(|(a, b)| {
+                            Tuple::new(stream, Timestamp(0), vec![Value::Int(*a), Value::Int(*b)])
+                        })
+                        .collect();
+                    for t in &batch {
+                        prop_assert_eq!(naive.matches(t, &s), counting.matches(t, &s));
+                    }
+                    prop_assert_eq!(naive.matches_batch(&batch, &s), counting.matches_batch(&batch, &s));
+                }
             }
         }
     }

@@ -3,6 +3,7 @@
 use crate::predicate::Conjunction;
 use cosmos_types::{Schema, StreamName, Tuple};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -162,43 +163,56 @@ impl ProfileEntry {
     /// Union of interests: widen the projection and take the disjunction
     /// of filter sets, pruning filters implied by another filter.
     pub fn union(&self, other: &ProfileEntry) -> ProfileEntry {
-        let projection = self.projection.union(&other.projection);
-        if self.filters.is_empty() || other.filters.is_empty() {
-            return ProfileEntry {
-                projection,
-                filters: vec![],
-            };
+        let mut out = self.clone();
+        out.union_with(other);
+        out
+    }
+
+    /// `*self = self.union(other)` in place: the same result field for
+    /// field, but `self`'s filters are moved through the pruning pass
+    /// instead of cloned, and `other`'s are cloned only if kept — what
+    /// a fold over many subscriptions pays per merge.
+    ///
+    /// `self`'s filters do go through the pass again: a raw multi-filter
+    /// entry (never pruned) is indistinguishable from a previous union's
+    /// output, and only for the latter is the pass the identity.
+    pub fn union_with(&mut self, other: &ProfileEntry) {
+        match (&mut self.projection, &other.projection) {
+            (Projection::All, _) => {}
+            (p, Projection::All) => *p = Projection::All,
+            (Projection::Attrs(a), Projection::Attrs(b)) => a.extend(b.iter().cloned()),
         }
-        let mut filters: Vec<Conjunction> = Vec::new();
-        'outer: for cand in self.filters.iter().chain(&other.filters) {
+        if self.filters.is_empty() {
+            return; // accept-all absorbs anything
+        }
+        if other.filters.is_empty() {
+            self.filters.clear();
+            return;
+        }
+        let own = std::mem::take(&mut self.filters);
+        let cands = own
+            .into_iter()
+            .map(Cow::Owned)
+            .chain(other.filters.iter().map(Cow::Borrowed));
+        let mut first_unsat = None;
+        for cand in cands {
             if cand.is_unsat() {
+                first_unsat.get_or_insert(cand);
                 continue;
             }
-            // Drop `cand` if an existing filter already subsumes it;
-            // drop existing filters subsumed by `cand`.
-            for kept in &filters {
-                if cand.implies(kept) {
-                    continue 'outer;
-                }
+            // Drop `cand` if a kept filter already subsumes it; drop
+            // kept filters subsumed by `cand`.
+            if self.filters.iter().any(|kept| cand.implies(kept)) {
+                continue;
             }
-            filters.retain(|kept| !kept.implies(cand));
-            filters.push(cand.clone());
+            self.filters.retain(|kept| !kept.implies(&cand));
+            self.filters.push(cand.into_owned());
         }
-        if filters.is_empty() {
+        if self.filters.is_empty() {
             // Every filter of both operands was unsatisfiable. An empty
             // list means "accept all", which would *flip* the semantics;
-            // keep one unsatisfiable filter to preserve "match nothing".
-            let unsat = self
-                .filters
-                .first()
-                .or_else(|| other.filters.first())
-                .cloned()
-                .expect("both operands non-empty here");
-            filters.push(unsat);
-        }
-        ProfileEntry {
-            projection,
-            filters,
+            // keep the first one to preserve "match nothing".
+            self.filters.extend(first_unsat.map(Cow::into_owned));
         }
     }
 
@@ -248,9 +262,20 @@ impl Profile {
     pub fn add_entry(&mut self, stream: impl Into<StreamName>, entry: ProfileEntry) {
         let stream = stream.into();
         match self.entries.get_mut(&stream) {
-            Some(existing) => *existing = existing.union(&entry),
+            Some(existing) => existing.union_with(&entry),
             None => {
                 self.entries.insert(stream, entry);
+            }
+        }
+    }
+
+    /// [`Profile::add_entry`] from borrowed parts: clones only what the
+    /// profile ends up keeping.
+    pub fn merge_entry(&mut self, stream: &StreamName, entry: &ProfileEntry) {
+        match self.entries.get_mut(stream) {
+            Some(existing) => existing.union_with(entry),
+            None => {
+                self.entries.insert(stream.clone(), entry.clone());
             }
         }
     }
@@ -338,7 +363,7 @@ impl Profile {
     pub fn union(&self, other: &Profile) -> Profile {
         let mut out = self.clone();
         for (s, e) in &other.entries {
-            out.add_entry(s.clone(), e.clone());
+            out.merge_entry(s, e);
         }
         out
     }

@@ -18,7 +18,8 @@
 //! Routing takes `&self`: the compiled projection plans and the counters
 //! sit behind interior mutability, so a caller holding only a shared
 //! reference to the deployment can still route through its routers.
-//! Every interest mutation clears the whole plan cache.
+//! An interest mutation drops the compiled plans of exactly the streams
+//! whose entry for the mutated destination changed.
 
 use crate::matcher::{CountingMatcher, MatchEngine};
 use crate::profile::{Profile, ProfileEntry};
@@ -201,8 +202,8 @@ pub struct Router {
     neighbor_interest: BTreeMap<NodeId, Profile>,
     local_interest: BTreeMap<SubscriberId, Profile>,
     engine: CountingMatcher<Destination>,
-    /// Compiled projection plans; cleared whenever the installed
-    /// interests change.
+    /// Compiled projection plans; an interest mutation drops those of
+    /// the streams it changed (see [`Router::install`]).
     plans: RefCell<PlanStore>,
     counters: Cell<RouterCounters>,
 }
@@ -220,11 +221,19 @@ impl Router {
         }
     }
 
-    /// Drop every compiled plan. Called by every interest mutator — the
-    /// invalidation contract is "any change to any installed profile
-    /// clears the whole cache".
-    fn invalidate_plans(&mut self) {
-        self.plans.get_mut().entries.clear();
+    /// Install (`Some`), replace or remove (`None`) the profile the
+    /// match engine holds for `dest`. Every interest mutator goes
+    /// through here, which is the whole invalidation contract: a plan
+    /// depends on `(schema, stream, dest's entry for stream)` and
+    /// nothing else, the engine reports exactly the streams whose entry
+    /// for `dest` changed, and their compiled plans are dropped before
+    /// the `&mut self` borrow ends — a stale plan is never observable.
+    fn install(&mut self, dest: Destination, profile: Option<Profile>) {
+        let changed = self.engine.replace(dest, profile);
+        self.plans
+            .get_mut()
+            .entries
+            .retain(|e| !changed.contains(&e.stream));
     }
 
     /// The node this router belongs to.
@@ -234,13 +243,11 @@ impl Router {
 
     /// Replace the merged interest of the subtree behind `neighbor`.
     pub fn set_neighbor_interest(&mut self, neighbor: NodeId, profile: Profile) {
-        self.invalidate_plans();
         if profile.is_empty() {
             self.neighbor_interest.remove(&neighbor);
-            self.engine.remove(&Destination::Neighbor(neighbor));
+            self.install(Destination::Neighbor(neighbor), None);
         } else {
-            self.engine
-                .insert(Destination::Neighbor(neighbor), profile.clone());
+            self.install(Destination::Neighbor(neighbor), Some(profile.clone()));
             self.neighbor_interest.insert(neighbor, profile);
         }
     }
@@ -253,17 +260,6 @@ impl Router {
             None => profile.clone(),
         };
         self.set_neighbor_interest(neighbor, merged);
-    }
-
-    /// Drop every neighbor interest (local subscribers stay). Used when
-    /// the dissemination tree is reorganized and subscriptions are
-    /// re-propagated along the new paths.
-    pub fn clear_neighbor_interests(&mut self) {
-        self.invalidate_plans();
-        for n in self.neighbor_interest.keys() {
-            self.engine.remove(&Destination::Neighbor(*n));
-        }
-        self.neighbor_interest.clear();
     }
 
     /// Interest of the subtree behind `neighbor`, if any.
@@ -279,16 +275,14 @@ impl Router {
 
     /// Install the profile of a locally attached subscriber.
     pub fn add_local_subscriber(&mut self, sub: SubscriberId, profile: Profile) {
-        self.invalidate_plans();
-        self.engine.insert(Destination::Local(sub), profile.clone());
+        self.install(Destination::Local(sub), Some(profile.clone()));
         self.local_interest.insert(sub, profile);
     }
 
     /// Remove a locally attached subscriber.
     pub fn remove_local_subscriber(&mut self, sub: SubscriberId) {
-        self.invalidate_plans();
         self.local_interest.remove(&sub);
-        self.engine.remove(&Destination::Local(sub));
+        self.install(Destination::Local(sub), None);
     }
 
     /// The profile of a local subscriber, if installed.
@@ -450,7 +444,7 @@ impl Router {
     }
 
     /// Drop every interest entry for `stream` — neighbor and local —
-    /// shrinking the match engine and clearing the plan cache. Called
+    /// shrinking the match engine and dropping the stream's plans. Called
     /// when a stream is closed by its final watermark: no datagram of it
     /// will ever arrive again, so the routing state is dead weight.
     /// Destinations whose whole profile becomes empty are removed.
@@ -481,6 +475,12 @@ impl Router {
                 self.add_local_subscriber(s, p);
             }
         }
+    }
+
+    /// Match-index rebuilds (one per stream re-indexed) this router's
+    /// interest mutations have caused so far.
+    pub fn index_rebuilds(&self) -> u64 {
+        self.engine.index_rebuilds()
     }
 
     /// Number of compiled plans currently cached.
@@ -532,14 +532,22 @@ mod tests {
     }
 
     fn tup(id: i64, price: f64) -> Tuple {
+        tup_on("S", id, price)
+    }
+
+    fn tup_on(stream: &str, id: i64, price: f64) -> Tuple {
         Tuple::new(
-            "S",
+            stream,
             Timestamp(1),
             vec![Value::Int(id), Value::Float(price), Value::str("n")],
         )
     }
 
     fn interest(lo: i64, hi: i64, attrs: &[&str]) -> Profile {
+        interest_on("S", lo, hi, attrs)
+    }
+
+    fn interest_on(stream: &str, lo: i64, hi: i64, attrs: &[&str]) -> Profile {
         let mut f = Conjunction::always();
         f.between("id", lo, hi);
         let mut p = Profile::new();
@@ -548,7 +556,7 @@ mod tests {
         } else {
             Projection::of(attrs.iter().copied())
         };
-        p.add_interest("S", proj, f);
+        p.add_interest(stream, proj, f);
         p
     }
 
@@ -662,33 +670,46 @@ mod tests {
     }
 
     #[test]
-    fn plans_are_cached_and_invalidated_on_churn() {
+    fn plans_are_cached_and_invalidated_per_stream() {
         let mut r = Router::new(NodeId(0));
         r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id"]));
         r.add_local_subscriber(SubscriberId(7), interest(0, 10, &[]));
+        r.add_local_subscriber(SubscriberId(9), interest_on("T", 0, 10, &["id"]));
         let s = schema();
+        let on_t = |id| tup_on("T", id, 1.0);
         assert_eq!(r.cached_plan_count(), 0);
 
         route(&r, &tup(5, 1.0), &s, None);
-        let (h1, m1) = r.plan_cache_stats();
-        assert_eq!((h1, m1), (0, 2), "first tuple compiles both plans");
-        assert_eq!(r.cached_plan_count(), 2);
-
+        assert_eq!(r.plan_cache_stats(), (0, 2), "first tuple compiles both");
         route(&r, &tup(6, 1.0), &s, None);
-        let (h2, m2) = r.plan_cache_stats();
-        assert_eq!((h2, m2), (2, 2), "second tuple hits both plans");
+        assert_eq!(r.plan_cache_stats(), (2, 2), "second tuple hits both");
+        route(&r, &on_t(5), &s, None);
+        assert_eq!(r.plan_cache_stats(), (2, 3));
+        assert_eq!(r.cached_plan_count(), 3);
 
-        // Any interest mutation clears the cache.
+        // A mutation on S drops S's plans and leaves T's compiled.
         r.add_local_subscriber(SubscriberId(8), interest(0, 10, &[]));
-        assert_eq!(r.cached_plan_count(), 0);
+        assert_eq!(r.cached_plan_count(), 1);
+        route(&r, &on_t(5), &s, None);
+        assert_eq!(r.plan_cache_stats(), (3, 3), "T's plan survived");
         route(&r, &tup(5, 1.0), &s, None);
-        assert_eq!(r.cached_plan_count(), 3, "plans recompiled after churn");
+        assert_eq!(r.plan_cache_stats(), (3, 6), "S's plans recompiled");
+        assert_eq!(r.cached_plan_count(), 4);
 
-        r.remove_local_subscriber(SubscriberId(8));
-        assert_eq!(r.cached_plan_count(), 0);
+        // Re-setting an equal profile changes nothing.
+        let rebuilds = r.index_rebuilds();
+        r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id"]));
+        r.add_local_subscriber(SubscriberId(9), interest_on("T", 0, 10, &["id"]));
+        assert_eq!(r.cached_plan_count(), 4);
+        assert_eq!(r.index_rebuilds(), rebuilds);
         route(&r, &tup(5, 1.0), &s, None);
-        assert_eq!(r.cached_plan_count(), 2);
-        r.clear_neighbor_interests();
+        assert_eq!(r.plan_cache_stats(), (6, 6));
+
+        // Removals drop their stream's plans only.
+        r.remove_local_subscriber(SubscriberId(8));
+        assert_eq!(r.cached_plan_count(), 1);
+        r.set_neighbor_interest(NodeId(1), Profile::new());
+        r.prune_stream(&"T".into());
         assert_eq!(r.cached_plan_count(), 0);
     }
 
@@ -709,19 +730,16 @@ mod tests {
         assert!(d.windows(2).all(|w| w[0].tuples == w[1].tuples));
     }
 
-    #[test]
-    fn route_batch_agrees_with_profile_reference() {
-        let mut r = Router::new(NodeId(0));
-        r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id"]));
-        r.set_neighbor_interest(NodeId(2), interest(5, 25, &[]));
-        r.add_local_subscriber(SubscriberId(7), interest(0, 30, &["id", "price"]));
-        let s = schema();
-        let batch: Vec<Tuple> = (0..40).map(|i| tup(i % 35, i as f64)).collect();
-
-        // Independent reference: every installed profile decides for
-        // itself, tuple by tuple, whether it covers the datagram and
-        // what its projection looks like — no match index, no plans.
-        let arrival = NodeId(2);
+    /// Route `batch` and hold the outcome to an independent reference:
+    /// every installed profile decides for itself, tuple by tuple,
+    /// whether it covers the datagram and what its projection looks
+    /// like — no match index, no plans. Returns `(routed, dropped)`.
+    fn assert_routes_like_profiles(
+        r: &Router,
+        batch: &[Tuple],
+        s: &Schema,
+        arrival: NodeId,
+    ) -> (u64, u64) {
         let mut installed: Vec<(Destination, &Profile)> = r
             .neighbor_interests()
             .filter(|(n, _)| *n != arrival)
@@ -733,13 +751,13 @@ mod tests {
         );
         let mut grouped: BTreeMap<Destination, (Vec<Tuple>, Schema)> = BTreeMap::new();
         let (mut routed, mut dropped) = (0u64, 0u64);
-        for t in &batch {
+        for t in batch {
             let mut forwarded = false;
             for (dest, profile) in &installed {
-                if !profile.covers_tuple(t, &s) {
+                if !profile.covers_tuple(t, s) {
                     continue;
                 }
-                let (pt, ps) = profile.project_tuple(t, &s).expect("covered stream");
+                let (pt, ps) = profile.project_tuple(t, s).expect("covered stream");
                 grouped
                     .entry(*dest)
                     .or_insert_with(|| (Vec::new(), ps))
@@ -753,17 +771,100 @@ mod tests {
                 dropped += 1;
             }
         }
-        assert!(routed > 0 && dropped > 0, "both outcomes are exercised");
-
-        let batched = r.route_batch(&batch, &s, Some(arrival));
+        let before = r.counters();
+        let batched = r.route_batch(batch, s, Some(arrival));
         assert_eq!(batched.len(), grouped.len());
         for bf in &batched {
             let (ref_tuples, ref_schema) = &grouped[&bf.dest];
             assert_eq!(&bf.tuples, ref_tuples, "dest {:?}", bf.dest);
             assert_eq!(&bf.schema, ref_schema);
         }
-        assert_eq!((r.tuples_routed(), r.tuples_dropped()), (routed, dropped));
+        let after = r.counters();
+        assert_eq!(
+            (
+                after.tuples_routed - before.tuples_routed,
+                after.tuples_dropped - before.tuples_dropped
+            ),
+            (routed, dropped)
+        );
+        (routed, dropped)
+    }
+
+    #[test]
+    fn route_batch_agrees_with_profile_reference() {
+        let mut r = Router::new(NodeId(0));
+        r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id"]));
+        r.set_neighbor_interest(NodeId(2), interest(5, 25, &[]));
+        r.add_local_subscriber(SubscriberId(7), interest(0, 30, &["id", "price"]));
+        let s = schema();
+        let batch: Vec<Tuple> = (0..40).map(|i| tup(i % 35, i as f64)).collect();
+        let (routed, dropped) = assert_routes_like_profiles(&r, &batch, &s, NodeId(2));
+        assert!(routed > 0 && dropped > 0, "both outcomes are exercised");
         assert!(r.route_batch(&[], &s, None).is_empty());
+    }
+
+    /// No interleaving of interest mutations and routed batches ever
+    /// observes a stale plan or a stale match index: after every
+    /// mutation, batches on two streams (one of them under two layouts)
+    /// still route exactly as the installed profiles say.
+    #[test]
+    fn mutations_never_leave_stale_plans_or_indexes() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xCB);
+        let wide = schema();
+        let narrow = wide.project(&["id", "price"]).unwrap();
+        let batches: Vec<(Vec<Tuple>, &Schema)> = vec![
+            ((0..24).map(|i| tup(i, i as f64)).collect(), &wide),
+            (
+                (0..24)
+                    .map(|i| {
+                        let values = vec![Value::Int(i), Value::Float(i as f64)];
+                        Tuple::new("S", Timestamp(1), values)
+                    })
+                    .collect(),
+                &narrow,
+            ),
+            ((0..24).map(|i| tup_on("T", i, i as f64)).collect(), &wide),
+        ];
+        let mut r = Router::new(NodeId(0));
+        let mut outcomes = (0, 0);
+        for _ in 0..300 {
+            let mut p = Profile::new();
+            for stream in ["S", "T"] {
+                if rng.gen_bool(0.6) {
+                    let lo = rng.gen_range(0..20i64);
+                    let hi = lo + rng.gen_range(0..12i64);
+                    let attrs: &[&str] =
+                        [&[][..], &["id"], &["id", "price"]][rng.gen_range(0..3usize)];
+                    p = p.union(&interest_on(stream, lo, hi, attrs));
+                }
+            }
+            let n = NodeId(rng.gen_range(1..4));
+            let sub = SubscriberId(rng.gen_range(0..3));
+            match rng.gen_range(0..7u32) {
+                0 => r.set_neighbor_interest(n, p), // changed, or empty: removed
+                1 => {
+                    let same = r.neighbor_interest(n).cloned().unwrap_or_default();
+                    r.set_neighbor_interest(n, same);
+                }
+                2 => r.set_neighbor_interest(n, Profile::new()),
+                3 => r.merge_neighbor_interest(n, &p),
+                4 if !p.is_empty() => r.add_local_subscriber(sub, p), // new or replacing
+                5 => r.remove_local_subscriber(sub),
+                _ => r.prune_stream(&StreamName::from(["S", "T"][rng.gen_range(0..2usize)])),
+            }
+            for (batch, layout) in &batches {
+                let arrival = NodeId(rng.gen_range(1..4));
+                let (routed, dropped) = assert_routes_like_profiles(&r, batch, layout, arrival);
+                outcomes = (outcomes.0 + routed, outcomes.1 + dropped);
+            }
+        }
+        assert!(outcomes.0 > 1000 && outcomes.1 > 1000, "{outcomes:?}");
+        let (hits, misses) = r.plan_cache_stats();
+        assert!(
+            hits > misses,
+            "plans survive unrelated mutations: {hits}/{misses}"
+        );
     }
 
     #[test]

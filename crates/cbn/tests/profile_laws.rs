@@ -72,6 +72,39 @@ fn arb_entry() -> impl Strategy<Value = ProfileEntry> {
         })
 }
 
+/// `ProfileEntry::union` as it was before the in-place form existed —
+/// every filter of both operands cloned into a fresh pruning pass — kept
+/// here as the reference the in-place fold is held to.
+fn reference_union(a: &ProfileEntry, b: &ProfileEntry) -> ProfileEntry {
+    let projection = a.projection.union(&b.projection);
+    if a.filters.is_empty() || b.filters.is_empty() {
+        return ProfileEntry {
+            projection,
+            filters: vec![],
+        };
+    }
+    let mut filters: Vec<Conjunction> = Vec::new();
+    'outer: for cand in a.filters.iter().chain(&b.filters) {
+        if cand.is_unsat() {
+            continue;
+        }
+        for kept in &filters {
+            if cand.implies(kept) {
+                continue 'outer;
+            }
+        }
+        filters.retain(|kept| !kept.implies(cand));
+        filters.push(cand.clone());
+    }
+    if filters.is_empty() {
+        filters.push(a.filters[0].clone());
+    }
+    ProfileEntry {
+        projection,
+        filters,
+    }
+}
+
 fn arb_profile() -> impl Strategy<Value = Profile> {
     proptest::collection::vec(arb_entry(), 1..3).prop_map(|entries| {
         let mut p = Profile::new();
@@ -164,6 +197,39 @@ proptest! {
         prop_assert_eq!(pq.covers_tuple(&t, &s), qp.covers_tuple(&t, &s));
         let pp = p.union(&p);
         prop_assert_eq!(pp.covers_tuple(&t, &s), p.covers_tuple(&t, &s));
+    }
+
+    /// Folding entries in place — `union_with`, and `add_entry` /
+    /// `merge_entry` / `Profile::union` on top of it — gives, field for
+    /// field, what folding them with the cloning union gave: whatever
+    /// the entries (unsatisfiable, duplicated or implied filters,
+    /// accept-all, either projection kind) and whatever the fold order.
+    /// The first entry of a fold is stored raw, never pruned.
+    #[test]
+    fn in_place_fold_is_the_cloning_fold(
+        pool in proptest::collection::vec(arb_entry(), 1..5),
+        order in proptest::collection::vec(0usize..64, 1..10),
+    ) {
+        let picks: Vec<&ProfileEntry> = order.iter().map(|i| &pool[i % pool.len()]).collect();
+        let mut reference = picks[0].clone();
+        let mut in_place = picks[0].clone();
+        let (mut added, mut merged, mut unioned) = (Profile::new(), Profile::new(), Profile::new());
+        for (n, e) in picks.iter().enumerate() {
+            if n > 0 {
+                reference = reference_union(&reference, e);
+                in_place.union_with(e);
+                prop_assert_eq!(&reference.union(e), &reference_union(&reference, e));
+            }
+            added.add_entry("S", (*e).clone());
+            merged.merge_entry(&"S".into(), e);
+            let mut single = Profile::new();
+            single.add_entry("S", (*e).clone());
+            unioned = unioned.union(&single);
+            prop_assert_eq!(&in_place, &reference);
+            for folded in [&added, &merged, &unioned] {
+                prop_assert_eq!(folded.entry(&"S".into()), Some(&reference));
+            }
+        }
     }
 
     /// Projection through a profile keeps exactly the projected columns'

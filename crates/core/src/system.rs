@@ -3,7 +3,9 @@
 
 use crate::autotune::{AutotuneOptions, AutotunePass, AutotunePolicy, AutotuneStatus};
 use crate::overload::{Action, OverloadConfig, OverloadController};
-use cosmos_cbn::{BatchForward, Destination, Profile, RegistryMode, Router, SchemaRegistry};
+use cosmos_cbn::{
+    BatchForward, Destination, Profile, ProfileEntry, RegistryMode, Router, SchemaRegistry,
+};
 use cosmos_metrics::{relative_drift, MetricsConfig, MetricsHub, MetricsSnapshot, RouterTotals};
 use cosmos_overlay::{generate, minimum_spanning_tree, Graph, TopologyKind, Tree};
 use cosmos_query::{retighten_profile, GroupManager, StatsCatalog, StreamStats};
@@ -489,60 +491,135 @@ impl Cosmos {
         self.source_trees.insert(origin, tree);
     }
 
-    /// Propagate a data-interest profile from `from` towards `origin`
-    /// along `origin`'s dissemination tree (reverse-path subscription).
-    pub(crate) fn propagate_interest(&mut self, from: NodeId, origin: NodeId, profile: &Profile) {
-        let normalized = profile.normalized();
-        let path = self.tree_for(origin).path(from, origin);
-        for w in path.windows(2) {
-            let (down, up) = (w[0], w[1]);
-            self.routers[up.index()].merge_neighbor_interest(down, &normalized);
-        }
-    }
-
-    /// Propagate each stream of a profile towards that stream's origin.
-    fn propagate_per_stream(&mut self, from: NodeId, profile: &Profile) -> Result<()> {
-        let split: Vec<(NodeId, Profile)> = profile
-            .iter()
-            .map(|(stream, entry)| {
-                let origin = self.registry.origin(stream).ok_or_else(|| {
+    /// The one reverse-path walk: split `profile` by stream, normalise
+    /// each entry, and hand `sink` one `(up, down, stream, entry)` item
+    /// per link of the path from `from` to the stream's origin along
+    /// that origin's dissemination tree — `up` must hold `entry` as
+    /// (part of) its interest in neighbor `down`. A profile naming an
+    /// unadvertised stream is refused whole, before any item.
+    fn reverse_path_items(
+        &self,
+        from: NodeId,
+        profile: &Profile,
+        mut sink: impl FnMut(NodeId, NodeId, &StreamName, &ProfileEntry),
+    ) -> Result<()> {
+        let origins: Vec<NodeId> = profile
+            .streams()
+            .map(|stream| {
+                self.registry.origin(stream).ok_or_else(|| {
                     CosmosError::System(format!("stream '{stream}' is not advertised"))
-                })?;
-                let mut single = Profile::new();
-                single.add_entry(stream.clone(), entry.clone());
-                Ok((origin, single))
+                })
             })
             .collect::<Result<_>>()?;
-        for (origin, single) in split {
-            self.propagate_interest(from, origin, &single);
+        for ((stream, entry), origin) in profile.iter().zip(origins) {
+            let mut entry = entry.clone();
+            entry.normalize();
+            for w in self.tree_for(origin).path(from, origin).windows(2) {
+                sink(w[1], w[0], stream, &entry);
+            }
         }
         Ok(())
     }
 
-    /// Rebuild every router's reverse-path interests from the *current*
-    /// local subscriptions. Reverse-path state is a pure function of the
-    /// tree and the local profiles, so this both heals the network after
-    /// a tree reorganization and flushes stale interest left behind when
-    /// a subscription's profile is replaced (a widened representative).
-    pub fn rebuild_routes(&mut self) {
-        for r in &mut self.routers {
-            r.clear_neighbor_interests();
+    /// Propagate a data-interest profile from `from` towards the origin
+    /// of each of its streams (reverse-path subscription), merging it
+    /// into the routers along the way.
+    fn propagate_interest(&mut self, from: NodeId, profile: &Profile) -> Result<()> {
+        let mut items = Vec::new();
+        self.reverse_path_items(from, profile, |up, down, stream, entry| {
+            let mut single = Profile::new();
+            single.add_entry(stream.clone(), entry.clone());
+            items.push((up, down, single));
+        })?;
+        for (up, down, single) in items {
+            self.routers[up.index()].merge_neighbor_interest(down, &single);
         }
-        let subs: Vec<(NodeId, Profile)> = self
-            .routers
+        Ok(())
+    }
+
+    /// Bring every router's reverse-path interests to the canonical fold
+    /// of the *current* local subscriptions along the current trees.
+    /// Reverse-path state is a pure function of the trees and the local
+    /// profiles, so this both heals the network after a tree
+    /// reorganization and flushes stale interest left behind when a
+    /// subscription's profile is replaced (a widened representative).
+    ///
+    /// The fold runs off to the side — subscriptions in (router,
+    /// subscriber, stream) order, each merged hop by hop into a
+    /// per-`(up, down)` table — and each router is then handed its table
+    /// as a diff: neighbors no longer wanted are removed, neighbors whose
+    /// folded profile equals the installed one are not touched, the rest
+    /// are set. The cost follows what changed, not what exists.
+    pub fn rebuild_routes(&mut self) {
+        let mut folded: Vec<BTreeMap<NodeId, Profile>> = vec![BTreeMap::new(); self.routers.len()];
+        for r in &self.routers {
+            for (_, profile) in r.local_subscribers() {
+                // Streams can only vanish from the registry via explicit
+                // unregistration, which the system layer never does while
+                // subscriptions exist; ignore unknown streams defensively.
+                let _ = self.reverse_path_items(r.node(), profile, |up, down, stream, entry| {
+                    folded[up.index()]
+                        .entry(down)
+                        .or_default()
+                        .merge_entry(stream, entry);
+                });
+            }
+        }
+        for (router, wanted) in self.routers.iter_mut().zip(folded) {
+            let stale: Vec<NodeId> = router
+                .neighbor_interests()
+                .map(|(n, _)| n)
+                .filter(|n| !wanted.contains_key(n))
+                .collect();
+            for n in stale {
+                router.set_neighbor_interest(n, Profile::new());
+            }
+            for (n, p) in wanted {
+                if router.neighbor_interest(n) != Some(&p) {
+                    router.set_neighbor_interest(n, p);
+                }
+            }
+        }
+    }
+
+    /// The SPE-input subscription feeding `result_stream`'s
+    /// representative, if one exists.
+    fn spe_sub_of(&self, result_stream: &StreamName) -> Option<SubscriberId> {
+        self.spe_subs
             .iter()
-            .flat_map(|r| {
-                let node = r.node();
-                r.local_subscribers()
-                    .map(move |(_, p)| (node, p.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for (node, profile) in subs {
-            // Streams can only vanish from the registry via explicit
-            // unregistration, which the system layer never does while
-            // subscriptions exist; ignore unknown streams defensively.
-            let _ = self.propagate_per_stream(node, &profile);
+            .find(|(_, s)| *s == result_stream)
+            .map(|(k, _)| *k)
+    }
+
+    /// (Re)install SPE-input subscription `sub` at `processor`: `rep`'s
+    /// source profile minus the closed streams. No datagram of a closed
+    /// stream can arrive any more, and subscribing to one would
+    /// resurrect the routing state [`Cosmos::close_streams`] pruned.
+    /// Returns the installed profile (possibly empty: not installed).
+    fn install_spe_input(
+        &mut self,
+        processor: NodeId,
+        sub: SubscriberId,
+        rep: &AnalyzedQuery,
+    ) -> Profile {
+        let mut profile = rep.source_profile();
+        for closed in &self.closed_streams {
+            profile.remove_entry(closed);
+        }
+        let router = &mut self.routers[processor.index()];
+        if profile.is_empty() {
+            router.remove_local_subscriber(sub);
+        } else {
+            router.add_local_subscriber(sub, profile.clone());
+        }
+        profile
+    }
+
+    /// Drop the SPE-input subscription feeding `result_stream`.
+    fn drop_spe_input(&mut self, processor: NodeId, result_stream: &StreamName) {
+        if let Some(sub) = self.spe_sub_of(result_stream) {
+            self.spe_subs.remove(&sub);
+            self.routers[processor.index()].remove_local_subscriber(sub);
         }
     }
 
@@ -646,10 +723,9 @@ impl Cosmos {
             self.arm_executor(&mut executor);
             // The SPE subscribes to the source data (Section 4 profile).
             let sub = self.alloc_sub();
-            let source_profile = rep.source_profile();
-            self.routers[processor.index()].add_local_subscriber(sub, source_profile.clone());
+            let source_profile = self.install_spe_input(processor, sub, &rep);
             self.spe_subs.insert(sub, result_stream.clone());
-            self.propagate_per_stream(processor, &source_profile)?;
+            self.propagate_interest(processor, &source_profile)?;
             self.executor_gen += 1;
             self.query_executor_gen.insert(qid, self.executor_gen);
             self.reps.insert(
@@ -685,15 +761,11 @@ impl Cosmos {
                 }
             }
             // Re-subscribe the SPE input with the widened profile.
-            let source_profile = rep.source_profile();
-            let sub = *self
-                .spe_subs
-                .iter()
-                .find(|(_, s)| **s == result_stream)
-                .map(|(k, _)| k)
+            let sub = self
+                .spe_sub_of(&result_stream)
                 .expect("spe subscription exists");
-            self.routers[processor.index()].add_local_subscriber(sub, source_profile.clone());
-            self.propagate_per_stream(processor, &source_profile)?;
+            let source_profile = self.install_spe_input(processor, sub, &rep);
+            self.propagate_interest(processor, &source_profile)?;
         } else {
             // Joined an existing group without widening it: the query is
             // served by the warm, already-running executor.
@@ -720,7 +792,7 @@ impl Cosmos {
         if must_rebuild {
             self.rebuild_routes();
         } else {
-            self.propagate_interest(user, processor, &user_profile);
+            self.propagate_interest(user, &user_profile)?;
         }
 
         self.delivered.insert(qid, Vec::new());
@@ -765,16 +837,7 @@ impl Cosmos {
                 self.retire_executor(s);
                 self.reps.remove(s);
                 self.registry.unregister(s);
-                let dead_subs: Vec<SubscriberId> = self
-                    .spe_subs
-                    .iter()
-                    .filter(|(_, st)| *st == s)
-                    .map(|(k, _)| *k)
-                    .collect();
-                for k in dead_subs {
-                    self.spe_subs.remove(&k);
-                    self.routers[p.index()].remove_local_subscriber(k);
-                }
+                self.drop_spe_input(p, s);
             }
             // Start the new representatives.
             let groups: Vec<(StreamName, AnalyzedQuery)> = self.managers[&p]
@@ -794,7 +857,7 @@ impl Cosmos {
                 let mut executor = Executor::new(rep.clone(), stream.clone())?;
                 self.arm_executor(&mut executor);
                 let sub = self.alloc_sub();
-                self.routers[p.index()].add_local_subscriber(sub, rep.source_profile());
+                self.install_spe_input(p, sub, &rep);
                 self.spe_subs.insert(sub, stream.clone());
                 self.executor_gen += 1;
                 self.reps.insert(
@@ -853,15 +916,7 @@ impl Cosmos {
                     self.retire_executor(&result_stream);
                     self.reps.remove(&result_stream);
                     self.registry.unregister(&result_stream);
-                    let spe_sub = self
-                        .spe_subs
-                        .iter()
-                        .find(|(_, s)| **s == result_stream)
-                        .map(|(k, _)| *k);
-                    if let Some(s) = spe_sub {
-                        self.spe_subs.remove(&s);
-                        self.routers[processor.index()].remove_local_subscriber(s);
-                    }
+                    self.drop_spe_input(processor, &result_stream);
                 }
                 Some(g) => {
                     // Representative shrank: restart it and refresh the
@@ -880,14 +935,10 @@ impl Cosmos {
                     for mid in &members {
                         self.query_executor_gen.insert(*mid, self.executor_gen);
                     }
-                    let source_profile = rep.source_profile();
-                    let spe_sub = *self
-                        .spe_subs
-                        .iter()
-                        .find(|(_, s)| **s == result_stream)
-                        .map(|(k, _)| k)
+                    let spe_sub = self
+                        .spe_sub_of(&result_stream)
                         .expect("spe subscription exists");
-                    self.routers[processor.index()].add_local_subscriber(spe_sub, source_profile);
+                    self.install_spe_input(processor, spe_sub, &rep);
                     for mid in members {
                         let manager = self.managers.get(&processor).expect("manager");
                         let (g, _) = manager.placement(mid).expect("member placed");
@@ -912,15 +963,7 @@ impl Cosmos {
             self.retire_executor(&stream);
             self.reps.remove(&stream);
             self.registry.unregister(&stream);
-            let spe_sub = self
-                .spe_subs
-                .iter()
-                .find(|(_, st)| **st == stream)
-                .map(|(k, _)| *k);
-            if let Some(k) = spe_sub {
-                self.spe_subs.remove(&k);
-                self.routers[processor.index()].remove_local_subscriber(k);
-            }
+            self.drop_spe_input(processor, &stream);
         }
         self.query_user.remove(&qid);
         self.query_processor.remove(&qid);
@@ -1982,6 +2025,9 @@ impl Cosmos {
         })
     }
 }
+
+#[cfg(test)]
+mod route_tests;
 
 #[cfg(test)]
 mod tests {

@@ -91,3 +91,54 @@ fn leaked_closure_is_flagged_not_black_holed() {
         "closed streams are skipped by the path checks: {diags:?}"
     );
 }
+
+/// Regression (benchmark README "Findings"): withdrawing one member of
+/// a multi-member group after `close_streams` re-installed the shrunk
+/// representative's SPE subscription with its full source profile, and
+/// `rebuild_routes` re-propagated interest in the closed stream.
+#[test]
+fn withdrawal_after_closure_does_not_resurrect_closed_streams() {
+    let mut sys = system();
+    let wide = sys
+        .submit_query("SELECT k, x FROM S [Now] WHERE x > 2.0", NodeId(5))
+        .unwrap();
+    let narrow = sys
+        .submit_query("SELECT k, x FROM S [Now] WHERE x > 6.0", NodeId(6))
+        .unwrap();
+    assert_eq!(
+        sys.executor_generation(wide),
+        sys.executor_generation(narrow),
+        "both queries share one representative"
+    );
+    sys.set_disorder(Some(disorder()));
+    for ts in [2_000i64, 1_000, 3_000, 5_000, 4_000] {
+        sys.publish(&s_tuple(ts, ts / 1_000)).unwrap();
+    }
+    sys.close_streams();
+    // The group survives with a shrunk representative.
+    sys.unsubscribe(wide).unwrap();
+
+    let closed = StreamName::from("S");
+    let diags = verify_snapshot(&sys.snapshot().unwrap());
+    assert!(
+        diags.iter().all(|d| d.code != codes::CLOSED_LEAK),
+        "closed stream resurrected: {diags:?}"
+    );
+    for node in sys.graph().nodes() {
+        let r = sys.router(node);
+        let leaked = r
+            .neighbor_interests()
+            .map(|(_, p)| p)
+            .chain(r.local_subscribers().map(|(_, p)| p))
+            .any(|p| p.entry(&closed).is_some());
+        assert!(!leaked, "router {node} still holds an entry for 'S'");
+    }
+    // Submitting over a closed stream must not resurrect it either.
+    sys.submit_query("SELECT k FROM S [Now] WHERE x > 50.0", NodeId(3))
+        .unwrap();
+    let diags = verify_snapshot(&sys.snapshot().unwrap());
+    assert!(
+        diags.iter().all(|d| d.code != codes::CLOSED_LEAK),
+        "closed stream resurrected by a late submission: {diags:?}"
+    );
+}
