@@ -113,15 +113,15 @@ impl Cosmos {
     /// In per-source-tree mode each affected per-source tree is
     /// repaired independently (the same reattach procedure per tree).
     pub fn fail_tree_link(&mut self, a: NodeId, b: NodeId) -> Result<()> {
+        let topo = &mut self.topology;
         // Identify every tree that carries this link before mutating
-        // anything (sorted origins keep the repair order deterministic).
-        let shared_child = child_of(self.tree(), a, b);
-        let mut source_children: Vec<(NodeId, NodeId)> = self
-            .source_trees()
+        // anything (origin order keeps the repair order deterministic).
+        let shared_child = child_of(&topo.tree, a, b);
+        let source_children: Vec<(NodeId, NodeId)> = topo
+            .source_trees
             .iter()
             .filter_map(|(&origin, tree)| child_of(tree, a, b).map(|c| (origin, c)))
             .collect();
-        source_children.sort_by_key(|&(origin, _)| origin);
         if shared_child.is_none() && source_children.is_empty() {
             return Err(CosmosError::Overlay(format!(
                 "{a} - {b} is not a dissemination-tree link"
@@ -129,41 +129,33 @@ impl Cosmos {
         }
         // Snapshot the affected trees so an unrepairable failure (no
         // live link across the cut) can be rolled back atomically.
-        let saved_shared = shared_child.map(|_| self.tree().clone());
+        let saved_shared = shared_child.map(|_| topo.tree.clone());
         let saved_sources: Vec<(NodeId, Tree)> = source_children
             .iter()
-            .map(|&(origin, _)| (origin, self.source_trees()[&origin].clone()))
+            .map(|&(origin, _)| (origin, topo.source_trees[&origin].clone()))
             .collect();
         // Mark the link down first so the survivor searches below (and
         // any later optimize_tree / MST rebuild) can never route
         // through it or re-adopt it.
-        self.graph_mut().fail_link(a, b)?;
+        topo.graph.fail_link(a, b)?;
         let mut res = Ok(());
         if let Some(child) = shared_child {
-            let (g, tree) = self.graph_and_tree_mut();
-            res = repair_tree(g, tree, child);
+            res = repair_tree(&topo.graph, &mut topo.tree, child);
         }
-        if res.is_ok() {
-            for &(origin, child) in &source_children {
-                let (g, tree) = self.graph_and_source_tree_mut(origin);
-                res = repair_tree(g, tree.expect("origin collected above"), child);
-                if res.is_err() {
-                    break;
-                }
+        for &(origin, child) in &source_children {
+            if res.is_ok() {
+                let tree = topo.source_trees.get_mut(&origin).expect("collected above");
+                res = repair_tree(&topo.graph, tree, child);
             }
         }
         if let Err(e) = res {
             // Roll back: the link comes back up and every tree keeps
             // its pre-failure shape.
             if let Some(saved) = saved_shared {
-                *self.graph_and_tree_mut().1 = saved;
+                topo.tree = saved;
             }
-            for (origin, saved) in saved_sources {
-                if let (_, Some(slot)) = self.graph_and_source_tree_mut(origin) {
-                    *slot = saved;
-                }
-            }
-            let _ = self.graph_mut().heal_link(a, b);
+            topo.source_trees.extend(saved_sources);
+            let _ = topo.graph.heal_link(a, b);
             return Err(e);
         }
         self.rebuild_routes();
@@ -174,7 +166,7 @@ impl Cosmos {
     /// keep their repaired shape — the healed link simply becomes
     /// available again to `optimize_tree` and future repairs.
     pub fn heal_tree_link(&mut self, a: NodeId, b: NodeId) -> Result<()> {
-        self.graph_mut().heal_link(a, b)
+        self.topology.graph.heal_link(a, b)
     }
 }
 

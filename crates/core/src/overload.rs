@@ -14,7 +14,8 @@
 //!   cosmos-testkit after every event);
 //! * [`Coalesce`](OverloadPolicy::Coalesce) — merge the batch into the
 //!   query's single pending batch and deliver the merged batch once
-//!   the node is back under budget (or at stream closure);
+//!   the node is back under budget (or at the query's withdrawal, or
+//!   at stream closure);
 //! * [`Throttle`](OverloadPolicy::Throttle) — shed like `Shed` and
 //!   additionally send a [`RateLimit`] datagram reverse along the
 //!   stream's dissemination tree toward its origin, link-byte
@@ -80,10 +81,8 @@ pub enum OverloadPolicy {
 /// Deployment-wide overload configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OverloadConfig {
-    /// Default intake budget for every node.
+    /// Intake budget of every node.
     pub budget: Budget,
-    /// Per-node overrides of `budget`.
-    pub node_budgets: BTreeMap<NodeId, Budget>,
     /// Default policy for every query.
     pub policy: OverloadPolicy,
     /// Per-query overrides of `policy`.
@@ -104,11 +103,6 @@ impl OverloadConfig {
             budget: Budget::Bytes(budget),
             ..OverloadConfig::default()
         }
-    }
-
-    /// The budget in force at `node`.
-    pub fn budget_for(&self, node: NodeId) -> Budget {
-        self.node_budgets.get(&node).copied().unwrap_or(self.budget)
     }
 
     /// The policy in force for `qid`.
@@ -260,7 +254,7 @@ impl OverloadController {
         let ledger = self.ledgers.entry(qid).or_default();
         ledger.offered_tuples += batch.0;
         ledger.offered_bytes += batch.1;
-        let budget = self.cfg.budget_for(node);
+        let budget = self.cfg.budget;
         let hw = self.high_water.entry(node).or_insert(0);
         if !budget.exceeded_by(in_window, batch) {
             // Under budget. Drain the pending Coalesce batch along when
@@ -341,23 +335,32 @@ impl OverloadController {
         }
     }
 
-    /// Drain every pending Coalesce batch unconditionally (stream
-    /// closure, controller disarm): the batches move to `delivered`
-    /// and are returned for the driver to append to the delivery
-    /// buffers, in query order.
-    pub fn drain_all(&mut self) -> Vec<(QueryId, Vec<Tuple>)> {
-        let staged = std::mem::take(&mut self.staged);
-        let mut out = Vec::with_capacity(staged.len());
-        for (qid, tuples) in staged {
-            let (t, b) = batch_size(&tuples);
+    /// Drain one query's pending Coalesce batch unconditionally (the
+    /// query is being withdrawn): the batch moves to `delivered` and is
+    /// returned for the driver to append to the delivery buffer. Empty
+    /// when nothing is pending.
+    pub(crate) fn drain_query(&mut self, qid: QueryId) -> Vec<Tuple> {
+        let tuples = self.staged.remove(&qid).unwrap_or_default();
+        let (t, b) = batch_size(&tuples);
+        if t > 0 {
             let ledger = self.ledgers.entry(qid).or_default();
             ledger.staged_tuples -= t;
             ledger.staged_bytes -= b;
             ledger.delivered_tuples += t;
             ledger.delivered_bytes += b;
-            out.push((qid, tuples));
         }
-        out
+        tuples
+    }
+
+    /// [`OverloadController::drain_query`] for every query with a
+    /// pending batch (stream closure, controller disarm), in query
+    /// order.
+    pub fn drain_all(&mut self) -> Vec<(QueryId, Vec<Tuple>)> {
+        let pending: Vec<QueryId> = self.staged.keys().copied().collect();
+        pending
+            .into_iter()
+            .map(|qid| (qid, self.drain_query(qid)))
+            .collect()
     }
 
     /// Record a rate-limit notice that reached its stream's origin.

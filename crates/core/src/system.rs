@@ -116,6 +116,8 @@ struct RepSite {
     executor: Executor,
     /// Generation stamp of this executor (see [`Cosmos::executor_generation`]).
     generation: u64,
+    /// The SPE-input subscription feeding the executor.
+    sub: SubscriberId,
 }
 
 /// Read-only view of one running representative executor's identity and
@@ -153,26 +155,223 @@ struct Hop {
 /// are also dropped on [`Cosmos::unsubscribe`]).
 const MAX_LINT_WARNINGS_PER_QUERY: usize = 16;
 
-/// The analyzed query of one member inside a group.
-fn member_query(g: &cosmos_query::QueryGroup, qid: QueryId) -> Result<AnalyzedQuery> {
-    g.members
-        .iter()
-        .find(|(m, _)| *m == qid)
-        .map(|(_, q)| q.clone())
-        .ok_or_else(|| CosmosError::System(format!("query {qid} is not in group {}", g.id)))
+/// The overlay and the dissemination trees laid over it (Figure 1).
+#[derive(Debug)]
+pub(crate) struct Topology {
+    pub(crate) graph: Graph,
+    /// The shared dissemination tree.
+    pub(crate) tree: Tree,
+    /// Per-origin shortest-path dissemination trees (lazily built, and
+    /// only when `per_source_trees` is enabled).
+    pub(crate) source_trees: BTreeMap<NodeId, Tree>,
+    roles: Vec<NodeRole>,
+    processors: Vec<NodeId>,
+}
+
+impl Topology {
+    /// The dissemination tree used for streams originating at `origin`.
+    fn tree_for(&self, origin: NodeId) -> &Tree {
+        self.source_trees.get(&origin).unwrap_or(&self.tree)
+    }
+
+    /// Build the shortest-path dissemination tree rooted at a stream
+    /// origin, unless it exists (multi-tree mode).
+    fn ensure_source_tree(&mut self, origin: NodeId) {
+        if self.source_trees.contains_key(&origin) {
+            return;
+        }
+        let sp = cosmos_overlay::dijkstra(&self.graph, origin);
+        let edges: Vec<(NodeId, NodeId)> = self
+            .graph
+            .nodes()
+            .filter(|&v| v != origin)
+            .map(|v| {
+                let path = sp.path_to(v);
+                debug_assert!(path.len() >= 2, "overlay must be connected");
+                (path[path.len() - 2], v)
+            })
+            .collect();
+        let tree = Tree::from_edges(self.graph.node_count(), origin, &edges)
+            .expect("shortest-path tree of a connected graph is a tree");
+        self.source_trees.insert(origin, tree);
+    }
+
+    /// The one reverse-path walk: split `profile` by stream, normalise
+    /// each entry, and hand `sink` one `(up, down, stream, entry)` item
+    /// per link of the path from `from` to the stream's origin along
+    /// that origin's dissemination tree — `up` must hold `entry` as
+    /// (part of) its interest in neighbor `down`. A profile naming an
+    /// unadvertised stream is refused whole, before any item. Borrows
+    /// only what it reads, so the sink may edit the routers.
+    fn reverse_path_items(
+        &self,
+        registry: &SchemaRegistry,
+        from: NodeId,
+        profile: &Profile,
+        mut sink: impl FnMut(NodeId, NodeId, &StreamName, &ProfileEntry),
+    ) -> Result<()> {
+        let origins: Vec<NodeId> = profile
+            .streams()
+            .map(|stream| {
+                registry.origin(stream).ok_or_else(|| {
+                    CosmosError::System(format!("stream '{stream}' is not advertised"))
+                })
+            })
+            .collect::<Result<_>>()?;
+        for ((stream, entry), origin) in profile.iter().zip(origins) {
+            let mut entry = entry.clone();
+            entry.normalize();
+            for w in self.tree_for(origin).path(from, origin).windows(2) {
+                sink(w[1], w[0], stream, &entry);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Everything the query layer knows about one live query.
+#[derive(Debug)]
+struct QueryRecord {
+    user: NodeId,
+    processor: NodeId,
+    /// The user's subscription to the result stream.
+    user_sub: SubscriberId,
+    /// Generation of the executor currently serving the query.
+    executor_gen: u64,
+    /// Warning-level lint findings (error-level findings reject the
+    /// query at submission instead).
+    lint_warnings: Vec<String>,
+    /// Baseline (non-merging) mode: the query's private result stream.
+    baseline_stream: Option<StreamName>,
+}
+
+/// What a locally attached subscriber is.
+#[derive(Debug)]
+enum LocalSub {
+    /// The SPE input of the representative producing this result stream.
+    Spe(StreamName),
+    /// The user subscription of this query.
+    User(QueryId),
+}
+
+/// The id counters; each id is handed out once, in call order.
+#[derive(Debug, Default)]
+struct Ids {
+    next_sub: u64,
+    next_query: u64,
+    baseline_counter: u64,
+    /// Monotone counter stamped onto every freshly created executor.
+    executor_gen: u64,
+}
+
+impl Ids {
+    fn sub(&mut self) -> SubscriberId {
+        self.next_sub += 1;
+        SubscriberId(self.next_sub - 1)
+    }
+
+    fn query(&mut self) -> QueryId {
+        self.next_query += 1;
+        QueryId(self.next_query - 1)
+    }
+
+    fn baseline_stream(&mut self) -> u64 {
+        self.baseline_counter += 1;
+        self.baseline_counter
+    }
+
+    fn generation(&mut self) -> u64 {
+        self.executor_gen += 1;
+        self.executor_gen
+    }
+}
+
+/// The driver's own traffic accounting (the metrics hub keeps a second,
+/// windowed ledger the conservation oracle compares against this one).
+#[derive(Debug, Default)]
+struct Traffic {
+    link_bytes: BTreeMap<(NodeId, NodeId), u64>,
+    /// Compensated summation: D0501 holds every oracle-feeding float
+    /// accumulation to this standard.
+    weighted_cost: NeumaierSum,
+    tuples_published: u64,
+}
+
+/// Out-of-order operation: the runtime (`None` = in-order, zero
+/// behavior change) and the watermark state it drives.
+#[derive(Debug, Default)]
+struct Disorder {
+    runtime: Option<DisorderRuntime>,
+    /// Largest timestamp any accepted publish carried.
+    high_water: Option<Timestamp>,
+    /// Last watermark emitted per stream (sources and, via executor
+    /// frontier propagation, result streams).
+    emitted: BTreeMap<StreamName, Timestamp>,
+    /// Source streams that have published at least once — the streams
+    /// watermarks are emitted for.
+    published: BTreeSet<StreamName>,
+    /// Disorder counters of executors that were replaced or torn down,
+    /// folded in so [`Cosmos::disorder_totals`] stays conserved.
+    retired: DisorderStats,
+    /// Source streams closed by their final watermark
+    /// ([`Cosmos::close_streams`]); their routing state is pruned.
+    closed: BTreeSet<StreamName>,
+}
+
+impl Disorder {
+    /// Put an executor into disorder mode (when on) and seed it with
+    /// every watermark already emitted, so its frontier starts where
+    /// the network's has advanced to instead of at −∞.
+    fn arm(&self, executor: &mut Executor) {
+        let Some(rt) = self.runtime else { return };
+        executor.enable_disorder(rt.policy);
+        for (s, wm) in &self.emitted {
+            let outputs = executor.advance_watermark(s, *wm);
+            debug_assert!(outputs.is_empty(), "fresh staging cannot drain");
+        }
+    }
+
+    /// Epilogue of every publish (a no-op in in-order operation): note
+    /// the stream, advance the global high water, and return the
+    /// `(stream, watermark, origin)` punctuations now due — `high_water
+    /// − bound` for every open source stream that has published, where
+    /// it advances past the last one emitted. Lagging the *global* high
+    /// water is what makes the promise sound: the workload's disorder
+    /// transform displaces a tuple's position by at most `bound` of
+    /// application time, so no future publish of *any* stream can carry
+    /// a timestamp at or below the emitted watermark.
+    fn after_publish(
+        &mut self,
+        tuples: &[Tuple],
+        registry: &SchemaRegistry,
+    ) -> Vec<(StreamName, Timestamp, NodeId)> {
+        let (Some(rt), Some(first)) = (self.runtime, tuples.first()) else {
+            return Vec::new();
+        };
+        self.published.insert(first.stream.clone());
+        let hw = tuples.iter().map(|t| t.timestamp).max();
+        let hw = self.high_water.max(hw).expect("the batch is not empty");
+        self.high_water = Some(hw);
+        let wm = Timestamp(hw.0.saturating_sub(rt.bound.millis()));
+        let mut due = Vec::new();
+        for stream in self.published.difference(&self.closed) {
+            if self.emitted.get(stream).is_some_and(|l| wm <= *l) {
+                continue;
+            }
+            if let Some(origin) = registry.origin(stream) {
+                self.emitted.insert(stream.clone(), wm);
+                due.push((stream.clone(), wm, origin));
+            }
+        }
+        due
+    }
 }
 
 /// A running COSMOS deployment.
 #[derive(Debug)]
 pub struct Cosmos {
     cfg: CosmosConfig,
-    graph: Graph,
-    tree: Tree,
-    /// Per-origin shortest-path dissemination trees (lazily built when
-    /// `per_source_trees` is enabled).
-    source_trees: BTreeMap<NodeId, Tree>,
-    roles: Vec<NodeRole>,
-    processors: Vec<NodeId>,
+    pub(crate) topology: Topology,
     registry: SchemaRegistry,
     catalog: StatsCatalog,
     routers: Vec<Router>,
@@ -180,51 +379,19 @@ pub struct Cosmos {
     managers: BTreeMap<NodeId, GroupManager>,
     /// Representative executors, keyed by result-stream name.
     reps: BTreeMap<StreamName, RepSite>,
-    /// SPE-input subscriptions: subscriber → result stream it feeds.
-    spe_subs: BTreeMap<SubscriberId, StreamName>,
-    /// User subscriptions: subscriber → query it serves.
-    user_subs: FxHashMap<SubscriberId, QueryId>,
-    user_sub_of_query: FxHashMap<QueryId, SubscriberId>,
-    /// Baseline (non-merging) mode: each query's private result stream.
-    baseline_streams: BTreeMap<QueryId, StreamName>,
+    /// Every local subscription the routers hold, by what it feeds.
+    subs: FxHashMap<SubscriberId, LocalSub>,
+    /// The live queries (ordered: the baseline snapshot iterates it).
+    queries: BTreeMap<QueryId, QueryRecord>,
+    /// Delivered results; they outlive the query ([`Cosmos::results`]).
     delivered: FxHashMap<QueryId, Vec<Tuple>>,
-    query_user: FxHashMap<QueryId, NodeId>,
-    query_processor: FxHashMap<QueryId, NodeId>,
     processor_load: FxHashMap<NodeId, usize>,
-    /// Warning-level lint findings per accepted query (error-level
-    /// findings reject the query at submission instead).
-    lint_warnings: FxHashMap<QueryId, Vec<String>>,
-    link_bytes: BTreeMap<(NodeId, NodeId), u64>,
-    /// Compensated summation: D0501 holds every oracle-feeding float
-    /// accumulation to this standard.
-    weighted_cost: NeumaierSum,
-    tuples_published: u64,
-    next_sub: u64,
-    next_query: u64,
-    baseline_counter: u64,
-    /// Monotone counter stamped onto every freshly created executor.
-    executor_gen: u64,
-    /// Per-query generation of the executor currently serving it.
-    query_executor_gen: FxHashMap<QueryId, u64>,
+    ids: Ids,
+    traffic: Traffic,
     /// Runtime observability: sliding-window rates, sampled stream
     /// statistics, delivery latencies (see [`Cosmos::metrics`]).
     metrics: MetricsHub,
-    /// Out-of-order operation (None = in-order, zero behavior change).
-    disorder: Option<DisorderRuntime>,
-    /// Largest timestamp any accepted publish carried (disorder mode).
-    high_water: Option<Timestamp>,
-    /// Last watermark emitted per stream (sources and, via executor
-    /// frontier propagation, result streams).
-    emitted_watermarks: BTreeMap<StreamName, Timestamp>,
-    /// Source streams that have published at least once in disorder
-    /// mode — the streams watermarks are emitted for.
-    published_streams: BTreeSet<StreamName>,
-    /// Disorder counters of executors that were replaced or torn down,
-    /// folded in so [`Cosmos::disorder_totals`] stays conserved.
-    retired_disorder: DisorderStats,
-    /// Source streams closed by their final watermark
-    /// ([`Cosmos::close_streams`]); their routing state is pruned.
-    closed_streams: BTreeSet<StreamName>,
+    disorder: Disorder,
     /// Per-node overload controller (`None` = unbounded delivery; see
     /// [`Cosmos::set_overload`]).
     overload: Option<OverloadController>,
@@ -262,81 +429,41 @@ impl Cosmos {
             roles[i] = NodeRole::Processor;
             processors.push(NodeId(i as u32));
         }
-        let registry = SchemaRegistry::new(cfg.registry_mode, (0..n as u32).map(NodeId));
-        let routers = (0..n as u32).map(|i| Router::new(NodeId(i))).collect();
         Ok(Cosmos {
+            registry: SchemaRegistry::new(cfg.registry_mode, (0..n as u32).map(NodeId)),
             cfg,
-            tree,
-            source_trees: BTreeMap::new(),
-            roles,
-            processors,
-            registry,
+            topology: Topology {
+                graph,
+                tree,
+                source_trees: BTreeMap::new(),
+                roles,
+                processors,
+            },
             catalog: StatsCatalog::new(),
-            routers,
+            routers: (0..n as u32).map(|i| Router::new(NodeId(i))).collect(),
             managers: BTreeMap::new(),
             reps: BTreeMap::new(),
-            spe_subs: BTreeMap::new(),
-            user_subs: FxHashMap::default(),
-            user_sub_of_query: FxHashMap::default(),
-            baseline_streams: BTreeMap::new(),
+            subs: FxHashMap::default(),
+            queries: BTreeMap::new(),
             delivered: FxHashMap::default(),
-            query_user: FxHashMap::default(),
-            query_processor: FxHashMap::default(),
             processor_load: FxHashMap::default(),
-            lint_warnings: FxHashMap::default(),
-            link_bytes: BTreeMap::new(),
-            weighted_cost: NeumaierSum::new(),
-            tuples_published: 0,
-            next_sub: 0,
-            next_query: 0,
-            baseline_counter: 0,
-            executor_gen: 0,
-            query_executor_gen: FxHashMap::default(),
+            ids: Ids::default(),
+            traffic: Traffic::default(),
             metrics: MetricsHub::new(MetricsConfig::default()),
-            disorder: None,
-            high_water: None,
-            emitted_watermarks: BTreeMap::new(),
-            published_streams: BTreeSet::new(),
-            retired_disorder: DisorderStats::default(),
-            closed_streams: BTreeSet::new(),
+            disorder: Disorder::default(),
             overload: None,
             autotune_sched: None,
-            graph,
         })
     }
 
     /// The overlay graph.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        &self.topology.graph
     }
 
     /// The dissemination tree.
     pub fn tree(&self) -> &Tree {
-        &self.tree
-    }
-
-    /// Mutable overlay-graph access (fault module).
-    pub(crate) fn graph_mut(&mut self) -> &mut Graph {
-        &mut self.graph
-    }
-
-    /// Per-source trees by origin (fault module).
-    pub(crate) fn source_trees(&self) -> &BTreeMap<NodeId, Tree> {
-        &self.source_trees
-    }
-
-    /// Split borrow: the overlay graph plus the mutable shared tree
-    /// (fault module repairs need both at once).
-    pub(crate) fn graph_and_tree_mut(&mut self) -> (&Graph, &mut Tree) {
-        (&self.graph, &mut self.tree)
-    }
-
-    /// Split borrow: the overlay graph plus one mutable per-source tree.
-    pub(crate) fn graph_and_source_tree_mut(
-        &mut self,
-        origin: NodeId,
-    ) -> (&Graph, Option<&mut Tree>) {
-        (&self.graph, self.source_trees.get_mut(&origin))
+        &self.topology.tree
     }
 
     /// The deployment configuration.
@@ -369,20 +496,18 @@ impl Cosmos {
         cfg: cosmos_overlay::OptimizerConfig,
         demand: &[f64],
     ) -> cosmos_overlay::OptimizeReport {
+        let optimizer = cosmos_overlay::TreeOptimizer::new(cfg);
+        let topo = &mut self.topology;
         if self.cfg.per_source_trees {
-            let cost = cosmos_overlay::TreeOptimizer::new(cfg).cost(
-                &self.graph,
-                &self.tree,
-                &vec![0.0; self.graph.node_count()],
-            );
+            let idle = vec![0.0; topo.graph.node_count()];
+            let cost = optimizer.cost(&topo.graph, &topo.tree, &idle);
             return cosmos_overlay::OptimizeReport {
                 cost_before: cost,
                 cost_after: cost,
                 moves: 0,
             };
         }
-        let report =
-            cosmos_overlay::TreeOptimizer::new(cfg).optimize(&self.graph, &mut self.tree, demand);
+        let report = optimizer.optimize(&topo.graph, &mut topo.tree, demand);
         if report.moves > 0 {
             self.rebuild_routes();
         }
@@ -391,12 +516,12 @@ impl Cosmos {
 
     /// The role of a node.
     pub fn role(&self, node: NodeId) -> NodeRole {
-        self.roles[node.index()]
+        self.topology.roles[node.index()]
     }
 
     /// The processor nodes.
     pub fn processors(&self) -> &[NodeId] {
-        &self.processors
+        &self.topology.processors
     }
 
     /// The schema registry.
@@ -433,12 +558,6 @@ impl Cosmos {
         Ok(())
     }
 
-    fn alloc_sub(&mut self) -> SubscriberId {
-        let id = SubscriberId(self.next_sub);
-        self.next_sub += 1;
-        id
-    }
-
     /// Query distribution (load management): pick the processor that
     /// will run this query. A small candidate set is derived from the
     /// query's stream set so queries over the same streams meet at the
@@ -452,89 +571,40 @@ impl Cosmos {
             h ^= b as u64;
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
-        let k = self.cfg.affinity_candidates.clamp(1, self.processors.len());
-        let start = (h as usize) % self.processors.len();
+        let processors = &self.topology.processors;
+        let k = self.cfg.affinity_candidates.clamp(1, processors.len());
+        let start = (h as usize) % processors.len();
         (0..k)
-            .map(|i| self.processors[(start + i) % self.processors.len()])
+            .map(|i| processors[(start + i) % processors.len()])
             .min_by_key(|p| (self.processor_load.get(p).copied().unwrap_or(0), p.raw()))
             .expect("at least one processor")
     }
 
     /// The dissemination tree used for streams originating at `origin`.
     pub fn tree_for(&self, origin: NodeId) -> &Tree {
-        if self.cfg.per_source_trees {
-            self.source_trees.get(&origin).unwrap_or(&self.tree)
-        } else {
-            &self.tree
-        }
+        self.topology.tree_for(origin)
     }
 
-    /// Lazily build the shortest-path dissemination tree rooted at a
-    /// stream origin (multi-tree mode).
+    /// [`Topology::ensure_source_tree`] in multi-tree mode.
     fn ensure_source_tree(&mut self, origin: NodeId) {
-        if !self.cfg.per_source_trees || self.source_trees.contains_key(&origin) {
-            return;
+        if self.cfg.per_source_trees {
+            self.topology.ensure_source_tree(origin);
         }
-        let sp = cosmos_overlay::dijkstra(&self.graph, origin);
-        let edges: Vec<(NodeId, NodeId)> = self
-            .graph
-            .nodes()
-            .filter(|&v| v != origin)
-            .map(|v| {
-                let path = sp.path_to(v);
-                debug_assert!(path.len() >= 2, "overlay must be connected");
-                (path[path.len() - 2], v)
-            })
-            .collect();
-        let tree = Tree::from_edges(self.graph.node_count(), origin, &edges)
-            .expect("shortest-path tree of a connected graph is a tree");
-        self.source_trees.insert(origin, tree);
-    }
-
-    /// The one reverse-path walk: split `profile` by stream, normalise
-    /// each entry, and hand `sink` one `(up, down, stream, entry)` item
-    /// per link of the path from `from` to the stream's origin along
-    /// that origin's dissemination tree — `up` must hold `entry` as
-    /// (part of) its interest in neighbor `down`. A profile naming an
-    /// unadvertised stream is refused whole, before any item.
-    fn reverse_path_items(
-        &self,
-        from: NodeId,
-        profile: &Profile,
-        mut sink: impl FnMut(NodeId, NodeId, &StreamName, &ProfileEntry),
-    ) -> Result<()> {
-        let origins: Vec<NodeId> = profile
-            .streams()
-            .map(|stream| {
-                self.registry.origin(stream).ok_or_else(|| {
-                    CosmosError::System(format!("stream '{stream}' is not advertised"))
-                })
-            })
-            .collect::<Result<_>>()?;
-        for ((stream, entry), origin) in profile.iter().zip(origins) {
-            let mut entry = entry.clone();
-            entry.normalize();
-            for w in self.tree_for(origin).path(from, origin).windows(2) {
-                sink(w[1], w[0], stream, &entry);
-            }
-        }
-        Ok(())
     }
 
     /// Propagate a data-interest profile from `from` towards the origin
     /// of each of its streams (reverse-path subscription), merging it
     /// into the routers along the way.
     fn propagate_interest(&mut self, from: NodeId, profile: &Profile) -> Result<()> {
-        let mut items = Vec::new();
-        self.reverse_path_items(from, profile, |up, down, stream, entry| {
-            let mut single = Profile::new();
-            single.add_entry(stream.clone(), entry.clone());
-            items.push((up, down, single));
-        })?;
-        for (up, down, single) in items {
-            self.routers[up.index()].merge_neighbor_interest(down, &single);
-        }
-        Ok(())
+        let routers = &mut self.routers;
+        let merge = |up: NodeId, down, stream: &StreamName, entry: &ProfileEntry| {
+            let router = &mut routers[up.index()];
+            let mut merged = router.neighbor_interest(down).cloned().unwrap_or_default();
+            merged.merge_entry(stream, entry);
+            router.set_neighbor_interest(down, merged);
+        };
+        self.topology
+            .reverse_path_items(&self.registry, from, profile, merge)
     }
 
     /// Bring every router's reverse-path interests to the canonical fold
@@ -557,12 +627,15 @@ impl Cosmos {
                 // Streams can only vanish from the registry via explicit
                 // unregistration, which the system layer never does while
                 // subscriptions exist; ignore unknown streams defensively.
-                let _ = self.reverse_path_items(r.node(), profile, |up, down, stream, entry| {
+                let fold = |up: NodeId, down, stream: &StreamName, entry: &ProfileEntry| {
                     folded[up.index()]
                         .entry(down)
                         .or_default()
                         .merge_entry(stream, entry);
-                });
+                };
+                let _ = self
+                    .topology
+                    .reverse_path_items(&self.registry, r.node(), profile, fold);
             }
         }
         for (router, wanted) in self.routers.iter_mut().zip(folded) {
@@ -582,15 +655,6 @@ impl Cosmos {
         }
     }
 
-    /// The SPE-input subscription feeding `result_stream`'s
-    /// representative, if one exists.
-    fn spe_sub_of(&self, result_stream: &StreamName) -> Option<SubscriberId> {
-        self.spe_subs
-            .iter()
-            .find(|(_, s)| *s == result_stream)
-            .map(|(k, _)| *k)
-    }
-
     /// (Re)install SPE-input subscription `sub` at `processor`: `rep`'s
     /// source profile minus the closed streams. No datagram of a closed
     /// stream can arrive any more, and subscribing to one would
@@ -603,7 +667,7 @@ impl Cosmos {
         rep: &AnalyzedQuery,
     ) -> Profile {
         let mut profile = rep.source_profile();
-        for closed in &self.closed_streams {
+        for closed in &self.disorder.closed {
             profile.remove_entry(closed);
         }
         let router = &mut self.routers[processor.index()];
@@ -615,11 +679,79 @@ impl Cosmos {
         profile
     }
 
-    /// Drop the SPE-input subscription feeding `result_stream`.
-    fn drop_spe_input(&mut self, processor: NodeId, result_stream: &StreamName) {
-        if let Some(sub) = self.spe_sub_of(result_stream) {
-            self.spe_subs.remove(&sub);
-            self.routers[processor.index()].remove_local_subscriber(sub);
+    /// Start a representative: advertise `stream` at `processor`, run
+    /// `rep` there in a fresh executor of a fresh generation, and
+    /// subscribe the SPE to the source data (Section 4 profile).
+    /// Returns the installed source profile, not yet propagated.
+    fn start_rep(
+        &mut self,
+        processor: NodeId,
+        stream: &StreamName,
+        rep: &AnalyzedQuery,
+    ) -> Result<Profile> {
+        self.ensure_source_tree(processor);
+        self.registry
+            .register(stream.clone(), rep.output_schema.clone(), processor)?;
+        let rate = cosmos_query::estimate::output_tuples_per_sec(rep, &self.catalog);
+        self.catalog.register(
+            stream.clone(),
+            rep.output_schema.clone(),
+            StreamStats::with_rate(rate),
+        );
+        let mut executor = Executor::new(rep.clone(), stream.clone())?;
+        self.disorder.arm(&mut executor);
+        let sub = self.ids.sub();
+        let profile = self.install_spe_input(processor, sub, rep);
+        self.subs.insert(sub, LocalSub::Spe(stream.clone()));
+        let site = RepSite {
+            processor,
+            executor,
+            generation: self.ids.generation(),
+            sub,
+        };
+        self.reps.insert(stream.clone(), site);
+        Ok(profile)
+    }
+
+    /// Replace the running representative of `stream` by `rep` — the
+    /// group was widened by a new member or shrank after a withdrawal.
+    /// The fresh executor gets a fresh generation, stamped onto every
+    /// live query in `members`, and the same SPE-input subscription.
+    /// (Window state restarts; experiments submit queries before
+    /// publishing data.) Returns the installed source profile, not yet
+    /// propagated.
+    fn replace_rep(
+        &mut self,
+        stream: &StreamName,
+        rep: &AnalyzedQuery,
+        members: impl Iterator<Item = QueryId>,
+    ) -> Result<Profile> {
+        self.retire_executor(stream);
+        self.registry
+            .update_schema(stream, rep.output_schema.clone())?;
+        let mut executor = Executor::new(rep.clone(), stream.clone())?;
+        self.disorder.arm(&mut executor);
+        let generation = self.ids.generation();
+        let site = self.reps.get_mut(stream).expect("rep exists");
+        site.executor = executor;
+        site.generation = generation;
+        let (processor, sub) = (site.processor, site.sub);
+        for member in members {
+            if let Some(record) = self.queries.get_mut(&member) {
+                record.executor_gen = generation;
+            }
+        }
+        Ok(self.install_spe_input(processor, sub, rep))
+    }
+
+    /// Stop a representative: flush and drop its executor, withdraw the
+    /// result stream's advertisement and the SPE-input subscription.
+    fn stop_rep(&mut self, stream: &StreamName) {
+        self.retire_executor(stream);
+        self.registry.unregister(stream);
+        if let Some(site) = self.reps.remove(stream) {
+            self.subs.remove(&site.sub);
+            self.routers[site.processor.index()].remove_local_subscriber(site.sub);
         }
     }
 
@@ -641,7 +773,7 @@ impl Cosmos {
         {
             return Err(CosmosError::Lint(format!("{}: {}", err.code, err.message)));
         }
-        let warnings: Vec<String> = diags
+        let mut warnings: Vec<String> = diags
             .iter()
             .take(MAX_LINT_WARNINGS_PER_QUERY)
             .map(cosmos_lint::Diagnostic::headline)
@@ -654,7 +786,6 @@ impl Cosmos {
         // state is allocated or the result stream is advertised.
         // Warning-level findings (DISTINCT dedup state) ride along with
         // the lint warnings.
-        let mut warnings = warnings;
         for d in cosmos_bound::check_query(&analyzed) {
             match d.severity {
                 cosmos_lint::Severity::Error => {
@@ -667,110 +798,50 @@ impl Cosmos {
                 }
             }
         }
-        let qid = QueryId(self.next_query);
-        self.next_query += 1;
-        if !warnings.is_empty() {
-            self.lint_warnings.insert(qid, warnings);
-        }
+        let qid = self.ids.query();
         let processor = self.pick_processor(&analyzed);
         *self.processor_load.entry(processor).or_insert(0) += 1;
 
         // Query management: group/merge, or the non-share baseline.
-        let (result_stream, user_profile, rep, rep_is_new, rep_changed, updated_profiles) =
+        // `widened` lists the group's members when the new one changed
+        // its representative.
+        let (result_stream, user_profile, rep, rep_is_new, widened, updated_profiles) =
             if self.cfg.merging_enabled {
-                let catalog = &self.catalog;
                 let manager = self
                     .managers
                     .entry(processor)
                     .or_insert_with(|| GroupManager::new(format!("result::{processor}")));
-                let outcome = manager.insert(qid, analyzed.clone(), catalog)?;
-                let rep = manager
-                    .group(outcome.group)
-                    .expect("inserted group exists")
-                    .representative
-                    .clone();
+                let outcome = manager.insert(qid, analyzed.clone(), &self.catalog)?;
+                let group = manager.group(outcome.group).expect("inserted group exists");
+                let widened = outcome
+                    .rep_changed
+                    .then(|| group.members.iter().map(|(m, _)| *m).collect::<Vec<_>>());
                 (
                     outcome.result_stream,
                     outcome.profile,
-                    rep,
+                    group.representative.clone(),
                     !outcome.joined_existing,
-                    outcome.rep_changed,
+                    widened,
                     outcome.updated_profiles,
                 )
             } else {
-                self.baseline_counter += 1;
-                let stream =
-                    StreamName::from(format!("result::{processor}::q{}", self.baseline_counter));
+                let stream = StreamName::from(format!(
+                    "result::{processor}::q{}",
+                    self.ids.baseline_stream()
+                ));
                 let profile = retighten_profile(&analyzed, &analyzed, &stream)?;
-                self.baseline_streams.insert(qid, stream.clone());
-                (stream, profile, analyzed.clone(), true, false, Vec::new())
+                (stream, profile, analyzed.clone(), true, None, Vec::new())
             };
 
+        // A new group starts its representative, a widened one replaces
+        // it (same result stream), and a query that joins without
+        // widening is served by the warm, already-running executor.
         if rep_is_new {
-            // Advertise the result stream and start the representative.
-            self.ensure_source_tree(processor);
-            self.registry
-                .register(result_stream.clone(), rep.output_schema.clone(), processor)?;
-            self.catalog.register(
-                result_stream.clone(),
-                rep.output_schema.clone(),
-                StreamStats::with_rate(cosmos_query::estimate::output_tuples_per_sec(
-                    &rep,
-                    &self.catalog,
-                )),
-            );
-            let mut executor = Executor::new(rep.clone(), result_stream.clone())?;
-            self.arm_executor(&mut executor);
-            // The SPE subscribes to the source data (Section 4 profile).
-            let sub = self.alloc_sub();
-            let source_profile = self.install_spe_input(processor, sub, &rep);
-            self.spe_subs.insert(sub, result_stream.clone());
+            let source_profile = self.start_rep(processor, &result_stream, &rep)?;
             self.propagate_interest(processor, &source_profile)?;
-            self.executor_gen += 1;
-            self.query_executor_gen.insert(qid, self.executor_gen);
-            self.reps.insert(
-                result_stream.clone(),
-                RepSite {
-                    processor,
-                    executor,
-                    generation: self.executor_gen,
-                },
-            );
-        } else if rep_changed {
-            // Replace the running representative: wider query, same
-            // result stream. (Window state restarts; experiments submit
-            // queries before publishing data.)
-            self.retire_executor(&result_stream);
-            self.registry
-                .update_schema(&result_stream, rep.output_schema.clone())?;
-            let mut executor = Executor::new(rep.clone(), result_stream.clone())?;
-            self.arm_executor(&mut executor);
-            self.executor_gen += 1;
-            let site = self.reps.get_mut(&result_stream).expect("rep exists");
-            site.executor = executor;
-            site.generation = self.executor_gen;
-            // The replaced executor starts fresh: every member of the
-            // group (the new one included) is now served by the new
-            // generation.
-            self.query_executor_gen.insert(qid, self.executor_gen);
-            if let Some(manager) = self.managers.get(&processor) {
-                if let Some((g, _)) = manager.placement(qid) {
-                    for (mid, _) in &g.members {
-                        self.query_executor_gen.insert(*mid, self.executor_gen);
-                    }
-                }
-            }
-            // Re-subscribe the SPE input with the widened profile.
-            let sub = self
-                .spe_sub_of(&result_stream)
-                .expect("spe subscription exists");
-            let source_profile = self.install_spe_input(processor, sub, &rep);
+        } else if let Some(members) = widened {
+            let source_profile = self.replace_rep(&result_stream, &rep, members.into_iter())?;
             self.propagate_interest(processor, &source_profile)?;
-        } else {
-            // Joined an existing group without widening it: the query is
-            // served by the warm, already-running executor.
-            let gen = self.reps[&result_stream].generation;
-            self.query_executor_gen.insert(qid, gen);
         }
 
         // A widened representative invalidates the other members'
@@ -779,16 +850,14 @@ impl Cosmos {
         // interest lingers on intermediate nodes.
         let must_rebuild = !updated_profiles.is_empty();
         for (mid, profile) in updated_profiles {
-            let member_user = self.query_user[&mid];
-            let member_sub = self.user_sub_of_query[&mid];
-            self.routers[member_user.index()].add_local_subscriber(member_sub, profile);
+            let member = &self.queries[&mid];
+            self.routers[member.user.index()].add_local_subscriber(member.user_sub, profile);
         }
 
         // The user retrieves the results through the CBN.
-        let sub = self.alloc_sub();
-        self.routers[user.index()].add_local_subscriber(sub, user_profile.clone());
-        self.user_subs.insert(sub, qid);
-        self.user_sub_of_query.insert(qid, sub);
+        let user_sub = self.ids.sub();
+        self.routers[user.index()].add_local_subscriber(user_sub, user_profile.clone());
+        self.subs.insert(user_sub, LocalSub::User(qid));
         if must_rebuild {
             self.rebuild_routes();
         } else {
@@ -796,8 +865,15 @@ impl Cosmos {
         }
 
         self.delivered.insert(qid, Vec::new());
-        self.query_user.insert(qid, user);
-        self.query_processor.insert(qid, processor);
+        let record = QueryRecord {
+            user,
+            processor,
+            user_sub,
+            executor_gen: self.reps[&result_stream].generation,
+            lint_warnings: warnings,
+            baseline_stream: (!self.cfg.merging_enabled).then_some(result_stream),
+        };
+        self.queries.insert(qid, record);
         Ok(qid)
     }
 
@@ -818,64 +894,37 @@ impl Cosmos {
         let processors: Vec<NodeId> = self.managers.keys().copied().collect();
         let mut improved = 0usize;
         for p in processors {
-            let catalog = self.catalog.clone();
             let Some(mgr) = self.managers.get_mut(&p) else {
                 continue;
             };
-            let Some(placements) = mgr.reoptimize(&catalog)? else {
+            let Some(placements) = mgr.reoptimize(&self.catalog)? else {
                 continue;
             };
             improved += 1;
-            // Tear down every representative this processor was running.
+            // Stop every representative this processor was running and
+            // start the new ones.
+            let groups: Vec<(StreamName, AnalyzedQuery)> = mgr
+                .groups()
+                .map(|g| (g.result_stream.clone(), g.representative.clone()))
+                .collect();
             let old_streams: Vec<StreamName> = self
                 .reps
                 .iter()
                 .filter(|(_, site)| site.processor == p)
                 .map(|(k, _)| k.clone())
                 .collect();
-            for s in &old_streams {
-                self.retire_executor(s);
-                self.reps.remove(s);
-                self.registry.unregister(s);
-                self.drop_spe_input(p, s);
+            for stream in &old_streams {
+                self.stop_rep(stream);
             }
-            // Start the new representatives.
-            let groups: Vec<(StreamName, AnalyzedQuery)> = self.managers[&p]
-                .groups()
-                .map(|g| (g.result_stream.clone(), g.representative.clone()))
-                .collect();
-            for (stream, rep) in groups {
-                self.ensure_source_tree(p);
-                let rate = cosmos_query::estimate::output_tuples_per_sec(&rep, &self.catalog);
-                self.registry
-                    .register(stream.clone(), rep.output_schema.clone(), p)?;
-                self.catalog.register(
-                    stream.clone(),
-                    rep.output_schema.clone(),
-                    StreamStats::with_rate(rate),
-                );
-                let mut executor = Executor::new(rep.clone(), stream.clone())?;
-                self.arm_executor(&mut executor);
-                let sub = self.alloc_sub();
-                self.install_spe_input(p, sub, &rep);
-                self.spe_subs.insert(sub, stream.clone());
-                self.executor_gen += 1;
-                self.reps.insert(
-                    stream,
-                    RepSite {
-                        processor: p,
-                        executor,
-                        generation: self.executor_gen,
-                    },
-                );
+            for (stream, rep) in &groups {
+                self.start_rep(p, stream, rep)?;
             }
             // Refresh the affected users' subscriptions.
             for (qid, stream, profile) in placements {
-                let user = self.query_user[&qid];
-                let sub = self.user_sub_of_query[&qid];
-                self.routers[user.index()].add_local_subscriber(sub, profile);
-                let gen = self.reps[&stream].generation;
-                self.query_executor_gen.insert(qid, gen);
+                let generation = self.reps[&stream].generation;
+                let record = self.queries.get_mut(&qid).expect("placed query is live");
+                record.executor_gen = generation;
+                self.routers[record.user.index()].add_local_subscriber(record.user_sub, profile);
             }
         }
         if improved > 0 {
@@ -889,100 +938,70 @@ impl Cosmos {
     /// or tearing the group down entirely), and re-derive routing state.
     ///
     /// Returns an error for unknown query ids. Results already delivered
+    /// — a batch the overload controller was still coalescing included —
     /// remain readable via [`Cosmos::results`].
     pub fn unsubscribe(&mut self, qid: QueryId) -> Result<()> {
-        let user = self
-            .query_user
-            .get(&qid)
-            .copied()
+        let record = self
+            .queries
+            .remove(&qid)
             .ok_or_else(|| CosmosError::System(format!("unknown query {qid}")))?;
-        let sub = self.user_sub_of_query.remove(&qid).expect("sub per query");
-        self.routers[user.index()].remove_local_subscriber(sub);
-        self.user_subs.remove(&sub);
-        let processor = self.query_processor[&qid];
-        if let Some(load) = self.processor_load.get_mut(&processor) {
+        self.routers[record.user.index()].remove_local_subscriber(record.user_sub);
+        self.subs.remove(&record.user_sub);
+        // Nothing more will be offered to the query: release the batch
+        // the overload controller was coalescing for it.
+        let pending = self.overload.as_mut().map(|ctl| ctl.drain_query(qid));
+        if let Some(pending) = pending.filter(|p| !p.is_empty()) {
+            self.deliver(qid, record.user, pending);
+        }
+        if let Some(load) = self.processor_load.get_mut(&record.processor) {
             *load = load.saturating_sub(1);
         }
-        if self.cfg.merging_enabled {
-            let manager = self.managers.get_mut(&processor).expect("manager exists");
+        if let Some(stream) = &record.baseline_stream {
+            // Baseline mode: every query has its own representative.
+            self.stop_rep(stream);
+        } else {
+            let manager = self
+                .managers
+                .get_mut(&record.processor)
+                .expect("manager exists");
             // Identify the group before removal to detect dissolution.
             let (group, _) = manager.placement(qid).expect("query placed");
             let (gid, result_stream) = (group.id, group.result_stream.clone());
             manager.remove(qid);
             match manager.group(gid) {
-                None => {
-                    // Group dissolved: stop the representative and drop
-                    // its advertisement and SPE input subscription.
-                    self.retire_executor(&result_stream);
-                    self.reps.remove(&result_stream);
-                    self.registry.unregister(&result_stream);
-                    self.drop_spe_input(processor, &result_stream);
-                }
+                None => self.stop_rep(&result_stream),
                 Some(g) => {
                     // Representative shrank: restart it and refresh the
                     // remaining members' profiles.
-                    let rep = g.representative.clone();
-                    let members: Vec<QueryId> = g.members.iter().map(|(m, _)| *m).collect();
-                    self.retire_executor(&result_stream);
-                    self.registry
-                        .update_schema(&result_stream, rep.output_schema.clone())?;
-                    let mut executor = Executor::new(rep.clone(), result_stream.clone())?;
-                    self.arm_executor(&mut executor);
-                    self.executor_gen += 1;
-                    let site = self.reps.get_mut(&result_stream).expect("rep exists");
-                    site.executor = executor;
-                    site.generation = self.executor_gen;
-                    for mid in &members {
-                        self.query_executor_gen.insert(*mid, self.executor_gen);
-                    }
-                    let spe_sub = self
-                        .spe_sub_of(&result_stream)
-                        .expect("spe subscription exists");
-                    self.install_spe_input(processor, spe_sub, &rep);
-                    for mid in members {
-                        let manager = self.managers.get(&processor).expect("manager");
-                        let (g, _) = manager.placement(mid).expect("member placed");
-                        let profile = retighten_profile(
-                            &member_query(g, mid)?,
-                            &g.representative,
-                            &result_stream,
-                        )?;
-                        let member_user = self.query_user[&mid];
-                        let member_sub = self.user_sub_of_query[&mid];
-                        self.routers[member_user.index()].add_local_subscriber(member_sub, profile);
+                    let (rep, members) = (g.representative.clone(), g.members.clone());
+                    self.replace_rep(&result_stream, &rep, members.iter().map(|(m, _)| *m))?;
+                    for (mid, query) in &members {
+                        let profile = retighten_profile(query, &rep, &result_stream)?;
+                        let member = &self.queries[mid];
+                        self.routers[member.user.index()]
+                            .add_local_subscriber(member.user_sub, profile);
                     }
                 }
             }
-        } else {
-            // Baseline mode: every query has its own representative;
-            // tear it down directly.
-            let stream = self
-                .baseline_streams
-                .remove(&qid)
-                .expect("baseline query has a private result stream");
-            self.retire_executor(&stream);
-            self.reps.remove(&stream);
-            self.registry.unregister(&stream);
-            self.drop_spe_input(processor, &stream);
         }
-        self.query_user.remove(&qid);
-        self.query_processor.remove(&qid);
-        self.query_executor_gen.remove(&qid);
-        self.lint_warnings.remove(&qid);
         self.rebuild_routes();
         Ok(())
     }
 
-    fn account_link(&mut self, a: NodeId, b: NodeId, bytes: usize) {
+    /// `bytes` (carrying `tuples` data tuples; 0 for control datagrams)
+    /// cross the link `a - b`: one entry in each of the two ledgers.
+    fn cross_link(&mut self, a: NodeId, b: NodeId, tuples: usize, bytes: usize) {
         let key = (a.min(b), a.max(b));
-        *self.link_bytes.entry(key).or_insert(0) += bytes as u64;
+        *self.traffic.link_bytes.entry(key).or_insert(0) += bytes as u64;
         // Price the hop exactly like TreeOptimizer::cost does, so the
         // measured weighted cost is comparable to the estimated one.
-        let delay = self.graph.link_delay(a, b).unwrap_or_else(|| {
+        let graph = &self.topology.graph;
+        let delay = graph.link_delay(a, b).unwrap_or_else(|| {
             debug_assert!(false, "traffic accounted on downed link {a}-{b}");
-            self.graph.distance(a, b).max(f64::EPSILON)
+            graph.distance(a, b).max(f64::EPSILON)
         });
-        self.weighted_cost.add(bytes as f64 * delay);
+        self.traffic.weighted_cost.add(bytes as f64 * delay);
+        self.metrics.on_link(a, b, tuples, bytes);
     }
 
     /// Publish one source datagram at its stream's origin node and drive
@@ -1017,13 +1036,12 @@ impl Cosmos {
             CosmosError::System(format!("stream '{}' is not advertised", first.stream))
         })?;
         let (origin, schema) = (reg.origin, reg.schema.clone());
-        self.tuples_published += tuples.len() as u64;
+        self.traffic.tuples_published += tuples.len() as u64;
         self.metrics.on_publish(&first.stream, &schema, tuples);
-        if self.disorder.is_some() {
-            self.published_streams.insert(first.stream.clone());
-        }
         self.disseminate(origin, tuples, &schema);
-        self.after_publish(tuples);
+        for (stream, wm, origin) in self.disorder.after_publish(tuples, &self.registry) {
+            self.disseminate_watermark(stream, wm, origin);
+        }
         self.autotune_tick();
         Ok(())
     }
@@ -1059,8 +1077,7 @@ impl Cosmos {
             match f.dest {
                 Destination::Neighbor(n) => {
                     let bytes: usize = f.tuples.iter().map(Tuple::size_bytes).sum();
-                    self.account_link(at, n, bytes);
-                    self.metrics.on_link(at, n, f.tuples.len(), bytes);
+                    self.cross_link(at, n, f.tuples.len(), bytes);
                     queue.push_back(Hop {
                         from: Some(at),
                         at: n,
@@ -1089,57 +1106,55 @@ impl Cosmos {
         tuples: Vec<Tuple>,
         schema: &Schema,
     ) -> Option<Hop> {
-        if let Some(stream) = self.spe_subs.get(&sub) {
-            let stream = stream.clone();
-            let site = self.reps.get_mut(&stream).expect("rep site exists");
-            debug_assert_eq!(site.processor, at);
-            let outputs = site.executor.push_projected_batch(&tuples, schema);
-            let rep_schema = site.executor.result_schema().clone();
-            self.metrics.on_spe_intake(at, &tuples);
-            if !outputs.is_empty() {
+        match self.subs.get(&sub)? {
+            LocalSub::Spe(stream) => {
+                let site = self.reps.get_mut(stream).expect("rep site exists");
+                debug_assert_eq!(site.processor, at);
+                let outputs = site.executor.push_projected_batch(&tuples, schema);
+                let rep_schema = site.executor.result_schema().clone();
+                self.metrics.on_spe_intake(at, &tuples);
+                if outputs.is_empty() {
+                    return None;
+                }
                 // Result datagrams enter the CBN here; observe them
                 // like any other published stream.
-                self.metrics.on_publish(&stream, &rep_schema, &outputs);
-                return Some(Hop {
+                self.metrics.on_publish(stream, &rep_schema, &outputs);
+                Some(Hop {
                     from: None,
                     at,
                     tuples: outputs,
                     schema: rep_schema,
-                });
+                })
             }
-        } else if let Some(&qid) = self.user_subs.get(&sub) {
-            if self.overload.is_some() {
-                self.overload_deliver(at, qid, tuples);
-            } else {
-                self.metrics.on_delivery(qid, at, &tuples);
-                self.delivered
-                    .get_mut(&qid)
-                    .expect("delivery buffer")
-                    .extend(tuples);
+            &LocalSub::User(qid) => {
+                self.deliver_user(at, qid, tuples);
+                None
             }
         }
-        None
     }
 
-    /// The overload-controlled user delivery path: consult the
-    /// controller with the node's measured in-window intake, then map
-    /// its verdict onto delivery-buffer and metrics effects. Budget
-    /// decisions read only virtual-time state, so a replay of the same
-    /// scenario reproduces identical shed decisions.
-    fn overload_deliver(&mut self, at: NodeId, qid: QueryId, tuples: Vec<Tuple>) {
+    /// Append `tuples` to a query's delivery buffer at its user node.
+    fn deliver(&mut self, qid: QueryId, at: NodeId, tuples: Vec<Tuple>) {
+        self.metrics.on_delivery(qid, at, &tuples);
+        self.delivered
+            .get_mut(&qid)
+            .expect("delivery buffer")
+            .extend(tuples);
+    }
+
+    /// User delivery through the overload gate, when one is armed:
+    /// consult the controller with the node's measured in-window intake,
+    /// then map its verdict onto delivery-buffer and metrics effects.
+    /// Budget decisions read only virtual-time state, so a replay of the
+    /// same scenario reproduces identical shed decisions.
+    fn deliver_user(&mut self, at: NodeId, qid: QueryId, tuples: Vec<Tuple>) {
+        let Some(ctl) = self.overload.as_mut() else {
+            return self.deliver(qid, at, tuples);
+        };
         let in_window = self.metrics.consumed_in_window(at);
         let window_index = self.metrics.now_ms().div_euclid(self.metrics.window_ms());
-        let mut ctl = self.overload.take().expect("caller checked");
-        let action = ctl.admit(at, qid, tuples, in_window, window_index);
-        self.overload = Some(ctl);
-        match action {
-            Action::Deliver { tuples, .. } => {
-                self.metrics.on_delivery(qid, at, &tuples);
-                self.delivered
-                    .get_mut(&qid)
-                    .expect("delivery buffer")
-                    .extend(tuples);
-            }
+        match ctl.admit(at, qid, tuples, in_window, window_index) {
+            Action::Deliver { tuples, .. } => self.deliver(qid, at, tuples),
             Action::Stage { coalesced } => {
                 if coalesced {
                     self.metrics.on_coalesce();
@@ -1168,10 +1183,8 @@ impl Cosmos {
         let datagram_bytes = limit.size_bytes();
         let mut link_bytes = 0usize;
         if let Some(origin) = self.registry.origin(&limit.stream) {
-            let path = self.tree_path(at, origin);
-            for w in path.windows(2) {
-                self.account_link(w[0], w[1], datagram_bytes);
-                self.metrics.on_link(w[0], w[1], 0, datagram_bytes);
+            for w in self.tree_for(origin).path(at, origin).windows(2) {
+                self.cross_link(w[0], w[1], 0, datagram_bytes);
                 link_bytes += datagram_bytes;
             }
         }
@@ -1179,46 +1192,6 @@ impl Cosmos {
         if let Some(ctl) = self.overload.as_mut() {
             ctl.record_received(limit);
         }
-    }
-
-    /// The hop sequence between two nodes on the dissemination tree
-    /// rooted for `to` (per-source mode uses `to`'s tree when one
-    /// exists): up the parent chain from `from` to the lowest common
-    /// ancestor, then down to `to`.
-    fn tree_path(&self, from: NodeId, to: NodeId) -> Vec<NodeId> {
-        let tree = if self.cfg.per_source_trees {
-            self.source_trees.get(&to).unwrap_or(&self.tree)
-        } else {
-            &self.tree
-        };
-        let ancestors = |mut n: NodeId| {
-            let mut v = vec![n];
-            while let Some(p) = tree.parent(n) {
-                v.push(p);
-                n = p;
-            }
-            v
-        };
-        let up = ancestors(from);
-        let down = ancestors(to);
-        let on_down: BTreeSet<NodeId> = down.iter().copied().collect();
-        let mut path = Vec::new();
-        let mut lca = *up.last().expect("chain includes the node itself");
-        for n in &up {
-            path.push(*n);
-            if on_down.contains(n) {
-                lca = *n;
-                break;
-            }
-        }
-        let pos = down
-            .iter()
-            .position(|n| *n == lca)
-            .expect("LCA lies on both chains");
-        for n in down[..pos].iter().rev() {
-            path.push(*n);
-        }
-        path
     }
 
     /// Switch the deployment into (or out of) out-of-order operation.
@@ -1234,37 +1207,15 @@ impl Cosmos {
     /// Call before publishing; executors already running are switched
     /// in place with empty staging areas.
     pub fn set_disorder(&mut self, runtime: Option<DisorderRuntime>) {
-        self.disorder = runtime;
-        let Some(rt) = runtime else { return };
-        let seeds: Vec<(StreamName, Timestamp)> = self
-            .emitted_watermarks
-            .iter()
-            .map(|(s, wm)| (s.clone(), *wm))
-            .collect();
+        self.disorder.runtime = runtime;
         for site in self.reps.values_mut() {
-            site.executor.enable_disorder(rt.policy);
-            for (s, wm) in &seeds {
-                let outputs = site.executor.advance_watermark(s, *wm);
-                debug_assert!(outputs.is_empty(), "fresh staging cannot drain");
-            }
+            self.disorder.arm(&mut site.executor);
         }
     }
 
     /// The out-of-order runtime, if disorder mode is on.
     pub fn disorder(&self) -> Option<DisorderRuntime> {
-        self.disorder
-    }
-
-    /// Put a freshly created executor into disorder mode (when on) and
-    /// seed it with every watermark already emitted, so its frontier
-    /// starts where the network's has advanced to instead of at −∞.
-    fn arm_executor(&self, executor: &mut Executor) {
-        let Some(rt) = self.disorder else { return };
-        executor.enable_disorder(rt.policy);
-        for (s, wm) in &self.emitted_watermarks {
-            let outputs = executor.advance_watermark(s, *wm);
-            debug_assert!(outputs.is_empty(), "fresh staging cannot drain");
-        }
+        self.disorder.runtime
     }
 
     /// Before an executor is replaced or torn down: flush its staging
@@ -1272,7 +1223,7 @@ impl Cosmos {
     /// and fold its disorder counters into the retired totals, so
     /// conservation holds across the whole deployment lifetime.
     fn retire_executor(&mut self, stream: &StreamName) {
-        if self.disorder.is_none() {
+        if self.disorder.runtime.is_none() {
             return;
         }
         let Some(site) = self.reps.get_mut(stream) else {
@@ -1280,7 +1231,7 @@ impl Cosmos {
         };
         let outputs = site.executor.flush_staged();
         if let Some(stats) = site.executor.disorder_stats() {
-            self.retired_disorder = self.retired_disorder.merge(&stats);
+            self.disorder.retired = self.disorder.retired.merge(&stats);
         }
         let processor = site.processor;
         let schema = site.executor.result_schema().clone();
@@ -1304,50 +1255,6 @@ impl Cosmos {
         self.disseminate(at, tuples, schema);
     }
 
-    /// Disorder-mode epilogue of every publish: advance the global high
-    /// water and emit watermarks. A no-op in in-order operation.
-    fn after_publish(&mut self, tuples: &[Tuple]) {
-        if self.disorder.is_none() {
-            return;
-        }
-        if let Some(hw) = tuples.iter().map(|t| t.timestamp).max() {
-            self.high_water = Some(self.high_water.map_or(hw, |h| h.max(hw)));
-        }
-        self.emit_watermarks();
-    }
-
-    /// Emit `high_water − bound` as the watermark of every source
-    /// stream that has published, where it advances past the last one
-    /// emitted. Lagging the *global* high water is what makes the
-    /// promise sound: the workload's disorder transform displaces a
-    /// tuple's position by at most `bound` of application time, so no
-    /// future publish of *any* stream can carry a timestamp at or below
-    /// the emitted watermark.
-    fn emit_watermarks(&mut self) {
-        let (Some(rt), Some(hw)) = (self.disorder, self.high_water) else {
-            return;
-        };
-        let wm = Timestamp(hw.0.saturating_sub(rt.bound.millis()));
-        let streams: Vec<StreamName> = self.published_streams.iter().cloned().collect();
-        for stream in streams {
-            if self.closed_streams.contains(&stream) {
-                continue;
-            }
-            if self
-                .emitted_watermarks
-                .get(&stream)
-                .is_some_and(|l| wm <= *l)
-            {
-                continue;
-            }
-            let Some(origin) = self.registry.origin(&stream) else {
-                continue;
-            };
-            self.emitted_watermarks.insert(stream.clone(), wm);
-            self.disseminate_watermark(stream, wm, origin);
-        }
-    }
-
     /// Route one watermark punctuation from its origin along the
     /// stream's dissemination tree: every link crossing is accounted in
     /// bytes exactly like data (and counted by the metrics hub), every
@@ -1364,15 +1271,15 @@ impl Cosmos {
                 match dest {
                     Destination::Neighbor(n) => {
                         let bytes = Punctuation::new(stream.clone(), wm).size_bytes();
-                        self.account_link(at, n, bytes);
-                        self.metrics.on_link(at, n, 0, bytes);
+                        self.cross_link(at, n, 0, bytes);
                         self.metrics.on_punctuation(bytes);
                         queue.push_back((Some(at), n, stream.clone(), wm));
                     }
                     Destination::Local(sub) => {
-                        let Some(result_stream) = self.spe_subs.get(&sub).cloned() else {
+                        let Some(LocalSub::Spe(result_stream)) = self.subs.get(&sub) else {
                             continue;
                         };
+                        let result_stream = result_stream.clone();
                         let site = self.reps.get_mut(&result_stream).expect("rep site exists");
                         debug_assert_eq!(site.processor, at);
                         let processor = site.processor;
@@ -1392,11 +1299,12 @@ impl Cosmos {
                         };
                         if a > b
                             && self
-                                .emitted_watermarks
+                                .disorder
+                                .emitted
                                 .get(&result_stream)
                                 .is_none_or(|l| a > *l)
                         {
-                            self.emitted_watermarks.insert(result_stream.clone(), a);
+                            self.disorder.emitted.insert(result_stream.clone(), a);
                             queue.push_back((None, processor, result_stream, a));
                         }
                     }
@@ -1418,7 +1326,7 @@ impl Cosmos {
         // Nothing more can arrive: release any coalesced batches the
         // overload controller is still holding.
         self.drain_overload_staged();
-        if self.disorder.is_none() {
+        if self.disorder.runtime.is_none() {
             return;
         }
         let mut sources: Vec<(StreamName, NodeId)> = self
@@ -1429,22 +1337,23 @@ impl Cosmos {
             .collect();
         sources.sort_by(|a, b| a.0.cmp(&b.0));
         for (stream, origin) in sources {
-            if self.closed_streams.contains(&stream) {
+            if self.disorder.closed.contains(&stream) {
                 continue;
             }
-            self.emitted_watermarks
+            self.disorder
+                .emitted
                 .insert(stream.clone(), Timestamp(i64::MAX));
             self.disseminate_watermark(stream.clone(), Timestamp(i64::MAX), origin);
             for r in &mut self.routers {
                 r.prune_stream(&stream);
             }
-            self.closed_streams.insert(stream);
+            self.disorder.closed.insert(stream);
         }
     }
 
     /// Source streams closed by [`Cosmos::close_streams`].
     pub fn closed_streams(&self) -> &BTreeSet<StreamName> {
-        &self.closed_streams
+        &self.disorder.closed
     }
 
     /// Deployment-wide out-of-order ingestion counters: every live
@@ -1452,7 +1361,7 @@ impl Cosmos {
     /// that were replaced or torn down. `conserved()` holds on this
     /// total at any instant.
     pub fn disorder_totals(&self) -> DisorderStats {
-        let mut total = self.retired_disorder;
+        let mut total = self.disorder.retired;
         for site in self.reps.values() {
             if let Some(stats) = site.executor.disorder_stats() {
                 total = total.merge(&stats);
@@ -1499,12 +1408,10 @@ impl Cosmos {
         let Some(ctl) = self.overload.as_mut() else {
             return;
         };
+        // Withdrawal releases a query's pending batch, so every staged
+        // batch belongs to a live query.
         for (qid, tuples) in ctl.drain_all() {
-            let node = self.query_user.get(&qid).copied();
-            if let (Some(node), Some(buf)) = (node, self.delivered.get_mut(&qid)) {
-                self.metrics.on_delivery(qid, node, &tuples);
-                buf.extend(tuples);
-            }
+            self.deliver(qid, self.queries[&qid].user, tuples);
         }
     }
 
@@ -1517,20 +1424,19 @@ impl Cosmos {
     /// (e.g. a join over an `[Unbounded]` window). Empty for clean
     /// queries; error-level findings reject submission instead.
     pub fn lint_warnings(&self, qid: QueryId) -> &[String] {
-        self.lint_warnings
+        self.queries
             .get(&qid)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], |q| q.lint_warnings.as_slice())
     }
 
     /// The user node of a query.
     pub fn user_of(&self, qid: QueryId) -> Option<NodeId> {
-        self.query_user.get(&qid).copied()
+        self.queries.get(&qid).map(|q| q.user)
     }
 
     /// The processor a query was assigned to.
     pub fn processor_of(&self, qid: QueryId) -> Option<NodeId> {
-        self.query_processor.get(&qid).copied()
+        self.queries.get(&qid).map(|q| q.processor)
     }
 
     /// One view per running representative executor: its result stream,
@@ -1539,8 +1445,7 @@ impl Cosmos {
     /// `cosmos-bound`'s per-executor state bounds. Ordered by result
     /// stream for determinism.
     pub fn rep_states(&self) -> Vec<RepStateView<'_>> {
-        let mut out: Vec<RepStateView<'_>> = self
-            .reps
+        self.reps
             .iter()
             .map(|(stream, site)| RepStateView {
                 result_stream: stream,
@@ -1550,32 +1455,28 @@ impl Cosmos {
                 disorder: site.executor.disorder_stats(),
                 frontier: site.executor.frontier(),
             })
-            .collect();
-        out.sort_by_key(|v| v.result_stream.clone());
-        out
+            .collect()
     }
 
     /// Bytes that crossed the (undirected) overlay link `a - b`.
     pub fn link_bytes(&self, a: NodeId, b: NodeId) -> u64 {
-        self.link_bytes
-            .get(&(a.min(b), a.max(b)))
-            .copied()
-            .unwrap_or(0)
+        let key = (a.min(b), a.max(b));
+        self.traffic.link_bytes.get(&key).copied().unwrap_or(0)
     }
 
     /// Total bytes that crossed any overlay link.
     pub fn total_bytes(&self) -> u64 {
-        self.link_bytes.values().sum()
+        self.traffic.link_bytes.values().sum()
     }
 
     /// Total delay-weighted communication cost (`Σ bytes × link delay`).
     pub fn weighted_cost(&self) -> f64 {
-        self.weighted_cost.total()
+        self.traffic.weighted_cost.total()
     }
 
     /// Number of source datagrams published.
     pub fn tuples_published(&self) -> u64 {
-        self.tuples_published
+        self.traffic.tuples_published
     }
 
     /// The live metrics hub (read access for diagnostics and tests).
@@ -1653,7 +1554,7 @@ impl Cosmos {
     /// Measured per-node demand: the windowed byte rate each node
     /// consumes locally (user deliveries plus SPE intake).
     fn measured_demand(&self) -> Vec<f64> {
-        (0..self.graph.node_count())
+        (0..self.routers.len())
             .map(|i| self.metrics.consumed_byte_rate(NodeId(i as u32)))
             .collect()
     }
@@ -1700,11 +1601,11 @@ impl Cosmos {
         pass.adopted_streams = self.adopt_measured_stats();
         pass.groups_improved = self.reoptimize_groups()?;
         let demand = self.measured_demand();
-        let saved = (hysteresis > 0.0).then(|| self.tree.clone());
+        let saved = (hysteresis > 0.0).then(|| self.topology.tree.clone());
         let report = self.optimize_tree_with_demand(opts.optimizer, &demand);
         if let Some(saved) = saved {
             if report.moves > 0 && report.improvement() <= hysteresis {
-                self.tree = saved;
+                self.topology.tree = saved;
                 self.rebuild_routes();
                 pass.tree_rolled_back = true;
             }
@@ -1802,7 +1703,7 @@ impl Cosmos {
 
     /// Number of queries in the system.
     pub fn query_count(&self) -> usize {
-        self.next_query as usize
+        self.queries.len()
     }
 
     /// Generation stamp of the executor currently serving a query.
@@ -1817,7 +1718,7 @@ impl Cosmos {
     /// window state restarts; `None` after unsubscription or for unknown
     /// ids.
     pub fn executor_generation(&self, qid: QueryId) -> Option<u64> {
-        self.query_executor_gen.get(&qid).copied()
+        self.queries.get(&qid).map(|q| q.executor_gen)
     }
 
     /// A deterministic digest of the routing state: dissemination-tree
@@ -1830,14 +1731,12 @@ impl Cosmos {
     pub fn routing_digest(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        for (parent, child) in self.tree.edges() {
+        for (parent, child) in self.topology.tree.edges() {
             (parent.raw(), child.raw()).hash(&mut h);
         }
-        let mut origins: Vec<NodeId> = self.source_trees.keys().copied().collect();
-        origins.sort_unstable();
-        for origin in origins {
+        for (origin, tree) in &self.topology.source_trees {
             origin.raw().hash(&mut h);
-            for (parent, child) in self.source_trees[&origin].edges() {
+            for (parent, child) in tree.edges() {
                 (parent.raw(), child.raw()).hash(&mut h);
             }
         }
@@ -1849,6 +1748,7 @@ impl Cosmos {
             locals.sort_unstable();
             locals.hash(&mut h);
             let mut interests: Vec<String> = self
+                .topology
                 .graph
                 .neighbors(r.node())
                 .iter()
@@ -1875,8 +1775,7 @@ impl Cosmos {
             node_count: tree.node_count(),
             edges: tree.edges().collect(),
         };
-        let mut source_trees: Vec<TreeTopology> = self.source_trees.values().map(topo).collect();
-        source_trees.sort_by_key(|t| t.root);
+        let source_trees = self.topology.source_trees.values().map(topo).collect();
 
         let mut advertisements: Vec<Advertisement> = self
             .registry
@@ -1893,50 +1792,43 @@ impl Cosmos {
             .routers
             .iter()
             .map(|r| {
-                let mut local_subscribers: Vec<LocalSubscriber> = r
+                let mut local_subscribers = r
                     .local_subscribers()
                     .map(|(id, profile)| {
-                        let kind = if let Some(stream) = self.spe_subs.get(&id) {
-                            SubscriberKind::SpeInput {
+                        let kind = match self.subs.get(&id) {
+                            Some(LocalSub::Spe(stream)) => SubscriberKind::SpeInput {
                                 result_stream: stream.clone(),
-                            }
-                        } else if let Some(qid) = self.user_subs.get(&id) {
-                            SubscriberKind::User { query: *qid }
-                        } else {
-                            // Unreachable in a consistent system; keep
-                            // the snapshot total so the verifier can
-                            // flag it rather than snapshotting failing.
-                            SubscriberKind::User {
-                                query: QueryId(u64::MAX),
+                            },
+                            Some(&LocalSub::User(query)) => SubscriberKind::User { query },
+                            None => {
+                                let what = format!("{id:?} at {} feeds nothing", r.node());
+                                return Err(CosmosError::System(what));
                             }
                         };
-                        LocalSubscriber {
+                        Ok(LocalSubscriber {
                             id,
                             kind,
                             profile: profile.clone(),
-                        }
+                        })
                     })
-                    .collect::<Vec<_>>();
+                    .collect::<Result<Vec<_>>>()?;
                 local_subscribers.sort_by_key(|s| s.id);
-                RouterState {
+                Ok(RouterState {
                     node: r.node(),
                     neighbor_interests: r
                         .neighbor_interests()
                         .map(|(n, p)| (n, p.clone()))
                         .collect(),
                     local_subscribers,
-                }
+                })
             })
-            .collect();
+            .collect::<Result<_>>()?;
 
         let unparse =
             |q: &AnalyzedQuery| -> Result<String> { Ok(cosmos_query::to_query(q)?.to_string()) };
         let mut groups: Vec<GroupSnapshot> = Vec::new();
         if self.cfg.merging_enabled {
-            let mut procs: Vec<NodeId> = self.managers.keys().copied().collect();
-            procs.sort_unstable();
-            for p in procs {
-                let manager = &self.managers[&p];
+            for (&p, manager) in &self.managers {
                 for g in manager.groups() {
                     let mut members = Vec::new();
                     for (qid, member) in &g.members {
@@ -1946,8 +1838,8 @@ impl Cosmos {
                         members.push(MemberSnapshot {
                             query: *qid,
                             cql: unparse(member)?,
-                            user: self.query_user[qid],
-                            user_sub: self.user_sub_of_query[qid],
+                            user: self.queries[qid].user,
+                            user_sub: self.queries[qid].user_sub,
                             split_profile: split.clone(),
                         });
                     }
@@ -1960,18 +1852,15 @@ impl Cosmos {
                 }
             }
         } else {
-            let mut qids: Vec<QueryId> = self.baseline_streams.keys().copied().collect();
-            qids.sort_unstable();
-            for qid in qids {
-                let stream = &self.baseline_streams[&qid];
+            for (&qid, record) in &self.queries {
+                let stream = record.baseline_stream.as_ref().expect("baseline query");
                 let site = self
                     .reps
                     .get(stream)
                     .ok_or_else(|| CosmosError::System(format!("no rep for {stream}")))?;
                 let rep = site.executor.query();
-                let sub = self.user_sub_of_query[&qid];
-                let split = self.routers[self.query_user[&qid].index()]
-                    .local_interest(sub)
+                let split = self.routers[record.user.index()]
+                    .local_interest(record.user_sub)
                     .cloned()
                     .unwrap_or_default();
                 groups.push(GroupSnapshot {
@@ -1981,8 +1870,8 @@ impl Cosmos {
                     members: vec![MemberSnapshot {
                         query: qid,
                         cql: unparse(rep)?,
-                        user: self.query_user[&qid],
-                        user_sub: sub,
+                        user: record.user,
+                        user_sub: record.user_sub,
                         split_profile: split,
                     }],
                 });
@@ -2015,12 +1904,12 @@ impl Cosmos {
             version: SNAPSHOT_VERSION,
             merging_enabled: self.cfg.merging_enabled,
             nodes: self.routers.len(),
-            shared_tree: topo(&self.tree),
+            shared_tree: topo(&self.topology.tree),
             source_trees,
             advertisements,
             routers,
             groups,
-            closed_streams: self.closed_streams.iter().cloned().collect(),
+            closed_streams: self.disorder.closed.iter().cloned().collect(),
             overload,
         })
     }
@@ -2494,6 +2383,7 @@ mod tests {
         let gm = sys.group_manager(NodeId(0)).unwrap();
         assert_eq!(gm.query_count(), 1);
         assert_eq!(gm.group_count(), 1);
+        assert_eq!(sys.query_count(), 1, "live queries, not ids issued");
     }
 
     #[test]

@@ -110,6 +110,53 @@ fn assert_rebuild_matches_reference(sys: &mut Cosmos, step: &str) {
     sys.routers = ours;
 }
 
+/// The query-layer tables, read through public views only: exactly the
+/// `live` queries are known, every local subscriber feeds one of them or
+/// a running representative, there is one representative per group, and
+/// the static verifier accepts the snapshot.
+fn assert_tables_match_live_queries(
+    sys: &Cosmos,
+    live: &[QueryId],
+    withdrawn: &[QueryId],
+    step: &str,
+) {
+    assert_eq!(sys.query_count(), live.len(), "{step}: query_count");
+    for (qids, known) in [(live, true), (withdrawn, false)] {
+        for &q in qids {
+            assert_eq!(sys.user_of(q).is_some(), known, "{step}: user_of {q}");
+            assert_eq!(sys.processor_of(q).is_some(), known, "{step}: {q}");
+            assert_eq!(sys.executor_generation(q).is_some(), known, "{step}: {q}");
+        }
+    }
+    let reps = sys.rep_states();
+    let groups: usize = sys
+        .processors()
+        .iter()
+        .filter_map(|p| sys.group_manager(*p))
+        .map(GroupManager::group_count)
+        .sum();
+    assert_eq!(reps.len(), groups, "{step}: one representative per group");
+    let snap = sys.snapshot().unwrap_or_else(|e| panic!("{step}: {e}"));
+    for sub in snap.routers.iter().flat_map(|r| &r.local_subscribers) {
+        let real = match &sub.kind {
+            crate::snapshot::SubscriberKind::User { query } => live.contains(query),
+            crate::snapshot::SubscriberKind::SpeInput { result_stream } => {
+                reps.iter().any(|r| r.result_stream == result_stream)
+            }
+        };
+        assert!(
+            real,
+            "{step}: {:?} feeds nothing live: {:?}",
+            sub.id, sub.kind
+        );
+    }
+    // cosmos-verify links the plain build of this crate, whose snapshot
+    // type this test build cannot name: hand the document over as JSON.
+    let json = snap.to_json().unwrap();
+    let diags = cosmos_verify::verify_snapshot(&serde_json::from_str(&json).unwrap());
+    assert!(!cosmos_verify::has_violations(&diags), "{step}: {diags:?}");
+}
+
 #[test]
 fn fold_matches_the_clear_and_repropagate_reference() {
     let (mut regrouped, mut tree_moves) = (0, 0);
@@ -118,6 +165,7 @@ fn fold_matches_the_clear_and_repropagate_reference() {
         let (mut sys, mut queries, mut rng) =
             deployment(seed, 12 + seed as usize, 4, per_source_trees);
         let mut live = submit_generated(&mut sys, &mut queries, &mut rng, 10);
+        let mut withdrawn = Vec::new();
         assert_rebuild_matches_reference(&mut sys, "start-up");
         for step in 0..24 {
             let what = match rng.gen_range(0..8u32) {
@@ -128,6 +176,7 @@ fn fold_matches_the_clear_and_repropagate_reference() {
                 3..=5 if !live.is_empty() => {
                     let (qid, _) = live.swap_remove(rng.gen_range(0..live.len()));
                     sys.unsubscribe(qid).unwrap();
+                    withdrawn.push(qid);
                     "unsubscribe"
                 }
                 6 => {
@@ -141,7 +190,10 @@ fn fold_matches_the_clear_and_repropagate_reference() {
                     "optimize_tree"
                 }
             };
-            assert_rebuild_matches_reference(&mut sys, &format!("seed {seed} step {step} {what}"));
+            let step = format!("seed {seed} step {step} {what}");
+            assert_rebuild_matches_reference(&mut sys, &step);
+            let live: Vec<QueryId> = live.iter().map(|(q, _)| *q).collect();
+            assert_tables_match_live_queries(&sys, &live, &withdrawn, &step);
         }
     }
     assert!(
@@ -219,4 +271,61 @@ fn control_operations_reindex_only_what_moved() {
     let before = maintenance_counters(&sys);
     sys.unsubscribe(copy).unwrap();
     assert_rebuilds_confined_to_path(&sys, &before, &path);
+}
+
+/// A Throttle notice walks `tree_for(origin).path(consumer, origin)`:
+/// the bytes accounted for it are the datagram's size times that path's
+/// length, on the shared tree and on a per-source tree alike.
+#[test]
+fn throttle_notice_is_accounted_along_the_origins_tree_path() {
+    use crate::overload::{Budget, OverloadPolicy};
+    use cosmos_types::{AttrType, Value};
+    // Chain 0-1-2-3-4 plus a direct 0-4 link too heavy for the MST but
+    // shorter than the chain: only the tree rooted at 0 uses it.
+    let deploy = |per_source_trees: bool, throttle: bool| {
+        let mut g = Graph::new(5);
+        for i in 0..5 {
+            g.set_position(NodeId(i), 0.25 * i as f64, 0.0);
+        }
+        for i in 0..4 {
+            g.add_edge_by_distance(NodeId(i), NodeId(i + 1)).unwrap();
+        }
+        g.add_edge(NodeId(0), NodeId(4), 0.9).unwrap();
+        let cfg = CosmosConfig {
+            nodes: 5,
+            processor_fraction: 0.2,
+            per_source_trees,
+            ..CosmosConfig::default()
+        };
+        let mut sys = Cosmos::with_graph(cfg, g).unwrap();
+        let schema = Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]);
+        sys.register_stream("S", schema, StreamStats::with_rate(1.0), NodeId(0))
+            .unwrap();
+        sys.submit_query("SELECT k FROM S [Now]", NodeId(4))
+            .unwrap();
+        if throttle {
+            sys.set_overload(Some(OverloadConfig {
+                budget: Budget::Tuples(0),
+                policy: OverloadPolicy::Throttle,
+                ..OverloadConfig::default()
+            }));
+        }
+        let values = vec![Value::Int(1), Value::Int(0)];
+        sys.publish(&Tuple::new("S", Timestamp(0), values)).unwrap();
+        sys
+    };
+    let mut hops = Vec::new();
+    for per_source_trees in [false, true] {
+        let plain = deploy(per_source_trees, false);
+        let sys = deploy(per_source_trees, true);
+        let notices = sys.overload().unwrap().received();
+        assert_eq!(notices.len(), 1);
+        let origin = sys.registry().origin(&notices[0].stream).unwrap();
+        let path_len = sys.tree_for(origin).path_len(NodeId(4), origin);
+        let expected = (notices[0].size_bytes() * path_len) as u64;
+        assert_eq!(sys.metrics().throttle_bytes, expected);
+        assert_eq!(sys.total_bytes() - plain.total_bytes(), expected);
+        hops.push(path_len);
+    }
+    assert_eq!(hops, [4, 1], "the two modes walk different paths");
 }

@@ -234,3 +234,39 @@ fn disarming_drains_pending_batches() {
     assert_eq!(sys.results(q).len(), 200, "disarm released the backlog");
     assert!(sys.overload().is_none());
 }
+
+/// A query withdrawn while Coalesce holds a batch for it gets that batch
+/// at withdrawal — not a ledger entry saying "delivered" for tuples that
+/// were dropped at the next drain.
+#[test]
+fn withdrawal_delivers_the_pending_coalesce_batch() {
+    let budget = inbound_window_bytes() / 4;
+    let (mut sys, q) = chain_system();
+    sys.set_overload(Some(OverloadConfig {
+        budget: Budget::Bytes(budget),
+        policy: OverloadPolicy::Coalesce,
+        ..OverloadConfig::default()
+    }));
+    feed(&mut sys);
+    let staged = sys.overload().expect("armed").staged_len(q);
+    assert!(staged > 0, "the budget must be tight enough to stage");
+    let before = sys.results(q).len();
+
+    sys.unsubscribe(q).unwrap();
+    assert_eq!(sys.results(q).len(), before + staged, "released at once");
+    sys.close_streams();
+
+    let ctl = sys.overload().expect("armed");
+    let ledger = ctl.ledger(q);
+    assert!(ledger.conserved(), "identity broken: {ledger:?}");
+    assert_eq!(ctl.staged_len(q), 0);
+    assert_eq!(ledger.staged_tuples, 0);
+    assert_eq!(ledger.delivered_tuples as usize, sys.results(q).len());
+    let hub = sys.metrics();
+    let counted = hub.queries.iter().find(|m| m.query == q);
+    assert_eq!(
+        counted.map(|m| m.delivered_tuples),
+        Some(ledger.delivered_tuples),
+        "the hub counted what the ledger calls delivered"
+    );
+}
