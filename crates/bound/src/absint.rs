@@ -90,11 +90,6 @@ pub fn project(a: &AbsTuple, p: &Projection) -> AbsTuple {
         .collect()
 }
 
-/// Whether two abstractions provably share no concrete tuple.
-pub fn is_disjoint(a: &AbsTuple, b: &AbsTuple) -> bool {
-    intersect(a, b).is_none()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,7 +166,7 @@ mod tests {
     fn meet_detects_disjointness() {
         let lo = filters_abstraction(&[between("a", 0, 4)]).unwrap();
         let hi = filters_abstraction(&[between("a", 6, 9)]).unwrap();
-        assert!(is_disjoint(&lo, &hi));
+        assert!(intersect(&lo, &hi).is_none());
         let mid = filters_abstraction(&[between("a", 4, 6)]).unwrap();
         let met = intersect(&lo, &mid).unwrap();
         assert!(met.get("a").unwrap().contains(&Value::Int(4)));

@@ -20,7 +20,7 @@
 use crate::predicate::{AttrConstraint, DiffRange};
 use crate::profile::Profile;
 use cosmos_types::{FxHashMap, Schema, StreamName, Tuple, Value};
-use std::hash::Hash;
+use std::collections::BTreeMap;
 
 /// A pluggable profile-matching engine.
 ///
@@ -118,24 +118,36 @@ struct StreamIndex<K> {
     scan: Vec<(String, AttrConstraint, u32)>,
 }
 
-/// Counting-algorithm engine with an equality fast path.
+/// Counting-algorithm engine with an equality fast path. The installed
+/// profiles are kept once, in key order, and are readable — a caller
+/// needs no copy of what it installed.
 #[derive(Debug, Clone, Default)]
 pub struct CountingMatcher<K> {
-    profiles: FxHashMap<K, Profile>,
+    profiles: BTreeMap<K, Profile>,
     streams: FxHashMap<StreamName, StreamIndex<K>>,
     /// Per-stream index rebuilds performed so far — lets a test pin
     /// "a control operation re-indexes only what moved" without a clock.
     index_rebuilds: u64,
 }
 
-impl<K: Ord + Clone + Hash + Eq> CountingMatcher<K> {
+impl<K: Ord + Clone> CountingMatcher<K> {
     /// An empty engine.
     pub fn new() -> Self {
         CountingMatcher {
-            profiles: FxHashMap::default(),
+            profiles: BTreeMap::new(),
             streams: FxHashMap::default(),
             index_rebuilds: 0,
         }
+    }
+
+    /// The profile installed for `key`, if any.
+    pub fn profile(&self, key: &K) -> Option<&Profile> {
+        self.profiles.get(key)
+    }
+
+    /// Every installed profile, in key order.
+    pub fn profiles(&self) -> impl Iterator<Item = (&K, &Profile)> {
+        self.profiles.iter()
     }
 
     /// Number of per-stream index rebuilds performed so far.
@@ -293,7 +305,7 @@ impl<K: Ord + Clone> StreamIndex<K> {
     }
 }
 
-impl<K: Ord + Clone + Hash + Eq> MatchEngine<K> for CountingMatcher<K> {
+impl<K: Ord + Clone> MatchEngine<K> for CountingMatcher<K> {
     fn insert(&mut self, key: K, profile: Profile) {
         self.replace(key, Some(profile));
     }

@@ -11,9 +11,11 @@
 //!
 //! Subscription propagation itself (walking the dissemination tree from a
 //! subscriber towards a stream's origin, merging profiles at every hop)
-//! is orchestrated by the `cosmos` system crate; the router exposes
-//! [`Router::aggregated_interest`] to compute the profile a node must
-//! forward upstream.
+//! is orchestrated by the `cosmos` system crate.
+//!
+//! A node holds each interest once: the match engine's profile table,
+//! keyed by [`Destination`] — whose order, neighbors by node then locals
+//! by subscriber, is the order every reader here promises.
 //!
 //! Routing takes `&self`: the compiled projection plans and the counters
 //! sit behind interior mutability, so a caller holding only a shared
@@ -199,8 +201,7 @@ impl PlanStore {
 #[derive(Debug, Clone)]
 pub struct Router {
     node: NodeId,
-    neighbor_interest: BTreeMap<NodeId, Profile>,
-    local_interest: BTreeMap<SubscriberId, Profile>,
+    /// The match index and, in it, the one table of installed interests.
     engine: CountingMatcher<Destination>,
     /// Compiled projection plans; an interest mutation drops those of
     /// the streams it changed (see [`Router::install`]).
@@ -213,8 +214,6 @@ impl Router {
     pub fn new(node: NodeId) -> Router {
         Router {
             node,
-            neighbor_interest: BTreeMap::new(),
-            local_interest: BTreeMap::new(),
             engine: CountingMatcher::new(),
             plans: RefCell::new(PlanStore::default()),
             counters: Cell::new(RouterCounters::default()),
@@ -241,21 +240,17 @@ impl Router {
         self.node
     }
 
-    /// Replace the merged interest of the subtree behind `neighbor`.
+    /// Replace the merged interest of the subtree behind `neighbor`
+    /// (an empty profile clears it).
     pub fn set_neighbor_interest(&mut self, neighbor: NodeId, profile: Profile) {
-        if profile.is_empty() {
-            self.neighbor_interest.remove(&neighbor);
-            self.install(Destination::Neighbor(neighbor), None);
-        } else {
-            self.install(Destination::Neighbor(neighbor), Some(profile.clone()));
-            self.neighbor_interest.insert(neighbor, profile);
-        }
+        let dest = Destination::Neighbor(neighbor);
+        self.install(dest, (!profile.is_empty()).then_some(profile));
     }
 
     /// Union a new profile into the interest of `neighbor` (what happens
     /// when one more subscription propagates up through that link).
     pub fn merge_neighbor_interest(&mut self, neighbor: NodeId, profile: &Profile) {
-        let merged = match self.neighbor_interest.get(&neighbor) {
+        let merged = match self.neighbor_interest(neighbor) {
             Some(existing) => existing.union(profile),
             None => profile.clone(),
         };
@@ -264,68 +259,40 @@ impl Router {
 
     /// Interest of the subtree behind `neighbor`, if any.
     pub fn neighbor_interest(&self, neighbor: NodeId) -> Option<&Profile> {
-        self.neighbor_interest.get(&neighbor)
+        self.engine.profile(&Destination::Neighbor(neighbor))
     }
 
     /// All neighbor interests, in neighbor order (introspection for
     /// whole-network snapshots — see `cosmos-verify`).
     pub fn neighbor_interests(&self) -> impl Iterator<Item = (NodeId, &Profile)> {
-        self.neighbor_interest.iter().map(|(n, p)| (*n, p))
+        self.engine.profiles().filter_map(|(dest, p)| match dest {
+            Destination::Neighbor(n) => Some((*n, p)),
+            Destination::Local(_) => None,
+        })
     }
 
     /// Install the profile of a locally attached subscriber.
     pub fn add_local_subscriber(&mut self, sub: SubscriberId, profile: Profile) {
-        self.install(Destination::Local(sub), Some(profile.clone()));
-        self.local_interest.insert(sub, profile);
+        self.install(Destination::Local(sub), Some(profile));
     }
 
     /// Remove a locally attached subscriber.
     pub fn remove_local_subscriber(&mut self, sub: SubscriberId) {
-        self.local_interest.remove(&sub);
         self.install(Destination::Local(sub), None);
     }
 
     /// The profile of a local subscriber, if installed.
     pub fn local_interest(&self, sub: SubscriberId) -> Option<&Profile> {
-        self.local_interest.get(&sub)
+        self.engine.profile(&Destination::Local(sub))
     }
 
-    /// Iterate over the locally attached subscribers and their profiles.
+    /// Iterate over the locally attached subscribers and their profiles,
+    /// in subscriber order.
     pub fn local_subscribers(&self) -> impl Iterator<Item = (SubscriberId, &Profile)> {
-        self.local_interest.iter().map(|(s, p)| (*s, p))
-    }
-
-    /// Number of installed interests (neighbors plus locals).
-    pub fn interest_count(&self) -> usize {
-        self.neighbor_interest.len() + self.local_interest.len()
-    }
-
-    /// The union of every interest at this node except the one behind
-    /// `exclude` — the profile this node must propagate towards a stream
-    /// origin reachable through `exclude` (reverse-path subscription).
-    ///
-    /// The result is [normalized](Profile::normalized): projections are
-    /// widened to the filters' attributes so this node still receives
-    /// everything its local filtering needs.
-    pub fn aggregated_interest(&self, exclude: Option<NodeId>) -> Profile {
-        let mut out = Profile::new();
-        for (n, p) in &self.neighbor_interest {
-            if Some(*n) != exclude {
-                out = out.union(p);
-            }
-        }
-        for p in self.local_interest.values() {
-            out = out.union(p);
-        }
-        out.normalized()
-    }
-
-    /// The profile installed for a destination, if any.
-    fn profile_of(&self, dest: Destination) -> Option<&Profile> {
-        match dest {
-            Destination::Neighbor(n) => self.neighbor_interest.get(&n),
-            Destination::Local(s) => self.local_interest.get(&s),
-        }
+        self.engine.profiles().filter_map(|(dest, p)| match dest {
+            Destination::Neighbor(_) => None,
+            Destination::Local(s) => Some((*s, p)),
+        })
     }
 
     /// Fetch (compiling on first use) the plan for one destination from
@@ -345,7 +312,8 @@ impl Router {
         }
         counters.plan_misses += 1;
         let plan = self
-            .profile_of(dest)
+            .engine
+            .profile(&dest)
             .and_then(|p| p.entry(stream))
             .map(|entry| Arc::new(ProjectionPlan::compile(entry, schema)));
         map.push((dest, plan.clone()));
@@ -429,18 +397,12 @@ impl Router {
     /// like data). Destinations come out in deterministic
     /// neighbors-then-locals order.
     pub fn route_punctuation(&self, stream: &StreamName, from: Option<NodeId>) -> Vec<Destination> {
-        let mut out = Vec::new();
-        for (n, p) in &self.neighbor_interest {
-            if Some(*n) != from && p.entry(stream).is_some() {
-                out.push(Destination::Neighbor(*n));
-            }
-        }
-        for (s, p) in &self.local_interest {
-            if p.entry(stream).is_some() {
-                out.push(Destination::Local(*s));
-            }
-        }
-        out
+        let arrival = from.map(Destination::Neighbor);
+        self.engine
+            .profiles()
+            .filter(|(dest, p)| Some(**dest) != arrival && p.entry(stream).is_some())
+            .map(|(dest, _)| *dest)
+            .collect()
     }
 
     /// Drop every interest entry for `stream` — neighbor and local —
@@ -449,31 +411,18 @@ impl Router {
     /// will ever arrive again, so the routing state is dead weight.
     /// Destinations whose whole profile becomes empty are removed.
     pub fn prune_stream(&mut self, stream: &StreamName) {
-        let neighbors: Vec<NodeId> = self
-            .neighbor_interest
-            .iter()
+        let pruned: Vec<(Destination, Profile)> = self
+            .engine
+            .profiles()
             .filter(|(_, p)| p.entry(stream).is_some())
-            .map(|(n, _)| *n)
+            .map(|(dest, p)| {
+                let mut p = p.clone();
+                p.remove_entry(stream);
+                (*dest, p)
+            })
             .collect();
-        for n in neighbors {
-            let mut p = self.neighbor_interest[&n].clone();
-            p.remove_entry(stream);
-            self.set_neighbor_interest(n, p);
-        }
-        let locals: Vec<SubscriberId> = self
-            .local_interest
-            .iter()
-            .filter(|(_, p)| p.entry(stream).is_some())
-            .map(|(s, _)| *s)
-            .collect();
-        for s in locals {
-            let mut p = self.local_interest[&s].clone();
-            p.remove_entry(stream);
-            if p.is_empty() {
-                self.remove_local_subscriber(s);
-            } else {
-                self.add_local_subscriber(s, p);
-            }
+        for (dest, p) in pruned {
+            self.install(dest, (!p.is_empty()).then_some(p));
         }
     }
 
@@ -491,28 +440,6 @@ impl Router {
     /// The counter block (throughput + plan-cache counters).
     pub fn counters(&self) -> RouterCounters {
         self.counters.get()
-    }
-
-    /// `(hits, misses)` of the projection-plan cache.
-    pub fn plan_cache_stats(&self) -> (u64, u64) {
-        let c = self.counters.get();
-        (c.plan_hits, c.plan_misses)
-    }
-
-    /// Narrowing projections actually materialized (fan-out sharing and
-    /// plan identity both avoid builds this counter would otherwise see).
-    pub fn projections_built(&self) -> u64 {
-        self.counters.get().projections_built
-    }
-
-    /// Datagrams that produced at least one forwarding decision.
-    pub fn tuples_routed(&self) -> u64 {
-        self.counters.get().tuples_routed
-    }
-
-    /// Datagrams that matched no interest and were dropped here.
-    pub fn tuples_dropped(&self) -> u64 {
-        self.counters.get().tuples_dropped
     }
 }
 
@@ -560,6 +487,12 @@ mod tests {
         p
     }
 
+    /// `(hits, misses)` of the projection-plan cache.
+    fn plan_cache_stats(r: &Router) -> (u64, u64) {
+        let c = r.counters();
+        (c.plan_hits, c.plan_misses)
+    }
+
     /// Route one datagram: a batch of one.
     fn route(r: &Router, t: &Tuple, s: &Schema, from: Option<NodeId>) -> Vec<BatchForward> {
         r.route_batch(std::slice::from_ref(t), s, from)
@@ -585,7 +518,7 @@ mod tests {
 
         let d2 = route(&r, &tup(25, 1.0), &s, None);
         assert_eq!(d2.len(), 2); // neighbor 2 and local 7
-        assert_eq!(r.tuples_routed(), 2);
+        assert_eq!(r.counters().tuples_routed, 2);
     }
 
     #[test]
@@ -627,7 +560,7 @@ mod tests {
         r.set_neighbor_interest(NodeId(1), interest(0, 10, &[]));
         let d = route(&r, &tup(99, 1.0), &schema(), None);
         assert!(d.is_empty());
-        assert_eq!(r.tuples_dropped(), 1);
+        assert_eq!(r.counters().tuples_dropped, 1);
     }
 
     #[test]
@@ -639,24 +572,7 @@ mod tests {
         assert_eq!(route(&r, &tup(5, 1.0), &s, None).len(), 1);
         assert_eq!(route(&r, &tup(25, 1.0), &s, None).len(), 1);
         assert_eq!(route(&r, &tup(15, 1.0), &s, None).len(), 0);
-        assert_eq!(r.interest_count(), 1);
-    }
-
-    #[test]
-    fn aggregated_interest_excludes_upstream() {
-        let mut r = Router::new(NodeId(0));
-        r.set_neighbor_interest(NodeId(1), interest(0, 10, &[]));
-        r.set_neighbor_interest(NodeId(2), interest(20, 30, &[]));
-        r.add_local_subscriber(SubscriberId(9), interest(50, 60, &[]));
-        let up = r.aggregated_interest(Some(NodeId(1)));
-        // the subtree behind node 1 is upstream; its interest must not
-        // be echoed back to it
-        let s = schema();
-        assert!(!up.covers_tuple(&tup(5, 0.0), &s));
-        assert!(up.covers_tuple(&tup(25, 0.0), &s));
-        assert!(up.covers_tuple(&tup(55, 0.0), &s));
-        let all = r.aggregated_interest(None);
-        assert!(all.covers_tuple(&tup(5, 0.0), &s));
+        assert_eq!(r.neighbor_interests().count(), 1);
     }
 
     #[test]
@@ -680,20 +596,20 @@ mod tests {
         assert_eq!(r.cached_plan_count(), 0);
 
         route(&r, &tup(5, 1.0), &s, None);
-        assert_eq!(r.plan_cache_stats(), (0, 2), "first tuple compiles both");
+        assert_eq!(plan_cache_stats(&r), (0, 2), "first tuple compiles both");
         route(&r, &tup(6, 1.0), &s, None);
-        assert_eq!(r.plan_cache_stats(), (2, 2), "second tuple hits both");
+        assert_eq!(plan_cache_stats(&r), (2, 2), "second tuple hits both");
         route(&r, &on_t(5), &s, None);
-        assert_eq!(r.plan_cache_stats(), (2, 3));
+        assert_eq!(plan_cache_stats(&r), (2, 3));
         assert_eq!(r.cached_plan_count(), 3);
 
         // A mutation on S drops S's plans and leaves T's compiled.
         r.add_local_subscriber(SubscriberId(8), interest(0, 10, &[]));
         assert_eq!(r.cached_plan_count(), 1);
         route(&r, &on_t(5), &s, None);
-        assert_eq!(r.plan_cache_stats(), (3, 3), "T's plan survived");
+        assert_eq!(plan_cache_stats(&r), (3, 3), "T's plan survived");
         route(&r, &tup(5, 1.0), &s, None);
-        assert_eq!(r.plan_cache_stats(), (3, 6), "S's plans recompiled");
+        assert_eq!(plan_cache_stats(&r), (3, 6), "S's plans recompiled");
         assert_eq!(r.cached_plan_count(), 4);
 
         // Re-setting an equal profile changes nothing.
@@ -703,7 +619,7 @@ mod tests {
         assert_eq!(r.cached_plan_count(), 4);
         assert_eq!(r.index_rebuilds(), rebuilds);
         route(&r, &tup(5, 1.0), &s, None);
-        assert_eq!(r.plan_cache_stats(), (6, 6));
+        assert_eq!(plan_cache_stats(&r), (6, 6));
 
         // Removals drop their stream's plans only.
         r.remove_local_subscriber(SubscriberId(8));
@@ -723,7 +639,7 @@ mod tests {
         let d = route(&r, &tup(5, 1.0), &s, None);
         assert_eq!(d.len(), 3);
         assert_eq!(
-            r.projections_built(),
+            r.counters().projections_built,
             1,
             "one gather serves all three destinations"
         );
@@ -860,7 +776,7 @@ mod tests {
             }
         }
         assert!(outcomes.0 > 1000 && outcomes.1 > 1000, "{outcomes:?}");
-        let (hits, misses) = r.plan_cache_stats();
+        let (hits, misses) = plan_cache_stats(&r);
         assert!(
             hits > misses,
             "plans survive unrelated mutations: {hits}/{misses}"

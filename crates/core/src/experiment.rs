@@ -25,6 +25,7 @@
 //! the tuple-accurate path is exercised end-to-end by the Figure 3
 //! experiment and the system tests.
 
+use crate::system::{pick_processor, place_processors};
 use cosmos_overlay::{generate, minimum_spanning_tree, Graph, TopologyKind, Tree};
 use cosmos_query::{estimate::cost_bps, GroupManager, StatsCatalog};
 use cosmos_spe::AnalyzedQuery;
@@ -114,18 +115,10 @@ impl Rep {
         let mut rng = StdRng::seed_from_u64(rep_seed);
         let graph = generate(TopologyKind::BarabasiAlbert { m: 2 }, cfg.nodes, &mut rng)?;
         let tree = minimum_spanning_tree(&graph, NodeId(0))?;
-        let want =
-            ((cfg.nodes as f64 * cfg.processor_fraction).round() as usize).clamp(1, cfg.nodes);
-        let stride = (cfg.nodes / want).max(1);
-        let processors: Vec<NodeId> = (0..cfg.nodes)
-            .step_by(stride)
-            .take(want)
-            .map(|i| NodeId(i as u32))
-            .collect();
         Ok(Rep {
             graph,
             tree,
-            processors,
+            processors: place_processors(cfg.nodes, cfg.processor_fraction),
             catalog: sensor_catalog(),
             managers: FxHashMap::default(),
             queries: Vec::new(),
@@ -134,27 +127,11 @@ impl Rep {
         })
     }
 
-    fn pick_processor(&self, q: &AnalyzedQuery) -> NodeId {
-        let mut streams: Vec<&str> = q.streams.iter().map(|b| b.stream.as_str()).collect();
-        streams.sort_unstable();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in streams.join(",").bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        let k = self.affinity.clamp(1, self.processors.len());
-        let start = (h as usize) % self.processors.len();
-        (0..k)
-            .map(|i| self.processors[(start + i) % self.processors.len()])
-            .min_by_key(|p| (self.loads.get(p).copied().unwrap_or(0), p.raw()))
-            .expect("non-empty processor set")
-    }
-
     fn insert(&mut self, text: &str, rng: &mut StdRng) -> Result<()> {
         let parsed = cosmos_cql::parse_query(text)?;
         let q = AnalyzedQuery::analyze(&parsed, self.catalog.schema_fn())?;
         let user = NodeId(rng.gen_range(0..self.graph.node_count() as u32));
-        let processor = self.pick_processor(&q);
+        let processor = pick_processor(&q, &self.processors, self.affinity, &self.loads);
         *self.loads.entry(processor).or_insert(0) += 1;
         let qid = QueryId(self.queries.len() as u64);
         let cq = cost_bps(&q, &self.catalog);

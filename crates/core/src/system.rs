@@ -8,7 +8,7 @@ use cosmos_cbn::{
 };
 use cosmos_metrics::{relative_drift, MetricsConfig, MetricsHub, MetricsSnapshot, RouterTotals};
 use cosmos_overlay::{generate, minimum_spanning_tree, Graph, TopologyKind, Tree};
-use cosmos_query::{retighten_profile, GroupManager, StatsCatalog, StreamStats};
+use cosmos_query::{retighten_profile, GroupChange, GroupManager, StatsCatalog, StreamStats};
 use cosmos_spe::{AnalyzedQuery, DisorderStats, Executor, LatePolicy, StateSize};
 use cosmos_types::{
     CosmosError, FxHashMap, NeumaierSum, NodeId, Punctuation, QueryId, RateLimit, Result, Schema,
@@ -367,6 +367,44 @@ impl Disorder {
     }
 }
 
+/// Processor placement: `fraction` of `n` nodes (at least one), chosen
+/// by stride.
+pub(crate) fn place_processors(n: usize, fraction: f64) -> Vec<NodeId> {
+    let want = ((n as f64 * fraction).round() as usize).clamp(1, n);
+    let stride = (n / want).max(1);
+    (0..n)
+        .step_by(stride)
+        .take(want)
+        .map(|i| NodeId(i as u32))
+        .collect()
+}
+
+/// Query distribution (load management): pick the processor that will
+/// run `q`. A window of `affinity` candidates is derived from the
+/// query's stream set (FNV-1a over the sorted stream list), so queries
+/// over the same streams meet at the same processor(s); the least-loaded
+/// candidate wins.
+pub(crate) fn pick_processor(
+    q: &AnalyzedQuery,
+    processors: &[NodeId],
+    affinity: usize,
+    load: &FxHashMap<NodeId, usize>,
+) -> NodeId {
+    let mut streams: Vec<&str> = q.streams.iter().map(|b| b.stream.as_str()).collect();
+    streams.sort_unstable();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in streams.join(",").bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    let k = affinity.clamp(1, processors.len());
+    let start = (h as usize) % processors.len();
+    (0..k)
+        .map(|i| processors[(start + i) % processors.len()])
+        .min_by_key(|p| (load.get(p).copied().unwrap_or(0), p.raw()))
+        .expect("at least one processor")
+}
+
 /// A running COSMOS deployment.
 #[derive(Debug)]
 pub struct Cosmos {
@@ -418,16 +456,10 @@ impl Cosmos {
             return Err(CosmosError::System("empty overlay".into()));
         }
         let tree = minimum_spanning_tree(&graph, NodeId(0))?;
-        let want = ((n as f64 * cfg.processor_fraction).round() as usize).clamp(1, n);
-        let stride = (n / want).max(1);
+        let processors = place_processors(n, cfg.processor_fraction);
         let mut roles = vec![NodeRole::Broker; n];
-        let mut processors = Vec::with_capacity(want);
-        for i in (0..n).step_by(stride) {
-            if processors.len() == want {
-                break;
-            }
-            roles[i] = NodeRole::Processor;
-            processors.push(NodeId(i as u32));
+        for p in &processors {
+            roles[p.index()] = NodeRole::Processor;
         }
         Ok(Cosmos {
             registry: SchemaRegistry::new(cfg.registry_mode, (0..n as u32).map(NodeId)),
@@ -558,26 +590,15 @@ impl Cosmos {
         Ok(())
     }
 
-    /// Query distribution (load management): pick the processor that
-    /// will run this query. A small candidate set is derived from the
-    /// query's stream set so queries over the same streams meet at the
-    /// same processor(s); the least-loaded candidate wins.
+    /// Query distribution: the processor that will run this query
+    /// (see [`pick_processor`]).
     pub fn pick_processor(&self, q: &AnalyzedQuery) -> NodeId {
-        let mut streams: Vec<&str> = q.streams.iter().map(|b| b.stream.as_str()).collect();
-        streams.sort_unstable();
-        let key = streams.join(",");
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        let processors = &self.topology.processors;
-        let k = self.cfg.affinity_candidates.clamp(1, processors.len());
-        let start = (h as usize) % processors.len();
-        (0..k)
-            .map(|i| processors[(start + i) % processors.len()])
-            .min_by_key(|p| (self.processor_load.get(p).copied().unwrap_or(0), p.raw()))
-            .expect("at least one processor")
+        pick_processor(
+            q,
+            &self.topology.processors,
+            self.cfg.affinity_candidates,
+            &self.processor_load,
+        )
     }
 
     /// The dissemination tree used for streams originating at `origin`.
@@ -715,17 +736,11 @@ impl Cosmos {
 
     /// Replace the running representative of `stream` by `rep` — the
     /// group was widened by a new member or shrank after a withdrawal.
-    /// The fresh executor gets a fresh generation, stamped onto every
-    /// live query in `members`, and the same SPE-input subscription.
-    /// (Window state restarts; experiments submit queries before
-    /// publishing data.) Returns the installed source profile, not yet
-    /// propagated.
-    fn replace_rep(
-        &mut self,
-        stream: &StreamName,
-        rep: &AnalyzedQuery,
-        members: impl Iterator<Item = QueryId>,
-    ) -> Result<Profile> {
+    /// The fresh executor gets a fresh generation and the same SPE-input
+    /// subscription. (Window state restarts; experiments submit queries
+    /// before publishing data.) Returns the installed source profile,
+    /// not yet propagated.
+    fn replace_rep(&mut self, stream: &StreamName, rep: &AnalyzedQuery) -> Result<Profile> {
         self.retire_executor(stream);
         self.registry
             .update_schema(stream, rep.output_schema.clone())?;
@@ -736,11 +751,6 @@ impl Cosmos {
         site.executor = executor;
         site.generation = generation;
         let (processor, sub) = (site.processor, site.sub);
-        for member in members {
-            if let Some(record) = self.queries.get_mut(&member) {
-                record.executor_gen = generation;
-            }
-        }
         Ok(self.install_spe_input(processor, sub, rep))
     }
 
@@ -753,6 +763,41 @@ impl Cosmos {
             self.subs.remove(&site.sub);
             self.routers[site.processor.index()].remove_local_subscriber(site.sub);
         }
+    }
+
+    /// Apply what the query layer decided for `processor`, in this
+    /// order: stop representatives, start the new ones, replace the
+    /// changed ones, then (re)install every listed member subscription
+    /// and stamp the member with the generation of the executor now
+    /// serving it. With `incremental`, each started or replaced
+    /// representative's source profile is propagated at once; without,
+    /// the caller's [`Cosmos::rebuild_routes`] derives the routes.
+    fn apply(&mut self, processor: NodeId, change: GroupChange, incremental: bool) -> Result<()> {
+        for stream in &change.stop {
+            self.stop_rep(stream);
+        }
+        for (stream, rep) in &change.start {
+            let source_profile = self.start_rep(processor, stream, rep)?;
+            if incremental {
+                self.propagate_interest(processor, &source_profile)?;
+            }
+        }
+        for (stream, rep) in &change.replace {
+            let source_profile = self.replace_rep(stream, rep)?;
+            if incremental {
+                self.propagate_interest(processor, &source_profile)?;
+            }
+        }
+        for (qid, stream, profile) in change.subscribe {
+            let generation = self.reps[&stream].generation;
+            let member = self
+                .queries
+                .get_mut(&qid)
+                .expect("subscribed member is live");
+            member.executor_gen = generation;
+            self.routers[member.user.index()].add_local_subscriber(member.user_sub, profile);
+        }
+        Ok(())
     }
 
     /// Submit a user query at node `user`. Returns the query id; results
@@ -802,57 +847,36 @@ impl Cosmos {
         let processor = self.pick_processor(&analyzed);
         *self.processor_load.entry(processor).or_insert(0) += 1;
 
-        // Query management: group/merge, or the non-share baseline.
-        // `widened` lists the group's members when the new one changed
-        // its representative.
-        let (result_stream, user_profile, rep, rep_is_new, widened, updated_profiles) =
-            if self.cfg.merging_enabled {
-                let manager = self
-                    .managers
-                    .entry(processor)
-                    .or_insert_with(|| GroupManager::new(format!("result::{processor}")));
-                let outcome = manager.insert(qid, analyzed.clone(), &self.catalog)?;
-                let group = manager.group(outcome.group).expect("inserted group exists");
-                let widened = outcome
-                    .rep_changed
-                    .then(|| group.members.iter().map(|(m, _)| *m).collect::<Vec<_>>());
-                (
-                    outcome.result_stream,
-                    outcome.profile,
-                    group.representative.clone(),
-                    !outcome.joined_existing,
-                    widened,
-                    outcome.updated_profiles,
-                )
-            } else {
-                let stream = StreamName::from(format!(
-                    "result::{processor}::q{}",
-                    self.ids.baseline_stream()
-                ));
-                let profile = retighten_profile(&analyzed, &analyzed, &stream)?;
-                (stream, profile, analyzed.clone(), true, None, Vec::new())
-            };
-
+        // Query management: group/merge, or the non-share baseline — a
+        // private result stream and representative per query.
+        let mut change = if self.cfg.merging_enabled {
+            self.managers
+                .entry(processor)
+                .or_insert_with(|| GroupManager::new(format!("result::{processor}")))
+                .insert(qid, analyzed, &self.catalog)?
+        } else {
+            let stream = StreamName::from(format!(
+                "result::{processor}::q{}",
+                self.ids.baseline_stream()
+            ));
+            let profile = retighten_profile(&analyzed, &analyzed, &stream)?;
+            GroupChange {
+                start: vec![(stream.clone(), analyzed)],
+                subscribe: vec![(qid, stream, profile)],
+                ..GroupChange::default()
+            }
+        };
+        // The new query's own subscription (listed last) is installed
+        // below, once its user subscription exists. Any other is an
+        // existing member of a widened representative: its replaced
+        // profile leaves stale (looser or tighter) reverse-path interest
+        // on intermediate nodes, so the routes are rebuilt.
+        let (_, result_stream, user_profile) = change.subscribe.pop().expect("own subscription");
+        let must_rebuild = !change.subscribe.is_empty();
         // A new group starts its representative, a widened one replaces
         // it (same result stream), and a query that joins without
         // widening is served by the warm, already-running executor.
-        if rep_is_new {
-            let source_profile = self.start_rep(processor, &result_stream, &rep)?;
-            self.propagate_interest(processor, &source_profile)?;
-        } else if let Some(members) = widened {
-            let source_profile = self.replace_rep(&result_stream, &rep, members.into_iter())?;
-            self.propagate_interest(processor, &source_profile)?;
-        }
-
-        // A widened representative invalidates the other members'
-        // re-tightened profiles: replace their local subscriptions and
-        // rebuild the reverse-path state so no stale (looser or tighter)
-        // interest lingers on intermediate nodes.
-        let must_rebuild = !updated_profiles.is_empty();
-        for (mid, profile) in updated_profiles {
-            let member = &self.queries[&mid];
-            self.routers[member.user.index()].add_local_subscriber(member.user_sub, profile);
-        }
+        self.apply(processor, change, true)?;
 
         // The user retrieves the results through the CBN.
         let user_sub = self.ids.sub();
@@ -894,37 +918,11 @@ impl Cosmos {
         let processors: Vec<NodeId> = self.managers.keys().copied().collect();
         let mut improved = 0usize;
         for p in processors {
-            let Some(mgr) = self.managers.get_mut(&p) else {
-                continue;
-            };
-            let Some(placements) = mgr.reoptimize(&self.catalog)? else {
-                continue;
-            };
-            improved += 1;
-            // Stop every representative this processor was running and
-            // start the new ones.
-            let groups: Vec<(StreamName, AnalyzedQuery)> = mgr
-                .groups()
-                .map(|g| (g.result_stream.clone(), g.representative.clone()))
-                .collect();
-            let old_streams: Vec<StreamName> = self
-                .reps
-                .iter()
-                .filter(|(_, site)| site.processor == p)
-                .map(|(k, _)| k.clone())
-                .collect();
-            for stream in &old_streams {
-                self.stop_rep(stream);
-            }
-            for (stream, rep) in &groups {
-                self.start_rep(p, stream, rep)?;
-            }
-            // Refresh the affected users' subscriptions.
-            for (qid, stream, profile) in placements {
-                let generation = self.reps[&stream].generation;
-                let record = self.queries.get_mut(&qid).expect("placed query is live");
-                record.executor_gen = generation;
-                self.routers[record.user.index()].add_local_subscriber(record.user_sub, profile);
+            let manager = self.managers.get_mut(&p).expect("listed above");
+            let change = manager.reoptimize(&self.catalog)?;
+            if !change.is_empty() {
+                improved += 1;
+                self.apply(p, change, false)?;
             }
         }
         if improved > 0 {
@@ -956,34 +954,19 @@ impl Cosmos {
         if let Some(load) = self.processor_load.get_mut(&record.processor) {
             *load = load.saturating_sub(1);
         }
-        if let Some(stream) = &record.baseline_stream {
+        let change = match record.baseline_stream {
             // Baseline mode: every query has its own representative.
-            self.stop_rep(stream);
-        } else {
-            let manager = self
+            Some(stream) => GroupChange {
+                stop: vec![stream],
+                ..GroupChange::default()
+            },
+            None => self
                 .managers
                 .get_mut(&record.processor)
-                .expect("manager exists");
-            // Identify the group before removal to detect dissolution.
-            let (group, _) = manager.placement(qid).expect("query placed");
-            let (gid, result_stream) = (group.id, group.result_stream.clone());
-            manager.remove(qid);
-            match manager.group(gid) {
-                None => self.stop_rep(&result_stream),
-                Some(g) => {
-                    // Representative shrank: restart it and refresh the
-                    // remaining members' profiles.
-                    let (rep, members) = (g.representative.clone(), g.members.clone());
-                    self.replace_rep(&result_stream, &rep, members.iter().map(|(m, _)| *m))?;
-                    for (mid, query) in &members {
-                        let profile = retighten_profile(query, &rep, &result_stream)?;
-                        let member = &self.queries[mid];
-                        self.routers[member.user.index()]
-                            .add_local_subscriber(member.user_sub, profile);
-                    }
-                }
-            }
-        }
+                .expect("manager exists")
+                .remove(qid)?,
+        };
+        self.apply(record.processor, change, false)?;
         self.rebuild_routes();
         Ok(())
     }

@@ -150,6 +150,21 @@ fn assert_tables_match_live_queries(
             sub.id, sub.kind
         );
     }
+    // The snapshot documents each member's split profile once as query-
+    // layer state and once as installed on its user's router: the same.
+    for member in snap.groups.iter().flat_map(|g| &g.members) {
+        let installed = snap.routers[member.user.index()]
+            .local_subscribers
+            .iter()
+            .find(|s| s.id == member.user_sub)
+            .map(|s| &s.profile);
+        assert_eq!(
+            Some(&member.split_profile),
+            installed,
+            "{step}: {}'s split profile is not the installed one",
+            member.query
+        );
+    }
     // cosmos-verify links the plain build of this crate, whose snapshot
     // type this test build cannot name: hand the document over as JSON.
     let json = snap.to_json().unwrap();

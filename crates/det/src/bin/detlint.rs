@@ -2,41 +2,27 @@
 //! `cosmos-detlint` CLI: the workspace determinism lint.
 //!
 //! ```text
-//! cosmos-detlint [ROOT] [--allowlist FILE] [--check-allowlist] [--json]
+//! cosmos-detlint [ROOT] [--json]
 //! ```
 //!
 //! Walks every `crates/*/src` and `crates/*/benches` Rust file under
-//! ROOT (default: the current directory), runs the `D`-code determinism
-//! lints (see `cosmos_det::lints`), and subtracts the justified
-//! suppressions in `det-allowlist.toml` (default: `ROOT/det-allowlist.toml`,
-//! used only if present). `--check-allowlist` additionally fails the
-//! run when any allowlist entry suppressed nothing — a stale
-//! suppression is reported as `D0002` so fixed sites cannot leave
-//! silent holes behind. `--json` emits one JSON array in the
-//! `JsonDiagnostic` shape shared with `cosmos-lint`/`cosmos-verify`/
-//! `cosmos-bound`, wrapped with `file`/`line` context. Exit status: 0
-//! clean, 1 unsuppressed errors (or stale entries under
-//! `--check-allowlist`), 2 usage/IO problems.
+//! ROOT (default: the current directory) and runs the `D`-code
+//! determinism lints (see `cosmos_det::lints`). There is no suppression
+//! mechanism: every finding fails the run. `--json` emits one JSON
+//! array in the `JsonDiagnostic` shape shared with `cosmos-lint`/
+//! `cosmos-verify`/`cosmos-bound`, wrapped with `file`/`line` context.
+//! Exit status: 0 clean, 1 findings, 2 usage/IO problems.
 
-use cosmos_det::allowlist::{apply_allowlist, parse_allowlist};
 use cosmos_det::lint_workspace;
-use cosmos_lint::{codes, Diagnostic, JsonDiagnostic};
+use cosmos_lint::JsonDiagnostic;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut allowlist_path: Option<PathBuf> = None;
-    let mut check_allowlist = false;
     let mut json = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--allowlist" => match args.next() {
-                Some(p) => allowlist_path = Some(PathBuf::from(p)),
-                None => return usage("--allowlist needs a file argument"),
-            },
-            "--check-allowlist" => check_allowlist = true,
             "--json" => json = true,
             "--help" | "-h" => {
                 eprintln!("{USAGE}");
@@ -58,26 +44,6 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let allowlist_path = allowlist_path.unwrap_or_else(|| root.join("det-allowlist.toml"));
-    let entries = if allowlist_path.is_file() {
-        let text = match std::fs::read_to_string(&allowlist_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cosmos-detlint: {}: {e}", allowlist_path.display());
-                return ExitCode::from(2);
-            }
-        };
-        match parse_allowlist(&text) {
-            Ok(entries) => entries,
-            Err(e) => {
-                eprintln!("cosmos-detlint: {}: {e}", allowlist_path.display());
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Vec::new()
-    };
-
     let findings = match lint_workspace(&root) {
         Ok(f) => f,
         Err(e) => {
@@ -85,45 +51,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let total = findings.len();
-    let (kept, counts) = apply_allowlist(findings, &entries);
-    let suppressed = total - kept.len();
-
-    // Stale entries become findings of their own, so they flow through
-    // the same rendering/JSON paths as everything else.
-    let mut all = kept;
-    let mut stale = 0usize;
-    if check_allowlist {
-        for (entry, hits) in &counts {
-            if *hits == 0 {
-                stale += 1;
-                all.push(cosmos_det::lints::Finding {
-                    diag: Diagnostic::error(
-                        codes::DET_STALE_ALLOW,
-                        format!(
-                            "stale allowlist entry (line {}): {} at {}{} suppressed nothing — \
-                             delete it or fix its path/pattern",
-                            entry.line,
-                            entry.code,
-                            entry.path,
-                            entry
-                                .pattern
-                                .as_deref()
-                                .map(|p| format!(" matching {p:?}"))
-                                .unwrap_or_default(),
-                        ),
-                        None,
-                    ),
-                    path: allowlist_path.to_string_lossy().into_owned(),
-                    line: entry.line,
-                    line_text: String::new(),
-                });
-            }
-        }
-    }
 
     if json {
-        let out: Vec<serde_json::Value> = all
+        let out: Vec<serde_json::Value> = findings
             .iter()
             .map(|f| {
                 serde_json::json!({
@@ -138,34 +68,27 @@ fn main() -> ExitCode {
             serde_json::to_string(&out).expect("findings always serialize")
         );
     } else {
-        for f in &all {
+        for f in &findings {
             println!("{}:{}: {}", f.path, f.line, f.diag.headline());
             if !f.line_text.is_empty() {
                 println!("   | {}", f.line_text.trim_end());
             }
         }
         println!(
-            "cosmos-detlint: {} finding{}, {suppressed} suppressed, {} allowlist entr{}{}",
-            all.len(),
-            if all.len() == 1 { "" } else { "s" },
-            entries.len(),
-            if entries.len() == 1 { "y" } else { "ies" },
-            if check_allowlist {
-                format!(" ({stale} stale)")
-            } else {
-                String::new()
-            },
+            "cosmos-detlint: {} finding{}",
+            findings.len(),
+            if findings.len() == 1 { "" } else { "s" },
         );
     }
 
-    if all.is_empty() {
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
     }
 }
 
-const USAGE: &str = "usage: cosmos-detlint [ROOT] [--allowlist FILE] [--check-allowlist] [--json]";
+const USAGE: &str = "usage: cosmos-detlint [ROOT] [--json]";
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("cosmos-detlint: {msg}\n{USAGE}");

@@ -3,14 +3,12 @@
 //!
 //! The replay contract — digests, metrics, and delivery order identical
 //! across replays — is enforced dynamically by the testkit's 64-seed
-//! sweeps. This crate adds the static layer: [`lints`] / [`allowlist`]
-//! are `cosmos-detlint`, a workspace nondeterminism lint (`D` codes in
-//! the shared `cosmos_lint::codes` registry) with a justified,
-//! stale-checked suppression file. The CLI shares the
-//! `JsonDiagnostic`-style `--json` conventions of
-//! `cosmos-lint`/`cosmos-verify`/`cosmos-bound`.
+//! sweeps. This crate adds the static layer: [`lints`] is
+//! `cosmos-detlint`, a workspace nondeterminism lint (`D` codes in the
+//! shared `cosmos_lint::codes` registry) without suppressions: any
+//! finding fails the run. The CLI shares the `JsonDiagnostic`-style
+//! `--json` conventions of `cosmos-lint`/`cosmos-verify`/`cosmos-bound`.
 
-pub mod allowlist;
 pub mod lints;
 pub mod scan;
 
@@ -19,10 +17,8 @@ use std::path::{Path, PathBuf};
 
 /// Source files the determinism lint covers: every `.rs` under
 /// `crates/*/src` and `crates/*/benches` (benches are held to the same
-/// contract except where the allowlist says otherwise — bench timing is
-/// the canonical justified `D0201` suppression). Paths are returned
-/// sorted, workspace-relative alongside absolute, so runs are
-/// reproducible byte-for-byte.
+/// contract). Paths are returned sorted, workspace-relative alongside
+/// absolute, so runs are reproducible byte-for-byte.
 pub fn workspace_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
     let mut out = Vec::new();
     let crates = root.join("crates");

@@ -13,7 +13,7 @@ use crate::scan::{test_regions, tokenize, Tok, TokKind};
 use cosmos_cql::Span;
 use cosmos_lint::{codes, Diagnostic};
 
-/// One lint finding, located for rendering and allowlist matching.
+/// One lint finding, located for rendering.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// The underlying diagnostic (code, severity, message, byte span).
@@ -22,7 +22,7 @@ pub struct Finding {
     pub path: String,
     /// 1-based line of the span start.
     pub line: usize,
-    /// Full text of that line (allowlist `pattern` matches against it).
+    /// Full text of that line (printed under the headline).
     pub line_text: String,
 }
 
@@ -55,7 +55,7 @@ const SINK_NAMES: &[&str] = &[
 ];
 
 /// Lint one file. `rel_path` is workspace-relative; no module is
-/// exempt from any lint (suppressions live in `det-allowlist.toml`).
+/// exempt from any lint and no finding can be suppressed.
 pub fn lint_file(rel_path: &str, src: &str) -> Vec<Finding> {
     let toks = tokenize(src);
     let skip = test_regions(src, &toks);
@@ -121,9 +121,8 @@ pub fn lint_file(rel_path: &str, src: &str) -> Vec<Finding> {
             push(
                 codes::DET_WALL_CLOCK,
                 format!(
-                    "wall clock `{name}::now` outside the allowlist; replay requires logic to be \
-                     a pure function of the input stream (clock the code from tuple timestamps, \
-                     or justify the site in det-allowlist.toml)"
+                    "wall clock `{name}::now`; replay requires logic to be a pure function of \
+                     the input stream (clock the code from tuple timestamps)"
                 ),
                 &t,
             );

@@ -50,18 +50,14 @@ pub mod codes {
 
     /// A source file could not be read (detlint CLI only).
     pub const DET_IO: &str = "D0001";
-    /// A `det-allowlist.toml` entry matched no finding this run: the
-    /// suppression is stale and must be deleted or its `path`/`pattern`
-    /// updated.
-    pub const DET_STALE_ALLOW: &str = "D0002";
     /// `HashMap`/`HashSet` iteration in a module that exports into a
     /// digest/snapshot/serde sink: iteration order is seeded per
     /// process, so anything it feeds diverges across replays.
     pub const DET_HASH_ITER: &str = "D0101";
-    /// `Instant::now`/`SystemTime::now` outside the allowlist: wall
-    /// clock leaks into logic that the replay contract requires to be a
-    /// pure function of the input stream (the metrics hub is clocked by
-    /// tuple timestamps for exactly this reason).
+    /// `Instant::now`/`SystemTime::now`: wall clock leaks into logic
+    /// that the replay contract requires to be a pure function of the
+    /// input stream (the metrics hub is clocked by tuple timestamps for
+    /// exactly this reason).
     pub const DET_WALL_CLOCK: &str = "D0201";
     /// Unseeded or ambient randomness (`rand::thread_rng`,
     /// `RandomState`): per-process entropy that no seed replays.

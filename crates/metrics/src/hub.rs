@@ -289,21 +289,6 @@ impl MetricsHub {
         self.throttle_bytes += bytes as u64;
     }
 
-    /// Lifetime tuples and bytes dropped by the `Shed` policy.
-    pub fn shed_totals(&self) -> (u64, u64) {
-        (self.shed_tuples, self.shed_bytes)
-    }
-
-    /// Lifetime pending batches merged by the `Coalesce` policy.
-    pub fn coalesced_total(&self) -> u64 {
-        self.coalesced_batches
-    }
-
-    /// Lifetime rate-limit datagrams and bytes disseminated.
-    pub fn throttle_totals(&self) -> (u64, u64) {
-        (self.throttles, self.throttle_bytes)
-    }
-
     /// Tuples and bytes consumed at `node` inside the current live
     /// window (deliveries + SPE intake) — the measured side of the
     /// overload controller's per-node budget check.

@@ -129,16 +129,6 @@ impl Graph {
         self.adj[u.index()].len()
     }
 
-    /// Degree histogram: `hist[d]` = number of nodes of degree `d`.
-    pub fn degree_histogram(&self) -> Vec<usize> {
-        let max = self.adj.iter().map(Vec::len).max().unwrap_or(0);
-        let mut hist = vec![0usize; max + 1];
-        for ns in &self.adj {
-            hist[ns.len()] += 1;
-        }
-        hist
-    }
-
     /// Mark the link `u - v` as failed.
     ///
     /// A live graph edge is removed from the adjacency lists — so
@@ -191,12 +181,6 @@ impl Graph {
     /// Whether the link `u - v` is currently marked down.
     pub fn is_link_down(&self, u: NodeId, v: NodeId) -> bool {
         self.downed.contains_key(&Self::canon(u, v))
-    }
-
-    /// Currently downed links as canonical `(min, max)` pairs, in
-    /// deterministic order.
-    pub fn downed_links(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.downed.keys().copied()
     }
 
     /// The delay of the logical link `u - v` — the one number both cost
@@ -291,10 +275,6 @@ mod tests {
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.degree(NodeId(1)), 1);
         assert!(!g.is_connected());
-        assert_eq!(
-            g.downed_links().collect::<Vec<_>>(),
-            vec![(NodeId(0), NodeId(1))]
-        );
         // double-fail and healing an up link are errors
         assert!(g.fail_link(NodeId(0), NodeId(1)).is_err());
         assert!(g.heal_link(NodeId(1), NodeId(2)).is_err());
@@ -337,16 +317,5 @@ mod tests {
         let mut g = Graph::new(2);
         assert!(g.fail_link(NodeId(0), NodeId(0)).is_err());
         assert!(g.fail_link(NodeId(0), NodeId(7)).is_err());
-    }
-
-    #[test]
-    fn degree_histogram_counts() {
-        let mut g = Graph::new(4);
-        g.add_edge(NodeId(0), NodeId(1), 1.0).unwrap();
-        g.add_edge(NodeId(0), NodeId(2), 1.0).unwrap();
-        g.add_edge(NodeId(0), NodeId(3), 1.0).unwrap();
-        let h = g.degree_histogram();
-        // node 0 has degree 3, nodes 1..3 have degree 1
-        assert_eq!(h, vec![0, 3, 0, 1]);
     }
 }

@@ -2,12 +2,11 @@
 //!
 //! COSMOS organizes CBN nodes "into multiple overlay dissemination trees"
 //! (Section 3.2). A [`Tree`] is one such tree: it answers the routing
-//! questions the data layer needs — the unique tree path between two
-//! nodes, and the union of links a multicast from one node to a set of
-//! receivers traverses (which is exactly the set of links a shared result
-//! stream occupies).
+//! question the data layer needs — the unique tree path between two
+//! nodes — and supports the re-attachment moves of the adaptive
+//! reorganizer.
 
-use cosmos_types::{CosmosError, FxHashSet, NodeId, Result};
+use cosmos_types::{CosmosError, NodeId, Result};
 
 /// A rooted spanning tree over nodes `0..n`.
 #[derive(Debug, Clone)]
@@ -108,14 +107,6 @@ impl Tree {
         self.children[u.index()].len() + usize::from(self.parent[u.index()].is_some())
     }
 
-    /// The full parent table, indexed by node (`None` for the root).
-    /// Introspection for whole-network snapshots — see `cosmos-verify`,
-    /// which re-validates well-formedness from this raw table rather
-    /// than trusting the invariants [`Tree::from_edges`] enforced.
-    pub fn parent_table(&self) -> &[Option<NodeId>] {
-        &self.parent
-    }
-
     /// Iterate over `(parent, child)` edges.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.parent
@@ -162,18 +153,6 @@ impl Tree {
     /// Number of links on the path `u → v`.
     pub fn path_len(&self, u: NodeId, v: NodeId) -> usize {
         self.path(u, v).len().saturating_sub(1)
-    }
-
-    /// The union of links used when `from` multicasts to `targets`
-    /// through the tree — the links a *shared* stream occupies.
-    pub fn multicast_links(&self, from: NodeId, targets: &[NodeId]) -> FxHashSet<(NodeId, NodeId)> {
-        let mut links = FxHashSet::default();
-        for &t in targets {
-            for l in self.path_links(from, t) {
-                links.insert(l);
-            }
-        }
-        links
     }
 
     /// Nodes of the subtree rooted at `u` (preorder, including `u`).
@@ -278,19 +257,6 @@ mod tests {
         let t = sample();
         let links = t.path_links(NodeId(3), NodeId(4));
         assert_eq!(links, vec![(NodeId(1), NodeId(3)), (NodeId(1), NodeId(4))]);
-    }
-
-    #[test]
-    fn multicast_links_share_common_prefix() {
-        let t = sample();
-        // from node 2 to {3, 4}: both paths share links (0,2) and (0,1)
-        let links = t.multicast_links(NodeId(2), &[NodeId(3), NodeId(4)]);
-        assert_eq!(links.len(), 4); // (0,2), (0,1), (1,3), (1,4)
-                                    // separately they'd use 3 + 3 = 6 link crossings
-        assert_eq!(
-            t.path_len(NodeId(2), NodeId(3)) + t.path_len(NodeId(2), NodeId(4)),
-            6
-        );
     }
 
     #[test]

@@ -44,28 +44,34 @@ impl QueryGroup {
     }
 }
 
-/// Result of inserting one query into the group manager.
-#[derive(Debug, Clone)]
-pub struct GroupingOutcome {
-    /// The group the query landed in.
-    pub group: GroupId,
-    /// The shared result stream to subscribe to.
-    pub result_stream: StreamName,
-    /// The re-tightened profile that extracts this query's results from
-    /// the shared stream.
-    pub profile: Profile,
-    /// Whether the query joined an existing group (vs founding one).
-    pub joined_existing: bool,
-    /// Whether the representative query changed (the processor must
-    /// replace the running representative and re-advertise).
-    pub rep_changed: bool,
-    /// When the representative changed, the re-tightened profiles of the
-    /// *other* members, recomputed against the new representative. A
-    /// member's old profile may be too loose once the shared stream
-    /// widens (its constraints were skipped as "already enforced" by the
-    /// old representative), so every member's subscription must be
-    /// refreshed.
-    pub updated_profiles: Vec<(QueryId, Profile)>,
+/// What one [`GroupManager`] operation — an insert, a removal, a
+/// regrouping — did to the groups, stated completely: the layer below
+/// applies it (stops, then starts and replacements, then subscriptions)
+/// and never has to look at the manager to find out the rest.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GroupChange {
+    /// Result streams of dissolved groups: their representatives stop.
+    pub stop: Vec<StreamName>,
+    /// Founded groups: the result stream and the representative to run.
+    pub start: Vec<(StreamName, AnalyzedQuery)>,
+    /// Groups that stay but whose representative changed (widened by a
+    /// new member, rebuilt after a withdrawal): the processor replaces
+    /// the running representative and re-advertises.
+    pub replace: Vec<(StreamName, AnalyzedQuery)>,
+    /// Every member subscription to (re)install: the member, the shared
+    /// result stream, and the re-tightened profile extracting its
+    /// results from it. A changed representative lists *all* its
+    /// members — an old profile may be too loose once the shared stream
+    /// widens (its constraints were skipped as "already enforced"). An
+    /// insert lists the inserted query last.
+    pub subscribe: Vec<(QueryId, StreamName, Profile)>,
+}
+
+impl GroupChange {
+    /// Whether the operation left the groups as they were.
+    pub fn is_empty(&self) -> bool {
+        self == &GroupChange::default()
+    }
 }
 
 /// The per-processor grouping state.
@@ -118,7 +124,7 @@ impl GroupManager {
         qid: QueryId,
         q: AnalyzedQuery,
         catalog: &StatsCatalog,
-    ) -> Result<GroupingOutcome> {
+    ) -> Result<GroupChange> {
         if self.placements.contains_key(&qid) {
             return Err(CosmosError::Query(format!("query {qid} already inserted")));
         }
@@ -139,37 +145,26 @@ impl GroupManager {
                 }
             }
         }
-        match best {
+        let mut change = GroupChange::default();
+        let gid = match best {
             Some((gid, new_rep, _)) => {
-                // Compute the member profile against the new representative
+                // Compute every profile against the new representative
                 // *before* mutating state, so failures leave us consistent.
-                let result_stream = self.groups[&gid].result_stream.clone();
-                let profile = retighten_profile(&q, &new_rep, &result_stream)?;
-                let rep_changed = self.groups[&gid].representative != new_rep;
-                // A widened representative invalidates the existing
-                // members' profiles: recompute them first.
-                let mut updated_profiles = Vec::new();
-                if rep_changed {
-                    for (mid, member) in &self.groups[&gid].members {
-                        let p = retighten_profile(member, &new_rep, &result_stream)?;
-                        updated_profiles.push((*mid, p));
+                let group = &self.groups[&gid];
+                let stream = &group.result_stream;
+                if group.representative != new_rep {
+                    for (mid, member) in &group.members {
+                        let p = retighten_profile(member, &new_rep, stream)?;
+                        change.subscribe.push((*mid, stream.clone(), p));
                     }
+                    change.replace.push((stream.clone(), new_rep.clone()));
                 }
+                let profile = retighten_profile(&q, &new_rep, stream)?;
+                change.subscribe.push((qid, stream.clone(), profile));
                 let group = self.groups.get_mut(&gid).expect("candidate exists");
                 group.representative = new_rep;
                 group.members.push((qid, q));
-                for (mid, p) in &updated_profiles {
-                    self.placements.insert(*mid, (gid, p.clone()));
-                }
-                self.placements.insert(qid, (gid, profile.clone()));
-                Ok(GroupingOutcome {
-                    group: gid,
-                    result_stream,
-                    profile,
-                    joined_existing: true,
-                    rep_changed,
-                    updated_profiles,
-                })
+                gid
             }
             None => {
                 let gid = GroupId(self.next_group);
@@ -177,49 +172,66 @@ impl GroupManager {
                 let result_stream =
                     StreamName::from(format!("{}::g{}", self.stream_prefix, gid.raw()));
                 let profile = retighten_profile(&q, &q, &result_stream)?;
+                change.start.push((result_stream.clone(), q.clone()));
+                change.subscribe.push((qid, result_stream.clone(), profile));
                 let group = QueryGroup {
                     id: gid,
-                    result_stream: result_stream.clone(),
+                    result_stream,
                     members: vec![(qid, q.clone())],
                     representative: q,
                 };
                 self.groups.insert(gid, group);
                 self.index.entry(key).or_default().push(gid);
-                self.placements.insert(qid, (gid, profile.clone()));
-                Ok(GroupingOutcome {
-                    group: gid,
-                    result_stream,
-                    profile,
-                    joined_existing: false,
-                    rep_changed: false,
-                    updated_profiles: Vec::new(),
-                })
+                gid
             }
+        };
+        self.place(gid, &change);
+        Ok(change)
+    }
+
+    /// Record the subscriptions of `change` (all in group `gid`) as the
+    /// members' placements.
+    fn place(&mut self, gid: GroupId, change: &GroupChange) {
+        for (qid, _, profile) in &change.subscribe {
+            self.placements.insert(*qid, (gid, profile.clone()));
         }
     }
 
-    /// Remove a query; the group's representative is rebuilt from the
-    /// remaining members (or the group dissolved when empty). Returns
-    /// the affected group id, or `None` if the query is unknown.
-    pub fn remove(&mut self, qid: QueryId) -> Option<GroupId> {
-        let (gid, _) = self.placements.remove(&qid)?;
-        let group = self.groups.get_mut(&gid).expect("placement implies group");
-        group.members.retain(|(m, _)| *m != qid);
-        if group.members.is_empty() {
+    /// Remove a query: its group dissolves with its last member, or its
+    /// representative is rebuilt by folding the remaining members, who
+    /// are all re-tightened against it. Unknown queries are an error.
+    pub fn remove(&mut self, qid: QueryId) -> Result<GroupChange> {
+        let Some(&(gid, _)) = self.placements.get(&qid) else {
+            return Err(CosmosError::Query(format!("query {qid} is not placed")));
+        };
+        let group = &self.groups[&gid];
+        let stream = group.result_stream.clone();
+        let mut change = GroupChange::default();
+        let survivors: Vec<_> = group.members.iter().filter(|(m, _)| *m != qid).collect();
+        if let Some(((_, first), rest)) = survivors.split_first() {
+            let mut rep = first.clone();
+            for (_, m) in rest {
+                rep = merge(&rep, m)?;
+            }
+            for (mid, member) in &survivors {
+                let p = retighten_profile(member, &rep, &stream)?;
+                change.subscribe.push((*mid, stream.clone(), p));
+            }
+            let group = self.groups.get_mut(&gid).expect("placement implies group");
+            group.members.retain(|(m, _)| *m != qid);
+            group.representative = rep.clone();
+            change.replace.push((stream, rep));
+            self.place(gid, &change);
+        } else {
             let key = compat_key(&group.representative);
             self.groups.remove(&gid);
             if let Some(v) = self.index.get_mut(&key) {
                 v.retain(|g| *g != gid);
             }
-            return Some(gid);
+            change.stop.push(stream);
         }
-        // Rebuild the representative by folding the remaining members.
-        let mut rep = group.members[0].1.clone();
-        for (_, m) in group.members.iter().skip(1) {
-            rep = merge(&rep, m).expect("previously merged members stay mergeable");
-        }
-        group.representative = rep;
-        Some(gid)
+        self.placements.remove(&qid);
+        Ok(change)
     }
 
     /// The group containing a query, with its re-tightened profile.
@@ -290,14 +302,12 @@ impl GroupManager {
     /// assignment with all queries known, inserting in descending `C(q)`
     /// order (large flows anchor groups; small ones then join the best
     /// anchor). The new grouping is adopted only if it strictly lowers
-    /// `Σ C(rep)`; returns the refreshed placements
-    /// `(query, result stream, profile)` when it does.
-    pub fn reoptimize(
-        &mut self,
-        catalog: &StatsCatalog,
-    ) -> Result<Option<Vec<(QueryId, StreamName, Profile)>>> {
+    /// `Σ C(rep)`: every old representative stops (in result-stream
+    /// order), every new one starts (in group order), every query is
+    /// resubscribed (in query order). Otherwise the change is empty.
+    pub fn reoptimize(&mut self, catalog: &StatsCatalog) -> Result<GroupChange> {
         if self.placements.len() < 2 {
-            return Ok(None);
+            return Ok(GroupChange::default());
         }
         let mut queries: Vec<(QueryId, AnalyzedQuery)> = self
             .groups
@@ -320,21 +330,35 @@ impl GroupManager {
             candidate.total_rep_bps(catalog),
         );
         if new + GAIN_EPSILON >= old {
-            return Ok(None);
+            return Ok(GroupChange::default());
         }
-        let placements: Vec<(QueryId, StreamName, Profile)> = candidate
+        let mut stop: Vec<StreamName> = self
+            .groups
+            .values()
+            .map(|g| g.result_stream.clone())
+            .collect();
+        stop.sort_unstable();
+        let start = candidate
+            .groups
+            .values()
+            .map(|g| (g.result_stream.clone(), g.representative.clone()))
+            .collect();
+        let mut subscribe: Vec<_> = candidate
             .placements
             .iter()
             .map(|(qid, (gid, profile))| {
-                (
-                    *qid,
-                    candidate.groups[gid].result_stream.clone(),
-                    profile.clone(),
-                )
+                let stream = candidate.groups[gid].result_stream.clone();
+                (*qid, stream, profile.clone())
             })
             .collect();
+        subscribe.sort_unstable_by_key(|(qid, ..)| *qid);
         *self = candidate;
-        Ok(Some(placements))
+        Ok(GroupChange {
+            stop,
+            start,
+            replace: Vec::new(),
+            subscribe,
+        })
     }
 }
 
@@ -367,6 +391,11 @@ mod tests {
         AnalyzedQuery::analyze(&parse_query(text).unwrap(), cat.schema_fn()).unwrap()
     }
 
+    /// The group a placed query sits in.
+    fn group_of(gm: &GroupManager, qid: u64) -> GroupId {
+        gm.placement(QueryId(qid)).expect("placed").0.id
+    }
+
     #[test]
     fn identical_queries_share_a_group() {
         let cat = catalog();
@@ -374,15 +403,16 @@ mod tests {
         let text = "SELECT id, x FROM S [Now] WHERE x < 50.0";
         let o1 = gm.insert(QueryId(1), q(&cat, text), &cat).unwrap();
         let o2 = gm.insert(QueryId(2), q(&cat, text), &cat).unwrap();
-        assert!(!o1.joined_existing);
-        assert!(o2.joined_existing);
-        assert_eq!(o1.group, o2.group);
-        assert!(!o2.rep_changed); // identical query cannot change the rep
+        assert!(!o1.start.is_empty()); // founded a group
+        assert!(o2.start.is_empty()); // joined it
+        assert_eq!(group_of(&gm, 1), group_of(&gm, 2));
+        assert!(o2.replace.is_empty()); // identical query cannot change the rep
+        assert_eq!(o2.subscribe.len(), 1, "only the new member subscribes");
         assert_eq!(gm.group_count(), 1);
         assert_eq!(gm.query_count(), 2);
         assert!((gm.grouping_ratio() - 0.5).abs() < 1e-12);
         // benefit: one member's cost is saved entirely
-        let g = gm.group(o1.group).unwrap();
+        let g = gm.group(group_of(&gm, 1)).unwrap();
         assert!(g.benefit(&cat) > 0.0);
         assert!(gm.rate_benefit_ratio(&cat) > 0.4);
     }
@@ -391,16 +421,15 @@ mod tests {
     fn overlapping_queries_merge_with_loosened_rep() {
         let cat = catalog();
         let mut gm = GroupManager::new("rep");
-        let o1 = gm
-            .insert(
-                QueryId(1),
-                q(
-                    &cat,
-                    "SELECT id, x FROM S [Now] WHERE x BETWEEN 0.0 AND 60.0",
-                ),
+        gm.insert(
+            QueryId(1),
+            q(
                 &cat,
-            )
-            .unwrap();
+                "SELECT id, x FROM S [Now] WHERE x BETWEEN 0.0 AND 60.0",
+            ),
+            &cat,
+        )
+        .unwrap();
         let o2 = gm
             .insert(
                 QueryId(2),
@@ -411,9 +440,15 @@ mod tests {
                 &cat,
             )
             .unwrap();
-        assert_eq!(o1.group, o2.group);
-        assert!(o2.rep_changed);
-        let g = gm.group(o1.group).unwrap();
+        assert_eq!(group_of(&gm, 1), group_of(&gm, 2));
+        // the widened representative is replaced and both members resubscribe
+        let g = gm.group(group_of(&gm, 1)).unwrap();
+        assert_eq!(
+            o2.replace,
+            vec![(g.result_stream.clone(), g.representative.clone())]
+        );
+        let resubscribed: Vec<QueryId> = o2.subscribe.iter().map(|(m, ..)| *m).collect();
+        assert_eq!(resubscribed, vec![QueryId(1), QueryId(2)]);
         let c = g.representative.selections[0].constraint_for("x");
         assert!(c.satisfies(&cosmos_types::Value::Float(0.0)));
         assert!(c.satisfies(&cosmos_types::Value::Float(100.0)));
@@ -423,13 +458,12 @@ mod tests {
     fn disjoint_narrow_queries_stay_apart() {
         let cat = catalog();
         let mut gm = GroupManager::new("rep");
-        let o1 = gm
-            .insert(
-                QueryId(1),
-                q(&cat, "SELECT id FROM S [Now] WHERE x BETWEEN 0.0 AND 5.0"),
-                &cat,
-            )
-            .unwrap();
+        gm.insert(
+            QueryId(1),
+            q(&cat, "SELECT id FROM S [Now] WHERE x BETWEEN 0.0 AND 5.0"),
+            &cat,
+        )
+        .unwrap();
         let o2 = gm
             .insert(
                 QueryId(2),
@@ -437,7 +471,8 @@ mod tests {
                 &cat,
             )
             .unwrap();
-        assert_ne!(o1.group, o2.group, "hull over the gap should not pay off");
+        assert_eq!(o2.start.len(), 1, "hull over the gap should not pay off");
+        assert_ne!(group_of(&gm, 1), group_of(&gm, 2));
         assert_eq!(gm.group_count(), 2);
     }
 
@@ -451,8 +486,8 @@ mod tests {
         let o2 = gm
             .insert(QueryId(2), q(&cat, "SELECT id FROM T [Now]"), &cat)
             .unwrap();
-        assert_ne!(o1.group, o2.group);
-        assert_ne!(o1.result_stream, o2.result_stream);
+        assert_ne!(group_of(&gm, 1), group_of(&gm, 2));
+        assert_ne!(o1.start[0].0, o2.start[0].0, "distinct result streams");
     }
 
     #[test]
@@ -460,26 +495,24 @@ mod tests {
         let cat = catalog();
         let mut gm = GroupManager::new("rep");
         // group A: wide range; group B: narrow disjoint range
-        let oa = gm
-            .insert(
-                QueryId(1),
-                q(
-                    &cat,
-                    "SELECT id, x FROM S [Now] WHERE x BETWEEN 0.0 AND 50.0",
-                ),
+        gm.insert(
+            QueryId(1),
+            q(
                 &cat,
-            )
-            .unwrap();
-        let _ob = gm
-            .insert(
-                QueryId(2),
-                q(
-                    &cat,
-                    "SELECT id, x FROM S [Now] WHERE x BETWEEN 98.0 AND 100.0",
-                ),
+                "SELECT id, x FROM S [Now] WHERE x BETWEEN 0.0 AND 50.0",
+            ),
+            &cat,
+        )
+        .unwrap();
+        gm.insert(
+            QueryId(2),
+            q(
                 &cat,
-            )
-            .unwrap();
+                "SELECT id, x FROM S [Now] WHERE x BETWEEN 98.0 AND 100.0",
+            ),
+            &cat,
+        )
+        .unwrap();
         // a query inside A's range must join A, not B
         let oc = gm
             .insert(
@@ -491,7 +524,8 @@ mod tests {
                 &cat,
             )
             .unwrap();
-        assert_eq!(oc.group, oa.group);
+        assert!(oc.start.is_empty());
+        assert_eq!(group_of(&gm, 3), group_of(&gm, 1));
     }
 
     #[test]
@@ -506,11 +540,13 @@ mod tests {
             )
             .unwrap();
         let (g, p) = gm.placement(QueryId(7)).unwrap();
-        assert_eq!(g.id, o.group);
-        assert_eq!(p, &o.profile);
+        assert_eq!(
+            o.subscribe,
+            vec![(QueryId(7), g.result_stream.clone(), p.clone())]
+        );
         assert!(gm.placement(QueryId(99)).is_none());
         // the profile targets the group's result stream
-        assert!(p.entry(&o.result_stream).is_some());
+        assert!(p.entry(&g.result_stream).is_some());
     }
 
     #[test]
@@ -530,21 +566,58 @@ mod tests {
         let mut gm = GroupManager::new("rep");
         let wide = "SELECT id, x FROM S [Now] WHERE x BETWEEN 0.0 AND 80.0";
         let narrow = "SELECT id, x FROM S [Now] WHERE x BETWEEN 0.0 AND 40.0";
-        let o1 = gm.insert(QueryId(1), q(&cat, wide), &cat).unwrap();
-        let o2 = gm.insert(QueryId(2), q(&cat, narrow), &cat).unwrap();
-        assert_eq!(o1.group, o2.group);
+        gm.insert(QueryId(1), q(&cat, wide), &cat).unwrap();
+        gm.insert(QueryId(2), q(&cat, narrow), &cat).unwrap();
+        let gid = group_of(&gm, 1);
+        assert_eq!(gid, group_of(&gm, 2));
         // removing the wide member shrinks the representative
-        gm.remove(QueryId(1)).unwrap();
-        let g = gm.group(o2.group).unwrap();
+        let shrunk = gm.remove(QueryId(1)).unwrap();
+        let g = gm.group(gid).unwrap();
         let c = g.representative.selections[0].constraint_for("x");
         assert!(!c.satisfies(&cosmos_types::Value::Float(60.0)));
+        assert_eq!(
+            shrunk.replace,
+            vec![(g.result_stream.clone(), g.representative.clone())]
+        );
+        assert!(shrunk.stop.is_empty() && shrunk.start.is_empty());
         // removing the last member dissolves the group
-        gm.remove(QueryId(2)).unwrap();
+        let stream = g.result_stream.clone();
+        let dissolved = gm.remove(QueryId(2)).unwrap();
+        assert_eq!(dissolved.stop, vec![stream]);
+        assert!(dissolved.replace.is_empty() && dissolved.subscribe.is_empty());
         assert_eq!(gm.group_count(), 0);
-        assert!(gm.remove(QueryId(2)).is_none());
+        assert!(gm.remove(QueryId(2)).is_err());
         // and its index slot no longer offers the dead group
         let o3 = gm.insert(QueryId(3), q(&cat, wide), &cat).unwrap();
-        assert!(!o3.joined_existing);
+        assert!(!o3.start.is_empty());
+    }
+
+    #[test]
+    fn withdrawal_refreshes_the_survivors_placements() {
+        // The narrow member's profile against the wide representative
+        // filters on x; once the wide member leaves, the representative
+        // *is* the narrow query and the survivor's profile must follow.
+        let cat = catalog();
+        let mut gm = GroupManager::new("rep");
+        let wide = "SELECT id, x FROM S [Now] WHERE x BETWEEN 0.0 AND 80.0";
+        let narrow = "SELECT id, x FROM S [Now] WHERE x BETWEEN 0.0 AND 40.0";
+        gm.insert(QueryId(1), q(&cat, wide), &cat).unwrap();
+        gm.insert(QueryId(2), q(&cat, narrow), &cat).unwrap();
+        let stale = gm.placement(QueryId(2)).unwrap().1.clone();
+        let change = gm.remove(QueryId(1)).unwrap();
+        let (group, placed) = gm.placement(QueryId(2)).unwrap();
+        let fresh = retighten_profile(
+            &q(&cat, narrow),
+            &group.representative,
+            &group.result_stream,
+        )
+        .unwrap();
+        assert_ne!(stale, fresh, "the withdrawal must change the profile");
+        assert_eq!(placed, &fresh);
+        assert_eq!(
+            change.subscribe,
+            vec![(QueryId(2), group.result_stream.clone(), fresh)]
+        );
     }
 
     #[test]
@@ -552,9 +625,10 @@ mod tests {
         let cat = catalog();
         let mut gm = GroupManager::new("rep");
         let text = "SELECT DISTINCT id FROM S [Now]";
-        let o1 = gm.insert(QueryId(1), q(&cat, text), &cat).unwrap();
+        gm.insert(QueryId(1), q(&cat, text), &cat).unwrap();
         let o2 = gm.insert(QueryId(2), q(&cat, text), &cat).unwrap();
-        assert_ne!(o1.group, o2.group);
+        assert!(!o2.start.is_empty());
+        assert_ne!(group_of(&gm, 1), group_of(&gm, 2));
     }
 
     #[test]
@@ -573,30 +647,33 @@ mod tests {
         gm.insert(QueryId(3), q(&cat, wide), &cat).unwrap();
         assert_eq!(gm.group_count(), 2, "greedy leaves one narrow stranded");
         let before = gm.total_rep_bps(&cat);
-        let placements = gm.reoptimize(&cat).unwrap().expect("must improve");
+        let regrouped = gm.reoptimize(&cat).unwrap();
         assert_eq!(gm.group_count(), 1);
         assert!(gm.total_rep_bps(&cat) < before);
-        assert_eq!(placements.len(), 3);
+        assert_eq!(regrouped.stop.len(), 2, "both old groups stop");
+        assert_eq!(regrouped.start.len(), 1);
+        assert!(regrouped.replace.is_empty());
+        assert_eq!(regrouped.subscribe.len(), 3);
         // every query keeps a valid placement afterwards
         for qid in [QueryId(1), QueryId(2), QueryId(3)] {
             assert!(gm.placement(qid).is_some());
         }
         // a second pass finds nothing more to do
-        assert!(gm.reoptimize(&cat).unwrap().is_none());
+        assert!(gm.reoptimize(&cat).unwrap().is_empty());
     }
 
     #[test]
     fn reoptimize_noop_cases() {
         let cat = catalog();
         let mut gm = GroupManager::new("rep");
-        assert!(gm.reoptimize(&cat).unwrap().is_none()); // empty
+        assert!(gm.reoptimize(&cat).unwrap().is_empty()); // empty
         gm.insert(QueryId(1), q(&cat, "SELECT id FROM S [Now]"), &cat)
             .unwrap();
-        assert!(gm.reoptimize(&cat).unwrap().is_none()); // single query
+        assert!(gm.reoptimize(&cat).unwrap().is_empty()); // single query
         gm.insert(QueryId(2), q(&cat, "SELECT id FROM S [Now]"), &cat)
             .unwrap();
         // already optimal (one group)
-        assert!(gm.reoptimize(&cat).unwrap().is_none());
+        assert!(gm.reoptimize(&cat).unwrap().is_empty());
         assert_eq!(gm.group_count(), 1);
     }
 

@@ -36,5 +36,5 @@ pub mod merge;
 
 pub use containment::{contained, correspondence};
 pub use estimate::{AttrStats, StatsCatalog, StreamStats};
-pub use grouping::{GroupManager, GroupingOutcome, QueryGroup};
+pub use grouping::{GroupChange, GroupManager, QueryGroup};
 pub use merge::{merge, retighten_profile, to_query};

@@ -354,19 +354,14 @@ impl Executor {
         self.disorder.as_ref().map(|d| d.frontier)
     }
 
-    /// Process an arrival that may have been *early-projected* by the
-    /// CBN: `schema` describes the tuple's actual layout. The tuple is
+    /// Process a *stream-homogeneous* batch of arrivals (every tuple on
+    /// the same stream) that may have been *early-projected* by the CBN:
+    /// `schema` describes the tuples' actual layout. Each tuple is
     /// re-aligned to the stream's full schema (missing attributes become
     /// `Null`; the source profile guarantees every attribute the query
-    /// touches is present) and then processed normally.
-    pub fn push_projected(&mut self, tuple: &Tuple, schema: &Schema) -> Vec<Tuple> {
-        self.push_projected_batch(std::slice::from_ref(tuple), schema)
-    }
-
-    /// [`Executor::push_projected`] for a *stream-homogeneous* batch
-    /// (every tuple on the same stream, laid out by `schema`): the
-    /// re-alignment column map is computed once for the whole batch.
-    /// Result tuples are returned in emission order.
+    /// touches is present) and then processed normally; the re-alignment
+    /// column map is computed once for the whole batch. Result tuples
+    /// are returned in emission order.
     pub fn push_projected_batch(&mut self, tuples: &[Tuple], schema: &Schema) -> Vec<Tuple> {
         let Some(first) = tuples.first() else {
             return Vec::new();
@@ -1356,20 +1351,20 @@ mod tests {
         let narrow_schema = Schema::of(&[("v", AttrType::Float), ("k", AttrType::Int)]);
         // note: reversed column order relative to the registered schema
         let t = Tuple::new("S", Timestamp(1), vec![Value::Float(2.0), Value::Int(7)]);
-        let out = ex.push_projected(&t, &narrow_schema);
+        let out = ex.push_projected_batch(&[t], &narrow_schema);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].values(), &[Value::Int(7)]);
         // a tuple missing the filtered attribute cannot satisfy it
         let missing = Schema::of(&[("k", AttrType::Int)]);
         let t2 = Tuple::new("S", Timestamp(2), vec![Value::Int(8)]);
-        assert!(ex.push_projected(&t2, &missing).is_empty());
+        assert!(ex.push_projected_batch(&[t2], &missing).is_empty());
         // full-schema tuples take the fast path
         let full = Tuple::new("S", Timestamp(3), vec![Value::Int(9), Value::Float(5.0)]);
         let full_schema = Schema::of(&[("k", AttrType::Int), ("v", AttrType::Float)]);
-        assert_eq!(ex.push_projected(&full, &full_schema).len(), 1);
+        assert_eq!(ex.push_projected_batch(&[full], &full_schema).len(), 1);
         // tuples from unknown streams are ignored
         let other = Tuple::new("Other", Timestamp(4), vec![Value::Int(1)]);
-        assert!(ex.push_projected(&other, &missing).is_empty());
+        assert!(ex.push_projected_batch(&[other], &missing).is_empty());
     }
 
     #[test]

@@ -115,20 +115,11 @@ pub struct Schema {
     inner: Arc<SchemaInner>,
 }
 
-/// The process-wide schema interner (content-addressed).
-struct Interner {
-    ids: FxHashMap<Schema, SchemaId>,
-    schemas: Vec<Schema>,
-}
-
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            ids: FxHashMap::default(),
-            schemas: Vec::new(),
-        })
-    })
+/// The process-wide schema interner (content-addressed): ids are
+/// handed out densely, in first-interned order.
+fn interner() -> &'static Mutex<FxHashMap<Schema, SchemaId>> {
+    static INTERNER: OnceLock<Mutex<FxHashMap<Schema, SchemaId>>> = OnceLock::new();
+    INTERNER.get_or_init(|| Mutex::new(FxHashMap::default()))
 }
 
 impl Schema {
@@ -171,30 +162,10 @@ impl Schema {
     /// single atomic load.
     pub fn id(&self) -> SchemaId {
         *self.inner.id.get_or_init(|| {
-            let mut int = interner().lock().expect("schema interner poisoned");
-            if let Some(&id) = int.ids.get(self) {
-                return id;
-            }
-            let id = SchemaId(u32::try_from(int.schemas.len()).expect("interner overflow"));
-            int.ids.insert(self.clone(), id);
-            int.schemas.push(self.clone());
-            id
+            let mut ids = interner().lock().expect("schema interner poisoned");
+            let next = SchemaId(u32::try_from(ids.len()).expect("interner overflow"));
+            *ids.entry(self.clone()).or_insert(next)
         })
-    }
-
-    /// Resolve an interned id back to its canonical schema.
-    pub fn by_id(id: SchemaId) -> Option<Schema> {
-        let int = interner().lock().expect("schema interner poisoned");
-        int.schemas.get(id.0 as usize).cloned()
-    }
-
-    /// Number of distinct schemas interned so far in this process.
-    pub fn interned_count() -> usize {
-        interner()
-            .lock()
-            .expect("schema interner poisoned")
-            .schemas
-            .len()
     }
 
     /// The fields, in tuple order.
@@ -412,9 +383,6 @@ mod tests {
         assert_eq!(a.id(), c.id());
         let other = Schema::of(&[("zzz_unique_attr", AttrType::Bool)]);
         assert_ne!(a.id(), other.id());
-        // resolution returns an equal schema
-        assert_eq!(Schema::by_id(a.id()).unwrap(), a);
-        assert!(Schema::interned_count() >= 2);
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl Timestamp {
     pub fn millis(self) -> i64 {
         self.0
     }
-
-    /// Saturating difference `self - other`.
-    #[inline]
-    pub fn delta_since(self, other: Timestamp) -> TimeDelta {
-        TimeDelta(self.0.saturating_sub(other.0))
-    }
 }
 
 impl TimeDelta {

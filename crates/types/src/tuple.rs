@@ -108,16 +108,6 @@ impl Tuple {
         })
     }
 
-    /// Re-tag the tuple as belonging to a different stream (used when a
-    /// processor publishes a representative-query result stream).
-    pub fn retag(&self, stream: impl Into<StreamName>) -> Tuple {
-        Tuple {
-            stream: stream.into(),
-            timestamp: self.timestamp,
-            values: Arc::clone(&self.values),
-        }
-    }
-
     /// Wire size in bytes: stream-name header plus all values.
     pub fn size_bytes(&self) -> usize {
         // 2-byte stream id on the wire plus 8-byte timestamp.
@@ -174,15 +164,6 @@ mod tests {
         assert_eq!(p.timestamp, t.timestamp);
         assert_eq!(p.stream, t.stream);
         assert!(t.project_indices(&[9]).is_err());
-    }
-
-    #[test]
-    fn retag_changes_stream_only() {
-        let t = tup();
-        let r = t.retag("result::q1");
-        assert_eq!(r.stream.as_str(), "result::q1");
-        assert_eq!(r.values(), t.values());
-        assert_eq!(r.timestamp, t.timestamp);
     }
 
     #[test]

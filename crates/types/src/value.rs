@@ -71,15 +71,6 @@ impl Value {
         }
     }
 
-    /// The value as a bool when it is a bool.
-    #[inline]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Compare two values with numeric coercion.
     ///
     /// Returns `None` when the types are incomparable (e.g. `Int` vs
@@ -333,7 +324,7 @@ mod tests {
     fn conversions() {
         assert_eq!(Value::from(3i32), Value::Int(3));
         assert_eq!(Value::from("hi").as_str(), Some("hi"));
-        assert_eq!(Value::from(true).as_bool(), Some(true));
+        assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::from(2.5f64).as_f64(), Some(2.5));
         assert_eq!(Value::Int(9).as_i64(), Some(9));
     }
