@@ -41,7 +41,7 @@ pub mod registry;
 pub mod router;
 pub mod sat;
 
-pub use matcher::{CountingMatcher, MatchEngine, NaiveMatcher};
+pub use matcher::{CountingMatcher, MatchEngine, MatchScratch, NaiveMatcher};
 pub use predicate::{AttrConstraint, Conjunction, DiffRange, Interval};
 pub use profile::{Profile, ProfileEntry, Projection};
 pub use registry::{RegisteredStream, RegistryMode, SchemaRegistry};

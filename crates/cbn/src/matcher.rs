@@ -19,8 +19,10 @@
 
 use crate::predicate::{AttrConstraint, DiffRange};
 use crate::profile::Profile;
-use cosmos_types::{FxHashMap, Schema, StreamName, Tuple, Value};
+use cosmos_types::{FxHashMap, Schema, SchemaId, StreamName, Tuple, Value};
+use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// A pluggable profile-matching engine.
 ///
@@ -36,8 +38,12 @@ pub trait MatchEngine<K: Ord + Clone> {
     fn matches(&self, tuple: &Tuple, schema: &Schema) -> Vec<K>;
     /// Per-tuple match keys for a *stream-homogeneous* batch (all tuples
     /// share `tuples[0].stream` and `schema`). The default delegates to
-    /// [`MatchEngine::matches`]; indexed engines override it to pay the
-    /// stream-partition lookup once per batch instead of once per tuple.
+    /// [`MatchEngine::matches`]. [`CountingMatcher`] overrides it with a
+    /// wrapper that splits the result of
+    /// [`CountingMatcher::matches_batch_flat`] — the flat path the
+    /// router calls, which pays the stream-partition lookup and the
+    /// name → column resolution once per batch — into one `Vec` per
+    /// tuple.
     fn matches_batch(&self, tuples: &[Tuple], schema: &Schema) -> Vec<Vec<K>> {
         tuples.iter().map(|t| self.matches(t, schema)).collect()
     }
@@ -98,24 +104,87 @@ struct FilterEntry<K> {
     key: K,
     /// Number of per-attribute constraints that must be counted.
     needed: u32,
-    /// Difference constraints, checked after the counter fires.
-    diffs: Vec<(String, String, DiffRange)>,
+    /// Its difference constraints, a range of [`StreamIndex::diffs`],
+    /// checked after the counter fires.
+    diffs: Range<usize>,
 }
 
 /// Per-stream constraint index.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct StreamIndex<K> {
     /// Keys whose entry for this stream has no filters (accept all).
     accept_all: Vec<K>,
     filters: Vec<FilterEntry<K>>,
-    /// Fast path: pure point constraints without exclusions, keyed by
-    /// attribute then value. Nested (rather than `(String, Value)`-keyed)
-    /// so a probe borrows the tuple's name and value — the hot path
-    /// allocates nothing.
-    eq_index: FxHashMap<String, FxHashMap<Value, Vec<u32>>>,
+    /// Fast path: pure point constraints without exclusions, per
+    /// attribute then value — a probe borrows the tuple's value.
+    eq_index: Vec<(String, FxHashMap<Value, Vec<u32>>)>,
     /// General constraints evaluated by scan: `(attribute, constraint,
     /// filter index)`.
     scan: Vec<(String, AttrConstraint, u32)>,
+    /// Difference constraints of all filters: `(a, b, range of a − b)`.
+    diffs: Vec<(String, String, DiffRange)>,
+    /// The attribute names above resolved to column positions, once per
+    /// layout this stream was matched under. It is a function of this
+    /// index and the layout alone, and lives and dies with the index:
+    /// [`CountingMatcher::rebuild_stream`] replaces the index whole, so
+    /// there is nothing else to invalidate.
+    columns: RefCell<Vec<Columns>>,
+}
+
+/// One [`StreamIndex`]'s attribute names as columns of one layout, so
+/// the per-tuple work never hashes a name.
+#[derive(Debug, Clone)]
+struct Columns {
+    schema: SchemaId,
+    /// `(column, slot of eq_index)` for every column of the layout some
+    /// point constraint names, in column order.
+    eq: Vec<(usize, usize)>,
+    /// Column of each `scan` constraint; `None` = the layout lacks the
+    /// attribute, so the constraint is never satisfied.
+    scan: Vec<Option<usize>>,
+    /// Columns of each `diffs` pair; `None` = the layout lacks either.
+    diffs: Vec<Option<(usize, usize)>>,
+}
+
+/// The result and the reused buffers of a flat batch match
+/// ([`CountingMatcher::matches_batch_flat`]): every tuple's keys in one
+/// vector, so a caller that keeps the scratch matches batch after batch
+/// without allocating.
+#[derive(Debug, Clone)]
+pub struct MatchScratch<K> {
+    /// Each tuple's sorted, deduplicated keys, concatenated in batch
+    /// order.
+    keys: Vec<K>,
+    /// Per tuple, the end of its segment of `keys`.
+    ends: Vec<usize>,
+    /// Per-filter satisfied-constraint counters of the tuple at hand.
+    counts: Vec<u32>,
+}
+
+impl<K> Default for MatchScratch<K> {
+    fn default() -> Self {
+        MatchScratch {
+            keys: Vec::new(),
+            ends: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
+}
+
+impl<K> MatchScratch<K> {
+    /// Each tuple's keys, in batch order.
+    pub fn iter(&self) -> impl Iterator<Item = &[K]> {
+        self.ends.iter().scan(0, |start, &end| {
+            let keys = &self.keys[*start..end];
+            *start = end;
+            Some(keys)
+        })
+    }
+
+    /// Whether no tuple of the batch matched any key.
+    pub fn none_matched(&self) -> bool {
+        self.keys.is_empty()
+    }
 }
 
 /// Counting-algorithm engine with an equality fast path. The installed
@@ -190,8 +259,10 @@ impl<K: Ord + Clone> CountingMatcher<K> {
         let mut idx = StreamIndex {
             accept_all: Vec::new(),
             filters: Vec::new(),
-            eq_index: FxHashMap::default(),
+            eq_index: Vec::new(),
             scan: Vec::new(),
+            diffs: Vec::new(),
+            columns: RefCell::new(Vec::new()),
         };
         for (key, profile) in &self.profiles {
             let Some(entry) = profile.entry(stream) else {
@@ -224,9 +295,16 @@ impl<K: Ord + Clone> CountingMatcher<K> {
                             (&c.interval.lo, &c.interval.hi)
                         {
                             if lo == hi {
-                                idx.eq_index
-                                    .entry(attr.to_string())
-                                    .or_default()
+                                let slot = idx
+                                    .eq_index
+                                    .iter()
+                                    .position(|(a, _)| a == attr)
+                                    .unwrap_or_else(|| {
+                                        idx.eq_index.push((attr.to_string(), FxHashMap::default()));
+                                        idx.eq_index.len() - 1
+                                    });
+                                idx.eq_index[slot]
+                                    .1
                                     .entry(lo.clone())
                                     .or_default()
                                     .push(fid);
@@ -236,14 +314,15 @@ impl<K: Ord + Clone> CountingMatcher<K> {
                     }
                     idx.scan.push((attr.to_string(), c.clone(), fid));
                 }
-                let diffs: Vec<_> = conj
-                    .diff_constraints()
-                    .map(|(a, b, r)| (a.to_string(), b.to_string(), *r))
-                    .collect();
+                let first_diff = idx.diffs.len();
+                idx.diffs.extend(
+                    conj.diff_constraints()
+                        .map(|(a, b, r)| (a.to_string(), b.to_string(), *r)),
+                );
                 idx.filters.push(FilterEntry {
                     key: key.clone(),
                     needed,
-                    diffs,
+                    diffs: first_diff..idx.diffs.len(),
                 });
             }
         }
@@ -254,54 +333,122 @@ impl<K: Ord + Clone> CountingMatcher<K> {
             self.streams.insert(stream.clone(), idx);
         }
     }
+
+    /// Match a *stream-homogeneous* batch (all tuples share
+    /// `tuples[0].stream` and `schema`) into `out`, replacing what it
+    /// held: per tuple, the sorted and deduplicated keys of every
+    /// profile covering it. The stream-partition lookup and the
+    /// name → column resolution are paid once per batch, and with a
+    /// reused `out` the call allocates nothing once its buffers have
+    /// grown. This is the engine's one matching body; `matches` and
+    /// `matches_batch` wrap it.
+    pub fn matches_batch_flat(&self, tuples: &[Tuple], schema: &Schema, out: &mut MatchScratch<K>) {
+        out.keys.clear();
+        out.ends.clear();
+        let Some(first) = tuples.first() else {
+            return;
+        };
+        debug_assert!(
+            tuples.iter().all(|t| t.stream == first.stream),
+            "matches_batch_flat requires a stream-homogeneous batch"
+        );
+        match self.streams.get(&first.stream) {
+            Some(idx) => idx.match_batch(tuples, schema, out),
+            None => out.ends.resize(tuples.len(), 0),
+        }
+    }
 }
 
 impl<K: Ord + Clone> StreamIndex<K> {
-    /// Match one tuple against this stream's index, appending the sorted,
-    /// deduplicated keys to `out`. `counts` is a scratch buffer reused
-    /// across the tuples of a batch.
-    fn match_into(&self, tuple: &Tuple, schema: &Schema, counts: &mut Vec<u32>, out: &mut Vec<K>) {
-        out.extend_from_slice(&self.accept_all);
-        if !self.filters.is_empty() {
-            let lookup = |name: &str| -> Option<&Value> { tuple.get_by_name(schema, name) };
-            counts.clear();
-            counts.resize(self.filters.len(), 0);
-            // Equality fast path: probe (attr, value) for every attribute
-            // the tuple actually carries, borrowing both.
-            for (i, f) in schema.fields().iter().enumerate() {
-                let Some(v) = tuple.get(i) else { continue };
-                if let Some(fids) = self
-                    .eq_index
-                    .get(f.name.as_str())
-                    .and_then(|per_value| per_value.get(v))
-                {
-                    for &fid in fids {
-                        counts[fid as usize] += 1;
+    /// This index's attribute names as columns of `schema`, resolved on
+    /// the first batch of that layout.
+    fn columns_for(&self, schema: &Schema) -> Ref<'_, Columns> {
+        let id = schema.id();
+        let known = self.columns.borrow().iter().position(|c| c.schema == id);
+        let pos = known.unwrap_or_else(|| {
+            let mut all = self.columns.borrow_mut();
+            all.push(Columns {
+                schema: id,
+                eq: schema
+                    .fields()
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(col, f)| {
+                        let slot = self.eq_index.iter().position(|(a, _)| *a == f.name)?;
+                        Some((col, slot))
+                    })
+                    .collect(),
+                scan: self
+                    .scan
+                    .iter()
+                    .map(|(attr, _, _)| schema.index_of(attr))
+                    .collect(),
+                diffs: self
+                    .diffs
+                    .iter()
+                    .map(|(a, b, _)| Some((schema.index_of(a)?, schema.index_of(b)?)))
+                    .collect(),
+            });
+            all.len() - 1
+        });
+        Ref::map(self.columns.borrow(), |all| &all[pos])
+    }
+
+    /// Match every tuple of a batch against this stream's index,
+    /// appending one sorted, deduplicated key segment per tuple.
+    fn match_batch(&self, tuples: &[Tuple], schema: &Schema, out: &mut MatchScratch<K>) {
+        let MatchScratch { keys, ends, counts } = out;
+        let cols = (!self.filters.is_empty()).then(|| self.columns_for(schema));
+        for tuple in tuples {
+            let start = keys.len();
+            keys.extend_from_slice(&self.accept_all);
+            if let Some(cols) = &cols {
+                counts.clear();
+                counts.resize(self.filters.len(), 0);
+                // Equality fast path: probe the value of every column
+                // some point constraint names.
+                for &(col, slot) in &cols.eq {
+                    let Some(v) = tuple.get(col) else { continue };
+                    if let Some(fids) = self.eq_index[slot].1.get(v) {
+                        for &fid in fids {
+                            counts[fid as usize] += 1;
+                        }
                     }
                 }
-            }
-            // General constraints.
-            for (attr, c, fid) in &self.scan {
-                if let Some(v) = lookup(attr) {
-                    if c.satisfies(v) {
+                // General constraints.
+                for ((_, c, fid), col) in self.scan.iter().zip(&cols.scan) {
+                    if col
+                        .and_then(|i| tuple.get(i))
+                        .is_some_and(|v| c.satisfies(v))
+                    {
                         counts[*fid as usize] += 1;
                     }
                 }
-            }
-            for (fid, entry) in self.filters.iter().enumerate() {
-                if counts[fid] != entry.needed {
-                    continue;
+                for (entry, count) in self.filters.iter().zip(counts.iter()) {
+                    if *count != entry.needed {
+                        continue;
+                    }
+                    let diffs_ok = entry.diffs.clone().all(|d| {
+                        let pair = cols.diffs[d].and_then(|(a, b)| tuple.get(a).zip(tuple.get(b)));
+                        pair.is_some_and(|(x, y)| self.diffs[d].2.satisfies(x, y))
+                    });
+                    if diffs_ok {
+                        keys.push(entry.key.clone());
+                    }
                 }
-                let diffs_ok = entry.diffs.iter().all(|(a, b, r)| {
-                    matches!((lookup(a), lookup(b)), (Some(x), Some(y)) if r.satisfies(x, y))
-                });
-                if diffs_ok {
-                    out.push(entry.key.clone());
+            }
+            // Sort and deduplicate the tail segment only.
+            keys[start..].sort_unstable();
+            let mut kept = start;
+            for i in start..keys.len() {
+                if kept == start || keys[i] != keys[kept - 1] {
+                    keys.swap(kept, i);
+                    kept += 1;
                 }
             }
+            keys.truncate(kept);
+            ends.push(kept);
         }
-        out.sort_unstable();
-        out.dedup();
     }
 }
 
@@ -315,35 +462,15 @@ impl<K: Ord + Clone> MatchEngine<K> for CountingMatcher<K> {
     }
 
     fn matches(&self, tuple: &Tuple, schema: &Schema) -> Vec<K> {
-        let Some(idx) = self.streams.get(&tuple.stream) else {
-            return Vec::new();
-        };
-        let mut counts = Vec::new();
-        let mut out = Vec::new();
-        idx.match_into(tuple, schema, &mut counts, &mut out);
-        out
+        let mut flat = MatchScratch::default();
+        self.matches_batch_flat(std::slice::from_ref(tuple), schema, &mut flat);
+        flat.keys
     }
 
     fn matches_batch(&self, tuples: &[Tuple], schema: &Schema) -> Vec<Vec<K>> {
-        let Some(first) = tuples.first() else {
-            return Vec::new();
-        };
-        debug_assert!(
-            tuples.iter().all(|t| t.stream == first.stream),
-            "matches_batch requires a stream-homogeneous batch"
-        );
-        let Some(idx) = self.streams.get(&first.stream) else {
-            return vec![Vec::new(); tuples.len()];
-        };
-        let mut counts = Vec::new();
-        tuples
-            .iter()
-            .map(|t| {
-                let mut out = Vec::new();
-                idx.match_into(t, schema, &mut counts, &mut out);
-                out
-            })
-            .collect()
+        let mut flat = MatchScratch::default();
+        self.matches_batch_flat(tuples, schema, &mut flat);
+        flat.iter().map(<[K]>::to_vec).collect()
     }
 
     fn len(&self) -> usize {
@@ -596,8 +723,20 @@ mod prop_tests {
     use cosmos_types::{AttrType, Timestamp};
     use proptest::prelude::*;
 
-    fn schema() -> Schema {
-        Schema::of(&[("a", AttrType::Int), ("b", AttrType::Int)])
+    /// The layouts every stream is matched under, each with the
+    /// columns of `(a, b)` it carries: the full one, the same two
+    /// attributes swapped, and one lacking `b` — a constrained
+    /// attribute. Matching them in turn after every replace means a
+    /// column resolution that is stale (kept across a re-index) or
+    /// wrong (shared between layouts) cannot agree with the naive
+    /// engine, which resolves every name per tuple.
+    fn layouts() -> [(Schema, &'static [usize]); 3] {
+        let (a, b) = (("a", AttrType::Int), ("b", AttrType::Int));
+        [
+            (Schema::of(&[a, b]), &[0, 1]),
+            (Schema::of(&[b, a]), &[1, 0]),
+            (Schema::of(&[a]), &[0]),
+        ]
     }
 
     #[derive(Debug, Clone)]
@@ -681,7 +820,6 @@ mod prop_tests {
         ) {
             let mut naive = NaiveMatcher::new();
             let mut counting = CountingMatcher::new();
-            let s = schema();
             for (key, on_s, on_t) in ops {
                 let mut p = Profile::new();
                 for (stream, constrs) in [("S", on_s), ("T", on_t)] {
@@ -698,16 +836,19 @@ mod prop_tests {
                 }
                 prop_assert_eq!(naive.len(), counting.len());
                 for stream in ["S", "T"] {
-                    let batch: Vec<Tuple> = points
-                        .iter()
-                        .map(|(a, b)| {
-                            Tuple::new(stream, Timestamp(0), vec![Value::Int(*a), Value::Int(*b)])
-                        })
-                        .collect();
-                    for t in &batch {
-                        prop_assert_eq!(naive.matches(t, &s), counting.matches(t, &s));
+                    for (s, columns) in layouts() {
+                        let batch: Vec<Tuple> = points
+                            .iter()
+                            .map(|&(a, b)| {
+                                let values = columns.iter().map(|&c| Value::Int([a, b][c])).collect();
+                                Tuple::new(stream, Timestamp(0), values)
+                            })
+                            .collect();
+                        for t in &batch {
+                            prop_assert_eq!(naive.matches(t, &s), counting.matches(t, &s));
+                        }
+                        prop_assert_eq!(naive.matches_batch(&batch, &s), counting.matches_batch(&batch, &s));
                     }
-                    prop_assert_eq!(naive.matches_batch(&batch, &s), counting.matches_batch(&batch, &s));
                 }
             }
         }

@@ -17,18 +17,22 @@
 //! keyed by [`Destination`] — whose order, neighbors by node then locals
 //! by subscriber, is the order every reader here promises.
 //!
-//! Routing takes `&self`: the compiled projection plans and the counters
-//! sit behind interior mutability, so a caller holding only a shared
-//! reference to the deployment can still route through its routers.
-//! An interest mutation drops the compiled plans of exactly the streams
-//! whose entry for the mutated destination changed.
+//! Routing takes `&self`: the compiled projection plans, the routing
+//! scratch and the counters sit behind interior mutability, so a caller
+//! holding only a shared reference to the deployment can still route
+//! through its routers. An interest mutation drops the compiled plans of
+//! exactly the streams whose entry for the mutated destination changed.
+//!
+//! One function body matches and forwards a batch,
+//! [`Router::route_batch_into`]: it works in buffers the router keeps
+//! (match keys, projection memo) and the caller lends (the forwards, a
+//! pool of tuple buffers), so steady-state routing allocates only the
+//! narrowing projections it actually builds.
 
-use crate::matcher::{CountingMatcher, MatchEngine};
+use crate::matcher::{CountingMatcher, MatchScratch};
 use crate::profile::{Profile, ProfileEntry};
 use cosmos_types::{NodeId, Schema, SchemaId, StreamName, SubscriberId, Tuple};
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Where a routed datagram goes next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -142,26 +146,18 @@ impl RouterCounters {
     }
 }
 
-/// Per-destination compiled plans for one (schema, stream) pair. A
-/// linear-scan small-map: a node forwards to a handful of destinations,
-/// and `Destination` compares as two integers — cheaper per tuple than
-/// hashing into a `HashMap` ever was. `None` records a destination that
-/// has no entry for the stream.
-type PlanMap = Vec<(Destination, Option<Arc<ProjectionPlan>>)>;
+/// Per-destination compiled plans for one (schema, stream) pair, sorted
+/// by [`Destination`]: a tuple's match keys come sorted too, so one
+/// forward-only cursor finds every plan of a fan-out. `None` records a
+/// destination that has no entry for the stream.
+type PlanMap = Vec<(Destination, Option<ProjectionPlan>)>;
 
-/// A router's compiled projection plans, keyed by (incoming schema,
-/// stream) and then destination.
-///
-/// Also a linear-scan structure: the first key component is an interned
-/// [`SchemaId`] (an integer compare) and the second an `Arc<str>` whose
-/// pointer identity short-circuits the string compare on the hot path.
-/// A router only ever sees the few (schema, stream) pairs routed through
-/// it, so the scan beats hashing the stream name per tuple.
-#[derive(Debug, Clone, Default)]
-struct PlanStore {
-    entries: Vec<PlanEntry>,
-}
-
+/// One line of a router's compiled projection plans: those of one
+/// (incoming schema, stream) pair. A router only ever sees the few
+/// pairs routed through it, so the lines are a linear-scan list — an
+/// interned [`SchemaId`] compares as an integer and an `Arc<str>` stream
+/// name short-circuits on pointer identity. A line exists only while it
+/// holds a plan.
 #[derive(Debug, Clone)]
 struct PlanEntry {
     schema: SchemaId,
@@ -169,32 +165,17 @@ struct PlanEntry {
     plans: PlanMap,
 }
 
-impl PlanStore {
-    /// Number of compiled plans currently cached.
-    fn plan_count(&self) -> usize {
-        self.entries.iter().map(|e| e.plans.len()).sum()
-    }
-
-    /// The plan map for one (schema, stream) pair, created empty on
-    /// first use.
-    fn map_mut(&mut self, schema: SchemaId, stream: &StreamName) -> &mut PlanMap {
-        let pos = self
-            .entries
-            .iter()
-            .position(|e| e.schema == schema && e.stream == *stream);
-        let pos = match pos {
-            Some(p) => p,
-            None => {
-                self.entries.push(PlanEntry {
-                    schema,
-                    stream: stream.clone(),
-                    plans: Vec::new(),
-                });
-                self.entries.len() - 1
-            }
-        };
-        &mut self.entries[pos].plans
-    }
+/// What routing mutates behind `&self`: the compiled plans and the
+/// buffers one [`Router::route_batch_into`] call works in, kept so the
+/// next call finds them grown.
+#[derive(Debug, Clone, Default)]
+struct RouteState {
+    plans: Vec<PlanEntry>,
+    /// The batch's match keys.
+    matched: MatchScratch<Destination>,
+    /// Projected tuples of the datagram at hand, by output layout
+    /// (emptied after every datagram).
+    memo: Vec<(SchemaId, Tuple)>,
 }
 
 /// The routing state of one CBN node.
@@ -203,9 +184,10 @@ pub struct Router {
     node: NodeId,
     /// The match index and, in it, the one table of installed interests.
     engine: CountingMatcher<Destination>,
-    /// Compiled projection plans; an interest mutation drops those of
-    /// the streams it changed (see [`Router::install`]).
-    plans: RefCell<PlanStore>,
+    /// Compiled projection plans — an interest mutation drops those of
+    /// the streams it changed (see [`Router::install`]) — and the
+    /// routing scratch.
+    state: RefCell<RouteState>,
     counters: Cell<RouterCounters>,
 }
 
@@ -215,7 +197,7 @@ impl Router {
         Router {
             node,
             engine: CountingMatcher::new(),
-            plans: RefCell::new(PlanStore::default()),
+            state: RefCell::new(RouteState::default()),
             counters: Cell::new(RouterCounters::default()),
         }
     }
@@ -229,9 +211,9 @@ impl Router {
     /// the `&mut self` borrow ends — a stale plan is never observable.
     fn install(&mut self, dest: Destination, profile: Option<Profile>) {
         let changed = self.engine.replace(dest, profile);
-        self.plans
+        self.state
             .get_mut()
-            .entries
+            .plans
             .retain(|e| !changed.contains(&e.stream));
     }
 
@@ -295,31 +277,6 @@ impl Router {
         })
     }
 
-    /// Fetch (compiling on first use) the plan for one destination from
-    /// the per-(schema, stream) plan map. `None` means the destination
-    /// has no entry for this stream and must be skipped.
-    fn lookup_plan(
-        &self,
-        map: &mut PlanMap,
-        counters: &mut RouterCounters,
-        dest: Destination,
-        stream: &StreamName,
-        schema: &Schema,
-    ) -> Option<Arc<ProjectionPlan>> {
-        if let Some((_, cached)) = map.iter().find(|(d, _)| *d == dest) {
-            counters.plan_hits += 1;
-            return cached.clone();
-        }
-        counters.plan_misses += 1;
-        let plan = self
-            .engine
-            .profile(&dest)
-            .and_then(|p| p.entry(stream))
-            .map(|entry| Arc::new(ProjectionPlan::compile(entry, schema)));
-        map.push((dest, plan.clone()));
-        plan
-    }
-
     /// Route a *stream-homogeneous* batch of incoming datagrams (every
     /// tuple on the same stream, laid out by `schema`) through this
     /// node; a single datagram is a batch of one.
@@ -333,50 +290,109 @@ impl Router {
     /// projection plan once per (schema, stream, destination), and
     /// destinations of one tuple whose plans produce the same layout
     /// share one projected tuple.
+    ///
+    /// Allocates its result; a caller routing in a loop lends its
+    /// buffers to [`Router::route_batch_into`] instead, which this wraps.
     pub fn route_batch(
         &self,
         tuples: &[Tuple],
         schema: &Schema,
         from: Option<NodeId>,
     ) -> Vec<BatchForward> {
+        let mut out = Vec::new();
+        self.route_batch_into(tuples, schema, from, &mut out, &mut Vec::new());
+        out
+    }
+
+    /// [`Router::route_batch`] into buffers the caller keeps: `out` is
+    /// emptied and receives the forwards, each forward's tuple buffer is
+    /// taken from `pool` (any buffer there is emptied first; a fresh one
+    /// is made when the pool runs out). A caller that hands consumed
+    /// buffers back to `pool` makes routing allocate nothing but the
+    /// narrowing projections it builds ([`RouterCounters::projections_built`]).
+    pub fn route_batch_into(
+        &self,
+        tuples: &[Tuple],
+        schema: &Schema,
+        from: Option<NodeId>,
+        out: &mut Vec<BatchForward>,
+        pool: &mut Vec<Vec<Tuple>>,
+    ) {
+        out.clear();
         let Some(first) = tuples.first() else {
-            return Vec::new();
+            return;
         };
-        debug_assert!(
-            tuples.iter().all(|t| t.stream == first.stream),
-            "route_batch requires a stream-homogeneous batch"
-        );
+        let stream = &first.stream;
         let mut counters = self.counters.get();
-        let mut plans = self.plans.borrow_mut();
-        let matched = self.engine.matches_batch(tuples, schema);
-        let map = plans.map_mut(schema.id(), &first.stream);
-        let mut by_dest: BTreeMap<Destination, BatchForward> = BTreeMap::new();
-        let mut memo: Vec<(SchemaId, Tuple)> = Vec::new();
-        for (tuple, dests) in tuples.iter().zip(&matched) {
-            memo.clear();
+        let mut state = self.state.borrow_mut();
+        let RouteState {
+            plans,
+            matched,
+            memo,
+        } = &mut *state;
+        self.engine.matches_batch_flat(tuples, schema, matched);
+        if matched.none_matched() {
+            // Nobody here wants the stream (or this batch of it): no
+            // plan is looked up, so no plan line is left behind.
+            counters.tuples_dropped += tuples.len() as u64;
+            self.counters.set(counters);
+            return;
+        }
+        let arrival = from.map(Destination::Neighbor);
+        let schema_id = schema.id();
+        let mut line = plans
+            .iter()
+            .position(|e| e.schema == schema_id && e.stream == *stream);
+        for (tuple, dests) in tuples.iter().zip(matched.iter()) {
+            // A tuple's keys are sorted, and so are `out` and the plan
+            // line: both cursors only ever move forward.
+            let (mut slot, mut at) = (0, 0);
             let mut forwarded = false;
             for &dest in dests {
-                if let Destination::Neighbor(n) = dest {
-                    if Some(n) == from {
-                        continue;
-                    }
+                if Some(dest) == arrival {
+                    continue;
                 }
-                let Some(plan) = self.lookup_plan(map, &mut counters, dest, &first.stream, schema)
-                else {
+                let line = *line.get_or_insert_with(|| {
+                    plans.push(PlanEntry {
+                        schema: schema_id,
+                        stream: stream.clone(),
+                        plans: Vec::new(),
+                    });
+                    plans.len() - 1
+                });
+                let map = &mut plans[line].plans;
+                while map.get(at).is_some_and(|(d, _)| *d < dest) {
+                    at += 1;
+                }
+                if map.get(at).is_some_and(|(d, _)| *d == dest) {
+                    counters.plan_hits += 1;
+                } else {
+                    counters.plan_misses += 1;
+                    let entry = self.engine.profile(&dest).and_then(|p| p.entry(stream));
+                    let plan = entry.map(|e| ProjectionPlan::compile(e, schema));
+                    map.insert(at, (dest, plan));
+                }
+                let Some(plan) = &map[at].1 else {
                     continue;
                 };
-                let t = plan.apply(tuple, &mut memo, &mut counters);
-                by_dest
-                    .entry(dest)
-                    .or_insert_with(|| BatchForward {
+                let projected = plan.apply(tuple, memo, &mut counters);
+                while out.get(slot).is_some_and(|f| f.dest < dest) {
+                    slot += 1;
+                }
+                if out.get(slot).is_none_or(|f| f.dest != dest) {
+                    let mut buffer = pool.pop().unwrap_or_default();
+                    buffer.clear();
+                    let forward = BatchForward {
                         dest,
-                        tuples: Vec::new(),
+                        tuples: buffer,
                         schema: plan.out_schema.clone(),
-                    })
-                    .tuples
-                    .push(t);
+                    };
+                    out.insert(slot, forward);
+                }
+                out[slot].tuples.push(projected);
                 forwarded = true;
             }
+            memo.clear();
             if forwarded {
                 counters.tuples_routed += 1;
             } else {
@@ -384,7 +400,6 @@ impl Router {
             }
         }
         self.counters.set(counters);
-        by_dest.into_values().collect()
     }
 
     /// Route a punctuation (watermark datagram) for `stream`.
@@ -434,7 +449,8 @@ impl Router {
 
     /// Number of compiled plans currently cached.
     pub fn cached_plan_count(&self) -> usize {
-        self.plans.borrow().plan_count()
+        let state = self.state.borrow();
+        state.plans.iter().map(|e| e.plans.len()).sum()
     }
 
     /// The counter block (throughput + plan-cache counters).
@@ -449,6 +465,7 @@ mod tests {
     use crate::predicate::Conjunction;
     use crate::profile::Projection;
     use cosmos_types::{AttrType, Timestamp, Value};
+    use std::collections::BTreeMap;
 
     fn schema() -> Schema {
         Schema::of(&[
@@ -630,6 +647,23 @@ mod tests {
     }
 
     #[test]
+    fn routing_a_stream_nobody_wants_leaves_no_plan_line() {
+        let mut r = Router::new(NodeId(0));
+        r.add_local_subscriber(SubscriberId(7), interest_on("T", 0, 10, &["id"]));
+        let s = schema();
+        // Unindexed stream, and an indexed one whose batch matches nothing.
+        assert!(route(&r, &tup(5, 1.0), &s, None).is_empty());
+        assert!(route(&r, &tup_on("T", 99, 1.0), &s, None).is_empty());
+        assert_eq!(r.counters().tuples_dropped, 2);
+        assert_eq!(r.cached_plan_count(), 0);
+        assert!(r.state.borrow().plans.is_empty(), "no empty line either");
+        // The line appears with the first compiled plan.
+        assert_eq!(route(&r, &tup_on("T", 5, 1.0), &s, None).len(), 1);
+        assert_eq!(r.state.borrow().plans.len(), 1);
+        assert_eq!(r.cached_plan_count(), 1);
+    }
+
+    #[test]
     fn identical_projections_share_one_projected_tuple() {
         let mut r = Router::new(NodeId(0));
         r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id"]));
@@ -649,7 +683,8 @@ mod tests {
     /// Route `batch` and hold the outcome to an independent reference:
     /// every installed profile decides for itself, tuple by tuple,
     /// whether it covers the datagram and what its projection looks
-    /// like — no match index, no plans. Returns `(routed, dropped)`.
+    /// like — no match index, no plans. Returns `(routed, dropped)` of
+    /// one routing of the batch.
     fn assert_routes_like_profiles(
         r: &Router,
         batch: &[Tuple],
@@ -687,22 +722,39 @@ mod tests {
                 dropped += 1;
             }
         }
-        let before = r.counters();
-        let batched = r.route_batch(batch, s, Some(arrival));
-        assert_eq!(batched.len(), grouped.len());
-        for bf in &batched {
-            let (ref_tuples, ref_schema) = &grouped[&bf.dest];
-            assert_eq!(&bf.tuples, ref_tuples, "dest {:?}", bf.dest);
-            assert_eq!(&bf.schema, ref_schema);
+        let reference: Vec<BatchForward> = grouped
+            .into_iter()
+            .map(|(dest, (tuples, schema))| BatchForward {
+                dest,
+                tuples,
+                schema,
+            })
+            .collect();
+        // Route it twice — into fresh buffers, and into a dirty `out`
+        // with a pool of used buffers: reuse must be invisible.
+        let mut out = vec![BatchForward {
+            dest: Destination::Local(SubscriberId(u64::MAX)),
+            tuples: batch.to_vec(),
+            schema: s.clone(),
+        }];
+        let mut pool = vec![batch.to_vec(), Vec::with_capacity(3)];
+        for reuse in [false, true] {
+            let before = r.counters();
+            if reuse {
+                r.route_batch_into(batch, s, Some(arrival), &mut out, &mut pool);
+            } else {
+                out = r.route_batch(batch, s, Some(arrival));
+            }
+            assert_eq!(out, reference, "forwards, order, schemas (reuse: {reuse})");
+            let after = r.counters();
+            assert_eq!(
+                (
+                    after.tuples_routed - before.tuples_routed,
+                    after.tuples_dropped - before.tuples_dropped
+                ),
+                (routed, dropped)
+            );
         }
-        let after = r.counters();
-        assert_eq!(
-            (
-                after.tuples_routed - before.tuples_routed,
-                after.tuples_dropped - before.tuples_dropped
-            ),
-            (routed, dropped)
-        );
         (routed, dropped)
     }
 

@@ -1,0 +1,166 @@
+//! Steady-state routing allocates nothing but the projections it builds
+//! — gated by counting allocations, not by a clock.
+
+use cosmos_cbn::{
+    BatchForward, Conjunction, CountingMatcher, MatchScratch, Profile, Projection, Router,
+};
+use cosmos_types::{AttrType, NodeId, Schema, SubscriberId, Timestamp, Tuple, Value};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    // The cell has no destructor, so it outlives every allocation of
+    // its thread; `try_with` only keeps teardown from panicking.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every request is forwarded unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches no allocator
+// state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed through as they are.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as for `dealloc`; the size obligations are the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations made by the calling thread while `f` runs.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+fn schema() -> Schema {
+    Schema::of(&[
+        ("id", AttrType::Int),
+        ("price", AttrType::Float),
+        ("note", AttrType::Str),
+    ])
+}
+
+fn batch(n: i64) -> Vec<Tuple> {
+    (0..n)
+        .map(|i| {
+            let values = vec![Value::Int(i), Value::Float(i as f64), Value::str("n")];
+            Tuple::new("S", Timestamp(i), values)
+        })
+        .collect()
+}
+
+/// Interest in `S` tuples with `lo ≤ id ≤ hi`, projected onto `attrs`
+/// (empty = every attribute).
+fn interest(lo: i64, hi: i64, attrs: &[&str]) -> Profile {
+    let mut f = Conjunction::always();
+    f.between("id", lo, hi);
+    let projection = if attrs.is_empty() {
+        Projection::All
+    } else {
+        Projection::of(attrs.iter().copied())
+    };
+    let mut p = Profile::new();
+    p.add_interest("S", projection, f);
+    p
+}
+
+/// What a routing loop does with the forwards: consume them and hand
+/// their emptied buffers back.
+fn recycle(out: &mut Vec<BatchForward>, pool: &mut Vec<Vec<Tuple>>) {
+    for mut forward in out.drain(..) {
+        forward.tuples.clear();
+        pool.push(forward.tuples);
+    }
+}
+
+#[test]
+fn steady_state_routing_allocates_only_built_projections() {
+    let s = schema();
+    let (mut out, mut pool) = (Vec::new(), Vec::new());
+
+    // (i) Identity projections, overlapping interests, a dropped tail.
+    let mut r = Router::new(NodeId(0));
+    r.set_neighbor_interest(NodeId(1), interest(0, 40, &[]));
+    r.set_neighbor_interest(NodeId(2), interest(20, 50, &[]));
+    r.add_local_subscriber(SubscriberId(7), interest(10, 30, &[]));
+    let tuples = batch(64);
+    // Warm-up: plans compile, the scratch grows, and — buffers change
+    // hands between destinations — every pooled buffer reaches the
+    // largest forward's size.
+    for _ in 0..3 {
+        r.route_batch_into(&tuples, &s, None, &mut out, &mut pool);
+        assert_eq!(out.len(), 3);
+        recycle(&mut out, &mut pool);
+    }
+    let n = allocations(|| {
+        r.route_batch_into(&tuples, &s, Some(NodeId(2)), &mut out, &mut pool);
+        assert_eq!(out.len(), 2);
+        recycle(&mut out, &mut pool);
+        r.route_batch_into(&tuples, &s, None, &mut out, &mut pool);
+    });
+    assert_eq!(n, 0, "identity-projection batch");
+    assert_eq!(out.iter().map(|f| f.tuples.len()).sum::<usize>(), 93);
+    recycle(&mut out, &mut pool);
+
+    // (ii) A one-tuple batch: the per-call cost.
+    let n = allocations(|| {
+        for t in &tuples[..32] {
+            r.route_batch_into(std::slice::from_ref(t), &s, None, &mut out, &mut pool);
+            recycle(&mut out, &mut pool);
+        }
+    });
+    assert_eq!(n, 0, "one-tuple batches");
+
+    // (iii) Narrowing projections: one allocation per projection built,
+    // and destinations with the same layout share it.
+    let mut r = Router::new(NodeId(0));
+    r.set_neighbor_interest(NodeId(1), interest(0, 40, &["id"]));
+    r.set_neighbor_interest(NodeId(2), interest(20, 50, &["id"]));
+    r.add_local_subscriber(SubscriberId(7), interest(10, 30, &["id", "price"]));
+    r.route_batch_into(&tuples, &s, None, &mut out, &mut pool);
+    recycle(&mut out, &mut pool);
+    let built = r.counters().projections_built;
+    let n = allocations(|| r.route_batch_into(&tuples, &s, None, &mut out, &mut pool));
+    let built = r.counters().projections_built - built;
+    assert_eq!(built, 51 + 21, "one per layout per tuple");
+    assert_eq!(n, built, "narrowing batch");
+}
+
+#[test]
+fn steady_state_flat_matching_allocates_nothing() {
+    let s = schema();
+    let mut m = CountingMatcher::new();
+    m.replace(1u32, Some(interest(0, 40, &[])));
+    m.replace(2, Some(interest(20, 50, &["id"])));
+    m.replace(3, Some(Profile::whole_stream("S")));
+    let tuples = batch(64);
+    let mut flat = MatchScratch::default();
+    m.matches_batch_flat(&tuples, &s, &mut flat);
+    let matched: usize = flat.iter().map(<[u32]>::len).sum();
+    assert_eq!(matched, 41 + 31 + 64);
+    let n = allocations(|| {
+        m.matches_batch_flat(&tuples, &s, &mut flat);
+        m.matches_batch_flat(&tuples[..1], &s, &mut flat);
+    });
+    assert_eq!(n, 0);
+    assert_eq!(flat.iter().collect::<Vec<_>>(), [&[1, 3][..]]);
+}

@@ -143,11 +143,41 @@ pub struct RepStateView<'a> {
 /// One hop of the dissemination BFS: a stream-homogeneous batch of
 /// datagrams arriving at `at` over the link from `from` (`None` when
 /// the batch entered the network at `at`).
+#[derive(Debug)]
 struct Hop {
     from: Option<NodeId>,
     at: NodeId,
     tuples: Vec<Tuple>,
     schema: Schema,
+}
+
+/// The buffers [`Cosmos::disseminate`] works in, kept between calls so
+/// the loop finds them grown instead of allocating per hop.
+#[derive(Debug, Default)]
+struct HopLoop {
+    /// Hops still to route (empty between calls).
+    queue: VecDeque<Hop>,
+    /// The forwards of the hop being routed (empty between hops).
+    forwards: Vec<BatchForward>,
+    /// Emptied tuple buffers of routed hops and SPE-consumed forwards,
+    /// which the routers fill the next forwards into; at most one per
+    /// node ([`HopLoop::recycle`]).
+    pool: Vec<Vec<Tuple>>,
+}
+
+impl HopLoop {
+    /// Hand a consumed tuple buffer back. Buffers also enter the loop
+    /// from outside the pool — every executor emission is a fresh `Vec`
+    /// — and leave it only into user deliveries, so an uncapped pool
+    /// grows by one buffer per emission nobody is delivered. A batch
+    /// visits a node at most once, so `nodes` buffers cover the hops of
+    /// one batch; the surplus is freed.
+    fn recycle(&mut self, mut tuples: Vec<Tuple>, nodes: usize) {
+        if self.pool.len() < nodes {
+            tuples.clear();
+            self.pool.push(tuples);
+        }
+    }
 }
 
 /// Upper bound on retained warning headlines per accepted query, so a
@@ -436,6 +466,8 @@ pub struct Cosmos {
     /// Armed self-tuning scheduler (`None` = manual
     /// [`Cosmos::autotune`] calls only; see [`Cosmos::set_autotune`]).
     autotune_sched: Option<AutotuneSched>,
+    /// The dissemination loop's reused buffers.
+    hops: HopLoop,
 }
 
 impl Cosmos {
@@ -485,6 +517,7 @@ impl Cosmos {
             disorder: Disorder::default(),
             overload: None,
             autotune_sched: None,
+            hops: HopLoop::default(),
         })
     }
 
@@ -1035,84 +1068,101 @@ impl Cosmos {
     /// including every result batch it triggers on the way. The first
     /// hop routes the caller's slice borrowed; forwarded hops own their
     /// (projected) tuples and are served breadth-first.
+    ///
+    /// The loop works in [`HopLoop`]'s buffers, taken out of `self` for
+    /// the duration of the call. That is sound because the loop is never
+    /// re-entered: nothing it calls — the routers, the executors, the
+    /// metrics hub, the overload gate and its rate-limit notices —
+    /// disseminates; result batches re-enter as hops of this same queue,
+    /// and the other callers (`publish_batch`, watermark and retirement
+    /// drains) run strictly before or after it.
     fn disseminate(&mut self, at: NodeId, tuples: &[Tuple], schema: &Schema) {
-        let mut queue: VecDeque<Hop> = VecDeque::new();
-        let forwards = self.routers[at.index()].route_batch(tuples, schema, None);
-        self.process_forwards(at, forwards, &mut queue);
-        while let Some(hop) = queue.pop_front() {
-            let forwards =
-                self.routers[hop.at.index()].route_batch(&hop.tuples, &hop.schema, hop.from);
-            self.process_forwards(hop.at, forwards, &mut queue);
+        let mut hops = std::mem::take(&mut self.hops);
+        debug_assert!(hops.queue.is_empty() && hops.forwards.is_empty());
+        let nodes = self.routers.len();
+        self.routers[at.index()].route_batch_into(
+            tuples,
+            schema,
+            None,
+            &mut hops.forwards,
+            &mut hops.pool,
+        );
+        self.process_forwards(at, &mut hops);
+        while let Some(hop) = hops.queue.pop_front() {
+            self.routers[hop.at.index()].route_batch_into(
+                &hop.tuples,
+                &hop.schema,
+                hop.from,
+                &mut hops.forwards,
+                &mut hops.pool,
+            );
+            hops.recycle(hop.tuples, nodes);
+            self.process_forwards(hop.at, &mut hops);
         }
+        self.hops = hops;
     }
 
     /// Handle the forwarding decisions of one (node, batch) routing
-    /// step: account and enqueue neighbor hops, feed local SPE inputs
-    /// (re-entering their outputs into the network), append user
-    /// deliveries.
-    fn process_forwards(
-        &mut self,
-        at: NodeId,
-        forwards: Vec<BatchForward>,
-        queue: &mut VecDeque<Hop>,
-    ) {
-        for f in forwards {
+    /// step (`hops.forwards`, left empty): account and enqueue neighbor
+    /// hops, feed local SPE inputs (re-entering their outputs into the
+    /// network), append user deliveries.
+    fn process_forwards(&mut self, at: NodeId, hops: &mut HopLoop) {
+        let mut forwards = std::mem::take(&mut hops.forwards);
+        for f in forwards.drain(..) {
             match f.dest {
                 Destination::Neighbor(n) => {
                     let bytes: usize = f.tuples.iter().map(Tuple::size_bytes).sum();
                     self.cross_link(at, n, f.tuples.len(), bytes);
-                    queue.push_back(Hop {
+                    hops.queue.push_back(Hop {
                         from: Some(at),
                         at: n,
                         tuples: f.tuples,
                         schema: f.schema,
                     });
                 }
-                Destination::Local(sub) => {
-                    if let Some(hop) = self.deliver_local(at, sub, f.tuples, &f.schema) {
-                        queue.push_back(hop);
-                    }
-                }
+                Destination::Local(sub) => self.deliver_local(at, sub, f.tuples, &f.schema, hops),
             }
         }
+        hops.forwards = forwards;
     }
 
     /// Deliver a projected batch to one locally attached subscriber: an
-    /// SPE input gets the batch pushed through its executor (returning
-    /// the result datagrams re-entering the network as a new hop, if
-    /// any), a user subscription gets the tuples appended to its
-    /// delivery buffer (through the overload gate when one is armed).
+    /// SPE input gets the batch pushed through its executor (the result
+    /// datagrams, if any, re-enter the network as a new hop, and the
+    /// consumed batch's buffer goes back to the pool), a user
+    /// subscription gets the tuples appended to its delivery buffer
+    /// (through the overload gate when one is armed).
     fn deliver_local(
         &mut self,
         at: NodeId,
         sub: SubscriberId,
         tuples: Vec<Tuple>,
         schema: &Schema,
-    ) -> Option<Hop> {
-        match self.subs.get(&sub)? {
-            LocalSub::Spe(stream) => {
+        hops: &mut HopLoop,
+    ) {
+        match self.subs.get(&sub) {
+            None => {}
+            Some(LocalSub::Spe(stream)) => {
                 let site = self.reps.get_mut(stream).expect("rep site exists");
                 debug_assert_eq!(site.processor, at);
                 let outputs = site.executor.push_projected_batch(&tuples, schema);
-                let rep_schema = site.executor.result_schema().clone();
                 self.metrics.on_spe_intake(at, &tuples);
+                hops.recycle(tuples, self.routers.len());
                 if outputs.is_empty() {
-                    return None;
+                    return;
                 }
                 // Result datagrams enter the CBN here; observe them
                 // like any other published stream.
+                let rep_schema = site.executor.result_schema().clone();
                 self.metrics.on_publish(stream, &rep_schema, &outputs);
-                Some(Hop {
+                hops.queue.push_back(Hop {
                     from: None,
                     at,
                     tuples: outputs,
                     schema: rep_schema,
-                })
+                });
             }
-            &LocalSub::User(qid) => {
-                self.deliver_user(at, qid, tuples);
-                None
-            }
+            Some(&LocalSub::User(qid)) => self.deliver_user(at, qid, tuples),
         }
     }
 
@@ -2058,6 +2108,44 @@ mod tests {
         assert_eq!(single.1, batched.1, "q2 deliveries differ");
         assert_eq!(single.2, batched.2, "published counts differ");
         assert_eq!(single.3, batched.3, "link bytes differ");
+    }
+
+    #[test]
+    fn hop_buffer_pool_stays_within_its_cap() {
+        // Two grouped aggregates share a representative over the hull of
+        // their keys (the registered statistics make that look cheap), so
+        // its every emission for the key between them is dropped at the
+        // processor: a buffer that entered the loop from the executor
+        // and is never handed to a delivery.
+        let mut sys = line_system(true);
+        sys.register_stream(
+            "G",
+            Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]),
+            StreamStats::with_rate(1.0).attr("k", AttrStats::numeric(0.0, 1000.0, 2.0)),
+            NodeId(0),
+        )
+        .unwrap();
+        let wanted = [1, 3].map(|k| {
+            let text =
+                format!("SELECT k, COUNT(*) FROM G [Range 5 Second] WHERE k = {k} GROUP BY k");
+            sys.submit_query(&text, NodeId(3)).unwrap()
+        });
+        assert!(sys.grouping_ratio() < 1.0, "the two queries share a group");
+        let nodes = sys.routers.len();
+        let mut pooled = 0;
+        for i in 0..10_000 {
+            let values = vec![Value::Int(1 + i % 3), Value::Int(i * 100)];
+            sys.publish(&Tuple::new("G", Timestamp(i * 100), values))
+                .unwrap();
+            assert!(sys.hops.queue.is_empty() && sys.hops.forwards.is_empty());
+            assert!(sys.hops.pool.len() <= nodes);
+            assert!(sys.hops.pool.iter().all(Vec::is_empty));
+            pooled = pooled.max(sys.hops.pool.len());
+        }
+        assert_eq!(pooled, nodes, "the cap is what bounds the pool");
+        for q in wanted {
+            assert!(sys.results(q).len() > 3_000);
+        }
     }
 
     #[test]

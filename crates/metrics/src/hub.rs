@@ -3,10 +3,17 @@
 //!
 //! The hub is clocked by *virtual time* — the max tuple timestamp seen
 //! so far — never the wall clock, so two runs of the same scenario
-//! produce byte-identical metrics. Observation is O(1) per call (plus
-//! O(arity) for the sampled tuples that feed attribute observers). The
-//! hub always records: overload budgets and the autotune scheduler read
-//! it, so there is no "off" state for them to disagree with.
+//! produce byte-identical metrics. What a call costs: the per-node
+//! windows (`on_link`'s sender and receiver, `on_spe_intake`,
+//! `on_delivery`'s consumer) are table slots indexed by
+//! [`NodeId::index`]; the per-link, per-stream and per-query windows
+//! are one ordered-map probe each (`on_link`, `on_publish`,
+//! `on_delivery`), and a key is cloned and a window built only when the
+//! probe misses; `on_publish` and `on_delivery` also walk the batch for
+//! its bytes, and sampled tuples cost O(arity) in the attribute
+//! observers. The hub always records: overload budgets and the autotune
+//! scheduler read it, so there is no "off" state for them to disagree
+//! with.
 
 use crate::observe::AttrObserver;
 use crate::snapshot::{
@@ -16,7 +23,7 @@ use crate::snapshot::{
 use crate::window::RateWindow;
 use cosmos_query::{StatsCatalog, StreamStats};
 use cosmos_types::{NodeId, QueryId, Schema, StreamName, TimeDelta, Timestamp, Tuple};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Knobs for the metrics layer.
 #[derive(Debug, Clone)]
@@ -52,6 +59,33 @@ struct StreamObservation {
 }
 
 impl StreamObservation {
+    /// Record one published batch (`bytes` in total, at virtual time
+    /// `at`) and sample every `every`th tuple into the observers.
+    fn record(&mut self, at: i64, bytes: u64, every: u64, schema: &Schema, tuples: &[Tuple]) {
+        self.window.record(at, tuples.len() as u64, bytes);
+        // Jump straight to the sampled indices: with `clock` tuples seen
+        // before this batch, the next sample is the tuple that brings the
+        // cumulative count to a multiple of `every`.
+        let mut idx = (every - self.sample_clock % every) as usize;
+        self.sample_clock += tuples.len() as u64;
+        if idx > tuples.len() {
+            return;
+        }
+        if self.schema.as_ref() != Some(schema) {
+            // First sample (or a schema change, which streams don't do):
+            // align one observer per field.
+            self.schema = Some(schema.clone());
+            self.observers = vec![AttrObserver::default(); schema.fields().len()];
+        }
+        while idx <= tuples.len() {
+            let t = &tuples[idx - 1];
+            for (o, value) in self.observers.iter_mut().zip(t.values()) {
+                o.observe(value);
+            }
+            idx += every as usize;
+        }
+    }
+
     /// The (field name, observer) pairs that saw at least one sample.
     fn observed_attrs(&self) -> impl Iterator<Item = (&str, &AttrObserver)> {
         self.schema
@@ -68,6 +102,17 @@ struct QueryObservation {
     latency_max_ms: i64,
 }
 
+/// The windows of one node; `None` until the node sends, receives or
+/// consumes for the first time.
+#[derive(Debug, Clone, Default)]
+struct NodeWindows {
+    tx: Option<RateWindow>,
+    rx: Option<RateWindow>,
+    /// Bytes consumed *at* the node: user deliveries plus SPE intake.
+    /// This is the measured analogue of the optimizer's per-node demand.
+    consumed: Option<RateWindow>,
+}
+
 /// Sliding-window metrics for links, nodes, streams and queries.
 #[derive(Debug, Clone)]
 pub struct MetricsHub {
@@ -77,11 +122,8 @@ pub struct MetricsHub {
     // so they are BTreeMaps (D0101): key order is the emission order,
     // making the snapshot deterministic with no sort-before-emit step.
     links: BTreeMap<(NodeId, NodeId), RateWindow>,
-    node_tx: BTreeMap<NodeId, RateWindow>,
-    node_rx: BTreeMap<NodeId, RateWindow>,
-    /// Bytes consumed *at* a node: user deliveries plus SPE intake.
-    /// This is the measured analogue of the optimizer's per-node demand.
-    consumed: BTreeMap<NodeId, RateWindow>,
+    /// Per-node windows, indexed by [`NodeId::index`] — the same order.
+    nodes: Vec<NodeWindows>,
     streams: BTreeMap<StreamName, StreamObservation>,
     queries: BTreeMap<QueryId, QueryObservation>,
     /// Watermark punctuation datagrams disseminated (disorder mode).
@@ -107,9 +149,7 @@ impl MetricsHub {
             cfg,
             now_ms: 0,
             links: BTreeMap::new(),
-            node_tx: BTreeMap::new(),
-            node_rx: BTreeMap::new(),
-            consumed: BTreeMap::new(),
+            nodes: Vec::new(),
             streams: BTreeMap::new(),
             queries: BTreeMap::new(),
             punctuations: 0,
@@ -139,8 +179,13 @@ impl MetricsHub {
         self.now_ms = self.now_ms.max(ts.millis());
     }
 
-    fn fresh_window(&self) -> RateWindow {
-        RateWindow::new(self.cfg.window)
+    /// The windows of `node`, growing the table to reach it.
+    fn node_mut(&mut self, node: NodeId) -> &mut NodeWindows {
+        if self.nodes.len() <= node.index() {
+            self.nodes
+                .resize_with(node.index() + 1, NodeWindows::default);
+        }
+        &mut self.nodes[node.index()]
     }
 
     /// A batch of `stream` tuples entered the system (source publish or
@@ -158,67 +203,43 @@ impl MetricsHub {
             bytes += t.size_bytes() as u64;
         }
         self.now_ms = at;
-        let window = self.fresh_window();
-        let obs = self
-            .streams
-            .entry(stream.clone())
-            .or_insert_with(|| StreamObservation {
-                window,
-                sample_clock: 0,
-                schema: None,
-                observers: Vec::new(),
-            });
-        obs.window.record(at, tuples.len() as u64, bytes);
-        // Jump straight to the sampled indices: with `clock` tuples seen
-        // before this batch, the next sample is the tuple that brings the
-        // cumulative count to a multiple of `every`.
         let every = self.cfg.sample_every.max(1);
-        let mut idx = (every - obs.sample_clock % every) as usize;
-        obs.sample_clock += tuples.len() as u64;
-        if idx > tuples.len() {
-            return;
-        }
-        if obs.schema.as_ref() != Some(schema) {
-            // First sample (or a schema change, which streams don't do):
-            // align one observer per field.
-            obs.schema = Some(schema.clone());
-            obs.observers = vec![AttrObserver::default(); schema.fields().len()];
-        }
-        while idx <= tuples.len() {
-            let t = &tuples[idx - 1];
-            for (o, value) in obs.observers.iter_mut().zip(t.values()) {
-                o.observe(value);
+        match self.streams.get_mut(stream) {
+            Some(obs) => obs.record(at, bytes, every, schema, tuples),
+            None => {
+                let mut obs = StreamObservation {
+                    window: RateWindow::new(self.cfg.window),
+                    sample_clock: 0,
+                    schema: None,
+                    observers: Vec::new(),
+                };
+                obs.record(at, bytes, every, schema, tuples);
+                self.streams.insert(stream.clone(), obs);
             }
-            idx += every as usize;
         }
     }
 
     /// `tuples` tuples totalling `bytes` bytes crossed the overlay link
     /// `from`→`to`.
     pub fn on_link(&mut self, from: NodeId, to: NodeId, tuples: usize, bytes: usize) {
-        let key = (from.min(to), from.max(to));
-        let (now, w) = (self.now_ms, self.fresh_window());
+        let (now, span) = (self.now_ms, self.cfg.window);
+        let (tuples, bytes) = (tuples as u64, bytes as u64);
+        let fresh = || RateWindow::new(span);
         self.links
-            .entry(key)
-            .or_insert(w)
-            .record(now, tuples as u64, bytes as u64);
-        let w = self.fresh_window();
-        self.node_tx
-            .entry(from)
-            .or_insert(w)
-            .record(now, tuples as u64, bytes as u64);
-        let w = self.fresh_window();
-        self.node_rx
-            .entry(to)
-            .or_insert(w)
-            .record(now, tuples as u64, bytes as u64);
+            .entry((from.min(to), from.max(to)))
+            .or_insert_with(fresh)
+            .record(now, tuples, bytes);
+        let tx = &mut self.node_mut(from).tx;
+        tx.get_or_insert_with(fresh).record(now, tuples, bytes);
+        let rx = &mut self.node_mut(to).rx;
+        rx.get_or_insert_with(fresh).record(now, tuples, bytes);
     }
 
     fn on_consume(&mut self, node: NodeId, tuples: u64, bytes: u64) {
-        let (now, w) = (self.now_ms, self.fresh_window());
-        self.consumed
-            .entry(node)
-            .or_insert(w)
+        let (now, span) = (self.now_ms, self.cfg.window);
+        let consumed = &mut self.node_mut(node).consumed;
+        consumed
+            .get_or_insert_with(|| RateWindow::new(span))
             .record(now, tuples, bytes);
     }
 
@@ -239,9 +260,9 @@ impl MetricsHub {
             lat_max = lat_max.max(lat);
         }
         self.on_consume(node, tuples.len() as u64, bytes);
-        let w = self.fresh_window();
+        let span = self.cfg.window;
         let obs = self.queries.entry(qid).or_insert_with(|| QueryObservation {
-            window: w,
+            window: RateWindow::new(span),
             latency_sum_ms: 0,
             latency_max_ms: 0,
         });
@@ -293,10 +314,14 @@ impl MetricsHub {
     /// window (deliveries + SPE intake) — the measured side of the
     /// overload controller's per-node budget check.
     pub fn consumed_in_window(&self, node: NodeId) -> (u64, u64) {
-        self.consumed
-            .get(&node)
+        self.consumed(node)
             .map(|w| w.windowed(self.now_ms))
             .unwrap_or((0, 0))
+    }
+
+    /// The consumed-bytes window of `node`, if it ever consumed.
+    fn consumed(&self, node: NodeId) -> Option<&RateWindow> {
+        self.nodes.get(node.index())?.consumed.as_ref()
     }
 
     /// A batch of tuples was handed to a stream-processing executor at
@@ -313,8 +338,7 @@ impl MetricsHub {
     /// Windowed byte rate consumed at `node` (deliveries + SPE intake):
     /// the measured per-node demand for tree optimization.
     pub fn consumed_byte_rate(&self, node: NodeId) -> f64 {
-        self.consumed
-            .get(&node)
+        self.consumed(node)
             .map(|w| w.byte_rate(self.now_ms))
             .unwrap_or(0.0)
     }
@@ -322,8 +346,7 @@ impl MetricsHub {
     /// Lifetime bytes consumed at `node` (deliveries + SPE intake) —
     /// the measured side of `cosmos-bound`'s per-node load bound.
     pub fn consumed_bytes_total(&self, node: NodeId) -> u64 {
-        self.consumed
-            .get(&node)
+        self.consumed(node)
             .map(RateWindow::total_bytes)
             .unwrap_or(0)
     }
@@ -364,19 +387,18 @@ impl MetricsHub {
             })
             .collect();
 
-        let mut node_ids: BTreeSet<NodeId> = BTreeSet::new();
-        node_ids.extend(self.node_tx.keys());
-        node_ids.extend(self.node_rx.keys());
-        node_ids.extend(self.consumed.keys());
         let zero = RateWindow::new(self.cfg.window);
-        let nodes: Vec<NodeMetrics> = node_ids
-            .into_iter()
-            .map(|n| {
-                let tx = self.node_tx.get(&n).unwrap_or(&zero);
-                let rx = self.node_rx.get(&n).unwrap_or(&zero);
-                let co = self.consumed.get(&n).unwrap_or(&zero);
+        let nodes: Vec<NodeMetrics> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| w.tx.is_some() || w.rx.is_some() || w.consumed.is_some())
+            .map(|(i, w)| {
+                let tx = w.tx.as_ref().unwrap_or(&zero);
+                let rx = w.rx.as_ref().unwrap_or(&zero);
+                let co = w.consumed.as_ref().unwrap_or(&zero);
                 NodeMetrics {
-                    node: n,
+                    node: NodeId(i as u32),
                     tx_tuples: tx.total_tuples(),
                     tx_bytes: tx.total_bytes(),
                     tx_byte_rate: tx.byte_rate(now),
@@ -597,6 +619,45 @@ mod tests {
         assert_eq!(hub.consumed_bytes_total(NodeId(0)), 0);
         hub.on_spe_intake(NodeId(1), &batch);
         assert_eq!(hub.consumed_bytes_total(NodeId(1)), 2 * batch_bytes);
+    }
+
+    /// The per-node tables report what the ordered maps they replaced
+    /// reported: sparse node ids fed out of order, across a window
+    /// boundary, snapshot to the JSON the map-based hub produced for the
+    /// same calls (the fixture, generated at the parent commit).
+    #[test]
+    fn node_tables_snapshot_like_the_ordered_maps_did() {
+        let mut hub = MetricsHub::new(MetricsConfig::default());
+        hub.advance(Timestamp(5_000));
+        hub.on_link(NodeId(9), NodeId(2), 3, 120);
+        hub.on_spe_intake(NodeId(40), &[tuple(4_000, 1, 1.0)]);
+        hub.on_delivery(
+            QueryId(3),
+            NodeId(17),
+            &[tuple(1_000, 2, 2.0), tuple(4_500, 3, 3.0)],
+        );
+        hub.on_link(NodeId(2), NodeId(33), 1, 40);
+        hub.on_spe_intake(NodeId(5), &[]);
+        hub.advance(Timestamp(70_000));
+        hub.on_link(NodeId(0), NodeId(9), 2, 80);
+        hub.on_delivery(QueryId(1), NodeId(2), &[tuple(69_000, 4, 4.0)]);
+        hub.on_spe_intake(NodeId(17), &[tuple(70_000, 5, 5.0), tuple(70_000, 6, 6.0)]);
+        hub.on_link(NodeId(33), NodeId(2), 0, 19);
+        let json = hub.snapshot(RouterTotals::default()).to_json().unwrap();
+        assert_eq!(
+            json,
+            include_str!("../tests/fixtures/sparse_nodes.snapshot.json").trim_end()
+        );
+        let nodes: Vec<u32> = hub
+            .snapshot(RouterTotals::default())
+            .nodes
+            .iter()
+            .map(|n| n.node.raw())
+            .collect();
+        assert_eq!(nodes, [0, 2, 9, 17, 33, 40], "only nodes that were fed");
+        assert_eq!(hub.consumed_in_window(NodeId(40)), (0, 0), "slid out");
+        assert_eq!(hub.consumed_in_window(NodeId(17)).0, 2);
+        assert_eq!(hub.consumed_bytes_total(NodeId(99)), 0, "beyond the table");
     }
 
     #[test]

@@ -91,20 +91,18 @@ impl Tuple {
     /// Project the tuple onto the given positional indices (early
     /// projection inside the CBN, Section 3.1 of the paper).
     pub fn project_indices(&self, indices: &[usize]) -> Result<Tuple> {
-        let mut out = Vec::with_capacity(indices.len());
-        for &i in indices {
-            let v = self.values.get(i).ok_or_else(|| {
-                CosmosError::Type(format!(
-                    "projection index {i} out of range for arity {}",
-                    self.values.len()
-                ))
-            })?;
-            out.push(v.clone());
+        if let Some(i) = indices.iter().find(|&&i| i >= self.values.len()) {
+            return Err(CosmosError::Type(format!(
+                "projection index {i} out of range for arity {}",
+                self.values.len()
+            )));
         }
+        // Bounds are settled, so the gather is an exact-size iterator and
+        // collects straight into the shared slice: one allocation.
         Ok(Tuple {
             stream: self.stream.clone(),
             timestamp: self.timestamp,
-            values: out.into(),
+            values: indices.iter().map(|&i| self.values[i].clone()).collect(),
         })
     }
 
