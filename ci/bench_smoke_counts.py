@@ -24,6 +24,13 @@ EXACT = [
     "cbn.router.plan_hit_ratio",
     "cbn.matcher.matches_per_tuple",
     "spe.executor.intake_per_tuple",
+    "spe.executor.emit_per_intake",
+    "spe.executor.state_rows_peak",
+    "spe.executor.staged_rows_peak",
+    "spe.executor.duplicates_dropped",
+    "spe.executor.late_shed",
+    "core.delivery.results_per_tuple",
+    "core.punctuation.bytes_share",
 ]
 CEILING = ["alloc.count_per_tuple"]
 EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "bench_smoke_counts.txt")

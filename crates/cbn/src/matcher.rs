@@ -112,6 +112,11 @@ struct FilterEntry<K> {
 /// Per-stream constraint index.
 #[derive(Debug, Clone)]
 struct StreamIndex<K> {
+    /// Keys holding any entry for this stream, in key order — also one
+    /// whose filters are all unsatisfiable, which is interested in the
+    /// stream's punctuations though no datagram matches it. The index
+    /// lives while this list is non-empty.
+    interested: Vec<K>,
     /// Keys whose entry for this stream has no filters (accept all).
     accept_all: Vec<K>,
     filters: Vec<FilterEntry<K>>,
@@ -224,6 +229,14 @@ impl<K: Ord + Clone> CountingMatcher<K> {
         self.index_rebuilds
     }
 
+    /// The keys whose profile holds any entry for `stream`, in key
+    /// order — whatever the entry's filters say.
+    pub fn interested(&self, stream: &StreamName) -> &[K] {
+        self.streams
+            .get(stream)
+            .map_or(&[], |idx| idx.interested.as_slice())
+    }
+
     /// Install (`Some`), replace or remove (`None`) the profile of
     /// `key`, rebuilding the index of exactly the streams whose entry
     /// for `key` appeared, disappeared or changed. Returns those
@@ -257,6 +270,7 @@ impl<K: Ord + Clone> CountingMatcher<K> {
     fn rebuild_stream(&mut self, stream: &StreamName) {
         self.index_rebuilds += 1;
         let mut idx = StreamIndex {
+            interested: Vec::new(),
             accept_all: Vec::new(),
             filters: Vec::new(),
             eq_index: Vec::new(),
@@ -268,6 +282,7 @@ impl<K: Ord + Clone> CountingMatcher<K> {
             let Some(entry) = profile.entry(stream) else {
                 continue;
             };
+            idx.interested.push(key.clone());
             if entry.filters.is_empty() {
                 idx.accept_all.push(key.clone());
                 continue;
@@ -327,7 +342,7 @@ impl<K: Ord + Clone> CountingMatcher<K> {
             }
         }
         idx.accept_all.sort_unstable();
-        if idx.accept_all.is_empty() && idx.filters.is_empty() {
+        if idx.interested.is_empty() {
             self.streams.remove(stream);
         } else {
             self.streams.insert(stream.clone(), idx);

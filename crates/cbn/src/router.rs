@@ -411,13 +411,29 @@ impl Router {
     /// The arrival link is excluded (reverse-path forwarding, exactly
     /// like data). Destinations come out in deterministic
     /// neighbors-then-locals order.
+    ///
+    /// Allocates its result; a caller routing in a loop lends a buffer
+    /// to [`Router::route_punctuation_into`] instead, which this wraps.
     pub fn route_punctuation(&self, stream: &StreamName, from: Option<NodeId>) -> Vec<Destination> {
+        let mut out = Vec::new();
+        self.route_punctuation_into(stream, from, &mut out);
+        out
+    }
+
+    /// [`Router::route_punctuation`] into a buffer the caller keeps
+    /// (`out` is emptied first). The interested destinations are read
+    /// off the match index, which lists them per stream since the last
+    /// interest mutation — no profile is scanned.
+    pub fn route_punctuation_into(
+        &self,
+        stream: &StreamName,
+        from: Option<NodeId>,
+        out: &mut Vec<Destination>,
+    ) {
         let arrival = from.map(Destination::Neighbor);
-        self.engine
-            .profiles()
-            .filter(|(dest, p)| Some(**dest) != arrival && p.entry(stream).is_some())
-            .map(|(dest, _)| *dest)
-            .collect()
+        out.clear();
+        let interested = self.engine.interested(stream).iter();
+        out.extend(interested.copied().filter(|dest| Some(*dest) != arrival));
     }
 
     /// Drop every interest entry for `stream` — neighbor and local —
@@ -771,10 +787,41 @@ mod tests {
         assert!(r.route_batch(&[], &s, None).is_empty());
     }
 
+    /// Hold punctuation routing to its definition, for both streams and
+    /// every arrival link: each installed profile with any entry for the
+    /// stream, whatever its filters, except the arrival link. Returns
+    /// how many installed entries match nothing (every filter
+    /// unsatisfiable) and are interested all the same.
+    fn assert_punctuations_follow_profiles(r: &Router, buffer: &mut Vec<Destination>) -> usize {
+        let mut dead_entries = 0;
+        for stream in ["S", "T"].map(StreamName::from) {
+            for from in [None, Some(1), Some(2), Some(3)] {
+                let from = from.map(NodeId);
+                let arrival = from.map(Destination::Neighbor);
+                let reference: Vec<Destination> = r
+                    .engine
+                    .profiles()
+                    .filter(|(dest, p)| p.entry(&stream).is_some() && Some(**dest) != arrival)
+                    .map(|(dest, _)| *dest)
+                    .collect();
+                assert_eq!(r.route_punctuation(&stream, from), reference);
+                r.route_punctuation_into(&stream, from, buffer);
+                assert_eq!(*buffer, reference, "a used buffer is emptied first");
+            }
+            let entries = r.engine.profiles().filter_map(|(_, p)| p.entry(&stream));
+            dead_entries += entries
+                .filter(|e| !e.filters.is_empty())
+                .filter(|e| e.filters.iter().all(crate::sat::conjunction_unsat))
+                .count();
+        }
+        dead_entries
+    }
+
     /// No interleaving of interest mutations and routed batches ever
     /// observes a stale plan or a stale match index: after every
     /// mutation, batches on two streams (one of them under two layouts)
-    /// still route exactly as the installed profiles say.
+    /// still route exactly as the installed profiles say — and so do
+    /// punctuations, which follow the index's interest lists.
     #[test]
     fn mutations_never_leave_stale_plans_or_indexes() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -796,12 +843,14 @@ mod tests {
         ];
         let mut r = Router::new(NodeId(0));
         let mut outcomes = (0, 0);
+        let (mut punctuated, mut dead_entries) = (Vec::new(), 0);
         for _ in 0..300 {
             let mut p = Profile::new();
             for stream in ["S", "T"] {
                 if rng.gen_bool(0.6) {
                     let lo = rng.gen_range(0..20i64);
-                    let hi = lo + rng.gen_range(0..12i64);
+                    // `-1`: an empty range, interested but matching nothing.
+                    let hi = lo + rng.gen_range(-1..12i64);
                     let attrs: &[&str] =
                         [&[][..], &["id"], &["id", "price"]][rng.gen_range(0..3usize)];
                     p = p.union(&interest_on(stream, lo, hi, attrs));
@@ -826,8 +875,10 @@ mod tests {
                 let (routed, dropped) = assert_routes_like_profiles(&r, batch, layout, arrival);
                 outcomes = (outcomes.0 + routed, outcomes.1 + dropped);
             }
+            dead_entries += assert_punctuations_follow_profiles(&r, &mut punctuated);
         }
         assert!(outcomes.0 > 1000 && outcomes.1 > 1000, "{outcomes:?}");
+        assert!(dead_entries > 0, "no all-unsatisfiable entry was exercised");
         let (hits, misses) = plan_cache_stats(&r);
         assert!(
             hits > misses,

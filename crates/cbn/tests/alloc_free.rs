@@ -5,51 +5,9 @@ use cosmos_cbn::{
     BatchForward, Conjunction, CountingMatcher, MatchScratch, Profile, Projection, Router,
 };
 use cosmos_types::{AttrType, NodeId, Schema, SubscriberId, Timestamp, Tuple, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    /// Allocations (and reallocations) made by this thread.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count() {
-    // The cell has no destructor, so it outlives every allocation of
-    // its thread; `try_with` only keeps teardown from panicking.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every request is forwarded unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; counting touches no allocator
-// state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        // SAFETY: the caller's obligations are passed through as they are.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        // SAFETY: as for `dealloc`; the size obligations are the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocations made by the calling thread while `f` runs.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    f();
-    ALLOCS.with(Cell::get) - before
-}
+mod counting;
+use counting::allocations;
 
 fn schema() -> Schema {
     Schema::of(&[
@@ -163,4 +121,25 @@ fn steady_state_flat_matching_allocates_nothing() {
     });
     assert_eq!(n, 0);
     assert_eq!(flat.iter().collect::<Vec<_>>(), [&[1, 3][..]]);
+}
+
+#[test]
+fn punctuation_routing_into_a_warmed_buffer_allocates_nothing() {
+    let mut r = Router::new(NodeId(0));
+    r.set_neighbor_interest(NodeId(1), interest(0, 40, &[]));
+    r.set_neighbor_interest(NodeId(2), interest(20, 50, &["id"]));
+    r.add_local_subscriber(SubscriberId(7), interest(10, 30, &[]));
+    let (on_s, unknown) = ("S".into(), "T".into());
+    let mut out = Vec::new();
+    r.route_punctuation_into(&on_s, None, &mut out);
+    assert_eq!(out.len(), 3);
+    let n = allocations(|| {
+        r.route_punctuation_into(&on_s, Some(NodeId(2)), &mut out);
+        assert_eq!(out.len(), 2);
+        r.route_punctuation_into(&unknown, None, &mut out);
+        assert!(out.is_empty());
+        r.route_punctuation_into(&on_s, None, &mut out);
+    });
+    assert_eq!(n, 0);
+    assert_eq!(out.len(), 3);
 }

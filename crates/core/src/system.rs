@@ -180,6 +180,18 @@ impl HopLoop {
     }
 }
 
+/// The buffers [`Cosmos::disseminate_watermark`] works in, kept between
+/// calls like [`HopLoop`]'s — apart from it, because a walk drives
+/// drained results through [`Cosmos::disseminate`] half-way.
+#[derive(Debug, Default)]
+struct PunctuationWalk {
+    /// Punctuation hops still to route, as `(arrival link, node, stream,
+    /// watermark)` (empty between calls).
+    queue: VecDeque<(Option<NodeId>, NodeId, StreamName, Timestamp)>,
+    /// The destinations of the hop being routed.
+    dests: Vec<Destination>,
+}
+
 /// Upper bound on retained warning headlines per accepted query, so a
 /// pathological submission cannot balloon [`Cosmos`]'s memory (entries
 /// are also dropped on [`Cosmos::unsubscribe`]).
@@ -335,7 +347,8 @@ struct Disorder {
     /// Largest timestamp any accepted publish carried.
     high_water: Option<Timestamp>,
     /// Last watermark emitted per stream (sources and, via executor
-    /// frontier propagation, result streams).
+    /// frontier propagation, the result streams of running
+    /// representatives — [`Cosmos::stop_rep`] removes a stopped one's).
     emitted: BTreeMap<StreamName, Timestamp>,
     /// Source streams that have published at least once — the streams
     /// watermarks are emitted for.
@@ -351,7 +364,8 @@ struct Disorder {
 impl Disorder {
     /// Put an executor into disorder mode (when on) and seed it with
     /// every watermark already emitted, so its frontier starts where
-    /// the network's has advanced to instead of at −∞.
+    /// the network's has advanced to instead of at −∞ (the executor
+    /// ignores, and does not keep, those of streams it does not bind).
     fn arm(&self, executor: &mut Executor) {
         let Some(rt) = self.runtime else { return };
         executor.enable_disorder(rt.policy);
@@ -468,6 +482,8 @@ pub struct Cosmos {
     autotune_sched: Option<AutotuneSched>,
     /// The dissemination loop's reused buffers.
     hops: HopLoop,
+    /// The punctuation walk's reused buffers.
+    punctuations: PunctuationWalk,
 }
 
 impl Cosmos {
@@ -518,6 +534,7 @@ impl Cosmos {
             overload: None,
             autotune_sched: None,
             hops: HopLoop::default(),
+            punctuations: PunctuationWalk::default(),
         })
     }
 
@@ -788,9 +805,13 @@ impl Cosmos {
     }
 
     /// Stop a representative: flush and drop its executor, withdraw the
-    /// result stream's advertisement and the SPE-input subscription.
+    /// result stream's advertisement and the SPE-input subscription, and
+    /// forget the last watermark emitted for the result stream — nothing
+    /// will emit for it again, and a later stream of that name starts
+    /// its promises afresh.
     fn stop_rep(&mut self, stream: &StreamName) {
         self.retire_executor(stream);
+        self.disorder.emitted.remove(stream);
         self.registry.unregister(stream);
         if let Some(site) = self.reps.remove(stream) {
             self.subs.remove(&site.sub);
@@ -1238,7 +1259,10 @@ impl Cosmos {
     /// punctuations, no staging, bit-for-bit identical behavior.
     ///
     /// Call before publishing; executors already running are switched
-    /// in place with empty staging areas.
+    /// in place with empty staging areas. Each armed executor keeps one
+    /// watermark per stream it binds — a watermark for any other stream
+    /// is ignored — and one ordered table of the arrivals it has seen
+    /// down to `frontier − grace`, for exact-duplicate detection.
     pub fn set_disorder(&mut self, runtime: Option<DisorderRuntime>) {
         self.disorder.runtime = runtime;
         for site in self.reps.values_mut() {
@@ -1296,32 +1320,41 @@ impl Cosmos {
     /// moved propagates a punctuation for its *result* stream — so
     /// watermarks cascade through operator chains. User subscriptions
     /// consume punctuations silently (their windows are the executors').
+    ///
+    /// The walk works in [`PunctuationWalk`]'s buffers, taken out of
+    /// `self` for the call: nothing it calls walks punctuations, and the
+    /// data dissemination it triggers has buffers of its own.
     fn disseminate_watermark(&mut self, stream: StreamName, watermark: Timestamp, origin: NodeId) {
-        let mut queue: VecDeque<(Option<NodeId>, NodeId, StreamName, Timestamp)> = VecDeque::new();
-        queue.push_back((None, origin, stream, watermark));
-        while let Some((from, at, stream, wm)) = queue.pop_front() {
-            for dest in self.routers[at.index()].route_punctuation(&stream, from) {
+        let mut walk = std::mem::take(&mut self.punctuations);
+        debug_assert!(walk.queue.is_empty());
+        // Every punctuation of the walk is the same size on the wire.
+        let bytes = Punctuation::new(stream.clone(), watermark).size_bytes();
+        walk.queue.push_back((None, origin, stream, watermark));
+        while let Some((from, at, stream, wm)) = walk.queue.pop_front() {
+            self.routers[at.index()].route_punctuation_into(&stream, from, &mut walk.dests);
+            for &dest in &walk.dests {
                 match dest {
                     Destination::Neighbor(n) => {
-                        let bytes = Punctuation::new(stream.clone(), wm).size_bytes();
                         self.cross_link(at, n, 0, bytes);
                         self.metrics.on_punctuation(bytes);
-                        queue.push_back((Some(at), n, stream.clone(), wm));
+                        walk.queue.push_back((Some(at), n, stream.clone(), wm));
                     }
                     Destination::Local(sub) => {
                         let Some(LocalSub::Spe(result_stream)) = self.subs.get(&sub) else {
                             continue;
                         };
-                        let result_stream = result_stream.clone();
-                        let site = self.reps.get_mut(&result_stream).expect("rep site exists");
+                        let site = self.reps.get_mut(result_stream).expect("rep site exists");
                         debug_assert_eq!(site.processor, at);
-                        let processor = site.processor;
                         let before = site.executor.frontier();
                         let outputs = site.executor.advance_watermark(&stream, wm);
                         let after = site.executor.frontier();
-                        let schema = site.executor.result_schema().clone();
+                        if outputs.is_empty() && after == before {
+                            continue;
+                        }
+                        let result_stream = result_stream.clone();
                         if !outputs.is_empty() {
-                            self.inject_results(&result_stream, processor, &outputs, &schema);
+                            let schema = site.executor.result_schema().clone();
+                            self.inject_results(&result_stream, at, &outputs, &schema);
                         }
                         // The executor's frontier is a low-water promise
                         // for its result stream (revision tuples may dip
@@ -1338,12 +1371,13 @@ impl Cosmos {
                                 .is_none_or(|l| a > *l)
                         {
                             self.disorder.emitted.insert(result_stream.clone(), a);
-                            queue.push_back((None, processor, result_stream, a));
+                            walk.queue.push_back((None, at, result_stream, a));
                         }
                     }
                 }
             }
         }
+        self.punctuations = walk;
     }
 
     /// Declare every source stream finished: emit a final `+∞` watermark
@@ -2753,5 +2787,50 @@ mod tests {
         assert_eq!(totals.drained, 2);
         sys.close_streams();
         assert!(sys.disorder_totals().conserved());
+    }
+
+    #[test]
+    fn stopped_representatives_leave_no_emitted_watermark_behind() {
+        let mut sys = line_system(true);
+        let runtime = DisorderRuntime {
+            bound: TimeDelta::from_millis(1_000),
+            policy: LatePolicy::Drop,
+        };
+        sys.set_disorder(Some(runtime));
+        sys.submit_query(
+            "SELECT k, COUNT(*) FROM S [Range 10 Second] GROUP BY k",
+            NodeId(3),
+        )
+        .unwrap();
+        sys.publish(&s_tuple(5_000, 1, 1.0)).unwrap();
+        let streams = |sys: &Cosmos| sys.disorder.emitted.keys().cloned().collect::<Vec<_>>();
+        let at_start = streams(&sys);
+        assert_eq!(at_start.len(), 2, "the source and the standing group");
+        for cycle in 0..50 {
+            // A selection cannot join the aggregate's group: it forms its
+            // own, whose frontier moves with the publish (a result-stream
+            // watermark is emitted), and dissolves it again.
+            let text = format!("SELECT k, x FROM S [Now] WHERE k = {cycle}");
+            let q = sys.submit_query(&text, NodeId(2)).unwrap();
+            sys.publish(&s_tuple(6_000 + cycle * 1_000, cycle, 1.0))
+                .unwrap();
+            assert_eq!(streams(&sys).len(), 3, "cycle {cycle}");
+            sys.unsubscribe(q).unwrap();
+            assert_eq!(streams(&sys), at_start, "cycle {cycle}");
+        }
+        assert!(sys.disorder_totals().conserved());
+
+        // Arming replays every emitted watermark; one for a stream the
+        // executor does not bind must not move (or be kept by) it.
+        let armed = Disorder {
+            runtime: Some(runtime),
+            emitted: BTreeMap::from([("Elsewhere".into(), Timestamp(9_000))]),
+            ..Disorder::default()
+        };
+        let query = cosmos_cql::parse_query("SELECT k FROM S [Now]").unwrap();
+        let query = AnalyzedQuery::analyze(&query, sys.catalog.schema_fn()).unwrap();
+        let mut executor = Executor::new(query, "r").unwrap();
+        armed.arm(&mut executor);
+        assert_eq!(executor.frontier(), Some(Timestamp(i64::MIN)));
     }
 }

@@ -9,7 +9,11 @@
 //! [`NodeId::index`]; the per-link, per-stream and per-query windows
 //! are one ordered-map probe each (`on_link`, `on_publish`,
 //! `on_delivery`), and a key is cloned and a window built only when the
-//! probe misses; `on_publish` and `on_delivery` also walk the batch for
+//! probe misses; each window found then takes the sample, which is a
+//! range check and two additions while virtual time stays inside the
+//! window's newest bucket and a division plus a search of its eight
+//! buckets when it does not ([`RateWindow::record`]);
+//! `on_publish` and `on_delivery` also walk the batch for
 //! its bytes, and sampled tuples cost O(arity) in the attribute
 //! observers. The hub always records: overload budgets and the autotune
 //! scheduler read it, so there is no "off" state for them to disagree

@@ -1,8 +1,11 @@
 //! Bucketed sliding-window rate estimation over virtual time.
 //!
 //! A [`RateWindow`] covers the trailing `window` of virtual time with a
-//! fixed number of coarse buckets, so recording a sample is O(1) and the
-//! whole window costs a few dozen bytes regardless of traffic volume.
+//! fixed number of coarse buckets, so the whole window costs a few dozen
+//! bytes regardless of traffic volume. A sample that falls in the newest
+//! bucket — the usual case — is a range check and two additions; only a
+//! sample that opens or revisits another bucket divides and searches
+//! the (at most eight) live buckets.
 //! Lifetime totals are kept exactly alongside the windowed counts: the
 //! conservation oracle in cosmos-testkit checks the totals, while rate
 //! queries use the window.
@@ -59,6 +62,19 @@ impl RateWindow {
         self.total_bytes += bytes;
         if self.first_ms.is_none() || at_ms < self.first_ms.unwrap_or(i64::MAX) {
             self.first_ms = Some(at_ms);
+        }
+        if let Some(back) = self.buckets.back_mut() {
+            // Most samples land where the last one did: test the newest
+            // bucket's span without dividing. Arithmetic that would
+            // overflow near the ends of the time domain falls through
+            // to the dividing body, which is exact everywhere.
+            let lo = back.index.checked_mul(self.bucket_ms);
+            let offset = lo.and_then(|lo| at_ms.checked_sub(lo));
+            if offset.is_some_and(|d| (0..self.bucket_ms).contains(&d)) {
+                back.tuples += tuples;
+                back.bytes += bytes;
+                return;
+            }
         }
         let index = at_ms.div_euclid(self.bucket_ms);
         if let Some(back) = self.buckets.back() {
@@ -245,9 +261,122 @@ mod tests {
     }
 
     #[test]
+    fn samples_at_the_ends_of_the_time_domain_do_not_overflow() {
+        // `at − lo` with the newest bucket far on the other side of zero,
+        // and `index × bucket` past either end, must not panic in a
+        // debug build; every sample still counts. Samples below the
+        // whole window fold into the oldest live bucket — the newest
+        // one itself when `i64::MAX` came first.
+        for (order, live_at_the_end) in [
+            ([i64::MIN, -1, 0, i64::MAX], 2),
+            ([i64::MAX, 0, -1, i64::MIN], 8),
+            ([-1, i64::MAX, i64::MIN, 0], 2),
+        ] {
+            let mut w = RateWindow::new(TimeDelta::from_secs(60));
+            for (n, at) in order.into_iter().enumerate() {
+                w.record(at, 1, 10);
+                w.record(at, 1, 10);
+                assert_eq!(w.total_tuples(), 2 * (n as u64 + 1));
+            }
+            assert_eq!(w.total_bytes(), 80);
+            assert_eq!(w.windowed(i64::MAX).0, live_at_the_end, "{order:?}");
+        }
+    }
+
+    #[test]
     fn zero_width_windows_are_clamped() {
         let mut w = RateWindow::new(TimeDelta::ZERO);
         w.record(0, 1, 10);
         assert!(w.tuple_rate(0).is_finite());
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    /// The window's contract with every sample kept: a sample belongs to
+    /// the bucket `at.div_euclid(bucket)`, unless that lies below the
+    /// whole window of the newest sample so far — then to the oldest
+    /// bucket live at that moment; the eight newest buckets are live.
+    struct Reference {
+        bucket_ms: i64,
+        /// `(bucket, tuples, bytes)` of every sample.
+        samples: Vec<(i64, u64, u64)>,
+        first_ms: i64,
+    }
+
+    impl Reference {
+        fn record(&mut self, at_ms: i64, tuples: u64, bytes: u64) {
+            let buckets: BTreeSet<i64> = self.samples.iter().map(|s| s.0).collect();
+            let live: Vec<i64> = buckets
+                .into_iter()
+                .rev()
+                .take(WINDOW_BUCKETS as usize)
+                .collect();
+            let mut bucket = at_ms.div_euclid(self.bucket_ms);
+            if let (Some(newest), Some(oldest)) = (live.first(), live.last()) {
+                if bucket < newest - (WINDOW_BUCKETS - 1) {
+                    bucket = *oldest;
+                }
+            }
+            self.samples.push((bucket, tuples, bytes));
+            self.first_ms = self.first_ms.min(at_ms);
+        }
+
+        fn windowed(&self, now_ms: i64) -> (u64, u64) {
+            let newest = now_ms.div_euclid(self.bucket_ms);
+            let live = newest - (WINDOW_BUCKETS - 1)..=newest;
+            let inside = self.samples.iter().filter(|s| live.contains(&s.0));
+            inside.fold((0, 0), |(t, b), s| (t + s.1, b + s.2))
+        }
+
+        fn span_secs(&self, now_ms: i64) -> f64 {
+            let observed_ms = (now_ms - self.first_ms + 1).max(1);
+            (self.bucket_ms * WINDOW_BUCKETS).min(observed_ms) as f64 / 1000.0
+        }
+    }
+
+    /// Sample times as steps from the previous one: mostly small (the
+    /// same bucket or the next), some a few buckets either way, some far
+    /// into the past or the future.
+    fn arb_steps() -> impl Strategy<Value = Vec<(i64, u64, u64)>> {
+        let step = prop_oneof![0..40i64, -40..40i64, -3_000..3_000i64, -200_000..200_000i64,];
+        proptest::collection::vec((step, 0..5u64, 0..500u64), 1..80)
+    }
+
+    proptest! {
+        #[test]
+        fn every_sample_lands_where_the_reference_puts_it(
+            window_ms in prop_oneof![0..40i64, 900..1_100i64, 59_000..61_000i64],
+            start in -100_000..100_000i64,
+            steps in arb_steps(),
+        ) {
+            let mut w = RateWindow::new(TimeDelta::from_millis(window_ms));
+            let mut reference = Reference {
+                bucket_ms: (window_ms.max(WINDOW_BUCKETS) / WINDOW_BUCKETS).max(1),
+                samples: Vec::new(),
+                first_ms: i64::MAX,
+            };
+            let (mut at, mut newest) = (start, i64::MIN);
+            for (step, tuples, bytes) in steps {
+                at += step;
+                newest = newest.max(at);
+                w.record(at, tuples, bytes);
+                reference.record(at, tuples, bytes);
+                let totals = reference.samples.iter().fold((0, 0), |(t, b), s| (t + s.1, b + s.2));
+                prop_assert_eq!((w.total_tuples(), w.total_bytes()), totals);
+                // As the hub reads it: never before the newest sample.
+                for now in [newest, newest + window_ms / 2, newest + 3 * window_ms] {
+                    let (tuples, bytes) = reference.windowed(now);
+                    prop_assert_eq!(w.windowed(now), (tuples, bytes));
+                    let span = reference.span_secs(now);
+                    prop_assert_eq!(w.tuple_rate(now), tuples as f64 / span);
+                    prop_assert_eq!(w.byte_rate(now), bytes as f64 / span);
+                }
+            }
+        }
     }
 }

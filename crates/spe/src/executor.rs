@@ -16,9 +16,10 @@
 //! and one result row for the arriving tuple's group is emitted.
 
 use crate::analyze::{AnalyzedQuery, OutputColumn, QAttr};
+use cosmos_cbn::{AttrConstraint, Conjunction, DiffRange};
 use cosmos_cql::AggFunc;
 use cosmos_types::{
-    AttrType, CosmosError, FxHashMap, FxHashSet, NeumaierSum, Result, Schema, StreamName,
+    AttrType, CosmosError, FxHashMap, FxHashSet, NeumaierSum, Result, Schema, SchemaId, StreamName,
     TimeDelta, Timestamp, Tuple, Value,
 };
 use std::collections::{BTreeMap, VecDeque};
@@ -94,7 +95,7 @@ pub struct DisorderStats {
     pub staged: u64,
     /// Late tuples shed (beyond grace, or `Drop` policy).
     pub shed: u64,
-    /// Exact duplicates discarded by the dedup set.
+    /// Exact duplicates of a remembered arrival, discarded.
     pub duplicates: u64,
     /// Late tuples folded in via the revision path (subset of `drained`).
     pub late: u64,
@@ -123,71 +124,71 @@ impl DisorderStats {
     }
 }
 
-/// Identity of a tuple for exact-duplicate detection.
-type DedupKey = (StreamName, Timestamp, Vec<Value>);
-
 /// Out-of-order ingestion state: a staging area ordered by
 /// `(timestamp, arrival seq)`, the watermark frontier that releases it,
-/// and an exact-duplicate dedup set with a time-indexed eviction queue.
+/// and the remembered tuples exact duplicates are tested against, in
+/// the same order so the frontier evicts them from the front.
 #[derive(Debug, Clone)]
 struct DisorderState {
     policy: LatePolicy,
     /// Tuples not yet released: all have `ts > frontier`.
     staging: BTreeMap<(Timestamp, u64), Tuple>,
-    /// Arrival tiebreaker so equal timestamps drain in arrival order.
+    /// Arrival tiebreaker so equal timestamps drain in arrival order;
+    /// every remembered arrival takes the next one.
     seq: u64,
     /// Greatest effective watermark seen: `min` over the query's input
     /// streams of their last watermark.
     frontier: Timestamp,
-    /// Last watermark per stream (streams missing here hold `i64::MIN`).
-    watermarks: FxHashMap<StreamName, Timestamp>,
-    /// Exact duplicates of anything here are discarded.
-    seen: FxHashSet<DedupKey>,
-    /// Eviction index for `seen`: entries below `frontier − grace` can
-    /// no longer collide with a processable arrival.
-    seen_index: BTreeMap<Timestamp, Vec<DedupKey>>,
+    /// Last watermark per stream binding, parallel to the query's
+    /// `streams` (`i64::MIN` until the first one).
+    watermarks: Vec<Timestamp>,
+    /// Every processable arrival seen so far (shared, `Arc`-backed
+    /// clones): exact duplicates of anything here are discarded. Entries
+    /// below `frontier − grace` can no longer collide with a processable
+    /// arrival and are popped off the front as the frontier moves.
+    seen: BTreeMap<(Timestamp, u64), Tuple>,
     stats: DisorderStats,
 }
 
 impl DisorderState {
-    fn new(policy: LatePolicy) -> DisorderState {
+    fn new(policy: LatePolicy, bindings: usize) -> DisorderState {
         DisorderState {
             policy,
             staging: BTreeMap::new(),
             seq: 0,
             frontier: Timestamp(i64::MIN),
-            watermarks: FxHashMap::default(),
-            seen: FxHashSet::default(),
-            seen_index: BTreeMap::new(),
+            watermarks: vec![Timestamp(i64::MIN); bindings],
+            seen: BTreeMap::new(),
             stats: DisorderStats::default(),
         }
     }
 
-    /// Record a tuple in the dedup set (no-op if already present).
-    fn remember(&mut self, t: &Tuple) {
-        let key = (t.stream.clone(), t.timestamp, t.values().to_vec());
-        if self.seen.insert(key.clone()) {
-            self.seen_index.entry(t.timestamp).or_default().push(key);
-        }
+    /// Remember a tuple that is not a duplicate; returns its arrival
+    /// sequence number.
+    fn remember(&mut self, t: &Tuple) -> u64 {
+        self.seq += 1;
+        self.seen.insert((t.timestamp, self.seq), t.clone());
+        self.seq
     }
 
+    /// Whether an equal tuple (stream, timestamp, values) is remembered:
+    /// only those at the arrival's own timestamp can be.
     fn is_duplicate(&self, t: &Tuple) -> bool {
-        self.seen
-            .contains(&(t.stream.clone(), t.timestamp, t.values().to_vec()))
+        let at = (t.timestamp, 0)..=(t.timestamp, u64::MAX);
+        self.seen.range(at).any(|(_, seen)| seen == t)
     }
 
-    /// Drop dedup entries that can no longer match a processable
-    /// arrival (strictly below `frontier − grace`).
+    /// Drop remembered tuples that can no longer match a processable
+    /// arrival (strictly below `frontier − grace`): the front of the
+    /// table, usually a handful per frontier move.
     fn evict_seen(&mut self) {
         let horizon = self.frontier - self.policy.grace();
-        while let Some((&ts, _)) = self.seen_index.first_key_value() {
-            if ts >= horizon {
-                break;
-            }
-            let (_, keys) = self.seen_index.pop_first().expect("checked first");
-            for key in keys {
-                self.seen.remove(&key);
-            }
+        while self
+            .seen
+            .first_key_value()
+            .is_some_and(|(k, _)| k.0 < horizon)
+        {
+            self.seen.pop_first();
         }
     }
 }
@@ -215,11 +216,65 @@ pub mod faultinject {
     }
 }
 
+/// One binding's selection with its attribute names resolved to columns
+/// of the binding's full schema, so the per-tuple test looks no name up.
+/// `None` = the schema lacks the attribute: the constraint can never be
+/// shown to hold, exactly as [`Conjunction::satisfies`] has it.
+#[derive(Debug, Clone)]
+struct Selection {
+    attrs: Vec<(Option<usize>, AttrConstraint)>,
+    diffs: Vec<(Option<(usize, usize)>, DiffRange)>,
+}
+
+impl Selection {
+    fn resolve(selection: &Conjunction, schema: &Schema) -> Selection {
+        Selection {
+            attrs: selection
+                .attr_constraints()
+                .map(|(attr, c)| (schema.index_of(attr), c.clone()))
+                .collect(),
+            diffs: selection
+                .diff_constraints()
+                .map(|(a, b, r)| (schema.index_of(a).zip(schema.index_of(b)), *r))
+                .collect(),
+        }
+    }
+
+    fn satisfies(&self, tuple: &Tuple) -> bool {
+        let attrs = self.attrs.iter().all(|(col, c)| {
+            let value = col.and_then(|i| tuple.get(i));
+            value.is_some_and(|v| c.satisfies(v))
+        });
+        attrs
+            && self.diffs.iter().all(|(cols, r)| {
+                let pair = cols.and_then(|(a, b)| tuple.get(a).zip(tuple.get(b)));
+                pair.is_some_and(|(x, y)| r.satisfies(x, y))
+            })
+    }
+}
+
+/// How to re-align the early-projected tuples of one layout to the full
+/// schema of the binding at `stream_index`: per full-schema attribute,
+/// its column in the projected layout (`None` = projected away).
+#[derive(Debug, Clone)]
+struct Alignment {
+    stream_index: usize,
+    layout: SchemaId,
+    columns: Vec<Option<usize>>,
+}
+
 /// A running continuous query.
 #[derive(Debug, Clone)]
 pub struct Executor {
     query: AnalyzedQuery,
     result_stream: StreamName,
+    /// Each binding's selection over columns (parallel to
+    /// `query.streams`).
+    selections: Vec<Selection>,
+    /// The re-alignment maps of the projected layouts seen so far — a
+    /// function of the query and the layout alone, so they live as long
+    /// as the executor does.
+    alignments: Vec<Alignment>,
     /// Tuples that passed their stream's selection, per stream index.
     buffers: Vec<VecDeque<Tuple>>,
     /// Precomputed positional sources of plain output columns.
@@ -271,7 +326,15 @@ impl Executor {
         } else {
             None
         };
+        let selections = query
+            .streams
+            .iter()
+            .zip(&query.selections)
+            .map(|(binding, selection)| Selection::resolve(selection, &binding.schema))
+            .collect();
         Ok(Executor {
+            selections,
+            alignments: Vec::new(),
             buffers: vec![VecDeque::new(); query.streams.len()],
             windows: query.streams.iter().map(|b| b.window).collect(),
             query,
@@ -337,7 +400,7 @@ impl Executor {
             LatePolicy::Drop => None,
             LatePolicy::Revise { .. } => Some(Timestamp(i64::MIN)),
         };
-        self.disorder = Some(DisorderState::new(policy));
+        self.disorder = Some(DisorderState::new(policy, self.query.streams.len()));
     }
 
     /// Disorder bookkeeping counters (`None` in strict in-order mode).
@@ -360,8 +423,8 @@ impl Executor {
     /// re-aligned to the stream's full schema (missing attributes become
     /// `Null`; the source profile guarantees every attribute the query
     /// touches is present) and then processed normally; the re-alignment
-    /// column map is computed once for the whole batch. Result tuples
-    /// are returned in emission order.
+    /// column map is computed on the first batch of a layout and kept.
+    /// Result tuples are returned in emission order.
     pub fn push_projected_batch(&mut self, tuples: &[Tuple], schema: &Schema) -> Vec<Tuple> {
         let Some(first) = tuples.first() else {
             return Vec::new();
@@ -370,27 +433,34 @@ impl Executor {
             tuples.iter().all(|t| t.stream == first.stream),
             "push_projected_batch requires a stream-homogeneous batch"
         );
-        let Some(bound) = self.query.streams.iter().find(|b| b.stream == first.stream) else {
+        let streams = &self.query.streams;
+        let Some(si) = streams.iter().position(|b| b.stream == first.stream) else {
             return Vec::new();
         };
-        if *schema == bound.schema {
-            let mut out = Vec::new();
+        let full = &streams[si].schema;
+        let mut out = Vec::new();
+        if schema == full {
             for t in tuples {
                 out.extend(self.ingest(t));
             }
             return out;
         }
         // Source column in the projected layout (or Null) per full-schema
-        // attribute, resolved once per batch instead of once per tuple.
-        let align: Vec<Option<usize>> = bound
-            .schema
-            .fields()
-            .iter()
-            .map(|f| schema.index_of(&f.name))
-            .collect();
-        let mut out = Vec::new();
+        // attribute, resolved on the first batch of the layout.
+        let layout = schema.id();
+        let known = |a: &Alignment| a.stream_index == si && a.layout == layout;
+        let at = self.alignments.iter().position(known).unwrap_or_else(|| {
+            let columns = full.fields().iter().map(|f| schema.index_of(&f.name));
+            self.alignments.push(Alignment {
+                stream_index: si,
+                layout,
+                columns: columns.collect(),
+            });
+            self.alignments.len() - 1
+        });
         for t in tuples {
-            let full: Vec<Value> = align
+            let full: Vec<Value> = self.alignments[at]
+                .columns
                 .iter()
                 .map(|src| src.and_then(|i| t.get(i).cloned()).unwrap_or(Value::Null))
                 .collect();
@@ -434,7 +504,7 @@ impl Executor {
                 continue;
             }
             self.consumed += 1;
-            if !self.query.selections[si].satisfies(tuple, &self.query.streams[si].schema) {
+            if !self.selections[si].satisfies(tuple) {
                 continue;
             }
             if self.agg.is_some() {
@@ -468,9 +538,8 @@ impl Executor {
             out = self.push_unchecked(tuple);
             d.stats.drained += 1;
         } else if tuple.timestamp > d.frontier {
-            d.remember(tuple);
-            d.seq += 1;
-            d.staging.insert((tuple.timestamp, d.seq), tuple.clone());
+            let seq = d.remember(tuple);
+            d.staging.insert((tuple.timestamp, seq), tuple.clone());
         } else {
             match d.policy {
                 LatePolicy::Drop => d.stats.shed += 1,
@@ -495,27 +564,18 @@ impl Executor {
     /// Fold in a watermark for `stream`: the effective frontier is the
     /// minimum over all input streams' watermarks, and every staged
     /// tuple at or below it is drained through the engine in
-    /// `(timestamp, arrival)` order. Returns the drained results.
+    /// `(timestamp, arrival)` order. Returns the drained results. A
+    /// stream the query does not bind changes (and stores) nothing.
     pub fn advance_watermark(&mut self, stream: &StreamName, watermark: Timestamp) -> Vec<Tuple> {
         let Some(mut d) = self.disorder.take() else {
             return Vec::new();
         };
-        d.watermarks
-            .entry(stream.clone())
-            .and_modify(|w| *w = (*w).max(watermark))
-            .or_insert(watermark);
-        let eff = self
-            .query
-            .streams
-            .iter()
-            .map(|b| {
-                d.watermarks
-                    .get(&b.stream)
-                    .copied()
-                    .unwrap_or(Timestamp(i64::MIN))
-            })
-            .min()
-            .unwrap_or(watermark);
+        for (binding, last) in self.query.streams.iter().zip(&mut d.watermarks) {
+            if binding.stream == *stream {
+                *last = (*last).max(watermark);
+            }
+        }
+        let eff = d.watermarks.iter().copied().min().unwrap_or(watermark);
         let mut out = Vec::new();
         if eff > d.frontier {
             d.frontier = eff;
@@ -564,7 +624,7 @@ impl Executor {
                 continue;
             }
             self.consumed += 1;
-            if !self.query.selections[si].satisfies(tuple, &self.query.streams[si].schema) {
+            if !self.selections[si].satisfies(tuple) {
                 continue;
             }
             if self.agg.is_some() {

@@ -339,3 +339,84 @@ fn conservation_holds_across_a_mixed_feed() {
     assert!(st.conserved());
     assert_eq!(ex.state_size().staging_rows, 1);
 }
+
+#[test]
+fn same_timestamp_tuples_with_different_values_are_both_processed() {
+    let mut ex = executor("SELECT k, v FROM S [Now]", LatePolicy::Drop);
+    ex.push_out_of_order(&s(1_000, 1, 1.0));
+    ex.push_out_of_order(&s(1_000, 1, 2.0));
+    ex.push_out_of_order(&s(1_000, 2, 1.0));
+    let out = ex.advance_watermark(&"S".into(), Timestamp(1_000));
+    let rows: Vec<_> = out.iter().map(|t| t.values().to_vec()).collect();
+    assert_eq!(
+        rows,
+        vec![
+            vec![Value::Int(1), Value::Float(1.0)],
+            vec![Value::Int(1), Value::Float(2.0)],
+            vec![Value::Int(2), Value::Float(1.0)],
+        ],
+        "equal timestamps drain in arrival order"
+    );
+    let st = ex.disorder_stats().unwrap();
+    assert_eq!((st.drained, st.duplicates), (3, 0));
+}
+
+#[test]
+fn a_duplicate_is_remembered_down_to_the_frontier_minus_grace() {
+    for policy in [LatePolicy::Drop, revise(2_000)] {
+        let mut ex = executor("SELECT k FROM S [Now]", policy);
+        let (old, edge) = (s(1_000, 1, 0.0), s(3_000, 3, 0.0));
+        ex.push_out_of_order(&old);
+        ex.push_out_of_order(&edge);
+        // While the original is staged.
+        assert!(ex.push_out_of_order(&edge).is_empty());
+        assert_eq!(ex.advance_watermark(&"S".into(), Timestamp(3_000)).len(), 2);
+        // After it drained, at `ts == frontier`: still remembered.
+        assert!(ex.push_out_of_order(&edge).is_empty());
+        let st = ex.disorder_stats().unwrap();
+        assert_eq!((st.duplicates, st.shed), (2, 0), "{policy:?}");
+        // Behind the frontier: forgotten and shed with no grace, still a
+        // remembered duplicate inside the grace window.
+        assert!(ex.push_out_of_order(&old).is_empty());
+        let st = ex.disorder_stats().unwrap();
+        let expected = match policy {
+            LatePolicy::Drop => (2, 1),
+            LatePolicy::Revise { .. } => (3, 0),
+        };
+        assert_eq!((st.duplicates, st.shed), expected, "{policy:?}");
+        assert_eq!(st.late, 0);
+        assert!(st.conserved());
+    }
+}
+
+#[test]
+fn one_watermark_advances_both_bindings_of_a_self_join() {
+    let mut ex = executor(
+        "SELECT A.k FROM S [Range 10 Second] A, S [Range 10 Second] B WHERE A.k = B.k",
+        LatePolicy::Drop,
+    );
+    ex.push_out_of_order(&s(1_000, 1, 0.0));
+    let out = ex.advance_watermark(&"S".into(), Timestamp(2_000));
+    assert_eq!(out.len(), 1, "the tuple joins itself");
+    assert_eq!(ex.frontier(), Some(Timestamp(2_000)));
+}
+
+#[test]
+fn flush_keeps_conservation_after_duplicates_and_late_arrivals() {
+    let mut ex = executor("SELECT k FROM S [Now]", revise(1_000));
+    ex.push_out_of_order(&s(1_000, 1, 0.0));
+    ex.push_out_of_order(&s(5_000, 5, 0.0));
+    ex.advance_watermark(&"S".into(), Timestamp(4_000));
+    ex.push_out_of_order(&s(5_000, 5, 0.0)); // duplicate of a staged tuple
+    ex.push_out_of_order(&s(3_500, 3, 0.0)); // late, folded in
+    ex.push_out_of_order(&s(1_000, 9, 0.0)); // late, beyond grace
+    ex.push_out_of_order(&s(6_000, 6, 0.0)); // staged
+    assert_eq!(ex.flush_staged().len(), 2);
+    let st = ex.disorder_stats().unwrap();
+    assert_eq!(
+        (st.arrived, st.drained, st.staged, st.shed, st.duplicates),
+        (6, 4, 0, 1, 1)
+    );
+    assert!(st.conserved());
+    assert_eq!(ex.frontier(), Some(Timestamp(4_000)));
+}
