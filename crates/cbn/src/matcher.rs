@@ -642,6 +642,21 @@ mod tests {
     }
 
     #[test]
+    fn equality_fast_path_matches_negative_zero() {
+        // `-0.0 == 0.0`, so the equality index must find the profile.
+        let mut f = Conjunction::always();
+        f.equals("price", 0.0);
+        let mut p = Profile::new();
+        p.add_interest("S", Projection::All, f);
+        let (mut n, mut c) = both_engines();
+        n.insert(1, p.clone());
+        c.insert(1, p);
+        let t = tup(7, -0.0, "a");
+        assert_eq!(n.matches(&t, &schema()), vec![1]);
+        assert_eq!(c.matches(&t, &schema()), vec![1]);
+    }
+
+    #[test]
     fn ne_constraint_not_on_fast_path() {
         // id = 7 with an exclusion can't use the eq fast path; the scan
         // path must still be correct.

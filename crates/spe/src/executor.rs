@@ -23,6 +23,7 @@ use cosmos_types::{
     TimeDelta, Timestamp, Tuple, Value,
 };
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Positional source of one output column: `(stream index, attr index)`.
 type ColSource = (usize, usize);
@@ -263,6 +264,90 @@ struct Alignment {
     columns: Vec<Option<usize>>,
 }
 
+/// Whether a join-column value can equal anything under
+/// [`Value::eq_coerce`]: `Null` and NaN cannot, so no partition is keyed
+/// by one (and a probe with one finds nothing).
+fn joinable(v: &Value) -> bool {
+    !v.is_null() && !matches!(v, Value::Float(f) if f.is_nan())
+}
+
+/// One join binding's retained tuples: the time-ordered buffer, and —
+/// when an equality predicate compares one of its columns with another
+/// binding — the same tuples partitioned by that column's value.
+///
+/// Invariant: each partition is the subsequence of `rows` whose key
+/// column [`Value`]-equals the partition's key (`Null`/NaN keys are not
+/// indexed). `Value` equality and hashing agree with `eq_coerce` on
+/// every other value, so a partition holds exactly the buffered tuples
+/// that can satisfy the predicate against its key, in buffer order.
+#[derive(Debug, Clone, Default)]
+struct JoinBuffer {
+    rows: VecDeque<Tuple>,
+    /// The partitioned column (`None` = no usable equality predicate).
+    key_col: Option<usize>,
+    partitions: FxHashMap<Value, VecDeque<Tuple>>,
+}
+
+impl JoinBuffer {
+    fn new(key_col: Option<usize>) -> JoinBuffer {
+        JoinBuffer {
+            key_col,
+            ..JoinBuffer::default()
+        }
+    }
+
+    /// The partition `t` belongs in, if it is indexed at all.
+    fn key_of<'t>(&self, t: &'t Tuple) -> Option<&'t Value> {
+        self.key_col.and_then(|c| t.get(c)).filter(|v| joinable(v))
+    }
+
+    fn push_back(&mut self, t: &Tuple) {
+        if let Some(key) = self.key_of(t) {
+            match self.partitions.get_mut(key) {
+                Some(p) => p.push_back(t.clone()),
+                None => {
+                    self.partitions
+                        .insert(key.clone(), VecDeque::from([t.clone()]));
+                }
+            }
+        }
+        self.rows.push_back(t.clone());
+    }
+
+    /// Insert `t` after every row not newer than it (the late-revision
+    /// path; the buffer is in timestamp order there).
+    fn insert_by_time(&mut self, t: &Tuple) {
+        let after = |rows: &VecDeque<Tuple>| {
+            rows.iter()
+                .position(|u| u.timestamp > t.timestamp)
+                .unwrap_or(rows.len())
+        };
+        if let Some(key) = self.key_of(t) {
+            let p = self.partitions.entry(key.clone()).or_default();
+            p.insert(after(p), t.clone());
+        }
+        let pos = after(&self.rows);
+        self.rows.insert(pos, t.clone());
+    }
+
+    /// Pop rows older than `horizon` off the front, and off the front of
+    /// their partitions. Emptied partitions are kept for the next tuple
+    /// with their key until they outnumber the rows.
+    fn evict_before(&mut self, horizon: Timestamp) {
+        while self.rows.front().is_some_and(|t| t.timestamp < horizon) {
+            let t = self.rows.pop_front().expect("checked front");
+            if let Some(key) = self.key_of(&t) {
+                let p = self.partitions.get_mut(key).expect("indexed row");
+                let first = p.pop_front();
+                debug_assert!(first.is_some_and(|u| u == t), "partition order");
+            }
+        }
+        if self.partitions.len() > 2 * self.rows.len() + 64 {
+            self.partitions.retain(|_, p| !p.is_empty());
+        }
+    }
+}
+
 /// A running continuous query.
 #[derive(Debug, Clone)]
 pub struct Executor {
@@ -276,14 +361,22 @@ pub struct Executor {
     /// as the executor does.
     alignments: Vec<Alignment>,
     /// Tuples that passed their stream's selection, per stream index.
-    buffers: Vec<VecDeque<Tuple>>,
-    /// Precomputed positional sources of plain output columns.
-    attr_sources: Vec<Option<ColSource>>,
+    buffers: Vec<JoinBuffer>,
+    /// Precomputed positional sources of the output columns (empty for
+    /// an aggregate, whose row plan lives in [`AggregateState`]).
+    attr_sources: Vec<ColSource>,
     /// Precomputed `(left source, right source)` of each join predicate.
     join_sources: Vec<(ColSource, ColSource)>,
+    /// `probes[a][i]`: when binding `a` arrives, the already-bound column
+    /// whose value selects binding `i`'s candidates from its partitions
+    /// (`None` = scan its whole buffer). Resolved in [`Executor::new`].
+    probes: Vec<Vec<Option<ColSource>>>,
     /// Per-stream-binding window sizes (parallel to `query.streams`).
     windows: Vec<TimeDelta>,
-    distinct_seen: FxHashSet<Vec<Value>>,
+    /// The join combinations of one arrival, before they are finished;
+    /// empty between calls, kept for its capacity.
+    join_results: Vec<(Timestamp, Arc<[Value]>)>,
+    distinct_seen: FxHashSet<Arc<[Value]>>,
     agg: Option<AggregateState>,
     last_ts: Timestamp,
     consumed: u64,
@@ -310,22 +403,28 @@ impl Executor {
                 .ok_or_else(|| CosmosError::Engine(format!("unknown attribute {qa}")))?;
             Ok((si, ai))
         };
-        let mut attr_sources = Vec::with_capacity(query.output.len());
-        for col in &query.output {
-            attr_sources.push(match col {
-                OutputColumn::Attr(a) => Some(locate(a)?),
-                OutputColumn::Agg { .. } => None,
-            });
-        }
-        let mut join_sources = Vec::with_capacity(query.joins.len());
-        for j in &query.joins {
-            join_sources.push((locate(&j.left)?, locate(&j.right)?));
-        }
         let agg = if query.is_aggregate() {
             Some(AggregateState::new(&query)?)
         } else {
             None
         };
+        let mut attr_sources = Vec::new();
+        if agg.is_none() {
+            for col in &query.output {
+                if let OutputColumn::Attr(a) = col {
+                    attr_sources.push(locate(a)?);
+                }
+            }
+        }
+        let mut join_sources = Vec::with_capacity(query.joins.len());
+        for j in &query.joins {
+            join_sources.push((locate(&j.left)?, locate(&j.right)?));
+        }
+        let n = query.streams.len();
+        let key_cols = partition_columns(n, &join_sources);
+        let probes = (0..n)
+            .map(|arrival| probe_plan(arrival, &key_cols, &join_sources))
+            .collect();
         let selections = query
             .streams
             .iter()
@@ -335,12 +434,14 @@ impl Executor {
         Ok(Executor {
             selections,
             alignments: Vec::new(),
-            buffers: vec![VecDeque::new(); query.streams.len()],
+            buffers: key_cols.into_iter().map(JoinBuffer::new).collect(),
             windows: query.streams.iter().map(|b| b.window).collect(),
             query,
             result_stream: result_stream.into(),
             attr_sources,
             join_sources,
+            probes,
+            join_results: Vec::new(),
             distinct_seen: FxHashSet::default(),
             agg,
             last_ts: Timestamp(i64::MIN),
@@ -380,7 +481,7 @@ impl Executor {
     /// side of `cosmos-bound`'s bound-soundness oracle.
     pub fn state_size(&self) -> StateSize {
         StateSize {
-            buffer_rows: self.buffers.iter().map(VecDeque::len).sum(),
+            buffer_rows: self.buffers.iter().map(|b| b.rows.len()).sum(),
             agg_window_rows: self
                 .agg
                 .as_ref()
@@ -441,7 +542,7 @@ impl Executor {
         let mut out = Vec::new();
         if schema == full {
             for t in tuples {
-                out.extend(self.ingest(t));
+                self.ingest(t, &mut out);
             }
             return out;
         }
@@ -459,45 +560,52 @@ impl Executor {
             self.alignments.len() - 1
         });
         for t in tuples {
-            let full: Vec<Value> = self.alignments[at]
+            let full: Arc<[Value]> = self.alignments[at]
                 .columns
                 .iter()
                 .map(|src| src.and_then(|i| t.get(i).cloned()).unwrap_or(Value::Null))
                 .collect();
-            let aligned = Tuple::new(t.stream.clone(), t.timestamp, full);
-            out.extend(self.ingest(&aligned));
+            let aligned = Tuple::from_shared(t.stream.clone(), t.timestamp, full);
+            self.ingest(&aligned, &mut out);
         }
         out
     }
 
     /// Route one full-schema arrival through the mode-appropriate path.
-    fn ingest(&mut self, tuple: &Tuple) -> Vec<Tuple> {
+    fn ingest(&mut self, tuple: &Tuple, out: &mut Vec<Tuple>) {
         if self.disorder.is_some() {
-            self.push_out_of_order(tuple)
+            self.push_out_of_order_into(tuple, out);
         } else {
-            self.push(tuple)
+            self.push_into(tuple, out);
         }
     }
 
     /// Process one source arrival, returning the result tuples it
     /// completes. Tuples must arrive in non-decreasing timestamp order.
     pub fn push(&mut self, tuple: &Tuple) -> Vec<Tuple> {
+        let mut out = Vec::new();
+        self.push_into(tuple, &mut out);
+        out
+    }
+
+    /// [`Executor::push`], appending the results to `out`.
+    fn push_into(&mut self, tuple: &Tuple, out: &mut Vec<Tuple>) {
         debug_assert!(
             tuple.timestamp >= self.last_ts,
             "tuples must arrive in timestamp order ({} after {})",
             tuple.timestamp,
             self.last_ts
         );
-        self.push_unchecked(tuple)
+        self.push_unchecked(tuple, out);
     }
 
-    /// [`Executor::push`] without the monotonicity contract — used by
-    /// the canary fault injection, which deliberately processes
+    /// [`Executor::push_into`] without the monotonicity contract — used
+    /// by the canary fault injection, which deliberately processes
     /// out-of-order arrivals immediately to prove the convergence
     /// oracle catches the resulting garbage.
-    fn push_unchecked(&mut self, tuple: &Tuple) -> Vec<Tuple> {
+    fn push_unchecked(&mut self, tuple: &Tuple, out: &mut Vec<Tuple>) {
         self.last_ts = self.last_ts.max(tuple.timestamp);
-        let mut out = Vec::new();
+        let before = out.len();
         // A stream may be bound several times (self joins); process each.
         for si in 0..self.query.streams.len() {
             if self.query.streams[si].stream != tuple.stream {
@@ -508,15 +616,14 @@ impl Executor {
                 continue;
             }
             if self.agg.is_some() {
-                self.push_aggregate(si, tuple, &mut out);
+                self.push_aggregate(si, tuple, out);
             } else if self.query.streams.len() == 1 {
-                self.emit_single(tuple, &mut out);
+                self.emit_single(tuple, out);
             } else {
-                self.push_join(si, tuple, &mut out);
+                self.push_join(si, tuple, out);
             }
         }
-        self.emitted += out.len() as u64;
-        out
+        self.emitted += (out.len() - before) as u64;
     }
 
     /// Process one arrival in out-of-order mode. Exact duplicates of
@@ -524,18 +631,24 @@ impl Executor {
     /// watermark frontier are staged; arrivals behind it are handled
     /// per the late policy (revision within grace, shed otherwise).
     pub fn push_out_of_order(&mut self, tuple: &Tuple) -> Vec<Tuple> {
+        let mut out = Vec::new();
+        self.push_out_of_order_into(tuple, &mut out);
+        out
+    }
+
+    /// [`Executor::push_out_of_order`], appending the results to `out`.
+    fn push_out_of_order_into(&mut self, tuple: &Tuple, out: &mut Vec<Tuple>) {
         let Some(mut d) = self.disorder.take() else {
-            return self.push(tuple);
+            return self.push_into(tuple, out);
         };
         d.stats.arrived += 1;
-        let mut out = Vec::new();
         if d.is_duplicate(tuple) {
             d.stats.duplicates += 1;
         } else if faultinject::skip_watermark_gating() {
             // Planted bug: no staging, process in arrival order. The
             // convergence oracle must flag the resulting outputs.
             d.remember(tuple);
-            out = self.push_unchecked(tuple);
+            self.push_unchecked(tuple, out);
             d.stats.drained += 1;
         } else if tuple.timestamp > d.frontier {
             let seq = d.remember(tuple);
@@ -547,7 +660,7 @@ impl Executor {
                     if tuple.timestamp >= d.frontier - grace {
                         d.remember(tuple);
                         let mut revisions = 0;
-                        out = self.revise(tuple, &mut revisions);
+                        self.revise(tuple, &mut revisions, out);
                         d.stats.late += 1;
                         d.stats.drained += 1;
                         d.stats.revisions += revisions;
@@ -558,7 +671,6 @@ impl Executor {
             }
         }
         self.disorder = Some(d);
-        out
     }
 
     /// Fold in a watermark for `stream`: the effective frontier is the
@@ -587,7 +699,7 @@ impl Executor {
                     break;
                 }
                 let (_, t) = d.staging.pop_first().expect("checked first");
-                out.extend(self.push(&t));
+                self.push_into(&t, &mut out);
                 d.stats.drained += 1;
             }
             d.evict_seen();
@@ -606,7 +718,7 @@ impl Executor {
         let staged = std::mem::take(&mut d.staging);
         let mut out = Vec::new();
         for t in staged.into_values() {
-            out.extend(self.push(&t));
+            self.push_into(&t, &mut out);
             d.stats.drained += 1;
         }
         self.disorder = Some(d);
@@ -617,8 +729,8 @@ impl Executor {
     /// query state as if it had arrived in order: emit its result
     /// as-of its own timestamp, plus revision tuples for already-emitted
     /// results it retroactively changes.
-    fn revise(&mut self, tuple: &Tuple, revisions: &mut u64) -> Vec<Tuple> {
-        let mut out = Vec::new();
+    fn revise(&mut self, tuple: &Tuple, revisions: &mut u64, out: &mut Vec<Tuple>) {
+        let before = out.len();
         for si in 0..self.query.streams.len() {
             if self.query.streams[si].stream != tuple.stream {
                 continue;
@@ -628,21 +740,20 @@ impl Executor {
                 continue;
             }
             if self.agg.is_some() {
-                self.revise_aggregate(tuple, &mut out, revisions);
+                self.revise_aggregate(tuple, out, revisions);
             } else if self.query.streams.len() == 1 {
                 // Stateless: the row is independent of arrival order.
-                self.emit_single(tuple, &mut out);
+                self.emit_single(tuple, out);
             } else {
-                self.revise_join(si, tuple, &mut out);
+                self.revise_join(si, tuple, out);
             }
         }
-        self.emitted += out.len() as u64;
-        out
+        self.emitted += (out.len() - before) as u64;
     }
 
     fn revise_aggregate(&mut self, tuple: &Tuple, out: &mut Vec<Tuple>, revisions: &mut u64) {
         let agg = self.agg.as_mut().expect("aggregate state");
-        let rows = agg.revise(&self.query, tuple);
+        let rows = agg.revise(tuple);
         for (ts, values) in rows {
             if ts > tuple.timestamp {
                 *revisions += 1;
@@ -657,52 +768,23 @@ impl Executor {
     /// member's window. No combination containing the late tuple can
     /// have been emitted before, so no dedup is needed.
     fn revise_join(&mut self, arrival_idx: usize, tuple: &Tuple, out: &mut Vec<Tuple>) {
-        let n = self.query.streams.len();
-        let mut combo: Vec<Option<&Tuple>> = vec![None; n];
-        combo[arrival_idx] = Some(tuple);
-        let ctx = JoinCtx {
-            join_sources: &self.join_sources,
-            attr_sources: &self.attr_sources,
-            windows: &self.windows,
-        };
-        let mut results: Vec<(Timestamp, Vec<Value>)> = Vec::new();
-        enumerate(
-            &self.buffers,
-            arrival_idx,
-            0,
-            &mut combo,
-            &ctx,
-            None,
-            &mut results,
-        );
-        results.sort_by_key(|r| r.0);
-        for (tau, values) in results {
-            self.finish(values, tau, out);
-        }
-        let buf = &mut self.buffers[arrival_idx];
-        let pos = buf
-            .iter()
-            .position(|u| u.timestamp > tuple.timestamp)
-            .unwrap_or(buf.len());
-        buf.insert(pos, tuple.clone());
+        self.join(arrival_idx, tuple, None, out);
+        self.buffers[arrival_idx].insert_by_time(tuple);
     }
 
-    /// Finish a candidate result-value vector: distinct check and wrap.
-    fn finish(&mut self, values: Vec<Value>, ts: Timestamp, out: &mut Vec<Tuple>) {
+    /// Finish a candidate result row: distinct check and wrap.
+    fn finish(&mut self, values: Arc<[Value]>, ts: Timestamp, out: &mut Vec<Tuple>) {
         if self.query.distinct && !self.distinct_seen.insert(values.clone()) {
             return;
         }
-        out.push(Tuple::new(self.result_stream.clone(), ts, values));
+        out.push(Tuple::from_shared(self.result_stream.clone(), ts, values));
     }
 
     fn emit_single(&mut self, tuple: &Tuple, out: &mut Vec<Tuple>) {
-        let values: Vec<Value> = self
+        let values = self
             .attr_sources
             .iter()
-            .map(|src| {
-                let (_, ai) = src.expect("non-aggregate column");
-                tuple.get(ai).cloned().unwrap_or(Value::Null)
-            })
+            .map(|&(_, ai)| tuple.get(ai).cloned().unwrap_or(Value::Null))
             .collect();
         self.finish(values, tuple.timestamp, out);
     }
@@ -714,8 +796,7 @@ impl Executor {
         // `Revise` late policy, tuples back to `frontier − grace − Tᵢ`
         // are retained: a late arrival within grace may still complete
         // a combination with them.
-        for (si, buf) in self.buffers.iter_mut().enumerate() {
-            let w = self.query.streams[si].window;
+        for (buf, &w) in self.buffers.iter_mut().zip(&self.windows) {
             if w.is_infinite() {
                 continue;
             }
@@ -723,87 +804,153 @@ impl Executor {
             if let Some(floor) = self.retain_floor {
                 horizon = horizon.min(floor - w);
             }
-            while buf.front().is_some_and(|t| t.timestamp < horizon) {
-                buf.pop_front();
-            }
+            buf.evict_before(horizon);
         }
-        // Enumerate combinations from the other buffers.
-        let n = self.query.streams.len();
-        let mut combo: Vec<Option<&Tuple>> = vec![None; n];
-        combo[arrival_idx] = Some(tuple);
+        self.join(arrival_idx, tuple, Some(tau), out);
+        self.buffers[arrival_idx].push_back(tuple);
+    }
+
+    /// Finish the combinations `tuple`, arriving on binding `arrival_idx`,
+    /// completes with the buffered tuples (see [`JoinCtx::tau`]), in
+    /// timestamp order. They are gathered in the reused results buffer.
+    fn join(
+        &mut self,
+        arrival_idx: usize,
+        tuple: &Tuple,
+        tau: Option<Timestamp>,
+        out: &mut Vec<Tuple>,
+    ) {
+        let mut results = std::mem::take(&mut self.join_results);
         let ctx = JoinCtx {
             join_sources: &self.join_sources,
             attr_sources: &self.attr_sources,
             windows: &self.windows,
-        };
-        let mut results: Vec<(Timestamp, Vec<Value>)> = Vec::new();
-        enumerate(
-            &self.buffers,
+            probes: &self.probes[arrival_idx],
             arrival_idx,
-            0,
-            &mut combo,
-            &ctx,
-            Some(tau),
-            &mut results,
-        );
-        for (_, values) in results {
-            self.finish(values, tau, out);
+            tau,
+        };
+        // Queries rarely bind more than a few streams: keep the partial
+        // combination on the stack.
+        let n = self.buffers.len();
+        let mut inline = [None; 8];
+        let mut spilled;
+        let combo: &mut [Option<&Tuple>] = if n <= inline.len() {
+            &mut inline[..n]
+        } else {
+            spilled = vec![None; n];
+            &mut spilled
+        };
+        combo[arrival_idx] = Some(tuple);
+        enumerate(&self.buffers, 0, combo, &ctx, &mut results);
+        if tau.is_none() {
+            results.sort_by_key(|r| r.0);
         }
-        self.buffers[arrival_idx].push_back(tuple.clone());
+        for (ts, values) in results.drain(..) {
+            self.finish(values, ts, out);
+        }
+        self.join_results = results;
     }
 
     fn push_aggregate(&mut self, si: usize, tuple: &Tuple, out: &mut Vec<Tuple>) {
         debug_assert_eq!(si, 0, "aggregates run over a single stream");
         let retain_floor = self.retain_floor;
         let agg = self.agg.as_mut().expect("aggregate state");
-        let row = agg.push(&self.query, tuple, retain_floor);
+        let row = agg.push(tuple, retain_floor);
         self.finish(row, tuple.timestamp, out);
     }
+}
+
+/// Each binding's partitioned column: the first equality predicate that
+/// compares one of its columns with *another* binding's column decides.
+fn partition_columns(n: usize, join_sources: &[(ColSource, ColSource)]) -> Vec<Option<usize>> {
+    (0..n)
+        .map(|si| {
+            join_sources
+                .iter()
+                .find_map(|&(l, r)| match (l.0 == si, r.0 == si) {
+                    (true, false) => Some(l.1),
+                    (false, true) => Some(r.1),
+                    _ => None,
+                })
+        })
+        .collect()
+}
+
+/// When binding `arrival` arrives, where each other binding's candidates
+/// come from. Enumeration binds the arrival first and then the others
+/// in index order, so binding `i` can probe its partitions with the
+/// column an equality predicate compares its partitioned column with,
+/// provided that column's binding is the arrival or precedes `i`;
+/// otherwise (no such predicate) it scans its whole buffer.
+fn probe_plan(
+    arrival: usize,
+    key_cols: &[Option<usize>],
+    join_sources: &[(ColSource, ColSource)],
+) -> Vec<Option<ColSource>> {
+    let bound_before = |j: usize, i: usize| j == arrival || j < i;
+    (0..key_cols.len())
+        .map(|i| {
+            let key = (i, key_cols[i]?);
+            if i == arrival {
+                return None;
+            }
+            join_sources.iter().find_map(|&(l, r)| {
+                if l == key && r.0 != i && bound_before(r.0, i) {
+                    Some(r)
+                } else if r == key && l.0 != i && bound_before(l.0, i) {
+                    Some(l)
+                } else {
+                    None
+                }
+            })
+        })
+        .collect()
 }
 
 /// Shared immutable context for join enumeration.
 struct JoinCtx<'a> {
     join_sources: &'a [(ColSource, ColSource)],
-    attr_sources: &'a [Option<ColSource>],
+    attr_sources: &'a [ColSource],
     windows: &'a [TimeDelta],
+    /// The arrival binding's row of [`Executor::probes`].
+    probes: &'a [Option<ColSource>],
+    arrival_idx: usize,
+    /// `Some(τ)`: every emission is stamped τ (the in-order completing
+    /// arrival); `None`: each combination's τ is its latest member's
+    /// timestamp (the late-revision case).
+    tau: Option<Timestamp>,
 }
 
-/// Depth-first enumeration of join combinations. With `tau = Some(τ)`
-/// every emission is stamped τ (the in-order completing arrival); with
-/// `None` each combination's τ is its latest member's timestamp (the
-/// late-revision case). Either way, every member must satisfy Lemma 1:
-/// `tᵢ.ts ≥ τ − Tᵢ` — redundant with buffer eviction in strict
-/// in-order mode, load-bearing when buffers retain revision history.
+/// Depth-first enumeration of join combinations: the one body for
+/// in-order arrivals and late revisions, partitioned bindings and
+/// scanned ones. A binding's candidates are its partition for the probe
+/// column's value when the probe column is bound, else its whole buffer;
+/// a partition is a subsequence of the buffer holding every row that can
+/// satisfy that predicate, so it can neither drop nor reorder a
+/// combination. The leaf still checks every window and every predicate:
+/// each member must satisfy Lemma 1, `tᵢ.ts ≥ τ − Tᵢ` — redundant with
+/// buffer eviction in strict in-order mode, load-bearing when buffers
+/// retain revision history.
 fn enumerate<'a>(
-    buffers: &'a [VecDeque<Tuple>],
-    arrival_idx: usize,
+    buffers: &'a [JoinBuffer],
     si: usize,
-    combo: &mut Vec<Option<&'a Tuple>>,
+    combo: &mut [Option<&'a Tuple>],
     ctx: &JoinCtx<'_>,
-    tau: Option<Timestamp>,
-    results: &mut Vec<(Timestamp, Vec<Value>)>,
+    results: &mut Vec<(Timestamp, Arc<[Value]>)>,
 ) {
+    let bound = |combo: &[Option<&'a Tuple>], i: usize| combo[i].expect("combo complete");
     if si == buffers.len() {
-        // All join predicates whose sides are both bound must hold;
-        // at this depth every side is bound.
         let get = |src: ColSource| -> &Value {
-            combo[src.0]
-                .expect("combo complete")
-                .get(src.1)
-                .expect("attr index valid")
+            bound(combo, src.0).get(src.1).expect("attr index valid")
         };
-        let tau = tau.unwrap_or_else(|| {
-            combo
-                .iter()
-                .map(|t| t.expect("combo complete").timestamp)
+        let tau = ctx.tau.unwrap_or_else(|| {
+            (0..combo.len())
+                .map(|i| bound(combo, i).timestamp)
                 .max()
                 .expect("non-empty combo")
         });
         for (i, w) in ctx.windows.iter().enumerate() {
-            if w.is_infinite() {
-                continue;
-            }
-            if combo[i].expect("combo complete").timestamp < tau - *w {
+            if !w.is_infinite() && bound(combo, i).timestamp < tau - *w {
                 return;
             }
         }
@@ -815,38 +962,86 @@ fn enumerate<'a>(
         let values = ctx
             .attr_sources
             .iter()
-            .map(|src| {
-                let (s, a) = src.expect("non-aggregate column");
-                combo[s]
-                    .expect("combo complete")
-                    .get(a)
-                    .cloned()
-                    .unwrap_or(Value::Null)
-            })
+            .map(|&(s, a)| bound(combo, s).get(a).cloned().unwrap_or(Value::Null))
             .collect();
         results.push((tau, values));
         return;
     }
-    if si == arrival_idx {
-        enumerate(buffers, arrival_idx, si + 1, combo, ctx, tau, results);
+    if si == ctx.arrival_idx {
+        enumerate(buffers, si + 1, combo, ctx, results);
         return;
     }
-    // Early join-predicate pruning would help at scale; buffers in this
-    // system are small (windowed), so plain enumeration is fine.
-    for t in &buffers[si] {
+    let buffer = &buffers[si];
+    let candidates = match ctx.probes[si] {
+        None => &buffer.rows,
+        Some((s, a)) => match bound(combo, s)
+            .get(a)
+            .and_then(|k| buffer.partitions.get(k))
+        {
+            Some(partition) => partition,
+            None => return,
+        },
+    };
+    for t in candidates {
         combo[si] = Some(t);
-        enumerate(buffers, arrival_idx, si + 1, combo, ctx, tau, results);
+        enumerate(buffers, si + 1, combo, ctx, results);
     }
     combo[si] = None;
 }
 
-/// One buffered aggregate contribution: `(timestamp, group key, agg
-/// arg values)`.
-type AggEntry = (Timestamp, Vec<Value>, Vec<Value>);
+/// One buffered aggregate contribution.
+#[derive(Debug, Clone)]
+struct AggEntry {
+    ts: Timestamp,
+    /// The group's key, shared with the group table.
+    key: Arc<[Value]>,
+    /// The aggregate-argument values, parallel to the aggregate columns
+    /// (`Null` for `COUNT(*)`).
+    args: Box<[Value]>,
+}
+
+/// One aggregate output column, resolved against the stream's schema.
+#[derive(Debug, Clone, Copy)]
+struct AggColumn {
+    func: AggFunc,
+    /// Column of the argument (`None` = `COUNT(*)`).
+    arg: Option<usize>,
+    /// SUM over an Int attribute stays Int.
+    sum_is_int: bool,
+}
+
+/// Where one output-row value comes from.
+#[derive(Debug, Clone, Copy)]
+enum RowSource {
+    /// The group key's value at this position.
+    Key(usize),
+    /// The aggregate column at this position.
+    Agg(usize),
+}
+
+/// The aggregate's resolved plan: a function of the query alone.
+#[derive(Debug, Clone)]
+struct AggPlan {
+    window: TimeDelta,
+    /// Positional sources of the group-by attributes.
+    group_sources: Vec<usize>,
+    columns: Vec<AggColumn>,
+    /// The output row, in SELECT order.
+    row: Vec<RowSource>,
+}
+
+/// A live group: its key (the one copy, which window entries share) and
+/// one accumulator per aggregate column.
+#[derive(Debug, Clone)]
+struct Group {
+    key: Arc<[Value]>,
+    accs: Vec<Accumulator>,
+}
 
 /// Grouped sliding-window aggregate state.
 #[derive(Debug, Clone)]
 struct AggregateState {
+    plan: AggPlan,
     /// Buffered contributions inside the live window, sorted by time.
     window: VecDeque<AggEntry>,
     /// Contributions evicted from the live window (and from the
@@ -858,16 +1053,11 @@ struct AggregateState {
     /// accumulators reflect exactly the entries in `window`, i.e. those
     /// with `ts ≥ horizon`.
     horizon: Timestamp,
-    /// Per-group accumulators, one per aggregate column.
-    groups: FxHashMap<Vec<Value>, Vec<Accumulator>>,
-    /// Positional sources of the group-by attributes.
-    group_sources: Vec<usize>,
-    /// Positional sources of each aggregate argument (`None` = COUNT(*)).
-    agg_args: Vec<Option<usize>>,
-    /// The aggregate functions, parallel to `agg_args`.
-    funcs: Vec<AggFunc>,
-    /// Output types of SUM columns (Int sums stay Int).
-    sum_is_int: Vec<bool>,
+    /// Live groups by key.
+    groups: FxHashMap<Arc<[Value]>, Group>,
+    /// The arrival's group key, gathered here to probe `groups` without
+    /// allocating; empty between calls.
+    key: Vec<Value>,
 }
 
 /// One incremental accumulator supporting insert and remove.
@@ -883,7 +1073,7 @@ struct AggregateState {
 struct Accumulator {
     count: i64,
     sum: NeumaierSum,
-    /// Multiset of values for MIN/MAX under sliding windows.
+    /// Multiset of values, kept for MIN/MAX columns only.
     values: BTreeMap<Value, usize>,
 }
 
@@ -893,36 +1083,50 @@ impl Accumulator {
         self.sum.total()
     }
 
-    fn insert(&mut self, v: Option<&Value>) {
+    fn insert(&mut self, col: &AggColumn, v: &Value) {
         self.count += 1;
-        if let Some(v) = v {
-            if let Some(x) = v.as_f64() {
-                self.sum.add(x);
+        if col.arg.is_none() {
+            return;
+        }
+        match col.func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => {
+                if let Some(x) = v.as_f64() {
+                    self.sum.add(x);
+                }
             }
-            *self.values.entry(v.clone()).or_insert(0) += 1;
+            AggFunc::Min | AggFunc::Max => *self.values.entry(v.clone()).or_insert(0) += 1,
         }
     }
 
-    fn remove(&mut self, v: Option<&Value>) {
+    fn remove(&mut self, col: &AggColumn, v: &Value) {
         self.count -= 1;
-        if let Some(v) = v {
-            if let Some(x) = v.as_f64() {
-                self.sum.add(-x);
+        if col.arg.is_none() {
+            return;
+        }
+        match col.func {
+            AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => {
+                if let Some(x) = v.as_f64() {
+                    self.sum.add(-x);
+                }
             }
-            if let Some(c) = self.values.get_mut(v) {
-                *c -= 1;
-                if *c == 0 {
-                    self.values.remove(v);
+            AggFunc::Min | AggFunc::Max => {
+                if let Some(c) = self.values.get_mut(v) {
+                    *c -= 1;
+                    if *c == 0 {
+                        self.values.remove(v);
+                    }
                 }
             }
         }
     }
 
-    fn value(&self, func: AggFunc, sum_is_int: bool) -> Value {
-        match func {
+    fn value(&self, col: &AggColumn) -> Value {
+        match col.func {
             AggFunc::Count => Value::Int(self.count),
             AggFunc::Sum => {
-                if sum_is_int {
+                if col.sum_is_int {
                     Value::Int(self.total().round() as i64)
                 } else {
                     Value::Float(self.total())
@@ -946,8 +1150,8 @@ impl Accumulator {
     }
 }
 
-impl AggregateState {
-    fn new(query: &AnalyzedQuery) -> Result<AggregateState> {
+impl AggPlan {
+    fn new(query: &AnalyzedQuery) -> Result<AggPlan> {
         let schema = &query.streams[0].schema;
         let mut group_sources = Vec::with_capacity(query.group_by.len());
         for g in &query.group_by {
@@ -957,90 +1161,126 @@ impl AggregateState {
                 })?,
             );
         }
-        let mut agg_args = Vec::new();
-        let mut funcs = Vec::new();
-        let mut sum_is_int = Vec::new();
+        let mut columns = Vec::new();
+        let mut row = Vec::with_capacity(query.output.len());
         for col in &query.output {
-            if let OutputColumn::Agg { func, arg } = col {
-                funcs.push(*func);
-                match arg {
-                    Some(a) => {
-                        let ai = schema.index_of(&a.name).ok_or_else(|| {
+            match col {
+                OutputColumn::Attr(a) => {
+                    let gi = query.group_by.iter().position(|g| g == a).ok_or_else(|| {
+                        CosmosError::Engine(format!("output attribute {a} is not grouped"))
+                    })?;
+                    row.push(RowSource::Key(gi));
+                }
+                OutputColumn::Agg { func, arg } => {
+                    let arg = match arg {
+                        Some(a) => Some(schema.index_of(&a.name).ok_or_else(|| {
                             CosmosError::Engine(format!("unknown aggregate argument {a}"))
-                        })?;
-                        agg_args.push(Some(ai));
-                        sum_is_int.push(schema.fields()[ai].ty == AttrType::Int);
-                    }
-                    None => {
-                        agg_args.push(None);
-                        sum_is_int.push(false);
-                    }
+                        })?),
+                        None => None,
+                    };
+                    let sum_is_int = arg.is_some_and(|ai| schema.fields()[ai].ty == AttrType::Int);
+                    row.push(RowSource::Agg(columns.len()));
+                    columns.push(AggColumn {
+                        func: *func,
+                        arg,
+                        sum_is_int,
+                    });
                 }
             }
         }
+        Ok(AggPlan {
+            window: query.streams[0].window,
+            group_sources,
+            columns,
+            row,
+        })
+    }
+
+    /// The tuple's aggregate-argument values.
+    fn args(&self, tuple: &Tuple) -> Box<[Value]> {
+        self.columns
+            .iter()
+            .map(|c| {
+                c.arg
+                    .and_then(|i| tuple.get(i))
+                    .cloned()
+                    .unwrap_or(Value::Null)
+            })
+            .collect()
+    }
+
+    fn accumulators(&self) -> Vec<Accumulator> {
+        vec![Accumulator::default(); self.columns.len()]
+    }
+
+    /// Fold one entry's arguments into a set of accumulators.
+    fn accumulate(&self, accs: &mut [Accumulator], args: &[Value]) {
+        for ((acc, col), v) in accs.iter_mut().zip(&self.columns).zip(args) {
+            acc.insert(col, v);
+        }
+    }
+
+    /// Take one entry's arguments back out of a set of accumulators.
+    fn retract(&self, accs: &mut [Accumulator], args: &[Value]) {
+        for ((acc, col), v) in accs.iter_mut().zip(&self.columns).zip(args) {
+            acc.remove(col, v);
+        }
+    }
+
+    /// The output row for `key` from `accs`, in SELECT order.
+    fn row(&self, key: &[Value], accs: &[Accumulator]) -> Arc<[Value]> {
+        self.row
+            .iter()
+            .map(|&src| match src {
+                RowSource::Key(gi) => key[gi].clone(),
+                RowSource::Agg(ai) => accs[ai].value(&self.columns[ai]),
+            })
+            .collect()
+    }
+}
+
+impl AggregateState {
+    fn new(query: &AnalyzedQuery) -> Result<AggregateState> {
         Ok(AggregateState {
+            plan: AggPlan::new(query)?,
             window: VecDeque::new(),
             history: VecDeque::new(),
             horizon: Timestamp(i64::MIN),
             groups: FxHashMap::default(),
-            group_sources,
-            agg_args,
-            funcs,
-            sum_is_int,
+            key: Vec::new(),
         })
     }
 
-    /// The tuple's group key and aggregate-argument values.
-    fn key_and_args(&self, tuple: &Tuple) -> (Vec<Value>, Vec<Value>) {
-        let key = self
-            .group_sources
-            .iter()
-            .map(|&i| tuple.get(i).cloned().unwrap_or(Value::Null))
-            .collect();
-        let args = self
-            .agg_args
-            .iter()
-            .map(|src| match src {
-                Some(i) => tuple.get(*i).cloned().unwrap_or(Value::Null),
-                None => Value::Null,
-            })
-            .collect();
-        (key, args)
-    }
-
-    /// Fold one entry's arguments into a set of accumulators.
-    fn accumulate(agg_args: &[Option<usize>], accs: &mut [Accumulator], args: &[Value]) {
-        for (ai, acc) in accs.iter_mut().enumerate() {
-            acc.insert(if agg_args[ai].is_some() {
-                Some(&args[ai])
-            } else {
-                None
-            });
+    /// Fold `args` into the group of the arrival's key, gathered in
+    /// `self.key`, creating the group on first sight (an existing group
+    /// costs one probe and no key copy); `then` reads the group and the
+    /// arrival's key off it.
+    fn fold<R>(&mut self, args: &[Value], then: impl FnOnce(&AggPlan, &[Value], &Group) -> R) -> R {
+        let (plan, arrival) = (&self.plan, self.key.as_slice());
+        match self.groups.get_mut(arrival) {
+            Some(group) => {
+                plan.accumulate(&mut group.accs, args);
+                then(plan, arrival, group)
+            }
+            None => {
+                let key: Arc<[Value]> = arrival.into();
+                let mut group = Group {
+                    key: key.clone(),
+                    accs: plan.accumulators(),
+                };
+                plan.accumulate(&mut group.accs, args);
+                let r = then(plan, arrival, &group);
+                self.groups.insert(key, group);
+                r
+            }
         }
     }
 
-    /// Assemble the output row for `key` from `accs`, in SELECT order.
-    fn output_row(&self, query: &AnalyzedQuery, key: &[Value], accs: &[Accumulator]) -> Vec<Value> {
-        let mut agg_i = 0usize;
-        query
-            .output
-            .iter()
-            .map(|col| match col {
-                OutputColumn::Attr(a) => {
-                    let gi = query
-                        .group_by
-                        .iter()
-                        .position(|g| g == a)
-                        .expect("validated: attr in GROUP BY");
-                    key[gi].clone()
-                }
-                OutputColumn::Agg { .. } => {
-                    let v = accs[agg_i].value(self.funcs[agg_i], self.sum_is_int[agg_i]);
-                    agg_i += 1;
-                    v
-                }
-            })
-            .collect()
+    /// Gather the tuple's group key into `self.key`.
+    fn gather_key(&mut self, tuple: &Tuple) {
+        let values = self.plan.group_sources.iter();
+        let key = values.map(|&i| tuple.get(i).cloned().unwrap_or(Value::Null));
+        self.key.extend(key);
     }
 
     /// Advance the window to `tuple.timestamp`, fold the tuple in, and
@@ -1048,116 +1288,94 @@ impl AggregateState {
     /// (disorder mode, `Revise` policy), entries leaving the live
     /// window move to `history` — still outside the accumulators —
     /// until even a maximally-late tuple could not reach them.
-    fn push(
-        &mut self,
-        query: &AnalyzedQuery,
-        tuple: &Tuple,
-        retain_floor: Option<Timestamp>,
-    ) -> Vec<Value> {
+    fn push(&mut self, tuple: &Tuple, retain_floor: Option<Timestamp>) -> Arc<[Value]> {
         let tau = tuple.timestamp;
-        let w = query.streams[0].window;
+        let w = self.plan.window;
         if !w.is_infinite() {
             let horizon = tau - w;
             self.horizon = self.horizon.max(horizon);
-            while self.window.front().is_some_and(|(ts, _, _)| *ts < horizon) {
-                let (ts, key, args) = self.window.pop_front().expect("checked front");
-                let accs = self.groups.get_mut(&key).expect("group exists");
-                for (ai, acc) in accs.iter_mut().enumerate() {
-                    acc.remove(if self.agg_args[ai].is_some() {
-                        Some(&args[ai])
-                    } else {
-                        None
-                    });
-                }
-                if accs[0].count == 0 {
-                    self.groups.remove(&key);
+            while self.window.front().is_some_and(|e| e.ts < horizon) {
+                let e = self.window.pop_front().expect("checked front");
+                let group = self.groups.get_mut(&e.key).expect("group exists");
+                self.plan.retract(&mut group.accs, &e.args);
+                if group.accs[0].count == 0 {
+                    self.groups.remove(&e.key);
                 }
                 if retain_floor.is_some() {
-                    self.history.push_back((ts, key, args));
+                    self.history.push_back(e);
                 }
             }
             if let Some(floor) = retain_floor {
                 let keep = floor - w;
-                while self.history.front().is_some_and(|(ts, _, _)| *ts < keep) {
+                while self.history.front().is_some_and(|e| e.ts < keep) {
                     self.history.pop_front();
                 }
             }
         }
-        let (key, args) = self.key_and_args(tuple);
-        let accs = self
-            .groups
-            .entry(key.clone())
-            .or_insert_with(|| vec![Accumulator::default(); self.funcs.len()]);
-        Self::accumulate(&self.agg_args, accs, &args);
-        self.window.push_back((tau, key.clone(), args));
-        let accs = &self.groups[&key];
-        self.output_row(query, &key, accs)
+        self.gather_key(tuple);
+        let args = self.plan.args(tuple);
+        let (key, row) = self.fold(&args, |plan, arrival, g| {
+            (g.key.clone(), plan.row(arrival, &g.accs))
+        });
+        self.key.clear();
+        self.window.push_back(AggEntry { ts: tau, key, args });
+        row
     }
 
     /// Recompute the row for `key` as of time `at` from scratch, by
     /// scanning every retained contribution in `(at − w, at]`.
-    fn recompute_row(
-        &self,
-        query: &AnalyzedQuery,
-        key: &[Value],
-        at: Timestamp,
-        w: TimeDelta,
-    ) -> Vec<Value> {
-        let mut accs = vec![Accumulator::default(); self.funcs.len()];
-        for (ts, k, args) in self.history.iter().chain(self.window.iter()) {
-            if *ts > at || k != key {
+    fn recompute_row(&self, key: &[Value], at: Timestamp) -> Arc<[Value]> {
+        let w = self.plan.window;
+        let mut accs = self.plan.accumulators();
+        for e in self.history.iter().chain(self.window.iter()) {
+            if e.ts > at || *e.key != *key {
                 continue;
             }
-            if !w.is_infinite() && *ts < at - w {
+            if !w.is_infinite() && e.ts < at - w {
                 continue;
             }
-            Self::accumulate(&self.agg_args, &mut accs, args);
+            self.plan.accumulate(&mut accs, &e.args);
         }
-        self.output_row(query, key, &accs)
+        self.plan.row(key, &accs)
     }
 
     /// Fold a late tuple in as if it had arrived in order and return
     /// the rows to emit: first the late tuple's own row as of its
     /// timestamp, then one revision row for every already-processed
     /// same-group contribution whose window contained it.
-    fn revise(&mut self, query: &AnalyzedQuery, tuple: &Tuple) -> Vec<(Timestamp, Vec<Value>)> {
+    fn revise(&mut self, tuple: &Tuple) -> Vec<(Timestamp, Arc<[Value]>)> {
         let ts = tuple.timestamp;
-        let w = query.streams[0].window;
-        let (key, args) = self.key_and_args(tuple);
-        if ts >= self.horizon {
-            // Still inside the live window: future in-order rows must
-            // see it, so it joins the accumulators too.
-            let accs = self
-                .groups
-                .entry(key.clone())
-                .or_insert_with(|| vec![Accumulator::default(); self.funcs.len()]);
-            Self::accumulate(&self.agg_args, accs, &args);
-            let pos = self
-                .window
-                .iter()
-                .position(|(t, _, _)| *t > ts)
-                .unwrap_or(self.window.len());
-            self.window.insert(pos, (ts, key.clone(), args));
+        let w = self.plan.window;
+        self.gather_key(tuple);
+        let args = self.plan.args(tuple);
+        // Still inside the live window: future in-order rows must see
+        // it, so it joins the accumulators too. Otherwise it only joins
+        // the revision history.
+        let (entries, key) = if ts >= self.horizon {
+            let key = self.fold(&args, |_, _, g| g.key.clone());
+            (&mut self.window, key)
         } else {
-            let pos = self
-                .history
-                .iter()
-                .position(|(t, _, _)| *t > ts)
-                .unwrap_or(self.history.len());
-            self.history.insert(pos, (ts, key.clone(), args));
-        }
-        let mut rows = vec![(ts, self.recompute_row(query, &key, ts, w))];
+            (&mut self.history, self.key.as_slice().into())
+        };
+        let pos = entries
+            .iter()
+            .position(|e| e.ts > ts)
+            .unwrap_or(entries.len());
+        entries.insert(pos, AggEntry { ts, key, args });
+        let key = self.key.as_slice();
+        let mut rows = vec![(ts, self.recompute_row(key, ts))];
         // Revise same-group contributions at (ts, ts + w]: their rows
         // were emitted before this tuple was known.
-        for (uts, k, _) in self.history.iter().chain(self.window.iter()) {
-            if *uts <= ts || k != &key {
+        for e in self.history.iter().chain(self.window.iter()) {
+            if e.ts <= ts || *e.key != *key {
                 continue;
             }
-            if !w.is_infinite() && *uts > ts + w {
+            if !w.is_infinite() && e.ts > ts + w {
                 continue;
             }
-            rows.push((*uts, self.recompute_row(query, &key, *uts, w)));
+            rows.push((e.ts, self.recompute_row(key, e.ts)));
         }
+        self.key.clear();
         rows
     }
 }

@@ -224,6 +224,7 @@ mod tests {
         match name {
             "A" => Some(Schema::of(&[("k", AttrType::Int), ("x", AttrType::Int)])),
             "B" => Some(Schema::of(&[("k", AttrType::Int), ("y", AttrType::Int)])),
+            "F" => Some(Schema::of(&[("k", AttrType::Float), ("z", AttrType::Int)])),
             _ => None,
         }
     }
@@ -271,8 +272,64 @@ mod tests {
         })
     }
 
+    /// Join keys the partitions must get right: on the Float stream
+    /// `F`, `Null` and NaN (equal to nothing), both zeros (equal to each
+    /// other and to `Int(0)`) and a non-integral value; on the Int
+    /// streams `A` and `B`, keys that meet `F`'s. The second column is
+    /// drawn from 0..3 so it can serve as a join key too.
+    fn arb_keyed_inputs(len: usize) -> impl Strategy<Value = Vec<Tuple>> {
+        let float_keys = [Value::Null, Value::Float(f64::NAN), Value::Float(-0.0)];
+        let float_keys = float_keys
+            .into_iter()
+            .chain([0.0, 1.0, 2.5].map(Value::Float))
+            .collect::<Vec<_>>();
+        proptest::collection::vec(
+            (
+                0i64..30,
+                prop_oneof![Just("A"), Just("B"), Just("F")],
+                0i64..3,
+                proptest::sample::select(float_keys),
+                0i64..3,
+            ),
+            1..len,
+        )
+        .prop_map(|mut raw| {
+            raw.sort_by_key(|r| r.0);
+            raw.into_iter()
+                .map(|(ts, stream, int_key, float_key, v)| {
+                    let key = if stream == "F" {
+                        float_key
+                    } else {
+                        Value::Int(int_key)
+                    };
+                    Tuple::new(stream, Timestamp(ts * 1000), vec![key, Value::Int(v)])
+                })
+                .collect()
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Partitioned joins ≡ the oracle on every join shape: a
+        /// cross-type key (`Int = Float`), a self-join over Float keys,
+        /// a three-way chain on two different columns, two equality
+        /// predicates between one pair, and a window-only join, whose
+        /// bindings have no predicate to partition by and are scanned.
+        #[test]
+        fn partitioned_joins_match_oracle(inputs in arb_keyed_inputs(40)) {
+            for query in [
+                "SELECT A.x, F.z FROM A [Range 8 Second] A, F [Range 4 Second] F WHERE A.k = F.k",
+                "SELECT X.k, Y.z FROM F [Range 5 Second] X, F [Range 5 Second] Y WHERE X.k = Y.k",
+                "SELECT A.x, B.y, F.z FROM A [Range 6 Second] A, B [Range 6 Second] B, \
+                 F [Range 6 Second] F WHERE A.k = B.k AND B.y = F.z",
+                "SELECT A.k, F.k FROM A [Range 8 Second] A, F [Range 8 Second] F \
+                 WHERE A.k = F.k AND A.x = F.z",
+                "SELECT A.x, B.y FROM A [Range 3 Second] A, B [Now] B",
+            ] {
+                check(query, &inputs);
+            }
+        }
 
         /// Incremental window join ≡ brute-force Lemma 1 evaluation.
         #[test]
@@ -314,6 +371,17 @@ mod tests {
         fn unbounded_aggregates_match_oracle(inputs in arb_inputs(30)) {
             check("SELECT COUNT(*), SUM(x) FROM A [Unbounded]", &inputs);
         }
+    }
+
+    #[test]
+    fn negative_zero_joins_the_zero_group() {
+        let f =
+            |ts: i64, k: f64| Tuple::new("F", Timestamp(ts), vec![Value::Float(k), Value::Int(0)]);
+        let inputs = [f(0, 0.0), f(1_000, -0.0)];
+        check(
+            "SELECT k, COUNT(*) FROM F [Range 10 Second] GROUP BY k",
+            &inputs,
+        );
     }
 
     #[test]

@@ -420,3 +420,66 @@ fn flush_keeps_conservation_after_duplicates_and_late_arrivals() {
     assert!(st.conserved());
     assert_eq!(ex.frontier(), Some(Timestamp(4_000)));
 }
+
+#[test]
+fn revised_join_ends_with_the_in_order_result_multiset() {
+    let text = "SELECT O.itemID, O.start_price, C.buyerID FROM Open [Range 5 Second] O, \
+                Closed [Range 3 Second] C WHERE O.itemID = C.itemID";
+    let open_at = |ts: i64, item: i64| {
+        Tuple::new(
+            "Open",
+            Timestamp(ts),
+            vec![Value::Int(item), Value::Float(ts as f64)],
+        )
+    };
+    let in_order = [
+        open_at(1_000, 1),
+        open_at(2_000, 2),
+        closed(3_000, 1, 10),
+        open_at(4_000, 1),
+        closed(5_000, 2, 20),
+        closed(6_000, 1, 30),
+        open_at(6_000, 2),
+        open_at(7_000, 2),
+        closed(8_000, 2, 40),
+    ];
+    let sorted = |rows: Vec<Tuple>| {
+        let mut rows: Vec<_> = rows
+            .into_iter()
+            .map(|t| (t.timestamp, t.values().to_vec()))
+            .collect();
+        rows.sort();
+        rows
+    };
+    let q = AnalyzedQuery::analyze(&parse_query(text).unwrap(), catalog).unwrap();
+    let mut reference = Executor::new(q, "result").unwrap();
+    let expected = sorted(in_order.iter().flat_map(|t| reference.push(t)).collect());
+    assert_eq!(expected.len(), 9);
+
+    let mut ex = executor(text, revise(10_000));
+    let mut out = Vec::new();
+    let late = |t: &Tuple| [1, 3, 4].map(|i| &in_order[i]).contains(&t);
+    for t in in_order
+        .iter()
+        .filter(|t| !late(t) && t.timestamp <= Timestamp(6_000))
+    {
+        out.extend(ex.push_out_of_order(t));
+    }
+    for stream in ["Open", "Closed"] {
+        out.extend(ex.advance_watermark(&stream.into(), Timestamp(6_500)));
+    }
+    // Behind the frontier, within grace: folded in by revision.
+    for t in in_order.iter().filter(|t| late(t)) {
+        out.extend(ex.push_out_of_order(t));
+    }
+    for t in in_order.iter().filter(|t| t.timestamp > Timestamp(6_000)) {
+        out.extend(ex.push_out_of_order(t));
+    }
+    for stream in ["Open", "Closed"] {
+        out.extend(ex.advance_watermark(&stream.into(), Timestamp(9_000)));
+    }
+    let st = ex.disorder_stats().unwrap();
+    assert_eq!((st.late, st.shed, st.staged), (3, 0, 0));
+    assert!(st.conserved());
+    assert_eq!(sorted(out), expected);
+}

@@ -68,6 +68,20 @@ impl Tuple {
         }
     }
 
+    /// Build a tuple around an already shared value slice — no copy, so a
+    /// row collected straight into an `Arc<[Value]>` costs one allocation.
+    pub fn from_shared(
+        stream: impl Into<StreamName>,
+        timestamp: Timestamp,
+        values: Arc<[Value]>,
+    ) -> Self {
+        Tuple {
+            stream: stream.into(),
+            timestamp,
+            values,
+        }
+    }
+
     /// The attribute values, in schema order.
     pub fn values(&self) -> &[Value] {
         &self.values

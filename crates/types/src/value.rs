@@ -168,14 +168,21 @@ impl std::hash::Hash for Value {
                 b.hash(state);
             }
             // Ints and floats hash identically when numerically equal so
-            // that the Hash/Eq contract holds under coercion.
+            // that the Hash/Eq contract holds under coercion; every NaN
+            // and both zeros (`-0.0 == 0.0 == Int(0)`) hash as one value.
             Value::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                let canonical = if f.is_nan() { f64::NAN } else { *f };
+                let canonical = if f.is_nan() {
+                    f64::NAN
+                } else if *f == 0.0 {
+                    0.0
+                } else {
+                    *f
+                };
                 canonical.to_bits().hash(state);
             }
             Value::Str(s) => {
@@ -302,6 +309,32 @@ mod tests {
     fn hash_respects_numeric_eq() {
         assert_eq!(Value::Int(3), Value::Float(3.0));
         assert_eq!(hash_of(&Value::Int(3)), hash_of(&Value::Float(3.0)));
+    }
+
+    #[test]
+    fn equal_values_hash_equal() {
+        let edge = 2f64.powi(53);
+        let values = [
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::from_bits(f64::NAN.to_bits() | 1)),
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Int((1 << 53) + 1),
+            Value::Int(-(1 << 53) - 1),
+            Value::Float(edge),
+            Value::Float(-edge),
+        ];
+        for a in &values {
+            for b in &values {
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?}");
+                }
+            }
+        }
+        assert_eq!(Value::Float(-0.0), Value::Int(0));
     }
 
     #[test]
