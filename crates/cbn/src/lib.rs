@@ -25,7 +25,7 @@
 //!   the interests of an entire subtree into one routing-table entry).
 //! * [`matcher`] — two matching engines: a naive scan and a
 //!   counting-based engine with an equality fast path (benched
-//!   against each other in `cosmos-bench`).
+//!   against each other in `benches/matching.rs`).
 //! * [`registry`] — the stream schema registry with the paper's two
 //!   modes: flooding for small systems and a consistent-hashing DHT
 //!   otherwise.

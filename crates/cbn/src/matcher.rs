@@ -14,8 +14,8 @@
 //!   path instead of a scan.
 //!
 //! Both engines return deterministic (sorted) key lists and are checked
-//! against each other by property tests; `cosmos-bench` compares their
-//! throughput (ablation A1 in DESIGN.md).
+//! against each other by property tests; `benches/matching.rs` compares
+//! their throughput (ablation A1 in DESIGN.md).
 
 use crate::predicate::{AttrConstraint, DiffRange};
 use crate::profile::Profile;

@@ -22,10 +22,11 @@
 //!   projection, and every link crossing is accounted in bytes and in
 //!   delay-weighted cost.
 //!
-//! [`experiment`] contains the analytic Figure 4 harness (query-merging
-//! benefit/grouping ratios at paper scale: 1000-node power-law overlay,
-//! thousands of queries), and [`fault`] the data-layer fault-tolerance
-//! extension (tree repair + subscription re-propagation).
+//! [`experiment`] runs the paper's evaluation (Figure 4's query-merging
+//! benefit/grouping ratios, Figure 3, Table 1 and the count-valued
+//! ablations) as one deterministic report, and [`fault`] holds the
+//! data-layer fault-tolerance extension (tree repair + subscription
+//! re-propagation).
 
 pub mod autotune;
 pub mod experiment;

@@ -9,6 +9,7 @@
 //! cosmos-sim metrics --seed S [--baseline] [--disorder] [--out FILE]
 //! cosmos-sim bounds --seed S [--baseline] [--disorder] [--out FILE]
 //! cosmos-sim admission-canary
+//! cosmos-sim experiments [--scale quick|paper]
 //! ```
 //!
 //! `run` expands one seed and checks every oracle — including the static
@@ -28,7 +29,10 @@
 //! measured metric exceeded its static `cosmos-bound` bound).
 //! `admission-canary` submits a deliberately unbounded-state query to a
 //! live deployment and exits nonzero unless the admission gate rejects
-//! it with a stable `B01xx` code before any tuple is published. The
+//! it with a stable `B01xx` code before any tuple is published.
+//! `experiments` prints the paper's evaluation ([`cosmos::experiment`])
+//! as one markdown report, equal to `tests/golden/experiments_<scale>.txt`
+//! (`quick` by default), and exits 1 if a claim it checks fails. The
 //! hidden `--inject-bug` flag disables selection re-tightening in the
 //! merge layer — a deliberately broken build used to prove the oracles
 //! catch real merge bugs (the static verifier flags it as V0501 with no
@@ -57,6 +61,7 @@
 //!
 //! Exit status: 0 all scenarios pass, 1 any oracle failure, 2 usage/IO.
 
+use cosmos::experiment::{self, Scale};
 use cosmos_testkit::{
     check_scenario, check_scenario_opts, gen, run_scenario, shrink, CheckOptions, RunOptions,
     Scenario,
@@ -74,7 +79,8 @@ fn usage(msg: &str) -> ExitCode {
          \u{20}      cosmos-sim snapshot --seed S [--baseline] [--disorder] [--out FILE]\n\
          \u{20}      cosmos-sim metrics --seed S [--baseline] [--disorder] [--out FILE]\n\
          \u{20}      cosmos-sim bounds --seed S [--baseline] [--disorder] [--out FILE]\n\
-         \u{20}      cosmos-sim admission-canary"
+         \u{20}      cosmos-sim admission-canary\n\
+         \u{20}      cosmos-sim experiments [--scale quick|paper]"
     );
     ExitCode::from(2)
 }
@@ -90,6 +96,7 @@ struct Opts {
     overload: bool,
     budget: u64,
     inject_shed_leak: bool,
+    scale: Scale,
     out: Option<String>,
     out_dir: String,
     files: Vec<String>,
@@ -122,6 +129,7 @@ fn main() -> ExitCode {
         overload: false,
         budget: u64::MAX / 4,
         inject_shed_leak: false,
+        scale: Scale::Quick,
         out: None,
         out_dir: "cosmos-sim-failures".into(),
         files: Vec::new(),
@@ -154,6 +162,10 @@ fn main() -> ExitCode {
                 _ => return usage("--budget needs an integer >= 1"),
             },
             "--inject-shed-leak" => o.inject_shed_leak = true,
+            "--scale" => match args.next().as_deref().and_then(Scale::from_name) {
+                Some(v) => o.scale = v,
+                None => return usage("--scale needs quick or paper"),
+            },
             "--out" => match args.next() {
                 Some(v) => o.out = Some(v),
                 None => return usage("--out needs a path"),
@@ -226,6 +238,7 @@ fn main() -> ExitCode {
             check_bounds(&o)
         }
         "admission-canary" => admission_canary(),
+        "experiments" => experiments(o.scale),
         other => usage(&format!("unknown command '{other}'")),
     }
 }
@@ -364,6 +377,24 @@ fn admission_canary() -> ExitCode {
                 );
                 ExitCode::FAILURE
             }
+        }
+    }
+}
+
+/// Print the experiment report at `scale`; any claim that does not hold
+/// fails the command.
+fn experiments(scale: Scale) -> ExitCode {
+    match experiment::report(scale) {
+        Ok(report) => {
+            print!("{}", report.text());
+            for claim in report.failed_checks() {
+                eprintln!("cosmos-sim: experiments: FAIL {claim}");
+            }
+            ExitCode::from(u8::from(!report.failed_checks().is_empty()))
+        }
+        Err(e) => {
+            eprintln!("cosmos-sim: experiments: {e}");
+            ExitCode::from(2)
         }
     }
 }
