@@ -18,7 +18,7 @@
 //! their throughput (ablation A1 in DESIGN.md).
 
 use crate::predicate::{AttrConstraint, DiffRange};
-use crate::profile::Profile;
+use crate::profile::{Profile, ProfileEntry};
 use cosmos_types::{FxHashMap, Schema, SchemaId, StreamName, Tuple, Value};
 use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
@@ -264,6 +264,32 @@ impl<K: Ord + Clone> CountingMatcher<K> {
             self.rebuild_stream(s);
         }
         changed
+    }
+
+    /// Install (`Some`) or remove (`None`) `key`'s entry for one stream,
+    /// leaving its other entries alone; a profile left empty is removed.
+    /// Re-indexes `stream` only, and only when the entry changed —
+    /// returns whether it did.
+    pub fn replace_entry(
+        &mut self,
+        key: K,
+        stream: &StreamName,
+        entry: Option<ProfileEntry>,
+    ) -> bool {
+        let installed = self.profiles.get(&key).and_then(|p| p.entry(stream));
+        if installed == entry.as_ref() {
+            return false;
+        }
+        let mut profile = self.profiles.remove(&key).unwrap_or_default();
+        profile.remove_entry(stream);
+        if let Some(entry) = entry {
+            profile.add_entry(stream.clone(), entry);
+        }
+        if !profile.is_empty() {
+            self.profiles.insert(key, profile);
+        }
+        self.rebuild_stream(stream);
+        true
     }
 
     /// Rebuild the index of one stream from all installed profiles.

@@ -204,7 +204,8 @@ impl Router {
 
     /// Install (`Some`), replace or remove (`None`) the profile the
     /// match engine holds for `dest`. Every interest mutator goes
-    /// through here, which is the whole invalidation contract: a plan
+    /// through here — [`Router::set_neighbor_entry`] through its
+    /// one-stream twin — which is the whole invalidation contract: a plan
     /// depends on `(schema, stream, dest's entry for stream)` and
     /// nothing else, the engine reports exactly the streams whose entry
     /// for `dest` changed, and their compiled plans are dropped before
@@ -229,14 +230,20 @@ impl Router {
         self.install(dest, (!profile.is_empty()).then_some(profile));
     }
 
-    /// Union a new profile into the interest of `neighbor` (what happens
-    /// when one more subscription propagates up through that link).
-    pub fn merge_neighbor_interest(&mut self, neighbor: NodeId, profile: &Profile) {
-        let merged = match self.neighbor_interest(neighbor) {
-            Some(existing) => existing.union(profile),
-            None => profile.clone(),
-        };
-        self.set_neighbor_interest(neighbor, merged);
+    /// Replace (`Some`) or clear (`None`) the interest of the subtree
+    /// behind `neighbor` in one stream, leaving its other streams alone:
+    /// re-indexes and re-plans that stream only, and only if the entry
+    /// changed.
+    pub fn set_neighbor_entry(
+        &mut self,
+        neighbor: NodeId,
+        stream: &StreamName,
+        entry: Option<ProfileEntry>,
+    ) {
+        let dest = Destination::Neighbor(neighbor);
+        if self.engine.replace_entry(dest, stream, entry) {
+            self.state.get_mut().plans.retain(|e| e.stream != *stream);
+        }
     }
 
     /// Interest of the subtree behind `neighbor`, if any.
@@ -436,27 +443,6 @@ impl Router {
         out.extend(interested.copied().filter(|dest| Some(*dest) != arrival));
     }
 
-    /// Drop every interest entry for `stream` — neighbor and local —
-    /// shrinking the match engine and dropping the stream's plans. Called
-    /// when a stream is closed by its final watermark: no datagram of it
-    /// will ever arrive again, so the routing state is dead weight.
-    /// Destinations whose whole profile becomes empty are removed.
-    pub fn prune_stream(&mut self, stream: &StreamName) {
-        let pruned: Vec<(Destination, Profile)> = self
-            .engine
-            .profiles()
-            .filter(|(_, p)| p.entry(stream).is_some())
-            .map(|(dest, p)| {
-                let mut p = p.clone();
-                p.remove_entry(stream);
-                (*dest, p)
-            })
-            .collect();
-        for (dest, p) in pruned {
-            self.install(dest, (!p.is_empty()).then_some(p));
-        }
-    }
-
     /// Match-index rebuilds (one per stream re-indexed) this router's
     /// interest mutations have caused so far.
     pub fn index_rebuilds(&self) -> u64 {
@@ -597,15 +583,29 @@ mod tests {
     }
 
     #[test]
-    fn merge_neighbor_interest_unions() {
+    fn set_neighbor_entry_edits_one_stream() {
         let mut r = Router::new(NodeId(0));
-        r.merge_neighbor_interest(NodeId(1), &interest(0, 10, &[]));
-        r.merge_neighbor_interest(NodeId(1), &interest(20, 30, &[]));
+        let s_and_t = interest(0, 10, &[]).union(&interest_on("T", 0, 10, &[]));
+        r.set_neighbor_interest(NodeId(1), s_and_t);
         let s = schema();
-        assert_eq!(route(&r, &tup(5, 1.0), &s, None).len(), 1);
+        route(&r, &tup_on("T", 5, 1.0), &s, None);
+        let rebuilds = r.index_rebuilds();
+        let (stream, wider) = ("S".into(), interest(0, 30, &[]));
+        let entry = wider.entry(&stream).cloned();
+        r.set_neighbor_entry(NodeId(1), &stream, entry.clone());
+        assert_eq!(r.index_rebuilds(), rebuilds + 1, "S re-indexed, T not");
+        assert_eq!(r.cached_plan_count(), 1, "T's plan survived");
         assert_eq!(route(&r, &tup(25, 1.0), &s, None).len(), 1);
-        assert_eq!(route(&r, &tup(15, 1.0), &s, None).len(), 0);
-        assert_eq!(r.neighbor_interests().count(), 1);
+        r.set_neighbor_entry(NodeId(1), &stream, entry);
+        assert_eq!(
+            r.index_rebuilds(),
+            rebuilds + 1,
+            "an equal entry is a no-op"
+        );
+        r.set_neighbor_entry(NodeId(1), &stream, None);
+        assert!(route(&r, &tup(5, 1.0), &s, None).is_empty());
+        r.set_neighbor_entry(NodeId(1), &"T".into(), None);
+        assert_eq!(r.neighbor_interests().count(), 0, "an emptied profile goes");
     }
 
     #[test]
@@ -658,7 +658,7 @@ mod tests {
         r.remove_local_subscriber(SubscriberId(8));
         assert_eq!(r.cached_plan_count(), 1);
         r.set_neighbor_interest(NodeId(1), Profile::new());
-        r.prune_stream(&"T".into());
+        r.remove_local_subscriber(SubscriberId(9));
         assert_eq!(r.cached_plan_count(), 0);
     }
 
@@ -858,17 +858,19 @@ mod tests {
             }
             let n = NodeId(rng.gen_range(1..4));
             let sub = SubscriberId(rng.gen_range(0..3));
-            match rng.gen_range(0..7u32) {
+            match rng.gen_range(0..6u32) {
                 0 => r.set_neighbor_interest(n, p), // changed, or empty: removed
                 1 => {
                     let same = r.neighbor_interest(n).cloned().unwrap_or_default();
                     r.set_neighbor_interest(n, same);
                 }
                 2 => r.set_neighbor_interest(n, Profile::new()),
-                3 => r.merge_neighbor_interest(n, &p),
+                3 => {
+                    let stream = StreamName::from(["S", "T"][rng.gen_range(0..2usize)]);
+                    r.set_neighbor_entry(n, &stream, p.entry(&stream).cloned());
+                }
                 4 if !p.is_empty() => r.add_local_subscriber(sub, p), // new or replacing
-                5 => r.remove_local_subscriber(sub),
-                _ => r.prune_stream(&StreamName::from(["S", "T"][rng.gen_range(0..2usize)])),
+                _ => r.remove_local_subscriber(sub),
             }
             for (batch, layout) in &batches {
                 let arrival = NodeId(rng.gen_range(1..4));
@@ -906,29 +908,6 @@ mod tests {
             vec![Destination::Local(SubscriberId(7))]
         );
         assert!(r.route_punctuation(&"T".into(), None).is_empty());
-    }
-
-    #[test]
-    fn prune_stream_drops_interest_and_plans() {
-        let mut r = Router::new(NodeId(0));
-        r.set_neighbor_interest(NodeId(1), interest(0, 10, &[]));
-        let mut multi = interest(0, 10, &[]);
-        multi.add_interest("T", Projection::All, Conjunction::always());
-        r.add_local_subscriber(SubscriberId(7), multi);
-        let s = schema();
-        route(&r, &tup(5, 1.0), &s, None);
-        assert!(r.cached_plan_count() > 0);
-
-        r.prune_stream(&"S".into());
-        // Neighbor 1's profile became empty and was removed entirely;
-        // subscriber 7 keeps its interest in T.
-        assert!(r.neighbor_interest(NodeId(1)).is_none());
-        assert!(route(&r, &tup(5, 1.0), &s, None).is_empty());
-        assert!(r.route_punctuation(&"S".into(), None).is_empty());
-        assert_eq!(r.cached_plan_count(), 0);
-        let p7 = r.local_interest(SubscriberId(7)).unwrap();
-        assert!(p7.entry(&"T".into()).is_some());
-        assert!(p7.entry(&"S".into()).is_none());
     }
 
     #[test]

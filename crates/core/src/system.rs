@@ -17,6 +17,7 @@ use cosmos_types::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// What a server contributes to the system (Figure 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,37 +238,97 @@ impl Topology {
             .expect("shortest-path tree of a connected graph is a tree");
         self.source_trees.insert(origin, tree);
     }
+}
 
-    /// The one reverse-path walk: split `profile` by stream, normalise
-    /// each entry, and hand `sink` one `(up, down, stream, entry)` item
-    /// per link of the path from `from` to the stream's origin along
-    /// that origin's dissemination tree — `up` must hold `entry` as
-    /// (part of) its interest in neighbor `down`. A profile naming an
-    /// unadvertised stream is refused whole, before any item. Borrows
-    /// only what it reads, so the sink may edit the routers.
-    fn reverse_path_items(
-        &self,
+/// A routing cell `(up, down, stream)`: the interest router `up` holds
+/// in `stream` for the subtree behind neighbor `down`.
+type Cell = (NodeId, NodeId, StreamName);
+
+/// One local subscription's interest in one stream: the normalised
+/// entry, shared by every cell of its reverse path (subscriber first,
+/// origin last).
+type Contribution = (StreamName, Arc<ProfileEntry>, Vec<NodeId>);
+
+/// Reverse-path interest kept as the fold's inputs, not only its output.
+/// Every cell lists its contributors in `SubscriberId` order, and the
+/// entry its router holds is their left fold (`union_with`).
+#[derive(Debug, Default)]
+struct RouteLedger {
+    /// Each cell's contributors; a cell nobody contributes to is absent.
+    cells: BTreeMap<Cell, Vec<(SubscriberId, Arc<ProfileEntry>)>>,
+    /// What each local subscription contributes.
+    subs: FxHashMap<SubscriberId, Vec<Contribution>>,
+    /// Cells edited since the last refold.
+    touched: BTreeSet<Cell>,
+    /// The cells the last refold recomputed.
+    #[cfg(test)]
+    refolded: Vec<Cell>,
+}
+
+impl RouteLedger {
+    /// Replace what subscription `sub` at `at` contributes by what
+    /// `profile` does, leaving the cells of streams whose entry and path
+    /// are unchanged alone. This is the one reverse-path walk: each
+    /// stream's normalised entry goes to every cell of the path from `at`
+    /// to the stream's origin along that origin's dissemination tree. A
+    /// profile naming an unadvertised stream contributes nothing.
+    fn set(
+        &mut self,
+        topology: &Topology,
         registry: &SchemaRegistry,
-        from: NodeId,
+        at: NodeId,
+        sub: SubscriberId,
         profile: &Profile,
-        mut sink: impl FnMut(NodeId, NodeId, &StreamName, &ProfileEntry),
-    ) -> Result<()> {
-        let origins: Vec<NodeId> = profile
-            .streams()
-            .map(|stream| {
-                registry.origin(stream).ok_or_else(|| {
-                    CosmosError::System(format!("stream '{stream}' is not advertised"))
-                })
+    ) {
+        let new: Option<Vec<Contribution>> = (profile.iter())
+            .map(|(stream, entry)| {
+                let origin = registry.origin(stream)?;
+                let mut entry = entry.clone();
+                entry.normalize();
+                let path = topology.tree_for(origin).path(at, origin);
+                Some((stream.clone(), Arc::new(entry), path))
             })
-            .collect::<Result<_>>()?;
-        for ((stream, entry), origin) in profile.iter().zip(origins) {
-            let mut entry = entry.clone();
-            entry.normalize();
-            for w in self.tree_for(origin).path(from, origin).windows(2) {
-                sink(w[1], w[0], stream, &entry);
+            .collect();
+        let mut new = new.unwrap_or_default();
+        let (kept, gone): (Vec<_>, Vec<_>) = (self.subs.remove(&sub).unwrap_or_default())
+            .into_iter()
+            .partition(|c| new.contains(c));
+        for (stream, _, path) in gone {
+            for w in path.windows(2) {
+                self.edit((w[1], w[0], stream.clone()), sub, None);
             }
         }
-        Ok(())
+        for contribution in &mut new {
+            if let Some(same) = kept.iter().find(|c| *c == contribution) {
+                contribution.1 = Arc::clone(&same.1); // the one its cells hold
+                continue;
+            }
+            let (stream, entry, path) = &*contribution;
+            for w in path.windows(2) {
+                self.edit((w[1], w[0], stream.clone()), sub, Some(entry));
+            }
+        }
+        if !new.is_empty() {
+            self.subs.insert(sub, new);
+        }
+    }
+
+    /// Insert `sub`'s `entry` among `cell`'s contributors, or withdraw it
+    /// (`None`), and note the cell for the next refold.
+    fn edit(&mut self, cell: Cell, sub: SubscriberId, entry: Option<&Arc<ProfileEntry>>) {
+        let list = self.cells.entry(cell.clone()).or_default();
+        let at = list.partition_point(|(s, _)| *s < sub);
+        self.touched.insert(cell.clone());
+        match entry {
+            Some(entry) => list.insert(at, (sub, Arc::clone(entry))),
+            None => {
+                debug_assert_eq!(list.get(at).map(|c| c.0), Some(sub));
+                list.remove(at);
+            }
+        }
+        if list.is_empty() {
+            self.cells.remove(&cell);
+        }
     }
 }
 
@@ -457,6 +518,9 @@ pub struct Cosmos {
     registry: SchemaRegistry,
     catalog: StatsCatalog,
     routers: Vec<Router>,
+    /// What every local subscription contributes to the routers'
+    /// reverse-path interests.
+    ledger: RouteLedger,
     /// Query-layer state per processor.
     managers: BTreeMap<NodeId, GroupManager>,
     /// Representative executors, keyed by result-stream name.
@@ -521,6 +585,7 @@ impl Cosmos {
             },
             catalog: StatsCatalog::new(),
             routers: (0..n as u32).map(|i| Router::new(NodeId(i))).collect(),
+            ledger: RouteLedger::default(),
             managers: BTreeMap::new(),
             reps: BTreeMap::new(),
             subs: FxHashMap::default(),
@@ -663,103 +728,92 @@ impl Cosmos {
         }
     }
 
-    /// Propagate a data-interest profile from `from` towards the origin
-    /// of each of its streams (reverse-path subscription), merging it
-    /// into the routers along the way.
-    fn propagate_interest(&mut self, from: NodeId, profile: &Profile) -> Result<()> {
-        let routers = &mut self.routers;
-        let merge = |up: NodeId, down, stream: &StreamName, entry: &ProfileEntry| {
-            let router = &mut routers[up.index()];
-            let mut merged = router.neighbor_interest(down).cloned().unwrap_or_default();
-            merged.merge_entry(stream, entry);
-            router.set_neighbor_interest(down, merged);
-        };
-        self.topology
-            .reverse_path_items(&self.registry, from, profile, merge)
+    /// Install `profile` as local subscription `sub` at `at` (an empty
+    /// profile withdraws it) and record what it contributes to the
+    /// reverse paths: the one way a local subscription changes. The
+    /// routers' reverse-path interests follow at the end of the public
+    /// call ([`Cosmos::refold_routes`]). Only SPE inputs may name a
+    /// source stream: [`Cosmos::close_streams`] drops closed streams by
+    /// re-installing those alone.
+    fn subscribe_local(&mut self, at: NodeId, sub: SubscriberId, profile: Profile) {
+        self.ledger
+            .set(&self.topology, &self.registry, at, sub, &profile);
+        let router = &mut self.routers[at.index()];
+        if profile.is_empty() {
+            router.remove_local_subscriber(sub);
+        } else {
+            router.add_local_subscriber(sub, profile);
+        }
     }
 
-    /// Bring every router's reverse-path interests to the canonical fold
-    /// of the *current* local subscriptions along the current trees.
-    /// Reverse-path state is a pure function of the trees and the local
-    /// profiles, so this both heals the network after a tree
-    /// reorganization and flushes stale interest left behind when a
-    /// subscription's profile is replaced (a widened representative).
-    ///
-    /// The fold runs off to the side — subscriptions in (router,
-    /// subscriber, stream) order, each merged hop by hop into a
-    /// per-`(up, down)` table — and each router is then handed its table
-    /// as a diff: neighbors no longer wanted are removed, neighbors whose
-    /// folded profile equals the installed one are not touched, the rest
-    /// are set. The cost follows what changed, not what exists.
-    pub fn rebuild_routes(&mut self) {
-        let mut folded: Vec<BTreeMap<NodeId, Profile>> = vec![BTreeMap::new(); self.routers.len()];
-        for r in &self.routers {
-            for (_, profile) in r.local_subscribers() {
-                // Streams can only vanish from the registry via explicit
-                // unregistration, which the system layer never does while
-                // subscriptions exist; ignore unknown streams defensively.
-                let fold = |up: NodeId, down, stream: &StreamName, entry: &ProfileEntry| {
-                    folded[up.index()]
-                        .entry(down)
-                        .or_default()
-                        .merge_entry(stream, entry);
-                };
-                let _ = self
-                    .topology
-                    .reverse_path_items(&self.registry, r.node(), profile, fold);
-            }
+    /// Bring the cells edited since the last refold up to date: each
+    /// installed entry becomes the left fold of its cell's contributors
+    /// in `SubscriberId` order, and is installed on its router as a
+    /// one-stream edit, which re-indexes nothing when the entry is
+    /// unchanged. An operation that fails half-way leaves its cells to
+    /// the next refold.
+    fn refold_routes(&mut self) {
+        let ledger = &mut self.ledger;
+        #[cfg(test)]
+        ledger.refolded.clear();
+        for cell in std::mem::take(&mut ledger.touched) {
+            let (up, down, stream) = &cell;
+            let entry = ledger.cells.get(&cell).map(|list| {
+                let mut entry = ProfileEntry::clone(&list[0].1);
+                for (_, e) in &list[1..] {
+                    entry.union_with(e);
+                }
+                entry
+            });
+            self.routers[up.index()].set_neighbor_entry(*down, stream, entry);
+            #[cfg(test)]
+            ledger.refolded.push(cell);
         }
-        for (router, wanted) in self.routers.iter_mut().zip(folded) {
-            let stale: Vec<NodeId> = router
-                .neighbor_interests()
-                .map(|(n, _)| n)
-                .filter(|n| !wanted.contains_key(n))
-                .collect();
-            for n in stale {
-                router.set_neighbor_interest(n, Profile::new());
+    }
+
+    /// Bring every router's reverse-path interests to the fold of the
+    /// *current* local subscriptions along the current trees — what a
+    /// tree reorganization needs, since it moves every path. The ledger
+    /// is rebuilt from the local subscriptions, and every cell it or a
+    /// router holds is refolded; one whose entry is unchanged is not
+    /// touched, so a second call re-indexes nothing.
+    pub fn rebuild_routes(&mut self) {
+        let mut ledger = RouteLedger::default();
+        for r in &self.routers {
+            for (sub, profile) in r.local_subscribers() {
+                ledger.set(&self.topology, &self.registry, r.node(), sub, profile);
             }
-            for (n, p) in wanted {
-                if router.neighbor_interest(n) != Some(&p) {
-                    router.set_neighbor_interest(n, p);
+            for (down, profile) in r.neighbor_interests() {
+                for stream in profile.streams() {
+                    ledger.touched.insert((r.node(), down, stream.clone()));
                 }
             }
         }
+        self.ledger = ledger;
+        self.refold_routes();
     }
 
     /// (Re)install SPE-input subscription `sub` at `processor`: `rep`'s
     /// source profile minus the closed streams. No datagram of a closed
     /// stream can arrive any more, and subscribing to one would
     /// resurrect the routing state [`Cosmos::close_streams`] pruned.
-    /// Returns the installed profile (possibly empty: not installed).
-    fn install_spe_input(
-        &mut self,
-        processor: NodeId,
-        sub: SubscriberId,
-        rep: &AnalyzedQuery,
-    ) -> Profile {
+    fn install_spe_input(&mut self, processor: NodeId, sub: SubscriberId, rep: &AnalyzedQuery) {
         let mut profile = rep.source_profile();
         for closed in &self.disorder.closed {
             profile.remove_entry(closed);
         }
-        let router = &mut self.routers[processor.index()];
-        if profile.is_empty() {
-            router.remove_local_subscriber(sub);
-        } else {
-            router.add_local_subscriber(sub, profile.clone());
-        }
-        profile
+        self.subscribe_local(processor, sub, profile);
     }
 
     /// Start a representative: advertise `stream` at `processor`, run
     /// `rep` there in a fresh executor of a fresh generation, and
     /// subscribe the SPE to the source data (Section 4 profile).
-    /// Returns the installed source profile, not yet propagated.
     fn start_rep(
         &mut self,
         processor: NodeId,
         stream: &StreamName,
         rep: &AnalyzedQuery,
-    ) -> Result<Profile> {
+    ) -> Result<()> {
         self.ensure_source_tree(processor);
         self.registry
             .register(stream.clone(), rep.output_schema.clone(), processor)?;
@@ -772,7 +826,7 @@ impl Cosmos {
         let mut executor = Executor::new(rep.clone(), stream.clone())?;
         self.disorder.arm(&mut executor);
         let sub = self.ids.sub();
-        let profile = self.install_spe_input(processor, sub, rep);
+        self.install_spe_input(processor, sub, rep);
         self.subs.insert(sub, LocalSub::Spe(stream.clone()));
         let site = RepSite {
             processor,
@@ -781,16 +835,15 @@ impl Cosmos {
             sub,
         };
         self.reps.insert(stream.clone(), site);
-        Ok(profile)
+        Ok(())
     }
 
     /// Replace the running representative of `stream` by `rep` — the
     /// group was widened by a new member or shrank after a withdrawal.
     /// The fresh executor gets a fresh generation and the same SPE-input
     /// subscription. (Window state restarts; experiments submit queries
-    /// before publishing data.) Returns the installed source profile,
-    /// not yet propagated.
-    fn replace_rep(&mut self, stream: &StreamName, rep: &AnalyzedQuery) -> Result<Profile> {
+    /// before publishing data.)
+    fn replace_rep(&mut self, stream: &StreamName, rep: &AnalyzedQuery) -> Result<()> {
         self.retire_executor(stream);
         self.registry
             .update_schema(stream, rep.output_schema.clone())?;
@@ -801,7 +854,8 @@ impl Cosmos {
         site.executor = executor;
         site.generation = generation;
         let (processor, sub) = (site.processor, site.sub);
-        Ok(self.install_spe_input(processor, sub, rep))
+        self.install_spe_input(processor, sub, rep);
+        Ok(())
     }
 
     /// Stop a representative: flush and drop its executor, withdraw the
@@ -815,7 +869,7 @@ impl Cosmos {
         self.registry.unregister(stream);
         if let Some(site) = self.reps.remove(stream) {
             self.subs.remove(&site.sub);
-            self.routers[site.processor.index()].remove_local_subscriber(site.sub);
+            self.subscribe_local(site.processor, site.sub, Profile::new());
         }
     }
 
@@ -823,24 +877,16 @@ impl Cosmos {
     /// order: stop representatives, start the new ones, replace the
     /// changed ones, then (re)install every listed member subscription
     /// and stamp the member with the generation of the executor now
-    /// serving it. With `incremental`, each started or replaced
-    /// representative's source profile is propagated at once; without,
-    /// the caller's [`Cosmos::rebuild_routes`] derives the routes.
-    fn apply(&mut self, processor: NodeId, change: GroupChange, incremental: bool) -> Result<()> {
+    /// serving it. The caller refolds the routes it touched.
+    fn apply(&mut self, processor: NodeId, change: GroupChange) -> Result<()> {
         for stream in &change.stop {
             self.stop_rep(stream);
         }
         for (stream, rep) in &change.start {
-            let source_profile = self.start_rep(processor, stream, rep)?;
-            if incremental {
-                self.propagate_interest(processor, &source_profile)?;
-            }
+            self.start_rep(processor, stream, rep)?;
         }
         for (stream, rep) in &change.replace {
-            let source_profile = self.replace_rep(stream, rep)?;
-            if incremental {
-                self.propagate_interest(processor, &source_profile)?;
-            }
+            self.replace_rep(stream, rep)?;
         }
         for (qid, stream, profile) in change.subscribe {
             let generation = self.reps[&stream].generation;
@@ -849,7 +895,8 @@ impl Cosmos {
                 .get_mut(&qid)
                 .expect("subscribed member is live");
             member.executor_gen = generation;
-            self.routers[member.user.index()].add_local_subscriber(member.user_sub, profile);
+            let (user, user_sub) = (member.user, member.user_sub);
+            self.subscribe_local(user, user_sub, profile);
         }
         Ok(())
     }
@@ -921,26 +968,19 @@ impl Cosmos {
             }
         };
         // The new query's own subscription (listed last) is installed
-        // below, once its user subscription exists. Any other is an
-        // existing member of a widened representative: its replaced
-        // profile leaves stale (looser or tighter) reverse-path interest
-        // on intermediate nodes, so the routes are rebuilt.
+        // below, once its user subscription exists.
         let (_, result_stream, user_profile) = change.subscribe.pop().expect("own subscription");
-        let must_rebuild = !change.subscribe.is_empty();
         // A new group starts its representative, a widened one replaces
-        // it (same result stream), and a query that joins without
-        // widening is served by the warm, already-running executor.
-        self.apply(processor, change, true)?;
+        // it (same result stream) and resubscribes its other members,
+        // and a query that joins without widening is served by the warm,
+        // already-running executor.
+        self.apply(processor, change)?;
 
         // The user retrieves the results through the CBN.
         let user_sub = self.ids.sub();
-        self.routers[user.index()].add_local_subscriber(user_sub, user_profile.clone());
+        self.subscribe_local(user, user_sub, user_profile);
         self.subs.insert(user_sub, LocalSub::User(qid));
-        if must_rebuild {
-            self.rebuild_routes();
-        } else {
-            self.propagate_interest(user, &user_profile)?;
-        }
+        self.refold_routes();
 
         self.delivered.insert(qid, Vec::new());
         let record = QueryRecord {
@@ -959,9 +999,9 @@ impl Cosmos {
     /// query grouping at every processor. Where a better grouping exists
     /// (greedy insertion is order-sensitive), the processor's
     /// representatives are rebuilt, its result streams re-advertised,
-    /// every affected user subscription refreshed, and the routing state
-    /// re-derived. Returns the number of processors whose grouping
-    /// improved.
+    /// every affected user subscription refreshed, and the routing cells
+    /// they touch refolded. Returns the number of processors whose
+    /// grouping improved.
     ///
     /// Like representative replacement on merge, rebuilt executors start
     /// with empty windows; run this between workload phases.
@@ -976,18 +1016,17 @@ impl Cosmos {
             let change = manager.reoptimize(&self.catalog)?;
             if !change.is_empty() {
                 improved += 1;
-                self.apply(p, change, false)?;
+                self.apply(p, change)?;
             }
         }
-        if improved > 0 {
-            self.rebuild_routes();
-        }
+        self.refold_routes();
         Ok(improved)
     }
 
     /// Withdraw a query: remove its user subscription, drop it from its
     /// group (rebuilding the representative from the remaining members,
-    /// or tearing the group down entirely), and re-derive routing state.
+    /// or tearing the group down entirely), and refold the routing cells
+    /// that touches.
     ///
     /// Returns an error for unknown query ids. Results already delivered
     /// — a batch the overload controller was still coalescing included —
@@ -997,7 +1036,7 @@ impl Cosmos {
             .queries
             .remove(&qid)
             .ok_or_else(|| CosmosError::System(format!("unknown query {qid}")))?;
-        self.routers[record.user.index()].remove_local_subscriber(record.user_sub);
+        self.subscribe_local(record.user, record.user_sub, Profile::new());
         self.subs.remove(&record.user_sub);
         // Nothing more will be offered to the query: release the batch
         // the overload controller was coalescing for it.
@@ -1020,8 +1059,8 @@ impl Cosmos {
                 .expect("manager exists")
                 .remove(qid)?,
         };
-        self.apply(record.processor, change, false)?;
-        self.rebuild_routes();
+        self.apply(record.processor, change)?;
+        self.refold_routes();
         Ok(())
     }
 
@@ -1382,10 +1421,11 @@ impl Cosmos {
 
     /// Declare every source stream finished: emit a final `+∞` watermark
     /// along each one's dissemination tree (draining every staging area
-    /// and cascading through operator chains), then prune the streams'
-    /// routing state — interest entries, filters, and the plan-cache
-    /// lines they pinned — since no datagram of a closed stream can ever
-    /// arrive again. Records the closed set for the network snapshot.
+    /// and cascading through operator chains), then drop the streams
+    /// from every SPE input — their reverse-path cells refold away, with
+    /// the plan-cache lines they pinned — since no datagram of a closed
+    /// stream can ever arrive again. Records the closed set for the
+    /// network snapshot.
     /// Also drains any batches the overload controller was coalescing.
     /// Idempotent; apart from the overload drain, a no-op in in-order
     /// operation.
@@ -1411,11 +1451,21 @@ impl Cosmos {
                 .emitted
                 .insert(stream.clone(), Timestamp(i64::MAX));
             self.disseminate_watermark(stream.clone(), Timestamp(i64::MAX), origin);
-            for r in &mut self.routers {
-                r.prune_stream(&stream);
-            }
             self.disorder.closed.insert(stream);
         }
+        // Only SPE inputs subscribe to source streams: re-installing them
+        // drops the closed ones, and their cells refold away.
+        let inputs: Vec<(NodeId, SubscriberId, AnalyzedQuery)> = (self.reps.values())
+            .map(|site| (site.processor, site.sub, site.executor.query().clone()))
+            .collect();
+        for (processor, sub, rep) in inputs {
+            self.install_spe_input(processor, sub, &rep);
+        }
+        debug_assert!(
+            (self.ledger.cells.keys()).all(|(.., s)| !self.disorder.closed.contains(s)),
+            "a local subscription still names a closed stream"
+        );
+        self.refold_routes();
     }
 
     /// Source streams closed by [`Cosmos::close_streams`].

@@ -1,7 +1,8 @@
 //! Route maintenance held to an independent reference and to a cost
-//! contract: `rebuild_routes` must leave exactly what clearing every
-//! router and re-propagating every subscription hop by hop leaves, and
-//! control operations must re-index only what they moved.
+//! contract: after every control operation the routers must hold exactly
+//! what clearing every router and re-propagating every subscription hop
+//! by hop, in `SubscriberId` order, leaves — without a `rebuild_routes`
+//! — and an operation must refold only the cells it changed.
 
 use super::*;
 use cosmos_workload::sensor::stream_name;
@@ -57,10 +58,10 @@ fn submit_generated(
     live
 }
 
-/// The route rebuild as it was before the fold: clear every neighbor
+/// The route rebuild as it was before the ledger: clear every neighbor
 /// interest, then merge each local subscription's normalized per-stream
-/// profile into every router on its reverse path, through `Router`'s
-/// public mutators only.
+/// profile, in `SubscriberId` order, into every router on its reverse
+/// path, through `Router`'s public mutators only.
 fn reference_rebuild(sys: &Cosmos, routers: &mut [Router]) {
     for r in routers.iter_mut() {
         let neighbors: Vec<NodeId> = r.neighbor_interests().map(|(n, _)| n).collect();
@@ -68,11 +69,12 @@ fn reference_rebuild(sys: &Cosmos, routers: &mut [Router]) {
             r.set_neighbor_interest(n, Profile::new());
         }
     }
-    let subs: Vec<(NodeId, Profile)> = routers
+    let mut subs: Vec<(SubscriberId, NodeId, Profile)> = routers
         .iter()
-        .flat_map(|r| r.local_subscribers().map(|(_, p)| (r.node(), p.clone())))
+        .flat_map(|r| r.local_subscribers().map(|(s, p)| (s, r.node(), p.clone())))
         .collect();
-    for (node, profile) in subs {
+    subs.sort_by_key(|(sub, ..)| *sub);
+    for (_, node, profile) in subs {
         let origins: Option<Vec<NodeId>> =
             profile.streams().map(|s| sys.registry.origin(s)).collect();
         let Some(origins) = origins else {
@@ -84,19 +86,24 @@ fn reference_rebuild(sys: &Cosmos, routers: &mut [Router]) {
             let single = single.normalized();
             let path = sys.tree_for(origin).path(node, origin);
             for w in path.windows(2) {
-                routers[w[1].index()].merge_neighbor_interest(w[0], &single);
+                let up = &mut routers[w[1].index()];
+                let merged = match up.neighbor_interest(w[0]) {
+                    Some(held) => held.union(&single),
+                    None => single.clone(),
+                };
+                up.set_neighbor_interest(w[0], merged);
             }
         }
     }
 }
 
-/// Rebuild the system's routes, and a clone of its (pre-rebuild)
-/// routers by the reference; both must hold the same interests and
-/// hash to the same routing digest.
-fn assert_rebuild_matches_reference(sys: &mut Cosmos, step: &str) {
+/// The system's routers must already hold what the reference leaves on
+/// a clone of them, and hash to the same routing digest; a following
+/// `rebuild_routes` then re-indexes nothing and finds the ledger it
+/// rebuilds from the local subscriptions already in place.
+fn assert_routes_match_reference(sys: &mut Cosmos, step: &str) {
     let mut reference = sys.routers.clone();
     reference_rebuild(sys, &mut reference);
-    sys.rebuild_routes();
     for (ours, theirs) in sys.routers.iter().zip(&reference) {
         assert!(
             ours.neighbor_interests().eq(theirs.neighbor_interests()),
@@ -108,6 +115,23 @@ fn assert_rebuild_matches_reference(sys: &mut Cosmos, step: &str) {
     let ours = std::mem::replace(&mut sys.routers, reference);
     assert_eq!(digest, sys.routing_digest(), "{step}: routing digest");
     sys.routers = ours;
+    assert_rebuild_changes_nothing(sys, step);
+}
+
+/// A `rebuild_routes` re-indexes nothing, drops no plan, and rebuilds
+/// exactly the ledger in place: no withdrawn subscriber or closed stream
+/// lingers in it.
+fn assert_rebuild_changes_nothing(sys: &mut Cosmos, step: &str) {
+    let (cells, subs) = (sys.ledger.cells.clone(), sys.ledger.subs.clone());
+    let before = maintenance_counters(sys);
+    sys.rebuild_routes();
+    let moved = maintenance_counters(sys) != before;
+    assert!(!moved, "{step}: rebuild moved something");
+    assert!(sys.ledger.cells == cells, "{step}: stale ledger cells");
+    assert!(
+        sys.ledger.subs == subs,
+        "{step}: stale ledger subscriptions"
+    );
 }
 
 /// The query-layer tables, read through public views only: exactly the
@@ -174,46 +198,79 @@ fn assert_tables_match_live_queries(
 
 #[test]
 fn fold_matches_the_clear_and_repropagate_reference() {
-    let (mut regrouped, mut tree_moves) = (0, 0);
+    let (mut regrouped, mut tree_moves, mut failed_links, mut tuned, mut closed) = (0, 0, 0, 0, 0);
     for seed in 0..16u64 {
-        let per_source_trees = seed % 2 == 1;
-        let (mut sys, mut queries, mut rng) =
-            deployment(seed, 12 + seed as usize, 4, per_source_trees);
-        let mut live = submit_generated(&mut sys, &mut queries, &mut rng, 10);
-        let mut withdrawn = Vec::new();
-        assert_rebuild_matches_reference(&mut sys, "start-up");
-        for step in 0..24 {
-            let what = match rng.gen_range(0..8u32) {
-                0..=2 => {
-                    live.extend(submit_generated(&mut sys, &mut queries, &mut rng, 1));
-                    "submit"
-                }
-                3..=5 if !live.is_empty() => {
-                    let (qid, _) = live.swap_remove(rng.gen_range(0..live.len()));
-                    sys.unsubscribe(qid).unwrap();
-                    withdrawn.push(qid);
-                    "unsubscribe"
-                }
-                6 => {
-                    regrouped += sys.reoptimize_groups().unwrap();
-                    "reoptimize_groups"
-                }
-                _ => {
-                    tree_moves += sys
-                        .optimize_tree(cosmos_overlay::OptimizerConfig::default())
-                        .moves;
-                    "optimize_tree"
-                }
-            };
-            let step = format!("seed {seed} step {step} {what}");
-            assert_rebuild_matches_reference(&mut sys, &step);
-            let live: Vec<QueryId> = live.iter().map(|(q, _)| *q).collect();
-            assert_tables_match_live_queries(&sys, &live, &withdrawn, &step);
+        for per_source_trees in [false, true] {
+            let (mut sys, mut queries, mut rng) =
+                deployment(seed, 12 + seed as usize, 4, per_source_trees);
+            if seed % 2 == 0 {
+                sys.set_disorder(Some(DisorderRuntime {
+                    bound: TimeDelta::from_millis(1_000),
+                    policy: LatePolicy::Drop,
+                }));
+            }
+            let mut live = submit_generated(&mut sys, &mut queries, &mut rng, 10);
+            // Measured rates for autotune to drift from.
+            let mut sensors = cosmos_workload::SensorGenerator::new(0, seed);
+            sys.run(sensors.tuples_until(30_000)).unwrap();
+            let mut withdrawn = Vec::new();
+            assert_routes_match_reference(&mut sys, &format!("seed {seed} start-up"));
+            for step in 0..24 {
+                let what = match rng.gen_range(0..11u32) {
+                    0..=2 => {
+                        live.extend(submit_generated(&mut sys, &mut queries, &mut rng, 1));
+                        "submit"
+                    }
+                    3..=5 if !live.is_empty() => {
+                        let (qid, _) = live.swap_remove(rng.gen_range(0..live.len()));
+                        sys.unsubscribe(qid).unwrap();
+                        withdrawn.push(qid);
+                        "unsubscribe"
+                    }
+                    6 => {
+                        regrouped += sys.reoptimize_groups().unwrap();
+                        "reoptimize_groups"
+                    }
+                    7 => {
+                        tree_moves += sys
+                            .optimize_tree(cosmos_overlay::OptimizerConfig::default())
+                            .moves;
+                        "optimize_tree"
+                    }
+                    8 => {
+                        let edges: Vec<(NodeId, NodeId)> = sys.tree().edges().collect();
+                        let (a, b) = edges[rng.gen_range(0..edges.len())];
+                        if sys.fail_tree_link(a, b).is_ok() {
+                            failed_links += 1;
+                            sys.heal_tree_link(a, b).unwrap();
+                        }
+                        "fail_tree_link"
+                    }
+                    9 => {
+                        let opts = AutotuneOptions {
+                            drift_threshold: 0.0,
+                            ..AutotuneOptions::default()
+                        };
+                        tuned += usize::from(sys.autotune(&opts).unwrap().triggered);
+                        "autotune"
+                    }
+                    _ => {
+                        sys.close_streams();
+                        "close_streams"
+                    }
+                };
+                let step = format!("seed {seed} trees {per_source_trees} step {step} {what}");
+                assert_routes_match_reference(&mut sys, &step);
+                let live: Vec<QueryId> = live.iter().map(|(q, _)| *q).collect();
+                assert_tables_match_live_queries(&sys, &live, &withdrawn, &step);
+            }
+            closed += usize::from(!sys.closed_streams().is_empty());
         }
     }
+    let exercised = [regrouped, tree_moves, failed_links, tuned, closed];
     assert!(
-        regrouped > 0 && tree_moves > 0,
-        "the interleaving must regroup ({regrouped}) and move tree edges ({tree_moves})"
+        exercised.iter().all(|n| *n > 0),
+        "regroups, tree moves, link failures, autotune passes, closures: {exercised:?}"
     );
 }
 
@@ -250,20 +307,61 @@ fn assert_rebuilds_confined_to_path(sys: &Cosmos, before: &[(u64, usize)], path:
     );
 }
 
+/// Each local subscription's normalised entry per stream, with the
+/// cells of that stream's reverse path — derived from the routers, the
+/// registry and the trees, not from the ledger.
+fn contributions(sys: &Cosmos) -> BTreeMap<(SubscriberId, StreamName), (ProfileEntry, Vec<Cell>)> {
+    let mut out = BTreeMap::new();
+    for r in &sys.routers {
+        for (sub, profile) in r.local_subscribers() {
+            for (stream, entry) in profile.iter() {
+                let origin = sys.registry.origin(stream).expect("advertised");
+                let path = sys.tree_for(origin).path(r.node(), origin);
+                let cells = path.windows(2).map(|w| (w[1], w[0], stream.clone()));
+                let mut entry = entry.clone();
+                entry.normalize();
+                out.insert((sub, stream.clone()), (entry, cells.collect()));
+            }
+        }
+    }
+    out
+}
+
+/// Run `op` and assert that it refolded exactly the cells on the reverse
+/// paths of the `(subscription, stream)` entries it added, withdrew or
+/// changed — and that there were some.
+fn assert_refolds_what_moved<T>(
+    sys: &mut Cosmos,
+    what: &str,
+    op: impl FnOnce(&mut Cosmos) -> T,
+) -> T {
+    let before = contributions(sys);
+    let out = op(sys);
+    let after = contributions(sys);
+    let keys: BTreeSet<_> = before.keys().chain(after.keys()).collect();
+    let moved: BTreeSet<Cell> = keys
+        .into_iter()
+        .filter(|k| before.get(*k) != after.get(*k))
+        .flat_map(|k| before.get(k).into_iter().chain(after.get(k)))
+        .flat_map(|(_, cells)| cells.iter().cloned())
+        .collect();
+    let refolded: BTreeSet<Cell> = sys.ledger.refolded.iter().cloned().collect();
+    assert!(!moved.is_empty(), "{what} moves nothing");
+    assert_eq!(refolded, moved, "{what}: refolded cells");
+    out
+}
+
 #[test]
 fn control_operations_reindex_only_what_moved() {
     let (mut sys, mut queries, mut rng) = deployment(7, 64, 16, false);
-    let live = submit_generated(&mut sys, &mut queries, &mut rng, 96);
+    let mut live = submit_generated(&mut sys, &mut queries, &mut rng, 96);
     // Route something so the plan caches are not trivially empty.
     let mut sensors = cosmos_workload::SensorGenerator::new(0, 7);
     sys.run(sensors.tuples_until(60_000)).unwrap();
 
     // A rebuild with nothing to change touches nothing.
-    sys.rebuild_routes();
-    let before = maintenance_counters(&sys);
-    assert!(before.iter().any(|(_, plans)| *plans > 0));
-    sys.rebuild_routes();
-    assert_eq!(maintenance_counters(&sys), before);
+    assert!(sys.routers.iter().any(|r| r.cached_plan_count() > 0));
+    assert_rebuild_changes_nothing(&mut sys, "start-up");
 
     // A query joining an existing group without widening it (here: a
     // second copy of a live query, from another node) re-indexes the
@@ -275,7 +373,9 @@ fn control_operations_reindex_only_what_moved() {
         .find(|n| Some(*n) != sys.user_of(*original) && Some(*n) != sys.processor_of(*original))
         .unwrap();
     let before = maintenance_counters(&sys);
-    let copy = sys.submit_query(text, user).unwrap();
+    let copy = assert_refolds_what_moved(&mut sys, "a warm join", |sys| {
+        sys.submit_query(text, user).unwrap()
+    });
     assert_eq!(sys.executor_generation(copy), generation, "joined warm");
     let processor = sys.processor_of(copy).unwrap();
     let path = sys.tree_for(processor).path(user, processor);
@@ -284,8 +384,85 @@ fn control_operations_reindex_only_what_moved() {
     // Withdrawing it again leaves the group with the representative it
     // had: same confinement.
     let before = maintenance_counters(&sys);
-    sys.unsubscribe(copy).unwrap();
+    assert_refolds_what_moved(&mut sys, "a warm withdrawal", |sys| {
+        sys.unsubscribe(copy).unwrap()
+    });
     assert_rebuilds_confined_to_path(&sys, &before, &path);
+
+    // A widening submit, the unsubscribe that shrinks the group back,
+    // and the one that dissolves it.
+    let humidity = |lo: f64, hi: f64| {
+        format!("SELECT node_id, humidity FROM sensors_05 [Now] WHERE humidity BETWEEN {lo:.1} AND {hi:.1}")
+    };
+    let narrow = sys.submit_query(&humidity(70.0, 80.0), NodeId(3)).unwrap();
+    let generation = sys.executor_generation(narrow);
+    let wide = assert_refolds_what_moved(&mut sys, "a widening submit", |sys| {
+        sys.submit_query(&humidity(50.0, 90.0), NodeId(40)).unwrap()
+    });
+    assert_eq!(
+        sys.executor_generation(wide),
+        sys.executor_generation(narrow)
+    );
+    assert_ne!(sys.executor_generation(narrow), generation, "widened");
+    let generation = sys.executor_generation(narrow);
+    assert_refolds_what_moved(&mut sys, "a shrinking unsubscribe", |sys| {
+        sys.unsubscribe(wide).unwrap()
+    });
+    assert_ne!(sys.executor_generation(narrow), generation, "shrunk");
+    let processor = sys.processor_of(narrow).unwrap();
+    let groups = |sys: &Cosmos| sys.group_manager(processor).unwrap().group_count();
+    let before = groups(&sys);
+    assert_refolds_what_moved(&mut sys, "a dissolving unsubscribe", |sys| {
+        sys.unsubscribe(narrow).unwrap()
+    });
+    assert_eq!(groups(&sys), before - 1, "dissolved");
+
+    // Two disjoint narrow queries seed separate groups before the wide
+    // one arrives: regrouping improves.
+    for (lo, hi) in [(0.0, 10.0), (90.0, 100.0), (0.0, 100.0)] {
+        sys.submit_query(&humidity(lo, hi), NodeId(9)).unwrap();
+    }
+    let improved = assert_refolds_what_moved(&mut sys, "a regrouping", |sys| {
+        sys.reoptimize_groups().unwrap()
+    });
+    assert!(improved > 0);
+
+    // Churn leaves no withdrawn subscriber behind: the ledger equals one
+    // rebuilt from the local subscriptions, and so do the routers.
+    let (mut cells, mut contributors) = (Vec::new(), Vec::new());
+    for _ in 0..200 {
+        live.extend(submit_generated(&mut sys, &mut queries, &mut rng, 1));
+        let (qid, _) = live.swap_remove(rng.gen_range(0..live.len()));
+        sys.unsubscribe(qid).unwrap();
+        let refolded = &sys.ledger.refolded;
+        cells.push(refolded.len());
+        contributors.push(
+            (refolded.iter())
+                .filter_map(|cell| sys.ledger.cells.get(cell))
+                .map(Vec::len)
+                .sum::<usize>(),
+        );
+    }
+    assert_rebuild_changes_nothing(&mut sys, "after 200 cycles");
+
+    // The sizes DESIGN.md §9 "Route maintenance" quotes: the ledger's
+    // cells and contributions, and what an unsubscribe refolds (cells,
+    // contributors folded) at the median and p95.
+    let quantiles = |mut v: Vec<usize>| {
+        v.sort_unstable();
+        (v[v.len() / 2], v[v.len() * 95 / 100])
+    };
+    let ledger = (
+        sys.ledger.cells.len(),
+        sys.ledger.cells.values().map(Vec::len).sum::<usize>(),
+    );
+    assert_eq!(ledger, (485, 836), "ledger cells, contributions");
+    assert_eq!(quantiles(cells), (9, 20), "cells per unsubscribe");
+    assert_eq!(
+        quantiles(contributors),
+        (17, 39),
+        "contributors per unsubscribe"
+    );
 }
 
 /// A Throttle notice walks `tree_for(origin).path(consumer, origin)`:

@@ -9,6 +9,11 @@ use cosmos_types::{AttrType, NodeId, Schema, StreamName, TimeDelta, Timestamp, T
 use cosmos_verify::{codes, has_violations, verify_snapshot};
 
 fn system() -> Cosmos {
+    system_with_origin(NodeId(0))
+}
+
+/// [`system`] with `S` published at `origin`.
+fn system_with_origin(origin: NodeId) -> Cosmos {
     let cfg = CosmosConfig {
         nodes: 8,
         seed: 11,
@@ -25,7 +30,7 @@ fn system() -> Cosmos {
         StreamStats::with_rate(1.0)
             .attr("k", AttrStats::categorical(10.0))
             .attr("x", AttrStats::numeric(0.0, 100.0, 100.0)),
-        NodeId(0),
+        origin,
     )
     .unwrap();
     sys
@@ -92,13 +97,38 @@ fn leaked_closure_is_flagged_not_black_holed() {
     );
 }
 
+/// No router holds an entry for `S` and the verifier finds no leak.
+fn assert_s_stays_closed(sys: &Cosmos, step: &str) {
+    let closed = StreamName::from("S");
+    let diags = verify_snapshot(&sys.snapshot().unwrap());
+    assert!(
+        diags.iter().all(|d| d.code != codes::CLOSED_LEAK),
+        "{step}: closed stream resurrected: {diags:?}"
+    );
+    for node in sys.graph().nodes() {
+        let r = sys.router(node);
+        let leaked = r
+            .neighbor_interests()
+            .map(|(_, p)| p)
+            .chain(r.local_subscribers().map(|(_, p)| p))
+            .any(|p| p.entry(&closed).is_some());
+        assert!(
+            !leaked,
+            "{step}: router {node} still holds an entry for 'S'"
+        );
+    }
+}
+
 /// Regression (benchmark README "Findings"): withdrawing one member of
 /// a multi-member group after `close_streams` re-installed the shrunk
 /// representative's SPE subscription with its full source profile, and
-/// `rebuild_routes` re-propagated interest in the closed stream.
+/// `rebuild_routes` re-propagated interest in the closed stream. Every
+/// control operation after closure — each one refolds the cells it
+/// touches, and a tree change rebuilds them all — must keep it closed.
 #[test]
-fn withdrawal_after_closure_does_not_resurrect_closed_streams() {
-    let mut sys = system();
+fn control_operations_after_closure_do_not_resurrect_closed_streams() {
+    // Published away from the processors, so S crosses links to them.
+    let mut sys = system_with_origin(NodeId(7));
     let wide = sys
         .submit_query("SELECT k, x FROM S [Now] WHERE x > 2.0", NodeId(5))
         .unwrap();
@@ -110,35 +140,60 @@ fn withdrawal_after_closure_does_not_resurrect_closed_streams() {
         sys.executor_generation(narrow),
         "both queries share one representative"
     );
+    // A second group over S: its SPE input shares the reverse-path cells
+    // of the first, so refolding them after closure must not bring its
+    // interest back.
+    let standing = sys
+        .submit_query(
+            "SELECT k, COUNT(*) FROM S [Range 10 Second] GROUP BY k",
+            NodeId(7),
+        )
+        .unwrap();
+    assert_ne!(
+        sys.executor_generation(standing),
+        sys.executor_generation(wide)
+    );
+    let crosses_links = sys.graph().nodes().any(|n| {
+        let mut interests = sys.router(n).neighbor_interests();
+        interests.any(|(_, p)| p.entry(&"S".into()).is_some())
+    });
+    assert!(crosses_links, "S reaches the processor over links");
     sys.set_disorder(Some(disorder()));
     for ts in [2_000i64, 1_000, 3_000, 5_000, 4_000] {
         sys.publish(&s_tuple(ts, ts / 1_000)).unwrap();
     }
     sys.close_streams();
-    // The group survives with a shrunk representative.
+    assert_s_stays_closed(&sys, "close_streams");
+    // The group survives with a shrunk representative, then dissolves.
     sys.unsubscribe(wide).unwrap();
-
-    let closed = StreamName::from("S");
-    let diags = verify_snapshot(&sys.snapshot().unwrap());
+    assert_s_stays_closed(&sys, "unsubscribe (shrink)");
+    sys.unsubscribe(narrow).unwrap();
+    assert_s_stays_closed(&sys, "unsubscribe (dissolve)");
+    // Two disjoint narrow queries seed separate groups before the wide
+    // one arrives, so regrouping has something to improve.
+    let late: Vec<_> = ["0.0 AND 10.0", "90.0 AND 100.0", "0.0 AND 100.0"]
+        .iter()
+        .map(|w| {
+            let q = sys.submit_query(
+                &format!("SELECT k, x FROM S [Now] WHERE x BETWEEN {w}"),
+                NodeId(3),
+            );
+            assert_s_stays_closed(&sys, "submit");
+            q.unwrap()
+        })
+        .collect();
+    assert!(sys.reoptimize_groups().unwrap() > 0, "regrouping improved");
+    assert_s_stays_closed(&sys, "reoptimize_groups");
+    let mut demand = vec![0.0; sys.graph().node_count()];
+    demand[7] = 1e6;
+    let report = sys.optimize_tree_with_demand(cosmos_overlay::OptimizerConfig::default(), &demand);
     assert!(
-        diags.iter().all(|d| d.code != codes::CLOSED_LEAK),
-        "closed stream resurrected: {diags:?}"
+        report.moves > 0,
+        "the tree moved, so every route was rebuilt"
     );
-    for node in sys.graph().nodes() {
-        let r = sys.router(node);
-        let leaked = r
-            .neighbor_interests()
-            .map(|(_, p)| p)
-            .chain(r.local_subscribers().map(|(_, p)| p))
-            .any(|p| p.entry(&closed).is_some());
-        assert!(!leaked, "router {node} still holds an entry for 'S'");
+    assert_s_stays_closed(&sys, "optimize_tree");
+    for q in late.into_iter().chain([standing]) {
+        sys.unsubscribe(q).unwrap();
+        assert_s_stays_closed(&sys, "unsubscribe");
     }
-    // Submitting over a closed stream must not resurrect it either.
-    sys.submit_query("SELECT k FROM S [Now] WHERE x > 50.0", NodeId(3))
-        .unwrap();
-    let diags = verify_snapshot(&sys.snapshot().unwrap());
-    assert!(
-        diags.iter().all(|d| d.code != codes::CLOSED_LEAK),
-        "closed stream resurrected by a late submission: {diags:?}"
-    );
 }
