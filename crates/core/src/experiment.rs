@@ -46,9 +46,7 @@ use cosmos_query::{
     contained, estimate::cost_bps, merge, retighten_profile, GroupManager, StatsCatalog,
 };
 use cosmos_spe::{oracle, AnalyzedQuery};
-use cosmos_types::{
-    AttrType, FxHashMap, NeumaierSum, NodeId, QueryId, Result, Schema, StreamName, Tuple,
-};
+use cosmos_types::{AttrType, NeumaierSum, NodeId, QueryId, Result, Schema, StreamName, Tuple};
 use cosmos_workload::auction::{
     auction_catalog, closed_auction_schema, open_auction_schema, AuctionGenerator, Q1, Q2, Q3,
 };
@@ -287,11 +285,11 @@ struct Rep {
     tree: Tree,
     processors: Vec<NodeId>,
     catalog: StatsCatalog,
-    /// Grouping per processor, in node order: every cost sum walks it.
+    /// Grouping per processor, in node order: every cost sum walks it,
+    /// and query distribution reads each processor's load from it.
     managers: BTreeMap<NodeId, GroupManager>,
     /// Per query: `(user node, processor, C(q))`.
     queries: Vec<(NodeId, NodeId, f64)>,
-    loads: FxHashMap<NodeId, usize>,
 }
 
 impl Rep {
@@ -306,7 +304,6 @@ impl Rep {
             catalog: sensor_catalog(),
             managers: BTreeMap::new(),
             queries: Vec::new(),
-            loads: FxHashMap::default(),
         })
     }
 
@@ -314,8 +311,7 @@ impl Rep {
         let parsed = parse_query(text)?;
         let q = AnalyzedQuery::analyze(&parsed, self.catalog.schema_fn())?;
         let user = NodeId(rng.gen_range(0..self.graph.node_count() as u32));
-        let processor = pick_processor(&q, &self.processors, FIG4_AFFINITY, &self.loads);
-        *self.loads.entry(processor).or_insert(0) += 1;
+        let processor = pick_processor(&q, &self.processors, FIG4_AFFINITY, &self.managers);
         let qid = QueryId(self.queries.len() as u64);
         let cq = cost_bps(&q, &self.catalog);
         let manager = self

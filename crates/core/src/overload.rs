@@ -171,20 +171,24 @@ pub enum Action {
 /// Deterministic fault injection for the shed-conservation canary:
 /// `drop_shed_ledger` makes the controller shed tuples *without*
 /// incrementing the ledger's shed counters — the classic silent-drop
-/// bug the extended conservation oracle exists to catch.
+/// bug the extended conservation oracle exists to catch. The flag is
+/// per thread: arming it affects only the deployments the arming thread
+/// drives.
 pub mod faultinject {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::cell::Cell;
 
-    static DROP_SHED_LEDGER: AtomicBool = AtomicBool::new(false);
-
-    /// Arm (or disarm) the shed-ledger leak.
-    pub fn set_drop_shed_ledger(enabled: bool) {
-        DROP_SHED_LEDGER.store(enabled, Ordering::SeqCst);
+    thread_local! {
+        static DROP_SHED_LEDGER: Cell<bool> = const { Cell::new(false) };
     }
 
-    /// Whether the leak is armed.
+    /// Arm (or disarm) the shed-ledger leak on this thread.
+    pub fn set_drop_shed_ledger(enabled: bool) {
+        DROP_SHED_LEDGER.set(enabled);
+    }
+
+    /// Whether the leak is armed on this thread.
     pub fn drop_shed_ledger() -> bool {
-        DROP_SHED_LEDGER.load(Ordering::SeqCst)
+        DROP_SHED_LEDGER.get()
     }
 }
 
@@ -352,9 +356,9 @@ impl OverloadController {
         tuples
     }
 
-    /// [`OverloadController::drain_query`] for every query with a
-    /// pending batch (stream closure, controller disarm), in query
-    /// order.
+    /// Drain every query with a pending Coalesce batch (stream closure,
+    /// controller disarm), in query order: each batch moves to
+    /// `delivered` and is returned with its query.
     pub fn drain_all(&mut self) -> Vec<(QueryId, Vec<Tuple>)> {
         let pending: Vec<QueryId> = self.staged.keys().copied().collect();
         pending

@@ -8,7 +8,7 @@ use cosmos_cbn::{
 };
 use cosmos_metrics::{relative_drift, MetricsConfig, MetricsHub, MetricsSnapshot, RouterTotals};
 use cosmos_overlay::{generate, minimum_spanning_tree, Graph, TopologyKind, Tree};
-use cosmos_query::{retighten_profile, GroupChange, GroupManager, StatsCatalog, StreamStats};
+use cosmos_query::{GroupChange, GroupManager, StatsCatalog, StreamStats};
 use cosmos_spe::{AnalyzedQuery, DisorderStats, Executor, LatePolicy, StateSize};
 use cosmos_types::{
     CosmosError, FxHashMap, NeumaierSum, NodeId, Punctuation, QueryId, RateLimit, Result, Schema,
@@ -339,13 +339,9 @@ struct QueryRecord {
     processor: NodeId,
     /// The user's subscription to the result stream.
     user_sub: SubscriberId,
-    /// Generation of the executor currently serving the query.
-    executor_gen: u64,
     /// Warning-level lint findings (error-level findings reject the
     /// query at submission instead).
     lint_warnings: Vec<String>,
-    /// Baseline (non-merging) mode: the query's private result stream.
-    baseline_stream: Option<StreamName>,
 }
 
 /// What a locally attached subscriber is.
@@ -362,9 +358,8 @@ enum LocalSub {
 struct Ids {
     next_sub: u64,
     next_query: u64,
-    baseline_counter: u64,
     /// Monotone counter stamped onto every freshly created executor.
-    executor_gen: u64,
+    last_generation: u64,
 }
 
 impl Ids {
@@ -378,14 +373,9 @@ impl Ids {
         QueryId(self.next_query - 1)
     }
 
-    fn baseline_stream(&mut self) -> u64 {
-        self.baseline_counter += 1;
-        self.baseline_counter
-    }
-
     fn generation(&mut self) -> u64 {
-        self.executor_gen += 1;
-        self.executor_gen
+        self.last_generation += 1;
+        self.last_generation
     }
 }
 
@@ -488,12 +478,12 @@ pub(crate) fn place_processors(n: usize, fraction: f64) -> Vec<NodeId> {
 /// run `q`. A window of `affinity` candidates is derived from the
 /// query's stream set (FNV-1a over the sorted stream list), so queries
 /// over the same streams meet at the same processor(s); the least-loaded
-/// candidate wins.
+/// candidate — fewest queries in its manager — wins.
 pub(crate) fn pick_processor(
     q: &AnalyzedQuery,
     processors: &[NodeId],
     affinity: usize,
-    load: &FxHashMap<NodeId, usize>,
+    managers: &BTreeMap<NodeId, GroupManager>,
 ) -> NodeId {
     let mut streams: Vec<&str> = q.streams.iter().map(|b| b.stream.as_str()).collect();
     streams.sort_unstable();
@@ -504,9 +494,10 @@ pub(crate) fn pick_processor(
     }
     let k = affinity.clamp(1, processors.len());
     let start = (h as usize) % processors.len();
+    let load = |p: &NodeId| managers.get(p).map_or(0, GroupManager::query_count);
     (0..k)
         .map(|i| processors[(start + i) % processors.len()])
-        .min_by_key(|p| (load.get(p).copied().unwrap_or(0), p.raw()))
+        .min_by_key(|p| (load(p), p.raw()))
         .expect("at least one processor")
 }
 
@@ -521,17 +512,17 @@ pub struct Cosmos {
     /// What every local subscription contributes to the routers'
     /// reverse-path interests.
     ledger: RouteLedger,
-    /// Query-layer state per processor.
+    /// Query-layer state per processor: the groups, their members and
+    /// placements — and, by its query count, the processor's load.
     managers: BTreeMap<NodeId, GroupManager>,
     /// Representative executors, keyed by result-stream name.
     reps: BTreeMap<StreamName, RepSite>,
     /// Every local subscription the routers hold, by what it feeds.
     subs: FxHashMap<SubscriberId, LocalSub>,
-    /// The live queries (ordered: the baseline snapshot iterates it).
+    /// The live queries.
     queries: BTreeMap<QueryId, QueryRecord>,
     /// Delivered results; they outlive the query ([`Cosmos::results`]).
     delivered: FxHashMap<QueryId, Vec<Tuple>>,
-    processor_load: FxHashMap<NodeId, usize>,
     ids: Ids,
     traffic: Traffic,
     /// Runtime observability: sliding-window rates, sampled stream
@@ -591,7 +582,6 @@ impl Cosmos {
             subs: FxHashMap::default(),
             queries: BTreeMap::new(),
             delivered: FxHashMap::default(),
-            processor_load: FxHashMap::default(),
             ids: Ids::default(),
             traffic: Traffic::default(),
             metrics: MetricsHub::new(MetricsConfig::default()),
@@ -705,14 +695,16 @@ impl Cosmos {
         Ok(())
     }
 
-    /// Query distribution: the processor that will run this query
-    /// (see [`pick_processor`]).
+    /// Query distribution: the processor that will run this query. The
+    /// query's stream set picks a window of `affinity_candidates`
+    /// processors, so queries over the same streams meet; the candidate
+    /// hosting the fewest queries wins.
     pub fn pick_processor(&self, q: &AnalyzedQuery) -> NodeId {
         pick_processor(
             q,
             &self.topology.processors,
             self.cfg.affinity_candidates,
-            &self.processor_load,
+            &self.managers,
         )
     }
 
@@ -875,9 +867,8 @@ impl Cosmos {
 
     /// Apply what the query layer decided for `processor`, in this
     /// order: stop representatives, start the new ones, replace the
-    /// changed ones, then (re)install every listed member subscription
-    /// and stamp the member with the generation of the executor now
-    /// serving it. The caller refolds the routes it touched.
+    /// changed ones, then (re)install every listed member subscription.
+    /// The caller refolds the routes it touched.
     fn apply(&mut self, processor: NodeId, change: GroupChange) -> Result<()> {
         for stream in &change.stop {
             self.stop_rep(stream);
@@ -888,15 +879,9 @@ impl Cosmos {
         for (stream, rep) in &change.replace {
             self.replace_rep(stream, rep)?;
         }
-        for (qid, stream, profile) in change.subscribe {
-            let generation = self.reps[&stream].generation;
-            let member = self
-                .queries
-                .get_mut(&qid)
-                .expect("subscribed member is live");
-            member.executor_gen = generation;
-            let (user, user_sub) = (member.user, member.user_sub);
-            self.subscribe_local(user, user_sub, profile);
+        for (qid, _, profile) in change.subscribe {
+            let member = &self.queries[&qid];
+            self.subscribe_local(member.user, member.user_sub, profile);
         }
         Ok(())
     }
@@ -946,30 +931,23 @@ impl Cosmos {
         }
         let qid = self.ids.query();
         let processor = self.pick_processor(&analyzed);
-        *self.processor_load.entry(processor).or_insert(0) += 1;
 
-        // Query management: group/merge, or the non-share baseline — a
-        // private result stream and representative per query.
-        let mut change = if self.cfg.merging_enabled {
-            self.managers
-                .entry(processor)
-                .or_insert_with(|| GroupManager::new(format!("result::{processor}")))
-                .insert(qid, analyzed, &self.catalog)?
-        } else {
-            let stream = StreamName::from(format!(
-                "result::{processor}::q{}",
-                self.ids.baseline_stream()
-            ));
-            let profile = retighten_profile(&analyzed, &analyzed, &stream)?;
-            GroupChange {
-                start: vec![(stream.clone(), analyzed)],
-                subscribe: vec![(qid, stream, profile)],
-                ..GroupChange::default()
-            }
-        };
+        // Query management: the processor's manager groups the query —
+        // or, for the non-share baseline, founds a group of its own.
+        let merging = self.cfg.merging_enabled;
+        let mut change = (self.managers.entry(processor))
+            .or_insert_with(|| {
+                let prefix = format!("result::{processor}");
+                if merging {
+                    GroupManager::new(prefix)
+                } else {
+                    GroupManager::unshared(prefix)
+                }
+            })
+            .insert(qid, analyzed, &self.catalog)?;
         // The new query's own subscription (listed last) is installed
         // below, once its user subscription exists.
-        let (_, result_stream, user_profile) = change.subscribe.pop().expect("own subscription");
+        let (.., user_profile) = change.subscribe.pop().expect("own subscription");
         // A new group starts its representative, a widened one replaces
         // it (same result stream) and resubscribes its other members,
         // and a query that joins without widening is served by the warm,
@@ -987,9 +965,7 @@ impl Cosmos {
             user,
             processor,
             user_sub,
-            executor_gen: self.reps[&result_stream].generation,
             lint_warnings: warnings,
-            baseline_stream: (!self.cfg.merging_enabled).then_some(result_stream),
         };
         self.queries.insert(qid, record);
         Ok(qid)
@@ -1006,9 +982,6 @@ impl Cosmos {
     /// Like representative replacement on merge, rebuilt executors start
     /// with empty windows; run this between workload phases.
     pub fn reoptimize_groups(&mut self) -> Result<usize> {
-        if !self.cfg.merging_enabled {
-            return Ok(0);
-        }
         let processors: Vec<NodeId> = self.managers.keys().copied().collect();
         let mut improved = 0usize;
         for p in processors {
@@ -1044,21 +1017,9 @@ impl Cosmos {
         if let Some(pending) = pending.filter(|p| !p.is_empty()) {
             self.deliver(qid, record.user, pending);
         }
-        if let Some(load) = self.processor_load.get_mut(&record.processor) {
-            *load = load.saturating_sub(1);
-        }
-        let change = match record.baseline_stream {
-            // Baseline mode: every query has its own representative.
-            Some(stream) => GroupChange {
-                stop: vec![stream],
-                ..GroupChange::default()
-            },
-            None => self
-                .managers
-                .get_mut(&record.processor)
-                .expect("manager exists")
-                .remove(qid)?,
-        };
+        let change = (self.managers.get_mut(&record.processor))
+            .expect("manager exists")
+            .remove(qid)?;
         self.apply(record.processor, change)?;
         self.refold_routes();
         Ok(())
@@ -1828,14 +1789,16 @@ impl Cosmos {
     /// Every time an executor is (re)created — a group is founded, a
     /// representative is widened by a new member, a group is rebuilt by
     /// [`Cosmos::reoptimize_groups`], or it shrinks after an
-    /// [`Cosmos::unsubscribe`] — the affected queries are stamped with a
-    /// fresh, globally monotone generation. A query that joins a warm
-    /// group without widening it inherits the running executor's stamp.
-    /// The scenario harness uses this to cut oracle epochs exactly where
-    /// window state restarts; `None` after unsubscription or for unknown
-    /// ids.
+    /// [`Cosmos::unsubscribe`] — it gets a fresh, globally monotone
+    /// generation. A query reports the generation of its group's
+    /// executor, so one that joins a warm group without widening it
+    /// shares the running executor's. The scenario harness uses this to
+    /// cut oracle epochs exactly where window state restarts; `None`
+    /// after unsubscription or for unknown ids.
     pub fn executor_generation(&self, qid: QueryId) -> Option<u64> {
-        self.queries.get(&qid).map(|q| q.executor_gen)
+        let processor = self.queries.get(&qid)?.processor;
+        let (group, _) = self.managers.get(&processor)?.placement(qid)?;
+        Some(self.reps.get(&group.result_stream)?.generation)
     }
 
     /// A deterministic digest of the routing state: dissemination-tree
@@ -1883,8 +1846,8 @@ impl Cosmos {
     /// reverse-path interests and local subscriptions, every
     /// advertisement, and every query group with its representative and
     /// re-tightened member profiles. Queries travel as CQL text (the
-    /// analyzed form has no serde shape); baseline deployments appear as
-    /// singleton groups whose representative *is* the member.
+    /// analyzed form has no serde shape); a baseline deployment's groups
+    /// are singletons whose representative *is* the member.
     pub fn snapshot(&self) -> Result<crate::snapshot::NetworkSnapshot> {
         use crate::snapshot::*;
         let topo = |tree: &Tree| TreeTopology {
@@ -1944,53 +1907,26 @@ impl Cosmos {
         let unparse =
             |q: &AnalyzedQuery| -> Result<String> { Ok(cosmos_query::to_query(q)?.to_string()) };
         let mut groups: Vec<GroupSnapshot> = Vec::new();
-        if self.cfg.merging_enabled {
-            for (&p, manager) in &self.managers {
-                for g in manager.groups() {
-                    let mut members = Vec::new();
-                    for (qid, member) in &g.members {
-                        let (_, split) = manager
-                            .placement(*qid)
-                            .ok_or_else(|| CosmosError::System(format!("{qid} unplaced")))?;
-                        members.push(MemberSnapshot {
-                            query: *qid,
-                            cql: unparse(member)?,
-                            user: self.queries[qid].user,
-                            user_sub: self.queries[qid].user_sub,
-                            split_profile: split.clone(),
-                        });
-                    }
-                    groups.push(GroupSnapshot {
-                        processor: p,
-                        result_stream: g.result_stream.clone(),
-                        representative_cql: unparse(&g.representative)?,
-                        members,
+        for (&p, manager) in &self.managers {
+            for g in manager.groups() {
+                let mut members = Vec::new();
+                for (qid, member) in &g.members {
+                    let (_, split) = manager
+                        .placement(*qid)
+                        .ok_or_else(|| CosmosError::System(format!("{qid} unplaced")))?;
+                    members.push(MemberSnapshot {
+                        query: *qid,
+                        cql: unparse(member)?,
+                        user: self.queries[qid].user,
+                        user_sub: self.queries[qid].user_sub,
+                        split_profile: split.clone(),
                     });
                 }
-            }
-        } else {
-            for (&qid, record) in &self.queries {
-                let stream = record.baseline_stream.as_ref().expect("baseline query");
-                let site = self
-                    .reps
-                    .get(stream)
-                    .ok_or_else(|| CosmosError::System(format!("no rep for {stream}")))?;
-                let rep = site.executor.query();
-                let split = self.routers[record.user.index()]
-                    .local_interest(record.user_sub)
-                    .cloned()
-                    .unwrap_or_default();
                 groups.push(GroupSnapshot {
-                    processor: site.processor,
-                    result_stream: stream.clone(),
-                    representative_cql: unparse(rep)?,
-                    members: vec![MemberSnapshot {
-                        query: qid,
-                        cql: unparse(rep)?,
-                        user: record.user,
-                        user_sub: record.user_sub,
-                        split_profile: split,
-                    }],
+                    processor: p,
+                    result_stream: g.result_stream.clone(),
+                    representative_cql: unparse(&g.representative)?,
+                    members,
                 });
             }
         }
@@ -2408,9 +2344,9 @@ mod tests {
     }
 
     /// No representative can consume a representative: result streams
-    /// are named `result::<node>::g<k>` / `::q<k>`, which CQL cannot
-    /// spell, and any identifier it can spell must be a registered
-    /// stream (lint C0201, ahead of analysis). That is why the
+    /// are named `result::<node>::g<k>`, which CQL cannot spell, and
+    /// any identifier it can spell must be a registered stream (lint
+    /// C0201, ahead of analysis). That is why the
     /// dissemination loop may batch freely — a source batch never has
     /// to be interleaved by timestamp with the result batch it
     /// triggers. A change that lets queries read result streams must

@@ -12,8 +12,9 @@ use cosmos_types::{AttrType, NodeId, QueryId, Schema, TimeDelta, Timestamp, Tupl
 /// Physical edges 0-1 and 1-2 (0.5 each), so the MST chains 0→1→2 and
 /// the root-to-2 path costs 1.0 — while the *logical* pair 0-2 costs
 /// only its 0.6 distance. Promoting node 2 under the root is exactly
-/// the move measured demand should buy.
-fn curved_system(registered_rate: f64) -> (Cosmos, QueryId) {
+/// the move measured demand should buy. `merging: false` deploys the
+/// non-share baseline.
+fn curved_system(registered_rate: f64, merging: bool) -> (Cosmos, QueryId) {
     let mut g = Graph::new(3);
     g.set_position(NodeId(0), 0.0, 0.0);
     g.set_position(NodeId(1), 0.3, 0.4);
@@ -24,6 +25,7 @@ fn curved_system(registered_rate: f64) -> (Cosmos, QueryId) {
         CosmosConfig {
             nodes: 3,
             processor_fraction: 0.34,
+            merging_enabled: merging,
             ..CosmosConfig::default()
         },
         g,
@@ -59,8 +61,8 @@ fn publish_phase(sys: &mut Cosmos, range: std::ops::Range<i64>) {
 #[test]
 fn autotune_detects_drift_and_strictly_reduces_cost() {
     // Registered at 0.1 tuples/s; reality runs at 5 tuples/s.
-    let (mut tuned, q_tuned) = curved_system(0.1);
-    let (mut control, q_control) = curved_system(0.1);
+    let (mut tuned, q_tuned) = curved_system(0.1, true);
+    let (mut control, q_control) = curved_system(0.1, true);
 
     publish_phase(&mut tuned, 0..150);
     publish_phase(&mut control, 0..150);
@@ -105,9 +107,29 @@ fn autotune_detects_drift_and_strictly_reduces_cost() {
 }
 
 #[test]
+fn baseline_representatives_count_toward_group_drift() {
+    // The non-share baseline runs one representative per query, and its
+    // estimated cost drifts from the measured one exactly like that of
+    // the merged deployment's one-member group.
+    let (mut baseline, q) = curved_system(0.1, false);
+    let (mut merged, _) = curved_system(0.1, true);
+    publish_phase(&mut baseline, 0..150);
+    publish_phase(&mut merged, 0..150);
+    let (_, group_drift) = baseline.measured_drift();
+    assert!(group_drift > 0.0, "{group_drift}");
+    assert_eq!(group_drift, merged.measured_drift().1);
+
+    let pass = baseline.autotune(&AutotuneOptions::default()).unwrap();
+    assert!(pass.triggered, "{pass:?}");
+    assert_eq!(pass.group_drift, group_drift);
+    assert_eq!(pass.groups_improved, 0, "a baseline never regroups");
+    assert_eq!(baseline.results(q).len(), 150);
+}
+
+#[test]
 fn autotune_is_a_no_op_without_drift() {
     // Registered rate matches reality: nothing should move.
-    let (mut sys, q) = curved_system(5.0);
+    let (mut sys, q) = curved_system(5.0, true);
     publish_phase(&mut sys, 0..150);
     let cost = sys.weighted_cost();
     let pass = sys.autotune(&AutotuneOptions::default()).unwrap();
@@ -120,7 +142,7 @@ fn autotune_is_a_no_op_without_drift() {
 
 #[test]
 fn metrics_snapshot_agrees_with_driver_accounting() {
-    let (mut sys, q) = curved_system(0.1);
+    let (mut sys, q) = curved_system(0.1, true);
     publish_phase(&mut sys, 0..50);
     let snap = sys.metrics();
     assert_eq!(snap.link_bytes_total(), sys.total_bytes());
@@ -142,7 +164,7 @@ fn metrics_snapshot_agrees_with_driver_accounting() {
 
 #[test]
 fn scheduled_periodic_pass_promotes_without_manual_calls() {
-    let (mut sys, q) = curved_system(0.1);
+    let (mut sys, q) = curved_system(0.1, true);
     sys.set_autotune(Some(AutotunePolicy {
         period_virtual: TimeDelta::from_secs(10),
         trigger_after_k_windows: 0,
@@ -165,7 +187,7 @@ fn scheduled_periodic_pass_promotes_without_manual_calls() {
 
 #[test]
 fn drift_trigger_waits_for_k_consecutive_windows() {
-    let (mut sys, _q) = curved_system(0.1);
+    let (mut sys, _q) = curved_system(0.1, true);
     // 2 s rate windows so window boundaries actually pass; periodic
     // trigger off — only K consecutive over-drift windows may fire.
     sys.set_metrics_config(MetricsConfig {
@@ -189,7 +211,7 @@ fn drift_trigger_waits_for_k_consecutive_windows() {
 
 #[test]
 fn disarmed_scheduler_never_runs() {
-    let (mut sys, _q) = curved_system(0.1);
+    let (mut sys, _q) = curved_system(0.1, true);
     sys.set_autotune(Some(AutotunePolicy {
         period_virtual: TimeDelta::ZERO,
         trigger_after_k_windows: 0,

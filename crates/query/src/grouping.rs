@@ -85,6 +85,9 @@ pub struct GroupManager {
     next_group: u64,
     /// Namespace prefix for generated result-stream names.
     stream_prefix: String,
+    /// Never merge: every query founds a singleton group
+    /// ([`GroupManager::unshared`]).
+    unshared: bool,
 }
 
 /// Minimum marginal gain (bytes/second) required to join a group rather
@@ -118,7 +121,19 @@ impl GroupManager {
         }
     }
 
-    /// Insert a query, greedily assigning it to the best group.
+    /// A manager that never merges — the "Non-Share" baseline of Figure
+    /// 3: every insert founds a singleton group named like
+    /// [`GroupManager::new`]'s, and [`GroupManager::reoptimize`] never
+    /// regroups.
+    pub fn unshared(stream_prefix: impl Into<String>) -> GroupManager {
+        GroupManager {
+            unshared: true,
+            ..GroupManager::new(stream_prefix)
+        }
+    }
+
+    /// Insert a query, greedily assigning it to the best group (a new
+    /// one, when the manager never merges).
     pub fn insert(
         &mut self,
         qid: QueryId,
@@ -132,7 +147,7 @@ impl GroupManager {
         let cq = cost_bps(&q, catalog);
         // Find the candidate group with the maximum positive gain.
         let mut best: Option<(GroupId, AnalyzedQuery, f64)> = None;
-        if let Some(candidates) = self.index.get(&key) {
+        if let Some(candidates) = self.index.get(&key).filter(|_| !self.unshared) {
             for &gid in candidates {
                 let group = &self.groups[&gid];
                 let Ok(candidate_rep) = merge(&group.representative, &q) else {
@@ -304,9 +319,10 @@ impl GroupManager {
     /// anchor). The new grouping is adopted only if it strictly lowers
     /// `Σ C(rep)`: every old representative stops (in result-stream
     /// order), every new one starts (in group order), every query is
-    /// resubscribed (in query order). Otherwise the change is empty.
+    /// resubscribed (in query order). Otherwise — and always when the
+    /// manager never merges — the change is empty.
     pub fn reoptimize(&mut self, catalog: &StatsCatalog) -> Result<GroupChange> {
-        if self.placements.len() < 2 {
+        if self.unshared || self.placements.len() < 2 {
             return Ok(GroupChange::default());
         }
         let mut queries: Vec<(QueryId, AnalyzedQuery)> = self
@@ -618,6 +634,29 @@ mod tests {
             change.subscribe,
             vec![(QueryId(2), group.result_stream.clone(), fresh)]
         );
+    }
+
+    #[test]
+    fn unshared_manager_founds_a_group_per_query() {
+        let cat = catalog();
+        let mut gm = GroupManager::unshared("rep");
+        let text = "SELECT id, x FROM S [Now] WHERE x < 50.0";
+        for i in 0..3 {
+            let change = gm.insert(QueryId(i), q(&cat, text), &cat).unwrap();
+            let stream = StreamName::from(format!("rep::g{i}"));
+            let profile = retighten_profile(&q(&cat, text), &q(&cat, text), &stream).unwrap();
+            let founded = GroupChange {
+                start: vec![(stream.clone(), q(&cat, text))],
+                subscribe: vec![(QueryId(i), stream, profile)],
+                ..GroupChange::default()
+            };
+            assert_eq!(change, founded);
+        }
+        assert_eq!((gm.group_count(), gm.query_count()), (3, 3));
+        assert!(gm.reoptimize(&cat).unwrap().is_empty());
+        let dissolved = gm.remove(QueryId(1)).unwrap();
+        assert_eq!(dissolved.stop, vec![StreamName::from("rep::g1")]);
+        assert_eq!(gm.group_count(), 2);
     }
 
     #[test]

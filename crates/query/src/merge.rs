@@ -39,20 +39,24 @@ pub const TIMESTAMP_ATTR: &str = "timestamp";
 /// projection, including tuples only *other* members asked for.
 ///
 /// Production code never sets this; it exists solely so the testkit can
-/// prove its oracles have teeth.
+/// prove its oracles have teeth. The switch is per thread, so a test
+/// that arms it cannot leak the bug into tests running beside it.
 pub mod faultinject {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::cell::Cell;
 
-    static SKIP_RETIGHTEN: AtomicBool = AtomicBool::new(false);
-
-    /// Enable or disable the planted skip-re-tightening bug.
-    pub fn set_skip_retighten(on: bool) {
-        SKIP_RETIGHTEN.store(on, Ordering::SeqCst);
+    thread_local! {
+        static SKIP_RETIGHTEN: Cell<bool> = const { Cell::new(false) };
     }
 
-    /// Whether the planted bug is currently enabled.
+    /// Enable or disable the planted skip-re-tightening bug on this
+    /// thread.
+    pub fn set_skip_retighten(on: bool) {
+        SKIP_RETIGHTEN.set(on);
+    }
+
+    /// Whether the planted bug is enabled on this thread.
     pub fn skip_retighten() -> bool {
-        SKIP_RETIGHTEN.load(Ordering::SeqCst)
+        SKIP_RETIGHTEN.get()
     }
 }
 

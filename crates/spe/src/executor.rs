@@ -198,22 +198,25 @@ impl DisorderState {
 /// teeth by disabling the machinery it guards.
 ///
 /// Production code never sets these; see `cosmos_query::merge::faultinject`
-/// for the pattern.
+/// for the pattern. The flags are per thread.
 pub mod faultinject {
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::cell::Cell;
 
-    static SKIP_WATERMARK_GATING: AtomicBool = AtomicBool::new(false);
-
-    /// Enable or disable the planted bug that bypasses watermark gating:
-    /// out-of-order arrivals are processed immediately in arrival order
-    /// instead of being staged until the frontier passes them.
-    pub fn set_skip_watermark_gating(on: bool) {
-        SKIP_WATERMARK_GATING.store(on, Ordering::SeqCst);
+    thread_local! {
+        static SKIP_WATERMARK_GATING: Cell<bool> = const { Cell::new(false) };
     }
 
-    /// Whether the planted bug is currently enabled.
+    /// Enable or disable, on this thread, the planted bug that bypasses
+    /// watermark gating: out-of-order arrivals are processed immediately
+    /// in arrival order instead of being staged until the frontier
+    /// passes them.
+    pub fn set_skip_watermark_gating(on: bool) {
+        SKIP_WATERMARK_GATING.set(on);
+    }
+
+    /// Whether the planted bug is enabled on this thread.
     pub fn skip_watermark_gating() -> bool {
-        SKIP_WATERMARK_GATING.load(Ordering::SeqCst)
+        SKIP_WATERMARK_GATING.get()
     }
 }
 

@@ -1,7 +1,7 @@
 //! The planted watermark-gating bug must actually change behavior —
-//! otherwise the CI canary that relies on it proves nothing. Kept in
-//! its own test binary because the fault-injection flag is
-//! process-global.
+//! otherwise the CI canary that relies on it proves nothing. The
+//! fault-injection flag is per thread, so arming it here cannot reach a
+//! test running beside this one.
 
 use cosmos_cql::parse_query;
 use cosmos_spe::{faultinject, AnalyzedQuery, Executor, LatePolicy};

@@ -1,11 +1,9 @@
 //! Directed tests for the executor's late-tuple policies: one per
 //! policy × operator kind (COUNT/SUM/AVG/MIN aggregates, DISTINCT
 //! selection, window join), plus duplicate-injection dedup inside the
-//! grace window and shed-counter conservation accounting.
-//!
-//! The canary fault injection (`faultinject::skip_watermark_gating`) is
-//! process-global, so its test lives in its own integration binary
-//! (`canary_gating.rs`) and never races these.
+//! grace window and shed-counter conservation accounting. The canary
+//! fault injection (`faultinject::skip_watermark_gating`) is tested in
+//! `canary_gating.rs`.
 
 use cosmos_cql::parse_query;
 use cosmos_spe::{AnalyzedQuery, Executor, LatePolicy};

@@ -9,14 +9,14 @@
 //! system actually saw — and comparing three measured families after
 //! every event:
 //!
-//! * **delivered rows** — [`cosmos_metrics::MetricsHub::delivered_count`]
-//!   per query against the query's `output_rows` bound;
-//! * **per-node consumed bytes** —
-//!   [`cosmos_metrics::MetricsHub::consumed_bytes_total`] against the
-//!   sum of `output_bytes` over queries whose user lives on the node
-//!   plus `intake_bytes` over queries whose representative the node has
-//!   ever hosted (processor sets only grow: a moved executor's historic
-//!   intake stays covered);
+//! * **delivered rows** — the metrics hub's `delivered_count` (the hub
+//!   is [`cosmos::Cosmos::metrics_hub`]) per query against the query's
+//!   `output_rows` bound;
+//! * **per-node consumed bytes** — the hub's `consumed_bytes_total`
+//!   against the sum of `output_bytes` over queries whose user lives on
+//!   the node plus `intake_bytes` over queries whose representative the
+//!   node has ever hosted (processor sets only grow: a moved executor's
+//!   historic intake stays covered);
 //! * **executor state** — every live representative's measured
 //!   [`cosmos_spe::StateSize`] ([`cosmos::Cosmos::rep_states`]) against
 //!   the per-component row bounds of the *representative's own* query.

@@ -391,7 +391,9 @@ fn canon(v: Value) -> Value {
 /// Normalized delivered multiset: `(timestamp, sorted values)`, sorted.
 /// Delivered tuples carry the member's column set but in the
 /// representative schema's order, so comparisons are value-multiset
-/// based, per timestamp, with floats quantized (see [`canon`]).
+/// based, per timestamp, with floats quantized to 1e-9 absolute (the
+/// executor's running SUM/AVG and the reference's recomputation differ
+/// in the last ulps).
 pub fn normalize_delivered(tuples: &[Tuple]) -> Vec<(Timestamp, Vec<Value>)> {
     let mut out: Vec<(Timestamp, Vec<Value>)> = tuples
         .iter()

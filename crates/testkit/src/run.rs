@@ -197,9 +197,9 @@ fn lateish(sys: &Cosmos) -> u64 {
     t.late + t.revisions + t.shed
 }
 
-/// RAII reset for the shed-leak fault injection: the flag is process
-/// global, so it must never outlive the run that armed it (an early
-/// `?` return included).
+/// RAII reset for the shed-leak fault injection: the flag lives as long
+/// as the thread, so it must never outlive the run that armed it (an
+/// early `?` return included).
 struct ShedLeakGuard(bool);
 
 impl Drop for ShedLeakGuard {

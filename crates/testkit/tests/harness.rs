@@ -2,23 +2,17 @@
 //! replay-file round-tripping.
 //!
 //! The merge-layer fault-injection flag
-//! ([`cosmos_query::merge::faultinject`]) is process-global, and cargo
-//! runs the `#[test]`s of one binary on parallel threads — so every test
-//! here that executes scenarios takes `LOCK`, and the tests that inject
-//! the bug arm it through a guard that disarms on drop (panic included).
+//! ([`cosmos_query::merge::faultinject`]) is per thread, so a test that
+//! injects the bug cannot reach the tests cargo runs beside it on other
+//! threads. It arms the bug through a guard that disarms on drop (panic
+//! included), so the bug never outlives the test on its own thread
+//! either.
 
 use cosmos_query::merge::faultinject;
 use cosmos_testkit::{
     check_scenario, check_scenario_opts, gen, run_scenario, shrink, CheckOptions, Event,
     RunOptions, Scenario,
 };
-use std::sync::{Mutex, PoisonError};
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Arms the deliberate merge bug for one scope; disarms on drop.
 struct InjectedBug;
@@ -41,7 +35,6 @@ impl Drop for InjectedBug {
 /// `cosmos-sim run --seed S` replayable bit-for-bit.
 #[test]
 fn seed_expansion_and_execution_are_deterministic() {
-    let _g = lock();
     let a = gen::generate(7);
     let b = gen::generate(7);
     assert_eq!(a, b, "seed expansion must be a pure function of the seed");
@@ -60,7 +53,6 @@ fn seed_expansion_and_execution_are_deterministic() {
 /// 1 and 6 are the first two such catches.
 #[test]
 fn injected_merge_bug_is_caught_by_metamorphic_oracle() {
-    let _g = lock();
     let _bug = InjectedBug::arm();
     let opts = CheckOptions {
         differential: false,
@@ -93,7 +85,6 @@ fn injected_merge_bug_is_caught_by_metamorphic_oracle() {
 /// state alone.
 #[test]
 fn injected_merge_bug_is_caught_statically_before_any_publish() {
-    let _g = lock();
     let _bug = InjectedBug::arm();
     let opts = CheckOptions {
         differential: false,
@@ -129,7 +120,6 @@ fn injected_merge_bug_is_caught_statically_before_any_publish() {
 /// above are the bug's doing, not the harness's.
 #[test]
 fn bug_seeds_pass_on_healthy_build() {
-    let _g = lock();
     assert!(!faultinject::skip_retighten());
     for seed in [1u64, 6] {
         check_scenario(&gen::generate(seed)).unwrap_or_else(|f| panic!("seed {seed}: {f}"));
@@ -140,7 +130,6 @@ fn bug_seeds_pass_on_healthy_build() {
 /// exercising the skip-tolerance of every event kind.
 #[test]
 fn shrinker_minimizes_failing_scenarios() {
-    let _g = lock();
     let _bug = InjectedBug::arm();
     let scenario = gen::generate(1);
     assert!(check_scenario(&scenario).is_err(), "seed 1 must fail armed");
@@ -165,7 +154,6 @@ fn shrinker_minimizes_failing_scenarios() {
 /// static heuristics (or an allowlist entry) missed the site.
 #[test]
 fn full_run_makes_zero_runtime_determinism_violations() {
-    let _g = lock();
     for seed in [1u64, 3, 6, 7] {
         let run = run_scenario(&gen::generate(seed), &RunOptions::default())
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));

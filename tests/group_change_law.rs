@@ -87,11 +87,12 @@ fn analyze(catalog: &StatsCatalog, text: &str) -> AnalyzedQuery {
     AnalyzedQuery::analyze(&parsed, catalog.schema_fn()).unwrap()
 }
 
-#[test]
-fn folding_every_change_reproduces_the_manager() {
+/// Run 24 seeded insert / remove / reoptimize histories against a
+/// sharing (`share`) or never-merging manager, folding and checking every
+/// change. Returns how many changes widened, shrank, dissolved and
+/// regrouped.
+fn run_histories(share: bool) -> [usize; 4] {
     let catalog = sensor_catalog();
-    // What the histories exercised: widening inserts, shrinking and
-    // dissolving removals, adopted regroupings.
     let (mut widened, mut shrunk, mut dissolved, mut regrouped) = (0, 0, 0, 0);
     for seed in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -100,11 +101,15 @@ fn folding_every_change_reproduces_the_manager() {
             ..QueryGenConfig::default()
         };
         let mut queries = QueryGenerator::new(cfg, seed ^ 0x51);
-        let mut gm = GroupManager::new("rep");
+        let mut gm = if share {
+            GroupManager::new("rep")
+        } else {
+            GroupManager::unshared("rep")
+        };
         let mut model = Model::default();
         let mut live: BTreeMap<QueryId, AnalyzedQuery> = BTreeMap::new();
         for i in 0..120u64 {
-            let step = format!("seed {seed} step {i}");
+            let step = format!("share {share} seed {seed} step {i}");
             let change = match rng.gen_range(0..10u32) {
                 0..=5 => {
                     let q = analyze(&catalog, &queries.next_query());
@@ -131,8 +136,23 @@ fn folding_every_change_reproduces_the_manager() {
             };
             model.fold(&change, &live, &step);
             model.assert_matches(&gm, &step);
+            if !share {
+                assert_eq!(gm.group_count(), gm.query_count(), "{step}: singletons");
+            }
         }
     }
-    let exercised = [widened, shrunk, dissolved, regrouped];
-    assert!(exercised.iter().all(|&n| n >= 8), "{exercised:?}");
+    [widened, shrunk, dissolved, regrouped]
+}
+
+#[test]
+fn folding_every_change_reproduces_the_manager() {
+    // A sharing manager's histories exercise widening inserts, shrinking
+    // and dissolving removals, and adopted regroupings.
+    let shared = run_histories(true);
+    assert!(shared.iter().all(|&n| n >= 8), "{shared:?}");
+    // A never-merging one only founds and dissolves: nothing is ever
+    // replaced, and no regrouping is ever adopted.
+    let [widened, shrunk, dissolved, regrouped] = run_histories(false);
+    assert_eq!([widened, shrunk, regrouped], [0, 0, 0]);
+    assert!(dissolved >= 8, "{dissolved}");
 }
