@@ -555,12 +555,17 @@ impl Conjunction {
     /// All attribute names referenced by the conjunction (including the
     /// operands of difference constraints).
     pub fn referenced_attrs(&self) -> BTreeSet<String> {
-        let mut out: BTreeSet<String> = self.attrs.keys().cloned().collect();
-        for (a, b) in self.diffs.keys() {
-            out.insert(a.clone());
-            out.insert(b.clone());
-        }
-        out
+        self.referenced().map(str::to_owned).collect()
+    }
+
+    /// The names of [`Conjunction::referenced_attrs`], borrowed: a name
+    /// comes once per constraint naming it, and nothing is allocated.
+    pub fn referenced(&self) -> impl Iterator<Item = &str> {
+        let diffs = self
+            .diffs
+            .keys()
+            .flat_map(|(a, b)| [a.as_str(), b.as_str()]);
+        self.attrs.keys().map(String::as_str).chain(diffs)
     }
 
     /// Evaluate the conjunction against a tuple under a schema.

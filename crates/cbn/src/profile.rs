@@ -221,11 +221,23 @@ impl ProfileEntry {
     /// projection still sees the attributes it needs.
     pub fn normalize(&mut self) {
         if let Projection::Attrs(set) = &mut self.projection {
-            for f in &self.filters {
-                for a in f.referenced_attrs() {
-                    set.insert(a);
+            for a in self.filters.iter().flat_map(Conjunction::referenced) {
+                if !set.contains(a) {
+                    set.insert(a.to_owned());
                 }
             }
+        }
+    }
+
+    /// Whether the projection already retains every attribute a filter
+    /// references — [`ProfileEntry::normalize`] would not change the
+    /// entry. Allocates nothing.
+    pub fn is_normalized(&self) -> bool {
+        match &self.projection {
+            Projection::All => true,
+            Projection::Attrs(set) => (self.filters.iter())
+                .flat_map(Conjunction::referenced)
+                .all(|a| set.contains(a)),
         }
     }
 }
@@ -530,8 +542,18 @@ mod tests {
             projection: Projection::of(["a"]),
             filters: vec![f],
         };
+        assert!(!e.is_normalized());
         e.normalize();
         assert!(e.projection.contains("b"));
+        assert!(e.is_normalized());
+        assert!(ProfileEntry::all().is_normalized());
+        let mut diff = Conjunction::always();
+        diff.diff("a", "c", crate::predicate::DiffRange::new(0.0, 1.0));
+        let e = ProfileEntry {
+            projection: Projection::of(["a"]),
+            filters: vec![diff],
+        };
+        assert!(!e.is_normalized(), "a difference operand is referenced");
     }
 
     #[test]

@@ -27,7 +27,11 @@
 //! [`Router::route_batch_into`]: it works in buffers the router keeps
 //! (match keys, projection memo) and the caller lends (the forwards, a
 //! pool of tuple buffers), so steady-state routing allocates only the
-//! narrowing projections it actually builds.
+//! narrowing projections it actually builds. The one hop that skips it
+//! is a *relay hop* ([`Router::relay`]): one destination, under the very
+//! entry the upstream router matched and projected the batch under, so
+//! routing would hand the batch on unchanged — and in debug builds
+//! [`Router::relay_batch`] routes it anyway and checks that it does.
 
 use crate::matcher::{CountingMatcher, MatchScratch};
 use crate::profile::{Profile, ProfileEntry};
@@ -165,12 +169,25 @@ struct PlanEntry {
     plans: PlanMap,
 }
 
-/// What routing mutates behind `&self`: the compiled plans and the
-/// buffers one [`Router::route_batch_into`] call works in, kept so the
-/// next call finds them grown.
+/// One stream's cached [`Router::relay`] verdict: valid for hops arriving
+/// from `from` while this router's and the upstream router's re-index
+/// counters read `generations`.
+#[derive(Debug, Clone)]
+struct RelayLine {
+    stream: StreamName,
+    from: NodeId,
+    generations: (u64, u64),
+    dest: Option<Destination>,
+}
+
+/// What routing mutates behind `&self`: the compiled plans, the relay
+/// verdicts and the buffers one [`Router::route_batch_into`] call works
+/// in, kept so the next call finds them grown.
 #[derive(Debug, Clone, Default)]
 struct RouteState {
     plans: Vec<PlanEntry>,
+    /// At most one line per stream, scanned like the plan lines.
+    relays: Vec<RelayLine>,
     /// The batch's match keys.
     matched: MatchScratch<Destination>,
     /// Projected tuples of the datagram at hand, by output layout
@@ -189,6 +206,9 @@ pub struct Router {
     /// routing scratch.
     state: RefCell<RouteState>,
     counters: Cell<RouterCounters>,
+    /// Tuples passed on by [`Router::relay_batch`] (also counted in
+    /// [`RouterCounters::tuples_routed`]).
+    relayed: Cell<u64>,
 }
 
 impl Router {
@@ -199,6 +219,7 @@ impl Router {
             engine: CountingMatcher::new(),
             state: RefCell::new(RouteState::default()),
             counters: Cell::new(RouterCounters::default()),
+            relayed: Cell::new(0),
         }
     }
 
@@ -212,10 +233,21 @@ impl Router {
     /// the `&mut self` borrow ends — a stale plan is never observable.
     fn install(&mut self, dest: Destination, profile: Option<Profile>) {
         let changed = self.engine.replace(dest, profile);
-        self.state
-            .get_mut()
-            .plans
-            .retain(|e| !changed.contains(&e.stream));
+        self.forget(&changed);
+    }
+
+    /// Drop the compiled plans of `changed`, streams whose entries just
+    /// changed, and the relay line of each one nobody here wants any
+    /// more. Relay verdicts need no invalidation (they are keyed by the
+    /// re-index counters); dropping a dead stream's line only keeps the
+    /// list as short as the streams routed here.
+    fn forget(&mut self, changed: &[StreamName]) {
+        let state = self.state.get_mut();
+        state.plans.retain(|e| !changed.contains(&e.stream));
+        let engine = &self.engine;
+        state
+            .relays
+            .retain(|l| !changed.contains(&l.stream) || !engine.interested(&l.stream).is_empty());
     }
 
     /// The node this router belongs to.
@@ -242,7 +274,7 @@ impl Router {
     ) {
         let dest = Destination::Neighbor(neighbor);
         if self.engine.replace_entry(dest, stream, entry) {
-            self.state.get_mut().plans.retain(|e| e.stream != *stream);
+            self.forget(std::slice::from_ref(stream));
         }
     }
 
@@ -336,6 +368,7 @@ impl Router {
             plans,
             matched,
             memo,
+            ..
         } = &mut *state;
         self.engine.matches_batch_flat(tuples, schema, matched);
         if matched.none_matched() {
@@ -407,6 +440,127 @@ impl Router {
             }
         }
         self.counters.set(counters);
+    }
+
+    /// Whether a hop of `stream` arriving here from `upstream`'s node is
+    /// a *relay hop*, and if so its one destination `D`. It is when
+    ///
+    /// 1. this router holds an entry for `stream` for exactly one
+    ///    destination `D` other than the arrival link,
+    /// 2. `D`'s entry equals the one `upstream` holds for this node — the
+    ///    entry the hop's tuples were matched and projected under, and
+    /// 3. that entry keeps every attribute its filters reference
+    ///    ([`ProfileEntry::is_normalized`]).
+    ///
+    /// Then each tuple still carries, unchanged, every attribute of the
+    /// filter it passed upstream, so it matches `D` again and nothing
+    /// else here, and `D`'s plan is the identity on the layout the
+    /// upstream plan produced: [`Router::route_batch_into`] would forward
+    /// the hop to `D` as it is.
+    ///
+    /// The verdict is kept per stream, keyed by the arrival link and by
+    /// both routers' [`Router::index_rebuilds`]. Every entry change moves
+    /// one of them, so a verdict never outlives the entries it was read
+    /// from and no mutator has to remember to invalidate it. Recomputing
+    /// it for a stream already routed here allocates nothing.
+    pub fn relay(&self, stream: &StreamName, upstream: &Router) -> Option<Destination> {
+        let (from, generations) = (
+            upstream.node,
+            (self.index_rebuilds(), upstream.index_rebuilds()),
+        );
+        let mut state = self.state.borrow_mut();
+        let held = state.relays.iter().position(|l| l.stream == *stream);
+        if let Some(line) = held.map(|at| &state.relays[at]) {
+            if (line.from, line.generations) == (from, generations) {
+                return line.dest;
+            }
+        }
+        let dest = self.relay_verdict(stream, upstream);
+        let line = RelayLine {
+            stream: stream.clone(),
+            from,
+            generations,
+            dest,
+        };
+        match held {
+            Some(at) => state.relays[at] = line,
+            None => state.relays.push(line),
+        }
+        dest
+    }
+
+    /// [`Router::relay`]'s three conditions, read off both routers'
+    /// installed entries.
+    fn relay_verdict(&self, stream: &StreamName, upstream: &Router) -> Option<Destination> {
+        let arrival = Destination::Neighbor(upstream.node);
+        let mut others = (self.engine.interested(stream).iter()).filter(|d| **d != arrival);
+        let (Some(&dest), None) = (others.next(), others.next()) else {
+            return None;
+        };
+        let held = self.engine.profile(&dest)?.entry(stream)?;
+        let sent = (upstream.engine)
+            .profile(&Destination::Neighbor(self.node))?
+            .entry(stream)?;
+        (held == sent && held.is_normalized()).then_some(dest)
+    }
+
+    /// Pass on a hop of `tuples` (laid out by `schema`, arriving from
+    /// `upstream`'s node) if [`Router::relay`] finds it a relay hop:
+    /// count its tuples as routed and relayed — no plan is consulted —
+    /// and return the destination, to which the caller hands the hop's
+    /// tuples and schema untouched. `None` changes nothing: route the
+    /// hop.
+    ///
+    /// In debug builds the hop is routed through
+    /// [`Router::route_batch_into`] as well, which must produce exactly
+    /// that one forward; the check leaves no trace (counters and compiled
+    /// plans are restored).
+    pub fn relay_batch(
+        &self,
+        tuples: &[Tuple],
+        schema: &Schema,
+        upstream: &Router,
+    ) -> Option<Destination> {
+        let dest = self.relay(&tuples.first()?.stream, upstream)?;
+        if cfg!(debug_assertions) {
+            self.assert_routing_relays(tuples, schema, upstream.node, dest);
+        }
+        let mut counters = self.counters.get();
+        counters.tuples_routed += tuples.len() as u64;
+        self.counters.set(counters);
+        self.relayed.set(self.relayed.get() + tuples.len() as u64);
+        Some(dest)
+    }
+
+    /// The debug cross-check of [`Router::relay_batch`].
+    fn assert_routing_relays(
+        &self,
+        tuples: &[Tuple],
+        schema: &Schema,
+        from: NodeId,
+        dest: Destination,
+    ) {
+        let (counters, plans) = (self.counters.get(), self.state.borrow().plans.clone());
+        let mut routed = Vec::new();
+        self.route_batch_into(tuples, schema, Some(from), &mut routed, &mut Vec::new());
+        self.counters.set(counters);
+        self.state.borrow_mut().plans = plans;
+        let relayed = BatchForward {
+            dest,
+            tuples: tuples.to_vec(),
+            schema: schema.clone(),
+        };
+        assert_eq!(
+            routed,
+            [relayed],
+            "router {} relayed a hop from {from} that routing changes",
+            self.node
+        );
+    }
+
+    /// Tuples passed on by [`Router::relay_batch`] so far.
+    pub fn tuples_relayed(&self) -> u64 {
+        self.relayed.get()
     }
 
     /// Route a punctuation (watermark datagram) for `stream`.
@@ -919,6 +1073,95 @@ mod tests {
         r.set_neighbor_interest(NodeId(1), Profile::new());
         assert!(r.neighbor_interest(NodeId(1)).is_none());
         assert_eq!(route(&r, &tup(5, 0.0), &schema(), None).len(), 0);
+    }
+
+    /// Node 0 routes `S` to node 1 under `interest(0, 10, attrs)`; node 1
+    /// holds the same entry for its local subscriber 7.
+    fn relay_pair(attrs: &[&str]) -> (Router, Router) {
+        let (mut up, mut r) = (Router::new(NodeId(0)), Router::new(NodeId(1)));
+        up.set_neighbor_interest(NodeId(1), interest(0, 10, attrs));
+        r.add_local_subscriber(SubscriberId(7), interest(0, 10, attrs));
+        (up, r)
+    }
+
+    /// The batch `up` forwards to node 1, as node 1 receives it.
+    fn hop_to_1(up: &Router, batch: &[Tuple]) -> BatchForward {
+        let forwards = up.route_batch(batch, &schema(), None);
+        let hop = forwards
+            .into_iter()
+            .find(|f| f.dest == Destination::Neighbor(NodeId(1)));
+        hop.expect("node 0 forwards to node 1")
+    }
+
+    #[test]
+    fn relay_needs_one_destination_under_the_upstream_entry() {
+        let s: StreamName = "S".into();
+        let local = Some(Destination::Local(SubscriberId(7)));
+        let (mut up, mut r) = relay_pair(&["id", "price"]);
+        assert_eq!(r.relay(&s, &up), local);
+        // The arrival link's own entry is not a destination.
+        r.set_neighbor_interest(NodeId(0), interest(0, 99, &[]));
+        assert_eq!(r.relay(&s, &up), local);
+        // A second destination: route.
+        r.set_neighbor_interest(NodeId(2), interest(50, 60, &[]));
+        assert_eq!(r.relay(&s, &up), None);
+        r.set_neighbor_interest(NodeId(2), Profile::new());
+        assert_eq!(r.relay(&s, &up), local);
+        // An entry unlike the upstream one, on either side: route.
+        r.add_local_subscriber(SubscriberId(7), interest(0, 11, &["id", "price"]));
+        assert_eq!(r.relay(&s, &up), None);
+        up.set_neighbor_interest(NodeId(1), interest(0, 11, &["id", "price"]));
+        assert_eq!(r.relay(&s, &up), local);
+        up.set_neighbor_interest(NodeId(1), interest(0, 11, &["id"]));
+        assert_eq!(r.relay(&s, &up), None);
+        // Another stream, and another arrival link, decide for themselves.
+        assert_eq!(r.relay(&"T".into(), &up), None);
+        assert_eq!(r.relay(&s, &Router::new(NodeId(2))), None);
+    }
+
+    #[test]
+    fn an_entry_that_projects_away_its_filter_attribute_is_routed() {
+        // `id` is filtered on but projected away: the hop arrives without
+        // it, so the entry that passed it upstream matches nothing here.
+        let (up, r) = relay_pair(&["price"]);
+        let hop = hop_to_1(&up, &[tup(5, 1.0)]);
+        assert_eq!(hop.schema.names().collect::<Vec<_>>(), ["price"]);
+        assert!(r
+            .route_batch(&hop.tuples, &hop.schema, Some(NodeId(0)))
+            .is_empty());
+        assert_eq!(r.relay(&"S".into(), &up), None);
+        assert_eq!(r.relay_batch(&hop.tuples, &hop.schema, &up), None);
+    }
+
+    #[test]
+    fn a_relayed_batch_counts_as_routed_and_consults_no_plan() {
+        let (up, r) = relay_pair(&["id"]);
+        let batch: Vec<Tuple> = (0..20).map(|i| tup(i, 1.0)).collect();
+        let hop = hop_to_1(&up, &batch);
+        assert_eq!(hop.tuples.len(), 11);
+        let dest = r.relay_batch(&hop.tuples, &hop.schema, &up);
+        assert_eq!(dest, Some(Destination::Local(SubscriberId(7))));
+        let counted = RouterCounters {
+            tuples_routed: 11,
+            ..RouterCounters::default()
+        };
+        assert_eq!(r.counters(), counted, "no plan hit, miss or projection");
+        assert_eq!(r.tuples_relayed(), 11);
+        assert_eq!(
+            r.cached_plan_count(),
+            0,
+            "no plan compiled, not even by the debug check"
+        );
+        assert_eq!(r.relay_batch(&[], &hop.schema, &up), None);
+    }
+
+    #[test]
+    fn relay_lines_go_with_the_streams_routed_here() {
+        let (up, mut r) = relay_pair(&[]);
+        assert!(r.relay(&"S".into(), &up).is_some());
+        assert_eq!(r.state.borrow().relays.len(), 1);
+        r.add_local_subscriber(SubscriberId(7), interest_on("T", 0, 10, &[]));
+        assert!(r.state.borrow().relays.is_empty(), "nobody here wants S");
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! — gated by counting allocations, not by a clock.
 
 use cosmos_cbn::{
-    BatchForward, Conjunction, CountingMatcher, MatchScratch, Profile, Projection, Router,
+    BatchForward, Conjunction, CountingMatcher, Destination, MatchScratch, Profile, Projection,
+    Router,
 };
 use cosmos_types::{AttrType, NodeId, Schema, SubscriberId, Timestamp, Tuple, Value};
 
@@ -121,6 +122,31 @@ fn steady_state_flat_matching_allocates_nothing() {
     });
     assert_eq!(n, 0);
     assert_eq!(flat.iter().collect::<Vec<_>>(), [&[1, 3][..]]);
+}
+
+#[test]
+fn relay_lookups_allocate_nothing_once_the_stream_was_routed() {
+    let (mut up, mut r) = (Router::new(NodeId(0)), Router::new(NodeId(1)));
+    up.set_neighbor_interest(NodeId(1), interest(0, 40, &["id", "price"]));
+    r.add_local_subscriber(SubscriberId(7), interest(0, 40, &["id", "price"]));
+    let on_s = "S".into();
+    let relay = Some(Destination::Local(SubscriberId(7)));
+    assert_eq!(r.relay(&on_s, &up), relay);
+    let n = allocations(|| {
+        for _ in 0..32 {
+            assert_eq!(r.relay(&on_s, &up), relay);
+        }
+    });
+    assert_eq!(n, 0, "warmed lookups");
+    // Interest changes on either router: the verdict is recomputed, in
+    // place.
+    r.set_neighbor_interest(NodeId(2), interest(50, 60, &[]));
+    assert_eq!(allocations(|| assert_eq!(r.relay(&on_s, &up), None)), 0);
+    r.set_neighbor_interest(NodeId(2), Profile::new());
+    up.set_neighbor_interest(NodeId(1), interest(0, 41, &["id", "price"]));
+    assert_eq!(allocations(|| assert_eq!(r.relay(&on_s, &up), None)), 0);
+    r.add_local_subscriber(SubscriberId(7), interest(0, 41, &["id", "price"]));
+    assert_eq!(allocations(|| assert_eq!(r.relay(&on_s, &up), relay)), 0);
 }
 
 #[test]

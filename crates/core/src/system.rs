@@ -1072,6 +1072,15 @@ impl Cosmos {
         let reg = self.registry.peek(&first.stream).ok_or_else(|| {
             CosmosError::System(format!("stream '{}' is not advertised", first.stream))
         })?;
+        // Every router downstream indexes columns by the advertised layout.
+        if let Some(t) = tuples.iter().find(|t| t.arity() != reg.schema.arity()) {
+            return Err(CosmosError::System(format!(
+                "a tuple of stream '{}' has {} values, its schema {} attributes",
+                first.stream,
+                t.arity(),
+                reg.schema.arity()
+            )));
+        }
         let (origin, schema) = (reg.origin, reg.schema.clone());
         self.traffic.tuples_published += tuples.len() as u64;
         self.metrics.on_publish(&first.stream, &schema, tuples);
@@ -1088,7 +1097,12 @@ impl Cosmos {
     /// executor's result batch) through the network to completion,
     /// including every result batch it triggers on the way. The first
     /// hop routes the caller's slice borrowed; forwarded hops own their
-    /// (projected) tuples and are served breadth-first.
+    /// (projected) tuples and are served breadth-first. A forwarded hop
+    /// that is a relay hop at its router ([`Router::relay`]) is not
+    /// routed: its buffer and schema become the one forward as they are.
+    /// That reads the upstream router's entries at the time the hop is
+    /// served, which are the ones it was routed under, because nothing
+    /// the loop calls mutates a router.
     ///
     /// The loop works in [`HopLoop`]'s buffers, taken out of `self` for
     /// the duration of the call. That is sound because the loop is never
@@ -1110,14 +1124,25 @@ impl Cosmos {
         );
         self.process_forwards(at, &mut hops);
         while let Some(hop) = hops.queue.pop_front() {
-            self.routers[hop.at.index()].route_batch_into(
-                &hop.tuples,
-                &hop.schema,
-                hop.from,
-                &mut hops.forwards,
-                &mut hops.pool,
-            );
-            hops.recycle(hop.tuples, nodes);
+            let router = &self.routers[hop.at.index()];
+            let upstream = hop.from.map(|from| &self.routers[from.index()]);
+            let relay = upstream.and_then(|up| router.relay_batch(&hop.tuples, &hop.schema, up));
+            if let Some(dest) = relay {
+                hops.forwards.push(BatchForward {
+                    dest,
+                    tuples: hop.tuples,
+                    schema: hop.schema,
+                });
+            } else {
+                router.route_batch_into(
+                    &hop.tuples,
+                    &hop.schema,
+                    hop.from,
+                    &mut hops.forwards,
+                    &mut hops.pool,
+                );
+                hops.recycle(hop.tuples, nodes);
+            }
             self.process_forwards(hop.at, &mut hops);
         }
         self.hops = hops;
@@ -2184,6 +2209,26 @@ mod tests {
         let unknown = vec![Tuple::new("Nope", Timestamp(0), vec![Value::Int(1)])];
         assert!(sys.publish_batch(&unknown).is_err());
         assert_eq!(sys.tuples_published(), 0);
+        // a tuple shorter (or longer) than its stream's schema is refused
+        // before anything is counted, even behind well-formed ones (a
+        // short one used to panic in the SPE input's projection plan)
+        let q = sys
+            .submit_query("SELECT x FROM S [Now]", NodeId(3))
+            .unwrap();
+        let short = Tuple::new("S", Timestamp(1), vec![Value::Int(1)]);
+        let mut long = s_tuple(1, 1, 1.0).values().to_vec();
+        long.push(Value::Int(0));
+        let long = Tuple::new("S", Timestamp(1), long);
+        for bad in [short, long] {
+            assert!(sys.publish(&bad).is_err());
+            let err = sys.publish_batch(&[s_tuple(0, 1, 1.0), bad]).unwrap_err();
+            assert!(err.to_string().contains("schema 3 attributes"), "{err}");
+        }
+        assert_eq!(sys.tuples_published(), 0);
+        assert_eq!(sys.total_bytes(), 0);
+        assert!(sys.results(q).is_empty());
+        sys.publish(&s_tuple(0, 1, 1.0)).unwrap();
+        assert_eq!(sys.results(q).len(), 1);
     }
 
     #[test]

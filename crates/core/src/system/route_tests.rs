@@ -358,6 +358,14 @@ fn control_operations_reindex_only_what_moved() {
     // Route something so the plan caches are not trivially empty.
     let mut sensors = cosmos_workload::SensorGenerator::new(0, 7);
     sys.run(sensors.tuples_until(60_000)).unwrap();
+    // Most hops are relays (DESIGN.md §9 "Relay hops" quotes the share).
+    let (relayed, arrived) = relay_share(&sys);
+    assert_eq!(
+        (relayed, arrived),
+        (435, 525),
+        "tuples relayed, arrived over a link"
+    );
+    assert!(relayed * 10 >= arrived * 7, "{relayed} of {arrived}");
 
     // A rebuild with nothing to change touches nothing.
     assert!(sys.routers.iter().any(|r| r.cached_plan_count() > 0));
@@ -462,6 +470,271 @@ fn control_operations_reindex_only_what_moved() {
         quantiles(contributors),
         (17, 39),
         "contributors per unsubscribe"
+    );
+}
+
+/// A chain `0 - 1 - … - (n-1)` whose one processor is node 0, the origin
+/// of `S(k, x, timestamp)`.
+fn chain(n: u32) -> Cosmos {
+    use cosmos_query::AttrStats;
+    use cosmos_types::AttrType;
+    let mut g = Graph::new(n as usize);
+    for i in 0..n {
+        g.set_position(NodeId(i), i as f64 / n as f64, 0.0);
+    }
+    for i in 0..n - 1 {
+        g.add_edge_by_distance(NodeId(i), NodeId(i + 1)).unwrap();
+    }
+    let cfg = CosmosConfig {
+        nodes: n as usize,
+        processor_fraction: 1.0 / n as f64,
+        ..CosmosConfig::default()
+    };
+    let mut sys = Cosmos::with_graph(cfg, g).unwrap();
+    assert_eq!(sys.processors(), [NodeId(0)]);
+    let schema = Schema::of(&[
+        ("k", AttrType::Int),
+        ("x", AttrType::Float),
+        ("timestamp", AttrType::Int),
+    ]);
+    let stats = StreamStats::with_rate(1.0)
+        .attr("k", AttrStats::categorical(10.0))
+        .attr("x", AttrStats::numeric(0.0, 100.0, 100.0));
+    sys.register_stream("S", schema, stats, NodeId(0)).unwrap();
+    sys
+}
+
+/// `S` tuples `from..to`, one a second, `x` sweeping `0..100`.
+fn s_tuples(from: i64, to: i64) -> impl Iterator<Item = Tuple> {
+    use cosmos_types::Value;
+    (from..to).map(|i| {
+        let values = vec![
+            Value::Int(i % 7),
+            Value::Float((i * 37 % 100) as f64),
+            Value::Int(i * 1000),
+        ];
+        Tuple::new("S", Timestamp(i * 1000), values)
+    })
+}
+
+/// Tuples each router has relayed so far, by node.
+fn relayed(sys: &Cosmos) -> Vec<u64> {
+    sys.routers.iter().map(Router::tuples_relayed).collect()
+}
+
+fn total_relayed(sys: &Cosmos) -> u64 {
+    relayed(sys).iter().sum()
+}
+
+/// `(relayed, arrived)`: tuples relayed, and hop tuples that arrived
+/// over a link — every link crossing of a data tuple is one.
+fn relay_share(sys: &Cosmos) -> (u64, u64) {
+    let arrived = sys.metrics().links.iter().map(|l| l.tuples).sum();
+    (total_relayed(sys), arrived)
+}
+
+#[test]
+fn chain_relays_and_delivers_what_routing_delivers() {
+    let query = "SELECT k, x FROM S [Now] WHERE x > 30.0";
+    let run = |block_relays: bool| {
+        let mut sys = chain(6);
+        let q = sys.submit_query(query, NodeId(5)).unwrap();
+        if block_relays {
+            // Every middle node also holds an entry for the result stream
+            // that matches nothing: a second destination, so no hop
+            // relays, and nothing else changes.
+            let stream = sys.rep_states()[0].result_stream.clone();
+            let mut dead = cosmos_cbn::Conjunction::always();
+            dead.between("k", 5, 1);
+            let mut profile = Profile::new();
+            profile.add_interest(stream, cosmos_cbn::Projection::All, dead);
+            for node in 1..5 {
+                sys.routers[node].add_local_subscriber(SubscriberId(u64::MAX), profile.clone());
+            }
+        }
+        sys.run(s_tuples(0, 200)).unwrap();
+        let links: Vec<u64> = (0..5)
+            .map(|i| sys.link_bytes(NodeId(i), NodeId(i + 1)))
+            .collect();
+        (sys.results(q).to_vec(), links, relayed(&sys))
+    };
+    let (delivered, links, relays) = run(false);
+    let (reference, reference_links, no_relays) = run(true);
+    assert_eq!(delivered, reference, "deliveries");
+    assert_eq!(links, reference_links, "bytes per link");
+    // The source stream never leaves its origin, the processor; the
+    // result stream is relayed by every node after it, the user's own
+    // router included (its entry is the one its upstream holds).
+    let n = delivered.len() as u64;
+    assert!(n > 100 && links.iter().all(|b| *b > 0), "{n} {links:?}");
+    assert_eq!(relays, [0, n, n, n, n, n]);
+    assert_eq!(no_relays, [0, 0, 0, 0, 0, n], "the middle nodes route");
+}
+
+#[test]
+fn a_second_subscriber_turns_its_branch_node_from_relay_to_route() {
+    let query = "SELECT k, x FROM S [Now] WHERE x > 30.0";
+    let mut sys = chain(5);
+    let far = sys.submit_query(query, NodeId(4)).unwrap();
+    sys.run(s_tuples(0, 50)).unwrap();
+    let n = sys.results(far).len() as u64;
+    assert_eq!(relayed(&sys), [0, n, n, n, n]);
+
+    let near = sys.submit_query(query, NodeId(2)).unwrap();
+    assert_eq!(sys.rep_states().len(), 1, "one group, one result stream");
+    let before = relayed(&sys);
+    sys.run(s_tuples(50, 100)).unwrap();
+    let m = sys.results(near).len() as u64;
+    assert_eq!(sys.results(far).len() as u64, n + m);
+    let grew: Vec<u64> = relayed(&sys)
+        .iter()
+        .zip(&before)
+        .map(|(a, b)| a - b)
+        .collect();
+    assert_eq!(
+        grew,
+        [0, m, 0, m, m],
+        "node 2 delivers and forwards: routed"
+    );
+
+    sys.unsubscribe(near).unwrap();
+    let before = relayed(&sys);
+    sys.run(s_tuples(100, 150)).unwrap();
+    let k = sys.results(far).len() as u64 - (n + m);
+    let grew: Vec<u64> = relayed(&sys)
+        .iter()
+        .zip(&before)
+        .map(|(a, b)| a - b)
+        .collect();
+    assert_eq!(grew, [0, k, k, k, k], "withdrawn: node 2 relays again");
+}
+
+#[test]
+fn a_user_entry_without_its_split_filter_attribute_is_routed() {
+    // The narrow query joins the wide one's group; its split filter on
+    // `x` stays on its user entry, whose projection drops `x`.
+    let mut sys = chain(4);
+    let wide = sys
+        .submit_query("SELECT k, x FROM S [Now] WHERE x > 10.0", NodeId(2))
+        .unwrap();
+    let narrow = sys
+        .submit_query("SELECT k FROM S [Now] WHERE x > 60.0", NodeId(3))
+        .unwrap();
+    assert_eq!(sys.rep_states().len(), 1, "one group");
+    let stream = sys.rep_states()[0].result_stream.clone();
+    let user = sys.router(NodeId(3)).local_subscribers().next().unwrap();
+    let entry = user.1.entry(&stream).unwrap();
+    assert!(!entry.is_normalized(), "{entry:?}");
+    sys.run(s_tuples(0, 100)).unwrap();
+    let (w, n) = (sys.results(wide).len(), sys.results(narrow).len());
+    assert!(w > n && n > 0, "{w} {n}");
+    assert!(sys.results(narrow).iter().all(|t| t.arity() == 1));
+    assert_eq!(
+        sys.router(NodeId(3)).tuples_relayed(),
+        0,
+        "routed, not relayed"
+    );
+    assert_eq!(sys.router(NodeId(1)).tuples_relayed(), w as u64);
+}
+
+#[test]
+fn relay_verdicts_read_the_upstream_router_not_the_ledger() {
+    // The query at node 3 joins the wider one at node 2, so its user
+    // entry keeps a split filter on `x`.
+    let mut sys = chain(4);
+    sys.submit_query("SELECT k, x FROM S [Now] WHERE x > 10.0", NodeId(2))
+        .unwrap();
+    let q = sys
+        .submit_query("SELECT k, x FROM S [Now] WHERE x > 60.0", NodeId(3))
+        .unwrap();
+    sys.run(s_tuples(0, 50)).unwrap();
+    let n = sys.results(q).len() as u64;
+    assert_eq!(relayed(&sys)[3], n);
+    // Behind the ledger's back, node 2 stops sending the filtered
+    // attribute to node 3: the hops node 3 now receives match nothing
+    // there. Relaying them would deliver them.
+    let stream = sys.rep_states()[0].result_stream.clone();
+    let sent = sys.router(NodeId(2)).neighbor_interest(NodeId(3)).unwrap();
+    let mut entry = sent.entry(&stream).unwrap().clone();
+    let filtered: BTreeSet<&str> = entry.filters.iter().flat_map(|f| f.referenced()).collect();
+    assert!(!filtered.is_empty(), "{entry:?}");
+    let schema = &sys.registry.peek(&stream).unwrap().schema;
+    let kept = schema.names().filter(|a| !filtered.contains(a));
+    entry.projection = cosmos_cbn::Projection::of(kept);
+    sys.routers[2].set_neighbor_entry(NodeId(3), &stream, Some(entry));
+    sys.run(s_tuples(50, 100)).unwrap();
+    assert_eq!(sys.results(q).len() as u64, n, "dropped at node 3");
+    assert_eq!(relayed(&sys)[3], n, "routed, not relayed");
+}
+
+/// Relay verdicts are derived from both routers' entries at every hop;
+/// interleave every control operation that moves entries with
+/// publishing, under disorder (so `close_streams` drains staged results
+/// through the relays), on shared and per-source trees. A stale verdict
+/// would relay a hop routing changes, which the debug cross-check in
+/// `Router::relay_batch` turns into a panic.
+#[test]
+fn relay_verdicts_follow_every_control_operation() {
+    let mut relayed_after = BTreeMap::<&str, u64>::new();
+    for seed in 0..6u64 {
+        for per_source_trees in [false, true] {
+            let (mut sys, mut queries, mut rng) = deployment(seed, 16, 4, per_source_trees);
+            sys.set_disorder(Some(DisorderRuntime {
+                bound: TimeDelta::from_millis(1_000),
+                policy: LatePolicy::Drop,
+            }));
+            let mut live = submit_generated(&mut sys, &mut queries, &mut rng, 12);
+            let mut sensors: Vec<_> = (0..4)
+                .map(|i| cosmos_workload::SensorGenerator::new(i, seed))
+                .collect();
+            let mut until = 0;
+            let mut publish = |sys: &mut Cosmos, what: &'static str| {
+                let before = total_relayed(sys);
+                until += 20_000;
+                let inputs = cosmos_workload::sensor::merged_inputs(&mut sensors, until);
+                sys.run(inputs).unwrap();
+                *relayed_after.entry(what).or_default() += total_relayed(sys) - before;
+            };
+            publish(&mut sys, "start-up");
+            for step in 0..10 {
+                let what = match step % 5 {
+                    0 => {
+                        sys.optimize_tree(cosmos_overlay::OptimizerConfig::default());
+                        "optimize_tree"
+                    }
+                    1 => {
+                        let edges: Vec<(NodeId, NodeId)> = sys.tree().edges().collect();
+                        let (a, b) = edges[rng.gen_range(0..edges.len())];
+                        if sys.fail_tree_link(a, b).is_ok() {
+                            publish(&mut sys, "failed link");
+                            sys.heal_tree_link(a, b).unwrap();
+                        }
+                        "healed link"
+                    }
+                    2 => {
+                        live.extend(submit_generated(&mut sys, &mut queries, &mut rng, 2));
+                        "submit"
+                    }
+                    3 => {
+                        let (qid, _) = live.swap_remove(rng.gen_range(0..live.len()));
+                        sys.unsubscribe(qid).unwrap();
+                        "unsubscribe"
+                    }
+                    _ => {
+                        sys.reoptimize_groups().unwrap();
+                        "reoptimize_groups"
+                    }
+                };
+                publish(&mut sys, what);
+            }
+            let before = total_relayed(&sys);
+            sys.close_streams();
+            *relayed_after.entry("close_streams").or_default() += total_relayed(&sys) - before;
+        }
+    }
+    assert!(
+        relayed_after.values().all(|n| *n > 0),
+        "relays after each operation: {relayed_after:?}"
     );
 }
 
