@@ -250,7 +250,7 @@ impl Envelope {
                 .map_or(0.0, |s| s.estimated_tuple_bytes() as f64)
                 + TUPLE_HEADER_BYTES;
             env.set(
-                stream.clone(),
+                *stream,
                 StreamEnvelope::Rate {
                     tuples_per_sec: rate,
                     horizon_secs,
@@ -272,7 +272,7 @@ impl Envelope {
     pub fn record(&mut self, stream: &StreamName, ts_millis: i64, size_bytes: usize) {
         let e = self
             .streams
-            .entry(stream.clone())
+            .entry(*stream)
             .or_insert(StreamEnvelope::Trace {
                 timestamps: Vec::new(),
                 max_tuple_bytes: 0,

@@ -283,7 +283,7 @@ impl<K: Ord + Clone> CountingMatcher<K> {
         let mut profile = self.profiles.remove(&key).unwrap_or_default();
         profile.remove_entry(stream);
         if let Some(entry) = entry {
-            profile.add_entry(stream.clone(), entry);
+            profile.add_entry(*stream, entry);
         }
         if !profile.is_empty() {
             self.profiles.insert(key, profile);
@@ -371,7 +371,7 @@ impl<K: Ord + Clone> CountingMatcher<K> {
         if idx.interested.is_empty() {
             self.streams.remove(stream);
         } else {
-            self.streams.insert(stream.clone(), idx);
+            self.streams.insert(*stream, idx);
         }
     }
 

@@ -287,7 +287,7 @@ impl Profile {
         match self.entries.get_mut(stream) {
             Some(existing) => existing.union_with(entry),
             None => {
-                self.entries.insert(stream.clone(), entry.clone());
+                self.entries.insert(*stream, entry.clone());
             }
         }
     }

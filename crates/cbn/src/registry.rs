@@ -90,7 +90,7 @@ impl SchemaRegistry {
             RegistryMode::Dht { replicas } => replicas.min(self.node_count) as u64,
         };
         self.streams.insert(
-            name.clone(),
+            name,
             RegisteredStream {
                 name,
                 schema,

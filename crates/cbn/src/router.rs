@@ -159,9 +159,8 @@ type PlanMap = Vec<(Destination, Option<ProjectionPlan>)>;
 /// One line of a router's compiled projection plans: those of one
 /// (incoming schema, stream) pair. A router only ever sees the few
 /// pairs routed through it, so the lines are a linear-scan list — an
-/// interned [`SchemaId`] compares as an integer and an `Arc<str>` stream
-/// name short-circuits on pointer identity. A line exists only while it
-/// holds a plan.
+/// interned [`SchemaId`] compares as an integer and an interned stream
+/// name as a pointer. A line exists only while it holds a plan.
 #[derive(Debug, Clone)]
 struct PlanEntry {
     schema: SchemaId,
@@ -395,7 +394,7 @@ impl Router {
                 let line = *line.get_or_insert_with(|| {
                     plans.push(PlanEntry {
                         schema: schema_id,
-                        stream: stream.clone(),
+                        stream: *stream,
                         plans: Vec::new(),
                     });
                     plans.len() - 1
@@ -477,7 +476,7 @@ impl Router {
         }
         let dest = self.relay_verdict(stream, upstream);
         let line = RelayLine {
-            stream: stream.clone(),
+            stream: *stream,
             from,
             generations,
             dest,

@@ -968,7 +968,7 @@ fn registry_messages(mode: RegistryMode, streams: usize, lookups: usize) -> Resu
     let schema = Schema::of(&[("v", AttrType::Float), ("timestamp", AttrType::Int)]);
     for i in 0..streams {
         let name = StreamName::from(format!("s{i}").as_str());
-        reg.register(name.clone(), schema.clone(), NodeId(i as u32 % A8_NODES))?;
+        reg.register(name, schema.clone(), NodeId(i as u32 % A8_NODES))?;
         for _ in 0..lookups {
             reg.lookup(&name);
         }

@@ -315,9 +315,9 @@ impl OverloadController {
                 }
                 let stream = tuples
                     .first()
-                    .map(|t| t.stream.clone())
+                    .map(|t| t.stream)
                     .unwrap_or_else(|| StreamName::from(""));
-                let key = (node, stream.clone());
+                let key = (node, stream);
                 let limit = if self.throttled_window.get(&key) != Some(&window_index) {
                     self.throttled_window.insert(key, window_index);
                     let budget_bytes = match budget {

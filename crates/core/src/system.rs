@@ -150,6 +150,10 @@ struct Hop {
     at: NodeId,
     tuples: Vec<Tuple>,
     schema: Schema,
+    /// Wire bytes of `tuples`, as accounted on the link from `from` (0
+    /// when the batch entered at `at`): a relayed hop crosses its next
+    /// link with the same tuples, so it is accounted from this count.
+    bytes: usize,
 }
 
 /// The buffers [`Cosmos::disseminate`] works in, kept between calls so
@@ -286,7 +290,7 @@ impl RouteLedger {
                 let mut entry = entry.clone();
                 entry.normalize();
                 let path = topology.tree_for(origin).path(at, origin);
-                Some((stream.clone(), Arc::new(entry), path))
+                Some((*stream, Arc::new(entry), path))
             })
             .collect();
         let mut new = new.unwrap_or_default();
@@ -295,7 +299,7 @@ impl RouteLedger {
             .partition(|c| new.contains(c));
         for (stream, _, path) in gone {
             for w in path.windows(2) {
-                self.edit((w[1], w[0], stream.clone()), sub, None);
+                self.edit((w[1], w[0], stream), sub, None);
             }
         }
         for contribution in &mut new {
@@ -305,7 +309,7 @@ impl RouteLedger {
             }
             let (stream, entry, path) = &*contribution;
             for w in path.windows(2) {
-                self.edit((w[1], w[0], stream.clone()), sub, Some(entry));
+                self.edit((w[1], w[0], *stream), sub, Some(entry));
             }
         }
         if !new.is_empty() {
@@ -316,9 +320,9 @@ impl RouteLedger {
     /// Insert `sub`'s `entry` among `cell`'s contributors, or withdraw it
     /// (`None`), and note the cell for the next refold.
     fn edit(&mut self, cell: Cell, sub: SubscriberId, entry: Option<&Arc<ProfileEntry>>) {
-        let list = self.cells.entry(cell.clone()).or_default();
+        let list = self.cells.entry(cell).or_default();
         let at = list.partition_point(|(s, _)| *s < sub);
-        self.touched.insert(cell.clone());
+        self.touched.insert(cell);
         match entry {
             Some(entry) => list.insert(at, (sub, Arc::clone(entry))),
             None => {
@@ -380,7 +384,9 @@ impl Ids {
 }
 
 /// The driver's own traffic accounting (the metrics hub keeps a second,
-/// windowed ledger the conservation oracle compares against this one).
+/// windowed ledger the conservation oracle compares against this one;
+/// [`Cosmos::set_metrics_config`] replaces the hub mid-life, so this one
+/// cannot be read back from it).
 #[derive(Debug, Default)]
 struct Traffic {
     link_bytes: BTreeMap<(NodeId, NodeId), u64>,
@@ -410,6 +416,10 @@ struct Disorder {
     /// Source streams closed by their final watermark
     /// ([`Cosmos::close_streams`]); their routing state is pruned.
     closed: BTreeSet<StreamName>,
+    /// The punctuations [`Disorder::after_publish`] found due, as
+    /// `(stream, watermark, origin)`; drained by the caller, kept for
+    /// its buffer.
+    due: Vec<(StreamName, Timestamp, NodeId)>,
 }
 
 impl Disorder {
@@ -427,38 +437,32 @@ impl Disorder {
     }
 
     /// Epilogue of every publish (a no-op in in-order operation): note
-    /// the stream, advance the global high water, and return the
-    /// `(stream, watermark, origin)` punctuations now due — `high_water
-    /// − bound` for every open source stream that has published, where
-    /// it advances past the last one emitted. Lagging the *global* high
+    /// the stream, advance the global high water, and append to
+    /// [`Disorder::due`] the punctuations now due — `high_water − bound`
+    /// for every open source stream that has published, where it
+    /// advances past the last one emitted. Lagging the *global* high
     /// water is what makes the promise sound: the workload's disorder
     /// transform displaces a tuple's position by at most `bound` of
     /// application time, so no future publish of *any* stream can carry
     /// a timestamp at or below the emitted watermark.
-    fn after_publish(
-        &mut self,
-        tuples: &[Tuple],
-        registry: &SchemaRegistry,
-    ) -> Vec<(StreamName, Timestamp, NodeId)> {
+    fn after_publish(&mut self, tuples: &[Tuple], registry: &SchemaRegistry) {
         let (Some(rt), Some(first)) = (self.runtime, tuples.first()) else {
-            return Vec::new();
+            return;
         };
-        self.published.insert(first.stream.clone());
+        self.published.insert(first.stream);
         let hw = tuples.iter().map(|t| t.timestamp).max();
         let hw = self.high_water.max(hw).expect("the batch is not empty");
         self.high_water = Some(hw);
         let wm = Timestamp(hw.0.saturating_sub(rt.bound.millis()));
-        let mut due = Vec::new();
-        for stream in self.published.difference(&self.closed) {
-            if self.emitted.get(stream).is_some_and(|l| wm <= *l) {
+        for &stream in self.published.difference(&self.closed) {
+            if self.emitted.get(&stream).is_some_and(|l| wm <= *l) {
                 continue;
             }
-            if let Some(origin) = registry.origin(stream) {
-                self.emitted.insert(stream.clone(), wm);
-                due.push((stream.clone(), wm, origin));
+            if let Some(origin) = registry.origin(&stream) {
+                self.emitted.insert(stream, wm);
+                self.due.push((stream, wm, origin));
             }
         }
-        due
     }
 }
 
@@ -688,8 +692,7 @@ impl Cosmos {
         if origin.index() >= self.routers.len() {
             return Err(CosmosError::System(format!("unknown origin {origin}")));
         }
-        self.registry
-            .register(name.clone(), schema.clone(), origin)?;
+        self.registry.register(name, schema.clone(), origin)?;
         self.catalog.register(name, schema, stats);
         self.ensure_source_tree(origin);
         Ok(())
@@ -777,7 +780,7 @@ impl Cosmos {
             }
             for (down, profile) in r.neighbor_interests() {
                 for stream in profile.streams() {
-                    ledger.touched.insert((r.node(), down, stream.clone()));
+                    ledger.touched.insert((r.node(), down, *stream));
                 }
             }
         }
@@ -808,25 +811,25 @@ impl Cosmos {
     ) -> Result<()> {
         self.ensure_source_tree(processor);
         self.registry
-            .register(stream.clone(), rep.output_schema.clone(), processor)?;
+            .register(*stream, rep.output_schema.clone(), processor)?;
         let rate = cosmos_query::estimate::output_tuples_per_sec(rep, &self.catalog);
         self.catalog.register(
-            stream.clone(),
+            *stream,
             rep.output_schema.clone(),
             StreamStats::with_rate(rate),
         );
-        let mut executor = Executor::new(rep.clone(), stream.clone())?;
+        let mut executor = Executor::new(rep.clone(), *stream)?;
         self.disorder.arm(&mut executor);
         let sub = self.ids.sub();
         self.install_spe_input(processor, sub, rep);
-        self.subs.insert(sub, LocalSub::Spe(stream.clone()));
+        self.subs.insert(sub, LocalSub::Spe(*stream));
         let site = RepSite {
             processor,
             executor,
             generation: self.ids.generation(),
             sub,
         };
-        self.reps.insert(stream.clone(), site);
+        self.reps.insert(*stream, site);
         Ok(())
     }
 
@@ -839,7 +842,7 @@ impl Cosmos {
         self.retire_executor(stream);
         self.registry
             .update_schema(stream, rep.output_schema.clone())?;
-        let mut executor = Executor::new(rep.clone(), stream.clone())?;
+        let mut executor = Executor::new(rep.clone(), *stream)?;
         self.disorder.arm(&mut executor);
         let generation = self.ids.generation();
         let site = self.reps.get_mut(stream).expect("rep exists");
@@ -1085,9 +1088,12 @@ impl Cosmos {
         self.traffic.tuples_published += tuples.len() as u64;
         self.metrics.on_publish(&first.stream, &schema, tuples);
         self.disseminate(origin, tuples, &schema);
-        for (stream, wm, origin) in self.disorder.after_publish(tuples, &self.registry) {
+        self.disorder.after_publish(tuples, &self.registry);
+        let mut due = std::mem::take(&mut self.disorder.due);
+        for (stream, wm, origin) in due.drain(..) {
             self.disseminate_watermark(stream, wm, origin);
         }
+        self.disorder.due = due;
         self.autotune_tick();
         Ok(())
     }
@@ -1099,10 +1105,12 @@ impl Cosmos {
     /// hop routes the caller's slice borrowed; forwarded hops own their
     /// (projected) tuples and are served breadth-first. A forwarded hop
     /// that is a relay hop at its router ([`Router::relay`]) is not
-    /// routed: its buffer and schema become the one forward as they are.
-    /// That reads the upstream router's entries at the time the hop is
-    /// served, which are the ones it was routed under, because nothing
-    /// the loop calls mutates a router.
+    /// routed: its buffer and schema become the one forward as they are,
+    /// and a neighbor forward crosses its link with the byte count the
+    /// hop carries instead of a re-summed one. That reads the upstream
+    /// router's entries at the time the hop is served, which are the
+    /// ones it was routed under, because nothing the loop calls mutates
+    /// a router.
     ///
     /// The loop works in [`HopLoop`]'s buffers, taken out of `self` for
     /// the duration of the call. That is sound because the loop is never
@@ -1127,23 +1135,35 @@ impl Cosmos {
             let router = &self.routers[hop.at.index()];
             let upstream = hop.from.map(|from| &self.routers[from.index()]);
             let relay = upstream.and_then(|up| router.relay_batch(&hop.tuples, &hop.schema, up));
-            if let Some(dest) = relay {
-                hops.forwards.push(BatchForward {
-                    dest,
-                    tuples: hop.tuples,
-                    schema: hop.schema,
-                });
-            } else {
-                router.route_batch_into(
-                    &hop.tuples,
-                    &hop.schema,
-                    hop.from,
-                    &mut hops.forwards,
-                    &mut hops.pool,
-                );
-                hops.recycle(hop.tuples, nodes);
+            match relay {
+                Some(Destination::Neighbor(n)) => {
+                    self.cross_link(hop.at, n, hop.tuples.len(), hop.bytes);
+                    hops.queue.push_back(Hop {
+                        from: Some(hop.at),
+                        at: n,
+                        ..hop
+                    });
+                }
+                Some(dest) => {
+                    hops.forwards.push(BatchForward {
+                        dest,
+                        tuples: hop.tuples,
+                        schema: hop.schema,
+                    });
+                    self.process_forwards(hop.at, &mut hops);
+                }
+                None => {
+                    router.route_batch_into(
+                        &hop.tuples,
+                        &hop.schema,
+                        hop.from,
+                        &mut hops.forwards,
+                        &mut hops.pool,
+                    );
+                    hops.recycle(hop.tuples, nodes);
+                    self.process_forwards(hop.at, &mut hops);
+                }
             }
-            self.process_forwards(hop.at, &mut hops);
         }
         self.hops = hops;
     }
@@ -1164,6 +1184,7 @@ impl Cosmos {
                         at: n,
                         tuples: f.tuples,
                         schema: f.schema,
+                        bytes,
                     });
                 }
                 Destination::Local(sub) => self.deliver_local(at, sub, f.tuples, &f.schema, hops),
@@ -1206,6 +1227,7 @@ impl Cosmos {
                     at,
                     tuples: outputs,
                     schema: rep_schema,
+                    bytes: 0,
                 });
             }
             Some(&LocalSub::User(qid)) => self.deliver_user(at, qid, tuples),
@@ -1352,8 +1374,8 @@ impl Cosmos {
     fn disseminate_watermark(&mut self, stream: StreamName, watermark: Timestamp, origin: NodeId) {
         let mut walk = std::mem::take(&mut self.punctuations);
         debug_assert!(walk.queue.is_empty());
-        // Every punctuation of the walk is the same size on the wire.
-        let bytes = Punctuation::new(stream.clone(), watermark).size_bytes();
+        // Every punctuation is the same size on the wire.
+        let bytes = Punctuation::WIRE_BYTES;
         walk.queue.push_back((None, origin, stream, watermark));
         while let Some((from, at, stream, wm)) = walk.queue.pop_front() {
             self.routers[at.index()].route_punctuation_into(&stream, from, &mut walk.dests);
@@ -1362,7 +1384,7 @@ impl Cosmos {
                     Destination::Neighbor(n) => {
                         self.cross_link(at, n, 0, bytes);
                         self.metrics.on_punctuation(bytes);
-                        walk.queue.push_back((Some(at), n, stream.clone(), wm));
+                        walk.queue.push_back((Some(at), n, stream, wm));
                     }
                     Destination::Local(sub) => {
                         let Some(LocalSub::Spe(result_stream)) = self.subs.get(&sub) else {
@@ -1376,7 +1398,7 @@ impl Cosmos {
                         if outputs.is_empty() && after == before {
                             continue;
                         }
-                        let result_stream = result_stream.clone();
+                        let result_stream = *result_stream;
                         if !outputs.is_empty() {
                             let schema = site.executor.result_schema().clone();
                             self.inject_results(&result_stream, at, &outputs, &schema);
@@ -1395,7 +1417,7 @@ impl Cosmos {
                                 .get(&result_stream)
                                 .is_none_or(|l| a > *l)
                         {
-                            self.disorder.emitted.insert(result_stream.clone(), a);
+                            self.disorder.emitted.insert(result_stream, a);
                             walk.queue.push_back((None, at, result_stream, a));
                         }
                     }
@@ -1426,17 +1448,15 @@ impl Cosmos {
             .registry
             .iter()
             .filter(|r| !self.reps.contains_key(&r.name))
-            .map(|r| (r.name.clone(), r.origin))
+            .map(|r| (r.name, r.origin))
             .collect();
-        sources.sort_by(|a, b| a.0.cmp(&b.0));
+        sources.sort_by_key(|a| a.0);
         for (stream, origin) in sources {
             if self.disorder.closed.contains(&stream) {
                 continue;
             }
-            self.disorder
-                .emitted
-                .insert(stream.clone(), Timestamp(i64::MAX));
-            self.disseminate_watermark(stream.clone(), Timestamp(i64::MAX), origin);
+            self.disorder.emitted.insert(stream, Timestamp(i64::MAX));
+            self.disseminate_watermark(stream, Timestamp(i64::MAX), origin);
             self.disorder.closed.insert(stream);
         }
         // Only SPE inputs subscribe to source streams: re-installing them
@@ -1886,12 +1906,12 @@ impl Cosmos {
             .registry
             .iter()
             .map(|r| Advertisement {
-                stream: r.name.clone(),
+                stream: r.name,
                 origin: r.origin,
                 schema: r.schema.clone(),
             })
             .collect();
-        advertisements.sort_by(|a, b| a.stream.cmp(&b.stream));
+        advertisements.sort_by_key(|a| a.stream);
 
         let routers = self
             .routers
@@ -1902,7 +1922,7 @@ impl Cosmos {
                     .map(|(id, profile)| {
                         let kind = match self.subs.get(&id) {
                             Some(LocalSub::Spe(stream)) => SubscriberKind::SpeInput {
-                                result_stream: stream.clone(),
+                                result_stream: *stream,
                             },
                             Some(&LocalSub::User(query)) => SubscriberKind::User { query },
                             None => {
@@ -1949,13 +1969,13 @@ impl Cosmos {
                 }
                 groups.push(GroupSnapshot {
                     processor: p,
-                    result_stream: g.result_stream.clone(),
+                    result_stream: g.result_stream,
                     representative_cql: unparse(&g.representative)?,
                     members,
                 });
             }
         }
-        groups.sort_by(|a, b| a.result_stream.cmp(&b.result_stream));
+        groups.sort_by_key(|a| a.result_stream);
 
         let overload = self
             .overload
@@ -2402,7 +2422,7 @@ mod tests {
             let mut sys = line_system(merging);
             sys.submit_query("SELECT k, x FROM S [Now]", NodeId(3))
                 .unwrap();
-            let live = sys.rep_states()[0].result_stream.clone();
+            let live = *sys.rep_states()[0].result_stream;
             assert!(live.as_str().starts_with("result::"), "{live}");
             assert!(sys.catalog().schema(&live).is_some(), "advertised");
             let err = sys

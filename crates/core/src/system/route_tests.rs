@@ -82,7 +82,7 @@ fn reference_rebuild(sys: &Cosmos, routers: &mut [Router]) {
         };
         for ((stream, entry), origin) in profile.iter().zip(origins) {
             let mut single = Profile::new();
-            single.add_entry(stream.clone(), entry.clone());
+            single.add_entry(*stream, entry.clone());
             let single = single.normalized();
             let path = sys.tree_for(origin).path(node, origin);
             for w in path.windows(2) {
@@ -317,10 +317,10 @@ fn contributions(sys: &Cosmos) -> BTreeMap<(SubscriberId, StreamName), (ProfileE
             for (stream, entry) in profile.iter() {
                 let origin = sys.registry.origin(stream).expect("advertised");
                 let path = sys.tree_for(origin).path(r.node(), origin);
-                let cells = path.windows(2).map(|w| (w[1], w[0], stream.clone()));
+                let cells = path.windows(2).map(|w| (w[1], w[0], *stream));
                 let mut entry = entry.clone();
                 entry.normalize();
-                out.insert((sub, stream.clone()), (entry, cells.collect()));
+                out.insert((sub, *stream), (entry, cells.collect()));
             }
         }
     }
@@ -543,7 +543,7 @@ fn chain_relays_and_delivers_what_routing_delivers() {
             // Every middle node also holds an entry for the result stream
             // that matches nothing: a second destination, so no hop
             // relays, and nothing else changes.
-            let stream = sys.rep_states()[0].result_stream.clone();
+            let stream = *sys.rep_states()[0].result_stream;
             let mut dead = cosmos_cbn::Conjunction::always();
             dead.between("k", 5, 1);
             let mut profile = Profile::new();
@@ -621,7 +621,7 @@ fn a_user_entry_without_its_split_filter_attribute_is_routed() {
         .submit_query("SELECT k FROM S [Now] WHERE x > 60.0", NodeId(3))
         .unwrap();
     assert_eq!(sys.rep_states().len(), 1, "one group");
-    let stream = sys.rep_states()[0].result_stream.clone();
+    let stream = *sys.rep_states()[0].result_stream;
     let user = sys.router(NodeId(3)).local_subscribers().next().unwrap();
     let entry = user.1.entry(&stream).unwrap();
     assert!(!entry.is_normalized(), "{entry:?}");
@@ -653,7 +653,7 @@ fn relay_verdicts_read_the_upstream_router_not_the_ledger() {
     // Behind the ledger's back, node 2 stops sending the filtered
     // attribute to node 3: the hops node 3 now receives match nothing
     // there. Relaying them would deliver them.
-    let stream = sys.rep_states()[0].result_stream.clone();
+    let stream = *sys.rep_states()[0].result_stream;
     let sent = sys.router(NodeId(2)).neighbor_interest(NodeId(3)).unwrap();
     let mut entry = sent.entry(&stream).unwrap().clone();
     let filtered: BTreeSet<&str> = entry.filters.iter().flat_map(|f| f.referenced()).collect();

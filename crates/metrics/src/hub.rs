@@ -6,10 +6,12 @@
 //! produce byte-identical metrics. What a call costs: the per-node
 //! windows (`on_link`'s sender and receiver, `on_spe_intake`,
 //! `on_delivery`'s consumer) are table slots indexed by
-//! [`NodeId::index`]; the per-link, per-stream and per-query windows
-//! are one ordered-map probe each (`on_link`, `on_publish`,
-//! `on_delivery`), and a key is cloned and a window built only when the
-//! probe misses; each window found then takes the sample, which is a
+//! [`NodeId::index`]; a link's window sits in its lower endpoint's slot,
+//! found by a binary search of that node's few links by far end
+//! (`on_link`); the per-stream and per-query windows are one
+//! ordered-map probe each (`on_publish`, `on_delivery`), and a key is
+//! cloned and a window built only when the probe misses; each window
+//! found then takes the sample, which is a
 //! range check and two additions while virtual time stays inside the
 //! window's newest bucket and a division plus a search of its eight
 //! buckets when it does not ([`RateWindow::record`]);
@@ -115,6 +117,17 @@ struct NodeWindows {
     /// Bytes consumed *at* the node: user deliveries plus SPE intake.
     /// This is the measured analogue of the optimizer's per-node demand.
     consumed: Option<RateWindow>,
+    /// The windows of the links this node is the lower endpoint of,
+    /// sorted by the far end (so nodes, then far ends, is link order).
+    links: Vec<(NodeId, RateWindow)>,
+}
+
+impl NodeWindows {
+    /// Where the link to `far` sits in [`NodeWindows::links`] (`Err`:
+    /// where it would be inserted).
+    fn link_slot(&self, far: NodeId) -> std::result::Result<usize, usize> {
+        self.links.binary_search_by_key(&far, |&(b, _)| b)
+    }
 }
 
 /// Sliding-window metrics for links, nodes, streams and queries.
@@ -122,11 +135,13 @@ struct NodeWindows {
 pub struct MetricsHub {
     cfg: MetricsConfig,
     now_ms: i64,
-    // Every map below is iterated while assembling `MetricsSnapshot`,
-    // so they are BTreeMaps (D0101): key order is the emission order,
-    // making the snapshot deterministic with no sort-before-emit step.
-    links: BTreeMap<(NodeId, NodeId), RateWindow>,
-    /// Per-node windows, indexed by [`NodeId::index`] — the same order.
+    // Every table below is iterated while assembling `MetricsSnapshot`,
+    // so each is ordered (D0101): node index, then far end, for nodes
+    // and links; key order for the BTreeMaps. That is the emission
+    // order, making the snapshot deterministic with no sort-before-emit
+    // step.
+    /// Per-node windows, each holding the node's links to higher nodes,
+    /// indexed by [`NodeId::index`].
     nodes: Vec<NodeWindows>,
     streams: BTreeMap<StreamName, StreamObservation>,
     queries: BTreeMap<QueryId, QueryObservation>,
@@ -152,7 +167,6 @@ impl MetricsHub {
         MetricsHub {
             cfg,
             now_ms: 0,
-            links: BTreeMap::new(),
             nodes: Vec::new(),
             streams: BTreeMap::new(),
             queries: BTreeMap::new(),
@@ -218,7 +232,7 @@ impl MetricsHub {
                     observers: Vec::new(),
                 };
                 obs.record(at, bytes, every, schema, tuples);
-                self.streams.insert(stream.clone(), obs);
+                self.streams.insert(*stream, obs);
             }
         }
     }
@@ -229,10 +243,13 @@ impl MetricsHub {
         let (now, span) = (self.now_ms, self.cfg.window);
         let (tuples, bytes) = (tuples as u64, bytes as u64);
         let fresh = || RateWindow::new(span);
-        self.links
-            .entry((from.min(to), from.max(to)))
-            .or_insert_with(fresh)
-            .record(now, tuples, bytes);
+        let (low, far) = (from.min(to), from.max(to));
+        let low = self.node_mut(low);
+        let i = low.link_slot(far).unwrap_or_else(|i| {
+            low.links.insert(i, (far, fresh()));
+            i
+        });
+        low.links[i].1.record(now, tuples, bytes);
         let tx = &mut self.node_mut(from).tx;
         tx.get_or_insert_with(fresh).record(now, tuples, bytes);
         let rx = &mut self.node_mut(to).rx;
@@ -366,7 +383,26 @@ impl MetricsHub {
     /// Lifetime sum of bytes over all links — must equal the driver's
     /// own `total_bytes()` accounting (the conservation oracle).
     pub fn link_bytes_total(&self) -> u64 {
-        self.links.values().map(RateWindow::total_bytes).sum()
+        self.links().map(|(_, _, w)| w.total_bytes()).sum()
+    }
+
+    /// Lifetime bytes over the link `a - b` (either order).
+    pub fn link_bytes(&self, a: NodeId, b: NodeId) -> u64 {
+        let (low, far) = (a.min(b), a.max(b));
+        let Some(low) = self.nodes.get(low.index()) else {
+            return 0;
+        };
+        low.link_slot(far)
+            .map_or(0, |i| low.links[i].1.total_bytes())
+    }
+
+    /// Every link's window as `(lower end, higher end, window)`, in
+    /// `(lower end, higher end)` order.
+    fn links(&self) -> impl Iterator<Item = (NodeId, NodeId, &RateWindow)> {
+        self.nodes.iter().enumerate().flat_map(|(i, n)| {
+            let low = NodeId(i as u32);
+            n.links.iter().map(move |(far, w)| (low, *far, w))
+        })
     }
 
     /// View the hub through the measured-stats adapter.
@@ -379,9 +415,8 @@ impl MetricsHub {
     pub fn snapshot(&self, router: RouterTotals) -> MetricsSnapshot {
         let now = self.now_ms;
         let links: Vec<LinkMetrics> = self
-            .links
-            .iter()
-            .map(|(&(a, b), w)| LinkMetrics {
+            .links()
+            .map(|(a, b, w)| LinkMetrics {
                 a,
                 b,
                 tuples: w.total_tuples(),
@@ -534,7 +569,7 @@ impl MeasuredStats<'_> {
                 .stream_stats(s, base.stats(s))
                 .or_else(|| base.stats(s).cloned())
                 .unwrap_or_default();
-            out.register(s.clone(), schema.clone(), stats);
+            out.register(*s, schema.clone(), stats);
         }
         out
     }
@@ -625,10 +660,12 @@ mod tests {
         assert_eq!(hub.consumed_bytes_total(NodeId(1)), 2 * batch_bytes);
     }
 
-    /// The per-node tables report what the ordered maps they replaced
-    /// reported: sparse node ids fed out of order, across a window
-    /// boundary, snapshot to the JSON the map-based hub produced for the
-    /// same calls (the fixture, generated at the parent commit).
+    /// The node tables (and the links kept in them) report what the
+    /// ordered maps they replaced reported: sparse node ids fed out of
+    /// order, across a window boundary, links fed in both directions,
+    /// one inserted before a lower end's existing links and one whose
+    /// lower end lies beyond the table, snapshot to the JSON the
+    /// map-based hub produced for the same calls (the fixture).
     #[test]
     fn node_tables_snapshot_like_the_ordered_maps_did() {
         let mut hub = MetricsHub::new(MetricsConfig::default());
@@ -647,18 +684,33 @@ mod tests {
         hub.on_delivery(QueryId(1), NodeId(2), &[tuple(69_000, 4, 4.0)]);
         hub.on_spe_intake(NodeId(17), &[tuple(70_000, 5, 5.0), tuple(70_000, 6, 6.0)]);
         hub.on_link(NodeId(33), NodeId(2), 0, 19);
+        hub.on_link(NodeId(9), NodeId(0), 1, 30);
+        hub.on_link(NodeId(5), NodeId(2), 1, 25);
+        hub.on_link(NodeId(57), NodeId(52), 4, 160);
         let json = hub.snapshot(RouterTotals::default()).to_json().unwrap();
         assert_eq!(
             json,
             include_str!("../tests/fixtures/sparse_nodes.snapshot.json").trim_end()
         );
-        let nodes: Vec<u32> = hub
-            .snapshot(RouterTotals::default())
-            .nodes
-            .iter()
-            .map(|n| n.node.raw())
-            .collect();
-        assert_eq!(nodes, [0, 2, 9, 17, 33, 40], "only nodes that were fed");
+        let snap = hub.snapshot(RouterTotals::default());
+        let nodes: Vec<u32> = snap.nodes.iter().map(|n| n.node.raw()).collect();
+        assert_eq!(
+            nodes,
+            [0, 2, 5, 9, 17, 33, 40, 52, 57],
+            "only nodes that were fed"
+        );
+        let links: Vec<(u32, u32)> = snap.links.iter().map(|l| (l.a.raw(), l.b.raw())).collect();
+        assert_eq!(links, [(0, 9), (2, 5), (2, 9), (2, 33), (52, 57)]);
+        assert_eq!(hub.link_bytes(NodeId(0), NodeId(9)), 110, "both directions");
+        assert_eq!(hub.link_bytes(NodeId(33), NodeId(2)), 59);
+        assert_eq!(hub.link_bytes(NodeId(52), NodeId(57)), 160);
+        assert_eq!(hub.link_bytes(NodeId(2), NodeId(17)), 0, "never fed");
+        assert_eq!(
+            hub.link_bytes(NodeId(90), NodeId(91)),
+            0,
+            "beyond the table"
+        );
+        assert_eq!(hub.link_bytes_total(), 120 + 40 + 80 + 19 + 30 + 25 + 160);
         assert_eq!(hub.consumed_in_window(NodeId(40)), (0, 0), "slid out");
         assert_eq!(hub.consumed_in_window(NodeId(17)).0, 2);
         assert_eq!(hub.consumed_bytes_total(NodeId(99)), 0, "beyond the table");

@@ -126,8 +126,10 @@ impl StatsCatalog {
 
     /// A schema-lookup closure usable with
     /// [`AnalyzedQuery::analyze`](cosmos_spe::analyze::AnalyzedQuery::analyze).
+    /// A name no stream was ever registered under is reported unknown
+    /// without being interned ([`StreamName::find`]).
     pub fn schema_fn(&self) -> impl Fn(&str) -> Option<Schema> + '_ {
-        move |name| self.schema(&StreamName::from(name)).cloned()
+        move |name| self.schema(&StreamName::find(name)?).cloned()
     }
 
     /// Registered stream names.

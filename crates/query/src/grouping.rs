@@ -170,12 +170,12 @@ impl GroupManager {
                 if group.representative != new_rep {
                     for (mid, member) in &group.members {
                         let p = retighten_profile(member, &new_rep, stream)?;
-                        change.subscribe.push((*mid, stream.clone(), p));
+                        change.subscribe.push((*mid, *stream, p));
                     }
-                    change.replace.push((stream.clone(), new_rep.clone()));
+                    change.replace.push((*stream, new_rep.clone()));
                 }
                 let profile = retighten_profile(&q, &new_rep, stream)?;
-                change.subscribe.push((qid, stream.clone(), profile));
+                change.subscribe.push((qid, *stream, profile));
                 let group = self.groups.get_mut(&gid).expect("candidate exists");
                 group.representative = new_rep;
                 group.members.push((qid, q));
@@ -187,8 +187,8 @@ impl GroupManager {
                 let result_stream =
                     StreamName::from(format!("{}::g{}", self.stream_prefix, gid.raw()));
                 let profile = retighten_profile(&q, &q, &result_stream)?;
-                change.start.push((result_stream.clone(), q.clone()));
-                change.subscribe.push((qid, result_stream.clone(), profile));
+                change.start.push((result_stream, q.clone()));
+                change.subscribe.push((qid, result_stream, profile));
                 let group = QueryGroup {
                     id: gid,
                     result_stream,
@@ -220,7 +220,7 @@ impl GroupManager {
             return Err(CosmosError::Query(format!("query {qid} is not placed")));
         };
         let group = &self.groups[&gid];
-        let stream = group.result_stream.clone();
+        let stream = group.result_stream;
         let mut change = GroupChange::default();
         let survivors: Vec<_> = group.members.iter().filter(|(m, _)| *m != qid).collect();
         if let Some(((_, first), rest)) = survivors.split_first() {
@@ -230,7 +230,7 @@ impl GroupManager {
             }
             for (mid, member) in &survivors {
                 let p = retighten_profile(member, &rep, &stream)?;
-                change.subscribe.push((*mid, stream.clone(), p));
+                change.subscribe.push((*mid, stream, p));
             }
             let group = self.groups.get_mut(&gid).expect("placement implies group");
             group.members.retain(|(m, _)| *m != qid);
@@ -348,22 +348,18 @@ impl GroupManager {
         if new + GAIN_EPSILON >= old {
             return Ok(GroupChange::default());
         }
-        let mut stop: Vec<StreamName> = self
-            .groups
-            .values()
-            .map(|g| g.result_stream.clone())
-            .collect();
+        let mut stop: Vec<StreamName> = self.groups.values().map(|g| g.result_stream).collect();
         stop.sort_unstable();
         let start = candidate
             .groups
             .values()
-            .map(|g| (g.result_stream.clone(), g.representative.clone()))
+            .map(|g| (g.result_stream, g.representative.clone()))
             .collect();
         let mut subscribe: Vec<_> = candidate
             .placements
             .iter()
             .map(|(qid, (gid, profile))| {
-                let stream = candidate.groups[gid].result_stream.clone();
+                let stream = candidate.groups[gid].result_stream;
                 (*qid, stream, profile.clone())
             })
             .collect();
@@ -461,7 +457,7 @@ mod tests {
         let g = gm.group(group_of(&gm, 1)).unwrap();
         assert_eq!(
             o2.replace,
-            vec![(g.result_stream.clone(), g.representative.clone())]
+            vec![(g.result_stream, g.representative.clone())]
         );
         let resubscribed: Vec<QueryId> = o2.subscribe.iter().map(|(m, ..)| *m).collect();
         assert_eq!(resubscribed, vec![QueryId(1), QueryId(2)]);
@@ -556,10 +552,7 @@ mod tests {
             )
             .unwrap();
         let (g, p) = gm.placement(QueryId(7)).unwrap();
-        assert_eq!(
-            o.subscribe,
-            vec![(QueryId(7), g.result_stream.clone(), p.clone())]
-        );
+        assert_eq!(o.subscribe, vec![(QueryId(7), g.result_stream, p.clone())]);
         assert!(gm.placement(QueryId(99)).is_none());
         // the profile targets the group's result stream
         assert!(p.entry(&g.result_stream).is_some());
@@ -593,11 +586,11 @@ mod tests {
         assert!(!c.satisfies(&cosmos_types::Value::Float(60.0)));
         assert_eq!(
             shrunk.replace,
-            vec![(g.result_stream.clone(), g.representative.clone())]
+            vec![(g.result_stream, g.representative.clone())]
         );
         assert!(shrunk.stop.is_empty() && shrunk.start.is_empty());
         // removing the last member dissolves the group
-        let stream = g.result_stream.clone();
+        let stream = g.result_stream;
         let dissolved = gm.remove(QueryId(2)).unwrap();
         assert_eq!(dissolved.stop, vec![stream]);
         assert!(dissolved.replace.is_empty() && dissolved.subscribe.is_empty());
@@ -632,7 +625,7 @@ mod tests {
         assert_eq!(placed, &fresh);
         assert_eq!(
             change.subscribe,
-            vec![(QueryId(2), group.result_stream.clone(), fresh)]
+            vec![(QueryId(2), group.result_stream, fresh)]
         );
     }
 
@@ -646,7 +639,7 @@ mod tests {
             let stream = StreamName::from(format!("rep::g{i}"));
             let profile = retighten_profile(&q(&cat, text), &q(&cat, text), &stream).unwrap();
             let founded = GroupChange {
-                start: vec![(stream.clone(), q(&cat, text))],
+                start: vec![(stream, q(&cat, text))],
                 subscribe: vec![(QueryId(i), stream, profile)],
                 ..GroupChange::default()
             };

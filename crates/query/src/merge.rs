@@ -422,7 +422,7 @@ pub fn retighten_profile(
     }
 
     let mut profile = Profile::new();
-    profile.add_interest(rep_stream.clone(), Projection::Attrs(projection), filter);
+    profile.add_interest(*rep_stream, Projection::Attrs(projection), filter);
     Ok(profile)
 }
 

@@ -335,7 +335,7 @@ impl AnalyzedQuery {
             } else {
                 Projection::Attrs(used)
             };
-            profile.add_interest(b.stream.clone(), projection, self.selections[i].clone());
+            profile.add_interest(b.stream, projection, self.selections[i].clone());
         }
         profile
     }

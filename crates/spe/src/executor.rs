@@ -568,7 +568,7 @@ impl Executor {
                 .iter()
                 .map(|src| src.and_then(|i| t.get(i).cloned()).unwrap_or(Value::Null))
                 .collect();
-            let aligned = Tuple::from_shared(t.stream.clone(), t.timestamp, full);
+            let aligned = Tuple::from_shared(t.stream, t.timestamp, full);
             self.ingest(&aligned, &mut out);
         }
         out
@@ -780,7 +780,7 @@ impl Executor {
         if self.query.distinct && !self.distinct_seen.insert(values.clone()) {
             return;
         }
-        out.push(Tuple::from_shared(self.result_stream.clone(), ts, values));
+        out.push(Tuple::from_shared(self.result_stream, ts, values));
     }
 
     fn emit_single(&mut self, tuple: &Tuple, out: &mut Vec<Tuple>) {

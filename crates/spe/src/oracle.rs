@@ -28,7 +28,7 @@ pub fn evaluate(
         if query.distinct && !distinct_seen.insert(values.clone()) {
             return;
         }
-        out.push(Tuple::new(result_stream.clone(), ts, values));
+        out.push(Tuple::new(result_stream, ts, values));
     };
 
     for t in inputs {

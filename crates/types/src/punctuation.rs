@@ -27,6 +27,11 @@ pub struct Punctuation {
 }
 
 impl Punctuation {
+    /// Wire size in bytes of every punctuation: the 10-byte header a
+    /// [`crate::Tuple`] carries (2-byte stream id, 8-byte timestamp),
+    /// plus the 8-byte watermark.
+    pub const WIRE_BYTES: usize = 18;
+
     /// Build a punctuation.
     pub fn new(stream: impl Into<StreamName>, watermark: Timestamp) -> Punctuation {
         Punctuation {
@@ -35,10 +40,9 @@ impl Punctuation {
         }
     }
 
-    /// Wire size in bytes: the same 2-byte stream id + 8-byte timestamp
-    /// header a [`crate::Tuple`] carries, plus the 8-byte watermark.
+    /// Wire size in bytes ([`Punctuation::WIRE_BYTES`]).
     pub fn size_bytes(&self) -> usize {
-        18
+        Self::WIRE_BYTES
     }
 }
 

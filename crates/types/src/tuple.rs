@@ -1,33 +1,114 @@
 //! Datagrams: timestamped tuples tagged with a stream name.
 
-use crate::{CosmosError, Result, Schema, Timestamp, Value};
-use serde::{Deserialize, Serialize};
+use crate::{CosmosError, FxHashSet, Result, Schema, Timestamp, Value};
+use serde::{Content, DeError, Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// An interned stream name.
 ///
 /// Stream names identify both source streams (`OpenAuction`) and derived
-/// result streams (`result::q3`). The `Arc<str>` representation makes
-/// cloning (which happens on every routing hop) a refcount bump.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct StreamName(Arc<str>);
+/// result streams (`result::q3`). The text of every name lives once per
+/// process ([`StreamName::new`] looks it up); a handle is a `Copy`
+/// pointer to it, so cloning a tuple touches no refcount for its name and
+/// `==` compares pointers. Ordering, hashing, `Debug`, `Display` and
+/// serde all go by the text, never by the pointer, so maps keyed by
+/// names, digests and JSON do not depend on where the text lives.
+#[derive(Debug, Clone, Copy)]
+pub struct StreamName(&'static str);
+
+/// The process-wide stream-name interner: every text ever interned,
+/// leaked once and never freed (like the schema interner's ids).
+fn names() -> &'static Mutex<FxHashSet<&'static str>> {
+    static NAMES: OnceLock<Mutex<FxHashSet<&'static str>>> = OnceLock::new();
+    NAMES.get_or_init(|| Mutex::new(FxHashSet::default()))
+}
 
 impl StreamName {
-    /// Intern a stream name.
-    pub fn new(name: impl Into<Arc<str>>) -> Self {
-        StreamName(name.into())
+    /// Intern a stream name: the handle of the one copy of its text,
+    /// stored on first use.
+    pub fn new(name: impl AsRef<str>) -> Self {
+        let name = name.as_ref();
+        let mut names = names().lock().expect("stream-name interner poisoned");
+        if let Some(&text) = names.get(name) {
+            return StreamName(text);
+        }
+        let text: &'static str = Box::leak(name.into());
+        names.insert(text);
+        StreamName(text)
+    }
+
+    /// The handle of `name` if it was ever interned; never interns, so
+    /// looking up text that names no stream (a typo in a query) leaves
+    /// the interner as it was.
+    pub fn find(name: &str) -> Option<Self> {
+        let names = names().lock().expect("stream-name interner poisoned");
+        names.get(name).map(|&text| StreamName(text))
     }
 
     /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
+    #[inline]
+    pub fn as_str(&self) -> &'static str {
+        self.0
+    }
+}
+
+/// Interned, so one text has one address: pointer equality is text
+/// equality.
+impl PartialEq for StreamName {
+    #[inline]
+    fn eq(&self, other: &StreamName) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for StreamName {}
+
+impl Ord for StreamName {
+    #[inline]
+    fn cmp(&self, other: &StreamName) -> Ordering {
+        if self == other {
+            Ordering::Equal
+        } else {
+            self.0.cmp(other.0)
+        }
+    }
+}
+
+impl PartialOrd for StreamName {
+    #[inline]
+    fn partial_cmp(&self, other: &StreamName) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Exactly what `str` hashes: addresses differ between processes.
+impl Hash for StreamName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl Serialize for StreamName {
+    fn to_content(&self) -> Content {
+        self.0.to_content()
+    }
+}
+
+impl Deserialize for StreamName {
+    fn from_content(c: &Content) -> std::result::Result<StreamName, DeError> {
+        match c {
+            Content::Str(s) => Ok(StreamName::new(s)),
+            other => Err(DeError::custom(format!("expected string, found {other}"))),
+        }
     }
 }
 
 impl fmt::Display for StreamName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.0)
     }
 }
 
@@ -46,9 +127,10 @@ impl From<String> for StreamName {
 /// A datagram: one tuple of a named stream at an application timestamp.
 ///
 /// The value vector is positionally aligned with the stream's [`Schema`].
-/// Values are stored behind an `Arc` so that fan-out inside the
-/// content-based network clones cheaply; projection produces a fresh
-/// (shorter) vector.
+/// Values are stored behind an `Arc` and the stream name is an interned
+/// `Copy` handle, so fan-out inside the content-based network clones a
+/// tuple with one refcount bump; projection produces a fresh (shorter)
+/// vector.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Tuple {
     /// The stream this datagram belongs to.
@@ -114,7 +196,7 @@ impl Tuple {
         // Bounds are settled, so the gather is an exact-size iterator and
         // collects straight into the shared slice: one allocation.
         Ok(Tuple {
-            stream: self.stream.clone(),
+            stream: self.stream,
             timestamp: self.timestamp,
             values: indices.iter().map(|&i| self.values[i].clone()).collect(),
         })
@@ -195,7 +277,11 @@ mod tests {
         let a = StreamName::from("abc");
         let b: StreamName = String::from("abc").into();
         assert_eq!(a, b);
+        assert!(std::ptr::eq(a.as_str(), b.as_str()), "one copy of the text");
         assert_eq!(a.as_str(), "abc");
         assert_eq!(a.to_string(), "abc");
+        assert_eq!(format!("{a:?}"), r#"StreamName("abc")"#);
+        assert_eq!(StreamName::find("abc"), Some(a));
+        assert_eq!(StreamName::find("never interned by any test"), None);
     }
 }

@@ -104,10 +104,10 @@ fn disjoint_hop_filter_is_a_dead_delivery() {
                 let mut p = cosmos_cbn::Profile::new();
                 for (s, other) in profile.iter() {
                     if *s != stream {
-                        p.add_entry(s.clone(), other.clone());
+                        p.add_entry(*s, other.clone());
                     }
                 }
-                p.add_entry(stream.clone(), e);
+                p.add_entry(stream, e);
                 *profile = p;
                 tampered = true;
             }
@@ -147,7 +147,7 @@ fn unsatisfiable_subscription_is_flagged() {
     for (s, e) in sub.profile.iter() {
         let mut e2 = e.clone();
         e2.filters = vec![unsat.clone()];
-        poisoned.add_entry(s.clone(), e2);
+        poisoned.add_entry(*s, e2);
     }
     sub.profile = poisoned;
     let diags = verify_snapshot(&snap);

@@ -1,7 +1,7 @@
 //! The auction-monitoring workload of Table 1.
 
 use cosmos_query::{AttrStats, StatsCatalog, StreamStats};
-use cosmos_types::{AttrType, Schema, Timestamp, Tuple, Value};
+use cosmos_types::{AttrType, Schema, StreamName, Timestamp, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,6 +89,10 @@ impl AuctionGenerator {
     /// Generate `items` auctions as a timestamp-ordered event sequence.
     pub fn generate(&mut self, items: i64) -> Vec<Tuple> {
         let mut events = Vec::with_capacity(2 * items as usize);
+        let (open, closed) = (
+            StreamName::new("OpenAuction"),
+            StreamName::new("ClosedAuction"),
+        );
         for item in 0..items {
             let open_ts =
                 item * self.open_every_ms + self.rng.gen_range(0..self.open_every_ms.max(1));
@@ -97,7 +101,7 @@ impl AuctionGenerator {
             let buyer = self.rng.gen_range(0..2000i64);
             let price = (self.rng.gen_range(1.0..1000.0f64) * 100.0).round() / 100.0;
             events.push(Tuple::new(
-                "OpenAuction",
+                open,
                 Timestamp(open_ts),
                 vec![
                     Value::Int(item),
@@ -107,7 +111,7 @@ impl AuctionGenerator {
                 ],
             ));
             events.push(Tuple::new(
-                "ClosedAuction",
+                closed,
                 Timestamp(close_ts),
                 vec![Value::Int(item), Value::Int(buyer), Value::Int(close_ts)],
             ));

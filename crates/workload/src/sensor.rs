@@ -12,7 +12,7 @@
 //! this generator reproduces (see DESIGN.md, substitution table).
 
 use cosmos_query::{AttrStats, StatsCatalog, StreamStats};
-use cosmos_types::{AttrType, Schema, Timestamp, Tuple, Value};
+use cosmos_types::{AttrType, Schema, StreamName, Timestamp, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,7 +76,8 @@ pub fn sensor_catalog() -> StatsCatalog {
 /// advertised `[min, max]` bounds.
 #[derive(Debug, Clone)]
 pub struct SensorGenerator {
-    stream: String,
+    /// Interned once: every tuple carries a copy of the handle.
+    stream: StreamName,
     rng: StdRng,
     period_ms: i64,
     next_ts: i64,
@@ -97,7 +98,7 @@ impl SensorGenerator {
             })
             .collect();
         SensorGenerator {
-            stream: stream_name(i),
+            stream: StreamName::new(stream_name(i)),
             period_ms: (1000.0 / stream_rate(i)) as i64,
             next_ts: 0,
             rng,
@@ -107,7 +108,7 @@ impl SensorGenerator {
 
     /// The stream this generator produces.
     pub fn stream(&self) -> &str {
-        &self.stream
+        self.stream.as_str()
     }
 
     /// Produce the next measurement tuple (round-robin over nodes).
@@ -124,7 +125,7 @@ impl SensorGenerator {
             values.push(Value::Float((*cur * 100.0).round() / 100.0));
         }
         values.push(Value::Int(ts));
-        Tuple::new(self.stream.as_str(), Timestamp(ts), values)
+        Tuple::new(self.stream, Timestamp(ts), values)
     }
 
     /// Produce all tuples up to (excluding) `until_ms`, in order.

@@ -37,12 +37,12 @@ impl Model {
         }
         for (stream, rep) in &change.start {
             assert!(touched.insert(stream), "{step}: {stream} named twice");
-            let old = self.reps.insert(stream.clone(), rep.clone());
+            let old = self.reps.insert(*stream, rep.clone());
             assert!(old.is_none(), "{step}: start of running {stream}");
         }
         for (stream, rep) in &change.replace {
             assert!(touched.insert(stream), "{step}: {stream} named twice");
-            let old = self.reps.insert(stream.clone(), rep.clone());
+            let old = self.reps.insert(*stream, rep.clone());
             assert!(old.is_some(), "{step}: replace of absent {stream}");
         }
         self.subs.retain(|qid, _| live.contains_key(qid));
@@ -52,7 +52,7 @@ impl Model {
                 profile, &fresh,
                 "{step}: {qid}'s profile is not re-tightened"
             );
-            self.subs.insert(*qid, (stream.clone(), profile.clone()));
+            self.subs.insert(*qid, (*stream, profile.clone()));
         }
         let named = touched
             .into_iter()
@@ -70,7 +70,7 @@ impl Model {
     fn assert_matches(&self, gm: &GroupManager, step: &str) {
         let groups: BTreeMap<StreamName, AnalyzedQuery> = gm
             .groups()
-            .map(|g| (g.result_stream.clone(), g.representative.clone()))
+            .map(|g| (g.result_stream, g.representative.clone()))
             .collect();
         assert_eq!(self.reps, groups, "{step}: representatives");
         assert_eq!(self.subs.len(), gm.query_count(), "{step}: query count");
