@@ -169,9 +169,12 @@ impl SchemaRegistry {
         self.streams.is_empty()
     }
 
-    /// Iterate over registered streams.
+    /// Iterate over registered streams, in name order.
     pub fn iter(&self) -> impl Iterator<Item = &RegisteredStream> {
-        self.streams.values()
+        #[expect(clippy::disallowed_methods, reason = "sorted by name below")]
+        let mut all: Vec<&RegisteredStream> = self.streams.values().collect();
+        all.sort_unstable_by_key(|r| r.name);
+        all.into_iter()
     }
 }
 

@@ -222,24 +222,30 @@ impl Topology {
     }
 
     /// Build the shortest-path dissemination tree rooted at a stream
-    /// origin, unless it exists (multi-tree mode).
+    /// origin, unless it exists (multi-tree mode). A failed bridge can
+    /// leave nodes no live overlay edge reaches: tree repairs heal over
+    /// any live pair ([`cosmos_overlay::Graph::link_delay`]), shortest
+    /// paths walk edges only. The origin then gets a copy of the shared
+    /// tree, which spans every node.
     fn ensure_source_tree(&mut self, origin: NodeId) {
         if self.source_trees.contains_key(&origin) {
             return;
         }
         let sp = cosmos_overlay::dijkstra(&self.graph, origin);
-        let edges: Vec<(NodeId, NodeId)> = self
+        let edges: Option<Vec<(NodeId, NodeId)>> = self
             .graph
             .nodes()
             .filter(|&v| v != origin)
             .map(|v| {
                 let path = sp.path_to(v);
-                debug_assert!(path.len() >= 2, "overlay must be connected");
-                (path[path.len() - 2], v)
+                (path.len() >= 2).then(|| (path[path.len() - 2], v))
             })
             .collect();
-        let tree = Tree::from_edges(self.graph.node_count(), origin, &edges)
-            .expect("shortest-path tree of a connected graph is a tree");
+        let tree = match edges {
+            Some(edges) => Tree::from_edges(self.graph.node_count(), origin, &edges)
+                .expect("a shortest-path tree spanning every node is a tree"),
+            None => self.tree.clone(),
+        };
         self.source_trees.insert(origin, tree);
     }
 }
@@ -390,8 +396,9 @@ impl Ids {
 #[derive(Debug, Default)]
 struct Traffic {
     link_bytes: BTreeMap<(NodeId, NodeId), u64>,
-    /// Compensated summation: D0501 holds every oracle-feeding float
-    /// accumulation to this standard.
+    /// Compensated summation: the `compensated_sums` test of
+    /// `cosmos-types` holds every oracle-feeding float accumulation to
+    /// this standard.
     weighted_cost: NeumaierSum,
     tuples_published: u64,
 }
@@ -607,11 +614,6 @@ impl Cosmos {
         &self.topology.tree
     }
 
-    /// The deployment configuration.
-    pub fn config(&self) -> &CosmosConfig {
-        &self.cfg
-    }
-
     /// Run the Section 3.2 adaptive reorganizer on the shared
     /// dissemination tree, using each node's local-subscription count as
     /// its consumer demand, then re-derive all routing state from the
@@ -696,19 +698,6 @@ impl Cosmos {
         self.catalog.register(name, schema, stats);
         self.ensure_source_tree(origin);
         Ok(())
-    }
-
-    /// Query distribution: the processor that will run this query. The
-    /// query's stream set picks a window of `affinity_candidates`
-    /// processors, so queries over the same streams meet; the candidate
-    /// hosting the fewest queries wins.
-    pub fn pick_processor(&self, q: &AnalyzedQuery) -> NodeId {
-        pick_processor(
-            q,
-            &self.topology.processors,
-            self.cfg.affinity_candidates,
-            &self.managers,
-        )
     }
 
     /// The dissemination tree used for streams originating at `origin`.
@@ -933,7 +922,12 @@ impl Cosmos {
             }
         }
         let qid = self.ids.query();
-        let processor = self.pick_processor(&analyzed);
+        let processor = pick_processor(
+            &analyzed,
+            &self.topology.processors,
+            self.cfg.affinity_candidates,
+            &self.managers,
+        );
 
         // Query management: the processor's manager groups the query —
         // or, for the non-share baseline, founds a group of its own.
@@ -1317,11 +1311,6 @@ impl Cosmos {
         }
     }
 
-    /// The out-of-order runtime, if disorder mode is on.
-    pub fn disorder(&self) -> Option<DisorderRuntime> {
-        self.disorder.runtime
-    }
-
     /// Before an executor is replaced or torn down: flush its staging
     /// area through the engine (routing whatever results that drains)
     /// and fold its disorder counters into the retired totals, so
@@ -1444,13 +1433,12 @@ impl Cosmos {
         if self.disorder.runtime.is_none() {
             return;
         }
-        let mut sources: Vec<(StreamName, NodeId)> = self
+        let sources: Vec<(StreamName, NodeId)> = self
             .registry
             .iter()
             .filter(|r| !self.reps.contains_key(&r.name))
             .map(|r| (r.name, r.origin))
             .collect();
-        sources.sort_by_key(|a| a.0);
         for (stream, origin) in sources {
             if self.disorder.closed.contains(&stream) {
                 continue;
@@ -1656,7 +1644,7 @@ impl Cosmos {
     /// its measured statistics (rate always; attribute ranges and
     /// distinct counts where the samplers saw values). Returns how many
     /// streams were updated. Unobserved streams keep their estimates.
-    pub fn adopt_measured_stats(&mut self) -> usize {
+    fn adopt_measured_stats(&mut self) -> usize {
         let streams: Vec<StreamName> = self.catalog.streams().cloned().collect();
         let mut adopted = 0usize;
         for s in streams {
@@ -1902,7 +1890,7 @@ impl Cosmos {
         };
         let source_trees = self.topology.source_trees.values().map(topo).collect();
 
-        let mut advertisements: Vec<Advertisement> = self
+        let advertisements: Vec<Advertisement> = self
             .registry
             .iter()
             .map(|r| Advertisement {
@@ -1911,7 +1899,6 @@ impl Cosmos {
                 schema: r.schema.clone(),
             })
             .collect();
-        advertisements.sort_by_key(|a| a.stream);
 
         let routers = self
             .routers

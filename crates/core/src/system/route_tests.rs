@@ -794,3 +794,41 @@ fn throttle_notice_is_accounted_along_the_origins_tree_path() {
     }
     assert_eq!(hops, [4, 1], "the two modes walk different paths");
 }
+
+/// Tree repairs heal over any live pair, shortest paths walk overlay
+/// edges only: once a bridge fails, a later origin reaches part of the
+/// overlay through no edge at all, and its per-source tree must still
+/// span every node.
+#[test]
+fn an_origin_behind_a_failed_bridge_gets_a_spanning_tree() {
+    use cosmos_types::{AttrType, Value};
+    let mut g = Graph::new(4);
+    for i in 0..4 {
+        g.set_position(NodeId(i), 0.25 * i as f64, 0.0);
+    }
+    for i in 0..3 {
+        g.add_edge_by_distance(NodeId(i), NodeId(i + 1)).unwrap();
+    }
+    let cfg = CosmosConfig {
+        nodes: 4,
+        processor_fraction: 0.25,
+        per_source_trees: true,
+        ..CosmosConfig::default()
+    };
+    let mut sys = Cosmos::with_graph(cfg, g).unwrap();
+    let schema = Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]);
+    let stats = StreamStats::with_rate(1.0);
+    sys.register_stream("S", schema.clone(), stats.clone(), NodeId(0))
+        .unwrap();
+    sys.fail_tree_link(NodeId(1), NodeId(2)).unwrap();
+    sys.register_stream("T", schema, stats, NodeId(3)).unwrap();
+    let q = sys
+        .submit_query("SELECT k FROM T [Now]", NodeId(1))
+        .unwrap();
+    let values = vec![Value::Int(7), Value::Int(0)];
+    sys.publish(&Tuple::new("T", Timestamp(0), values)).unwrap();
+    assert_eq!(sys.results(q).len(), 1);
+    let json = sys.snapshot().unwrap().to_json().unwrap();
+    let diags = cosmos_verify::verify_snapshot(&serde_json::from_str(&json).unwrap());
+    assert!(!cosmos_verify::has_violations(&diags), "{diags:?}");
+}

@@ -9,7 +9,8 @@ use std::fmt;
 /// Codes are grouped by the hundred: `C00xx` tooling, `C01xx`
 /// satisfiability, `C02xx` schema/types, `C03xx` windows, `C04xx`
 /// profiles, `C05xx` merge safety. A code's meaning never changes once
-/// published; retired codes are not reused.
+/// published; retired codes are not reused (nor are the `D` codes of the
+/// retired determinism lint, whose rules `crates/clippy.toml` now holds).
 pub mod codes {
     /// A statement failed to lex or parse (CLI only).
     pub const PARSE: &str = "C0001";
@@ -40,36 +41,6 @@ pub mod codes {
     /// A member's re-tightened split filter is unsatisfiable: after
     /// merging, its result stream would always be empty.
     pub const UNSAT_SPLIT_FILTER: &str = "C0501";
-
-    // `D` codes belong to `cosmos-detlint` (crates/det), the workspace
-    // determinism lint. They live in this registry so every COSMOS
-    // static tool draws codes from one table: `D00xx` tooling, `D01xx`
-    // unordered iteration into ordered sinks, `D02xx` wall clock,
-    // `D03xx` ambient randomness, `D04xx` unmanaged concurrency,
-    // `D05xx` non-compensated float accumulation.
-
-    /// A source file could not be read (detlint CLI only).
-    pub const DET_IO: &str = "D0001";
-    /// `HashMap`/`HashSet` iteration in a module that exports into a
-    /// digest/snapshot/serde sink: iteration order is seeded per
-    /// process, so anything it feeds diverges across replays.
-    pub const DET_HASH_ITER: &str = "D0101";
-    /// `Instant::now`/`SystemTime::now`: wall clock leaks into logic
-    /// that the replay contract requires to be a pure function of the
-    /// input stream (the metrics hub is clocked by tuple timestamps for
-    /// exactly this reason).
-    pub const DET_WALL_CLOCK: &str = "D0201";
-    /// Unseeded or ambient randomness (`rand::thread_rng`,
-    /// `RandomState`): per-process entropy that no seed replays.
-    pub const DET_AMBIENT_RNG: &str = "D0301";
-    /// Thread spawning or nondeterministic channel receive
-    /// (`try_recv`/`recv_timeout`/select) anywhere in the workspace:
-    /// the simulator is one single-threaded discrete-event driver.
-    pub const DET_UNMANAGED_CONC: &str = "D0401";
-    /// Bare `f64 +=`/`-=` accumulation in a module that feeds oracles:
-    /// association-order drift breaks digest equality; use the
-    /// Kahan–Neumaier helper (`cosmos_types::NeumaierSum`) instead.
-    pub const DET_BARE_F64_ACC: &str = "D0501";
 }
 
 /// How bad a finding is.
@@ -162,13 +133,13 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
 }
 
 /// The machine-readable diagnostic form shared by every COSMOS static
-/// tool: `cosmos-lint` (`C` codes), `cosmos-verify` (`V` codes),
-/// `cosmos-bound` (`B` codes), and `cosmos-detlint` (`D` codes) all
-/// emit this one shape under `--json`, so downstream tooling parses a
-/// single format regardless of which analyzer produced the finding.
+/// tool: `cosmos-lint` (`C` codes), `cosmos-verify` (`V` codes) and
+/// `cosmos-bound` (`B` codes) all emit this one shape under `--json`,
+/// so downstream tooling parses a single format regardless of which
+/// analyzer produced the finding.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JsonDiagnostic {
-    /// Stable diagnostic code (`C…`, `V…`, `B…`, or `D…`).
+    /// Stable diagnostic code (`C…`, `V…` or `B…`).
     pub code: String,
     /// `"error"`, `"warning"`, or `"note"`.
     pub severity: String,

@@ -136,10 +136,10 @@ pub struct MetricsHub {
     cfg: MetricsConfig,
     now_ms: i64,
     // Every table below is iterated while assembling `MetricsSnapshot`,
-    // so each is ordered (D0101): node index, then far end, for nodes
-    // and links; key order for the BTreeMaps. That is the emission
-    // order, making the snapshot deterministic with no sort-before-emit
-    // step.
+    // so each is ordered (never a hash map): node index, then far end,
+    // for nodes and links; key order for the BTreeMaps. That is the
+    // emission order, making the snapshot deterministic with no
+    // sort-before-emit step.
     /// Per-node windows, each holding the node's links to higher nodes,
     /// indexed by [`NodeId::index`].
     nodes: Vec<NodeWindows>,

@@ -355,13 +355,13 @@ impl GroupManager {
             .values()
             .map(|g| (g.result_stream, g.representative.clone()))
             .collect();
-        let mut subscribe: Vec<_> = candidate
-            .placements
-            .iter()
-            .map(|(qid, (gid, profile))| {
-                let stream = candidate.groups[gid].result_stream;
-                (*qid, stream, profile.clone())
+        let mut subscribe: Vec<_> = (candidate.groups.values())
+            .flat_map(|g| {
+                g.members
+                    .iter()
+                    .map(move |(qid, _)| (*qid, g.result_stream))
             })
+            .map(|(qid, stream)| (qid, stream, candidate.placements[&qid].1.clone()))
             .collect();
         subscribe.sort_unstable_by_key(|(qid, ..)| *qid);
         *self = candidate;

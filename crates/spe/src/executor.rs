@@ -346,6 +346,10 @@ impl JoinBuffer {
             }
         }
         if self.partitions.len() > 2 * self.rows.len() + 64 {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "which partitions survive does not depend on the visiting order"
+            )]
             self.partitions.retain(|_, p| !p.is_empty());
         }
     }

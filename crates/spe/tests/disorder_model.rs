@@ -1,5 +1,5 @@
 //! Differential test of out-of-order intake against a reference model
-//! that keeps the bookkeeping the obvious way: one hash set of
+//! that keeps the bookkeeping the obvious way: one set of
 //! `(stream, timestamp, values)` for exact-duplicate detection, one map
 //! of last watermarks by stream name, staging ordered by `(timestamp,
 //! arrival)`. Whatever structures the executor uses, every arrival and
@@ -10,7 +10,7 @@ use cosmos_cql::parse_query;
 use cosmos_spe::{AnalyzedQuery, DisorderStats, Executor, LatePolicy};
 use cosmos_types::{AttrType, Schema, TimeDelta, Timestamp, Tuple, Value};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// The streams arrivals and watermarks are dealt over; `Z` is bound by
 /// no query.
@@ -35,7 +35,7 @@ struct Model {
     frontier: i64,
     seq: u64,
     staging: BTreeMap<(i64, u64), Tuple>,
-    seen: HashSet<(String, i64, Vec<Value>)>,
+    seen: BTreeSet<(String, i64, Vec<Value>)>,
     stats: DisorderStats,
 }
 
@@ -150,7 +150,7 @@ fn check(
         frontier: i64::MIN,
         seq: 0,
         staging: BTreeMap::new(),
-        seen: HashSet::new(),
+        seen: BTreeSet::new(),
         stats: DisorderStats::default(),
     };
     let mut sent: Vec<Tuple> = Vec::new();

@@ -314,10 +314,11 @@ fn bound_soundness_failure(run: &RunOutcome, mode: &str) -> Result<(), Failure> 
     })
 }
 
-/// Surface a run's runtime-determinism violations as an oracle failure
-/// — the dynamic twin of `cosmos-detlint`'s D0201/D0301: the metrics
-/// hub's virtual clock stayed within the tuple-timestamp ceiling and
-/// never regressed. Always on: the probe is O(1) per event.
+/// Surface a run's runtime-determinism violations as an oracle failure —
+/// the dynamic twin of the clippy gate's wall-clock and entropy bans
+/// (DESIGN §15): the metrics hub's virtual clock stayed within the
+/// tuple-timestamp ceiling and never regressed. Always on: the probe is
+/// O(1) per event.
 fn runtime_determinism_failure(run: &RunOutcome, mode: &str) -> Result<(), Failure> {
     let Some((ev_idx, detail)) = run.runtime_violations.first() else {
         return Ok(());

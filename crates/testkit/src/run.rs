@@ -164,12 +164,12 @@ pub struct RunOutcome {
     /// [`RunOptions::bound_checks`] is off). Excluded from `digest`
     /// (like `static_violations`).
     pub bound_violations: Vec<(usize, String)>,
-    /// Runtime-determinism violations, as `(event index, detail)` —
-    /// the dynamic twin of `cosmos-detlint`'s D0201/D0301: the metrics
-    /// hub's virtual clock must be driven only by tuple timestamps, so
-    /// it may never run ahead of the largest published timestamp nor go
-    /// backward. A wall-clock or ambient-randomness leak into the
-    /// metrics path shows up here at the first event it perturbs.
+    /// Runtime-determinism violations, as `(event index, detail)` — the
+    /// dynamic twin of the clippy gate's wall-clock and entropy bans
+    /// (DESIGN §15): the metrics hub's virtual clock must be driven only by
+    /// tuple timestamps, so it may never run ahead of the largest published
+    /// timestamp nor go backward. A wall-clock or ambient-randomness leak
+    /// into the metrics path shows up here at the first event it perturbs.
     /// Excluded from `digest` (like `static_violations`).
     pub runtime_violations: Vec<(usize, String)>,
     /// The final measured-vs-bound comparison, entry per subject —
@@ -486,8 +486,9 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> Result<RunOutcome
         // event boundary — a tuple dropped without a shed-ledger entry
         // surfaces here, attributed to the shed ledger.
         overload_conservation(&sys, &queries, ev_idx, &mut metrics_violations);
-        // Runtime-determinism probe (the dynamic twin of detlint's
-        // D0201/D0301): the hub is clocked by tuple timestamps alone.
+        // Runtime-determinism probe (the dynamic twin of the clippy
+        // gate's wall-clock and entropy bans): the hub is clocked by
+        // tuple timestamps alone.
         // Operator outputs are stamped with their completing arrival's
         // timestamp τ, so every legitimate advance is bounded by the
         // largest accepted publish; a wall clock leaking into the

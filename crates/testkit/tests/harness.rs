@@ -146,12 +146,12 @@ fn shrinker_minimizes_failing_scenarios() {
     );
 }
 
-/// Runtime-determinism probe — the dynamic twin of `cosmos-detlint`'s
-/// D0201/D0301 lints: a full scenario run never pushes the metrics
-/// hub's virtual clock past the largest published tuple timestamp, and
-/// the clock never regresses. A wall-clock or ambient-randomness leak
-/// into the metrics path would trip this at runtime even if the lint's
-/// static heuristics (or an allowlist entry) missed the site.
+/// Runtime-determinism probe — the dynamic twin of the clippy gate's
+/// wall-clock and entropy bans (DESIGN §15): a full scenario run never
+/// pushes the metrics hub's virtual clock past the largest published
+/// tuple timestamp, and the clock never regresses. A wall-clock or
+/// ambient-randomness leak into the metrics path would trip this at
+/// runtime even if the static gate missed the site.
 #[test]
 fn full_run_makes_zero_runtime_determinism_violations() {
     for seed in [1u64, 3, 6, 7] {

@@ -9,8 +9,8 @@
 //! in a compensation term, keeping every readout within an ulp or two
 //! of the exact sum of the current contributions. The SPE's windowed
 //! aggregates hit this first (the testkit sweep caught seeds whose AVG
-//! drifted); `cosmos-detlint`'s D0501 now flags bare accumulations so
-//! new sites reach for this type instead.
+//! drifted); the `compensated_sums` test of this crate now flags bare
+//! accumulations in sink files so new sites reach for this type instead.
 
 /// A Kahan–Neumaier compensated running sum.
 ///

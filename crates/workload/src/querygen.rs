@@ -288,7 +288,7 @@ mod tests {
         let mut g = QueryGenerator::new(QueryGenConfig::default(), 13);
         // the same BETWEEN clause must recur across many queries
         let qs = g.generate(800);
-        let mut clauses = std::collections::HashMap::new();
+        let mut clauses = std::collections::BTreeMap::new();
         for q in &qs {
             if let Some(idx) = q.find("BETWEEN") {
                 let clause = &q[idx..];
