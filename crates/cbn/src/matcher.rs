@@ -117,6 +117,10 @@ struct StreamIndex<K> {
     /// stream's punctuations though no datagram matches it. The index
     /// lives while this list is non-empty.
     interested: Vec<K>,
+    /// The keys of `interested` marked to receive the stream's
+    /// punctuations ([`CountingMatcher::punctuate`]), in key order. A
+    /// rebuild keeps the marks of the keys still interested.
+    punctuated: Vec<K>,
     /// Keys whose entry for this stream has no filters (accept all).
     accept_all: Vec<K>,
     filters: Vec<FilterEntry<K>>,
@@ -237,6 +241,35 @@ impl<K: Ord + Clone> CountingMatcher<K> {
             .map_or(&[], |idx| idx.interested.as_slice())
     }
 
+    /// The keys marked to receive `stream`'s punctuations, in key order
+    /// — a subset of [`CountingMatcher::interested`].
+    pub fn punctuated(&self, stream: &StreamName) -> &[K] {
+        self.streams
+            .get(stream)
+            .map_or(&[], |idx| idx.punctuated.as_slice())
+    }
+
+    /// Mark (`true`) or unmark `key` as a receiver of `stream`'s
+    /// punctuations. Only a key holding an entry for `stream` can be
+    /// marked (otherwise this does nothing), and withdrawing that entry
+    /// drops the mark. A mark re-indexes nothing: the data path never
+    /// reads it.
+    pub fn punctuate(&mut self, key: &K, stream: &StreamName, on: bool) {
+        let Some(idx) = self.streams.get_mut(stream) else {
+            return;
+        };
+        if idx.interested.binary_search(key).is_err() {
+            return;
+        }
+        match (idx.punctuated.binary_search(key), on) {
+            (Err(at), true) => idx.punctuated.insert(at, key.clone()),
+            (Ok(at), false) => {
+                idx.punctuated.remove(at);
+            }
+            _ => {}
+        }
+    }
+
     /// Install (`Some`), replace or remove (`None`) the profile of
     /// `key`, rebuilding the index of exactly the streams whose entry
     /// for `key` appeared, disappeared or changed. Returns those
@@ -297,6 +330,7 @@ impl<K: Ord + Clone> CountingMatcher<K> {
         self.index_rebuilds += 1;
         let mut idx = StreamIndex {
             interested: Vec::new(),
+            punctuated: Vec::new(),
             accept_all: Vec::new(),
             filters: Vec::new(),
             eq_index: Vec::new(),
@@ -368,9 +402,13 @@ impl<K: Ord + Clone> CountingMatcher<K> {
             }
         }
         idx.accept_all.sort_unstable();
-        if idx.interested.is_empty() {
-            self.streams.remove(stream);
-        } else {
+        if let Some(old) = self.streams.remove(stream) {
+            idx.punctuated = old.punctuated;
+            let interested = &idx.interested;
+            idx.punctuated
+                .retain(|k| interested.binary_search(k).is_ok());
+        }
+        if !idx.interested.is_empty() {
             self.streams.insert(*stream, idx);
         }
     }

@@ -9,6 +9,12 @@
 //! interested next hop except the link they arrived on (reverse-path
 //! forwarding on the dissemination tree).
 //!
+//! Watermark punctuations take a narrower path: only toward the
+//! destinations marked as leading to an operator, a local SPE input or
+//! a neighbor with one behind it ([`Router::punctuate`],
+//! [`Router::route_punctuation`]). A destination that leads only to
+//! user subscriptions never sees one.
+//!
 //! Subscription propagation itself (walking the dissemination tree from a
 //! subscriber towards a stream's origin, merging profiles at every hop)
 //! is orchestrated by the `cosmos` system crate.
@@ -275,6 +281,17 @@ impl Router {
         if self.engine.replace_entry(dest, stream, entry) {
             self.forget(std::slice::from_ref(stream));
         }
+    }
+
+    /// Mark (`true`) or unmark `dest` as a receiver of `stream`'s
+    /// punctuations: an operator — an SPE input, here or behind a
+    /// neighbor — reads them. Only a destination holding an entry for
+    /// `stream` can be marked (otherwise this does nothing), an interest
+    /// mutation that keeps the entry keeps the mark, and one that
+    /// withdraws it drops the mark. Marks touch no plan, relay verdict
+    /// or [`Router::index_rebuilds`]: data routing never reads them.
+    pub fn punctuate(&mut self, dest: Destination, stream: &StreamName, on: bool) {
+        self.engine.punctuate(&dest, stream, on);
     }
 
     /// Interest of the subtree behind `neighbor`, if any.
@@ -564,13 +581,16 @@ impl Router {
 
     /// Route a punctuation (watermark datagram) for `stream`.
     ///
-    /// Punctuations follow the *interest set*, not the filters: every
-    /// destination holding any entry for the stream receives the
-    /// watermark, because a promise about future timestamps is
-    /// independent of which attribute values a subscriber filters on.
-    /// The arrival link is excluded (reverse-path forwarding, exactly
-    /// like data). Destinations come out in deterministic
-    /// neighbors-then-locals order.
+    /// Punctuations follow *operator interest*, not the interest set and
+    /// not the filters: a destination receives the watermark if it is
+    /// marked for the stream ([`Router::punctuate`]) — an SPE input for
+    /// it is attached there or lies behind it — whatever its filters
+    /// say, because a promise about future timestamps is independent of
+    /// which attribute values an operator filters on. A destination that
+    /// leads only to user subscriptions is skipped: they would discard
+    /// the watermark. The arrival link is excluded (reverse-path
+    /// forwarding, exactly like data). Destinations come out in
+    /// deterministic neighbors-then-locals order.
     ///
     /// Allocates its result; a caller routing in a loop lends a buffer
     /// to [`Router::route_punctuation_into`] instead, which this wraps.
@@ -581,9 +601,9 @@ impl Router {
     }
 
     /// [`Router::route_punctuation`] into a buffer the caller keeps
-    /// (`out` is emptied first). The interested destinations are read
-    /// off the match index, which lists them per stream since the last
-    /// interest mutation — no profile is scanned.
+    /// (`out` is emptied first). The marked destinations are read off
+    /// the match index, which lists them per stream beside the
+    /// interested ones — one lookup, no profile scanned.
     pub fn route_punctuation_into(
         &self,
         stream: &StreamName,
@@ -592,8 +612,8 @@ impl Router {
     ) {
         let arrival = from.map(Destination::Neighbor);
         out.clear();
-        let interested = self.engine.interested(stream).iter();
-        out.extend(interested.copied().filter(|dest| Some(*dest) != arrival));
+        let punctuated = self.engine.punctuated(stream).iter();
+        out.extend(punctuated.copied().filter(|dest| Some(*dest) != arrival));
     }
 
     /// Match-index rebuilds (one per stream re-indexed) this router's
@@ -620,7 +640,7 @@ mod tests {
     use crate::predicate::Conjunction;
     use crate::profile::Projection;
     use cosmos_types::{AttrType, Timestamp, Value};
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn schema() -> Schema {
         Schema::of(&[
@@ -942,26 +962,35 @@ mod tests {
 
     /// Hold punctuation routing to its definition, for both streams and
     /// every arrival link: each installed profile with any entry for the
-    /// stream, whatever its filters, except the arrival link. Returns
-    /// how many installed entries match nothing (every filter
-    /// unsatisfiable) and are interested all the same.
-    fn assert_punctuations_follow_profiles(r: &Router, buffer: &mut Vec<Destination>) -> usize {
+    /// stream, whatever its filters, that is `marked` for it, except the
+    /// arrival link. Returns how many marked entries match nothing (every
+    /// filter unsatisfiable) and are punctuated all the same.
+    fn assert_punctuations_follow_marks(
+        r: &Router,
+        marked: &BTreeSet<(Destination, StreamName)>,
+        buffer: &mut Vec<Destination>,
+    ) -> usize {
         let mut dead_entries = 0;
         for stream in ["S", "T"].map(StreamName::from) {
+            let punctuated = |dest: &Destination, p: &Profile| {
+                p.entry(&stream).is_some() && marked.contains(&(*dest, stream))
+            };
             for from in [None, Some(1), Some(2), Some(3)] {
                 let from = from.map(NodeId);
                 let arrival = from.map(Destination::Neighbor);
                 let reference: Vec<Destination> = r
                     .engine
                     .profiles()
-                    .filter(|(dest, p)| p.entry(&stream).is_some() && Some(**dest) != arrival)
+                    .filter(|(dest, p)| punctuated(dest, p) && Some(**dest) != arrival)
                     .map(|(dest, _)| *dest)
                     .collect();
                 assert_eq!(r.route_punctuation(&stream, from), reference);
                 r.route_punctuation_into(&stream, from, buffer);
                 assert_eq!(*buffer, reference, "a used buffer is emptied first");
             }
-            let entries = r.engine.profiles().filter_map(|(_, p)| p.entry(&stream));
+            let entries = (r.engine.profiles())
+                .filter(|(dest, p)| punctuated(dest, p))
+                .filter_map(|(_, p)| p.entry(&stream));
             dead_entries += entries
                 .filter(|e| !e.filters.is_empty())
                 .filter(|e| e.filters.iter().all(crate::sat::conjunction_unsat))
@@ -974,7 +1003,8 @@ mod tests {
     /// observes a stale plan or a stale match index: after every
     /// mutation, batches on two streams (one of them under two layouts)
     /// still route exactly as the installed profiles say — and so do
-    /// punctuations, which follow the index's interest lists.
+    /// punctuations, which follow the marks of the destinations still
+    /// holding an entry, whatever the mutations did to it in between.
     #[test]
     fn mutations_never_leave_stale_plans_or_indexes() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -997,6 +1027,9 @@ mod tests {
         let mut r = Router::new(NodeId(0));
         let mut outcomes = (0, 0);
         let (mut punctuated, mut dead_entries) = (Vec::new(), 0);
+        // The marks set and not since withdrawn, by `punctuate` or by
+        // the entry leaving: a profile-level model of the index's lists.
+        let mut marked = BTreeSet::new();
         for _ in 0..300 {
             let mut p = Profile::new();
             for stream in ["S", "T"] {
@@ -1025,13 +1058,36 @@ mod tests {
                 4 if !p.is_empty() => r.add_local_subscriber(sub, p), // new or replacing
                 _ => r.remove_local_subscriber(sub),
             }
+            let holds = |r: &Router, (dest, stream): &(Destination, StreamName)| {
+                r.engine
+                    .profile(dest)
+                    .and_then(|p| p.entry(stream))
+                    .is_some()
+            };
+            marked.retain(|mark| holds(&r, mark));
+            for _ in 0..2 {
+                let dest = match rng.gen_range(0..2u32) {
+                    0 => Destination::Neighbor(NodeId(rng.gen_range(1..4))),
+                    _ => Destination::Local(SubscriberId(rng.gen_range(0..3))),
+                };
+                let mark = (dest, StreamName::from(["S", "T"][rng.gen_range(0..2usize)]));
+                let (on, rebuilds) = (rng.gen_bool(0.7), r.index_rebuilds());
+                r.punctuate(dest, &mark.1, on);
+                assert_eq!(r.index_rebuilds(), rebuilds, "a mark re-indexes nothing");
+                if !on {
+                    marked.remove(&mark);
+                } else if holds(&r, &mark) {
+                    marked.insert(mark);
+                }
+            }
             for (batch, layout) in &batches {
                 let arrival = NodeId(rng.gen_range(1..4));
                 let (routed, dropped) = assert_routes_like_profiles(&r, batch, layout, arrival);
                 outcomes = (outcomes.0 + routed, outcomes.1 + dropped);
             }
-            dead_entries += assert_punctuations_follow_profiles(&r, &mut punctuated);
+            dead_entries += assert_punctuations_follow_marks(&r, &marked, &mut punctuated);
         }
+        assert!(!marked.is_empty(), "marks survive to the end");
         assert!(outcomes.0 > 1000 && outcomes.1 > 1000, "{outcomes:?}");
         assert!(dead_entries > 0, "no all-unsatisfiable entry was exercised");
         let (hits, misses) = plan_cache_stats(&r);
@@ -1042,25 +1098,36 @@ mod tests {
     }
 
     #[test]
-    fn punctuations_follow_interest_not_filters() {
+    fn punctuations_follow_marks_not_filters() {
         let mut r = Router::new(NodeId(0));
         r.set_neighbor_interest(NodeId(1), interest(0, 10, &[]));
+        r.set_neighbor_interest(NodeId(2), interest(0, 10, &[]));
         r.add_local_subscriber(SubscriberId(7), interest(90, 99, &["id"]));
         let s: StreamName = "S".into();
-        // Both destinations hold an entry for S; filters are irrelevant.
-        assert_eq!(
-            r.route_punctuation(&s, None),
-            vec![
-                Destination::Neighbor(NodeId(1)),
-                Destination::Local(SubscriberId(7))
-            ]
+        let (n1, local) = (
+            Destination::Neighbor(NodeId(1)),
+            Destination::Local(SubscriberId(7)),
         );
-        // The arrival link is excluded, and unknown streams go nowhere.
-        assert_eq!(
-            r.route_punctuation(&s, Some(NodeId(1))),
-            vec![Destination::Local(SubscriberId(7))]
-        );
+        // Interested but unmarked: no punctuation.
+        assert!(r.route_punctuation(&s, None).is_empty());
+        // Marked destinations get it, whatever their filters; neighbor 2
+        // stays unmarked.
+        r.punctuate(n1, &s, true);
+        r.punctuate(local, &s, true);
+        assert_eq!(r.route_punctuation(&s, None), vec![n1, local]);
+        // The arrival link is excluded, and unknown streams go nowhere —
+        // a mark without an entry is not kept.
+        assert_eq!(r.route_punctuation(&s, Some(NodeId(1))), vec![local]);
+        r.punctuate(local, &"T".into(), true);
         assert!(r.route_punctuation(&"T".into(), None).is_empty());
+        // A changed entry keeps its mark, a withdrawn one drops it.
+        r.set_neighbor_interest(NodeId(1), interest(0, 20, &[]));
+        assert_eq!(r.route_punctuation(&s, None), vec![n1, local]);
+        r.remove_local_subscriber(SubscriberId(7));
+        r.add_local_subscriber(SubscriberId(7), interest(90, 99, &["id"]));
+        assert_eq!(r.route_punctuation(&s, None), vec![n1]);
+        r.punctuate(n1, &s, false);
+        assert!(r.route_punctuation(&s, None).is_empty());
     }
 
     #[test]

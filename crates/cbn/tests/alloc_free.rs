@@ -156,6 +156,13 @@ fn punctuation_routing_into_a_warmed_buffer_allocates_nothing() {
     r.set_neighbor_interest(NodeId(2), interest(20, 50, &["id"]));
     r.add_local_subscriber(SubscriberId(7), interest(10, 30, &[]));
     let (on_s, unknown) = ("S".into(), "T".into());
+    for dest in [
+        Destination::Neighbor(NodeId(1)),
+        Destination::Neighbor(NodeId(2)),
+        Destination::Local(SubscriberId(7)),
+    ] {
+        r.punctuate(dest, &on_s, true);
+    }
     let mut out = Vec::new();
     r.route_punctuation_into(&on_s, None, &mut out);
     assert_eq!(out.len(), 3);

@@ -259,13 +259,19 @@ type Cell = (NodeId, NodeId, StreamName);
 /// origin last).
 type Contribution = (StreamName, Arc<ProfileEntry>, Vec<NodeId>);
 
+/// One contributor of a cell: the subscription, its entry, and whether
+/// it is an SPE input (an operator that reads the stream's punctuations).
+type Contributor = (SubscriberId, Arc<ProfileEntry>, bool);
+
 /// Reverse-path interest kept as the fold's inputs, not only its output.
-/// Every cell lists its contributors in `SubscriberId` order, and the
-/// entry its router holds is their left fold (`union_with`).
+/// Every cell lists its contributors in `SubscriberId` order; the entry
+/// its router holds is their left fold (`union_with`), and the router
+/// forwards the stream's punctuations over the cell iff any contributor
+/// is an SPE input.
 #[derive(Debug, Default)]
 struct RouteLedger {
     /// Each cell's contributors; a cell nobody contributes to is absent.
-    cells: BTreeMap<Cell, Vec<(SubscriberId, Arc<ProfileEntry>)>>,
+    cells: BTreeMap<Cell, Vec<Contributor>>,
     /// What each local subscription contributes.
     subs: FxHashMap<SubscriberId, Vec<Contribution>>,
     /// Cells edited since the last refold.
@@ -281,13 +287,16 @@ impl RouteLedger {
     /// are unchanged alone. This is the one reverse-path walk: each
     /// stream's normalised entry goes to every cell of the path from `at`
     /// to the stream's origin along that origin's dissemination tree. A
-    /// profile naming an unadvertised stream contributes nothing.
+    /// profile naming an unadvertised stream contributes nothing. `spe`
+    /// says whether `sub` is an SPE input; a subscription never changes
+    /// kind, so contributions it keeps keep their flag.
     fn set(
         &mut self,
         topology: &Topology,
         registry: &SchemaRegistry,
         at: NodeId,
         sub: SubscriberId,
+        spe: bool,
         profile: &Profile,
     ) {
         let new: Option<Vec<Contribution>> = (profile.iter())
@@ -315,7 +324,7 @@ impl RouteLedger {
             }
             let (stream, entry, path) = &*contribution;
             for w in path.windows(2) {
-                self.edit((w[1], w[0], *stream), sub, Some(entry));
+                self.edit((w[1], w[0], *stream), sub, Some((entry, spe)));
             }
         }
         if !new.is_empty() {
@@ -323,14 +332,15 @@ impl RouteLedger {
         }
     }
 
-    /// Insert `sub`'s `entry` among `cell`'s contributors, or withdraw it
-    /// (`None`), and note the cell for the next refold.
-    fn edit(&mut self, cell: Cell, sub: SubscriberId, entry: Option<&Arc<ProfileEntry>>) {
+    /// Insert `sub`'s `entry` (and SPE-input flag) among `cell`'s
+    /// contributors, or withdraw it (`None`), and note the cell for the
+    /// next refold.
+    fn edit(&mut self, cell: Cell, sub: SubscriberId, entry: Option<(&Arc<ProfileEntry>, bool)>) {
         let list = self.cells.entry(cell).or_default();
-        let at = list.partition_point(|(s, _)| *s < sub);
+        let at = list.partition_point(|(s, ..)| *s < sub);
         self.touched.insert(cell);
         match entry {
-            Some(entry) => list.insert(at, (sub, Arc::clone(entry))),
+            Some((entry, spe)) => list.insert(at, (sub, Arc::clone(entry), spe)),
             None => {
                 debug_assert_eq!(list.get(at).map(|c| c.0), Some(sub));
                 list.remove(at);
@@ -714,19 +724,28 @@ impl Cosmos {
 
     /// Install `profile` as local subscription `sub` at `at` (an empty
     /// profile withdraws it) and record what it contributes to the
-    /// reverse paths: the one way a local subscription changes. The
-    /// routers' reverse-path interests follow at the end of the public
-    /// call ([`Cosmos::refold_routes`]). Only SPE inputs may name a
-    /// source stream: [`Cosmos::close_streams`] drops closed streams by
-    /// re-installing those alone.
-    fn subscribe_local(&mut self, at: NodeId, sub: SubscriberId, profile: Profile) {
+    /// reverse paths: the one way a local subscription changes. An SPE
+    /// input (`spe`) is marked for the punctuations of every stream it
+    /// names. The routers' reverse-path interests follow at the end of
+    /// the public call ([`Cosmos::refold_routes`]). Only SPE inputs may
+    /// name a source stream: [`Cosmos::close_streams`] drops closed
+    /// streams by re-installing those alone.
+    fn subscribe_local(&mut self, at: NodeId, sub: SubscriberId, spe: bool, profile: Profile) {
         self.ledger
-            .set(&self.topology, &self.registry, at, sub, &profile);
+            .set(&self.topology, &self.registry, at, sub, spe, &profile);
         let router = &mut self.routers[at.index()];
         if profile.is_empty() {
             router.remove_local_subscriber(sub);
+            return;
+        }
+        let streams: Vec<StreamName> = if spe {
+            profile.streams().copied().collect()
         } else {
-            router.add_local_subscriber(sub, profile);
+            Vec::new()
+        };
+        router.add_local_subscriber(sub, profile);
+        for stream in &streams {
+            router.punctuate(Destination::Local(sub), stream, true);
         }
     }
 
@@ -734,22 +753,30 @@ impl Cosmos {
     /// installed entry becomes the left fold of its cell's contributors
     /// in `SubscriberId` order, and is installed on its router as a
     /// one-stream edit, which re-indexes nothing when the entry is
-    /// unchanged. An operation that fails half-way leaves its cells to
-    /// the next refold.
+    /// unchanged. The same pass ORs the contributors' SPE-input flags
+    /// into the cell's punctuation mark. An operation that fails
+    /// half-way leaves its cells to the next refold.
     fn refold_routes(&mut self) {
         let ledger = &mut self.ledger;
         #[cfg(test)]
         ledger.refolded.clear();
         for cell in std::mem::take(&mut ledger.touched) {
             let (up, down, stream) = &cell;
-            let entry = ledger.cells.get(&cell).map(|list| {
-                let mut entry = ProfileEntry::clone(&list[0].1);
-                for (_, e) in &list[1..] {
-                    entry.union_with(e);
+            let (entry, punctuated) = match ledger.cells.get(&cell) {
+                Some(list) => {
+                    let (_, first, mut punctuated) = &list[0];
+                    let mut entry = ProfileEntry::clone(first);
+                    for (_, e, spe) in &list[1..] {
+                        entry.union_with(e);
+                        punctuated |= spe;
+                    }
+                    (Some(entry), punctuated)
                 }
-                entry
-            });
-            self.routers[up.index()].set_neighbor_entry(*down, stream, entry);
+                None => (None, false),
+            };
+            let router = &mut self.routers[up.index()];
+            router.set_neighbor_entry(*down, stream, entry);
+            router.punctuate(Destination::Neighbor(*down), stream, punctuated);
             #[cfg(test)]
             ledger.refolded.push(cell);
         }
@@ -765,7 +792,8 @@ impl Cosmos {
         let mut ledger = RouteLedger::default();
         for r in &self.routers {
             for (sub, profile) in r.local_subscribers() {
-                ledger.set(&self.topology, &self.registry, r.node(), sub, profile);
+                let spe = matches!(self.subs.get(&sub), Some(LocalSub::Spe(_)));
+                ledger.set(&self.topology, &self.registry, r.node(), sub, spe, profile);
             }
             for (down, profile) in r.neighbor_interests() {
                 for stream in profile.streams() {
@@ -786,7 +814,7 @@ impl Cosmos {
         for closed in &self.disorder.closed {
             profile.remove_entry(closed);
         }
-        self.subscribe_local(processor, sub, profile);
+        self.subscribe_local(processor, sub, true, profile);
     }
 
     /// Start a representative: advertise `stream` at `processor`, run
@@ -853,7 +881,7 @@ impl Cosmos {
         self.registry.unregister(stream);
         if let Some(site) = self.reps.remove(stream) {
             self.subs.remove(&site.sub);
-            self.subscribe_local(site.processor, site.sub, Profile::new());
+            self.subscribe_local(site.processor, site.sub, true, Profile::new());
         }
     }
 
@@ -873,7 +901,7 @@ impl Cosmos {
         }
         for (qid, _, profile) in change.subscribe {
             let member = &self.queries[&qid];
-            self.subscribe_local(member.user, member.user_sub, profile);
+            self.subscribe_local(member.user, member.user_sub, false, profile);
         }
         Ok(())
     }
@@ -953,7 +981,7 @@ impl Cosmos {
 
         // The user retrieves the results through the CBN.
         let user_sub = self.ids.sub();
-        self.subscribe_local(user, user_sub, user_profile);
+        self.subscribe_local(user, user_sub, false, user_profile);
         self.subs.insert(user_sub, LocalSub::User(qid));
         self.refold_routes();
 
@@ -1006,7 +1034,7 @@ impl Cosmos {
             .queries
             .remove(&qid)
             .ok_or_else(|| CosmosError::System(format!("unknown query {qid}")))?;
-        self.subscribe_local(record.user, record.user_sub, Profile::new());
+        self.subscribe_local(record.user, record.user_sub, false, Profile::new());
         self.subs.remove(&record.user_sub);
         // Nothing more will be offered to the query: release the batch
         // the overload controller was coalescing for it.
@@ -2009,8 +2037,14 @@ mod tests {
     use cosmos_query::{AttrStats, StreamStats};
     use cosmos_types::{AttrType, Timestamp, Value};
 
-    /// Line overlay 0 - 1 - 2 - 3 with the processor at node 0.
+    /// Line overlay 0 - 1 - 2 - 3 with the processor at node 0, which is
+    /// also the origin of `S`.
     fn line_system(merging: bool) -> Cosmos {
+        line_system_from(merging, NodeId(0))
+    }
+
+    /// [`line_system`] with `S` advertised at `origin`.
+    fn line_system_from(merging: bool, origin: NodeId) -> Cosmos {
         let mut g = Graph::new(4);
         for i in 0..4 {
             g.set_position(NodeId(i), i as f64 / 4.0, 0.0);
@@ -2035,7 +2069,7 @@ mod tests {
             StreamStats::with_rate(1.0)
                 .attr("k", AttrStats::categorical(10.0))
                 .attr("x", AttrStats::numeric(0.0, 100.0, 100.0)),
-            NodeId(0),
+            origin,
         )
         .unwrap();
         sys
@@ -2425,6 +2459,121 @@ mod tests {
         }
     }
 
+    /// Each `(node, destination)` a punctuation of `stream` entering at
+    /// `origin` is forwarded to, walked breadth-first as
+    /// [`Cosmos::disseminate_watermark`] walks it.
+    fn punctuation_walk(
+        sys: &Cosmos,
+        stream: &StreamName,
+        origin: NodeId,
+    ) -> Vec<(NodeId, Destination)> {
+        let (mut out, mut queue) = (Vec::new(), VecDeque::from([(None, origin)]));
+        while let Some((from, at)) = queue.pop_front() {
+            for dest in sys.router(at).route_punctuation(stream, from) {
+                out.push((at, dest));
+                if let Destination::Neighbor(n) = dest {
+                    queue.push_back((Some(at), n));
+                }
+            }
+        }
+        out
+    }
+
+    /// Install a user-kind subscription to all of `S` at `at`, behind the
+    /// query layer's back: only SPE inputs subscribe to a source stream.
+    fn subscribe_user_to_s(sys: &mut Cosmos, at: NodeId) {
+        let (user, mut profile) = (sys.ids.sub(), Profile::new());
+        let always = cosmos_cbn::Conjunction::always();
+        profile.add_interest("S", cosmos_cbn::Projection::All, always);
+        sys.subscribe_local(at, user, false, profile);
+        sys.refold_routes();
+    }
+
+    #[test]
+    fn a_cell_of_user_subscriptions_only_gets_no_punctuation() {
+        let mut sys = line_system(true);
+        sys.submit_query("SELECT k, x FROM S [Now]", NodeId(3))
+            .unwrap();
+        let result = *sys.rep_states()[0].result_stream;
+        // Every cell of the result stream holds the user's entry alone:
+        // data goes all the way, punctuations nowhere.
+        for (up, down) in [(0, 1), (1, 2), (2, 3)] {
+            let held = sys.router(NodeId(up)).neighbor_interest(NodeId(down));
+            assert!(held.and_then(|p| p.entry(&result)).is_some(), "{up}-{down}");
+        }
+        assert_eq!(punctuation_walk(&sys, &result, NodeId(0)), []);
+        // The source's punctuations still reach the SPE input.
+        let spe = sys.reps[&result].sub;
+        assert_eq!(
+            punctuation_walk(&sys, &"S".into(), NodeId(0)),
+            [(NodeId(0), Destination::Local(spe))]
+        );
+    }
+
+    #[test]
+    fn a_cell_with_one_spe_contributor_among_users_is_punctuated() {
+        // `S` enters at node 3, its SPE input sits at node 0; a user-kind
+        // subscription to `S` at node 1 shares the cells 3→2 and 2→1.
+        let mut sys = line_system_from(true, NodeId(3));
+        let q = sys
+            .submit_query("SELECT k, x FROM S [Now]", NodeId(2))
+            .unwrap();
+        let s: StreamName = "S".into();
+        subscribe_user_to_s(&mut sys, NodeId(1));
+        let spe = sys.reps.values().next().unwrap().sub;
+        let kinds = |cell: &Cell| -> Vec<bool> {
+            sys.ledger.cells[cell]
+                .iter()
+                .map(|(.., spe)| *spe)
+                .collect()
+        };
+        assert_eq!(kinds(&(NodeId(3), NodeId(2), s)), [true, false]);
+        assert_eq!(kinds(&(NodeId(2), NodeId(1), s)), [true, false]);
+        assert_eq!(kinds(&(NodeId(1), NodeId(0), s)), [true]);
+        let n = |i| Destination::Neighbor(NodeId(i));
+        assert_eq!(
+            punctuation_walk(&sys, &s, NodeId(3)),
+            [
+                (NodeId(3), n(2)),
+                (NodeId(2), n(1)),
+                (NodeId(1), n(0)),
+                (NodeId(0), Destination::Local(spe)),
+            ],
+            "the user at node 1 gets none"
+        );
+        // Once the SPE input goes, the user's entries stay and carry no
+        // punctuation.
+        sys.unsubscribe(q).unwrap();
+        let held = sys.router(NodeId(3)).neighbor_interest(NodeId(2));
+        assert!(held.and_then(|p| p.entry(&s)).is_some());
+        assert_eq!(punctuation_walk(&sys, &s, NodeId(3)), []);
+    }
+
+    #[test]
+    fn a_local_user_subscription_gets_no_punctuation() {
+        // The user sits at the processor, the origin of `S`: its router
+        // holds the SPE input (on `S`) and the user subscription (on the
+        // result stream) side by side — and one more user-kind entry on
+        // `S` itself.
+        let mut sys = line_system(true);
+        let q = sys
+            .submit_query("SELECT k, x FROM S [Now]", NodeId(0))
+            .unwrap();
+        let result = *sys.rep_states()[0].result_stream;
+        let s: StreamName = "S".into();
+        subscribe_user_to_s(&mut sys, NodeId(0));
+        let router = sys.router(NodeId(0));
+        assert_eq!(router.local_subscribers().count(), 3);
+        let spe = sys.reps[&result].sub;
+        assert_eq!(
+            router.route_punctuation(&s, None),
+            [Destination::Local(spe)]
+        );
+        assert_eq!(router.route_punctuation(&result, None), []);
+        sys.publish(&s_tuple(1_000, 1, 1.0)).unwrap();
+        assert_eq!(sys.results(q).len(), 1, "data still reaches the user");
+    }
+
     #[test]
     fn lint_rejects_unsatisfiable_queries_at_registration() {
         let mut sys = line_system(false);
@@ -2710,7 +2859,10 @@ mod tests {
 
     #[test]
     fn disordered_publishes_converge_after_close() {
-        let mut sys = line_system(true);
+        // `S` enters at node 3 and its processor is node 0: every source
+        // punctuation crosses the three links; the result stream goes
+        // back to the user at node 3 and its punctuations cross none.
+        let mut sys = line_system_from(true, NodeId(3));
         let q = sys
             .submit_query(
                 "SELECT k, COUNT(*) FROM S [Range 10 Second] GROUP BY k",
@@ -2736,7 +2888,7 @@ mod tests {
         assert_eq!(totals.duplicates, 1);
         assert_eq!(totals.staged, 0, "close must drain all staging");
         // The in-order reference run (disorder off, duplicate removed).
-        let mut reference = line_system(true);
+        let mut reference = line_system_from(true, NodeId(3));
         let rq = reference
             .submit_query(
                 "SELECT k, COUNT(*) FROM S [Range 10 Second] GROUP BY k",
@@ -2755,10 +2907,19 @@ mod tests {
             reference.publish(&s_tuple(t, k % 2, k as f64)).unwrap();
         }
         assert_eq!(sys.results(q), reference.results(rq));
-        // Punctuations crossed links and were accounted both ways.
+        // Source punctuations crossed links and were accounted both ways:
+        // watermarks 2 000 − 3 000, 0, 2 000 and 4 000 were due after the
+        // publishes (the others did not advance), then +∞ at the close —
+        // five, over three links each.
         let snap = sys.metrics();
-        assert!(snap.punctuations > 0);
+        assert_eq!(snap.punctuations, 5 * 3);
         assert_eq!(snap.punctuation_bytes, 18 * snap.punctuations);
+        // None of the result stream's: it moved (its frontier advanced)
+        // and its data crossed, but no router forwards its punctuations.
+        let result = *sys.rep_states()[0].result_stream;
+        assert!(sys.disorder.emitted.contains_key(&result));
+        assert!(sys.results(q).len() > 1 && sys.link_bytes(NodeId(2), NodeId(3)) > 0);
+        assert_eq!(punctuation_walk(&sys, &result, NodeId(0)), []);
         assert_eq!(snap.link_bytes_total(), sys.total_bytes());
         // The closed set reached the network snapshot (and only there:
         // an in-order snapshot stays byte-identical to the old format).

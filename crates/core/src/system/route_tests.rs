@@ -97,10 +97,58 @@ fn reference_rebuild(sys: &Cosmos, routers: &mut [Router]) {
     }
 }
 
+/// Per router, the punctuation destinations of every stream it routes
+/// punctuations of (`route_punctuation(stream, None)`, non-empty only).
+fn punctuation_marks(sys: &Cosmos) -> Vec<BTreeMap<StreamName, Vec<Destination>>> {
+    let routers = sys.routers.iter();
+    routers
+        .map(|r| {
+            let held = (r.neighbor_interests().map(|(_, p)| p))
+                .chain(r.local_subscribers().map(|(_, p)| p));
+            let streams: BTreeSet<StreamName> = held.flat_map(Profile::streams).copied().collect();
+            (streams.into_iter())
+                .map(|s| (s, r.route_punctuation(&s, None)))
+                .filter(|(_, dests)| !dests.is_empty())
+                .collect()
+        })
+        .collect()
+}
+
+/// [`punctuation_marks`] as the definition has it, from the running
+/// representatives' SPE inputs and the trees alone: each input for every
+/// stream it names, and every cell on that stream's reverse path from
+/// the input's processor to the stream's origin.
+fn spe_input_marks(sys: &Cosmos) -> Vec<BTreeMap<StreamName, Vec<Destination>>> {
+    let mut marks = vec![BTreeMap::<StreamName, Vec<Destination>>::new(); sys.routers.len()];
+    for site in sys.reps.values() {
+        let Some(profile) = sys.router(site.processor).local_interest(site.sub) else {
+            continue;
+        };
+        for stream in profile.streams() {
+            let local = Destination::Local(site.sub);
+            marks[site.processor.index()]
+                .entry(*stream)
+                .or_default()
+                .push(local);
+            let origin = sys.registry.origin(stream).expect("advertised");
+            for w in sys.tree_for(origin).path(site.processor, origin).windows(2) {
+                let up = marks[w[1].index()].entry(*stream).or_default();
+                up.push(Destination::Neighbor(w[0]));
+            }
+        }
+    }
+    for dests in marks.iter_mut().flat_map(BTreeMap::values_mut) {
+        dests.sort_unstable();
+        dests.dedup();
+    }
+    marks
+}
+
 /// The system's routers must already hold what the reference leaves on
-/// a clone of them, and hash to the same routing digest; a following
-/// `rebuild_routes` then re-indexes nothing and finds the ledger it
-/// rebuilds from the local subscriptions already in place.
+/// a clone of them, hash to the same routing digest, and punctuate
+/// exactly toward the SPE inputs; a following `rebuild_routes` then
+/// re-indexes nothing and finds the ledger it rebuilds from the local
+/// subscriptions already in place.
 fn assert_routes_match_reference(sys: &mut Cosmos, step: &str) {
     let mut reference = sys.routers.clone();
     reference_rebuild(sys, &mut reference);
@@ -115,18 +163,27 @@ fn assert_routes_match_reference(sys: &mut Cosmos, step: &str) {
     let ours = std::mem::replace(&mut sys.routers, reference);
     assert_eq!(digest, sys.routing_digest(), "{step}: routing digest");
     sys.routers = ours;
+    assert_eq!(
+        punctuation_marks(sys),
+        spe_input_marks(sys),
+        "{step}: punctuation marks"
+    );
     assert_rebuild_changes_nothing(sys, step);
 }
 
-/// A `rebuild_routes` re-indexes nothing, drops no plan, and rebuilds
-/// exactly the ledger in place: no withdrawn subscriber or closed stream
-/// lingers in it.
+/// A `rebuild_routes` re-indexes nothing, drops no plan, moves no
+/// punctuation mark, and rebuilds exactly the ledger in place: no
+/// withdrawn subscriber or closed stream lingers in it.
 fn assert_rebuild_changes_nothing(sys: &mut Cosmos, step: &str) {
     let (cells, subs) = (sys.ledger.cells.clone(), sys.ledger.subs.clone());
-    let before = maintenance_counters(sys);
+    let (before, marks) = (maintenance_counters(sys), punctuation_marks(sys));
     sys.rebuild_routes();
     let moved = maintenance_counters(sys) != before;
     assert!(!moved, "{step}: rebuild moved something");
+    assert!(
+        punctuation_marks(sys) == marks,
+        "{step}: rebuild moved a mark"
+    );
     assert!(sys.ledger.cells == cells, "{step}: stale ledger cells");
     assert!(
         sys.ledger.subs == subs,
@@ -735,6 +792,62 @@ fn relay_verdicts_follow_every_control_operation() {
     assert!(
         relayed_after.values().all(|n| *n > 0),
         "relays after each operation: {relayed_after:?}"
+    );
+}
+
+/// A watermark walk crosses exactly the links on the reverse paths of
+/// the SPE inputs of its stream, once each, at `Punctuation::WIRE_BYTES`
+/// a crossing — derived from the representatives' inputs and the trees
+/// ([`spe_input_marks`]), not from any router. The executors it advances punctuate their
+/// result streams in turn, and those cross no link at all: only user
+/// subscriptions read a result stream. Nothing is published, so the
+/// walks drain no data onto the links.
+#[test]
+fn punctuations_cross_only_the_spe_inputs_reverse_paths() {
+    let (mut crossings, mut result_walks) = (0, 0);
+    for seed in 0..6u64 {
+        for per_source_trees in [false, true] {
+            let (mut sys, mut queries, mut rng) = deployment(seed, 16, 4, per_source_trees);
+            sys.set_disorder(Some(DisorderRuntime {
+                bound: TimeDelta::from_millis(1_000),
+                policy: LatePolicy::Drop,
+            }));
+            submit_generated(&mut sys, &mut queries, &mut rng, 12);
+            let marks = spe_input_marks(&sys);
+            let sources: Vec<(StreamName, NodeId)> = (sys.registry.iter())
+                .filter(|r| !sys.reps.contains_key(&r.name))
+                .map(|r| (r.name, r.origin))
+                .collect();
+            for (stream, origin) in sources {
+                let before = sys.traffic.link_bytes.clone();
+                sys.disseminate_watermark(stream, Timestamp(0), origin);
+                let crossed: BTreeMap<(NodeId, NodeId), u64> = (sys.traffic.link_bytes.iter())
+                    .map(|(link, bytes)| (*link, bytes - before.get(link).copied().unwrap_or(0)))
+                    .filter(|(_, bytes)| *bytes > 0)
+                    .collect();
+                let wire = Punctuation::WIRE_BYTES as u64;
+                let want: BTreeMap<(NodeId, NodeId), u64> = (marks.iter().enumerate())
+                    .flat_map(|(up, m)| m.get(&stream).into_iter().flatten().map(move |d| (up, d)))
+                    .filter_map(|(up, dest)| match dest {
+                        Destination::Neighbor(n) => {
+                            let up = NodeId(up as u32);
+                            Some(((up.min(*n), up.max(*n)), wire))
+                        }
+                        Destination::Local(_) => None,
+                    })
+                    .collect();
+                let step = format!("seed {seed} trees {per_source_trees} stream {stream}");
+                assert_eq!(crossed, want, "{step}");
+                crossings += want.len();
+            }
+            result_walks += (sys.reps.keys())
+                .filter(|r| sys.disorder.emitted.contains_key(*r))
+                .count();
+        }
+    }
+    assert!(
+        crossings > 0 && result_walks > 0,
+        "{crossings} crossings, {result_walks} result-stream walks"
     );
 }
 
