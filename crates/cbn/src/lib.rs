@@ -24,8 +24,9 @@
 //! * [`profile`] — profiles, covering, and profile union (used to merge
 //!   the interests of an entire subtree into one routing-table entry).
 //! * [`matcher`] — two matching engines: a naive scan and a
-//!   counting-based engine with an equality fast path (benched
-//!   against each other in `benches/matching.rs`).
+//!   counting-based engine with an equality fast path, each counting
+//!   the constraints it evaluates (ablation A1 of the experiment
+//!   report compares the counts).
 //! * [`registry`] — the stream schema registry with the paper's two
 //!   modes: flooding for small systems and a consistent-hashing DHT
 //!   otherwise.

@@ -582,13 +582,24 @@ impl Conjunction {
     where
         F: Fn(&str) -> Option<&'a Value>,
     {
+        self.satisfies_counting(lookup, &mut 0)
+    }
+
+    /// [`Conjunction::satisfies_with`], adding to `evaluated` every
+    /// constraint it evaluates: it stops at the first that fails.
+    pub fn satisfies_counting<'a, F>(&self, lookup: F, evaluated: &mut u64) -> bool
+    where
+        F: Fn(&str) -> Option<&'a Value>,
+    {
         for (attr, c) in &self.attrs {
+            *evaluated += 1;
             match lookup(attr) {
                 Some(v) if c.satisfies(v) => {}
                 _ => return false,
             }
         }
         for ((a, b), r) in &self.diffs {
+            *evaluated += 1;
             match (lookup(a), lookup(b)) {
                 (Some(x), Some(y)) if r.satisfies(x, y) => {}
                 _ => return false,

@@ -127,18 +127,19 @@ impl ProfileEntry {
         }
     }
 
-    /// Whether a value lookup satisfies the entry (any filter passes,
-    /// or there are no filters).
-    pub fn accepts_with<'a, F>(&self, lookup: F) -> bool
-    where
-        F: Fn(&str) -> Option<&'a cosmos_types::Value> + Copy,
-    {
-        self.filters.is_empty() || self.filters.iter().any(|c| c.satisfies_with(lookup))
+    /// Whether the entry accepts the tuple under the schema (any filter
+    /// passes, or there are no filters).
+    pub fn accepts(&self, tuple: &Tuple, schema: &Schema) -> bool {
+        self.accepts_counting(tuple, schema, &mut 0)
     }
 
-    /// Whether the entry accepts the tuple under the schema.
-    pub fn accepts(&self, tuple: &Tuple, schema: &Schema) -> bool {
-        self.accepts_with(|name| tuple.get_by_name(schema, name))
+    /// [`ProfileEntry::accepts`], adding to `evaluated` every constraint
+    /// evaluated: a filter stops at its first failing constraint, the
+    /// entry at its first passing filter.
+    pub fn accepts_counting(&self, tuple: &Tuple, schema: &Schema, evaluated: &mut u64) -> bool {
+        let lookup = |name: &str| tuple.get_by_name(schema, name);
+        let any = |c: &Conjunction| c.satisfies_counting(lookup, evaluated);
+        self.filters.is_empty() || self.filters.iter().any(any)
     }
 
     /// Whether `self` accepts every tuple `other` accepts *and* retains

@@ -9,7 +9,7 @@
 //! anchor dissemination.
 //!
 //! The registry tracks the number of control messages each mode would
-//! send so tests and benches can compare the two (flooding costs `O(N)`
+//! send so tests and ablation A8 can compare the two (flooding costs `O(N)`
 //! messages per stream, the DHT costs `O(replicas)` plus per-lookup
 //! traffic).
 

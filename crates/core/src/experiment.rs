@@ -1,13 +1,12 @@
 //! The paper's evaluation as one deterministic report.
 //!
 //! [`report`] runs every count-valued experiment of EXPERIMENTS.md —
-//! Figure 4 (E1/E2), Figure 3 (E3), Table 1 (E4) and the ablations A2,
-//! A3, A4, A7 and A8 — and renders each table as markdown, followed by
-//! the claims its numbers must satisfy. Every input is seeded, so a
+//! Figure 4 (E1/E2), Figure 3 (E3), Table 1 (E4) and the ablations A1,
+//! A2, A3, A4, A7 and A8 — and renders each table as markdown, followed
+//! by the claims its numbers must satisfy. Every input is seeded, so a
 //! report is a function of its [`Scale`] alone: `cosmos-sim experiments`
 //! prints it and fails when a claim does not hold, and both scales are
-//! committed as golden files. The two timed ablations (A1 matching, A6
-//! containment) are criterion benches beside the code they time.
+//! committed as golden files.
 //!
 //! **Figure 4** (Section 5 of the paper). Setup, exactly as the paper
 //! describes it: a power-law overlay (BRITE → Barabási–Albert here), a
@@ -33,11 +32,15 @@
 //! Figure 4 computes costs analytically from the estimator's rates
 //! instead of routing datagrams (the paper's CBN "is simulated" too);
 //! Figure 3 and the A2/A7 ablations route every tuple through a deployed
-//! [`Cosmos`].
+//! [`Cosmos`]. A1 counts the constraints the two matching engines
+//! evaluate, as the engines themselves report them.
 
 use crate::system::{pick_processor, place_processors};
 use crate::{Cosmos, CosmosConfig};
-use cosmos_cbn::{Profile, RegistryMode, SchemaRegistry};
+use cosmos_cbn::{
+    Conjunction, CountingMatcher, MatchEngine, MatchScratch, NaiveMatcher, Profile, Projection,
+    RegistryMode, SchemaRegistry,
+};
 use cosmos_cql::parse_query;
 use cosmos_overlay::{
     generate, minimum_spanning_tree, Graph, OptimizerConfig, TopologyKind, Tree, TreeOptimizer,
@@ -46,7 +49,9 @@ use cosmos_query::{
     contained, estimate::cost_bps, merge, retighten_profile, GroupManager, StatsCatalog,
 };
 use cosmos_spe::{oracle, AnalyzedQuery};
-use cosmos_types::{AttrType, NeumaierSum, NodeId, QueryId, Result, Schema, StreamName, Tuple};
+use cosmos_types::{
+    AttrType, NeumaierSum, NodeId, QueryId, Result, Schema, StreamName, Timestamp, Tuple, Value,
+};
 use cosmos_workload::auction::{
     auction_catalog, closed_auction_schema, open_auction_schema, AuctionGenerator, Q1, Q2, Q3,
 };
@@ -145,6 +150,7 @@ pub fn report(scale: Scale) -> Result<Report> {
     figure4(&mut r, scale)?;
     figure3(&mut r)?;
     table1(&mut r)?;
+    matcher_ablation(&mut r);
     early_projection(&mut r)?;
     grouping_policies(&mut r, scale)?;
     overlay_optimizer(&mut r, scale)?;
@@ -687,6 +693,116 @@ fn register_sensor(sys: &mut Cosmos, i: usize, origin: NodeId) -> Result<()> {
         .stats(&key)
         .expect("the sensor catalog has stats per stream");
     sys.register_stream(name.as_str(), schema.clone(), stats.clone(), origin)
+}
+
+/// One A1 subscription. `equality`: `id` equal to a key, the common
+/// case of key-attribute interest. `range`: a `price` band, half of
+/// them also bounding `qty` from below.
+fn a1_profile(workload: &str, rng: &mut StdRng) -> Profile {
+    let mut f = Conjunction::always();
+    if workload == "equality" {
+        f.equals("id", rng.gen_range(0..500i64));
+    } else {
+        let lo = rng.gen_range(0.0..900.0);
+        f.between("price", lo, lo + rng.gen_range(10.0..100.0));
+        if rng.gen_bool(0.5) {
+            f.lower("qty", rng.gen_range(0..50i64), true);
+        }
+    }
+    let mut p = Profile::new();
+    p.add_interest("S", Projection::All, f);
+    p
+}
+
+/// A1's 256 probe tuples of stream `S (id, price, qty)`.
+fn a1_probes() -> Vec<Tuple> {
+    let mut rng = StdRng::seed_from_u64(7);
+    (0..256)
+        .map(|i| {
+            Tuple::new(
+                "S",
+                Timestamp(i),
+                vec![
+                    Value::Int(rng.gen_range(0..500)),
+                    Value::Float(rng.gen_range(0.0..1000.0)),
+                    Value::Int(rng.gen_range(0..100)),
+                ],
+            )
+        })
+        .collect()
+}
+
+/// A1 — the counting matcher against the naive profile scan (§3: every
+/// node matches every datagram). Per probe tuple: the constraints each
+/// engine evaluates, as the engine counts them, and the profiles
+/// matched, at N installed profiles of an equality and a range workload.
+fn matcher_ablation(r: &mut Report) {
+    let schema = Schema::of(&[
+        ("id", AttrType::Int),
+        ("price", AttrType::Float),
+        ("qty", AttrType::Int),
+    ]);
+    let probes = a1_probes();
+    let per_tuple = |n: u64| n as f64 / probes.len() as f64;
+    let (mut rows, mut agree, mut checks) = (Vec::new(), true, Vec::new());
+    for workload in ["equality", "range"] {
+        for n in [100u32, 1000, 5000] {
+            let mut rng = StdRng::seed_from_u64(42);
+            let (mut naive, mut counting) = (NaiveMatcher::new(), CountingMatcher::new());
+            for key in 0..n {
+                let p = a1_profile(workload, &mut rng);
+                naive.insert(key, p.clone());
+                counting.insert(key, p);
+            }
+            let mut flat = MatchScratch::default();
+            counting.matches_batch_flat(&probes, &schema, &mut flat);
+            let (mut naive_evaluated, mut matched) = (0, 0);
+            for (t, keys) in probes.iter().zip(flat.iter()) {
+                let naive_keys = naive.matches_counting(t, &schema, &mut naive_evaluated);
+                agree &= naive_keys == keys;
+                matched += keys.len() as u64;
+            }
+            let ratio = naive_evaluated as f64 / flat.evaluated() as f64;
+            rows.push(vec![
+                workload.to_string(),
+                n.to_string(),
+                format!("{:.1}", per_tuple(naive_evaluated)),
+                format!("{:.1}", per_tuple(flat.evaluated())),
+                format!("{ratio:.2}"),
+                format!("{:.2}", per_tuple(matched)),
+            ]);
+            match (workload, n) {
+                ("equality", 5000) => checks.push((
+                    "equality, N = 5000: counting evaluates ≥ 30× fewer constraints".to_string(),
+                    ratio >= 30.0,
+                )),
+                ("range", _) => checks.push((
+                    format!("range, N = {n}: counting evaluates ≤ 2× the constraints of naive"),
+                    ratio >= 0.5,
+                )),
+                _ => {}
+            }
+        }
+    }
+    r.table(
+        &format!(
+            "A1 — counting matcher vs naive scan ({} probe tuples, N installed profiles)",
+            probes.len()
+        ),
+        &[
+            "workload",
+            "N",
+            "naive evals/tuple",
+            "counting evals/tuple",
+            "naive / counting",
+            "matches/tuple",
+        ],
+        rows,
+    );
+    r.check("both engines return identical keys for every probe", agree);
+    for (claim, holds) in checks {
+        r.check(claim, holds);
+    }
 }
 
 /// Bytes an 8-node line moves for `query` (user at node 7) over 2000 s

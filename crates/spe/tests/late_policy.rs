@@ -177,6 +177,27 @@ fn revisions_respect_window_expiry() {
     assert_eq!(out[0].values(), &[Value::Int(1), Value::Float(30.0)]);
 }
 
+/// A window `[Range w]` at τ holds `[τ − w, τ]`, so a late tuple at
+/// exactly τ − w joins the live window: its group gets a row in the
+/// aggregate state beside the in-order one. The test reads state, not
+/// output rows, because the rows are the same either way — the next
+/// in-order push evicts that entry anyway, so the window edge's
+/// inclusivity shows only in state.
+#[test]
+fn late_tuple_on_the_window_edge_joins_the_live_window() {
+    let mut ex = executor(
+        "SELECT k, COUNT(*) FROM S [Range 5 Second] GROUP BY k",
+        revise(10_000),
+    );
+    ex.push_out_of_order(&s(10_000, 1, 0.0));
+    ex.advance_watermark(&"S".into(), Timestamp(10_000));
+    assert_eq!(ex.state_size().group_rows, 1);
+    // A new group, exactly on the edge τ − w = 5000.
+    let out = ex.push_out_of_order(&s(5_000, 2, 0.0));
+    assert_eq!(out.len(), 1);
+    assert_eq!(ex.state_size().group_rows, 2);
+}
+
 #[test]
 fn late_beyond_grace_is_shed_under_revise() {
     let mut ex = executor(
