@@ -113,7 +113,7 @@ impl Cosmos {
     /// In per-source-tree mode each affected per-source tree is
     /// repaired independently (the same reattach procedure per tree).
     pub fn fail_tree_link(&mut self, a: NodeId, b: NodeId) -> Result<()> {
-        let topo = &mut self.topology;
+        let topo = &mut self.data.topology;
         // Identify every tree that carries this link before mutating
         // anything (origin order keeps the repair order deterministic).
         let shared_child = child_of(&topo.tree, a, b);
@@ -166,7 +166,7 @@ impl Cosmos {
     /// keep their repaired shape — the healed link simply becomes
     /// available again to `optimize_tree` and future repairs.
     pub fn heal_tree_link(&mut self, a: NodeId, b: NodeId) -> Result<()> {
-        self.topology.graph.heal_link(a, b)
+        self.data.topology.graph.heal_link(a, b)
     }
 }
 

@@ -8,7 +8,14 @@
 //! dissemination tree carries a stream-aware content-based network.
 //!
 //! [`Cosmos`] is the whole deployment, driven as a deterministic
-//! discrete-event simulation:
+//! discrete-event simulation. It holds the paper's two layers as two
+//! types (`system/data.rs` and `system/query.rs`): a data plane — the
+//! overlay, the routers, the dissemination loops, delivery, traffic
+//! accounting, metrics and the overload gate — and a query plane —
+//! queries, group managers, representative executors and the catalog
+//! — which meet only at profiles and at one crossing, an SPE input,
+//! where the data plane hands a batch or a watermark to an executor and
+//! takes the emitted batch back. A deployment runs like this:
 //!
 //! * sources *advertise* and publish their streams at origin nodes;
 //! * user queries enter at any node, are routed to a processor by the

@@ -2,9 +2,11 @@
 //! shedding, coalescing, and upstream throttling.
 //!
 //! Every node gets an intake *budget* — bytes or tuples per metrics
-//! rate window. The controller sits on the single delivery point of
-//! the dissemination loop (`deliver_local`), so a user delivery that
-//! would push the node's measured in-window intake past its budget is
+//! rate window. The controller is data-plane state: it sits on the
+//! single delivery point of the dissemination loop (the data plane's
+//! `deliver_local`; the crossing to the query plane and the
+//! punctuation walk deliver to no user), so a user delivery that would
+//! push the node's measured in-window intake past its budget is
 //! intercepted *before* it lands in the delivery buffer and handled by
 //! a deterministic per-query [`OverloadPolicy`]:
 //!

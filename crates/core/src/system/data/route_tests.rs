@@ -5,9 +5,16 @@
 //! — and an operation must refold only the cells it changed.
 
 use super::*;
+use crate::system::{Cosmos, CosmosConfig, DisorderRuntime};
+use crate::{AutotuneOptions, OverloadConfig};
+use cosmos_query::{GroupManager, StreamStats};
+use cosmos_spe::LatePolicy;
+use cosmos_types::TimeDelta;
 use cosmos_workload::sensor::stream_name;
 use cosmos_workload::{sensor_catalog, QueryGenConfig, QueryGenerator};
+use rand::rngs::StdRng;
 use rand::Rng;
+use rand::SeedableRng;
 
 /// A generated deployment: the first `streams` sensor streams, each
 /// advertised at a random node, and a supply of generated queries.
@@ -75,8 +82,10 @@ fn reference_rebuild(sys: &Cosmos, routers: &mut [Router]) {
         .collect();
     subs.sort_by_key(|(sub, ..)| *sub);
     for (_, node, profile) in subs {
-        let origins: Option<Vec<NodeId>> =
-            profile.streams().map(|s| sys.registry.origin(s)).collect();
+        let origins: Option<Vec<NodeId>> = profile
+            .streams()
+            .map(|s| sys.data.registry.origin(s))
+            .collect();
         let Some(origins) = origins else {
             continue; // names an unadvertised stream: skipped whole
         };
@@ -100,7 +109,7 @@ fn reference_rebuild(sys: &Cosmos, routers: &mut [Router]) {
 /// Per router, the punctuation destinations of every stream it routes
 /// punctuations of (`route_punctuation(stream, None)`, non-empty only).
 fn punctuation_marks(sys: &Cosmos) -> Vec<BTreeMap<StreamName, Vec<Destination>>> {
-    let routers = sys.routers.iter();
+    let routers = sys.data.routers.iter();
     routers
         .map(|r| {
             let held = (r.neighbor_interests().map(|(_, p)| p))
@@ -114,24 +123,27 @@ fn punctuation_marks(sys: &Cosmos) -> Vec<BTreeMap<StreamName, Vec<Destination>>
         .collect()
 }
 
-/// [`punctuation_marks`] as the definition has it, from the running
-/// representatives' SPE inputs and the trees alone: each input for every
+/// [`punctuation_marks`] as the definition has it, from the SPE inputs
+/// (the local subscriptions `subs` lists as such) and the trees alone: each input for every
 /// stream it names, and every cell on that stream's reverse path from
 /// the input's processor to the stream's origin.
 fn spe_input_marks(sys: &Cosmos) -> Vec<BTreeMap<StreamName, Vec<Destination>>> {
-    let mut marks = vec![BTreeMap::<StreamName, Vec<Destination>>::new(); sys.routers.len()];
-    for site in sys.reps.values() {
-        let Some(profile) = sys.router(site.processor).local_interest(site.sub) else {
-            continue;
-        };
+    let mut marks = vec![BTreeMap::<StreamName, Vec<Destination>>::new(); sys.data.routers.len()];
+    let inputs = (sys.data.routers.iter())
+        .flat_map(|r| {
+            r.local_subscribers()
+                .map(move |(sub, p)| (r.node(), sub, p))
+        })
+        .filter(|(_, sub, _)| matches!(sys.data.subs.get(sub), Some(LocalSub::Spe(_))));
+    for (processor, sub, profile) in inputs {
         for stream in profile.streams() {
-            let local = Destination::Local(site.sub);
-            marks[site.processor.index()]
+            let local = Destination::Local(sub);
+            marks[processor.index()]
                 .entry(*stream)
                 .or_default()
                 .push(local);
-            let origin = sys.registry.origin(stream).expect("advertised");
-            for w in sys.tree_for(origin).path(site.processor, origin).windows(2) {
+            let origin = sys.data.registry.origin(stream).expect("advertised");
+            for w in sys.tree_for(origin).path(processor, origin).windows(2) {
                 let up = marks[w[1].index()].entry(*stream).or_default();
                 up.push(Destination::Neighbor(w[0]));
             }
@@ -150,9 +162,9 @@ fn spe_input_marks(sys: &Cosmos) -> Vec<BTreeMap<StreamName, Vec<Destination>>> 
 /// re-indexes nothing and finds the ledger it rebuilds from the local
 /// subscriptions already in place.
 fn assert_routes_match_reference(sys: &mut Cosmos, step: &str) {
-    let mut reference = sys.routers.clone();
+    let mut reference = sys.data.routers.clone();
     reference_rebuild(sys, &mut reference);
-    for (ours, theirs) in sys.routers.iter().zip(&reference) {
+    for (ours, theirs) in sys.data.routers.iter().zip(&reference) {
         assert!(
             ours.neighbor_interests().eq(theirs.neighbor_interests()),
             "{step}: router {} diverges from the reference",
@@ -160,9 +172,9 @@ fn assert_routes_match_reference(sys: &mut Cosmos, step: &str) {
         );
     }
     let digest = sys.routing_digest();
-    let ours = std::mem::replace(&mut sys.routers, reference);
+    let ours = std::mem::replace(&mut sys.data.routers, reference);
     assert_eq!(digest, sys.routing_digest(), "{step}: routing digest");
-    sys.routers = ours;
+    sys.data.routers = ours;
     assert_eq!(
         punctuation_marks(sys),
         spe_input_marks(sys),
@@ -175,7 +187,7 @@ fn assert_routes_match_reference(sys: &mut Cosmos, step: &str) {
 /// punctuation mark, and rebuilds exactly the ledger in place: no
 /// withdrawn subscriber or closed stream lingers in it.
 fn assert_rebuild_changes_nothing(sys: &mut Cosmos, step: &str) {
-    let (cells, subs) = (sys.ledger.cells.clone(), sys.ledger.subs.clone());
+    let (cells, subs) = (sys.data.ledger.cells.clone(), sys.data.ledger.subs.clone());
     let (before, marks) = (maintenance_counters(sys), punctuation_marks(sys));
     sys.rebuild_routes();
     let moved = maintenance_counters(sys) != before;
@@ -184,9 +196,9 @@ fn assert_rebuild_changes_nothing(sys: &mut Cosmos, step: &str) {
         punctuation_marks(sys) == marks,
         "{step}: rebuild moved a mark"
     );
-    assert!(sys.ledger.cells == cells, "{step}: stale ledger cells");
+    assert!(sys.data.ledger.cells == cells, "{step}: stale ledger cells");
     assert!(
-        sys.ledger.subs == subs,
+        sys.data.ledger.subs == subs,
         "{step}: stale ledger subscriptions"
     );
 }
@@ -333,7 +345,8 @@ fn fold_matches_the_clear_and_repropagate_reference() {
 
 /// Per-router `(index_rebuilds, cached_plan_count)`.
 fn maintenance_counters(sys: &Cosmos) -> Vec<(u64, usize)> {
-    sys.routers
+    sys.data
+        .routers
         .iter()
         .map(|r| (r.index_rebuilds(), r.cached_plan_count()))
         .collect()
@@ -345,7 +358,7 @@ fn maintenance_counters(sys: &Cosmos) -> Vec<(u64, usize)> {
 /// somewhere.
 fn assert_rebuilds_confined_to_path(sys: &Cosmos, before: &[(u64, usize)], path: &[NodeId]) {
     let mut total = 0;
-    for (r, (was, _)) in sys.routers.iter().zip(before) {
+    for (r, (was, _)) in sys.data.routers.iter().zip(before) {
         let rebuilt = r.index_rebuilds() - was;
         if path.contains(&r.node()) {
             assert!(
@@ -369,10 +382,10 @@ fn assert_rebuilds_confined_to_path(sys: &Cosmos, before: &[(u64, usize)], path:
 /// registry and the trees, not from the ledger.
 fn contributions(sys: &Cosmos) -> BTreeMap<(SubscriberId, StreamName), (ProfileEntry, Vec<Cell>)> {
     let mut out = BTreeMap::new();
-    for r in &sys.routers {
+    for r in &sys.data.routers {
         for (sub, profile) in r.local_subscribers() {
             for (stream, entry) in profile.iter() {
-                let origin = sys.registry.origin(stream).expect("advertised");
+                let origin = sys.data.registry.origin(stream).expect("advertised");
                 let path = sys.tree_for(origin).path(r.node(), origin);
                 let cells = path.windows(2).map(|w| (w[1], w[0], *stream));
                 let mut entry = entry.clone();
@@ -402,7 +415,7 @@ fn assert_refolds_what_moved<T>(
         .flat_map(|k| before.get(k).into_iter().chain(after.get(k)))
         .flat_map(|(_, cells)| cells.iter().cloned())
         .collect();
-    let refolded: BTreeSet<Cell> = sys.ledger.refolded.iter().cloned().collect();
+    let refolded: BTreeSet<Cell> = sys.data.ledger.refolded.iter().cloned().collect();
     assert!(!moved.is_empty(), "{what} moves nothing");
     assert_eq!(refolded, moved, "{what}: refolded cells");
     out
@@ -425,7 +438,7 @@ fn control_operations_reindex_only_what_moved() {
     assert!(relayed * 10 >= arrived * 7, "{relayed} of {arrived}");
 
     // A rebuild with nothing to change touches nothing.
-    assert!(sys.routers.iter().any(|r| r.cached_plan_count() > 0));
+    assert!(sys.data.routers.iter().any(|r| r.cached_plan_count() > 0));
     assert_rebuild_changes_nothing(&mut sys, "start-up");
 
     // A query joining an existing group without widening it (here: a
@@ -499,11 +512,11 @@ fn control_operations_reindex_only_what_moved() {
         live.extend(submit_generated(&mut sys, &mut queries, &mut rng, 1));
         let (qid, _) = live.swap_remove(rng.gen_range(0..live.len()));
         sys.unsubscribe(qid).unwrap();
-        let refolded = &sys.ledger.refolded;
+        let refolded = &sys.data.ledger.refolded;
         cells.push(refolded.len());
         contributors.push(
             (refolded.iter())
-                .filter_map(|cell| sys.ledger.cells.get(cell))
+                .filter_map(|cell| sys.data.ledger.cells.get(cell))
                 .map(Vec::len)
                 .sum::<usize>(),
         );
@@ -518,8 +531,8 @@ fn control_operations_reindex_only_what_moved() {
         (v[v.len() / 2], v[v.len() * 95 / 100])
     };
     let ledger = (
-        sys.ledger.cells.len(),
-        sys.ledger.cells.values().map(Vec::len).sum::<usize>(),
+        sys.data.ledger.cells.len(),
+        sys.data.ledger.cells.values().map(Vec::len).sum::<usize>(),
     );
     assert_eq!(ledger, (485, 836), "ledger cells, contributions");
     assert_eq!(quantiles(cells), (9, 20), "cells per unsubscribe");
@@ -576,7 +589,11 @@ fn s_tuples(from: i64, to: i64) -> impl Iterator<Item = Tuple> {
 
 /// Tuples each router has relayed so far, by node.
 fn relayed(sys: &Cosmos) -> Vec<u64> {
-    sys.routers.iter().map(Router::tuples_relayed).collect()
+    sys.data
+        .routers
+        .iter()
+        .map(Router::tuples_relayed)
+        .collect()
 }
 
 fn total_relayed(sys: &Cosmos) -> u64 {
@@ -606,7 +623,8 @@ fn chain_relays_and_delivers_what_routing_delivers() {
             let mut profile = Profile::new();
             profile.add_interest(stream, cosmos_cbn::Projection::All, dead);
             for node in 1..5 {
-                sys.routers[node].add_local_subscriber(SubscriberId(u64::MAX), profile.clone());
+                sys.data.routers[node]
+                    .add_local_subscriber(SubscriberId(u64::MAX), profile.clone());
             }
         }
         sys.run(s_tuples(0, 200)).unwrap();
@@ -715,10 +733,10 @@ fn relay_verdicts_read_the_upstream_router_not_the_ledger() {
     let mut entry = sent.entry(&stream).unwrap().clone();
     let filtered: BTreeSet<&str> = entry.filters.iter().flat_map(|f| f.referenced()).collect();
     assert!(!filtered.is_empty(), "{entry:?}");
-    let schema = &sys.registry.peek(&stream).unwrap().schema;
+    let schema = &sys.data.registry.peek(&stream).unwrap().schema;
     let kept = schema.names().filter(|a| !filtered.contains(a));
     entry.projection = cosmos_cbn::Projection::of(kept);
-    sys.routers[2].set_neighbor_entry(NodeId(3), &stream, Some(entry));
+    sys.data.routers[2].set_neighbor_entry(NodeId(3), &stream, Some(entry));
     sys.run(s_tuples(50, 100)).unwrap();
     assert_eq!(sys.results(q).len() as u64, n, "dropped at node 3");
     assert_eq!(relayed(&sys)[3], n, "routed, not relayed");
@@ -814,14 +832,18 @@ fn punctuations_cross_only_the_spe_inputs_reverse_paths() {
             }));
             submit_generated(&mut sys, &mut queries, &mut rng, 12);
             let marks = spe_input_marks(&sys);
-            let sources: Vec<(StreamName, NodeId)> = (sys.registry.iter())
-                .filter(|r| !sys.reps.contains_key(&r.name))
+            let results: BTreeSet<StreamName> = (sys.rep_states().iter())
+                .map(|v| *v.result_stream)
+                .collect();
+            let sources: Vec<(StreamName, NodeId)> = (sys.data.registry.iter())
+                .filter(|r| !results.contains(&r.name))
                 .map(|r| (r.name, r.origin))
                 .collect();
             for (stream, origin) in sources {
-                let before = sys.traffic.link_bytes.clone();
-                sys.disseminate_watermark(stream, Timestamp(0), origin);
-                let crossed: BTreeMap<(NodeId, NodeId), u64> = (sys.traffic.link_bytes.iter())
+                let before = sys.data.link_bytes.clone();
+                sys.data
+                    .disseminate_watermark(&mut sys.query, stream, Timestamp(0), origin);
+                let crossed: BTreeMap<(NodeId, NodeId), u64> = (sys.data.link_bytes.iter())
                     .map(|(link, bytes)| (*link, bytes - before.get(link).copied().unwrap_or(0)))
                     .filter(|(_, bytes)| *bytes > 0)
                     .collect();
@@ -840,8 +862,8 @@ fn punctuations_cross_only_the_spe_inputs_reverse_paths() {
                 assert_eq!(crossed, want, "{step}");
                 crossings += want.len();
             }
-            result_walks += (sys.reps.keys())
-                .filter(|r| sys.disorder.emitted.contains_key(*r))
+            result_walks += (results.iter())
+                .filter(|r| sys.data.disorder.emitted.contains_key(*r))
                 .count();
         }
     }

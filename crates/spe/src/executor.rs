@@ -511,6 +511,19 @@ impl Executor {
         self.disorder = Some(DisorderState::new(policy, self.query.streams.len()));
     }
 
+    /// The inverse of [`Executor::enable_disorder`]: back to strict
+    /// in-order intake, dropping the staging area, the watermarks, the
+    /// disorder counters and the window state retained for revisions.
+    /// Flush the staging area first ([`Executor::flush_staged`]) and
+    /// read the counters, or both are lost.
+    pub fn disable_disorder(&mut self) {
+        self.disorder = None;
+        self.retain_floor = None;
+        if let Some(agg) = &mut self.agg {
+            agg.history.clear();
+        }
+    }
+
     /// Disorder bookkeeping counters (`None` in strict in-order mode).
     pub fn disorder_stats(&self) -> Option<DisorderStats> {
         self.disorder.as_ref().map(|d| DisorderStats {

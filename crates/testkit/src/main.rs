@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cosmos-sim run --seed S [--disorder] [--overload [--budget B]] [--no-bounds] [--no-shrink] [--out FILE]
-//! cosmos-sim replay FILE
+//! cosmos-sim replay FILE [--no-bounds] [--overload [--budget B]]
 //! cosmos-sim sweep --seeds N [--start S0] [--disorder] [--overload [--budget B]] [--no-bounds] [--no-shrink] [--out-dir DIR]
 //! cosmos-sim snapshot --seed S [--baseline] [--disorder] [--out FILE]
 //! cosmos-sim metrics --seed S [--baseline] [--disorder] [--out FILE]
@@ -17,8 +17,11 @@
 //! over a network snapshot after every routing-relevant event; on
 //! failure the scenario is minimized and written as a replayable JSON
 //! file, and for static-verify failures the violating snapshot is
-//! written next to it. `replay` re-checks a scenario file (shrunk files
-//! stay failing until the bug is fixed, then flip to PASS). `sweep` runs
+//! written next to it. Shrinking and `replay` check under the flags the
+//! run had (bounds, overload budget, injected faults), so `replay` of a
+//! written file with the flags its hint prints re-checks it exactly as
+//! the run did (shrunk files stay failing until the bug is fixed, then
+//! flip to PASS). `sweep` runs
 //! a contiguous seed range, as CI does. `snapshot` dumps the network
 //! snapshot a seed's scenario ends in, for `cosmos-verify <file>`.
 //! `metrics` dumps the versioned metrics snapshot the same run ends in —
@@ -63,8 +66,7 @@
 
 use cosmos::experiment::{self, Scale};
 use cosmos_testkit::{
-    check_scenario, check_scenario_opts, gen, run_scenario, shrink, CheckOptions, RunOptions,
-    Scenario,
+    check_scenario_opts, gen, run_scenario, shrink, CheckOptions, RunOptions, Scenario,
 };
 use std::process::ExitCode;
 
@@ -73,7 +75,7 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!(
         "usage: cosmos-sim run --seed S [--disorder] [--no-bounds] \
          [--overload [--budget B]] [--no-shrink] [--out FILE]\n\
-         \u{20}      cosmos-sim replay FILE\n\
+         \u{20}      cosmos-sim replay FILE [--no-bounds] [--overload [--budget B]]\n\
          \u{20}      cosmos-sim sweep --seeds N [--start S0] [--disorder] [--no-bounds] \
          [--overload [--budget B]] [--no-shrink] [--out-dir DIR]\n\
          \u{20}      cosmos-sim snapshot --seed S [--baseline] [--disorder] [--out FILE]\n\
@@ -95,7 +97,6 @@ struct Opts {
     disorder: bool,
     overload: bool,
     budget: u64,
-    inject_shed_leak: bool,
     scale: Scale,
     out: Option<String>,
     out_dir: String,
@@ -103,6 +104,34 @@ struct Opts {
 }
 
 impl Opts {
+    /// The oracles `run`, `sweep` and `replay` check, and shrinking keeps
+    /// failing: all of them, bounds unless `--no-bounds`, under the
+    /// `--overload` budget when one is armed.
+    fn check_options(&self) -> CheckOptions {
+        CheckOptions {
+            bound_soundness: !self.no_bounds,
+            overload_budget: self.overload.then_some(self.budget),
+            ..CheckOptions::default()
+        }
+    }
+
+    /// The flags a written scenario replays under: those of
+    /// [`Opts::check_options`] and the armed fault injections.
+    fn replay_flags(&self) -> String {
+        use cosmos::overload::faultinject::drop_shed_ledger as shed_leak;
+        use cosmos_query::merge::faultinject::skip_retighten as merge_bug;
+        use cosmos_spe::faultinject::skip_watermark_gating as eviction_bug;
+        let overload = format!(" --overload --budget {}", self.budget);
+        let flags = [
+            (self.no_bounds, " --no-bounds"),
+            (self.overload, overload.as_str()),
+            (merge_bug(), " --inject-bug"),
+            (eviction_bug(), " --inject-eviction-bug"),
+            (shed_leak(), " --inject-shed-leak"),
+        ];
+        flags.map(|(on, flag)| if on { flag } else { "" }).concat()
+    }
+
     /// Expand a seed per the `--disorder` flag.
     fn expand(&self, seed: u64) -> Scenario {
         if self.disorder {
@@ -128,7 +157,6 @@ fn main() -> ExitCode {
         disorder: false,
         overload: false,
         budget: u64::MAX / 4,
-        inject_shed_leak: false,
         scale: Scale::Quick,
         out: None,
         out_dir: "cosmos-sim-failures".into(),
@@ -161,7 +189,6 @@ fn main() -> ExitCode {
                 Some(v) if v >= 1 => o.budget = v,
                 _ => return usage("--budget needs an integer >= 1"),
             },
-            "--inject-shed-leak" => o.inject_shed_leak = true,
             "--scale" => match args.next().as_deref().and_then(Scale::from_name) {
                 Some(v) => o.scale = v,
                 None => return usage("--scale needs quick or paper"),
@@ -176,6 +203,7 @@ fn main() -> ExitCode {
             },
             "--inject-bug" => cosmos_query::merge::faultinject::set_skip_retighten(true),
             "--inject-eviction-bug" => cosmos_spe::faultinject::set_skip_watermark_gating(true),
+            "--inject-shed-leak" => cosmos::overload::faultinject::set_drop_shed_ledger(true),
             "--help" | "-h" => {
                 return usage("");
             }
@@ -198,7 +226,7 @@ fn main() -> ExitCode {
             if o.files.len() != 1 {
                 return usage("replay needs exactly one scenario file");
             }
-            replay(&o.files[0])
+            replay(&o.files[0], &o)
         }
         "sweep" => {
             let mut failed = 0u64;
@@ -457,12 +485,7 @@ fn check_bounds(o: &Opts) -> ExitCode {
 /// Returns true on pass.
 fn run_one(seed: u64, o: &Opts) -> bool {
     let scenario = o.expand(seed);
-    let copts = CheckOptions {
-        bound_soundness: !o.no_bounds,
-        overload_budget: o.overload.then_some(o.budget),
-        inject_shed_leak: o.inject_shed_leak,
-        ..CheckOptions::default()
-    };
+    let copts = o.check_options();
     match check_scenario_opts(&scenario, &copts) {
         Ok(r) => {
             println!(
@@ -478,7 +501,7 @@ fn run_one(seed: u64, o: &Opts) -> bool {
             let minimized = if o.no_shrink {
                 scenario
             } else {
-                let m = shrink(&scenario, 300);
+                let m = shrink(&scenario, 300, &copts);
                 eprintln!("  shrunk to: {}", m.summary());
                 m
             };
@@ -490,7 +513,10 @@ fn run_one(seed: u64, o: &Opts) -> bool {
                 let _ = std::fs::create_dir_all(dir);
             }
             match std::fs::write(&path, minimized.to_json()) {
-                Ok(()) => eprintln!("  wrote {path} (replay with: cosmos-sim replay {path})"),
+                Ok(()) => eprintln!(
+                    "  wrote {path} (replay with: cosmos-sim replay {path}{})",
+                    o.replay_flags()
+                ),
                 Err(e) => eprintln!("  could not write {path}: {e}"),
             }
             if f.oracle.starts_with("static-verify") {
@@ -527,8 +553,8 @@ fn write_violating_snapshot(scenario: &Scenario, scenario_path: &str) {
     }
 }
 
-/// Re-check a scenario file.
-fn replay(path: &str) -> ExitCode {
+/// Re-check a scenario file under the oracles `o` selects.
+fn replay(path: &str, o: &Opts) -> ExitCode {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -544,7 +570,7 @@ fn replay(path: &str) -> ExitCode {
         }
     };
     println!("replaying seed {}: {}", scenario.seed, scenario.summary());
-    match check_scenario(&scenario) {
+    match check_scenario_opts(&scenario, &o.check_options()) {
         Ok(r) => {
             println!(
                 "PASS — {} queries, {} tuples, digest {:016x}",

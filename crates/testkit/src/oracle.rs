@@ -124,10 +124,6 @@ pub struct CheckOptions {
     /// of the reference output) while determinism still demands
     /// bit-identical shed decisions.
     pub overload_budget: Option<u64>,
-    /// Fault-injection canary ([`RunOptions::inject_shed_leak`]): drop
-    /// the shed-side ledger accounting so any real shed must be caught
-    /// by the conservation oracle, attributed to the shed ledger.
-    pub inject_shed_leak: bool,
 }
 
 impl Default for CheckOptions {
@@ -142,7 +138,6 @@ impl Default for CheckOptions {
             metrics_conservation: true,
             bound_soundness: true,
             overload_budget: None,
-            inject_shed_leak: false,
         }
     }
 }
@@ -165,7 +160,6 @@ pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<R
             static_verify: opts.static_verify,
             bound_checks: opts.bound_soundness,
             overload_budget: opts.overload_budget,
-            inject_shed_leak: opts.inject_shed_leak,
             ..RunOptions::default()
         },
     )
@@ -190,7 +184,6 @@ pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<R
                 static_verify: false,
                 bound_checks: false,
                 overload_budget: opts.overload_budget,
-                inject_shed_leak: opts.inject_shed_leak,
                 ..RunOptions::default()
             },
         )
@@ -225,7 +218,6 @@ pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<R
             static_verify: opts.static_verify,
             bound_checks: opts.bound_soundness,
             overload_budget: opts.overload_budget,
-            inject_shed_leak: opts.inject_shed_leak,
             ..RunOptions::default()
         },
     )
@@ -254,7 +246,6 @@ pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<R
                 static_verify: false,
                 bound_checks: false,
                 overload_budget: opts.overload_budget,
-                inject_shed_leak: opts.inject_shed_leak,
                 ..RunOptions::default()
             },
         )
@@ -273,7 +264,6 @@ pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<R
                 static_verify: false,
                 bound_checks: opts.bound_soundness,
                 overload_budget: opts.overload_budget,
-                inject_shed_leak: opts.inject_shed_leak,
                 ..RunOptions::default()
             },
         )

@@ -62,12 +62,6 @@ pub struct RunOptions {
     /// every query's ledger after every event, and that nothing stays
     /// staged after closure. `None` leaves the controller unarmed.
     pub overload_budget: Option<u64>,
-    /// Fault-injection canary: silently drop the shed-side ledger
-    /// accounting ([`cosmos::overload::faultinject`]) so that any
-    /// actual shed breaks the conservation identity — the oracle must
-    /// attribute the failure to the shed ledger. Only meaningful with a
-    /// budget tight enough to shed.
-    pub inject_shed_leak: bool,
 }
 
 impl Default for RunOptions {
@@ -79,7 +73,6 @@ impl Default for RunOptions {
             static_verify: true,
             bound_checks: true,
             overload_budget: None,
-            inject_shed_leak: false,
         }
     }
 }
@@ -197,19 +190,6 @@ fn lateish(sys: &Cosmos) -> u64 {
     t.late + t.revisions + t.shed
 }
 
-/// RAII reset for the shed-leak fault injection: the flag lives as long
-/// as the thread, so it must never outlive the run that armed it (an
-/// early `?` return included).
-struct ShedLeakGuard(bool);
-
-impl Drop for ShedLeakGuard {
-    fn drop(&mut self) {
-        if self.0 {
-            cosmos::overload::faultinject::set_drop_shed_ledger(false);
-        }
-    }
-}
-
 /// Check every overload ledger's conservation identity, attributing a
 /// broken balance explicitly to the shed ledger (it is the only
 /// counter a policy increments outside the delivery path).
@@ -277,10 +257,6 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> Result<RunOutcome
     }
     if let Some(budget) = opts.overload_budget {
         sys.set_overload(Some(cosmos::OverloadConfig::uniform_bytes(budget)));
-    }
-    let _leak_guard = ShedLeakGuard(opts.inject_shed_leak);
-    if opts.inject_shed_leak {
-        cosmos::overload::faultinject::set_drop_shed_ledger(true);
     }
     let sensors = sensor_catalog();
 

@@ -7,17 +7,17 @@
 //! withdrawals as long as possible) and then thins publish batches,
 //! re-checking after each candidate and keeping any that still fails.
 
-use crate::oracle::check_scenario;
+use crate::oracle::{check_scenario_opts, CheckOptions};
 use crate::scenario::{Event, Scenario};
 
-/// Shrink a failing scenario, re-running the oracles at most `budget`
-/// times. Returns the smallest still-failing scenario found (the input
-/// itself if nothing smaller fails).
-pub fn shrink(scenario: &Scenario, budget: usize) -> Scenario {
-    fn fails(c: &Scenario, runs: &mut usize) -> bool {
+/// Shrink a scenario that fails the oracles `opts` selects, re-running
+/// them at most `budget` times. Returns the smallest still-failing
+/// scenario found (the input itself if nothing smaller fails).
+pub fn shrink(scenario: &Scenario, budget: usize, opts: &CheckOptions) -> Scenario {
+    let fails = |c: &Scenario, runs: &mut usize| {
         *runs += 1;
-        check_scenario(c).is_err()
-    }
+        check_scenario_opts(c, opts).is_err()
+    };
     let mut runs = 0usize;
     let mut cur = scenario.clone();
     if !fails(&cur, &mut runs) {

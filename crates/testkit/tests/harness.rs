@@ -1,13 +1,14 @@
 //! Harness self-tests: determinism, oracle sensitivity, shrinking, and
 //! replay-file round-tripping.
 //!
-//! The merge-layer fault-injection flag
-//! ([`cosmos_query::merge::faultinject`]) is per thread, so a test that
-//! injects the bug cannot reach the tests cargo runs beside it on other
+//! The fault-injection flags ([`cosmos_query::merge::faultinject`],
+//! [`cosmos::overload::faultinject`]) are per thread, so a test that
+//! injects a bug cannot reach the tests cargo runs beside it on other
 //! threads. It arms the bug through a guard that disarms on drop (panic
 //! included), so the bug never outlives the test on its own thread
 //! either.
 
+use cosmos::overload::faultinject::set_drop_shed_ledger;
 use cosmos_query::merge::faultinject;
 use cosmos_testkit::{
     check_scenario, check_scenario_opts, gen, run_scenario, shrink, CheckOptions, Event,
@@ -27,6 +28,22 @@ impl InjectedBug {
 impl Drop for InjectedBug {
     fn drop(&mut self) {
         faultinject::set_skip_retighten(false);
+    }
+}
+
+/// Arms the shed-ledger leak for one scope; disarms on drop.
+struct ShedLeak;
+
+impl ShedLeak {
+    fn arm() -> Self {
+        set_drop_shed_ledger(true);
+        ShedLeak
+    }
+}
+
+impl Drop for ShedLeak {
+    fn drop(&mut self) {
+        set_drop_shed_ledger(false);
     }
 }
 
@@ -64,7 +81,6 @@ fn injected_merge_bug_is_caught_by_metamorphic_oracle() {
         metrics_conservation: false,
         bound_soundness: false,
         overload_budget: None,
-        inject_shed_leak: false,
     };
     for seed in [1u64, 6] {
         let scenario = gen::generate(seed);
@@ -96,7 +112,6 @@ fn injected_merge_bug_is_caught_statically_before_any_publish() {
         metrics_conservation: false,
         bound_soundness: false,
         overload_budget: None,
-        inject_shed_leak: false,
     };
     for seed in [1u64, 6] {
         let mut scenario = gen::generate(seed);
@@ -133,7 +148,7 @@ fn shrinker_minimizes_failing_scenarios() {
     let _bug = InjectedBug::arm();
     let scenario = gen::generate(1);
     assert!(check_scenario(&scenario).is_err(), "seed 1 must fail armed");
-    let small = shrink(&scenario, 120);
+    let small = shrink(&scenario, 120, &CheckOptions::default());
     assert!(
         small.events.len() < scenario.events.len(),
         "no events dropped ({} of {})",
@@ -143,6 +158,41 @@ fn shrinker_minimizes_failing_scenarios() {
     assert!(
         check_scenario(&small).is_err(),
         "shrunk scenario must still fail"
+    );
+}
+
+/// Shrinking checks under the options of the run that failed. With the
+/// shed-ledger leak armed, seed 0 breaks the conservation identity under
+/// a 64-byte budget with bounds off (as CI's overload canary runs it);
+/// under the default options — no budget, so nothing is shed — it
+/// passes, and a shrinker that re-checked with those would keep every
+/// event.
+#[test]
+fn shrinking_keeps_the_failing_runs_options() {
+    let _leak = ShedLeak::arm();
+    let opts = CheckOptions {
+        bound_soundness: false,
+        overload_budget: Some(64),
+        ..CheckOptions::default()
+    };
+    let scenario = gen::generate(0);
+    let failure = check_scenario_opts(&scenario, &opts).expect_err("seed 0 sheds and leaks");
+    assert!(
+        failure.oracle.starts_with("metrics-conservation"),
+        "{failure}"
+    );
+    assert!(check_scenario(&scenario).is_ok(), "no budget, no shed");
+    let small = shrink(&scenario, 40, &opts);
+    assert!(
+        small.events.len() < scenario.events.len(),
+        "no events dropped ({} of {})",
+        small.events.len(),
+        scenario.events.len()
+    );
+    let failure = check_scenario_opts(&small, &opts).expect_err("the shrunk scenario still fails");
+    assert!(
+        failure.oracle.starts_with("metrics-conservation"),
+        "{failure}"
     );
 }
 

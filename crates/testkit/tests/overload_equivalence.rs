@@ -6,9 +6,27 @@
 //! conservation oracle must have teeth: with a budget tight enough to
 //! actually shed, silently dropping the shed-side ledger accounting
 //! (`cosmos::overload::faultinject`) must be caught at the first
-//! event boundary it perturbs, attributed to the shed ledger.
+//! event boundary it perturbs, attributed to the shed ledger. The flag
+//! is per thread; the test arms it through a guard that disarms on drop.
 
+use cosmos::overload::faultinject::set_drop_shed_ledger;
 use cosmos_testkit::{gen, run_scenario, RunOptions};
+
+/// Arms the shed-ledger leak for one scope; disarms on drop.
+struct ShedLeak;
+
+impl ShedLeak {
+    fn arm() -> Self {
+        set_drop_shed_ledger(true);
+        ShedLeak
+    }
+}
+
+impl Drop for ShedLeak {
+    fn drop(&mut self) {
+        set_drop_shed_ledger(false);
+    }
+}
 
 #[test]
 fn above_peak_budget_is_a_pure_witness_across_seeds() {
@@ -77,14 +95,9 @@ fn injected_shed_leak_is_caught_by_the_conservation_oracle() {
     );
     // Leaky accounting: the same run with the shed ledger silently
     // dropped must break the identity, attributed to the shed ledger.
-    let leaky = run_scenario(
-        &gen::generate(seed),
-        &RunOptions {
-            inject_shed_leak: true,
-            ..tight
-        },
-    )
-    .expect("leaky run");
+    let leak = ShedLeak::arm();
+    let leaky = run_scenario(&gen::generate(seed), &tight).expect("leaky run");
+    drop(leak);
     assert!(
         !leaky.metrics_violations.is_empty(),
         "seed {seed}: the injected shed leak went unnoticed"
