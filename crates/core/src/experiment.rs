@@ -270,20 +270,17 @@ fn fig4_tables(r: &mut Report, setup: &str, series: &[(Popularity, Vec<Fig4Point
     }
 }
 
-/// Delay (weight) of one overlay link.
-fn link_delay(graph: &Graph, u: NodeId, v: NodeId) -> f64 {
-    graph
-        .edge_weight(u, v)
-        .unwrap_or_else(|| graph.distance(u, v).max(f64::EPSILON))
-}
-
-/// Delay (sum of link weights) of the tree path `a → b`.
+/// Delay of the tree path `a → b`: the sum of its links'
+/// [`Graph::link_delay`]s.
 fn path_delay(graph: &Graph, tree: &Tree, a: NodeId, b: NodeId) -> f64 {
     tree.path_links(a, b)
         .iter()
-        .map(|&(u, v)| link_delay(graph, u, v))
+        .map(|&(u, v)| graph.link_delay(u, v).expect(NO_LINK_FAILS))
         .sum()
 }
+
+/// Figure 4's overlay never fails a link, so every pair has a delay.
+const NO_LINK_FAILS: &str = "Figure 4 fails no link";
 
 /// State of one repetition of the experiment.
 struct Rep {
@@ -356,7 +353,8 @@ impl Rep {
                     }
                 }
                 for ((u, v), member_sum) in per_link {
-                    total.add(link_delay(&self.graph, u, v) * rep_rate.min(member_sum.total()));
+                    let delay = self.graph.link_delay(u, v).expect(NO_LINK_FAILS);
+                    total.add(delay * rep_rate.min(member_sum.total()));
                 }
             }
         }

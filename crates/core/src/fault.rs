@@ -10,12 +10,14 @@
 //! link — the shared tree and, in per-source-tree mode, each affected
 //! per-source tree — is repaired by re-attaching its orphaned subtree
 //! to the closest surviving node (overlay links are logical, so any
-//! *live* pair may become a tree edge). Finally every subscription is
-//! re-propagated along the new tree paths from the high-level
-//! subscription log. Queries keep running; only data in flight during
-//! the repair is lost, matching the paper's gap-recovery-style
-//! guarantee for the data layer. [`Cosmos::heal_tree_link`] reverses
-//! the graph marking so later reorganizations may use the link again.
+//! *live* pair may become a tree edge). Finally every local
+//! subscription is re-set against the new trees
+//! ([`Cosmos::rebuild_routes`]), which refolds only the routing cells
+//! of the reverse paths the repair moved. Queries keep running; only
+//! data in flight during the repair is lost, matching the paper's
+//! gap-recovery-style guarantee for the data layer.
+//! [`Cosmos::heal_tree_link`] reverses the graph marking so later
+//! reorganizations may use the link again.
 //!
 //! [`Graph`]: cosmos_overlay::Graph
 //! [`Graph::link_delay`]: cosmos_overlay::Graph::link_delay

@@ -307,10 +307,11 @@ impl Cosmos {
 
     /// Bring every router's reverse-path interests to the fold of the
     /// *current* local subscriptions along the current trees — what a
-    /// tree reorganization needs, since it moves every path. The ledger
-    /// is rebuilt from the local subscriptions, and every cell it or a
-    /// router holds is refolded; one whose entry is unchanged is not
-    /// touched, so a second call re-indexes nothing.
+    /// tree reorganization needs. Every local subscription is re-set in
+    /// the route ledger against the current trees; one whose entries
+    /// and paths are unchanged is left alone, so only the cells of the
+    /// paths a tree change moved are refolded, and a second call refolds
+    /// nothing.
     pub fn rebuild_routes(&mut self) {
         self.data.rebuild_routes();
     }

@@ -7,12 +7,17 @@
 //! overload gate, and the two loops that move datagrams: the hop loop
 //! ([`DataPlane::disseminate`]) and the punctuation walk
 //! ([`DataPlane::disseminate_watermark`]), each with its reused buffers.
+//! Watermarks exist for source streams only: an SPE input is the only
+//! reader of a punctuation, and no query can read a result stream.
 //!
 //! It cannot see query state. The one place the layers meet is an SPE
 //! input: a loop that reaches one hands the batch (or the watermark) to
 //! the [`QueryPlane`], which runs the representative's executor and
 //! hands the emitted batch back; [`DataPlane::emit`] is the one function
-//! that puts a result batch on the network.
+//! that puts a result batch on the network. A route changes one way,
+//! through the route ledger's `set` ([`DataPlane::subscribe_local`],
+//! and [`DataPlane::rebuild_routes`] after a tree change), and reaches
+//! the routers in [`DataPlane::refold_routes`].
 
 use super::query::{Emitted, QueryPlane};
 use super::{CosmosConfig, NodeRole};
@@ -235,9 +240,9 @@ impl HopLoop {
 /// drives drained results through [`DataPlane::disseminate`] half-way.
 #[derive(Debug, Default)]
 struct PunctuationWalk {
-    /// Punctuation hops still to route, as `(arrival link, node, stream,
-    /// watermark)` (empty between calls).
-    queue: VecDeque<(Option<NodeId>, NodeId, StreamName, Timestamp)>,
+    /// Punctuation hops still to route, as `(arrival link, node)`; the
+    /// stream and the watermark are the walk's own (empty between calls).
+    queue: VecDeque<(Option<NodeId>, NodeId)>,
     /// The destinations of the hop being routed.
     dests: Vec<Destination>,
 }
@@ -252,10 +257,8 @@ pub(super) struct Disorder {
     pub(super) runtime: Option<super::DisorderRuntime>,
     /// Largest timestamp any accepted publish carried.
     high_water: Option<Timestamp>,
-    /// Last watermark emitted per stream (sources and, via executor
-    /// frontier propagation, the result streams of running
-    /// representatives — [`DataPlane::unadvertise`] removes a stopped
-    /// one's).
+    /// Last watermark emitted per source stream. No result stream is
+    /// ever punctuated: no query can read one.
     emitted: BTreeMap<StreamName, Timestamp>,
     /// Source streams that have published at least once — the streams
     /// watermarks are emitted for.
@@ -271,9 +274,10 @@ pub(super) struct Disorder {
 
 impl Disorder {
     /// Put an executor into disorder mode (when on) and seed it with
-    /// every watermark already emitted, so its frontier starts where
-    /// the network's has advanced to instead of at −∞ (the executor
-    /// ignores, and does not keep, those of streams it does not bind).
+    /// every source watermark already emitted, so its frontier starts
+    /// where the network's has advanced to instead of at −∞ (the
+    /// executor ignores, and does not keep, those of streams it does not
+    /// bind).
     pub(super) fn arm(&self, executor: &mut Executor) {
         let Some(rt) = self.runtime else { return };
         executor.enable_disorder(rt.policy);
@@ -427,14 +431,6 @@ impl DataPlane {
         self.subscribe_local(at, sub, profile);
     }
 
-    /// Withdraw a result stream's advertisement and forget the last
-    /// watermark emitted for it: nothing will emit for it again, and a
-    /// later stream of that name starts its promises afresh.
-    pub(super) fn unadvertise(&mut self, stream: &StreamName) {
-        self.disorder.emitted.remove(stream);
-        self.registry.unregister(stream);
-    }
-
     /// Bring the cells edited since the last refold up to date: each
     /// installed entry becomes the left fold of its cell's contributors
     /// in `SubscriberId` order, and is installed on its router as a
@@ -468,23 +464,18 @@ impl DataPlane {
         }
     }
 
-    /// Bring every router's reverse-path interests to the fold of the
-    /// *current* local subscriptions along the current trees (see
-    /// `Cosmos::rebuild_routes`).
+    /// Re-`set` every local subscription against the *current* trees
+    /// and refold what that touched (see `Cosmos::rebuild_routes`): a
+    /// contribution whose entry and path are unchanged is kept, so a tree
+    /// change refolds exactly the cells of the paths it moved.
     pub(super) fn rebuild_routes(&mut self) {
-        let mut ledger = RouteLedger::default();
         for r in &self.routers {
             for (sub, profile) in r.local_subscribers() {
                 let spe = matches!(self.subs.get(&sub), Some(LocalSub::Spe(_)));
-                ledger.set(&self.topology, &self.registry, r.node(), sub, spe, profile);
-            }
-            for (down, profile) in r.neighbor_interests() {
-                for stream in profile.streams() {
-                    ledger.touched.insert((r.node(), down, *stream));
-                }
+                self.ledger
+                    .set(&self.topology, &self.registry, r.node(), sub, spe, profile);
             }
         }
-        self.ledger = ledger;
         self.refold_routes();
     }
 
@@ -739,16 +730,14 @@ impl DataPlane {
         }
     }
 
-    /// Route one watermark punctuation from its origin along the
-    /// stream's dissemination tree: every link crossing is accounted in
-    /// bytes exactly like data (and counted by the metrics hub), every
-    /// interested SPE input hands the watermark to the query plane,
-    /// which advances its executor's frontier (the drained batch is
-    /// driven through the network before the walk goes on), and an
-    /// executor whose frontier moved propagates a punctuation for its
-    /// *result* stream — so watermarks cascade through operator chains.
-    /// User subscriptions consume punctuations silently (their windows
-    /// are the executors').
+    /// Route one source stream's watermark punctuation from its origin
+    /// along the stream's dissemination tree, toward the SPE inputs only:
+    /// every link crossing is accounted in bytes exactly like data (and
+    /// counted by the metrics hub), and every SPE input reached hands the
+    /// watermark to the query plane, which advances its executor (the
+    /// drained batch is driven through the network before the walk goes
+    /// on). An executor's result stream is read by user subscriptions
+    /// alone, whose windows are the executors', so it is not punctuated.
     ///
     /// The walk works in [`PunctuationWalk`]'s buffers, taken out of
     /// `self` for the call: nothing it calls walks punctuations, and the
@@ -764,32 +753,22 @@ impl DataPlane {
         debug_assert!(walk.queue.is_empty());
         // Every punctuation is the same size on the wire.
         let bytes = Punctuation::WIRE_BYTES;
-        walk.queue.push_back((None, origin, stream, watermark));
-        while let Some((from, at, stream, wm)) = walk.queue.pop_front() {
+        walk.queue.push_back((None, origin));
+        while let Some((from, at)) = walk.queue.pop_front() {
             self.routers[at.index()].route_punctuation_into(&stream, from, &mut walk.dests);
             for &dest in &walk.dests {
                 match dest {
                     Destination::Neighbor(n) => {
                         self.cross_link(at, n, 0, bytes);
                         self.metrics.on_punctuation(bytes);
-                        walk.queue.push_back((Some(at), n, stream, wm));
+                        walk.queue.push_back((Some(at), n));
                     }
                     Destination::Local(sub) => {
                         let Some(&LocalSub::Spe(result)) = self.subs.get(&sub) else {
                             continue;
                         };
-                        let (emitted, moved) = spe.advance(&result, at, &stream, wm);
-                        if let Some(batch) = emitted {
+                        if let Some(batch) = spe.advance(&result, at, &stream, watermark) {
                             self.disseminate_emitted(spe, at, batch);
-                        }
-                        // The executor's frontier is a low-water promise
-                        // for its result stream (revision tuples may dip
-                        // below it, but stay within the grace window any
-                        // downstream executor retains).
-                        let last = self.disorder.emitted.get(&result);
-                        if let Some(a) = moved.filter(|a| last.is_none_or(|l| a > l)) {
-                            self.disorder.emitted.insert(result, a);
-                            walk.queue.push_back((None, at, result, a));
                         }
                     }
                 }
@@ -800,10 +779,9 @@ impl DataPlane {
 
     /// The disorder half of `Cosmos::close_streams`: emit a final `+∞`
     /// watermark along every open source stream's dissemination tree
-    /// (draining every staging area and cascading through operator
-    /// chains), then drop the closed streams from every SPE input —
-    /// their reverse-path cells refold away, with the plan-cache lines
-    /// they pinned. A no-op in in-order operation.
+    /// (draining every staging area), then drop the closed streams from
+    /// every SPE input — their reverse-path cells refold away, with the
+    /// plan-cache lines they pinned. A no-op in in-order operation.
     pub(super) fn close_streams(&mut self, spe: &mut QueryPlane) {
         if self.disorder.runtime.is_none() {
             return;
@@ -1291,10 +1269,13 @@ mod tests {
         let snap = sys.metrics();
         assert_eq!(snap.punctuations, 5 * 3);
         assert_eq!(snap.punctuation_bytes, 18 * snap.punctuations);
-        // None of the result stream's: it moved (its frontier advanced)
-        // and its data crossed, but no router forwards its punctuations.
+        // None of the result stream's: its data crossed, but it is never
+        // punctuated — the emitted table holds the closed source alone,
+        // and no router forwards a result-stream punctuation.
         let result = *sys.rep_states()[0].result_stream;
-        assert!(sys.data.disorder.emitted.contains_key(&result));
+        assert!(!sys.data.disorder.emitted.contains_key(&result));
+        let closed = BTreeMap::from([(StreamName::from("S"), Timestamp(i64::MAX))]);
+        assert_eq!(sys.data.disorder.emitted, closed);
         assert!(sys.results(q).len() > 1 && sys.link_bytes(NodeId(2), NodeId(3)) > 0);
         assert_eq!(punctuation_walk(&sys, &result, NodeId(0)), []);
         assert_eq!(snap.link_bytes_total(), sys.total_bytes());
@@ -1331,24 +1312,27 @@ mod tests {
                 .cloned()
                 .collect::<Vec<_>>()
         };
-        let at_start = streams(&sys);
-        assert_eq!(at_start.len(), 2, "the source and the standing group");
+        // The open source streams that have published: the standing
+        // group's result stream is never punctuated.
+        let sources = vec![StreamName::from("S")];
+        assert_eq!(streams(&sys), sources, "the source alone");
         for cycle in 0..50 {
             // A selection cannot join the aggregate's group: it forms its
-            // own, whose frontier moves with the publish (a result-stream
-            // watermark is emitted), and dissolves it again.
+            // own, whose executor advances with the publish (its result
+            // stream gets no watermark), and dissolves it again.
             let text = format!("SELECT k, x FROM S [Now] WHERE k = {cycle}");
             let q = sys.submit_query(&text, NodeId(2)).unwrap();
             sys.publish(&s_tuple(6_000 + cycle * 1_000, cycle, 1.0))
                 .unwrap();
-            assert_eq!(streams(&sys).len(), 3, "cycle {cycle}");
+            assert_eq!(sys.rep_states().len(), 2, "cycle {cycle}");
+            assert_eq!(streams(&sys), sources, "cycle {cycle}");
             sys.unsubscribe(q).unwrap();
-            assert_eq!(streams(&sys), at_start, "cycle {cycle}");
+            assert_eq!(streams(&sys), sources, "cycle {cycle}");
         }
         assert!(sys.disorder_totals().conserved());
 
-        // Arming replays every emitted watermark; one for a stream the
-        // executor does not bind must not move (or be kept by) it.
+        // Arming replays every emitted source watermark; one for a stream
+        // the executor does not bind must not move (or be kept by) it.
         let armed = Disorder {
             runtime: Some(runtime),
             emitted: BTreeMap::from([("Elsewhere".into(), Timestamp(9_000))]),

@@ -378,9 +378,12 @@ fn assert_rebuilds_confined_to_path(sys: &Cosmos, before: &[(u64, usize)], path:
 }
 
 /// Each local subscription's normalised entry per stream, with the
-/// cells of that stream's reverse path — derived from the routers, the
+/// cells of that stream's reverse path.
+type Contributions = BTreeMap<(SubscriberId, StreamName), (ProfileEntry, Vec<Cell>)>;
+
+/// The [`Contributions`] of `sys`, derived from the routers, the
 /// registry and the trees, not from the ledger.
-fn contributions(sys: &Cosmos) -> BTreeMap<(SubscriberId, StreamName), (ProfileEntry, Vec<Cell>)> {
+fn contributions(sys: &Cosmos) -> Contributions {
     let mut out = BTreeMap::new();
     for r in &sys.data.routers {
         for (sub, profile) in r.local_subscribers() {
@@ -397,6 +400,23 @@ fn contributions(sys: &Cosmos) -> BTreeMap<(SubscriberId, StreamName), (ProfileE
     out
 }
 
+/// The cells on the reverse paths, before and after, of the
+/// `(subscription, stream)` entries added, withdrawn or changed (in
+/// entry or in path) between two [`contributions`].
+fn moved_cells(before: &Contributions, after: &Contributions) -> BTreeSet<Cell> {
+    let keys: BTreeSet<_> = before.keys().chain(after.keys()).collect();
+    keys.into_iter()
+        .filter(|k| before.get(*k) != after.get(*k))
+        .flat_map(|k| before.get(k).into_iter().chain(after.get(k)))
+        .flat_map(|(_, cells)| cells.iter().cloned())
+        .collect()
+}
+
+/// The cells the last refold recomputed, as a set.
+fn refolded(sys: &Cosmos) -> BTreeSet<Cell> {
+    sys.data.ledger.refolded.iter().cloned().collect()
+}
+
 /// Run `op` and assert that it refolded exactly the cells on the reverse
 /// paths of the `(subscription, stream)` entries it added, withdrew or
 /// changed — and that there were some.
@@ -407,18 +427,55 @@ fn assert_refolds_what_moved<T>(
 ) -> T {
     let before = contributions(sys);
     let out = op(sys);
-    let after = contributions(sys);
-    let keys: BTreeSet<_> = before.keys().chain(after.keys()).collect();
-    let moved: BTreeSet<Cell> = keys
-        .into_iter()
-        .filter(|k| before.get(*k) != after.get(*k))
-        .flat_map(|k| before.get(k).into_iter().chain(after.get(k)))
-        .flat_map(|(_, cells)| cells.iter().cloned())
-        .collect();
-    let refolded: BTreeSet<Cell> = sys.data.ledger.refolded.iter().cloned().collect();
+    let moved = moved_cells(&before, &contributions(sys));
     assert!(!moved.is_empty(), "{what} moves nothing");
-    assert_eq!(refolded, moved, "{what}: refolded cells");
+    assert_eq!(refolded(sys), moved, "{what}: refolded cells");
     out
+}
+
+/// A tree change refolds exactly the cells of the reverse paths it
+/// moved, not every cell the routers hold: after each link failure (on
+/// the shared tree and on per-source trees) and each `optimize_tree`
+/// that moves, the refolded cells are the moved contributions' old and
+/// new paths, and a second `rebuild_routes` refolds nothing.
+#[test]
+fn tree_changes_refold_only_the_moved_paths() {
+    let (mut failures, mut optimized, mut partial) = (0, 0, 0);
+    for seed in 0..4u64 {
+        for per_source_trees in [false, true] {
+            let (mut sys, mut queries, mut rng) = deployment(seed, 24, 4, per_source_trees);
+            submit_generated(&mut sys, &mut queries, &mut rng, 16);
+            let topology = &sys.data.topology;
+            let trees = std::iter::once(&topology.tree).chain(topology.source_trees.values());
+            let links: BTreeSet<(NodeId, NodeId)> = trees.flat_map(Tree::edges).collect();
+            let mut check = |sys: &mut Cosmos, before: &Contributions, what: &str| {
+                let moved = moved_cells(before, &contributions(sys));
+                let step = format!("seed {seed} trees {per_source_trees} {what}");
+                assert_eq!(refolded(sys), moved, "{step}: refolded cells");
+                sys.rebuild_routes();
+                assert_eq!(refolded(sys), BTreeSet::new(), "{step}: a second rebuild");
+                partial +=
+                    usize::from(!moved.is_empty() && moved.len() < sys.data.ledger.cells.len());
+                !moved.is_empty()
+            };
+            for (a, b) in links {
+                let before = contributions(&sys);
+                if sys.fail_tree_link(a, b).is_ok() {
+                    failures += usize::from(check(&mut sys, &before, &format!("fail {a}-{b}")));
+                    sys.heal_tree_link(a, b).unwrap();
+                }
+            }
+            let before = contributions(&sys);
+            let report = sys.optimize_tree(cosmos_overlay::OptimizerConfig::default());
+            if report.moves > 0 {
+                optimized += usize::from(check(&mut sys, &before, "optimize_tree"));
+            }
+        }
+    }
+    assert!(
+        failures > 0 && optimized > 0 && partial > 0,
+        "{failures} failures and {optimized} optimizations moved paths, {partial} not all"
+    );
 }
 
 #[test]
@@ -816,13 +873,13 @@ fn relay_verdicts_follow_every_control_operation() {
 /// A watermark walk crosses exactly the links on the reverse paths of
 /// the SPE inputs of its stream, once each, at `Punctuation::WIRE_BYTES`
 /// a crossing — derived from the representatives' inputs and the trees
-/// ([`spe_input_marks`]), not from any router. The executors it advances punctuate their
-/// result streams in turn, and those cross no link at all: only user
-/// subscriptions read a result stream. Nothing is published, so the
-/// walks drain no data onto the links.
+/// ([`spe_input_marks`]), not from any router. The executors it advances
+/// punctuate nothing in turn: only user subscriptions read a result
+/// stream, so no result stream enters the emitted-watermark table.
+/// Nothing is published, so the walks drain no data onto the links.
 #[test]
 fn punctuations_cross_only_the_spe_inputs_reverse_paths() {
-    let (mut crossings, mut result_walks) = (0, 0);
+    let (mut crossings, mut advanced, mut result_walks) = (0, 0, 0);
     for seed in 0..6u64 {
         for per_source_trees in [false, true] {
             let (mut sys, mut queries, mut rng) = deployment(seed, 16, 4, per_source_trees);
@@ -862,14 +919,17 @@ fn punctuations_cross_only_the_spe_inputs_reverse_paths() {
                 assert_eq!(crossed, want, "{step}");
                 crossings += want.len();
             }
+            advanced += (sys.rep_states().iter())
+                .filter(|v| v.frontier == Some(Timestamp(0)))
+                .count();
             result_walks += (results.iter())
                 .filter(|r| sys.data.disorder.emitted.contains_key(*r))
                 .count();
         }
     }
     assert!(
-        crossings > 0 && result_walks > 0,
-        "{crossings} crossings, {result_walks} result-stream walks"
+        crossings > 0 && advanced > 0 && result_walks == 0,
+        "{crossings} crossings, {advanced} executors advanced, {result_walks} result-stream walks"
     );
 }
 

@@ -141,23 +141,20 @@ impl QueryPlane {
         emitted(&site.executor, outputs)
     }
 
-    /// The crossing, watermark in: fold `stream`'s watermark into the
-    /// executor of `result`'s representative at `at`. Hands back what
-    /// the advance drained and, when the executor's frontier moved
-    /// forward, where it moved to.
+    /// The crossing, watermark in: fold source `stream`'s watermark into
+    /// the executor of `result`'s representative at `at`, and hand back
+    /// what the advance drained.
     pub(super) fn advance(
         &mut self,
         result: &StreamName,
         at: NodeId,
         stream: &StreamName,
         watermark: Timestamp,
-    ) -> (Option<Emitted>, Option<Timestamp>) {
+    ) -> Option<Emitted> {
         let site = self.reps.get_mut(result).expect("rep site exists");
         debug_assert_eq!(site.processor, at);
-        let before = site.executor.frontier();
         let outputs = site.executor.advance_watermark(stream, watermark);
-        let moved = (site.executor.frontier()).filter(|a| before.is_some_and(|b| *a > b));
-        (emitted(&site.executor, outputs), moved)
+        emitted(&site.executor, outputs)
     }
 
     /// Before an executor is replaced, torn down or disarmed: if it runs
@@ -252,11 +249,10 @@ impl QueryPlane {
     }
 
     /// Stop a representative: flush and drop its executor, withdraw the
-    /// result stream ([`DataPlane::unadvertise`]) and the SPE-input
-    /// subscription.
+    /// result stream's advertisement and the SPE-input subscription.
     fn stop_rep(&mut self, data: &mut DataPlane, stream: &StreamName) {
         self.retire_executor(data, stream);
-        data.unadvertise(stream);
+        data.registry.unregister(stream);
         if let Some(site) = self.reps.remove(stream) {
             data.subs.remove(&site.sub);
             data.subscribe_local(site.processor, site.sub, Profile::new());
@@ -570,17 +566,11 @@ impl Cosmos {
 /// distinct counts where the samplers saw values). Returns how many
 /// streams were updated. Unobserved streams keep their estimates.
 pub(super) fn adopt_measured_stats(catalog: &mut StatsCatalog, metrics: &MetricsHub) -> usize {
-    let streams: Vec<StreamName> = catalog.streams().cloned().collect();
-    let mut adopted = 0usize;
-    for s in streams {
-        let Some(stats) = metrics.measured().stream_stats(&s, catalog.stats(&s)) else {
-            continue;
-        };
-        let schema = catalog.schema(&s).cloned().expect("stream registered");
-        catalog.register(s, schema, stats);
-        adopted += 1;
-    }
-    adopted
+    let measured = metrics.measured();
+    *catalog = measured.catalog(catalog);
+    (catalog.streams())
+        .filter(|s| measured.stream_rate(s).is_some())
+        .count()
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 use crate::diag::{codes, Diagnostic};
 use cosmos_cbn::{conjunction_unsat, AttrConstraint, Conjunction, DiffRange};
 use cosmos_cql::{AttrRef, CmpOp, Operand, Predicate, SelectItem, Span, SpannedQuery, WindowSpec};
+use cosmos_spe::analyze::add_const_constraint;
 use cosmos_types::{AttrType, Schema, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -284,12 +285,12 @@ impl<'a> Checker<'a> {
                 Predicate::Cmp { left, op, right } => match (left, right) {
                     (Operand::Attr(a), Operand::Const(v)) => {
                         let (key, _) = self.resolve(a, span);
-                        apply_bound(&mut conj, &key, *op, v);
+                        add_const_constraint(&mut conj, &key, *op, v.clone());
                         keys.insert(key);
                     }
                     (Operand::Const(v), Operand::Attr(a)) => {
                         let (key, _) = self.resolve(a, span);
-                        apply_bound(&mut conj, &key, op.flipped(), v);
+                        add_const_constraint(&mut conj, &key, op.flipped(), v.clone());
                         keys.insert(key);
                     }
                     (Operand::Attr(a), Operand::Attr(b)) => {
@@ -495,16 +496,4 @@ impl<'a> Checker<'a> {
             }
         }
     }
-}
-
-/// AND one `attr op const` bound onto the conjunction.
-fn apply_bound(conj: &mut Conjunction, key: &str, op: CmpOp, v: &Value) {
-    match op {
-        CmpOp::Eq => conj.equals(key, v.clone()),
-        CmpOp::Ne => conj.excludes(key, v.clone()),
-        CmpOp::Lt => conj.upper(key, v.clone(), false),
-        CmpOp::Le => conj.upper(key, v.clone(), true),
-        CmpOp::Gt => conj.lower(key, v.clone(), false),
-        CmpOp::Ge => conj.lower(key, v.clone(), true),
-    };
 }

@@ -417,7 +417,10 @@ fn check_const_type(attr: &QAttr, ty: AttrType, v: &Value) -> Result<()> {
     }
 }
 
-fn add_const_constraint(conj: &mut Conjunction, attr: &str, op: CmpOp, v: Value) {
+/// AND one `attr op const` bound onto the conjunction: the one mapping
+/// of a comparison with a constant onto a [`Conjunction`] constraint
+/// (`cosmos-lint` reuses it for its satisfiability check).
+pub fn add_const_constraint(conj: &mut Conjunction, attr: &str, op: CmpOp, v: Value) {
     match op {
         CmpOp::Eq => {
             conj.equals(attr, v);
