@@ -26,8 +26,14 @@
 //!   (early projection only shrinks tuples, and concurrent merge groups
 //!   have disjoint member sets); a user node ingests at most each
 //!   resident query's output bytes.
+//! * **Dead bindings** — a binding whose selection is unsatisfiable
+//!   (`cosmos_cbn::sat::conjunction_unsat`) passes no tuple, so its
+//!   `W` and `N` are 0 in every state and output term above; intake
+//!   is unchanged. A WHERE that contradicts itself only jointly (across
+//!   bindings) keeps the looser, still sound, bound.
 
 use crate::envelope::{Bound, Envelope};
+use cosmos_cbn::sat::conjunction_unsat;
 use cosmos_lint::Diagnostic;
 use cosmos_spe::analyze::{AnalyzedQuery, OutputColumn};
 use cosmos_types::StreamName;
@@ -86,15 +92,27 @@ fn payload(env: &Envelope, stream: &StreamName) -> Bound {
 /// Derive the worst-case bounds for `q` under `env`.
 pub fn query_bounds(q: &AnalyzedQuery, env: &Envelope) -> QueryBounds {
     let is_join = q.streams.len() > 1;
+    // A binding whose selection no tuple satisfies admits no rows: it
+    // retains none and drives no output (intake still counts its stream).
+    let dead: Vec<bool> = q.selections.iter().map(conjunction_unsat).collect();
+    let admits = |i: usize, rows: Bound| {
+        if dead[i] {
+            Bound::ZERO
+        } else {
+            rows
+        }
+    };
     let w: Vec<Bound> = q
         .streams
         .iter()
-        .map(|b| env.window_rows(&b.stream, b.window))
+        .enumerate()
+        .map(|(i, b)| admits(i, env.window_rows(&b.stream, b.window)))
         .collect();
     let n: Vec<Bound> = q
         .streams
         .iter()
-        .map(|b| env.total_rows(&b.stream))
+        .enumerate()
+        .map(|(i, b)| admits(i, env.total_rows(&b.stream)))
         .collect();
     let bytes: Vec<Bound> = q
         .streams
@@ -320,6 +338,67 @@ mod tests {
         assert_eq!(b.group_rows, Bound::Finite(4.0));
         assert_eq!(b.output_rows, Bound::Finite(11.0));
         assert!(!b.state_unbounded());
+    }
+
+    /// The README's `cosmos-bound --rate 5 --horizon 60` envelope: 301
+    /// arrivals of 34 wire bytes on each stream.
+    fn readme_env() -> Envelope {
+        let mut env = Envelope::new();
+        for s in ["S", "T"] {
+            env.set(
+                StreamName::from(s),
+                crate::StreamEnvelope::Rate {
+                    tuples_per_sec: 5.0,
+                    horizon_secs: Some(60.0),
+                    tuple_bytes: 34.0,
+                },
+            );
+        }
+        env
+    }
+
+    #[test]
+    fn a_live_selection_bounds_every_arrival() {
+        let b = query_bounds(&q("SELECT id FROM S [Now] WHERE x > 5.0"), &readme_env());
+        assert_eq!(b.output_rows, Bound::Finite(301.0));
+        assert_eq!(b.output_bytes, Bound::Finite(10234.0));
+    }
+
+    #[test]
+    fn a_dead_selection_emits_nothing_but_is_still_ingested() {
+        let b = query_bounds(
+            &q("SELECT id FROM S [Now] WHERE x > 5.0 AND x < 3.0"),
+            &readme_env(),
+        );
+        assert_eq!(b.state_rows, Bound::ZERO);
+        assert_eq!(b.state_bytes, Bound::ZERO);
+        assert_eq!(b.output_rows, Bound::ZERO);
+        assert_eq!(b.output_bytes, Bound::ZERO);
+        assert_eq!(b.intake_bytes, Bound::Finite(10234.0));
+
+        let agg = query_bounds(
+            &q("SELECT id, COUNT(*) FROM S [Range 3 Second] WHERE x > 5.0 AND x < 3.0 GROUP BY id"),
+            &env(),
+        );
+        assert_eq!(agg.state_rows, Bound::ZERO);
+        assert_eq!(agg.output_rows, Bound::ZERO);
+    }
+
+    #[test]
+    fn a_dead_join_binding_keeps_only_the_live_buffer() {
+        let b = query_bounds(
+            &q(
+                "SELECT S.id FROM S [Range 2 Second] S, T [Range 4 Second] T \
+                WHERE S.id = T.id AND S.x > 5.0 AND S.x < 3.0",
+            ),
+            &env(),
+        );
+        // W(T, 4s) = 5 on the 1 Hz trace; S retains nothing.
+        assert_eq!(b.buffer_rows, Bound::Finite(5.0));
+        assert_eq!(b.state_bytes, Bound::Finite(5.0 * 34.0));
+        assert_eq!(b.output_rows, Bound::ZERO);
+        assert_eq!(b.output_bytes, Bound::ZERO);
+        assert_eq!(b.intake_bytes, Bound::Finite(2.0 * 11.0 * 34.0));
     }
 
     #[test]

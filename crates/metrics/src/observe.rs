@@ -126,8 +126,8 @@ mod tests {
         let mut o = AttrObserver::default();
         o.observe(&Value::Null);
         assert!(o.attr_stats().is_none());
-        o.observe(&Value::Str("a".into()));
-        o.observe(&Value::Str("b".into()));
+        o.observe(&Value::str("a"));
+        o.observe(&Value::str("b"));
         let s = o.attr_stats().expect("sampled");
         assert_eq!(s.distinct as i64, 2);
         assert_eq!(s.min, 0.0, "categorical attrs have no numeric range");

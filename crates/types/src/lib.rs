@@ -37,6 +37,16 @@ pub use time::{TimeDelta, Timestamp};
 pub use tuple::{StreamName, Tuple};
 pub use value::Value;
 
+// Every layer holds tuples (inputs, hops in flight, window state, staging,
+// delivery buffers), so these widths are paid per value and per tuple
+// everywhere (DESIGN §9 "Value and tuple layout"): a wider field fails
+// the build here.
+const _: () = {
+    assert!(std::mem::size_of::<Value>() == 16);
+    assert!(std::mem::size_of::<StreamName>() == 8);
+    assert!(std::mem::size_of::<Tuple>() == 32);
+};
+
 /// Convenience alias for the fast hash map used on hot paths
 /// (see the performance notes in DESIGN.md).
 pub type FxHashMap<K, V> = rustc_hash::FxHashMap<K, V>;

@@ -1,6 +1,6 @@
 //! Datagrams: timestamped tuples tagged with a stream name.
 
-use crate::{CosmosError, FxHashSet, Result, Schema, Timestamp, Value};
+use crate::{CosmosError, FxHashMap, Result, Schema, Timestamp, Value};
 use serde::{Content, DeError, Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
@@ -11,33 +11,36 @@ use std::sync::{Arc, Mutex, OnceLock};
 ///
 /// Stream names identify both source streams (`OpenAuction`) and derived
 /// result streams (`result::q3`). The text of every name lives once per
-/// process ([`StreamName::new`] looks it up); a handle is a `Copy`
-/// pointer to it, so cloning a tuple touches no refcount for its name and
-/// `==` compares pointers. Ordering, hashing, `Debug`, `Display` and
-/// serde all go by the text, never by the pointer, so maps keyed by
+/// process, in a leaked slot that holds its `&'static str`
+/// ([`StreamName::new`] looks it up); a handle is a `Copy` thin pointer
+/// to that slot, one word, so cloning a tuple touches no refcount for its
+/// name and `==` compares pointers. Ordering, hashing, `Debug`, `Display`
+/// and serde all go by the text, never by the pointer, so maps keyed by
 /// names, digests and JSON do not depend on where the text lives.
 #[derive(Debug, Clone, Copy)]
-pub struct StreamName(&'static str);
+pub struct StreamName(&'static &'static str);
 
-/// The process-wide stream-name interner: every text ever interned,
-/// leaked once and never freed (like the schema interner's ids).
-fn names() -> &'static Mutex<FxHashSet<&'static str>> {
-    static NAMES: OnceLock<Mutex<FxHashSet<&'static str>>> = OnceLock::new();
-    NAMES.get_or_init(|| Mutex::new(FxHashSet::default()))
+/// The process-wide stream-name interner: every text ever interned and
+/// its slot, both leaked once and never freed (like the schema
+/// interner's ids).
+fn names() -> &'static Mutex<FxHashMap<&'static str, &'static &'static str>> {
+    static NAMES: OnceLock<Mutex<FxHashMap<&'static str, &'static &'static str>>> = OnceLock::new();
+    NAMES.get_or_init(|| Mutex::new(FxHashMap::default()))
 }
 
 impl StreamName {
-    /// Intern a stream name: the handle of the one copy of its text,
+    /// Intern a stream name: the handle of the one slot of its text,
     /// stored on first use.
     pub fn new(name: impl AsRef<str>) -> Self {
         let name = name.as_ref();
         let mut names = names().lock().expect("stream-name interner poisoned");
-        if let Some(&text) = names.get(name) {
-            return StreamName(text);
+        if let Some(&slot) = names.get(name) {
+            return StreamName(slot);
         }
         let text: &'static str = Box::leak(name.into());
-        names.insert(text);
-        StreamName(text)
+        let slot: &'static &'static str = Box::leak(Box::new(text));
+        names.insert(text, slot);
+        StreamName(slot)
     }
 
     /// The handle of `name` if it was ever interned; never interns, so
@@ -45,7 +48,7 @@ impl StreamName {
     /// the interner as it was.
     pub fn find(name: &str) -> Option<Self> {
         let names = names().lock().expect("stream-name interner poisoned");
-        names.get(name).map(|&text| StreamName(text))
+        names.get(name).map(|&slot| StreamName(slot))
     }
 
     /// The name as a string slice.
@@ -55,7 +58,7 @@ impl StreamName {
     }
 }
 
-/// Interned, so one text has one address: pointer equality is text
+/// Interned, so one text has one slot: pointer equality is text
 /// equality.
 impl PartialEq for StreamName {
     #[inline]
@@ -72,7 +75,7 @@ impl Ord for StreamName {
         if self == other {
             Ordering::Equal
         } else {
-            self.0.cmp(other.0)
+            self.as_str().cmp(other.as_str())
         }
     }
 }
@@ -87,13 +90,13 @@ impl PartialOrd for StreamName {
 /// Exactly what `str` hashes: addresses differ between processes.
 impl Hash for StreamName {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
+        self.as_str().hash(state);
     }
 }
 
 impl Serialize for StreamName {
     fn to_content(&self) -> Content {
-        self.0.to_content()
+        self.as_str().to_content()
     }
 }
 
@@ -108,7 +111,7 @@ impl Deserialize for StreamName {
 
 impl fmt::Display for StreamName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -128,9 +131,10 @@ impl From<String> for StreamName {
 ///
 /// The value vector is positionally aligned with the stream's [`Schema`].
 /// Values are stored behind an `Arc` and the stream name is an interned
-/// `Copy` handle, so fan-out inside the content-based network clones a
-/// tuple with one refcount bump; projection produces a fresh (shorter)
-/// vector.
+/// one-word `Copy` handle, so fan-out inside the content-based network
+/// clones a tuple with one refcount bump; projection produces a fresh
+/// (shorter) vector. A tuple is four words: name, timestamp and the
+/// slice's pointer and length.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Tuple {
     /// The stream this datagram belongs to.

@@ -27,14 +27,17 @@ pub enum Value {
     Int(i64),
     /// 64-bit IEEE float.
     Float(f64),
-    /// Interned UTF-8 string; `Arc` keeps tuple cloning cheap.
-    Str(Arc<str>),
+    /// UTF-8 string, shared (never interned: arbitrary text would leak).
+    /// The `Arc` keeps tuple cloning a refcount bump; it points at a
+    /// `String` rather than a `str` so the handle is one word and a
+    /// `Value` is two.
+    Str(Arc<String>),
 }
 
 impl Value {
     /// Build a string value.
-    pub fn str(s: impl Into<Arc<str>>) -> Self {
-        Value::Str(s.into())
+    pub fn str(s: impl Into<String>) -> Self {
+        Value::Str(Arc::new(s.into()))
     }
 
     /// True when this value is `Null`.
@@ -81,7 +84,7 @@ impl Value {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-            (Value::Str(a), Value::Str(b)) => Some(a.as_ref().cmp(b.as_ref())),
+            (Value::Str(a), Value::Str(b)) => Some(a.as_str().cmp(b.as_str())),
             (a, b) => {
                 let (x, y) = (a.as_f64()?, b.as_f64()?);
                 x.partial_cmp(&y)
@@ -139,7 +142,7 @@ impl Ord for Value {
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.as_ref().cmp(b.as_ref()),
+            (Value::Str(a), Value::Str(b)) => a.as_str().cmp(b.as_str()),
             (a, b) if a.type_rank() == 2 && b.type_rank() == 2 => {
                 // Numeric band: order by value, NaN last, Int(3)==Float(3).
                 let x = a.as_f64().expect("numeric");
@@ -187,7 +190,7 @@ impl std::hash::Hash for Value {
             }
             Value::Str(s) => {
                 3u8.hash(state);
-                s.hash(state);
+                s.as_str().hash(state);
             }
         }
     }
@@ -232,7 +235,7 @@ impl From<&str> for Value {
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v.into())
+        Value::str(v)
     }
 }
 

@@ -230,6 +230,61 @@ fn reoptimized_deployment_matches_local_evaluation() {
     check_deployment(&mut sys, &queries, &demo_inputs(100));
 }
 
+/// No generator or workload publishes a string attribute, so this is the
+/// one deployment whose tuples carry `Value::Str` through every layer:
+/// equality filters on the string (the matcher's eq index hashes the
+/// value), projection, merging and a `GROUP BY` on it.
+#[test]
+fn string_attributes_filter_and_group_end_to_end() {
+    let mut sys = deploy(16, 29, true, RegistryMode::Flooding);
+    sys.register_stream(
+        "Tags",
+        Schema::of(&[
+            ("tag", AttrType::Str),
+            ("v", AttrType::Int),
+            ("timestamp", AttrType::Int),
+        ]),
+        StreamStats::with_rate(2.0)
+            .attr("tag", AttrStats::categorical(4.0))
+            .attr("v", AttrStats::numeric(0.0, 20.0, 20.0)),
+        NodeId(3),
+    )
+    .unwrap();
+    let texts = [
+        "SELECT tag, v FROM Tags [Now] WHERE tag = 'b'",
+        "SELECT tag, v FROM Tags [Now] WHERE tag = 'é€' AND v > 5",
+        "SELECT v FROM Tags [Now] WHERE tag = ''",
+        "SELECT tag, COUNT(*), SUM(v) FROM Tags [Range 5 Second] GROUP BY tag",
+        "SELECT tag, MAX(v) FROM Tags [Range 3 Second] WHERE tag = 'b' GROUP BY tag",
+    ];
+    let queries: Vec<(QueryId, String)> = texts
+        .iter()
+        .enumerate()
+        .map(|(i, text)| {
+            let user = NodeId(2 * i as u32 + 5);
+            (sys.submit_query(text, user).unwrap(), text.to_string())
+        })
+        .collect();
+    let tags = ["a", "b", "é€", ""];
+    let mut rng = StdRng::seed_from_u64(17);
+    let inputs: Vec<Tuple> = (0..120)
+        .map(|i| {
+            let ts = i * 400;
+            let tag = tags[rng.gen_range(0..tags.len())];
+            let v = rng.gen_range(0..20);
+            Tuple::new(
+                "Tags",
+                Timestamp(ts),
+                vec![Value::str(tag), Value::Int(v), Value::Int(ts)],
+            )
+        })
+        .collect();
+    check_deployment(&mut sys, &queries, &inputs);
+    for (qid, text) in &queries {
+        assert!(!sys.results(*qid).is_empty(), "vacuous: {text}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
