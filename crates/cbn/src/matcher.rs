@@ -628,6 +628,13 @@ mod tests {
         p
     }
 
+    /// Interest in the whole of `stream`: no filter, no projection.
+    fn whole_stream(stream: &str) -> Profile {
+        let mut p = Profile::new();
+        p.add_entry(stream, ProfileEntry::all());
+        p
+    }
+
     fn profile_price_range(lo: f64, hi: f64) -> Profile {
         let mut f = Conjunction::always();
         f.between("price", lo, hi);
@@ -646,8 +653,8 @@ mod tests {
         for (k, p) in [
             (1u32, profile_eq_id(7)),
             (2, profile_price_range(0.0, 100.0)),
-            (3, Profile::whole_stream("S")),
-            (4, Profile::whole_stream("T")),
+            (3, whole_stream("S")),
+            (4, whole_stream("T")),
         ] {
             n.insert(k, p.clone());
             c.insert(k, p);
@@ -813,7 +820,7 @@ mod tests {
         for (k, p) in [
             (1u32, profile_eq_id(7)),
             (2, profile_price_range(0.0, 100.0)),
-            (3, Profile::whole_stream("S")),
+            (3, whole_stream("S")),
         ] {
             n.insert(k, p.clone());
             c.insert(k, p);

@@ -255,15 +255,6 @@ impl Profile {
         Profile::default()
     }
 
-    /// A profile interested in one whole stream (no filter, no
-    /// projection) — the shape users submit to retrieve a result stream
-    /// in the non-shared baseline.
-    pub fn whole_stream(stream: impl Into<StreamName>) -> Profile {
-        let mut p = Profile::new();
-        p.add_entry(stream, ProfileEntry::all());
-        p
-    }
-
     /// Add (or union into) the entry for one stream.
     ///
     /// Projections are *not* widened to cover filter attributes here: a
@@ -322,11 +313,6 @@ impl Profile {
     /// The stream set `S`.
     pub fn streams(&self) -> impl Iterator<Item = &StreamName> {
         self.entries.keys()
-    }
-
-    /// Number of streams in the profile.
-    pub fn stream_count(&self) -> usize {
-        self.entries.len()
     }
 
     /// The entry for one stream.
@@ -576,7 +562,8 @@ mod tests {
 
     #[test]
     fn project_tuple_with_all_is_identity() {
-        let p = Profile::whole_stream("S");
+        let mut p = Profile::new();
+        p.add_entry("S", ProfileEntry::all());
         let s = schema();
         let t = tup(1, 2, "x");
         let (pt, ps) = p.project_tuple(&t, &s).unwrap();
@@ -591,7 +578,7 @@ mod tests {
         let mut p2 = Profile::new();
         p2.add_interest("T", Projection::All, Conjunction::always());
         let u = p1.union(&p2);
-        assert_eq!(u.stream_count(), 2);
+        assert_eq!(u.streams().count(), 2);
         assert!(u.covers(&p1));
         assert!(u.covers(&p2));
         assert!(!p1.covers(&u));
@@ -614,6 +601,8 @@ mod tests {
         let s = p.to_string();
         assert!(s.contains("S:"), "{s}");
         assert!(s.contains("a in [1, 2]"), "{s}");
-        assert!(Profile::whole_stream("R").to_string().contains("F=TRUE"));
+        let mut whole = Profile::new();
+        whole.add_entry("R", ProfileEntry::all());
+        assert!(whole.to_string().contains("F=TRUE"));
     }
 }

@@ -318,11 +318,6 @@ impl Router {
         self.install(Destination::Local(sub), None);
     }
 
-    /// The profile of a local subscriber, if installed.
-    pub fn local_interest(&self, sub: SubscriberId) -> Option<&Profile> {
-        self.engine.profile(&Destination::Local(sub))
-    }
-
     /// Iterate over the locally attached subscribers and their profiles,
     /// in subscriber order.
     pub fn local_subscribers(&self) -> impl Iterator<Item = (SubscriberId, &Profile)> {
@@ -788,7 +783,7 @@ mod tests {
         assert_eq!(route(&r, &tup(5, 0.0), &schema(), None).len(), 1);
         r.remove_local_subscriber(SubscriberId(1));
         assert_eq!(route(&r, &tup(5, 0.0), &schema(), None).len(), 0);
-        assert!(r.local_interest(SubscriberId(1)).is_none());
+        assert_eq!(r.local_subscribers().count(), 0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! — gated by counting allocations, not by a clock.
 
 use cosmos_cbn::{
-    BatchForward, Conjunction, CountingMatcher, Destination, MatchScratch, Profile, Projection,
-    Router,
+    BatchForward, Conjunction, CountingMatcher, Destination, MatchScratch, Profile, ProfileEntry,
+    Projection, Router,
 };
 use cosmos_types::{AttrType, NodeId, Schema, SubscriberId, Timestamp, Tuple, Value};
 
@@ -110,7 +110,9 @@ fn steady_state_flat_matching_allocates_nothing() {
     let mut m = CountingMatcher::new();
     m.replace(1u32, Some(interest(0, 40, &[])));
     m.replace(2, Some(interest(20, 50, &["id"])));
-    m.replace(3, Some(Profile::whole_stream("S")));
+    let mut whole = Profile::new();
+    whole.add_entry("S", ProfileEntry::all());
+    m.replace(3, Some(whole));
     let tuples = batch(64);
     let mut flat = MatchScratch::default();
     m.matches_batch_flat(&tuples, &s, &mut flat);

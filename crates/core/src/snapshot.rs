@@ -1,7 +1,8 @@
 //! A serializable, self-contained picture of a deployed [`crate::Cosmos`]:
 //! every dissemination tree, every router's reverse-path interests and
-//! local subscriptions, every advertisement, and every query group with
-//! its representative and re-tightened member profiles.
+//! local subscriptions, every advertisement, every query group with its
+//! representative and re-tightened member profiles, and every query the
+//! CBN serves alone.
 //!
 //! The snapshot is the introspection boundary between the live system
 //! and `cosmos-verify`, which proves the V1–V5 network invariants over
@@ -99,6 +100,21 @@ pub struct GroupSnapshot {
     pub members: Vec<MemberSnapshot>,
 }
 
+/// One query the CBN serves alone: a single-stream select-project query
+/// of an in-order deployment, whose user subscribes straight to the
+/// source stream with the query's selection and output attributes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct DirectSnapshot {
+    pub query: QueryId,
+    /// The query, unparsed back to CQL.
+    pub cql: String,
+    /// Node where the user subscribed.
+    pub user: NodeId,
+    /// The user's subscription id (find its installed profile in
+    /// [`RouterState::local_subscribers`] at `user`).
+    pub user_sub: SubscriberId,
+}
+
 /// One query's overload-conservation ledger, as captured from the
 /// armed [`crate::overload::OverloadController`]. The verifier checks
 /// the identity `offered = delivered + shed + staged` (tuples and
@@ -121,9 +137,9 @@ pub struct OverloadLedgerSnapshot {
 /// The whole-network snapshot `cosmos-verify` analyzes.
 ///
 /// `Serialize`/`Deserialize` are written by hand (the vendored derive
-/// supports no field attributes): `closed_streams` and `overload` are
-/// omitted from JSON when empty and default to empty when absent, so
-/// in-order/unbudgeted snapshots keep their exact earlier byte shape
+/// supports no field attributes): `direct`, `closed_streams` and
+/// `overload` are omitted from JSON when empty and default to empty when
+/// absent, so snapshots without them keep their exact earlier byte shape
 /// and old documents parse.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkSnapshot {
@@ -141,6 +157,8 @@ pub struct NetworkSnapshot {
     /// Every router, indexed by node id.
     pub routers: Vec<RouterState>,
     pub groups: Vec<GroupSnapshot>,
+    /// Queries the CBN serves alone, in query order; empty out of order.
+    pub direct: Vec<DirectSnapshot>,
     /// Source streams closed by their final watermark (disorder mode);
     /// their interest entries have been pruned from every router, so
     /// path invariants are not checkable for them. Sorted; empty for
@@ -163,6 +181,9 @@ impl Serialize for NetworkSnapshot {
             ("routers", self.routers.to_content()),
             ("groups", self.groups.to_content()),
         ];
+        if !self.direct.is_empty() {
+            entries.push(("direct", self.direct.to_content()));
+        }
         if !self.closed_streams.is_empty() {
             entries.push(("closed_streams", self.closed_streams.to_content()));
         }
@@ -189,6 +210,10 @@ impl Deserialize for NetworkSnapshot {
             advertisements: Deserialize::from_content(serde::map_get(c, "advertisements")?)?,
             routers: Deserialize::from_content(serde::map_get(c, "routers")?)?,
             groups: Deserialize::from_content(serde::map_get(c, "groups")?)?,
+            direct: match serde::map_get(c, "direct") {
+                Ok(v) => Deserialize::from_content(v)?,
+                Err(_) => Vec::new(),
+            },
             closed_streams: match serde::map_get(c, "closed_streams") {
                 Ok(v) => Deserialize::from_content(v)?,
                 Err(_) => Vec::new(),

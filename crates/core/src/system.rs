@@ -357,7 +357,12 @@ impl Cosmos {
     /// Executors already running are switched in place: an armed one
     /// first flushes its staging area through the engine (its results
     /// are delivered, its counters kept in [`Cosmos::disorder_totals`]),
-    /// then starts the new mode with an empty one. Each armed executor
+    /// then starts the new mode with an empty one. Queries then move to
+    /// the placement the new mode gives them: arming puts every query the
+    /// CBN served alone (a single-stream select-project query) into a
+    /// group, whose executor stages, dedups and applies the late policy;
+    /// disarming, after the flush, moves such queries back to a direct
+    /// subscription to their source stream. Each armed executor
     /// keeps one watermark per stream it binds — a watermark for any
     /// other stream is ignored — and one ordered table of the arrivals
     /// it has seen down to `frontier − grace`, for exact-duplicate
@@ -365,6 +370,7 @@ impl Cosmos {
     pub fn set_disorder(&mut self, runtime: Option<DisorderRuntime>) {
         self.data.disorder.runtime = runtime;
         self.query.rearm(&mut self.data);
+        self.data.refold_routes();
     }
 
     /// Declare every source stream finished: emit a final `+∞` watermark
@@ -641,10 +647,11 @@ impl Cosmos {
     /// [`crate::snapshot::NetworkSnapshot`] for static verification
     /// (`cosmos-verify`): every dissemination tree, every router's
     /// reverse-path interests and local subscriptions, every
-    /// advertisement, and every query group with its representative and
-    /// re-tightened member profiles. Queries travel as CQL text (the
-    /// analyzed form has no serde shape); a baseline deployment's groups
-    /// are singletons whose representative *is* the member.
+    /// advertisement, every query group with its representative and
+    /// re-tightened member profiles, and every query the CBN serves
+    /// alone. Queries travel as CQL text (the analyzed form has no serde
+    /// shape); a baseline deployment's groups are singletons whose
+    /// representative *is* the member.
     pub fn snapshot(&self) -> Result<crate::snapshot::NetworkSnapshot> {
         use crate::snapshot::*;
         let topo = |tree: &Tree| TreeTopology {
@@ -698,6 +705,7 @@ impl Cosmos {
 
         let mut groups = self.query.group_snapshots()?;
         groups.sort_by_key(|a| a.result_stream);
+        let direct = self.query.direct_snapshots()?;
 
         let ledgers = self.data.overload.as_ref().map(OverloadController::ledgers);
         let overload = (ledgers.into_iter().flatten())
@@ -723,6 +731,7 @@ impl Cosmos {
             advertisements,
             routers,
             groups,
+            direct,
             closed_streams: self.data.disorder.closed.iter().cloned().collect(),
             overload,
         })
@@ -795,7 +804,15 @@ mod tests {
     #[test]
     fn end_to_end_query_delivery() {
         let mut sys = line_system(true);
+        // DISTINCT keeps state: an executor at the processor runs it.
         let q = sys
+            .submit_query(
+                "SELECT DISTINCT k, x FROM S [Now] WHERE x > 50.0",
+                NodeId(3),
+            )
+            .unwrap();
+        // The selection alone is a profile: the CBN serves it.
+        let direct = sys
             .submit_query("SELECT k, x FROM S [Now] WHERE x > 50.0", NodeId(3))
             .unwrap();
         sys.run((0..10).map(|i| s_tuple(i * 1000, i, (i * 12) as f64)))
@@ -806,6 +823,15 @@ mod tests {
         assert_eq!(res[0].values()[1], Value::Float(60.0));
         assert_eq!(sys.user_of(q), Some(NodeId(3)));
         assert_eq!(sys.processor_of(q), Some(NodeId(0)));
+        let rows = |ts: &[Tuple]| ts.iter().map(|t| t.values().to_vec()).collect::<Vec<_>>();
+        assert_eq!(
+            rows(sys.results(direct)),
+            rows(res),
+            "the same rows, from S"
+        );
+        assert_eq!(sys.user_of(direct), Some(NodeId(3)));
+        assert_eq!(sys.processor_of(direct), None);
+        assert_eq!(sys.executor_generation(direct), None);
         // data flowed over every link on the path 0→3
         assert!(sys.link_bytes(NodeId(0), NodeId(1)) > 0);
         assert!(sys.link_bytes(NodeId(2), NodeId(3)) > 0);

@@ -399,9 +399,10 @@ impl DataPlane {
     /// input (one [`DataPlane::subs`] lists as such — a subscription
     /// never changes kind) is marked for the punctuations of every
     /// stream it names. The routers' reverse-path interests follow at
-    /// the end of the public call ([`DataPlane::refold_routes`]). Only
-    /// SPE inputs may name a source stream: [`DataPlane::close_streams`]
-    /// drops closed streams by re-installing those alone.
+    /// the end of the public call ([`DataPlane::refold_routes`]). A
+    /// subscription that names a source stream — an SPE input, or the
+    /// user of a query the CBN serves alone — is installed through
+    /// [`DataPlane::open_profile`], so none names a closed stream.
     pub(super) fn subscribe_local(&mut self, at: NodeId, sub: SubscriberId, profile: Profile) {
         let spe = matches!(self.subs.get(&sub), Some(LocalSub::Spe(_)));
         self.ledger
@@ -418,16 +419,21 @@ impl DataPlane {
         }
     }
 
-    /// (Re)install SPE-input subscription `sub` (listed in
-    /// [`DataPlane::subs`]) at processor `at`: `rep`'s
-    /// source profile minus the closed streams. No datagram of a closed
+    /// `profile` minus the closed streams: no datagram of a closed
     /// stream can arrive any more, and subscribing to one would
     /// resurrect the routing state [`DataPlane::close_streams`] pruned.
-    pub(super) fn install_spe_input(&mut self, at: NodeId, sub: SubscriberId, rep: &AnalyzedQuery) {
-        let mut profile = rep.source_profile();
+    pub(super) fn open_profile(&self, mut profile: Profile) -> Profile {
         for closed in &self.disorder.closed {
             profile.remove_entry(closed);
         }
+        profile
+    }
+
+    /// (Re)install SPE-input subscription `sub` (listed in
+    /// [`DataPlane::subs`]) at processor `at`: `rep`'s source profile
+    /// minus the closed streams ([`DataPlane::open_profile`]).
+    pub(super) fn install_spe_input(&mut self, at: NodeId, sub: SubscriberId, rep: &AnalyzedQuery) {
+        let profile = self.open_profile(rep.source_profile());
         self.subscribe_local(at, sub, profile);
     }
 
@@ -795,8 +801,9 @@ impl DataPlane {
             self.disseminate_watermark(spe, stream, Timestamp(i64::MAX), origin);
             self.disorder.closed.insert(stream);
         }
-        // Only SPE inputs subscribe to source streams: re-installing them
-        // drops the closed ones, and their cells refold away.
+        // Out of order, only SPE inputs subscribe to source streams (every
+        // query has a group): re-installing them drops the closed ones,
+        // and their cells refold away.
         spe.reinstall_spe_inputs(self);
         debug_assert!(
             (self.ledger.cells.keys()).all(|(.., s)| !self.disorder.closed.contains(s)),
@@ -985,15 +992,12 @@ mod tests {
         out
     }
 
-    /// Install a user-kind subscription to all of `S` at `at`, behind the
-    /// query layer's back: only SPE inputs subscribe to a source stream.
-    fn subscribe_user_to_s(sys: &mut Cosmos, at: NodeId) {
-        let (user, mut profile) = (SubscriberId(u64::MAX), Profile::new());
-        let always = cosmos_cbn::Conjunction::always();
-        profile.add_interest("S", cosmos_cbn::Projection::All, always);
-        sys.data.subscribe_local(at, user, profile);
-        sys.data.refold_routes();
-    }
+    /// A query the CBN serves alone: its user subscribes to `S` itself.
+    const SELECTION: &str = "SELECT k, x FROM S [Now]";
+
+    /// A stateful twin of [`SELECTION`], run by an executor whose SPE
+    /// input subscribes to `S` at the processor.
+    const DISTINCT: &str = "SELECT DISTINCT k, x FROM S [Now]";
 
     /// The SPE input feeding `result`'s representative at `at`.
     fn spe_input(sys: &Cosmos, at: NodeId, result: StreamName) -> SubscriberId {
@@ -1007,8 +1011,10 @@ mod tests {
     #[test]
     fn a_cell_of_user_subscriptions_only_gets_no_punctuation() {
         let mut sys = line_system(true);
-        sys.submit_query("SELECT k, x FROM S [Now]", NodeId(3))
-            .unwrap();
+        sys.submit_query(DISTINCT, NodeId(3)).unwrap();
+        // A user subscribing to `S` directly holds its cells 0→1 and 1→2
+        // alone, and reads none of its punctuations either.
+        sys.submit_query(SELECTION, NodeId(2)).unwrap();
         let result = *sys.rep_states()[0].result_stream;
         // Every cell of the result stream holds the user's entry alone:
         // data goes all the way, punctuations nowhere.
@@ -1027,14 +1033,13 @@ mod tests {
 
     #[test]
     fn a_cell_with_one_spe_contributor_among_users_is_punctuated() {
-        // `S` enters at node 3, its SPE input sits at node 0; a user-kind
-        // subscription to `S` at node 1 shares the cells 3→2 and 2→1.
+        // `S` enters at node 3, its SPE input sits at node 0; the user of
+        // a query the CBN serves alone, at node 1, shares the cells 3→2
+        // and 2→1.
         let mut sys = line_system_from(true, NodeId(3));
-        let q = sys
-            .submit_query("SELECT k, x FROM S [Now]", NodeId(2))
-            .unwrap();
+        let q = sys.submit_query(DISTINCT, NodeId(2)).unwrap();
         let s: StreamName = "S".into();
-        subscribe_user_to_s(&mut sys, NodeId(1));
+        sys.submit_query(SELECTION, NodeId(1)).unwrap();
         let result = *sys.rep_states()[0].result_stream;
         let spe = spe_input(&sys, NodeId(0), result);
         let kinds = |cell: &Cell| -> Vec<bool> {
@@ -1069,15 +1074,13 @@ mod tests {
     fn a_local_user_subscription_gets_no_punctuation() {
         // The user sits at the processor, the origin of `S`: its router
         // holds the SPE input (on `S`) and the user subscription (on the
-        // result stream) side by side — and one more user-kind entry on
-        // `S` itself.
+        // result stream) side by side — and the user entry of a query the
+        // CBN serves alone on `S` itself.
         let mut sys = line_system(true);
-        let q = sys
-            .submit_query("SELECT k, x FROM S [Now]", NodeId(0))
-            .unwrap();
+        let q = sys.submit_query(DISTINCT, NodeId(0)).unwrap();
         let result = *sys.rep_states()[0].result_stream;
         let s: StreamName = "S".into();
-        subscribe_user_to_s(&mut sys, NodeId(0));
+        let direct = sys.submit_query(SELECTION, NodeId(0)).unwrap();
         let router = sys.router(NodeId(0));
         assert_eq!(router.local_subscribers().count(), 3);
         let spe = spe_input(&sys, NodeId(0), result);
@@ -1088,6 +1091,7 @@ mod tests {
         assert_eq!(router.route_punctuation(&result, None), []);
         sys.publish(&s_tuple(1_000, 1, 1.0)).unwrap();
         assert_eq!(sys.results(q).len(), 1, "data still reaches the user");
+        assert_eq!(sys.results(direct).len(), 1);
     }
 
     #[test]

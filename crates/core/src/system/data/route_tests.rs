@@ -214,13 +214,22 @@ fn assert_tables_match_live_queries(
     step: &str,
 ) {
     assert_eq!(sys.query_count(), live.len(), "{step}: query_count");
+    let snap = sys.snapshot().unwrap_or_else(|e| panic!("{step}: {e}"));
+    let direct: BTreeSet<QueryId> = snap.direct.iter().map(|d| d.query).collect();
     for (qids, known) in [(live, true), (withdrawn, false)] {
         for &q in qids {
+            // A live query has a processor and an executor unless the
+            // CBN serves it alone.
+            let grouped = known && !direct.contains(&q);
             assert_eq!(sys.user_of(q).is_some(), known, "{step}: user_of {q}");
-            assert_eq!(sys.processor_of(q).is_some(), known, "{step}: {q}");
-            assert_eq!(sys.executor_generation(q).is_some(), known, "{step}: {q}");
+            assert_eq!(sys.processor_of(q).is_some(), grouped, "{step}: {q}");
+            assert_eq!(sys.executor_generation(q).is_some(), grouped, "{step}: {q}");
         }
     }
+    assert!(
+        direct.iter().all(|q| live.contains(q)),
+        "{step}: {direct:?}"
+    );
     let reps = sys.rep_states();
     let groups: usize = sys
         .processors()
@@ -229,7 +238,6 @@ fn assert_tables_match_live_queries(
         .map(GroupManager::group_count)
         .sum();
     assert_eq!(reps.len(), groups, "{step}: one representative per group");
-    let snap = sys.snapshot().unwrap_or_else(|e| panic!("{step}: {e}"));
     for sub in snap.routers.iter().flat_map(|r| &r.local_subscribers) {
         let real = match &sub.kind {
             crate::snapshot::SubscriberKind::User { query } => live.contains(query),
@@ -267,7 +275,8 @@ fn assert_tables_match_live_queries(
 
 #[test]
 fn fold_matches_the_clear_and_repropagate_reference() {
-    let (mut regrouped, mut tree_moves, mut failed_links, mut tuned, mut closed) = (0, 0, 0, 0, 0);
+    let (mut regrouped, mut tree_moves, mut failed_links, mut tuned) = (0, 0, 0, 0);
+    let (mut closed, mut toggled) = (0, 0);
     for seed in 0..16u64 {
         for per_source_trees in [false, true] {
             let (mut sys, mut queries, mut rng) =
@@ -285,7 +294,7 @@ fn fold_matches_the_clear_and_repropagate_reference() {
             let mut withdrawn = Vec::new();
             assert_routes_match_reference(&mut sys, &format!("seed {seed} start-up"));
             for step in 0..24 {
-                let what = match rng.gen_range(0..11u32) {
+                let what = match rng.gen_range(0..12u32) {
                     0..=2 => {
                         live.extend(submit_generated(&mut sys, &mut queries, &mut rng, 1));
                         "submit"
@@ -323,9 +332,20 @@ fn fold_matches_the_clear_and_repropagate_reference() {
                         tuned += usize::from(sys.autotune(&opts).unwrap().triggered);
                         "autotune"
                     }
-                    _ => {
+                    10 => {
                         sys.close_streams();
                         "close_streams"
+                    }
+                    _ => {
+                        // Re-places every query a mode change moves: into
+                        // groups when arming, back to the CBN when not.
+                        let armed = sys.data.disorder.runtime.is_some();
+                        sys.set_disorder((!armed).then_some(DisorderRuntime {
+                            bound: TimeDelta::from_millis(1_000),
+                            policy: LatePolicy::Drop,
+                        }));
+                        toggled += 1;
+                        "set_disorder"
                     }
                 };
                 let step = format!("seed {seed} trees {per_source_trees} step {step} {what}");
@@ -336,10 +356,11 @@ fn fold_matches_the_clear_and_repropagate_reference() {
             closed += usize::from(!sys.closed_streams().is_empty());
         }
     }
-    let exercised = [regrouped, tree_moves, failed_links, tuned, closed];
+    let exercised = [regrouped, tree_moves, failed_links, tuned, closed, toggled];
     assert!(
         exercised.iter().all(|n| *n > 0),
-        "regroups, tree moves, link failures, autotune passes, closures: {exercised:?}"
+        "regroups, tree moves, link failures, autotune passes, closures, mode changes: \
+         {exercised:?}"
     );
 }
 
@@ -489,7 +510,7 @@ fn control_operations_reindex_only_what_moved() {
     let (relayed, arrived) = relay_share(&sys);
     assert_eq!(
         (relayed, arrived),
-        (435, 525),
+        (405, 495),
         "tuples relayed, arrived over a link"
     );
     assert!(relayed * 10 >= arrived * 7, "{relayed} of {arrived}");
@@ -499,9 +520,12 @@ fn control_operations_reindex_only_what_moved() {
     assert_rebuild_changes_nothing(&mut sys, "start-up");
 
     // A query joining an existing group without widening it (here: a
-    // second copy of a live query, from another node) re-indexes the
-    // group's result stream along its user → processor path only.
-    let (original, text) = &live[0];
+    // second copy of a grouped live query, from another node) re-indexes
+    // the group's result stream along its user → processor path only.
+    // Most generated queries are selections the CBN serves alone, so
+    // the group is an aggregate's.
+    let text = "SELECT node_id, MAX(humidity) FROM sensors_05 [Range 1 Minute] GROUP BY node_id";
+    let original = &sys.submit_query(text, NodeId(3)).unwrap();
     let generation = sys.executor_generation(*original);
     let user = (0..64u32)
         .map(NodeId)
@@ -524,10 +548,32 @@ fn control_operations_reindex_only_what_moved() {
     });
     assert_rebuilds_confined_to_path(&sys, &before, &path);
 
+    // A query the CBN serves alone re-indexes its source stream along
+    // its user → origin path only, and so does its withdrawal.
+    let selection = "SELECT node_id, humidity FROM sensors_05 [Now] WHERE humidity > 60.0";
+    let origin = sys.registry().origin(&"sensors_05".into()).unwrap();
+    let user = NodeId(if origin == NodeId(5) { 6 } else { 5 });
+    let path = sys.tree_for(origin).path(user, origin);
+    let before = maintenance_counters(&sys);
+    let direct = assert_refolds_what_moved(&mut sys, "a direct submit", |sys| {
+        sys.submit_query(selection, user).unwrap()
+    });
+    assert_eq!(sys.processor_of(direct), None);
+    assert_rebuilds_confined_to_path(&sys, &before, &path);
+    let before = maintenance_counters(&sys);
+    assert_refolds_what_moved(&mut sys, "a direct withdrawal", |sys| {
+        sys.unsubscribe(direct).unwrap()
+    });
+    assert_rebuilds_confined_to_path(&sys, &before, &path);
+
     // A widening submit, the unsubscribe that shrinks the group back,
-    // and the one that dissolves it.
+    // and the one that dissolves it: aggregates, which keep state and
+    // so are grouped.
     let humidity = |lo: f64, hi: f64| {
-        format!("SELECT node_id, humidity FROM sensors_05 [Now] WHERE humidity BETWEEN {lo:.1} AND {hi:.1}")
+        format!(
+            "SELECT humidity, COUNT(*) FROM sensors_05 [Range 10 Second] \
+             WHERE humidity BETWEEN {lo:.1} AND {hi:.1} GROUP BY humidity"
+        )
     };
     let narrow = sys.submit_query(&humidity(70.0, 80.0), NodeId(3)).unwrap();
     let generation = sys.executor_generation(narrow);
@@ -591,11 +637,11 @@ fn control_operations_reindex_only_what_moved() {
         sys.data.ledger.cells.len(),
         sys.data.ledger.cells.values().map(Vec::len).sum::<usize>(),
     );
-    assert_eq!(ledger, (485, 836), "ledger cells, contributions");
-    assert_eq!(quantiles(cells), (9, 20), "cells per unsubscribe");
+    assert_eq!(ledger, (347, 683), "ledger cells, contributions");
+    assert_eq!(quantiles(cells), (7, 18), "cells per unsubscribe");
     assert_eq!(
         quantiles(contributors),
-        (17, 39),
+        (19, 39),
         "contributors per unsubscribe"
     );
 }
@@ -664,17 +710,29 @@ fn relay_share(sys: &Cosmos) -> (u64, u64) {
     (total_relayed(sys), arrived)
 }
 
+/// The stream `q`'s user subscribes to: its group's result stream, or
+/// `S` for a query the CBN serves alone.
+fn user_stream(sys: &Cosmos, q: QueryId) -> StreamName {
+    let user = sys.router(sys.user_of(q).unwrap());
+    let (_, profile) = (user.local_subscribers())
+        .find(|(sub, _)| matches!(sys.data.subs.get(sub), Some(LocalSub::User(u)) if *u == q))
+        .unwrap();
+    *profile.streams().next().unwrap()
+}
+
 #[test]
 fn chain_relays_and_delivers_what_routing_delivers() {
-    let query = "SELECT k, x FROM S [Now] WHERE x > 30.0";
-    let run = |block_relays: bool| {
+    // DISTINCT keeps state (the rows are distinct anyway): its result
+    // stream leaves the processor.
+    let distinct = "SELECT DISTINCT k, x FROM S [Now] WHERE x > 30.0";
+    let run = |query: &str, block_relays: bool| {
         let mut sys = chain(6);
         let q = sys.submit_query(query, NodeId(5)).unwrap();
         if block_relays {
-            // Every middle node also holds an entry for the result stream
+            // Every middle node also holds an entry for the user's stream
             // that matches nothing: a second destination, so no hop
             // relays, and nothing else changes.
-            let stream = *sys.rep_states()[0].result_stream;
+            let stream = user_stream(&sys, q);
             let mut dead = cosmos_cbn::Conjunction::always();
             dead.between("k", 5, 1);
             let mut profile = Profile::new();
@@ -690,8 +748,8 @@ fn chain_relays_and_delivers_what_routing_delivers() {
             .collect();
         (sys.results(q).to_vec(), links, relayed(&sys))
     };
-    let (delivered, links, relays) = run(false);
-    let (reference, reference_links, no_relays) = run(true);
+    let (delivered, links, relays) = run(distinct, false);
+    let (reference, reference_links, no_relays) = run(distinct, true);
     assert_eq!(delivered, reference, "deliveries");
     assert_eq!(links, reference_links, "bytes per link");
     // The source stream never leaves its origin, the processor; the
@@ -701,11 +759,29 @@ fn chain_relays_and_delivers_what_routing_delivers() {
     assert!(n > 100 && links.iter().all(|b| *b > 0), "{n} {links:?}");
     assert_eq!(relays, [0, n, n, n, n, n]);
     assert_eq!(no_relays, [0, 0, 0, 0, 0, n], "the middle nodes route");
+    // The selection alone is served by the CBN: `S` itself leaves the
+    // origin and is relayed the same way, with the same rows.
+    let selection = "SELECT k, x FROM S [Now] WHERE x > 30.0";
+    let (direct, direct_links, direct_relays) = run(selection, false);
+    let rows = |ts: &[Tuple]| ts.iter().map(|t| t.values().to_vec()).collect::<Vec<_>>();
+    assert_eq!(rows(&direct), rows(&delivered));
+    assert!(direct_links.iter().all(|b| *b > 0), "{direct_links:?}");
+    assert_eq!(direct_relays, [0, n, n, n, n, n]);
+    assert_eq!(run(selection, true).2, [0, 0, 0, 0, 0, n]);
 }
 
 #[test]
 fn a_second_subscriber_turns_its_branch_node_from_relay_to_route() {
-    let query = "SELECT k, x FROM S [Now] WHERE x > 30.0";
+    // Identical aggregates share one group and its result stream; the
+    // identical selections share `S` itself, with no group at all.
+    let aggregate = "SELECT x, COUNT(*) FROM S [Range 5 Second] WHERE x > 30.0 GROUP BY x";
+    let selection = "SELECT k, x FROM S [Now] WHERE x > 30.0";
+    for (query, groups) in [(aggregate, 1), (selection, 0)] {
+        second_subscriber_routes_at_its_branch_node(query, groups);
+    }
+}
+
+fn second_subscriber_routes_at_its_branch_node(query: &str, groups: usize) {
     let mut sys = chain(5);
     let far = sys.submit_query(query, NodeId(4)).unwrap();
     sys.run(s_tuples(0, 50)).unwrap();
@@ -713,7 +789,7 @@ fn a_second_subscriber_turns_its_branch_node_from_relay_to_route() {
     assert_eq!(relayed(&sys), [0, n, n, n, n]);
 
     let near = sys.submit_query(query, NodeId(2)).unwrap();
-    assert_eq!(sys.rep_states().len(), 1, "one group, one result stream");
+    assert_eq!(sys.rep_states().len(), groups, "one stream for both");
     let before = relayed(&sys);
     sys.run(s_tuples(50, 100)).unwrap();
     let m = sys.results(near).len() as u64;
@@ -743,24 +819,33 @@ fn a_second_subscriber_turns_its_branch_node_from_relay_to_route() {
 
 #[test]
 fn a_user_entry_without_its_split_filter_attribute_is_routed() {
-    // The narrow query joins the wide one's group; its split filter on
-    // `x` stays on its user entry, whose projection drops `x`.
+    // The narrow aggregate joins the wide one's group; its split filter
+    // on `x` stays on its user entry, whose projection drops `x`. A
+    // selection's user entry on `S` filters on `x` and drops it alike.
+    let count = |cols: &str, lo: f64| {
+        format!("SELECT {cols} FROM S [Range 5 Second] WHERE x > {lo:.1} GROUP BY x, k")
+    };
+    let (wide, narrow) = (count("x, k, COUNT(*)", 10.0), count("k, COUNT(*)", 60.0));
+    user_entry_without_its_filter_attribute_is_routed(&wide, &narrow, 1);
+    let wide = "SELECT k, x FROM S [Now] WHERE x > 10.0";
+    let narrow = "SELECT k FROM S [Now] WHERE x > 60.0";
+    user_entry_without_its_filter_attribute_is_routed(wide, narrow, 0);
+}
+
+fn user_entry_without_its_filter_attribute_is_routed(wide: &str, narrow: &str, groups: usize) {
     let mut sys = chain(4);
-    let wide = sys
-        .submit_query("SELECT k, x FROM S [Now] WHERE x > 10.0", NodeId(2))
-        .unwrap();
-    let narrow = sys
-        .submit_query("SELECT k FROM S [Now] WHERE x > 60.0", NodeId(3))
-        .unwrap();
-    assert_eq!(sys.rep_states().len(), 1, "one group");
-    let stream = *sys.rep_states()[0].result_stream;
+    let wide = sys.submit_query(wide, NodeId(2)).unwrap();
+    let narrow = sys.submit_query(narrow, NodeId(3)).unwrap();
+    assert_eq!(sys.rep_states().len(), groups, "one stream for both");
+    let stream = user_stream(&sys, narrow);
     let user = sys.router(NodeId(3)).local_subscribers().next().unwrap();
     let entry = user.1.entry(&stream).unwrap();
     assert!(!entry.is_normalized(), "{entry:?}");
     sys.run(s_tuples(0, 100)).unwrap();
     let (w, n) = (sys.results(wide).len(), sys.results(narrow).len());
     assert!(w > n && n > 0, "{w} {n}");
-    assert!(sys.results(narrow).iter().all(|t| t.arity() == 1));
+    let arity = 1 + groups; // `k`, and the count of a group's member
+    assert!(sys.results(narrow).iter().all(|t| t.arity() == arity));
     assert_eq!(
         sys.router(NodeId(3)).tuples_relayed(),
         0,
@@ -771,21 +856,30 @@ fn a_user_entry_without_its_split_filter_attribute_is_routed() {
 
 #[test]
 fn relay_verdicts_read_the_upstream_router_not_the_ledger() {
-    // The query at node 3 joins the wider one at node 2, so its user
-    // entry keeps a split filter on `x`.
+    // The aggregate at node 3 joins the wider one at node 2, so its user
+    // entry keeps a split filter on `x`; a selection's user entry on `S`
+    // keeps its own filter on `x`.
+    let count = |lo: f64| {
+        format!("SELECT x, COUNT(*) FROM S [Range 5 Second] WHERE x > {lo:.1} GROUP BY x")
+    };
+    relay_verdict_reads_the_upstream_router(&count(10.0), &count(60.0));
+    relay_verdict_reads_the_upstream_router(
+        "SELECT k, x FROM S [Now] WHERE x > 10.0",
+        "SELECT k, x FROM S [Now] WHERE x > 60.0",
+    );
+}
+
+fn relay_verdict_reads_the_upstream_router(wide: &str, narrow: &str) {
     let mut sys = chain(4);
-    sys.submit_query("SELECT k, x FROM S [Now] WHERE x > 10.0", NodeId(2))
-        .unwrap();
-    let q = sys
-        .submit_query("SELECT k, x FROM S [Now] WHERE x > 60.0", NodeId(3))
-        .unwrap();
+    sys.submit_query(wide, NodeId(2)).unwrap();
+    let q = sys.submit_query(narrow, NodeId(3)).unwrap();
     sys.run(s_tuples(0, 50)).unwrap();
     let n = sys.results(q).len() as u64;
     assert_eq!(relayed(&sys)[3], n);
     // Behind the ledger's back, node 2 stops sending the filtered
     // attribute to node 3: the hops node 3 now receives match nothing
     // there. Relaying them would deliver them.
-    let stream = *sys.rep_states()[0].result_stream;
+    let stream = user_stream(&sys, q);
     let sent = sys.router(NodeId(2)).neighbor_interest(NodeId(3)).unwrap();
     let mut entry = sent.entry(&stream).unwrap().clone();
     let filtered: BTreeSet<&str> = entry.filters.iter().flat_map(|f| f.referenced()).collect();

@@ -2,10 +2,18 @@
 //!
 //! [`QueryPlane`] owns the live queries, every processor's group
 //! manager, the representative executors, the statistics catalog and
-//! the id counters. It runs the control operations — [`QueryPlane::apply`]
+//! the id counters. It runs the control operations — placement
+//! ([`QueryPlane::place`], [`QueryPlane::unplace`]), [`QueryPlane::apply`]
 //! and the representative lifecycle under it ([`QueryPlane::run_rep`],
 //! [`QueryPlane::stop_rep`]) — against a `&mut`
 //! [`DataPlane`], whose routes, registry and subscriptions they change.
+//!
+//! Placement is a pure function of the query and the mode
+//! ([`served_by_the_cbn`]): a query that reads one stream and has no
+//! aggregate and no DISTINCT is a profile ⟨S, P, F⟩ (PAPER §1(1)), and
+//! while the deployment runs in order the CBN alone serves it — its
+//! user subscribes straight to the source stream. Every other query,
+//! and out of order every query, is a member of a group at a processor.
 //!
 //! The layers meet at one crossing, an SPE input: the data plane hands
 //! a batch ([`QueryPlane::intake`]) or a watermark
@@ -20,15 +28,15 @@
 
 use super::data::{DataPlane, LocalSub};
 use super::{pick_processor, Cosmos, CosmosConfig, RepStateView};
-use crate::snapshot::{GroupSnapshot, MemberSnapshot};
-use cosmos_cbn::Profile;
+use crate::snapshot::{DirectSnapshot, GroupSnapshot, MemberSnapshot};
+use cosmos_cbn::{Profile, Projection};
 use cosmos_metrics::{relative_drift, MetricsHub};
 use cosmos_query::{GroupChange, GroupManager, StatsCatalog, StreamStats};
-use cosmos_spe::{AnalyzedQuery, DisorderStats, Executor};
+use cosmos_spe::{AnalyzedQuery, DisorderStats, Executor, OutputColumn};
 use cosmos_types::{
     CosmosError, NodeId, QueryId, Result, Schema, StreamName, SubscriberId, Timestamp, Tuple,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Upper bound on retained warning headlines per accepted query, so a
 /// pathological submission cannot balloon [`Cosmos`]'s memory (entries
@@ -57,12 +65,53 @@ struct RepSite {
     sub: SubscriberId,
 }
 
+/// Whether the CBN alone serves `q`: it reads one stream and has no
+/// aggregate and no DISTINCT, and the deployment runs in order (`in_order`).
+/// Out of order such a query still needs an executor's staging, dedup
+/// and late policy.
+fn served_by_the_cbn(q: &AnalyzedQuery, in_order: bool) -> bool {
+    in_order && q.streams.len() == 1 && !q.is_aggregate() && !q.distinct
+}
+
+/// The profile a query the CBN serves alone subscribes its user with:
+/// ⟨{S}, the output attributes, the selection⟩. The projection keeps the
+/// output attributes only (all of them as [`Projection::All`]); the route
+/// ledger normalises the upstream cells so that they keep the filter's.
+fn direct_profile(q: &AnalyzedQuery) -> Profile {
+    let (stream, selection) = (&q.streams[0], &q.selections[0]);
+    let attrs: BTreeSet<String> = (q.output.iter())
+        .filter_map(|c| match c {
+            OutputColumn::Attr(a) => Some(a.name.clone()),
+            OutputColumn::Agg { .. } => None,
+        })
+        .collect();
+    let projection = if attrs.len() == stream.schema.arity() {
+        Projection::All
+    } else {
+        Projection::Attrs(attrs)
+    };
+    let mut profile = Profile::new();
+    profile.add_interest(stream.stream, projection, selection.clone());
+    profile
+}
+
+/// Where a live query runs.
+#[derive(Debug)]
+enum Placement {
+    /// Served by the CBN alone ([`served_by_the_cbn`]): the user's
+    /// subscription is the whole query.
+    Direct(AnalyzedQuery),
+    /// A member of a group at this processor.
+    Grouped(NodeId),
+}
+
 /// Everything the query layer knows about one live query.
 #[derive(Debug)]
 struct QueryRecord {
     user: NodeId,
-    processor: NodeId,
-    /// The user's subscription to the result stream.
+    placement: Placement,
+    /// The user's subscription: to the source stream for a direct query,
+    /// to its group's result stream otherwise.
     user_sub: SubscriberId,
     /// Warning-level lint findings (error-level findings reject the
     /// query at submission instead).
@@ -178,12 +227,15 @@ impl QueryPlane {
         }
     }
 
-    /// Switch every running executor to the runtime now in
-    /// `data.disorder`: an armed one is retired first
+    /// Switch the query plane to the runtime now in `data.disorder`.
+    /// Every running executor is retired first
     /// ([`QueryPlane::retire_executor`]) and put back into in-order
     /// intake, so disarming withholds nothing and re-arming starts from
     /// an empty staging area; then each is armed for the new runtime (a
-    /// no-op when disarming).
+    /// no-op when disarming). Then every query whose placement the new
+    /// mode changes moves ([`QueryPlane::replace`]): arming moves direct
+    /// queries into groups, disarming moves stateless members back to the
+    /// CBN. The caller refolds the routes.
     pub(super) fn rearm(&mut self, data: &mut DataPlane) {
         let streams: Vec<StreamName> = self.reps.keys().copied().collect();
         for stream in streams {
@@ -192,6 +244,110 @@ impl QueryPlane {
             executor.disable_disorder();
             data.disorder.arm(executor);
         }
+        let in_order = data.disorder.runtime.is_none();
+        let moving: Vec<QueryId> = (self.queries.iter())
+            .filter(|(qid, record)| {
+                let direct = matches!(record.placement, Placement::Direct(_));
+                let query = self.query_of(**qid).expect("a live query is placed");
+                direct != served_by_the_cbn(query, in_order)
+            })
+            .map(|(qid, _)| *qid)
+            .collect();
+        for qid in moving {
+            if let Err(e) = self.replace(data, qid) {
+                // Both placements answer the query; one the manager
+                // cannot take or give up stays where it was.
+                debug_assert!(false, "re-placing {qid}: {e}");
+            }
+        }
+    }
+
+    /// The analyzed form of live query `qid`.
+    fn query_of(&self, qid: QueryId) -> Option<&AnalyzedQuery> {
+        match &self.queries.get(&qid)?.placement {
+            Placement::Direct(query) => Some(query),
+            Placement::Grouped(p) => {
+                let (group, _) = self.managers.get(p)?.placement(qid)?;
+                let member = group.members.iter().find(|(m, _)| *m == qid);
+                member.map(|(_, query)| query)
+            }
+        }
+    }
+
+    /// Move live query `qid` to the placement the current mode gives it:
+    /// out of its old one ([`QueryPlane::unplace`]) into the new one
+    /// ([`QueryPlane::place`]), keeping its user subscription's id.
+    fn replace(&mut self, data: &mut DataPlane, qid: QueryId) -> Result<()> {
+        let query = self.query_of(qid).expect("a live query is placed").clone();
+        let mut record = self
+            .queries
+            .remove(&qid)
+            .expect("a live query has a record");
+        let placed = self.unplace(data, qid, &record.placement);
+        let placed = placed.and_then(|()| self.place(data, qid, query));
+        let result = placed.map(|(placement, profile)| {
+            data.subscribe_local(record.user, record.user_sub, profile);
+            record.placement = placement;
+        });
+        self.queries.insert(qid, record);
+        result
+    }
+
+    /// Place `query` as live query `qid` for the current mode, and hand
+    /// back the placement and the profile its user subscription must
+    /// hold. A query the CBN serves alone gets its direct profile (minus
+    /// the closed streams, like an SPE input's). Any other query goes to
+    /// the processor the query distribution picks, whose manager groups
+    /// it — or, for the non-share baseline, founds a group of its own: a
+    /// new group starts its representative, a widened one replaces it
+    /// (same result stream) and resubscribes its other members, and a
+    /// query that joins without widening is served by the warm,
+    /// already-running executor. The caller installs the profile and
+    /// refolds the routes.
+    fn place(
+        &mut self,
+        data: &mut DataPlane,
+        qid: QueryId,
+        query: AnalyzedQuery,
+    ) -> Result<(Placement, Profile)> {
+        if served_by_the_cbn(&query, data.disorder.runtime.is_none()) {
+            let profile = data.open_profile(direct_profile(&query));
+            return Ok((Placement::Direct(query), profile));
+        }
+        let processor = pick_processor(
+            &query,
+            &data.topology.processors,
+            self.affinity,
+            &self.managers,
+        );
+        let merging = self.merging;
+        let mut change = (self.managers.entry(processor))
+            .or_insert_with(|| {
+                let prefix = format!("result::{processor}");
+                if merging {
+                    GroupManager::new(prefix)
+                } else {
+                    GroupManager::unshared(prefix)
+                }
+            })
+            .insert(qid, query, &self.catalog)?;
+        // The query's own subscription is listed last; it is the
+        // caller's to install.
+        let (.., profile) = change.subscribe.pop().expect("own subscription");
+        self.apply(data, processor, change)?;
+        Ok((Placement::Grouped(processor), profile))
+    }
+
+    /// Take `qid` out of `placement`: a member leaves its group, which is
+    /// rebuilt from the remaining members or torn down. A direct query
+    /// holds nothing but its user subscription, which is the caller's.
+    fn unplace(&mut self, data: &mut DataPlane, qid: QueryId, placement: &Placement) -> Result<()> {
+        let Placement::Grouped(processor) = *placement else {
+            return Ok(());
+        };
+        let manager = self.managers.get_mut(&processor).expect("manager exists");
+        let change = manager.remove(qid)?;
+        self.apply(data, processor, change)
     }
 
     /// Whether `stream` is the result stream of a running representative.
@@ -309,6 +465,25 @@ impl QueryPlane {
         }
         Ok(groups)
     }
+
+    /// Every query the CBN serves alone, as the network snapshot records
+    /// it, in query order.
+    pub(super) fn direct_snapshots(&self) -> Result<Vec<DirectSnapshot>> {
+        let direct = (self.queries.iter()).filter_map(|(qid, record)| match &record.placement {
+            Placement::Direct(query) => Some((qid, record, query)),
+            Placement::Grouped(_) => None,
+        });
+        direct
+            .map(|(qid, record, query)| {
+                Ok(DirectSnapshot {
+                    query: *qid,
+                    cql: cosmos_query::to_query(query)?.to_string(),
+                    user: record.user,
+                    user_sub: record.user_sub,
+                })
+            })
+            .collect()
+    }
 }
 
 /// The query half of the public API.
@@ -353,36 +528,9 @@ impl Cosmos {
             }
         }
         let qid = q.ids.query();
-        let processor = pick_processor(
-            &analyzed,
-            &data.topology.processors,
-            q.affinity,
-            &q.managers,
-        );
-
-        // Query management: the processor's manager groups the query —
-        // or, for the non-share baseline, founds a group of its own.
-        let merging = q.merging;
-        let mut change = (q.managers.entry(processor))
-            .or_insert_with(|| {
-                let prefix = format!("result::{processor}");
-                if merging {
-                    GroupManager::new(prefix)
-                } else {
-                    GroupManager::unshared(prefix)
-                }
-            })
-            .insert(qid, analyzed, &q.catalog)?;
-        // The new query's own subscription (listed last) is installed
-        // below, once its user subscription exists.
-        let (.., user_profile) = change.subscribe.pop().expect("own subscription");
-        // A new group starts its representative, a widened one replaces
-        // it (same result stream) and resubscribes its other members,
-        // and a query that joins without widening is served by the warm,
-        // already-running executor.
-        q.apply(data, processor, change)?;
-
-        // The user retrieves the results through the CBN.
+        let (placement, user_profile) = q.place(data, qid, analyzed)?;
+        // The user subscribes through the CBN: to the source stream, or
+        // to its group's result stream.
         let user_sub = q.ids.sub();
         data.subscribe_local(user, user_sub, user_profile);
         data.subs.insert(user_sub, LocalSub::User(qid));
@@ -391,7 +539,7 @@ impl Cosmos {
         data.delivered.insert(qid, Vec::new());
         let record = QueryRecord {
             user,
-            processor,
+            placement,
             user_sub,
             lint_warnings: warnings,
         };
@@ -426,9 +574,9 @@ impl Cosmos {
     }
 
     /// Withdraw a query: remove its user subscription, drop it from its
-    /// group (rebuilding the representative from the remaining members,
-    /// or tearing the group down entirely), and refold the routing cells
-    /// that touches.
+    /// group, if it has one (rebuilding the representative from the
+    /// remaining members, or tearing the group down entirely), and refold
+    /// the routing cells that touches.
     ///
     /// Returns an error for unknown query ids. Results already delivered
     /// — a batch the overload controller was still coalescing included —
@@ -445,10 +593,7 @@ impl Cosmos {
         if let Some(pending) = pending.filter(|p| !p.is_empty()) {
             data.deliver(qid, record.user, pending);
         }
-        let change = (q.managers.get_mut(&record.processor))
-            .expect("manager exists")
-            .remove(qid)?;
-        q.apply(data, record.processor, change)?;
+        q.unplace(data, qid, &record.placement)?;
         data.refold_routes();
         Ok(())
     }
@@ -474,9 +619,14 @@ impl Cosmos {
         self.query.queries.get(&qid).map(|q| q.user)
     }
 
-    /// The processor a query was assigned to.
+    /// The processor a query was assigned to; `None` for a query the
+    /// CBN serves alone (a single-stream select-project query while the
+    /// deployment runs in order) and for unknown ids.
     pub fn processor_of(&self, qid: QueryId) -> Option<NodeId> {
-        self.query.queries.get(&qid).map(|q| q.processor)
+        match self.query.queries.get(&qid)?.placement {
+            Placement::Grouped(p) => Some(p),
+            Placement::Direct(_) => None,
+        }
     }
 
     /// One view per running representative executor: its result stream,
@@ -553,9 +703,10 @@ impl Cosmos {
     /// executor, so one that joins a warm group without widening it
     /// shares the running executor's. The scenario harness uses this to
     /// cut oracle epochs exactly where window state restarts; `None`
-    /// after unsubscription or for unknown ids.
+    /// for a query the CBN serves alone (it has no executor), after
+    /// unsubscription or for unknown ids.
     pub fn executor_generation(&self, qid: QueryId) -> Option<u64> {
-        let processor = self.query.queries.get(&qid)?.processor;
+        let processor = self.processor_of(qid)?;
         let (group, _) = self.query.managers.get(&processor)?.placement(qid)?;
         Some(self.query.reps.get(&group.result_stream)?.generation)
     }
@@ -581,7 +732,7 @@ mod tests {
     use crate::system::DisorderRuntime;
     use cosmos_query::{AttrStats, StreamStats};
     use cosmos_spe::{DisorderStats, LatePolicy};
-    use cosmos_types::{AttrType, NodeId, QueryId, Schema, TimeDelta, Tuple};
+    use cosmos_types::{AttrType, NodeId, QueryId, Schema, StreamName, TimeDelta, Tuple};
 
     #[test]
     fn unbounded_state_query_is_rejected_at_admission() {
@@ -636,11 +787,11 @@ mod tests {
         // Two identical queries from nodes 2 and 3: with merging the
         // shared trunk link 0-1 carries the result stream once; without
         // merging it carries it twice.
-        let queries = ["SELECT k, x FROM S [Now] WHERE x >= 0.0"; 2];
-        let run = |merging: bool| -> (u64, usize, usize) {
+        let aggregate = "SELECT x, COUNT(*) FROM S [Range 5 Second] WHERE x >= 0.0 GROUP BY x";
+        let run = |merging: bool, text: &str| -> (u64, usize, usize) {
             let mut sys = line_system(merging);
-            let q1 = sys.submit_query(queries[0], NodeId(2)).unwrap();
-            let q2 = sys.submit_query(queries[1], NodeId(3)).unwrap();
+            let q1 = sys.submit_query(text, NodeId(2)).unwrap();
+            let q2 = sys.submit_query(text, NodeId(3)).unwrap();
             sys.run((0..50).map(|i| s_tuple(i * 1000, i % 5, i as f64)))
                 .unwrap();
             (
@@ -649,8 +800,8 @@ mod tests {
                 sys.results(q2).len(),
             )
         };
-        let (shared, r1, r2) = run(true);
-        let (unshared, r1b, r2b) = run(false);
+        let (shared, r1, r2) = run(true, aggregate);
+        let (unshared, r1b, r2b) = run(false, aggregate);
         // identical results either way
         assert_eq!(r1, 50);
         assert_eq!(r2, 50);
@@ -661,20 +812,28 @@ mod tests {
             shared < unshared,
             "shared {shared} should be < unshared {unshared}"
         );
+        // Selections are profiles: the CBN shares the trunk in either
+        // mode, since neither has a group.
+        let selection = "SELECT k, x FROM S [Now] WHERE x >= 0.0";
+        let direct = run(true, selection);
+        assert_eq!(direct, run(false, selection));
+        assert_eq!((direct.1, direct.2), (50, 50));
     }
 
     #[test]
     fn grouping_state_is_visible() {
         let mut sys = line_system(true);
-        sys.submit_query("SELECT k FROM S [Now] WHERE x < 10.0", NodeId(2))
-            .unwrap();
+        let text = "SELECT x, COUNT(*) FROM S [Range 5 Second] WHERE x < 10.0 GROUP BY x";
+        sys.submit_query(text, NodeId(2)).unwrap();
+        sys.submit_query(text, NodeId(3)).unwrap();
+        // A selection is served by the CBN alone: no manager sees it.
         sys.submit_query("SELECT k FROM S [Now] WHERE x < 10.0", NodeId(3))
             .unwrap();
         let gm = sys.group_manager(NodeId(0)).unwrap();
         assert_eq!(gm.query_count(), 2);
         assert_eq!(gm.group_count(), 1);
         assert!((sys.grouping_ratio() - 0.5).abs() < 1e-12);
-        assert_eq!(sys.query_count(), 2);
+        assert_eq!(sys.query_count(), 3);
     }
 
     /// No representative can consume a representative: result streams
@@ -691,6 +850,12 @@ mod tests {
             let mut sys = line_system(merging);
             sys.submit_query("SELECT k, x FROM S [Now]", NodeId(3))
                 .unwrap();
+            assert!(
+                sys.rep_states().is_empty(),
+                "a selection has no result stream"
+            );
+            sys.submit_query("SELECT DISTINCT k, x FROM S [Now]", NodeId(3))
+                .unwrap();
             let live = *sys.rep_states()[0].result_stream;
             assert!(live.as_str().starts_with("result::"), "{live}");
             assert!(sys.catalog().schema(&live).is_some(), "advertised");
@@ -703,7 +868,7 @@ mod tests {
                 .submit_query("SELECT k FROM result [Now]", NodeId(2))
                 .unwrap_err();
             assert!(err.message().contains("unknown stream 'result'"), "{err}");
-            assert_eq!(sys.query_count(), 1, "rejections leave no state");
+            assert_eq!(sys.query_count(), 2, "rejections leave no state");
         }
     }
 
@@ -748,24 +913,18 @@ mod tests {
         // Adversarial arrival order: two disjoint narrow queries seed
         // separate groups before the wide query arrives.
         let mut sys = line_system(true);
-        let qa = sys
-            .submit_query(
-                "SELECT k, x FROM S [Now] WHERE x BETWEEN 0.0 AND 10.0",
-                NodeId(1),
+        let count = |lo: f64, hi: f64| {
+            format!(
+                "SELECT x, COUNT(*) FROM S [Range 5 Second] \
+                 WHERE x BETWEEN {lo:.1} AND {hi:.1} GROUP BY x"
             )
-            .unwrap();
-        let qb = sys
-            .submit_query(
-                "SELECT k, x FROM S [Now] WHERE x BETWEEN 90.0 AND 100.0",
-                NodeId(2),
-            )
-            .unwrap();
-        let qc = sys
-            .submit_query(
-                "SELECT k, x FROM S [Now] WHERE x BETWEEN 0.0 AND 100.0",
-                NodeId(3),
-            )
-            .unwrap();
+        };
+        let qa = sys.submit_query(&count(0.0, 10.0), NodeId(1)).unwrap();
+        let qb = sys.submit_query(&count(90.0, 100.0), NodeId(2)).unwrap();
+        let qc = sys.submit_query(&count(0.0, 100.0), NodeId(3)).unwrap();
+        // The same ranges as selections: profiles, never regrouped.
+        let selection = "SELECT k, x FROM S [Now] WHERE x BETWEEN 0.0 AND 10.0";
+        let direct = sys.submit_query(selection, NodeId(1)).unwrap();
         assert_eq!(sys.group_manager(NodeId(0)).unwrap().group_count(), 2);
         let improved = sys.reoptimize_groups().unwrap();
         assert_eq!(improved, 1);
@@ -776,11 +935,12 @@ mod tests {
         assert_eq!(sys.results(qa).len(), 3); // x ∈ {0, 5, 10}
         assert_eq!(sys.results(qb).len(), 3); // x ∈ {90, 95, 100}
         assert_eq!(sys.results(qc).len(), 21);
+        assert_eq!(sys.results(direct).len(), 3);
         // idempotent afterwards
         assert_eq!(sys.reoptimize_groups().unwrap(), 0);
         // no-op in baseline mode
         let mut base = line_system(false);
-        base.submit_query("SELECT k FROM S [Now]", NodeId(1))
+        base.submit_query("SELECT DISTINCT k FROM S [Now]", NodeId(1))
             .unwrap();
         assert_eq!(base.reoptimize_groups().unwrap(), 0);
     }
@@ -788,10 +948,12 @@ mod tests {
     #[test]
     fn unsubscribe_stops_one_query_and_keeps_others() {
         let mut sys = line_system(true);
-        let q1 = sys
-            .submit_query("SELECT k, x FROM S [Now] WHERE x <= 20.0", NodeId(2))
-            .unwrap();
-        let q2 = sys
+        let count = |hi: f64| {
+            format!("SELECT x, COUNT(*) FROM S [Range 5 Second] WHERE x <= {hi:.1} GROUP BY x")
+        };
+        let q1 = sys.submit_query(&count(20.0), NodeId(2)).unwrap();
+        let q2 = sys.submit_query(&count(40.0), NodeId(3)).unwrap();
+        let direct = sys
             .submit_query("SELECT k, x FROM S [Now] WHERE x <= 40.0", NodeId(3))
             .unwrap();
         sys.run((0..5).map(|i| s_tuple(i * 1000, i, (i * 10) as f64)))
@@ -808,20 +970,32 @@ mod tests {
         let gm = sys.group_manager(NodeId(0)).unwrap();
         assert_eq!(gm.query_count(), 1);
         assert_eq!(gm.group_count(), 1);
-        assert_eq!(sys.query_count(), 1, "live queries, not ids issued");
+        assert_eq!(sys.query_count(), 2, "live queries, not ids issued");
+        // A direct query leaves no group behind to shrink.
+        assert_eq!(sys.results(direct).len(), 10);
+        sys.unsubscribe(direct).unwrap();
+        assert_eq!(sys.query_count(), 1);
+        assert_eq!(sys.group_manager(NodeId(0)).unwrap().query_count(), 1);
     }
 
     #[test]
     fn unsubscribe_last_member_dissolves_group_and_silences_traffic() {
         let mut sys = line_system(true);
         let q = sys
-            .submit_query("SELECT k, x FROM S [Now]", NodeId(3))
+            .submit_query("SELECT DISTINCT k, x FROM S [Now]", NodeId(3))
+            .unwrap();
+        let direct = sys
+            .submit_query("SELECT k, x FROM S [Now]", NodeId(2))
             .unwrap();
         sys.run((0..3).map(|i| s_tuple(i * 1000, i, i as f64)))
             .unwrap();
         let bytes_before = sys.total_bytes();
         assert!(bytes_before > 0);
         sys.unsubscribe(q).unwrap();
+        // The direct query's subscription still pulls `S`; withdrawing it
+        // leaves nothing subscribed anywhere.
+        sys.unsubscribe(direct).unwrap();
+        assert!((0..4).all(|n| sys.router(NodeId(n)).local_subscribers().count() == 0));
         let gm = sys.group_manager(NodeId(0)).unwrap();
         assert_eq!(gm.group_count(), 0);
         // further publishes move no bytes at all
@@ -830,6 +1004,7 @@ mod tests {
         assert_eq!(sys.total_bytes(), bytes_before);
         // delivered results remain readable; unknown ids error
         assert_eq!(sys.results(q).len(), 3);
+        assert_eq!(sys.results(direct).len(), 3);
         assert!(sys.unsubscribe(q).is_err());
         assert!(sys.unsubscribe(QueryId(99)).is_err());
     }
@@ -853,13 +1028,19 @@ mod tests {
     #[test]
     fn rep_change_replaces_executor_and_still_delivers() {
         let mut sys = line_system(true);
-        let q1 = sys
-            .submit_query("SELECT k, x FROM S [Now] WHERE x <= 20.0", NodeId(2))
-            .unwrap();
+        let count = |hi: f64| {
+            format!("SELECT x, COUNT(*) FROM S [Range 5 Second] WHERE x <= {hi:.1} GROUP BY x")
+        };
+        let q1 = sys.submit_query(&count(20.0), NodeId(2)).unwrap();
+        let generation = sys.executor_generation(q1);
         // widening second member forces a representative change
-        let q2 = sys
-            .submit_query("SELECT k, x FROM S [Now] WHERE x <= 40.0", NodeId(3))
+        let q2 = sys.submit_query(&count(40.0), NodeId(3)).unwrap();
+        assert_ne!(sys.executor_generation(q1), generation, "replaced");
+        // A selection joins no group and replaces no executor.
+        let generation = sys.executor_generation(q1);
+        sys.submit_query("SELECT k, x FROM S [Now] WHERE x <= 40.0", NodeId(3))
             .unwrap();
+        assert_eq!(sys.executor_generation(q1), generation);
         sys.run((0..10).map(|i| s_tuple(i * 1000, i, (i * 10) as f64)))
             .unwrap();
         assert_eq!(sys.results(q1).len(), 3); // x = 0, 10, 20
@@ -922,6 +1103,66 @@ mod tests {
         assert_eq!(totals.drained, 2);
         sys.close_streams();
         assert!(sys.disorder_totals().conserved());
+    }
+
+    /// Placement follows the mode: arming groups a query the CBN served
+    /// alone (it needs staging), disarming hands it back with the same
+    /// user subscription, and a stateful query stays grouped throughout.
+    /// After closure a direct query subscribes to nothing.
+    #[test]
+    fn placement_follows_the_disorder_mode() {
+        let mut sys = line_system(true);
+        let direct = sys
+            .submit_query("SELECT k FROM S [Now] WHERE x > 5.0", NodeId(3))
+            .unwrap();
+        let stateful = sys
+            .submit_query("SELECT DISTINCT k FROM S [Now]", NodeId(2))
+            .unwrap();
+        let user_sub = |sys: &crate::Cosmos| sys.snapshot().unwrap().direct[0].user_sub;
+        let sub = user_sub(&sys);
+        assert_eq!(sys.processor_of(direct), None);
+        let grouped = sys.processor_of(stateful);
+        assert_eq!(grouped, Some(NodeId(0)));
+        sys.set_disorder(Some(DisorderRuntime {
+            bound: TimeDelta::from_millis(1_000),
+            policy: LatePolicy::Drop,
+        }));
+        assert_eq!(sys.processor_of(direct), Some(NodeId(0)));
+        assert!(sys.executor_generation(direct).is_some());
+        assert_eq!(sys.rep_states().len(), 2);
+        assert!(sys.snapshot().unwrap().direct.is_empty());
+        sys.run((1..4).map(|i| s_tuple(i * 1_000, i, 10.0)))
+            .unwrap();
+        sys.set_disorder(None);
+        assert_eq!(sys.results(direct).len(), 3, "the disarm flushed them");
+        assert_eq!(sys.processor_of(direct), None);
+        assert_eq!(sys.processor_of(stateful), grouped);
+        assert_eq!(sys.rep_states().len(), 1, "its group dissolved");
+        assert_eq!(user_sub(&sys), sub, "the same subscription");
+        sys.publish(&s_tuple(4_000, 4, 10.0)).unwrap();
+        assert_eq!(sys.results(direct).len(), 4);
+
+        // Out of order again, the streams close; back in order, the
+        // direct query's profile names only closed streams: it
+        // subscribes to nothing, and nothing is resurrected.
+        sys.set_disorder(Some(DisorderRuntime {
+            bound: TimeDelta::from_millis(1_000),
+            policy: LatePolicy::Drop,
+        }));
+        sys.close_streams();
+        sys.set_disorder(None);
+        assert_eq!(sys.processor_of(direct), None);
+        let snap = sys.snapshot().unwrap();
+        let installed =
+            (snap.routers.iter().flat_map(|r| &r.local_subscribers)).any(|s| s.id == sub);
+        assert!(
+            !installed,
+            "a closed stream's direct query subscribes to nothing"
+        );
+        let s = StreamName::from("S");
+        let interests = snap.routers.iter().flat_map(|r| &r.neighbor_interests);
+        assert!(interests.clone().all(|(_, p)| p.entry(&s).is_none()));
+        assert!(interests.count() > 0, "the DISTINCT query's result stream");
     }
 
     /// Disarming out-of-order operation mid-run withholds nothing: what

@@ -15,6 +15,14 @@ use cosmos_types::{AttrType, NodeId, QueryId, Schema, TimeDelta, Timestamp, Tupl
 /// the move measured demand should buy. `merging: false` deploys the
 /// non-share baseline.
 fn curved_system(registered_rate: f64, merging: bool) -> (Cosmos, QueryId) {
+    curved_system_with(registered_rate, merging, SELECTION)
+}
+
+/// A selection the CBN serves alone: no group, no representative.
+const SELECTION: &str = "SELECT k FROM S [Now]";
+
+/// [`curved_system`] with the user at node 2 submitting `text`.
+fn curved_system_with(registered_rate: f64, merging: bool, text: &str) -> (Cosmos, QueryId) {
     let mut g = Graph::new(3);
     g.set_position(NodeId(0), 0.0, 0.0);
     g.set_position(NodeId(1), 0.3, 0.4);
@@ -38,9 +46,7 @@ fn curved_system(registered_rate: f64, merging: bool) -> (Cosmos, QueryId) {
         NodeId(0),
     )
     .unwrap();
-    let q = sys
-        .submit_query("SELECT k FROM S [Now]", NodeId(2))
-        .unwrap();
+    let q = sys.submit_query(text, NodeId(2)).unwrap();
     assert_eq!(sys.tree().parent(NodeId(2)), Some(NodeId(1)), "MST chain");
     (sys, q)
 }
@@ -110,14 +116,20 @@ fn autotune_detects_drift_and_strictly_reduces_cost() {
 fn baseline_representatives_count_toward_group_drift() {
     // The non-share baseline runs one representative per query, and its
     // estimated cost drifts from the measured one exactly like that of
-    // the merged deployment's one-member group.
-    let (mut baseline, q) = curved_system(0.1, false);
-    let (mut merged, _) = curved_system(0.1, true);
+    // the merged deployment's one-member group. DISTINCT keeps state,
+    // so the query is grouped at the processor.
+    let text = "SELECT DISTINCT k, timestamp FROM S [Now]";
+    let (mut baseline, q) = curved_system_with(0.1, false, text);
+    let (mut merged, _) = curved_system_with(0.1, true, text);
     publish_phase(&mut baseline, 0..150);
     publish_phase(&mut merged, 0..150);
     let (_, group_drift) = baseline.measured_drift();
     assert!(group_drift > 0.0, "{group_drift}");
     assert_eq!(group_drift, merged.measured_drift().1);
+    // A selection has no group, so no representative cost to drift.
+    let (mut direct, _) = curved_system(0.1, false);
+    publish_phase(&mut direct, 0..150);
+    assert_eq!(direct.measured_drift().1, 0.0);
 
     let pass = baseline.autotune(&AutotuneOptions::default()).unwrap();
     assert!(pass.triggered, "{pass:?}");

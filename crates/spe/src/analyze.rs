@@ -670,7 +670,7 @@ mod tests {
             .unwrap();
         let a = AnalyzedQuery::analyze(&q, cat).unwrap();
         let p = a.source_profile();
-        assert_eq!(p.stream_count(), 2);
+        assert_eq!(p.streams().count(), 2);
         let r_entry = p.entry(&StreamName::from("R")).unwrap();
         assert!(r_entry.projection.contains("A"));
         assert!(r_entry.projection.contains("B"));

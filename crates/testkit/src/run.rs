@@ -17,7 +17,9 @@
 //!   without widening it inherits a running executor — its epoch's
 //!   `exec_start` (where the executor's history began) then predates its
 //!   `member_start` (where the query subscribed), and the oracle skips
-//!   the reference outputs produced in between.
+//!   the reference outputs produced in between. A query the CBN serves
+//!   alone has no executor; its epochs carry generation [`DIRECT`] and
+//!   start where it subscribed.
 
 use crate::scenario::{Event, Scenario};
 use cosmos::{Cosmos, CosmosConfig, DisorderRuntime, DisorderStats, LatePolicy};
@@ -77,10 +79,15 @@ impl Default for RunOptions {
     }
 }
 
+/// The [`Epoch::generation`] of a query the CBN serves alone: executor
+/// generations start at 1.
+pub const DIRECT: u64 = 0;
+
 /// One window-state lifetime of the executor serving a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Epoch {
-    /// Executor generation stamp.
+    /// Executor generation stamp ([`DIRECT`] for a query the CBN serves
+    /// alone).
     pub generation: u64,
     /// Index into `published` where this executor's input history began.
     pub exec_start: usize,
@@ -413,10 +420,13 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> Result<RunOutcome
             if q.input_end.is_some() {
                 continue;
             }
-            let Some(generation) = sys.executor_generation(q.qid) else {
-                continue;
+            // A query the CBN serves alone has no executor: its one
+            // epoch (generation [`DIRECT`]) starts where it subscribed.
+            let (generation, exec_start) = match sys.executor_generation(q.qid) {
+                Some(g) => (g, *gen_created_at.entry(g).or_insert(published.len())),
+                None if sys.user_of(q.qid).is_some() => (DIRECT, published.len()),
+                None => continue,
             };
-            let exec_start = *gen_created_at.entry(generation).or_insert(published.len());
             if q.epochs.last().map(|e| e.generation) != Some(generation) {
                 q.epochs.push(Epoch {
                     generation,

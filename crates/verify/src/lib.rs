@@ -18,7 +18,7 @@
 //! | V2 no over-delivery / lost attributes | `V0201`, `V0202` | forwarding edges follow the dissemination tree toward the origin (so no node receives a stream from two upstreams and no subscriber is registered twice), and early projection never drops an attribute a downstream filter or member query references |
 //! | V3 tree well-formedness | `V0301` | every dissemination tree is acyclic, connected, spans the overlay, and per-source trees are rooted at their advertiser |
 //! | V4 merge soundness | `V0401` | Theorem 1/2 containment of each member in its representative, re-derived from the ASTs independently of `cosmos_query::containment`, agrees with the library |
-//! | V5 split-filter exactness | `V0501` | `member ≡ representative ∘ re-tightened filter`, checked as mutual semantic implication (Lemma 1 window re-tightening included) |
+//! | V5 split-filter exactness | `V0501`, `V0502` | `member ≡ representative ∘ re-tightened filter`, checked as mutual semantic implication (Lemma 1 window re-tightening included); a query the CBN serves alone has its user's profile equal the query: its filter equivalent to the selection, its projection exactly the output attributes |
 //! | V6 abstraction consistency | `V0601`–`V0604` | the interval abstractions (`cosmos_bound::absint`) of the filters along every delivery path meet non-emptily — no statically-dead delivery — and no deployed representative has provably unbounded executor state |
 //! | V7 closure pruning | `V0701` | a stream closed by its final watermark has no routing state left at any router |
 //! | V8 overload accounting | `V0801` | every overload ledger satisfies `offered = delivered + shed + staged` (tuples *and* bytes), and every query with ledger traffic still has its user subscription installed — shedding never silently black-holes a retained query |
@@ -32,7 +32,7 @@
 mod contain;
 
 use cosmos::snapshot::{
-    GroupSnapshot, LocalSubscriber, NetworkSnapshot, SubscriberKind, TreeTopology,
+    DirectSnapshot, GroupSnapshot, LocalSubscriber, NetworkSnapshot, SubscriberKind, TreeTopology,
 };
 use cosmos_bound::absint;
 use cosmos_cbn::{filters_imply, Conjunction, DiffRange, Profile, ProfileEntry, Projection};
@@ -40,7 +40,7 @@ use cosmos_lint::{Diagnostic, Severity};
 use cosmos_query::merge::TIMESTAMP_ATTR;
 use cosmos_spe::analyze::{AnalyzedQuery, OutputColumn, QAttr};
 use cosmos_types::{NodeId, Schema, StreamName};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 pub use contain::{contained as rederive_contained, correspondence};
 pub use cosmos_lint::{Diagnostic as VerifyDiagnostic, Severity as VerifySeverity};
@@ -70,6 +70,10 @@ pub mod codes {
     /// V5: the installed split filter is not equivalent to the member's
     /// re-tightening of the representative (over- or under-delivery).
     pub const SPLIT_FILTER: &str = "V0501";
+    /// V5: the profile installed for a query the CBN serves alone is not
+    /// the query: its filter is not equivalent to the query's selection,
+    /// or its projection keeps other than the output attributes.
+    pub const DIRECT_PROFILE: &str = "V0502";
     /// V6: the interval abstractions along a subscriber's delivery path
     /// are disjoint — no concrete tuple can ever reach it (a
     /// statically-dead delivery the hop filters silently absorb).
@@ -116,6 +120,7 @@ pub fn verify_snapshot(snap: &NetworkSnapshot) -> Vec<Diagnostic> {
     check_closed_streams(snap, &mut diags);
     check_overload_ledgers(snap, &mut diags);
     check_groups(snap, &mut diags);
+    check_direct_queries(snap, &mut diags);
     diags
 }
 
@@ -157,25 +162,18 @@ fn check_overload_ledgers(snap: &NetworkSnapshot, diags: &mut Vec<Diagnostic>) {
         }
         // Only queries still deployed are checkable: a withdrawn query
         // legitimately keeps its ledger (history is never erased) with
-        // no subscription left. A *member* without its user sub is the
-        // black hole.
-        let Some(member) = snap
-            .groups
-            .iter()
-            .flat_map(|g| &g.members)
-            .find(|m| m.query == l.query)
-        else {
+        // no subscription left. A live query — a group member or one
+        // the CBN serves alone — without its user sub is the black hole.
+        let members =
+            (snap.groups.iter().flat_map(|g| &g.members)).map(|m| (m.query, m.user, m.user_sub));
+        let direct = (snap.direct.iter()).map(|d| (d.query, d.user, d.user_sub));
+        let Some((query, user, user_sub)) = members.chain(direct).find(|m| m.0 == l.query) else {
             continue;
         };
         let subscribed = snap.routers.iter().any(|r| {
-            r.node == member.user
-                && r.local_subscribers.iter().any(|s| {
-                    s.id == member.user_sub
-                        && s.kind
-                            == (SubscriberKind::User {
-                                query: member.query,
-                            })
-                })
+            r.node == user
+                && (r.local_subscribers.iter())
+                    .any(|s| s.id == user_sub && s.kind == (SubscriberKind::User { query }))
         });
         if !subscribed {
             diags.push(Diagnostic::error(
@@ -952,17 +950,23 @@ fn installed_profile(
         .map(|s| &s.profile)
 }
 
-fn check_groups(snap: &NetworkSnapshot, diags: &mut Vec<Diagnostic>) {
+/// A re-analyzer of query text against the snapshot's own advertised
+/// schemas.
+fn analyzer(snap: &NetworkSnapshot) -> impl Fn(&str) -> Result<AnalyzedQuery, String> {
     let schemas: BTreeMap<String, Schema> = snap
         .advertisements
         .iter()
         .map(|a| (a.stream.as_str().to_string(), a.schema.clone()))
         .collect();
-    let schema_of = |name: &str| schemas.get(name).cloned();
-    let analyze = |text: &str| -> Result<AnalyzedQuery, String> {
+    move |text| {
         let parsed = cosmos_cql::parse_query(text).map_err(|e| e.to_string())?;
+        let schema_of = |name: &str| schemas.get(name).cloned();
         AnalyzedQuery::analyze(&parsed, schema_of).map_err(|e| e.to_string())
-    };
+    }
+}
+
+fn check_groups(snap: &NetworkSnapshot, diags: &mut Vec<Diagnostic>) {
+    let analyze = analyzer(snap);
 
     for g in &snap.groups {
         let rep = match analyze(&g.representative_cql) {
@@ -1198,6 +1202,97 @@ fn check_member(
                  selects — under-delivery",
             ),
             None,
+        ));
+    }
+}
+
+/// V5 for the queries the CBN serves alone: each is a single-stream
+/// select-project query, and the profile installed for its user is the
+/// query itself — one entry, for its stream, whose filter is equivalent
+/// to its selection (mutual implication) and whose projection keeps
+/// exactly its output attributes. An entry that keeps a filter-only
+/// attribute over-delivers a column; one that drops or widens the filter
+/// under- or over-delivers rows. A closed stream's entry is pruned by
+/// design (V7 reports a leak).
+fn check_direct_queries(snap: &NetworkSnapshot, diags: &mut Vec<Diagnostic>) {
+    let analyze = analyzer(snap);
+    for d in &snap.direct {
+        match analyze(&d.cql) {
+            Ok(query) => check_direct(snap, d, &query, diags),
+            Err(e) => diags.push(Diagnostic::error(
+                codes::SNAPSHOT,
+                format!("direct query {}: does not re-analyze: {e}", d.query),
+                None,
+            )),
+        }
+    }
+}
+
+fn check_direct(
+    snap: &NetworkSnapshot,
+    d: &DirectSnapshot,
+    query: &AnalyzedQuery,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let who = format!(
+        "direct query {} (subscriber {} at {})",
+        d.query, d.user_sub, d.user
+    );
+    let mut fail = |what: String| {
+        diags.push(Diagnostic::error(
+            codes::DIRECT_PROFILE,
+            format!("{who}: {what}"),
+            None,
+        ));
+    };
+    if query.streams.len() != 1 || query.is_aggregate() || query.distinct {
+        fail("only a single-stream select-project query is a profile".into());
+        return;
+    }
+    let (bound, selection) = (&query.streams[0], &query.selections[0]);
+    if snap.closed_streams.contains(&bound.stream) {
+        return;
+    }
+    let Some(profile) = installed_profile(snap, d.user, d.user_sub) else {
+        fail("no subscription is installed — the query receives nothing".into());
+        return;
+    };
+    if let Some(other) = profile.streams().find(|s| **s != bound.stream) {
+        fail(format!(
+            "the installed profile also subscribes to '{other}'"
+        ));
+    }
+    let Some(entry) = profile.entry(&bound.stream) else {
+        fail(format!(
+            "the installed profile has no entry for '{}'",
+            bound.stream
+        ));
+        return;
+    };
+    let installed: Vec<Conjunction> = if entry.filters.is_empty() {
+        vec![Conjunction::always()]
+    } else {
+        entry.filters.clone()
+    };
+    let expected = [selection.clone()];
+    if !filters_imply(&installed, &expected) {
+        fail("the installed filter admits tuples the selection rejects — over-delivery".into());
+    }
+    if !filters_imply(&expected, &installed) {
+        fail("the installed filter drops tuples the selection admits — under-delivery".into());
+    }
+    let kept: BTreeSet<&str> = (bound.schema.names())
+        .filter(|a| entry.projection.contains(a))
+        .collect();
+    let outputs: BTreeSet<&str> = (query.output.iter())
+        .filter_map(|c| match c {
+            OutputColumn::Attr(a) => Some(a.name.as_str()),
+            OutputColumn::Agg { .. } => None,
+        })
+        .collect();
+    if kept != outputs {
+        fail(format!(
+            "the installed projection keeps {kept:?}, the query outputs {outputs:?}"
         ));
     }
 }

@@ -83,11 +83,13 @@ fn main() -> ExitCode {
     } else {
         if !quiet && !json {
             println!(
-                "cosmos-verify: ok — {} node{}, {} group{}, {} advisory finding{}",
+                "cosmos-verify: ok — {} node{}, {} group{}, {} direct quer{}, {} advisory finding{}",
                 snap.nodes,
                 if snap.nodes == 1 { "" } else { "s" },
                 snap.groups.len(),
                 if snap.groups.len() == 1 { "" } else { "s" },
+                snap.direct.len(),
+                if snap.direct.len() == 1 { "y" } else { "ies" },
                 diags.len(),
                 if diags.len() == 1 { "" } else { "s" },
             );

@@ -50,7 +50,7 @@ fn live_snapshot_has_no_v6_findings() {
 }
 
 /// Line overlay 0 - 1 - 2 - 3 with the processor at node 0 and the
-/// source at node 3: the SPE's source profile for 'S' (carrying the
+/// source at node 3: a subscription to 'S' at node 0 (carrying the
 /// query's selection) must propagate over every link, so each hop holds
 /// an interest for 'S' the test can tamper with.
 fn line_system() -> Cosmos {
@@ -91,7 +91,7 @@ fn disjoint_hop_filter_is_a_dead_delivery() {
         .unwrap();
     let mut snap = sys.snapshot().unwrap();
     // Tamper: re-tighten every installed interest for 'S' to a range
-    // disjoint from the SPE subscriber's `x > 50` — tuples die mid-path.
+    // disjoint from the subscriber's `x > 50` — tuples die mid-path.
     let stream = cosmos_types::StreamName::from("S");
     let mut tampered = false;
     for r in &mut snap.routers {
@@ -160,8 +160,16 @@ fn unsatisfiable_subscription_is_flagged() {
 #[test]
 fn unbounded_representative_is_flagged() {
     let mut sys = system();
+    // A selection is served by the CBN alone, with no representative to
+    // tamper with; DISTINCT keeps state, so it runs in a group.
     sys.submit_query(
         "SELECT k, x FROM S [Range 5 Second] WHERE x > 50.0",
+        NodeId(5),
+    )
+    .unwrap();
+    assert!(sys.snapshot().unwrap().groups.is_empty(), "a profile");
+    sys.submit_query(
+        "SELECT DISTINCT k, x FROM S [Range 5 Second] WHERE x > 50.0",
         NodeId(5),
     )
     .unwrap();

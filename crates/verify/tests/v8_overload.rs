@@ -9,7 +9,15 @@ use cosmos_query::{AttrStats, StreamStats};
 use cosmos_types::{AttrType, NodeId, Schema, TimeDelta, Timestamp, Tuple, Value};
 use cosmos_verify::{codes, has_violations, verify_snapshot};
 
+/// A selection: the CBN serves it alone.
+const SELECTION: &str = "SELECT k FROM S [Now]";
+
 fn budgeted_system() -> Cosmos {
+    budgeted_system_with(SELECTION)
+}
+
+/// [`budgeted_system`] with the user at node 5 submitting `text`.
+fn budgeted_system_with(text: &str) -> Cosmos {
     let cfg = CosmosConfig {
         nodes: 8,
         seed: 11,
@@ -27,8 +35,7 @@ fn budgeted_system() -> Cosmos {
         NodeId(0),
     )
     .unwrap();
-    sys.submit_query("SELECT k FROM S [Now]", NodeId(5))
-        .unwrap();
+    sys.submit_query(text, NodeId(5)).unwrap();
     // A tight budget guarantees real shed traffic in the ledger.
     sys.set_overload(Some(OverloadConfig::uniform_bytes(64)));
     for i in 0..100i64 {
@@ -76,8 +83,17 @@ fn leaked_shed_ledger_is_flagged() {
 
 #[test]
 fn shed_black_hole_is_flagged() {
-    let sys = budgeted_system();
+    // A query the CBN serves alone, and a group member (DISTINCT keeps
+    // state): either one losing its subscription is a black hole.
+    for text in [SELECTION, "SELECT DISTINCT k, timestamp FROM S [Now]"] {
+        shed_black_hole_is_flagged_for(text);
+    }
+}
+
+fn shed_black_hole_is_flagged_for(text: &str) {
+    let sys = budgeted_system_with(text);
     let mut snap = sys.snapshot().unwrap();
+    assert_eq!(snap.direct.len(), usize::from(text == SELECTION), "{text}");
     // Simulate a black hole: the controller still accounts for a query
     // whose user subscription is gone from every router.
     let q = snap.overload[0].query;
@@ -90,7 +106,7 @@ fn shed_black_hole_is_flagged() {
         diags
             .iter()
             .any(|d| d.code == codes::SHED_UNACCOUNTED && d.message.contains("black-holed")),
-        "black hole flagged: {diags:?}"
+        "{text}: black hole flagged: {diags:?}"
     );
 }
 

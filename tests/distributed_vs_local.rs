@@ -162,15 +162,21 @@ fn dht_registry_mode_works_end_to_end() {
 #[test]
 fn duplicate_queries_from_many_users_share_everything() {
     let mut sys = deploy(30, 23, true, RegistryMode::Flooding);
-    let text = "SELECT k, x FROM L [Now] WHERE x >= 0";
+    let text = "SELECT x, COUNT(*) FROM L [Range 5 Second] WHERE x >= 0 GROUP BY x";
     let qids: Vec<QueryId> = (0..10)
         .map(|i| sys.submit_query(text, NodeId(3 * i as u32)).unwrap())
         .collect();
+    // The same users' selections share the source stream's paths in the
+    // CBN itself, with no group at all.
+    let selection = "SELECT k, x FROM L [Now] WHERE x >= 0";
+    let direct: Vec<QueryId> = (0..10)
+        .map(|i| sys.submit_query(selection, NodeId(3 * i as u32)).unwrap())
+        .collect();
     sys.run((0..40).map(|i| l(i * 500, i % 4, i % 40))).unwrap();
-    for q in &qids {
+    for q in qids.iter().chain(&direct) {
         assert_eq!(sys.results(*q).len(), 40);
     }
-    // all ten users share one representative
+    // all ten aggregate users share one representative
     let total_groups: usize = sys
         .processors()
         .iter()
@@ -178,6 +184,7 @@ fn duplicate_queries_from_many_users_share_everything() {
         .map(|m| m.group_count())
         .sum();
     assert_eq!(total_groups, 1);
+    assert!(direct.iter().all(|q| sys.processor_of(*q).is_none()));
 }
 
 #[test]

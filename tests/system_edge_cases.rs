@@ -51,10 +51,15 @@ fn affinity_one_concentrates_affinity_many_balances() {
         });
         let mut counts = vec![0usize; 40];
         for i in 0..32 {
+            // DISTINCT keeps state, so the query needs a processor.
             let q = sys
-                .submit_query("SELECT k FROM S [Now]", NodeId(i % 40))
+                .submit_query("SELECT DISTINCT k FROM S [Now]", NodeId(i % 40))
                 .unwrap();
             counts[sys.processor_of(q).unwrap().index()] += 1;
+            // A stateless selection is served by the CBN alone and
+            // loads no processor.
+            let direct = sys.submit_query("SELECT k FROM S [Now]", NodeId(i % 40));
+            assert_eq!(sys.processor_of(direct.unwrap()), None);
         }
         counts
     };
@@ -145,12 +150,19 @@ fn dht_registry_with_many_result_streams() {
         .unwrap();
     let qids: Vec<_> = (0..12)
         .map(|i| {
-            sys.submit_query("SELECT k FROM S [Now]", NodeId(i * 2))
+            sys.submit_query("SELECT DISTINCT k FROM S [Now]", NodeId(i * 2))
                 .unwrap()
         })
         .collect();
+    // A stateless selection advertises no result stream: the CBN
+    // serves it from the source stream.
+    let direct = sys
+        .submit_query("SELECT k FROM S [Now]", NodeId(5))
+        .unwrap();
+    let advertised = sys.registry().iter().count();
+    assert_eq!(advertised, 13, "the source and 12 result streams");
     sys.run((0..10).map(|i| tup(i * 1000, i, 1.0))).unwrap();
-    for q in qids {
+    for q in qids.into_iter().chain([direct]) {
         assert_eq!(sys.results(q).len(), 10);
     }
     // registrations: 1 source + 12 result streams, 3 replicas each,
@@ -166,16 +178,28 @@ fn unsubscribe_collapses_group_to_remaining_member() {
         affinity_candidates: 1, // both queries land on the same processor
         ..CosmosConfig::default()
     });
+    // Aggregates keep state, so they are grouped at a processor (the
+    // selections alone would be served by the CBN: no group to collapse).
     let wide = sys
-        .submit_query("SELECT k, x FROM S [Now] WHERE x >= 0.0", NodeId(3))
+        .submit_query(
+            "SELECT x, COUNT(*) FROM S [Range 5 Second] WHERE x >= 0.0 GROUP BY x",
+            NodeId(3),
+        )
         .unwrap();
     let narrow = sys
+        .submit_query(
+            "SELECT x, COUNT(*) FROM S [Range 5 Second] WHERE x > 50.0 GROUP BY x",
+            NodeId(9),
+        )
+        .unwrap();
+    let selection = sys
         .submit_query("SELECT k, x FROM S [Now] WHERE x > 50.0", NodeId(9))
         .unwrap();
+    assert_eq!(sys.processor_of(selection), None);
     let p = sys.processor_of(narrow).unwrap();
     {
         let mgr = sys.group_manager(p).unwrap();
-        assert_eq!(mgr.group_count(), 1, "the two selections must merge");
+        assert_eq!(mgr.group_count(), 1, "the two aggregates must merge");
         let g = mgr.groups().next().unwrap();
         assert_eq!(g.members.len(), 2);
         let narrow_q = &g.members.iter().find(|(m, _)| *m == narrow).unwrap().1;
@@ -208,6 +232,7 @@ fn unsubscribe_collapses_group_to_remaining_member() {
         .unwrap();
     let expected = (0..20).filter(|i| i * 10 > 50).count();
     assert_eq!(sys.results(narrow).len(), expected);
+    assert_eq!(sys.results(selection).len(), expected);
     assert_eq!(sys.results(wide).len(), 0, "withdrawn before any input");
 }
 
