@@ -74,13 +74,6 @@ pub struct QueryBounds {
     pub intake_bytes: Bound,
 }
 
-impl QueryBounds {
-    /// Whether any retained-state component is unbounded.
-    pub fn state_unbounded(&self) -> bool {
-        self.state_rows.is_unbounded()
-    }
-}
-
 /// Payload bytes of a stream's widest tuple (wire size minus header).
 fn payload(env: &Envelope, stream: &StreamName) -> Bound {
     match env.tuple_bytes(stream) {
@@ -310,7 +303,7 @@ mod tests {
         assert_eq!(b.output_rows, Bound::Finite(11.0 * 5.0 + 11.0 * 3.0));
         // Both streams ingested at full width.
         assert_eq!(b.intake_bytes, Bound::Finite(2.0 * 11.0 * 34.0));
-        assert!(!b.state_unbounded());
+        assert!(!b.state_rows.is_unbounded());
     }
 
     #[test]
@@ -337,7 +330,7 @@ mod tests {
         assert_eq!(b.agg_window_rows, Bound::Finite(4.0));
         assert_eq!(b.group_rows, Bound::Finite(4.0));
         assert_eq!(b.output_rows, Bound::Finite(11.0));
-        assert!(!b.state_unbounded());
+        assert!(!b.state_rows.is_unbounded());
     }
 
     /// The README's `cosmos-bound --rate 5 --horizon 60` envelope: 301
@@ -424,7 +417,10 @@ mod tests {
             &q("SELECT S.id FROM S [Unbounded] S, T [Now] T WHERE S.id = T.id"),
             &env(),
         );
-        assert!(!b.state_unbounded(), "a finite trace still bounds it");
+        assert!(
+            !b.state_rows.is_unbounded(),
+            "a finite trace still bounds it"
+        );
     }
 
     #[test]

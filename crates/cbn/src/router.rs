@@ -261,8 +261,10 @@ impl Router {
     }
 
     /// Replace the merged interest of the subtree behind `neighbor`
-    /// (an empty profile clears it).
-    pub fn set_neighbor_interest(&mut self, neighbor: NodeId, profile: Profile) {
+    /// (an empty profile clears it). Tests only: the product edits one
+    /// stream at a time through [`Router::set_neighbor_entry`].
+    #[cfg(test)]
+    pub(crate) fn set_neighbor_interest(&mut self, neighbor: NodeId, profile: Profile) {
         let dest = Destination::Neighbor(neighbor);
         self.install(dest, (!profile.is_empty()).then_some(profile));
     }

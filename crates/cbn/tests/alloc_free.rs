@@ -42,6 +42,13 @@ fn interest(lo: i64, hi: i64, attrs: &[&str]) -> Profile {
     p
 }
 
+/// Replace the interest behind `neighbor` in stream `S`, the only
+/// stream these tests route (an empty profile clears it).
+fn set_interest(r: &mut Router, neighbor: NodeId, profile: Profile) {
+    let s = "S".into();
+    r.set_neighbor_entry(neighbor, &s, profile.entry(&s).cloned());
+}
+
 /// What a routing loop does with the forwards: consume them and hand
 /// their emptied buffers back.
 fn recycle(out: &mut Vec<BatchForward>, pool: &mut Vec<Vec<Tuple>>) {
@@ -58,8 +65,8 @@ fn steady_state_routing_allocates_only_built_projections() {
 
     // (i) Identity projections, overlapping interests, a dropped tail.
     let mut r = Router::new(NodeId(0));
-    r.set_neighbor_interest(NodeId(1), interest(0, 40, &[]));
-    r.set_neighbor_interest(NodeId(2), interest(20, 50, &[]));
+    set_interest(&mut r, NodeId(1), interest(0, 40, &[]));
+    set_interest(&mut r, NodeId(2), interest(20, 50, &[]));
     r.add_local_subscriber(SubscriberId(7), interest(10, 30, &[]));
     let tuples = batch(64);
     // Warm-up: plans compile, the scratch grows, and — buffers change
@@ -92,8 +99,8 @@ fn steady_state_routing_allocates_only_built_projections() {
     // (iii) Narrowing projections: one allocation per projection built,
     // and destinations with the same layout share it.
     let mut r = Router::new(NodeId(0));
-    r.set_neighbor_interest(NodeId(1), interest(0, 40, &["id"]));
-    r.set_neighbor_interest(NodeId(2), interest(20, 50, &["id"]));
+    set_interest(&mut r, NodeId(1), interest(0, 40, &["id"]));
+    set_interest(&mut r, NodeId(2), interest(20, 50, &["id"]));
     r.add_local_subscriber(SubscriberId(7), interest(10, 30, &["id", "price"]));
     r.route_batch_into(&tuples, &s, None, &mut out, &mut pool);
     recycle(&mut out, &mut pool);
@@ -129,7 +136,7 @@ fn steady_state_flat_matching_allocates_nothing() {
 #[test]
 fn relay_lookups_allocate_nothing_once_the_stream_was_routed() {
     let (mut up, mut r) = (Router::new(NodeId(0)), Router::new(NodeId(1)));
-    up.set_neighbor_interest(NodeId(1), interest(0, 40, &["id", "price"]));
+    set_interest(&mut up, NodeId(1), interest(0, 40, &["id", "price"]));
     r.add_local_subscriber(SubscriberId(7), interest(0, 40, &["id", "price"]));
     let on_s = "S".into();
     let relay = Some(Destination::Local(SubscriberId(7)));
@@ -142,10 +149,10 @@ fn relay_lookups_allocate_nothing_once_the_stream_was_routed() {
     assert_eq!(n, 0, "warmed lookups");
     // Interest changes on either router: the verdict is recomputed, in
     // place.
-    r.set_neighbor_interest(NodeId(2), interest(50, 60, &[]));
+    set_interest(&mut r, NodeId(2), interest(50, 60, &[]));
     assert_eq!(allocations(|| assert_eq!(r.relay(&on_s, &up), None)), 0);
-    r.set_neighbor_interest(NodeId(2), Profile::new());
-    up.set_neighbor_interest(NodeId(1), interest(0, 41, &["id", "price"]));
+    set_interest(&mut r, NodeId(2), Profile::new());
+    set_interest(&mut up, NodeId(1), interest(0, 41, &["id", "price"]));
     assert_eq!(allocations(|| assert_eq!(r.relay(&on_s, &up), None)), 0);
     r.add_local_subscriber(SubscriberId(7), interest(0, 41, &["id", "price"]));
     assert_eq!(allocations(|| assert_eq!(r.relay(&on_s, &up), relay)), 0);
@@ -154,8 +161,8 @@ fn relay_lookups_allocate_nothing_once_the_stream_was_routed() {
 #[test]
 fn punctuation_routing_into_a_warmed_buffer_allocates_nothing() {
     let mut r = Router::new(NodeId(0));
-    r.set_neighbor_interest(NodeId(1), interest(0, 40, &[]));
-    r.set_neighbor_interest(NodeId(2), interest(20, 50, &["id"]));
+    set_interest(&mut r, NodeId(1), interest(0, 40, &[]));
+    set_interest(&mut r, NodeId(2), interest(20, 50, &["id"]));
     r.add_local_subscriber(SubscriberId(7), interest(10, 30, &[]));
     let (on_s, unknown) = ("S".into(), "T".into());
     for dest in [

@@ -71,9 +71,12 @@ fn submit_generated(
 /// path, through `Router`'s public mutators only.
 fn reference_rebuild(sys: &Cosmos, routers: &mut [Router]) {
     for r in routers.iter_mut() {
-        let neighbors: Vec<NodeId> = r.neighbor_interests().map(|(n, _)| n).collect();
-        for n in neighbors {
-            r.set_neighbor_interest(n, Profile::new());
+        let held: Vec<(NodeId, StreamName)> = r
+            .neighbor_interests()
+            .flat_map(|(n, p)| p.streams().map(move |s| (n, *s)))
+            .collect();
+        for (n, s) in held {
+            r.set_neighbor_entry(n, &s, None);
         }
     }
     let mut subs: Vec<(SubscriberId, NodeId, Profile)> = routers
@@ -100,7 +103,7 @@ fn reference_rebuild(sys: &Cosmos, routers: &mut [Router]) {
                     Some(held) => held.union(&single),
                     None => single.clone(),
                 };
-                up.set_neighbor_interest(w[0], merged);
+                up.set_neighbor_entry(w[0], stream, merged.entry(stream).cloned());
             }
         }
     }

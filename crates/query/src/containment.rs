@@ -6,19 +6,29 @@
 //! Theorem 1 reduces the check for select-project-join queries to
 //! (1) containment of the `∞`-window versions and (2) component-wise
 //! window containment `T¹ᵢ ≤ T²ᵢ`; Theorem 2 covers aggregate queries,
-//! requiring *equal* windows instead.
+//! requiring *equal* windows, identical grouping, and member selectivity
+//! that acts on whole groups.
 //!
-//! For the conjunctive SPJ fragment COSMOS handles, `∞`-window
-//! containment is decided structurally: the streams must correspond, the
-//! weaker query's join predicates must follow from the stronger one's
-//! (modulo the transitive closure of attribute equivalence), the stronger
-//! query's per-stream selections must imply the weaker's, and the
-//! stronger query's output attributes must be available in the weaker's
-//! output. All checks are *sound* (a `true` answer is always correct);
-//! like any practical containment test over this fragment they are
-//! conservative in the presence of constructs the representation cannot
-//! compare.
+//! [`contained`] decides the `∞`-window part structurally over the
+//! conjunctive SPJ fragment COSMOS handles: the streams must correspond,
+//! the weaker query's join predicates must follow from the stronger
+//! one's (modulo the transitive closure of attribute equality), the
+//! stronger query's per-stream selection must imply the weaker's
+//! *semantically* ([`conjunction_implies`], which refutes `q1 ∧ ¬atom`
+//! with the difference-constraint kernel), and the stronger query's
+//! output must be available in the weaker's. It is *sound* — a `true`
+//! answer is always correct — and conservative where the representation
+//! cannot compare.
+//!
+//! Containment gives row inclusion. Definition 1's *derivability* —
+//! that CBN filtering and projection of `q2`'s result stream rebuild
+//! `q1`'s exactly — additionally needs the split attributes in `q2`'s
+//! output; that is what [`crate::merge::retighten_profile`] returning
+//! `Ok` decides. [`crate::merge::merge`] builds containment by
+//! construction and never calls [`contained`], so `cosmos-verify`'s V4
+//! checks the construction with this function independently.
 
+use cosmos_cbn::conjunction_implies;
 use cosmos_spe::analyze::{AnalyzedQuery, OutputColumn, QAttr};
 use cosmos_types::FxHashMap;
 use std::collections::BTreeSet;
@@ -58,17 +68,12 @@ fn rename(qa: &QAttr, q1: &AnalyzedQuery, q2: &AnalyzedQuery, map: &[usize]) -> 
 
 /// Union-find over qualified attributes, used to close join predicates
 /// transitively.
+#[derive(Default)]
 struct AttrUnion {
     parent: FxHashMap<QAttr, QAttr>,
 }
 
 impl AttrUnion {
-    fn new() -> Self {
-        AttrUnion {
-            parent: FxHashMap::default(),
-        }
-    }
-
     fn find(&mut self, a: &QAttr) -> QAttr {
         let p = match self.parent.get(a) {
             Some(p) if p != a => p.clone(),
@@ -91,42 +96,39 @@ impl AttrUnion {
     }
 }
 
-/// The output attributes of a query, as a set (aggregate columns are
-/// represented by their printed name).
-fn output_signature(
+/// Output column names of a query, renamed into `q2`'s bindings when a
+/// map is given (aggregates print as `FUNC(arg)`).
+fn outputs(
     q: &AnalyzedQuery,
-    self_map: Option<(&AnalyzedQuery, &[usize])>,
-) -> BTreeSet<String> {
+    renamed: Option<(&AnalyzedQuery, &[usize])>,
+) -> Option<BTreeSet<String>> {
+    let name_of = |qa: &QAttr| -> Option<String> {
+        match renamed {
+            Some((q2, map)) => rename(qa, q, q2, map).map(|r| r.qualified()),
+            None => Some(qa.qualified()),
+        }
+    };
     q.output
         .iter()
-        .filter_map(|c| match (c, self_map) {
-            (OutputColumn::Attr(a), Some((target, map))) => {
-                rename(a, q, target, map).map(|qa| qa.qualified())
-            }
-            (OutputColumn::Attr(a), None) => Some(a.qualified()),
-            (OutputColumn::Agg { func, arg }, Some((target, map))) => {
-                let arg = match arg {
-                    Some(a) => Some(rename(a, q, target, map)?.qualified()),
-                    None => None,
+        .map(|c| match c {
+            OutputColumn::Attr(qa) => name_of(qa),
+            OutputColumn::Agg { func, arg } => {
+                let inner = match arg {
+                    Some(qa) => name_of(qa)?,
+                    None => "*".to_string(),
                 };
-                Some(format!("{func}({})", arg.unwrap_or_else(|| "*".into())))
+                Some(format!("{func}({inner})"))
             }
-            (OutputColumn::Agg { func, arg }, None) => Some(format!(
-                "{func}({})",
-                arg.as_ref()
-                    .map(|a| a.qualified())
-                    .unwrap_or_else(|| "*".into())
-            )),
         })
         .collect()
 }
 
-/// Check the `∞`-window (relational) part of containment: does every
-/// combination satisfying `q1`'s predicates satisfy `q2`'s, and is
-/// `q1`'s output derivable from `q2`'s?
+/// The `∞`-window (relational) part shared by both theorems: every
+/// combination satisfying `q1`'s predicates satisfies `q2`'s, and
+/// `q1`'s output is available in `q2`'s.
 fn infinity_contained(q1: &AnalyzedQuery, q2: &AnalyzedQuery, map: &[usize]) -> bool {
     // Join predicates of q2 must follow from q1's (transitive closure).
-    let mut uf = AttrUnion::new();
+    let mut uf = AttrUnion::default();
     for j in &q1.joins {
         let (Some(l), Some(r)) = (rename(&j.left, q1, q2, map), rename(&j.right, q1, q2, map))
         else {
@@ -134,107 +136,84 @@ fn infinity_contained(q1: &AnalyzedQuery, q2: &AnalyzedQuery, map: &[usize]) -> 
         };
         uf.union(&l, &r);
     }
-    for j in &q2.joins {
-        if !uf.same(&j.left, &j.right) {
-            return false;
-        }
-    }
-    // q1's selections must imply q2's, stream by stream.
-    for (i1, &i2) in map.iter().enumerate() {
-        if !q1.selections[i1].implies(&q2.selections[i2]) {
-            return false;
-        }
-    }
-    // q1's output must be a subset of q2's output (so a projection of
-    // q2's result stream can reproduce it).
-    let o1 = output_signature(q1, Some((q2, map)));
-    let o2 = output_signature(q2, None);
-    if !o1.is_subset(&o2) {
+    if !q2.joins.iter().all(|j| uf.same(&j.left, &j.right)) {
         return false;
+    }
+    // q1's selections must imply q2's, stream by stream, semantically.
+    if !map
+        .iter()
+        .enumerate()
+        .all(|(i1, &i2)| conjunction_implies(&q1.selections[i1], &q2.selections[i2]))
+    {
+        return false;
+    }
+    // q1's output must be a subset of q2's (so a projection of q2's
+    // result stream can reproduce it).
+    match (outputs(q1, Some((q2, map))), outputs(q2, None)) {
+        (Some(o1), Some(o2)) if o1.is_subset(&o2) => {}
+        _ => return false,
     }
     // DISTINCT changes multiset semantics in ways CBN filtering cannot
     // reproduce; only identical distinct-ness is comparable.
     q1.distinct == q2.distinct
 }
 
-/// `q1 ⊑ q2` for select-project-join continuous queries (Theorem 1).
-pub fn spj_contained(q1: &AnalyzedQuery, q2: &AnalyzedQuery) -> bool {
-    if q1.is_aggregate() || q2.is_aggregate() {
+/// `q1 ⊑ q2`: Theorem 1 for select-project-join queries, Theorem 2 for
+/// aggregates. An aggregate and a non-aggregate query are incomparable.
+pub fn contained(q1: &AnalyzedQuery, q2: &AnalyzedQuery) -> bool {
+    if q1.is_aggregate() != q2.is_aggregate() {
         return false;
     }
     let Some(map) = correspondence(q1, q2) else {
         return false;
     };
-    // Condition (2): T¹ᵢ ≤ T²ᵢ for every stream.
-    for (i1, &i2) in map.iter().enumerate() {
-        if q1.streams[i1].window > q2.streams[i2].window {
-            return false;
-        }
-    }
-    // Condition (1): Q∞₁ ⊑ Q∞₂.
-    infinity_contained(q1, q2, &map)
-}
-
-/// `q1 ⊑ q2` for aggregate continuous queries (Theorem 2): as Theorem 1
-/// but with *equal* windows, and identical grouping.
-pub fn agg_contained(q1: &AnalyzedQuery, q2: &AnalyzedQuery) -> bool {
-    if !q1.is_aggregate() || !q2.is_aggregate() {
-        return false;
-    }
-    let Some(map) = correspondence(q1, q2) else {
-        return false;
-    };
-    for (i1, &i2) in map.iter().enumerate() {
-        if q1.streams[i1].window != q2.streams[i2].window {
-            return false;
-        }
-    }
-    // Grouping must be identical (same partitioning of the stream).
-    let g1: BTreeSet<_> = q1
-        .group_by
-        .iter()
-        .filter_map(|g| rename(g, q1, q2, &map).map(|q| q.qualified()))
-        .collect();
-    let g2: BTreeSet<_> = q2.group_by.iter().map(|g| g.qualified()).collect();
-    if g1 != g2 || q1.group_by.len() != q2.group_by.len() {
-        return false;
-    }
-    // An aggregate value is only reconstructible from the representative
-    // when the member's extra selectivity acts on whole groups, i.e. its
-    // selection attributes are all grouping attributes. The containment
-    // check itself additionally needs q1's selections to imply q2's and
-    // q1's outputs to be available — delegated to the ∞ check.
-    for (i1, sel) in q1.selections.iter().enumerate() {
-        for attr in sel.referenced_attrs() {
-            let qa = QAttr::new(&q1.streams[i1].binding, &attr);
-            let Some(renamed) = rename(&qa, q1, q2, &map) else {
+    if q1.is_aggregate() {
+        // Theorem 2: equal windows and identical grouping.
+        for (i1, &i2) in map.iter().enumerate() {
+            if q1.streams[i1].window != q2.streams[i2].window {
                 return false;
-            };
-            let grouped = q2
-                .group_by
-                .iter()
-                .any(|g| g.qualified() == renamed.qualified());
-            // Attributes constrained identically in q2 are fine too: the
-            // constraint then isn't "extra" selectivity.
-            let same_constraint = {
-                let i2 = map[i1];
-                q2.selections[i2].constraint_for(&attr) == sel.constraint_for(&attr)
-            };
-            if !grouped && !same_constraint {
+            }
+        }
+        let Some(g1) = q1
+            .group_by
+            .iter()
+            .map(|g| rename(g, q1, q2, &map))
+            .collect::<Option<BTreeSet<_>>>()
+        else {
+            return false;
+        };
+        let g2: BTreeSet<_> = q2.group_by.iter().cloned().collect();
+        if g1 != g2 || q1.group_by.len() != q2.group_by.len() {
+            return false;
+        }
+        // An aggregate value is only reconstructible from q2's when q1's
+        // extra selectivity acts on whole groups: each of q1's selection
+        // attributes is a grouping attribute, or constrained identically
+        // in q2.
+        for (i1, sel) in q1.selections.iter().enumerate() {
+            for attr in sel.referenced_attrs() {
+                let Some(renamed) =
+                    rename(&QAttr::new(&q1.streams[i1].binding, &attr), q1, q2, &map)
+                else {
+                    return false;
+                };
+                let grouped = q2.group_by.contains(&renamed);
+                let identical =
+                    q2.selections[map[i1]].constraint_for(&attr) == sel.constraint_for(&attr);
+                if !grouped && !identical {
+                    return false;
+                }
+            }
+        }
+    } else {
+        // Theorem 1: component-wise window containment T¹ᵢ ≤ T²ᵢ.
+        for (i1, &i2) in map.iter().enumerate() {
+            if q1.streams[i1].window > q2.streams[i2].window {
                 return false;
             }
         }
     }
     infinity_contained(q1, q2, &map)
-}
-
-/// `q1 ⊑ q2`: dispatch to the applicable theorem.
-pub fn contained(q1: &AnalyzedQuery, q2: &AnalyzedQuery) -> bool {
-    if q1.is_aggregate() || q2.is_aggregate() {
-        agg_contained(q1, q2)
-    } else {
-        spj_contained(q1, q2)
-    }
 }
 
 #[cfg(test)]
@@ -309,6 +288,17 @@ mod tests {
         let loose = q("SELECT station FROM Sensors [Now] WHERE temperature > 10.0");
         assert!(contained(&tight, &loose));
         assert!(!contained(&loose, &tight));
+    }
+
+    #[test]
+    fn selection_implication_is_semantic() {
+        // `station ≥ 5 ∧ temperature ≥ station` implies `temperature ≥ 5`
+        // only across attributes: no per-key comparison sees it.
+        let chained = q("SELECT station FROM Sensors [Now] \
+                         WHERE station >= 5 AND temperature >= station");
+        let warm = q("SELECT station FROM Sensors [Now] WHERE temperature >= 5.0");
+        assert!(contained(&chained, &warm));
+        assert!(!contained(&warm, &chained));
     }
 
     #[test]

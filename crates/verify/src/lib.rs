@@ -17,7 +17,7 @@
 //! | V1 no black holes | `V0101` | every subscriber's profile is implied by the interest installed at every hop of its tree path from each advertising source |
 //! | V2 no over-delivery / lost attributes | `V0201`, `V0202` | forwarding edges follow the dissemination tree toward the origin (so no node receives a stream from two upstreams and no subscriber is registered twice), and early projection never drops an attribute a downstream filter or member query references |
 //! | V3 tree well-formedness | `V0301` | every dissemination tree is acyclic, connected, spans the overlay, and per-source trees are rooted at their advertiser |
-//! | V4 merge soundness | `V0401` | Theorem 1/2 containment of each member in its representative, re-derived from the ASTs independently of `cosmos_query::containment`, agrees with the library |
+//! | V4 merge soundness | `V0401` | every member is contained in its representative (Theorem 1/2, `cosmos_query::contained`); `merge` builds that containment without calling `contained`, so the check is independent of the construction |
 //! | V5 split-filter exactness | `V0501`, `V0502` | `member ≡ representative ∘ re-tightened filter`, checked as mutual semantic implication (Lemma 1 window re-tightening included); a query the CBN serves alone has its user's profile equal the query: its filter equivalent to the selection, its projection exactly the output attributes |
 //! | V6 abstraction consistency | `V0601`–`V0604` | the interval abstractions (`cosmos_bound::absint`) of the filters along every delivery path meet non-emptily — no statically-dead delivery — and no deployed representative has provably unbounded executor state |
 //! | V7 closure pruning | `V0701` | a stream closed by its final watermark has no routing state left at any router |
@@ -28,8 +28,6 @@
 //! stream). Every check is *sound*: an `Error`-level finding means the
 //! deployed routing state provably violates the paper's delivery
 //! contract — before any tuple is published.
-
-mod contain;
 
 use cosmos::snapshot::{
     DirectSnapshot, GroupSnapshot, LocalSubscriber, NetworkSnapshot, SubscriberKind, TreeTopology,
@@ -42,7 +40,6 @@ use cosmos_spe::analyze::{AnalyzedQuery, OutputColumn, QAttr};
 use cosmos_types::{NodeId, Schema, StreamName};
 use std::collections::{BTreeMap, BTreeSet};
 
-pub use contain::{contained as rederive_contained, correspondence};
 pub use cosmos_lint::{Diagnostic as VerifyDiagnostic, Severity as VerifySeverity};
 
 /// Stable diagnostic codes for the V1–V5 invariant families.
@@ -63,9 +60,8 @@ pub mod codes {
     /// V3: a dissemination tree is cyclic, disconnected, non-spanning,
     /// or not rooted at its advertiser.
     pub const TREE_MALFORMED: &str = "V0301";
-    /// V4: re-derived Theorem 1/2 containment disagrees with the
-    /// library, or a member is simply not contained in its
-    /// representative.
+    /// V4: a group member is not contained in its representative
+    /// (Theorem 1/2, decided by `cosmos_query::contained`).
     pub const CONTAINMENT: &str = "V0401";
     /// V5: the installed split filter is not equivalent to the member's
     /// re-tightening of the representative (over- or under-delivery).
@@ -1071,40 +1067,22 @@ fn check_member(
     who: &str,
     diags: &mut Vec<Diagnostic>,
 ) {
-    // V4: re-derive Theorem 1/2 containment independently and compare
-    // with the library's verdict.
-    let lib = cosmos_query::contained(member, rep);
-    let mine = contain::contained(member, rep);
-    match (lib, mine.is_some()) {
-        (true, true) => {}
-        (true, false) => diags.push(Diagnostic::error(
-            codes::CONTAINMENT,
-            format!(
-                "{who}: the library claims the member is contained in the representative \
-                 but the verifier cannot re-derive Theorem 1/2 containment",
-            ),
-            None,
-        )),
-        (false, true) => diags.push(Diagnostic::warning(
-            codes::CONTAINMENT,
-            format!(
-                "{who}: the verifier proves containment the library's syntactic check \
-                 misses (library is conservative here)",
-            ),
-            None,
-        )),
-        (false, false) => diags.push(Diagnostic::error(
+    // V4: Theorem 1/2 containment of the member in its representative.
+    // `merge` builds the representative to contain its members and never
+    // calls `contained`, so this checks the construction independently.
+    if !cosmos_query::contained(member, rep) {
+        diags.push(Diagnostic::error(
             codes::CONTAINMENT,
             format!(
                 "{who}: the representative does not contain the member — the merge is \
                  unsound and the member can never receive its full result",
             ),
             None,
-        )),
+        ));
     }
 
     // V5 needs a correspondence even when containment failed.
-    let Some(map) = mine.or_else(|| contain::correspondence(member, rep)) else {
+    let Some(map) = cosmos_query::correspondence(member, rep) else {
         return;
     };
 
