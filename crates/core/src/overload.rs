@@ -4,8 +4,8 @@
 //! Every node gets an intake *budget* — bytes or tuples per metrics
 //! rate window. The controller is data-plane state: it sits on the
 //! single delivery point of the dissemination loop (the data plane's
-//! `deliver_local`; the crossing to the query plane and the
-//! punctuation walk deliver to no user), so a user delivery that would
+//! `deliver_local`; the crossing to the query plane and the loop's
+//! watermark hops deliver to no user), so a user delivery that would
 //! push the node's measured in-window intake past its budget is
 //! intercepted *before* it lands in the delivery buffer and handled by
 //! a deterministic per-query [`OverloadPolicy`]:
@@ -20,9 +20,9 @@
 //!   at stream closure);
 //! * [`Throttle`](OverloadPolicy::Throttle) — shed like `Shed` and
 //!   additionally send a [`RateLimit`] datagram reverse along the
-//!   stream's dissemination tree toward its origin, link-byte
-//!   accounted like a watermark punctuation, at most once per
-//!   `(node, stream)` per rate window.
+//!   stream's dissemination tree toward its origin, a hop of the same
+//!   loop's queue, link-byte accounted like a watermark punctuation,
+//!   at most once per `(node, stream)` per rate window.
 //!
 //! The controller maintains, per query, the **conservation identity**
 //!

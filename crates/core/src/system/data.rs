@@ -4,15 +4,17 @@
 //! schema registry, every node's router and the route ledger behind
 //! their reverse-path interests, what each local subscription feeds,
 //! the delivery buffers, the traffic counters, the metrics hub, the
-//! overload gate, and the two loops that move datagrams: the hop loop
-//! ([`DataPlane::disseminate`]) and the punctuation walk
-//! ([`DataPlane::disseminate_watermark`]), each with its reused buffers.
-//! Watermarks exist for source streams only: an SPE input is the only
-//! reader of a punctuation, and no query can read a result stream.
+//! overload gate, and the one loop that moves datagrams
+//! ([`DataPlane::disseminate`]) with its reused buffers. Its queue holds
+//! three kinds of datagram ([`Payload`]): tuple batches, watermark
+//! punctuations and rate-limit notices, and [`DataPlane::send`] is the
+//! one function that puts any of them on a link. Watermarks exist for
+//! source streams only: an SPE input is the only reader of a
+//! punctuation, and no query can read a result stream.
 //!
 //! It cannot see query state. The one place the layers meet is an SPE
-//! input: a loop that reaches one hands the batch (or the watermark) to
-//! the [`QueryPlane`], which runs the representative's executor and
+//! input: the loop hands the batch (or the watermark) that reaches one
+//! to the [`QueryPlane`], which runs the representative's executor and
 //! hands the emitted batch back; [`DataPlane::emit`] is the one function
 //! that puts a result batch on the network. A route changes one way,
 //! through the route ledger's `set` ([`DataPlane::subscribe_local`],
@@ -191,29 +193,39 @@ pub(super) enum LocalSub {
     User(QueryId),
 }
 
-/// One hop of the dissemination BFS: a stream-homogeneous batch of
-/// datagrams arriving at `at` over the link from `from` (`None` when
-/// the batch entered the network at `at`).
+/// One hop of the dissemination BFS: a datagram arriving at `at` over
+/// the link from `from` (`None` when it entered the network at `at`).
 #[derive(Debug)]
 struct Hop {
     from: Option<NodeId>,
     at: NodeId,
-    tuples: Vec<Tuple>,
-    schema: Schema,
-    /// Wire bytes of `tuples`, as accounted on the link from `from` (0
-    /// when the batch entered at `at`): a relayed hop crosses its next
-    /// link with the same tuples, so it is accounted from this count.
-    bytes: usize,
+    payload: Payload,
+}
+
+/// The datagram a [`Hop`] carries.
+#[derive(Debug)]
+enum Payload {
+    /// A stream-homogeneous batch of tuples with their schema and their
+    /// wire bytes as accounted on the link from `from` (0 when the batch
+    /// entered at `at`): a relayed hop crosses its next link with the
+    /// same tuples, so it is accounted from this count.
+    Batch(Vec<Tuple>, Schema, usize),
+    /// A source stream's watermark, bound for the stream's SPE inputs.
+    Watermark(StreamName, Timestamp),
+    /// A rate-limit notice, bound for its stream's origin.
+    RateLimit(RateLimit),
 }
 
 /// The buffers [`DataPlane::disseminate`] works in, kept between calls
 /// so the loop finds them grown instead of allocating per hop.
 #[derive(Debug, Default)]
 struct HopLoop {
-    /// Hops still to route (empty between calls).
+    /// Hops still to serve (empty between calls).
     queue: VecDeque<Hop>,
-    /// The forwards of the hop being routed (empty between hops).
+    /// The forwards of the batch hop being routed (empty between hops).
     forwards: Vec<BatchForward>,
+    /// The destinations of the watermark hop being routed.
+    dests: Vec<Destination>,
     /// Emptied tuple buffers of routed hops and SPE-consumed forwards,
     /// which the routers fill the next forwards into; at most one per
     /// node ([`HopLoop::recycle`]).
@@ -221,6 +233,11 @@ struct HopLoop {
 }
 
 impl HopLoop {
+    /// Queue `payload` arriving at `at` over the link from `from`.
+    fn push(&mut self, from: Option<NodeId>, at: NodeId, payload: Payload) {
+        self.queue.push_back(Hop { from, at, payload });
+    }
+
     /// Hand a consumed tuple buffer back. Buffers also enter the loop
     /// from outside the pool — every executor emission is a fresh `Vec`
     /// — and leave it only into user deliveries, so an uncapped pool
@@ -233,18 +250,6 @@ impl HopLoop {
             self.pool.push(tuples);
         }
     }
-}
-
-/// The buffers [`DataPlane::disseminate_watermark`] works in, kept
-/// between calls like [`HopLoop`]'s — apart from it, because a walk
-/// drives drained results through [`DataPlane::disseminate`] half-way.
-#[derive(Debug, Default)]
-struct PunctuationWalk {
-    /// Punctuation hops still to route, as `(arrival link, node)`; the
-    /// stream and the watermark are the walk's own (empty between calls).
-    queue: VecDeque<(Option<NodeId>, NodeId)>,
-    /// The destinations of the hop being routed.
-    dests: Vec<Destination>,
 }
 
 /// Out-of-order operation: the runtime (`None` = in-order, zero
@@ -266,10 +271,6 @@ pub(super) struct Disorder {
     /// Source streams closed by their final watermark
     /// ([`DataPlane::close_streams`]); their routing state is pruned.
     pub(super) closed: BTreeSet<StreamName>,
-    /// The punctuations [`Disorder::after_publish`] found due, as
-    /// `(stream, watermark, origin)`; drained by the caller, kept for
-    /// its buffer.
-    due: Vec<(StreamName, Timestamp, NodeId)>,
 }
 
 impl Disorder {
@@ -288,15 +289,15 @@ impl Disorder {
     }
 
     /// Epilogue of every publish (a no-op in in-order operation): note
-    /// the stream, advance the global high water, and append to
-    /// [`Disorder::due`] the punctuations now due — `high_water − bound`
+    /// the stream, advance the global high water, and queue behind the
+    /// publish's data the punctuations now due — `high_water − bound`
     /// for every open source stream that has published, where it
     /// advances past the last one emitted. Lagging the *global* high
     /// water is what makes the promise sound: the workload's disorder
     /// transform displaces a tuple's position by at most `bound` of
     /// application time, so no future publish of *any* stream can carry
     /// a timestamp at or below the emitted watermark.
-    fn after_publish(&mut self, tuples: &[Tuple], registry: &SchemaRegistry) {
+    fn after_publish(&mut self, tuples: &[Tuple], registry: &SchemaRegistry, hops: &mut HopLoop) {
         let (Some(rt), Some(first)) = (self.runtime, tuples.first()) else {
             return;
         };
@@ -311,7 +312,7 @@ impl Disorder {
             }
             if let Some(origin) = registry.origin(&stream) {
                 self.emitted.insert(stream, wm);
-                self.due.push((stream, wm, origin));
+                hops.push(None, origin, Payload::Watermark(stream, wm));
             }
         }
     }
@@ -349,8 +350,6 @@ pub(crate) struct DataPlane {
     pub(super) overload: Option<OverloadController>,
     /// The dissemination loop's reused buffers.
     hops: HopLoop,
-    /// The punctuation walk's reused buffers.
-    punctuations: PunctuationWalk,
 }
 
 impl DataPlane {
@@ -389,7 +388,6 @@ impl DataPlane {
             disorder: Disorder::default(),
             overload: None,
             hops: HopLoop::default(),
-            punctuations: PunctuationWalk::default(),
         })
     }
 
@@ -485,25 +483,37 @@ impl DataPlane {
         self.refold_routes();
     }
 
-    /// `bytes` (carrying `tuples` data tuples; 0 for control datagrams)
-    /// cross the link `a - b`: one entry in each of the two ledgers.
-    fn cross_link(&mut self, a: NodeId, b: NodeId, tuples: usize, bytes: usize) {
-        let key = (a.min(b), a.max(b));
+    /// Put `payload` on the link `from → to`, the one way a datagram
+    /// crosses a link: one entry in each of the two ledgers (and the
+    /// hub's punctuation counters for a watermark), and its hop queued.
+    fn send(&mut self, hops: &mut HopLoop, from: NodeId, to: NodeId, payload: Payload) {
+        let (tuples, bytes) = match &payload {
+            Payload::Batch(tuples, _, bytes) => (tuples.len(), *bytes),
+            Payload::Watermark(..) => (0, Punctuation::WIRE_BYTES),
+            Payload::RateLimit(limit) => (0, limit.size_bytes()),
+        };
+        let key = (from.min(to), from.max(to));
         *self.link_bytes.entry(key).or_insert(0) += bytes as u64;
         // Price the hop exactly like TreeOptimizer::cost does, so the
         // measured weighted cost is comparable to the estimated one.
         let graph = &self.topology.graph;
-        let delay = graph.link_delay(a, b).unwrap_or_else(|| {
-            debug_assert!(false, "traffic accounted on downed link {a}-{b}");
-            graph.distance(a, b).max(f64::EPSILON)
+        let delay = graph.link_delay(from, to).unwrap_or_else(|| {
+            debug_assert!(false, "traffic accounted on downed link {from}-{to}");
+            graph.distance(from, to).max(f64::EPSILON)
         });
         self.weighted_cost.add(bytes as f64 * delay);
-        self.metrics.on_link(a, b, tuples, bytes);
+        self.metrics.on_link(from, to, tuples, bytes);
+        if let Payload::Watermark(..) = payload {
+            self.metrics.on_punctuation(bytes);
+        }
+        hops.push(Some(from), to, payload);
     }
 
     /// Publish a stream-homogeneous batch at its stream's origin (see
     /// `Cosmos::publish_batch`) and drive it, the result batches it
     /// triggers and the watermarks it makes due through the network.
+    /// The origin's forwards are queued ahead of the watermarks, so on
+    /// every link a publish's data crosses before its punctuations.
     pub(super) fn publish(&mut self, spe: &mut QueryPlane, tuples: &[Tuple]) -> Result<()> {
         let Some(first) = tuples.first() else {
             return Ok(());
@@ -533,14 +543,9 @@ impl DataPlane {
         let (forwards, pool) = (&mut hops.forwards, &mut hops.pool);
         self.routers[origin.index()].route_batch_into(tuples, &schema, None, forwards, pool);
         self.process_forwards(spe, origin, &mut hops);
+        (self.disorder).after_publish(tuples, &self.registry, &mut hops);
         self.disseminate(spe, &mut hops);
         self.hops = hops;
-        self.disorder.after_publish(tuples, &self.registry);
-        let mut due = std::mem::take(&mut self.disorder.due);
-        for (stream, wm, origin) in due.drain(..) {
-            self.disseminate_watermark(spe, stream, wm, origin);
-        }
-        self.disorder.due = due;
         Ok(())
     }
 
@@ -550,18 +555,11 @@ impl DataPlane {
     fn emit(&mut self, hops: &mut HopLoop, at: NodeId, batch: Emitted) {
         let (stream, tuples, schema) = batch;
         self.metrics.on_publish(&stream, &schema, &tuples);
-        hops.queue.push_back(Hop {
-            from: None,
-            at,
-            tuples,
-            schema,
-            bytes: 0,
-        });
+        hops.push(None, at, Payload::Batch(tuples, schema, 0));
     }
 
-    /// Drive a result batch emitted outside the hop loop (an executor
-    /// drained by a watermark or a retirement) through the network to
-    /// completion, before the caller goes on.
+    /// Drive a result batch a retiring executor flushed through the
+    /// network to completion, before the caller goes on.
     pub(super) fn disseminate_emitted(&mut self, spe: &mut QueryPlane, at: NodeId, batch: Emitted) {
         let mut hops = std::mem::take(&mut self.hops);
         debug_assert!(hops.queue.is_empty() && hops.forwards.is_empty());
@@ -571,58 +569,61 @@ impl DataPlane {
     }
 
     /// The one dissemination loop: serve `hops.queue` breadth-first to
-    /// completion, including every result batch the hops trigger on the
-    /// way. A hop that is a relay hop at its router ([`Router::relay`])
-    /// is not routed: its buffer and schema become the one forward as
-    /// they are, and a neighbor forward crosses its link with the byte
-    /// count the hop carries instead of a re-summed one. That reads the
-    /// upstream router's entries at the time the hop is served, which
-    /// are the ones it was routed under, because nothing the loop calls
-    /// mutates a router.
+    /// completion, including every datagram the hops trigger on the way.
+    /// A watermark goes to [`DataPlane::punctuate`], a rate-limit notice
+    /// to [`DataPlane::step_rate_limit`]. A batch is routed, unless it is
+    /// a relay hop at its router ([`Router::relay`]): then its buffer and
+    /// schema become the one forward as they are, and a neighbor forward
+    /// crosses its link with the byte count the hop carries instead of
+    /// a re-summed one. That reads the upstream router's entries at the
+    /// time the hop is served, which are the ones it was routed under,
+    /// because nothing the loop calls mutates a router.
     ///
     /// The loop works in [`HopLoop`]'s buffers, which the callers take
     /// out of `self` for the call. That is sound because the loop is
-    /// never re-entered: nothing it calls — the routers, the executors,
-    /// the metrics hub, the overload gate and its rate-limit notices —
-    /// disseminates; result batches re-enter as hops of this same queue
-    /// ([`DataPlane::emit`]), and the other callers (watermark and
-    /// retirement drains) run strictly before or after it.
+    /// never re-entered: nothing it calls disseminates, and every
+    /// datagram it causes is a hop of this same queue.
     fn disseminate(&mut self, spe: &mut QueryPlane, hops: &mut HopLoop) {
         let nodes = self.routers.len();
-        while let Some(hop) = hops.queue.pop_front() {
-            let router = &self.routers[hop.at.index()];
-            let upstream = hop.from.map(|from| &self.routers[from.index()]);
-            let relay = upstream.and_then(|up| router.relay_batch(&hop.tuples, &hop.schema, up));
-            match relay {
+        while let Some(Hop { from, at, payload }) = hops.queue.pop_front() {
+            let (tuples, schema, bytes) = match payload {
+                Payload::Batch(tuples, schema, bytes) => (tuples, schema, bytes),
+                Payload::Watermark(stream, ts) => {
+                    self.punctuate(spe, hops, from, at, stream, ts);
+                    continue;
+                }
+                Payload::RateLimit(limit) => {
+                    self.step_rate_limit(hops, at, limit);
+                    continue;
+                }
+            };
+            let router = &self.routers[at.index()];
+            let upstream = from.map(|from| &self.routers[from.index()]);
+            match upstream.and_then(|up| router.relay_batch(&tuples, &schema, up)) {
                 Some(Destination::Neighbor(n)) => {
-                    self.cross_link(hop.at, n, hop.tuples.len(), hop.bytes);
-                    hops.queue.push_back(Hop {
-                        from: Some(hop.at),
-                        at: n,
-                        ..hop
-                    });
+                    self.send(hops, at, n, Payload::Batch(tuples, schema, bytes));
                 }
                 Some(dest) => {
                     hops.forwards.push(BatchForward {
                         dest,
-                        tuples: hop.tuples,
-                        schema: hop.schema,
+                        tuples,
+                        schema,
                     });
-                    self.process_forwards(spe, hop.at, hops);
+                    self.process_forwards(spe, at, hops);
                 }
                 None => {
                     let (forwards, pool) = (&mut hops.forwards, &mut hops.pool);
-                    router.route_batch_into(&hop.tuples, &hop.schema, hop.from, forwards, pool);
-                    hops.recycle(hop.tuples, nodes);
-                    self.process_forwards(spe, hop.at, hops);
+                    router.route_batch_into(&tuples, &schema, from, forwards, pool);
+                    hops.recycle(tuples, nodes);
+                    self.process_forwards(spe, at, hops);
                 }
             }
         }
     }
 
     /// Handle the forwarding decisions of one (node, batch) routing
-    /// step (`hops.forwards`, left empty): account and enqueue neighbor
-    /// hops, feed local SPE inputs (queueing their outputs), append user
+    /// step (`hops.forwards`, left empty): send neighbor hops, feed
+    /// local SPE inputs (queueing their outputs), append user
     /// deliveries.
     fn process_forwards(&mut self, spe: &mut QueryPlane, at: NodeId, hops: &mut HopLoop) {
         let mut forwards = std::mem::take(&mut hops.forwards);
@@ -630,14 +631,7 @@ impl DataPlane {
             match f.dest {
                 Destination::Neighbor(n) => {
                     let bytes: usize = f.tuples.iter().map(Tuple::size_bytes).sum();
-                    self.cross_link(at, n, f.tuples.len(), bytes);
-                    hops.queue.push_back(Hop {
-                        from: Some(at),
-                        at: n,
-                        tuples: f.tuples,
-                        schema: f.schema,
-                        bytes,
-                    });
+                    self.send(hops, at, n, Payload::Batch(f.tuples, f.schema, bytes));
                 }
                 Destination::Local(sub) => {
                     self.deliver_local(spe, at, sub, f.tuples, &f.schema, hops);
@@ -645,6 +639,38 @@ impl DataPlane {
             }
         }
         hops.forwards = forwards;
+    }
+
+    /// Serve source stream `stream`'s watermark `ts` at `at`: send it on
+    /// toward the SPE inputs behind each marked neighbor, and advance
+    /// every local SPE input's executor with it (queueing what that
+    /// drains). A result stream is never punctuated: only user
+    /// subscriptions read one, and their windows are the executors'.
+    fn punctuate(
+        &mut self,
+        spe: &mut QueryPlane,
+        hops: &mut HopLoop,
+        from: Option<NodeId>,
+        at: NodeId,
+        stream: StreamName,
+        ts: Timestamp,
+    ) {
+        let mut dests = std::mem::take(&mut hops.dests);
+        self.routers[at.index()].route_punctuation_into(&stream, from, &mut dests);
+        for &dest in &dests {
+            match dest {
+                Destination::Neighbor(n) => self.send(hops, at, n, Payload::Watermark(stream, ts)),
+                Destination::Local(sub) => {
+                    let Some(&LocalSub::Spe(result)) = self.subs.get(&sub) else {
+                        continue;
+                    };
+                    if let Some(batch) = spe.advance(&result, at, &stream, ts) {
+                        self.emit(hops, at, batch);
+                    }
+                }
+            }
+        }
+        hops.dests = dests;
     }
 
     /// Deliver a projected batch to one locally attached subscriber: an
@@ -673,7 +699,7 @@ impl DataPlane {
                     self.emit(hops, at, batch);
                 }
             }
-            Some(&LocalSub::User(qid)) => self.deliver_user(at, qid, tuples),
+            Some(&LocalSub::User(qid)) => self.deliver_user(at, qid, tuples, hops),
         }
     }
 
@@ -686,10 +712,11 @@ impl DataPlane {
 
     /// User delivery through the overload gate, when one is armed:
     /// consult the controller with the node's measured in-window intake,
-    /// then map its verdict onto delivery-buffer and metrics effects.
-    /// Budget decisions read only virtual-time state, so a replay of the
-    /// same scenario reproduces identical shed decisions.
-    fn deliver_user(&mut self, at: NodeId, qid: QueryId, tuples: Vec<Tuple>) {
+    /// then map its verdict onto delivery-buffer and metrics effects (a
+    /// throttle's rate-limit notice is queued at `at`). Budget decisions
+    /// read only virtual-time state, so a replay of the same scenario
+    /// reproduces identical shed decisions.
+    fn deliver_user(&mut self, at: NodeId, qid: QueryId, tuples: Vec<Tuple>, hops: &mut HopLoop) {
         let Some(ctl) = self.overload.as_mut() else {
             return self.deliver(qid, at, tuples);
         };
@@ -710,97 +737,53 @@ impl DataPlane {
             } => {
                 self.metrics.on_shed(tuples, bytes);
                 if let Some(limit) = limit {
-                    self.send_rate_limit(at, limit);
+                    hops.push(None, at, Payload::RateLimit(limit));
                 }
             }
         }
     }
 
-    /// Route one [`RateLimit`] datagram from the overloaded consumer
-    /// reverse along the throttled stream's dissemination tree to the
-    /// stream's origin, accounting every link crossing in bytes exactly
-    /// like a watermark punctuation. The notice is recorded at the
-    /// origin (advisory in this build — sources are simulation-driven).
-    fn send_rate_limit(&mut self, at: NodeId, limit: RateLimit) {
-        let datagram_bytes = limit.size_bytes();
-        let mut link_bytes = 0usize;
+    /// Serve a [`RateLimit`] notice at `at`: send it one link on along
+    /// `tree_for(origin).path(at, origin)`, or, at the stream's origin,
+    /// record it (advisory in this build — sources are simulation-driven)
+    /// and count it once with the bytes of its whole path.
+    fn step_rate_limit(&mut self, hops: &mut HopLoop, at: NodeId, limit: RateLimit) {
+        let mut links = 0;
         if let Some(origin) = self.registry.origin(&limit.stream) {
-            for w in self.topology.tree_for(origin).path(at, origin).windows(2) {
-                self.cross_link(w[0], w[1], 0, datagram_bytes);
-                link_bytes += datagram_bytes;
+            let tree = self.topology.tree_for(origin);
+            if let Some(&next) = tree.path(at, origin).get(1) {
+                return self.send(hops, at, next, Payload::RateLimit(limit));
             }
+            links = tree.path_len(limit.from, origin);
         }
-        self.metrics.on_throttle(link_bytes);
+        self.metrics.on_throttle(limit.size_bytes() * links);
         if let Some(ctl) = self.overload.as_mut() {
             ctl.record_received(limit);
         }
     }
 
-    /// Route one source stream's watermark punctuation from its origin
-    /// along the stream's dissemination tree, toward the SPE inputs only:
-    /// every link crossing is accounted in bytes exactly like data (and
-    /// counted by the metrics hub), and every SPE input reached hands the
-    /// watermark to the query plane, which advances its executor (the
-    /// drained batch is driven through the network before the walk goes
-    /// on). An executor's result stream is read by user subscriptions
-    /// alone, whose windows are the executors', so it is not punctuated.
-    ///
-    /// The walk works in [`PunctuationWalk`]'s buffers, taken out of
-    /// `self` for the call: nothing it calls walks punctuations, and the
-    /// data dissemination it triggers has buffers of its own.
-    fn disseminate_watermark(
-        &mut self,
-        spe: &mut QueryPlane,
-        stream: StreamName,
-        watermark: Timestamp,
-        origin: NodeId,
-    ) {
-        let mut walk = std::mem::take(&mut self.punctuations);
-        debug_assert!(walk.queue.is_empty());
-        // Every punctuation is the same size on the wire.
-        let bytes = Punctuation::WIRE_BYTES;
-        walk.queue.push_back((None, origin));
-        while let Some((from, at)) = walk.queue.pop_front() {
-            self.routers[at.index()].route_punctuation_into(&stream, from, &mut walk.dests);
-            for &dest in &walk.dests {
-                match dest {
-                    Destination::Neighbor(n) => {
-                        self.cross_link(at, n, 0, bytes);
-                        self.metrics.on_punctuation(bytes);
-                        walk.queue.push_back((Some(at), n));
-                    }
-                    Destination::Local(sub) => {
-                        let Some(&LocalSub::Spe(result)) = self.subs.get(&sub) else {
-                            continue;
-                        };
-                        if let Some(batch) = spe.advance(&result, at, &stream, watermark) {
-                            self.disseminate_emitted(spe, at, batch);
-                        }
-                    }
-                }
-            }
-        }
-        self.punctuations = walk;
-    }
-
-    /// The disorder half of `Cosmos::close_streams`: emit a final `+∞`
-    /// watermark along every open source stream's dissemination tree
-    /// (draining every staging area), then drop the closed streams from
-    /// every SPE input — their reverse-path cells refold away, with the
-    /// plan-cache lines they pinned. A no-op in in-order operation.
+    /// The disorder half of `Cosmos::close_streams`: queue a final `+∞`
+    /// watermark for every open source stream at its origin and run the
+    /// loop once (draining every staging area), then drop the closed
+    /// streams from every SPE input — their reverse-path cells refold
+    /// away, with the plan-cache lines they pinned. A no-op in in-order
+    /// operation.
     pub(super) fn close_streams(&mut self, spe: &mut QueryPlane) {
         if self.disorder.runtime.is_none() {
             return;
         }
-        let sources: Vec<(StreamName, NodeId)> = (self.registry.iter())
-            .filter(|r| !spe.produces(&r.name) && !self.disorder.closed.contains(&r.name))
-            .map(|r| (r.name, r.origin))
-            .collect();
-        for (stream, origin) in sources {
-            self.disorder.emitted.insert(stream, Timestamp(i64::MAX));
-            self.disseminate_watermark(spe, stream, Timestamp(i64::MAX), origin);
-            self.disorder.closed.insert(stream);
+        let end = Timestamp(i64::MAX);
+        let mut hops = std::mem::take(&mut self.hops);
+        for r in self.registry.iter() {
+            // `insert` is false for a stream closed before.
+            if spe.produces(&r.name) || !self.disorder.closed.insert(r.name) {
+                continue;
+            }
+            self.disorder.emitted.insert(r.name, end);
+            hops.push(None, r.origin, Payload::Watermark(r.name, end));
         }
+        self.disseminate(spe, &mut hops);
+        self.hops = hops;
         // Out of order, only SPE inputs subscribe to source streams (every
         // query has a group): re-installing them drops the closed ones,
         // and their cells refold away.
@@ -973,8 +956,8 @@ mod tests {
     }
 
     /// Each `(node, destination)` a punctuation of `stream` entering at
-    /// `origin` is forwarded to, walked breadth-first as
-    /// [`DataPlane::disseminate_watermark`] walks it.
+    /// `origin` is forwarded to, breadth-first as [`DataPlane::disseminate`]
+    /// serves its watermark hops.
     fn punctuation_walk(
         sys: &Cosmos,
         stream: &StreamName,

@@ -967,13 +967,14 @@ fn relay_verdicts_follow_every_control_operation() {
     );
 }
 
-/// A watermark walk crosses exactly the links on the reverse paths of
-/// the SPE inputs of its stream, once each, at `Punctuation::WIRE_BYTES`
-/// a crossing — derived from the representatives' inputs and the trees
-/// ([`spe_input_marks`]), not from any router. The executors it advances
-/// punctuate nothing in turn: only user subscriptions read a result
-/// stream, so no result stream enters the emitted-watermark table.
-/// Nothing is published, so the walks drain no data onto the links.
+/// A watermark queued at its origin crosses exactly the links on the
+/// reverse paths of the SPE inputs of its stream, once each, at
+/// `Punctuation::WIRE_BYTES` a crossing — derived from the
+/// representatives' inputs and the trees ([`spe_input_marks`]), not from
+/// any router. The executors it advances punctuate nothing in turn: only
+/// user subscriptions read a result stream, so no result stream enters
+/// the emitted-watermark table. Nothing is published, so the watermarks
+/// drain no data onto the links.
 #[test]
 fn punctuations_cross_only_the_spe_inputs_reverse_paths() {
     let (mut crossings, mut advanced, mut result_walks) = (0, 0, 0);
@@ -995,8 +996,10 @@ fn punctuations_cross_only_the_spe_inputs_reverse_paths() {
                 .collect();
             for (stream, origin) in sources {
                 let before = sys.data.link_bytes.clone();
-                sys.data
-                    .disseminate_watermark(&mut sys.query, stream, Timestamp(0), origin);
+                let mut hops = std::mem::take(&mut sys.data.hops);
+                hops.push(None, origin, Payload::Watermark(stream, Timestamp(0)));
+                sys.data.disseminate(&mut sys.query, &mut hops);
+                sys.data.hops = hops;
                 let crossed: BTreeMap<(NodeId, NodeId), u64> = (sys.data.link_bytes.iter())
                     .map(|(link, bytes)| (*link, bytes - before.get(link).copied().unwrap_or(0)))
                     .filter(|(_, bytes)| *bytes > 0)
@@ -1032,33 +1035,40 @@ fn punctuations_cross_only_the_spe_inputs_reverse_paths() {
 
 /// A Throttle notice walks `tree_for(origin).path(consumer, origin)`:
 /// the bytes accounted for it are the datagram's size times that path's
-/// length, on the shared tree and on a per-source tree alike.
+/// length, on the shared tree and on a per-source tree alike. Out of
+/// order the notice is sent from a loop that also carries watermarks
+/// (the `+∞` of `close_streams` drains the staged tuple to the user),
+/// toward the result stream's origin, the processor: it still reaches
+/// it once, and the watermarks cross the same links with and without
+/// the throttle.
 #[test]
 fn throttle_notice_is_accounted_along_the_origins_tree_path() {
     use crate::overload::{Budget, OverloadPolicy};
     use cosmos_types::{AttrType, Value};
-    // Chain 0-1-2-3-4 plus a direct 0-4 link too heavy for the MST but
-    // shorter than the chain: only the tree rooted at 0 uses it.
-    let deploy = |per_source_trees: bool, throttle: bool| {
-        let mut g = Graph::new(5);
-        for i in 0..5 {
-            g.set_position(NodeId(i), 0.25 * i as f64, 0.0);
+    // The processor 0 hangs off node 1 of the chain 1-2-3-4-5, plus a
+    // direct 1-5 link too heavy for the MST but shorter than the chain:
+    // only the trees rooted at 1 and at 0 use it.
+    let deploy = |per_source_trees: bool, disorder: bool, throttle: bool| {
+        let mut g = Graph::new(6);
+        g.set_position(NodeId(0), 0.0, 0.25);
+        for i in 1..6 {
+            g.set_position(NodeId(i), 0.25 * (i - 1) as f64, 0.0);
         }
-        for i in 0..4 {
+        for i in 0..5 {
             g.add_edge_by_distance(NodeId(i), NodeId(i + 1)).unwrap();
         }
-        g.add_edge(NodeId(0), NodeId(4), 0.9).unwrap();
+        g.add_edge(NodeId(1), NodeId(5), 0.9).unwrap();
         let cfg = CosmosConfig {
-            nodes: 5,
-            processor_fraction: 0.2,
+            nodes: 6,
+            processor_fraction: 0.1,
             per_source_trees,
             ..CosmosConfig::default()
         };
         let mut sys = Cosmos::with_graph(cfg, g).unwrap();
         let schema = Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]);
-        sys.register_stream("S", schema, StreamStats::with_rate(1.0), NodeId(0))
+        sys.register_stream("S", schema, StreamStats::with_rate(1.0), NodeId(1))
             .unwrap();
-        sys.submit_query("SELECT k FROM S [Now]", NodeId(4))
+        sys.submit_query("SELECT k FROM S [Now]", NodeId(5))
             .unwrap();
         if throttle {
             sys.set_overload(Some(OverloadConfig {
@@ -1067,24 +1077,40 @@ fn throttle_notice_is_accounted_along_the_origins_tree_path() {
                 ..OverloadConfig::default()
             }));
         }
+        if disorder {
+            sys.set_disorder(Some(DisorderRuntime {
+                bound: TimeDelta::from_millis(1_000),
+                policy: LatePolicy::Drop,
+            }));
+        }
         let values = vec![Value::Int(1), Value::Int(0)];
         sys.publish(&Tuple::new("S", Timestamp(0), values)).unwrap();
+        if disorder {
+            sys.close_streams();
+        }
         sys
     };
-    let mut hops = Vec::new();
-    for per_source_trees in [false, true] {
-        let plain = deploy(per_source_trees, false);
-        let sys = deploy(per_source_trees, true);
-        let notices = sys.overload().unwrap().received();
-        assert_eq!(notices.len(), 1);
-        let origin = sys.registry().origin(&notices[0].stream).unwrap();
-        let path_len = sys.tree_for(origin).path_len(NodeId(4), origin);
-        let expected = (notices[0].size_bytes() * path_len) as u64;
-        assert_eq!(sys.metrics().throttle_bytes, expected);
-        assert_eq!(sys.total_bytes() - plain.total_bytes(), expected);
-        hops.push(path_len);
+    for (disorder, walked) in [(false, [4, 1]), (true, [5, 2])] {
+        let mut hops = Vec::new();
+        for per_source_trees in [false, true] {
+            let step = format!("disorder {disorder} trees {per_source_trees}");
+            let plain = deploy(per_source_trees, disorder, false);
+            let sys = deploy(per_source_trees, disorder, true);
+            let notices = sys.overload().unwrap().received();
+            assert_eq!(notices.len(), 1, "{step}");
+            let origin = sys.registry().origin(&notices[0].stream).unwrap();
+            let path_len = sys.tree_for(origin).path_len(NodeId(5), origin);
+            let expected = (notices[0].size_bytes() * path_len) as u64;
+            let (snap, plain_snap) = (sys.metrics(), plain.metrics());
+            assert_eq!(snap.throttles, 1, "{step}");
+            assert_eq!(snap.throttle_bytes, expected, "{step}");
+            assert_eq!(sys.total_bytes() - plain.total_bytes(), expected, "{step}");
+            assert_eq!(snap.punctuations, plain_snap.punctuations, "{step}");
+            assert_eq!(snap.punctuations > 0, disorder, "{step}");
+            hops.push(path_len);
+        }
+        assert_eq!(hops, walked, "the two modes walk different paths");
     }
-    assert_eq!(hops, [4, 1], "the two modes walk different paths");
 }
 
 /// Tree repairs heal over any live pair, shortest paths walk overlay

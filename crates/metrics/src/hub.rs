@@ -321,11 +321,12 @@ impl MetricsHub {
         self.coalesced_batches += 1;
     }
 
-    /// A rate-limit datagram crossed one overlay link. Its link bytes
-    /// are accounted by the accompanying [`MetricsHub::on_link`] call;
-    /// this hook keeps the dedicated counters. Like punctuations,
-    /// rate-limits carry no tuple timestamp, so virtual time does not
-    /// advance.
+    /// A rate-limit notice reached its stream's origin: called once per
+    /// notice, with `bytes` the link bytes of its whole path, so
+    /// `throttles` counts notices and `throttle_bytes` their traffic.
+    /// Each link the notice crossed was accounted by its own
+    /// [`MetricsHub::on_link`] call. Like punctuations, rate-limits
+    /// carry no tuple timestamp, so virtual time does not advance.
     pub fn on_throttle(&mut self, bytes: usize) {
         self.throttles += 1;
         self.throttle_bytes += bytes as u64;
