@@ -170,30 +170,6 @@ pub enum Action {
     },
 }
 
-/// Deterministic fault injection for the shed-conservation canary:
-/// `drop_shed_ledger` makes the controller shed tuples *without*
-/// incrementing the ledger's shed counters — the classic silent-drop
-/// bug the extended conservation oracle exists to catch. The flag is
-/// per thread: arming it affects only the deployments the arming thread
-/// drives.
-pub mod faultinject {
-    use std::cell::Cell;
-
-    thread_local! {
-        static DROP_SHED_LEDGER: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// Arm (or disarm) the shed-ledger leak on this thread.
-    pub fn set_drop_shed_ledger(enabled: bool) {
-        DROP_SHED_LEDGER.set(enabled);
-    }
-
-    /// Whether the leak is armed on this thread.
-    pub fn drop_shed_ledger() -> bool {
-        DROP_SHED_LEDGER.get()
-    }
-}
-
 /// The per-deployment overload controller (one per [`Cosmos`], armed
 /// with [`Cosmos::set_overload`]).
 ///
@@ -293,10 +269,8 @@ impl OverloadController {
         }
         match self.cfg.policy_for(qid) {
             OverloadPolicy::Shed => {
-                if !faultinject::drop_shed_ledger() {
-                    ledger.shed_tuples += batch.0;
-                    ledger.shed_bytes += batch.1;
-                }
+                ledger.shed_tuples += batch.0;
+                ledger.shed_bytes += batch.1;
                 Action::Shed {
                     tuples: batch.0,
                     bytes: batch.1,
@@ -311,10 +285,8 @@ impl OverloadController {
                 Action::Stage { coalesced }
             }
             OverloadPolicy::Throttle => {
-                if !faultinject::drop_shed_ledger() {
-                    ledger.shed_tuples += batch.0;
-                    ledger.shed_bytes += batch.1;
-                }
+                ledger.shed_tuples += batch.0;
+                ledger.shed_bytes += batch.1;
                 let stream = tuples
                     .first()
                     .map(|t| t.stream)
@@ -546,14 +518,19 @@ mod tests {
     }
 
     #[test]
-    fn shed_leak_injection_breaks_conservation() {
+    fn a_shed_missing_from_the_ledger_breaks_conservation() {
         let mut c = ctl(Budget::Tuples(0), OverloadPolicy::Shed);
         let q = QueryId(1);
-        faultinject::set_drop_shed_ledger(true);
         c.admit(NodeId(0), q, vec![tup(1)], (1, 10), 0);
-        faultinject::set_drop_shed_ledger(false);
-        assert!(!c.ledger(q).conserved(), "the leak must be observable");
-        assert_eq!(c.ledger(q).offered_tuples, 1);
-        assert_eq!(c.ledger(q).shed_tuples, 0);
+        let honest = c.ledger(q);
+        assert!(honest.conserved());
+        assert_eq!((honest.offered_tuples, honest.shed_tuples), (1, 1));
+        // What a shed that skipped its ledger entry would leave behind.
+        let leaky = QueryLedger {
+            shed_tuples: 0,
+            shed_bytes: 0,
+            ..honest
+        };
+        assert!(!leaky.conserved(), "the leak must be observable");
     }
 }

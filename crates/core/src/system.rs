@@ -84,8 +84,7 @@ impl Default for CosmosConfig {
 }
 
 /// Out-of-order operation: how the deployed system copes with
-/// disordered publishes (ISSUE: disorder injection / watermark
-/// datagrams / late-tuple semantics).
+/// disordered publishes (watermark datagrams, late-tuple semantics).
 ///
 /// When set via [`Cosmos::set_disorder`], the driver tracks the global
 /// high water (the largest timestamp any accepted publish carried) and,

@@ -28,38 +28,6 @@ use std::collections::BTreeSet;
 /// The timestamp attribute used for window re-tightening filters.
 pub const TIMESTAMP_ATTR: &str = "timestamp";
 
-/// Deliberate fault injection for the scenario harness (`cosmos-sim`).
-///
-/// The harness's acceptance bar is that a real merge bug — a member
-/// profile that fails to re-tighten the constraints the representative
-/// loosened — is caught by its oracles within a small seed sweep. This
-/// switch plants exactly that bug: while enabled, [`retighten_profile`]
-/// skips the selection re-tightening step, so members of a merged group
-/// receive every tuple of the shared result stream that matches their
-/// projection, including tuples only *other* members asked for.
-///
-/// Production code never sets this; it exists solely so the testkit can
-/// prove its oracles have teeth. The switch is per thread, so a test
-/// that arms it cannot leak the bug into tests running beside it.
-pub mod faultinject {
-    use std::cell::Cell;
-
-    thread_local! {
-        static SKIP_RETIGHTEN: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// Enable or disable the planted skip-re-tightening bug on this
-    /// thread.
-    pub fn set_skip_retighten(on: bool) {
-        SKIP_RETIGHTEN.set(on);
-    }
-
-    /// Whether the planted bug is enabled on this thread.
-    pub fn skip_retighten() -> bool {
-        SKIP_RETIGHTEN.get()
-    }
-}
-
 /// Merge two continuous queries into a representative query whose result
 /// contains both (`a ⊑ merge(a,b)` and `b ⊑ merge(a,b)`).
 ///
@@ -313,15 +281,7 @@ pub fn retighten_profile(
     // stream and are skipped — in particular, a singleton group's
     // profile carries no selection filter at all.
     let mut filter = Conjunction::always();
-    // Planted harness bug: pretend nothing was loosened (see
-    // [`faultinject`]). The empty iterator keeps the rest of the profile
-    // (projection, window re-tightening) intact so the bug is subtle.
-    let retightened: &[Conjunction] = if faultinject::skip_retighten() {
-        &[]
-    } else {
-        &member.selections
-    };
-    for (i, sel) in retightened.iter().enumerate() {
+    for (i, sel) in member.selections.iter().enumerate() {
         let binding = member.streams[i].binding.clone();
         let rep_sel = &rep.selections[map[i]];
         for (attr, c) in sel.attr_constraints() {

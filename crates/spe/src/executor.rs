@@ -194,32 +194,6 @@ impl DisorderState {
     }
 }
 
-/// Planted bugs for the CI canary: prove the convergence oracle has
-/// teeth by disabling the machinery it guards.
-///
-/// Production code never sets these; see `cosmos_query::merge::faultinject`
-/// for the pattern. The flags are per thread.
-pub mod faultinject {
-    use std::cell::Cell;
-
-    thread_local! {
-        static SKIP_WATERMARK_GATING: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// Enable or disable, on this thread, the planted bug that bypasses
-    /// watermark gating: out-of-order arrivals are processed immediately
-    /// in arrival order instead of being staged until the frontier
-    /// passes them.
-    pub fn set_skip_watermark_gating(on: bool) {
-        SKIP_WATERMARK_GATING.set(on);
-    }
-
-    /// Whether the planted bug is enabled on this thread.
-    pub fn skip_watermark_gating() -> bool {
-        SKIP_WATERMARK_GATING.get()
-    }
-}
-
 /// One binding's selection with its attribute names resolved to columns
 /// of the binding's full schema, so the per-tuple test looks no name up.
 /// `None` = the schema lacks the attribute: the constraint can never be
@@ -616,14 +590,6 @@ impl Executor {
             tuple.timestamp,
             self.last_ts
         );
-        self.push_unchecked(tuple, out);
-    }
-
-    /// [`Executor::push_into`] without the monotonicity contract — used
-    /// by the canary fault injection, which deliberately processes
-    /// out-of-order arrivals immediately to prove the convergence
-    /// oracle catches the resulting garbage.
-    fn push_unchecked(&mut self, tuple: &Tuple, out: &mut Vec<Tuple>) {
         self.last_ts = self.last_ts.max(tuple.timestamp);
         let before = out.len();
         // A stream may be bound several times (self joins); process each.
@@ -664,12 +630,6 @@ impl Executor {
         d.stats.arrived += 1;
         if d.is_duplicate(tuple) {
             d.stats.duplicates += 1;
-        } else if faultinject::skip_watermark_gating() {
-            // Planted bug: no staging, process in arrival order. The
-            // convergence oracle must flag the resulting outputs.
-            d.remember(tuple);
-            self.push_unchecked(tuple, out);
-            d.stats.drained += 1;
         } else if tuple.timestamp > d.frontier {
             let seq = d.remember(tuple);
             d.staging.insert((tuple.timestamp, seq), tuple.clone());

@@ -31,4 +31,4 @@ pub mod executor;
 pub mod oracle;
 
 pub use analyze::{AnalyzedQuery, BoundStream, JoinPred, OutputColumn, QAttr};
-pub use executor::{faultinject, DisorderStats, Executor, LatePolicy, StateSize};
+pub use executor::{DisorderStats, Executor, LatePolicy, StateSize};

@@ -1,9 +1,10 @@
 //! Directed tests for the executor's late-tuple policies: one per
 //! policy × operator kind (COUNT/SUM/AVG/MIN aggregates, DISTINCT
 //! selection, window join), plus duplicate-injection dedup inside the
-//! grace window and shed-counter conservation accounting. The canary
-//! fault injection (`faultinject::skip_watermark_gating`) is tested in
-//! `canary_gating.rs`.
+//! grace window and shed-counter conservation accounting. A build that
+//! skips watermark gating altogether is CI's eviction canary
+//! (`ci/mutants/eviction_skip_gating.patch`), caught by the scenario
+//! harness's convergence oracle.
 
 use cosmos_cql::parse_query;
 use cosmos_spe::{AnalyzedQuery, Executor, LatePolicy};

@@ -18,10 +18,9 @@
 //! failure the scenario is minimized and written as a replayable JSON
 //! file, and for static-verify failures the violating snapshot is
 //! written next to it. Shrinking and `replay` check under the flags the
-//! run had (bounds, overload budget, injected faults), so `replay` of a
-//! written file with the flags its hint prints re-checks it exactly as
-//! the run did (shrunk files stay failing until the bug is fixed, then
-//! flip to PASS). `sweep` runs
+//! run had (bounds, overload budget), so `replay` of a written file with
+//! the flags its hint prints re-checks it exactly as the run did (shrunk
+//! files stay failing until the bug is fixed, then flip to PASS). `sweep` runs
 //! a contiguous seed range, as CI does. `snapshot` dumps the network
 //! snapshot a seed's scenario ends in, for `cosmos-verify <file>`.
 //! `metrics` dumps the versioned metrics snapshot the same run ends in —
@@ -35,18 +34,11 @@
 //! it with a stable `B01xx` code before any tuple is published.
 //! `experiments` prints the paper's evaluation ([`cosmos::experiment`])
 //! as one markdown report, equal to `tests/golden/experiments_<scale>.txt`
-//! (`quick` by default), and exits 1 if a claim it checks fails. The
-//! hidden `--inject-bug` flag disables selection re-tightening in the
-//! merge layer — a deliberately broken build used to prove the oracles
-//! catch real merge bugs (the static verifier flags it as V0501 with no
-//! tuple published).
+//! (`quick` by default), and exits 1 if a claim it checks fails.
 //!
 //! `--disorder` expands seeds with [`gen::generate_disordered`] instead:
 //! publish batches arrive skewed, with stragglers and duplicates, and
-//! the *convergence* oracle replaces the differential one. The hidden
-//! `--inject-eviction-bug` flag makes every executor skip watermark
-//! gating (process in raw arrival order) — a deliberately broken build
-//! the convergence oracle must catch on a disordered sweep.
+//! the *convergence* oracle replaces the differential one.
 //! `--no-bounds` turns the (per-event, and therefore earliest-firing)
 //! bound-soundness oracle off for `run`/`sweep`, so a canary failure is
 //! attributed to the end-of-run semantic oracles instead.
@@ -56,11 +48,13 @@
 //! (default `u64::MAX / 4`, far above any generated scenario's peak —
 //! a pure accounting witness). Every run then also checks the ledger
 //! conservation identity `offered = delivered + shed + staged`
-//! byte-exactly after every event. The hidden `--inject-shed-leak`
-//! flag silently drops the shed-side ledger accounting — a
-//! deliberately broken build the conservation oracle must catch and
-//! attribute to the shed ledger when the budget is tight enough to
-//! shed.
+//! byte-exactly after every event.
+//!
+//! That the oracles catch real bugs is shown on deliberately broken
+//! builds, not by flags: each patch under `ci/mutants/` plants one bug
+//! in a copy of the tree (`ci/mutants/build.sh` builds it), and CI
+//! requires the patched `cosmos-sim` to fail its sweep through the
+//! oracle that guards the broken mechanism.
 //!
 //! Exit status: 0 all scenarios pass, 1 any oracle failure, 2 usage/IO.
 
@@ -111,25 +105,20 @@ impl Opts {
         CheckOptions {
             bound_soundness: !self.no_bounds,
             overload_budget: self.overload.then_some(self.budget),
-            ..CheckOptions::default()
         }
     }
 
     /// The flags a written scenario replays under: those of
-    /// [`Opts::check_options`] and the armed fault injections.
+    /// [`Opts::check_options`].
     fn replay_flags(&self) -> String {
-        use cosmos::overload::faultinject::drop_shed_ledger as shed_leak;
-        use cosmos_query::merge::faultinject::skip_retighten as merge_bug;
-        use cosmos_spe::faultinject::skip_watermark_gating as eviction_bug;
-        let overload = format!(" --overload --budget {}", self.budget);
-        let flags = [
-            (self.no_bounds, " --no-bounds"),
-            (self.overload, overload.as_str()),
-            (merge_bug(), " --inject-bug"),
-            (eviction_bug(), " --inject-eviction-bug"),
-            (shed_leak(), " --inject-shed-leak"),
-        ];
-        flags.map(|(on, flag)| if on { flag } else { "" }).concat()
+        let mut flags = String::new();
+        if self.no_bounds {
+            flags += " --no-bounds";
+        }
+        if self.overload {
+            flags += &format!(" --overload --budget {}", self.budget);
+        }
+        flags
     }
 
     /// Expand a seed per the `--disorder` flag.
@@ -201,9 +190,6 @@ fn main() -> ExitCode {
                 Some(v) => o.out_dir = v,
                 None => return usage("--out-dir needs a path"),
             },
-            "--inject-bug" => cosmos_query::merge::faultinject::set_skip_retighten(true),
-            "--inject-eviction-bug" => cosmos_spe::faultinject::set_skip_watermark_gating(true),
-            "--inject-shed-leak" => cosmos::overload::faultinject::set_drop_shed_ledger(true),
             "--help" | "-h" => {
                 return usage("");
             }
@@ -501,7 +487,7 @@ fn run_one(seed: u64, o: &Opts) -> bool {
             let minimized = if o.no_shrink {
                 scenario
             } else {
-                let m = shrink(&scenario, 300, &copts);
+                let m = shrink(&scenario, 300, |c| check_scenario_opts(c, &copts).is_err());
                 eprintln!("  shrunk to: {}", m.summary());
                 m
             };

@@ -89,28 +89,12 @@ pub struct Report {
     pub digest: u64,
 }
 
-/// Which oracles to run (all by default; the injected-bug acceptance
-/// test isolates the metamorphic family).
+/// The options the oracles run under. Every other oracle always runs;
+/// these choose whether the per-event bound-soundness oracle runs too
+/// (turning it off lets an end-of-run oracle claim a failure first) and
+/// the overload budget every run is armed with.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckOptions {
-    /// Per-epoch differential comparison, both modes.
-    pub differential: bool,
-    /// Merged-vs-baseline whole-run comparison.
-    pub metamorphic_merge: bool,
-    /// Tree-reorganization invariance.
-    pub metamorphic_tree: bool,
-    /// Batched-publish invariance (per-tuple vs `publish_batch`).
-    pub metamorphic_batch: bool,
-    /// Same-scenario digest equality.
-    pub determinism: bool,
-    /// Static verification (`cosmos-verify`) of the routing state after
-    /// every routing-relevant event, in both merged and baseline modes.
-    pub static_verify: bool,
-    /// Metrics conservation: the metrics layer's lifetime counters must
-    /// agree with the driver's accounting after every event, and the
-    /// final metrics snapshot must be byte-identical across the
-    /// determinism replay.
-    pub metrics_conservation: bool,
     /// Bound soundness: measured delivered counts, per-node consumed
     /// bytes, and executor state sizes must be dominated by the static
     /// `cosmos-bound` bounds after every event, in merged, baseline,
@@ -129,13 +113,6 @@ pub struct CheckOptions {
 impl Default for CheckOptions {
     fn default() -> Self {
         CheckOptions {
-            differential: true,
-            metamorphic_merge: true,
-            metamorphic_tree: true,
-            metamorphic_batch: true,
-            determinism: true,
-            static_verify: true,
-            metrics_conservation: true,
             bound_soundness: true,
             overload_budget: None,
         }
@@ -147,7 +124,10 @@ pub fn check_scenario(scenario: &Scenario) -> Result<Report, Failure> {
     check_scenario_opts(scenario, &CheckOptions::default())
 }
 
-/// Run the selected oracles over a scenario.
+/// Run every oracle over a scenario under `opts`: static verification
+/// and metrics conservation after every event, determinism, the
+/// differential (or convergence) oracle in merged and baseline modes,
+/// and the merge, tree and batch metamorphic oracles.
 pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<Report, Failure> {
     let run_err = |e: cosmos_types::CosmosError| Failure {
         oracle: "run-error".into(),
@@ -157,7 +137,6 @@ pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<R
     let merged = run_scenario(
         scenario,
         &RunOptions {
-            static_verify: opts.static_verify,
             bound_checks: opts.bound_soundness,
             overload_budget: opts.overload_budget,
             ..RunOptions::default()
@@ -168,112 +147,90 @@ pub fn check_scenario_opts(scenario: &Scenario, opts: &CheckOptions) -> Result<R
     // overload ledger (the snapshot carries it as V0801), but the
     // runner's per-event check names the shed ledger directly, so it
     // owns the attribution.
-    if opts.metrics_conservation {
-        metrics_conservation_failure(&merged, "merged")?;
-    }
+    metrics_conservation_failure(&merged, "merged")?;
     static_verify_failure(&merged, "merged")?;
     bound_soundness_failure(&merged, "merged")?;
     runtime_determinism_failure(&merged, "merged")?;
 
-    if opts.determinism {
-        // The verifier and bound tracker only read state, so skipping
-        // them here cannot change the digest being compared.
-        let again = run_scenario(
-            scenario,
-            &RunOptions {
-                static_verify: false,
-                bound_checks: false,
-                overload_budget: opts.overload_budget,
-                ..RunOptions::default()
-            },
-        )
-        .map_err(run_err)?;
-        if again.digest != merged.digest || again.routing_digests != merged.routing_digests {
-            return Err(Failure {
-                oracle: "determinism".into(),
-                label: None,
-                detail: format!(
-                    "two runs of the same scenario diverged: digest {:016x} vs {:016x}",
-                    merged.digest, again.digest
-                ),
-            });
-        }
-        if opts.metrics_conservation && again.metrics_json != merged.metrics_json {
-            return Err(Failure {
-                oracle: "determinism".into(),
-                label: None,
-                detail: "two runs of the same scenario produced different metrics snapshots".into(),
-            });
-        }
+    // The verifier and bound tracker only read state, so skipping them
+    // here cannot change the digest being compared.
+    let again = run_scenario(
+        scenario,
+        &RunOptions {
+            static_verify: false,
+            bound_checks: false,
+            overload_budget: opts.overload_budget,
+            ..RunOptions::default()
+        },
+    )
+    .map_err(run_err)?;
+    if again.digest != merged.digest || again.routing_digests != merged.routing_digests {
+        return Err(Failure {
+            oracle: "determinism".into(),
+            label: None,
+            detail: format!(
+                "two runs of the same scenario diverged: digest {:016x} vs {:016x}",
+                merged.digest, again.digest
+            ),
+        });
+    }
+    if again.metrics_json != merged.metrics_json {
+        return Err(Failure {
+            oracle: "determinism".into(),
+            label: None,
+            detail: "two runs of the same scenario produced different metrics snapshots".into(),
+        });
     }
 
-    if opts.differential {
-        differential(&merged, "merged")?;
-    }
+    differential(&merged, "merged")?;
 
     let baseline = run_scenario(
         scenario,
         &RunOptions {
             merging: false,
-            static_verify: opts.static_verify,
             bound_checks: opts.bound_soundness,
             overload_budget: opts.overload_budget,
             ..RunOptions::default()
         },
     )
     .map_err(run_err)?;
-    if opts.metrics_conservation {
-        metrics_conservation_failure(&baseline, "baseline")?;
-    }
+    metrics_conservation_failure(&baseline, "baseline")?;
     static_verify_failure(&baseline, "baseline")?;
     bound_soundness_failure(&baseline, "baseline")?;
     runtime_determinism_failure(&baseline, "baseline")?;
-    if opts.differential {
-        differential(&baseline, "baseline")?;
-    }
+    differential(&baseline, "baseline")?;
 
-    let mut merge_compared = 0usize;
-    if opts.metamorphic_merge {
-        merge_compared = metamorphic_merge(&merged, &baseline)?;
-    }
+    let merge_compared = metamorphic_merge(&merged, &baseline)?;
 
-    if opts.metamorphic_tree {
-        let treed = run_scenario(
-            scenario,
-            &RunOptions {
-                merging: true,
-                optimize_every_event: true,
-                static_verify: false,
-                bound_checks: false,
-                overload_budget: opts.overload_budget,
-                ..RunOptions::default()
-            },
-        )
-        .map_err(run_err)?;
-        if opts.metrics_conservation {
-            metrics_conservation_failure(&treed, "treed")?;
-        }
-        metamorphic_tree(&merged, &treed)?;
-    }
+    let treed = run_scenario(
+        scenario,
+        &RunOptions {
+            merging: true,
+            optimize_every_event: true,
+            static_verify: false,
+            bound_checks: false,
+            overload_budget: opts.overload_budget,
+            ..RunOptions::default()
+        },
+    )
+    .map_err(run_err)?;
+    metrics_conservation_failure(&treed, "treed")?;
+    metamorphic_tree(&merged, &treed)?;
 
-    if opts.metamorphic_batch {
-        let batched = run_scenario(
-            scenario,
-            &RunOptions {
-                batched: true,
-                static_verify: false,
-                bound_checks: opts.bound_soundness,
-                overload_budget: opts.overload_budget,
-                ..RunOptions::default()
-            },
-        )
-        .map_err(run_err)?;
-        if opts.metrics_conservation {
-            metrics_conservation_failure(&batched, "batched")?;
-        }
-        bound_soundness_failure(&batched, "batched")?;
-        metamorphic_batch(&merged, &batched)?;
-    }
+    let batched = run_scenario(
+        scenario,
+        &RunOptions {
+            batched: true,
+            static_verify: false,
+            bound_checks: opts.bound_soundness,
+            overload_budget: opts.overload_budget,
+            ..RunOptions::default()
+        },
+    )
+    .map_err(run_err)?;
+    metrics_conservation_failure(&batched, "batched")?;
+    bound_soundness_failure(&batched, "batched")?;
+    metamorphic_batch(&merged, &batched)?;
 
     Ok(Report {
         queries: merged.queries.len(),
@@ -818,5 +775,46 @@ pub fn assert_results_match_oracle(
             want, got,
             "deployment diverged from local evaluation for {text}"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gen;
+
+    /// The merge oracle has teeth: on a healthy disordered run (seed 6,
+    /// where every query is grouped), one extra row in any comparable
+    /// query's merged deliveries — what a member whose split filter lost
+    /// its re-tightening receives — fails it, attributed to that query;
+    /// rows added to the others go unchecked, as they must.
+    #[test]
+    fn an_extra_merged_row_fails_the_merge_oracle() {
+        let scenario = gen::generate_disordered(6);
+        let run = |merging| {
+            let opts = RunOptions {
+                merging,
+                static_verify: false,
+                bound_checks: false,
+                ..RunOptions::default()
+            };
+            run_scenario(&scenario, &opts).expect("seed 6 runs")
+        };
+        let (mut merged, baseline) = (run(true), run(false));
+        let compared = metamorphic_merge(&merged, &baseline).expect("healthy runs agree");
+        assert!(compared > 0, "seed 6 compares no query");
+        let extra = Tuple::new("extra", Timestamp(0), vec![Value::Int(-1)]);
+        let mut caught = 0;
+        for i in 0..merged.queries.len() {
+            let label = merged.queries[i].label;
+            merged.queries[i].delivered.push(extra.clone());
+            if let Err(f) = metamorphic_merge(&merged, &baseline) {
+                assert_eq!(f.oracle, "metamorphic-merge", "{f}");
+                assert_eq!(f.label, Some(label), "{f}");
+                caught += 1;
+            }
+            merged.queries[i].delivered.pop();
+        }
+        assert_eq!(caught, compared, "every compared query, and only those");
     }
 }

@@ -7,16 +7,21 @@
 //! withdrawals as long as possible) and then thins publish batches,
 //! re-checking after each candidate and keeping any that still fails.
 
-use crate::oracle::{check_scenario_opts, CheckOptions};
 use crate::scenario::{Event, Scenario};
 
-/// Shrink a scenario that fails the oracles `opts` selects, re-running
-/// them at most `budget` times. Returns the smallest still-failing
-/// scenario found (the input itself if nothing smaller fails).
-pub fn shrink(scenario: &Scenario, budget: usize, opts: &CheckOptions) -> Scenario {
-    let fails = |c: &Scenario, runs: &mut usize| {
+/// Shrink a scenario on which `fails` holds, calling it at most `budget`
+/// times. Returns the smallest scenario found on which it still holds
+/// (the input itself if nothing smaller does). The caller decides what
+/// failing means — `cosmos-sim` passes the oracles under the options of
+/// the run that failed.
+pub fn shrink(
+    scenario: &Scenario,
+    budget: usize,
+    mut fails: impl FnMut(&Scenario) -> bool,
+) -> Scenario {
+    let mut fails = |c: &Scenario, runs: &mut usize| {
         *runs += 1;
-        check_scenario_opts(c, opts).is_err()
+        fails(c)
     };
     let mut runs = 0usize;
     let mut cur = scenario.clone();

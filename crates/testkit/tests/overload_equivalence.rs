@@ -1,32 +1,14 @@
-//! Metamorphic property for the overload controller (ISSUE 10
-//! acceptance): armed with a budget above every node's actual peak
-//! intake, the controller must be a *pure witness* — byte-identical
-//! digests and metrics documents to an unarmed run, zero shed, exact
-//! ledger conservation — across 64 generated seeds. And the
-//! conservation oracle must have teeth: with a budget tight enough to
-//! actually shed, silently dropping the shed-side ledger accounting
-//! (`cosmos::overload::faultinject`) must be caught at the first
-//! event boundary it perturbs, attributed to the shed ledger. The flag
-//! is per thread; the test arms it through a guard that disarms on drop.
+//! Metamorphic property for the overload controller: armed with a
+//! budget above every node's actual peak intake, the controller must be
+//! a *pure witness* — byte-identical digests and metrics documents to an
+//! unarmed run, zero shed, exact ledger conservation — across 64
+//! generated seeds. Armed with a budget that sheds, honest accounting
+//! keeps the ledger conserved. That the conservation oracle catches a
+//! shed missing from the ledger is shown by `cosmos`'s overload unit
+//! tests on a ledger and by CI's sweep of
+//! `ci/mutants/shed_ledger_leak.patch`.
 
-use cosmos::overload::faultinject::set_drop_shed_ledger;
 use cosmos_testkit::{gen, run_scenario, RunOptions};
-
-/// Arms the shed-ledger leak for one scope; disarms on drop.
-struct ShedLeak;
-
-impl ShedLeak {
-    fn arm() -> Self {
-        set_drop_shed_ledger(true);
-        ShedLeak
-    }
-}
-
-impl Drop for ShedLeak {
-    fn drop(&mut self) {
-        set_drop_shed_ledger(false);
-    }
-}
 
 #[test]
 fn above_peak_budget_is_a_pure_witness_across_seeds() {
@@ -71,10 +53,10 @@ fn above_peak_budget_is_a_pure_witness_across_seeds() {
 }
 
 #[test]
-fn injected_shed_leak_is_caught_by_the_conservation_oracle() {
+fn honest_shedding_keeps_the_ledger_conserved() {
     // A 64-byte window budget sheds on any realistic delivery volume;
     // find the first seed that actually sheds (deterministically) so
-    // the canary is guaranteed to exercise the broken path.
+    // the shed path is guaranteed to run.
     let tight = RunOptions {
         static_verify: false,
         bound_checks: false,
@@ -87,27 +69,9 @@ fn injected_shed_leak_is_caught_by_the_conservation_oracle() {
             (r.overload_shed_tuples > 0).then_some((seed, r))
         })
         .expect("some seed in 0..16 must shed under a 64-byte budget");
-    // Honest accounting: shedding is fine, the ledger stays balanced.
     assert!(
         honest.metrics_violations.is_empty(),
         "seed {seed}: honest shed broke conservation: {:?}",
         honest.metrics_violations
-    );
-    // Leaky accounting: the same run with the shed ledger silently
-    // dropped must break the identity, attributed to the shed ledger.
-    let leak = ShedLeak::arm();
-    let leaky = run_scenario(&gen::generate(seed), &tight).expect("leaky run");
-    drop(leak);
-    assert!(
-        !leaky.metrics_violations.is_empty(),
-        "seed {seed}: the injected shed leak went unnoticed"
-    );
-    assert!(
-        leaky
-            .metrics_violations
-            .iter()
-            .any(|(_, d)| d.contains("shed-ledger")),
-        "seed {seed}: leak not attributed to the shed ledger: {:?}",
-        leaky.metrics_violations
     );
 }
