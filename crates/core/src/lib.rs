@@ -45,6 +45,6 @@ pub mod system;
 pub use autotune::{AutotuneOptions, AutotunePass, AutotunePolicy, AutotuneStatus};
 pub use cosmos_metrics::{MetricsConfig, MetricsSnapshot, RouterTotals, METRICS_VERSION};
 pub use cosmos_spe::{DisorderStats, LatePolicy};
-pub use overload::{Budget, OverloadConfig, OverloadController, OverloadPolicy, QueryLedger};
+pub use overload::{OverloadController, QueryLedger};
 pub use snapshot::NetworkSnapshot;
 pub use system::{Cosmos, CosmosConfig, DisorderRuntime, NodeRole, RepStateView};

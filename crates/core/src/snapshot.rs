@@ -117,10 +117,9 @@ pub struct DirectSnapshot {
 
 /// One query's overload-conservation ledger, as captured from the
 /// armed [`crate::overload::OverloadController`]. The verifier checks
-/// the identity `offered = delivered + shed + staged` (tuples and
-/// bytes) and that a query with ledger traffic still has its user
-/// subscription installed — shedding must never black-hole a retained
-/// query.
+/// the identity `offered = delivered + shed` (tuples and bytes) and
+/// that a query with ledger traffic still has its user subscription
+/// installed — shedding must never black-hole a retained query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OverloadLedgerSnapshot {
     pub query: QueryId,
@@ -130,8 +129,6 @@ pub struct OverloadLedgerSnapshot {
     pub delivered_bytes: u64,
     pub shed_tuples: u64,
     pub shed_bytes: u64,
-    pub staged_tuples: u64,
-    pub staged_bytes: u64,
 }
 
 /// The whole-network snapshot `cosmos-verify` analyzes.

@@ -14,7 +14,7 @@ mod data;
 mod query;
 
 use crate::autotune::{AutotuneOptions, AutotunePass, AutotunePolicy, AutotuneStatus};
-use crate::overload::{OverloadConfig, OverloadController};
+use crate::overload::OverloadController;
 use cosmos_cbn::{RegistryMode, Router, SchemaRegistry};
 use cosmos_metrics::{MetricsConfig, MetricsHub, MetricsSnapshot, RouterTotals};
 use cosmos_overlay::{generate, Graph, TopologyKind, Tree};
@@ -378,14 +378,8 @@ impl Cosmos {
     /// from every SPE input — their reverse-path cells refold away, with
     /// the plan-cache lines they pinned — since no datagram of a closed
     /// stream can ever arrive again. Records the closed set for the
-    /// network snapshot.
-    /// Also drains any batches the overload controller was coalescing.
-    /// Idempotent; apart from the overload drain, a no-op in in-order
-    /// operation.
+    /// network snapshot. Idempotent; a no-op in in-order operation.
     pub fn close_streams(&mut self) {
-        // Nothing more can arrive: release any coalesced batches the
-        // overload controller is still holding.
-        self.drain_overload_staged();
         self.data.close_streams(&mut self.query);
     }
 
@@ -402,40 +396,25 @@ impl Cosmos {
         Ok(())
     }
 
-    /// Arm (or disarm) the per-node overload controller. With a
-    /// configuration set, every user delivery is admission-checked
-    /// against the node's intake budget per metrics rate window and
-    /// over-budget batches are shed, coalesced, or throttled per the
-    /// per-query policy — ledger-accounted so that
-    /// `offered == delivered + shed + staged` holds tuple- and
-    /// byte-exact per query at any instant (cosmos-testkit checks the
-    /// identity after every event).
+    /// Arm (or disarm) the per-node overload controller. With a budget
+    /// set, every user delivery is admission-checked against the
+    /// node's intake of `budget` bytes per metrics rate window, and an
+    /// over-budget batch is shed — ledger-accounted so that
+    /// `offered == delivered + shed` holds tuple- and byte-exact per
+    /// query at any instant (cosmos-testkit checks the identity after
+    /// every event).
     ///
     /// Budgets are measured against the metrics hub's virtual-time
-    /// windows. Disarming (or replacing) a controller first drains its
-    /// pending coalesced batches into the delivery buffers.
-    pub fn set_overload(&mut self, cfg: Option<OverloadConfig>) {
-        self.drain_overload_staged();
-        self.data.overload = cfg.map(OverloadController::new);
+    /// windows. Disarming (or replacing) a controller drops its
+    /// ledgers; nothing it shed comes back.
+    pub fn set_overload(&mut self, budget: Option<u64>) {
+        self.data.overload = budget.map(OverloadController::new);
     }
 
-    /// The armed overload controller (ledgers, high-water marks,
-    /// received rate-limit notices), if any.
+    /// The armed overload controller (ledgers, high-water marks), if
+    /// any.
     pub fn overload(&self) -> Option<&OverloadController> {
         self.data.overload.as_ref()
-    }
-
-    /// Deliver every pending coalesced batch to its query's buffer
-    /// (stream closure, controller disarm). The ledger moves the mass
-    /// from `staged` to `delivered`, keeping the identity exact.
-    fn drain_overload_staged(&mut self) {
-        let staged = (self.data.overload.as_mut()).map(OverloadController::drain_all);
-        for (qid, tuples) in staged.unwrap_or_default() {
-            // Withdrawal releases a query's pending batch, so every
-            // staged batch belongs to a live query.
-            let user = self.user_of(qid).expect("a staged batch's query is live");
-            self.data.deliver(qid, user, tuples);
-        }
     }
 
     /// Result tuples delivered to a query's user so far.
@@ -716,8 +695,6 @@ impl Cosmos {
                 delivered_bytes: l.delivered_bytes,
                 shed_tuples: l.shed_tuples,
                 shed_bytes: l.shed_bytes,
-                staged_tuples: l.staged_tuples,
-                staged_bytes: l.staged_bytes,
             })
             .collect();
 

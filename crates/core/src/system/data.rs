@@ -6,11 +6,11 @@
 //! the delivery buffers, the traffic counters, the metrics hub, the
 //! overload gate, and the one loop that moves datagrams
 //! ([`DataPlane::disseminate`]) with its reused buffers. Its queue holds
-//! three kinds of datagram ([`Payload`]): tuple batches, watermark
-//! punctuations and rate-limit notices, and [`DataPlane::send`] is the
-//! one function that puts any of them on a link. Watermarks exist for
-//! source streams only: an SPE input is the only reader of a
-//! punctuation, and no query can read a result stream.
+//! two kinds of datagram ([`Payload`]): tuple batches and watermark
+//! punctuations, and [`DataPlane::send`] is the one function that puts
+//! either on a link. Watermarks exist for source streams only: an SPE
+//! input is the only reader of a punctuation, and no query can read a
+//! result stream.
 //!
 //! It cannot see query state. The one place the layers meet is an SPE
 //! input: the loop hands the batch (or the watermark) that reaches one
@@ -29,8 +29,8 @@ use cosmos_metrics::{MetricsConfig, MetricsHub};
 use cosmos_overlay::{minimum_spanning_tree, Graph, Tree};
 use cosmos_spe::{AnalyzedQuery, Executor};
 use cosmos_types::{
-    CosmosError, FxHashMap, NeumaierSum, NodeId, Punctuation, QueryId, RateLimit, Result, Schema,
-    StreamName, SubscriberId, Timestamp, Tuple,
+    CosmosError, FxHashMap, NeumaierSum, NodeId, Punctuation, QueryId, Result, Schema, StreamName,
+    SubscriberId, Timestamp, Tuple,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -212,8 +212,6 @@ enum Payload {
     Batch(Vec<Tuple>, Schema, usize),
     /// A source stream's watermark, bound for the stream's SPE inputs.
     Watermark(StreamName, Timestamp),
-    /// A rate-limit notice, bound for its stream's origin.
-    RateLimit(RateLimit),
 }
 
 /// The buffers [`DataPlane::disseminate`] works in, kept between calls
@@ -490,7 +488,6 @@ impl DataPlane {
         let (tuples, bytes) = match &payload {
             Payload::Batch(tuples, _, bytes) => (tuples.len(), *bytes),
             Payload::Watermark(..) => (0, Punctuation::WIRE_BYTES),
-            Payload::RateLimit(limit) => (0, limit.size_bytes()),
         };
         let key = (from.min(to), from.max(to));
         *self.link_bytes.entry(key).or_insert(0) += bytes as u64;
@@ -570,12 +567,11 @@ impl DataPlane {
 
     /// The one dissemination loop: serve `hops.queue` breadth-first to
     /// completion, including every datagram the hops trigger on the way.
-    /// A watermark goes to [`DataPlane::punctuate`], a rate-limit notice
-    /// to [`DataPlane::step_rate_limit`]. A batch is routed, unless it is
-    /// a relay hop at its router ([`Router::relay`]): then its buffer and
-    /// schema become the one forward as they are, and a neighbor forward
-    /// crosses its link with the byte count the hop carries instead of
-    /// a re-summed one. That reads the upstream router's entries at the
+    /// A watermark goes to [`DataPlane::punctuate`]. A batch is routed,
+    /// unless it is a relay hop at its router ([`Router::relay`]): then
+    /// its buffer and schema become the one forward as they are, and a
+    /// neighbor forward crosses its link with the byte count the hop
+    /// carries instead of a re-summed one. That reads the upstream router's entries at the
     /// time the hop is served, which are the ones it was routed under,
     /// because nothing the loop calls mutates a router.
     ///
@@ -590,10 +586,6 @@ impl DataPlane {
                 Payload::Batch(tuples, schema, bytes) => (tuples, schema, bytes),
                 Payload::Watermark(stream, ts) => {
                     self.punctuate(spe, hops, from, at, stream, ts);
-                    continue;
-                }
-                Payload::RateLimit(limit) => {
-                    self.step_rate_limit(hops, at, limit);
                     continue;
                 }
             };
@@ -699,7 +691,7 @@ impl DataPlane {
                     self.emit(hops, at, batch);
                 }
             }
-            Some(&LocalSub::User(qid)) => self.deliver_user(at, qid, tuples, hops),
+            Some(&LocalSub::User(qid)) => self.deliver_user(at, qid, tuples),
         }
     }
 
@@ -711,54 +703,18 @@ impl DataPlane {
     }
 
     /// User delivery through the overload gate, when one is armed:
-    /// consult the controller with the node's measured in-window intake,
-    /// then map its verdict onto delivery-buffer and metrics effects (a
-    /// throttle's rate-limit notice is queued at `at`). Budget decisions
-    /// read only virtual-time state, so a replay of the same scenario
+    /// consult the controller with the node's measured in-window intake
+    /// and deliver the batch or count it shed. Budget decisions read
+    /// only virtual-time state, so a replay of the same scenario
     /// reproduces identical shed decisions.
-    fn deliver_user(&mut self, at: NodeId, qid: QueryId, tuples: Vec<Tuple>, hops: &mut HopLoop) {
+    fn deliver_user(&mut self, at: NodeId, qid: QueryId, tuples: Vec<Tuple>) {
         let Some(ctl) = self.overload.as_mut() else {
             return self.deliver(qid, at, tuples);
         };
-        let in_window = self.metrics.consumed_in_window(at);
-        let window_index = self.metrics.now_ms().div_euclid(self.metrics.window_ms());
-        match ctl.admit(at, qid, tuples, in_window, window_index) {
-            Action::Deliver { tuples, .. } => self.deliver(qid, at, tuples),
-            Action::Stage { coalesced } => {
-                if coalesced {
-                    self.metrics.on_coalesce();
-                }
-            }
+        let (_, in_window) = self.metrics.consumed_in_window(at);
+        match ctl.admit(at, qid, tuples, in_window) {
+            Action::Deliver(tuples) => self.deliver(qid, at, tuples),
             Action::Shed { tuples, bytes } => self.metrics.on_shed(tuples, bytes),
-            Action::Throttle {
-                tuples,
-                bytes,
-                limit,
-            } => {
-                self.metrics.on_shed(tuples, bytes);
-                if let Some(limit) = limit {
-                    hops.push(None, at, Payload::RateLimit(limit));
-                }
-            }
-        }
-    }
-
-    /// Serve a [`RateLimit`] notice at `at`: send it one link on along
-    /// `tree_for(origin).path(at, origin)`, or, at the stream's origin,
-    /// record it (advisory in this build — sources are simulation-driven)
-    /// and count it once with the bytes of its whole path.
-    fn step_rate_limit(&mut self, hops: &mut HopLoop, at: NodeId, limit: RateLimit) {
-        let mut links = 0;
-        if let Some(origin) = self.registry.origin(&limit.stream) {
-            let tree = self.topology.tree_for(origin);
-            if let Some(&next) = tree.path(at, origin).get(1) {
-                return self.send(hops, at, next, Payload::RateLimit(limit));
-            }
-            links = tree.path_len(limit.from, origin);
-        }
-        self.metrics.on_throttle(limit.size_bytes() * links);
-        if let Some(ctl) = self.overload.as_mut() {
-            ctl.record_received(limit);
         }
     }
 

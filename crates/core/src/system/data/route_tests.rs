@@ -6,7 +6,7 @@
 
 use super::*;
 use crate::system::{Cosmos, CosmosConfig, DisorderRuntime};
-use crate::{AutotuneOptions, OverloadConfig};
+use crate::AutotuneOptions;
 use cosmos_query::{GroupManager, StreamStats};
 use cosmos_spe::LatePolicy;
 use cosmos_types::TimeDelta;
@@ -1033,22 +1033,21 @@ fn punctuations_cross_only_the_spe_inputs_reverse_paths() {
     );
 }
 
-/// A Throttle notice walks `tree_for(origin).path(consumer, origin)`:
-/// the bytes accounted for it are the datagram's size times that path's
-/// length, on the shared tree and on a per-source tree alike. Out of
-/// order the notice is sent from a loop that also carries watermarks
-/// (the `+∞` of `close_streams` drains the staged tuple to the user),
-/// toward the result stream's origin, the processor: it still reaches
-/// it once, and the watermarks cross the same links with and without
-/// the throttle.
+/// The overload gate sits after every link crossing: a budget that
+/// sheds everything the user is offered changes no link's traffic. On
+/// a shared tree and on per-source trees alike, in order (the CBN
+/// serves the selection alone) and out of order (the `+∞` of
+/// `close_streams` drains the staged tuple through the processor's
+/// executor toward the user), the user's ledger sheds every offered
+/// tuple, while `total_bytes()` and the punctuation count equal the
+/// unbudgeted twin's, and punctuations cross exactly out of order.
 #[test]
-fn throttle_notice_is_accounted_along_the_origins_tree_path() {
-    use crate::overload::{Budget, OverloadPolicy};
+fn a_shedding_gate_changes_no_link_traffic() {
     use cosmos_types::{AttrType, Value};
     // The processor 0 hangs off node 1 of the chain 1-2-3-4-5, plus a
     // direct 1-5 link too heavy for the MST but shorter than the chain:
     // only the trees rooted at 1 and at 0 use it.
-    let deploy = |per_source_trees: bool, disorder: bool, throttle: bool| {
+    let deploy = |per_source_trees: bool, disorder: bool, budget: Option<u64>| {
         let mut g = Graph::new(6);
         g.set_position(NodeId(0), 0.0, 0.25);
         for i in 1..6 {
@@ -1068,15 +1067,10 @@ fn throttle_notice_is_accounted_along_the_origins_tree_path() {
         let schema = Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]);
         sys.register_stream("S", schema, StreamStats::with_rate(1.0), NodeId(1))
             .unwrap();
-        sys.submit_query("SELECT k FROM S [Now]", NodeId(5))
+        let q = sys
+            .submit_query("SELECT k FROM S [Now]", NodeId(5))
             .unwrap();
-        if throttle {
-            sys.set_overload(Some(OverloadConfig {
-                budget: Budget::Tuples(0),
-                policy: OverloadPolicy::Throttle,
-                ..OverloadConfig::default()
-            }));
-        }
+        sys.set_overload(budget);
         if disorder {
             sys.set_disorder(Some(DisorderRuntime {
                 bound: TimeDelta::from_millis(1_000),
@@ -1088,28 +1082,24 @@ fn throttle_notice_is_accounted_along_the_origins_tree_path() {
         if disorder {
             sys.close_streams();
         }
-        sys
+        (sys, q)
     };
-    for (disorder, walked) in [(false, [4, 1]), (true, [5, 2])] {
-        let mut hops = Vec::new();
+    for disorder in [false, true] {
         for per_source_trees in [false, true] {
             let step = format!("disorder {disorder} trees {per_source_trees}");
-            let plain = deploy(per_source_trees, disorder, false);
-            let sys = deploy(per_source_trees, disorder, true);
-            let notices = sys.overload().unwrap().received();
-            assert_eq!(notices.len(), 1, "{step}");
-            let origin = sys.registry().origin(&notices[0].stream).unwrap();
-            let path_len = sys.tree_for(origin).path_len(NodeId(5), origin);
-            let expected = (notices[0].size_bytes() * path_len) as u64;
+            let (plain, plain_q) = deploy(per_source_trees, disorder, None);
+            let (sys, q) = deploy(per_source_trees, disorder, Some(0));
+            let ledger = sys.overload().unwrap().ledger(q);
+            assert!(ledger.conserved(), "{step}: {ledger:?}");
+            assert_eq!(ledger.offered_tuples, 1, "{step}: {ledger:?}");
+            assert_eq!(ledger.shed_tuples, ledger.offered_tuples, "{step}");
+            assert!(sys.results(q).is_empty(), "{step}");
+            assert_eq!(plain.results(plain_q).len(), 1, "{step}");
+            assert_eq!(sys.total_bytes(), plain.total_bytes(), "{step}");
             let (snap, plain_snap) = (sys.metrics(), plain.metrics());
-            assert_eq!(snap.throttles, 1, "{step}");
-            assert_eq!(snap.throttle_bytes, expected, "{step}");
-            assert_eq!(sys.total_bytes() - plain.total_bytes(), expected, "{step}");
             assert_eq!(snap.punctuations, plain_snap.punctuations, "{step}");
             assert_eq!(snap.punctuations > 0, disorder, "{step}");
-            hops.push(path_len);
         }
-        assert_eq!(hops, walked, "the two modes walk different paths");
     }
 }
 

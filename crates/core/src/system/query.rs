@@ -579,7 +579,6 @@ impl Cosmos {
     /// the routing cells that touches.
     ///
     /// Returns an error for unknown query ids. Results already delivered
-    /// — a batch the overload controller was still coalescing included —
     /// remain readable via [`Cosmos::results`].
     pub fn unsubscribe(&mut self, qid: QueryId) -> Result<()> {
         let (q, data) = (&mut self.query, &mut self.data);
@@ -587,12 +586,6 @@ impl Cosmos {
         let record = q.queries.remove(&qid).ok_or_else(unknown)?;
         data.subscribe_local(record.user, record.user_sub, Profile::new());
         data.subs.remove(&record.user_sub);
-        // Nothing more will be offered to the query: release the batch
-        // the overload controller was coalescing for it.
-        let pending = data.overload.as_mut().map(|ctl| ctl.drain_query(qid));
-        if let Some(pending) = pending.filter(|p| !p.is_empty()) {
-            data.deliver(qid, record.user, pending);
-        }
         q.unplace(data, qid, &record.placement)?;
         data.refold_routes();
         Ok(())

@@ -1,11 +1,10 @@
-//! Adaptive overload control, end to end: a consumer budgeted far
-//! below its inbound rate keeps its delivery buffer bounded, every
-//! dropped byte is ledger-accounted (offered = delivered + shed +
-//! staged, byte-exact), coalescing delivers everything eventually, and
-//! throttling notifies the origin along accounted tree links. All of
-//! it replays bit-for-bit.
+//! Overload control, end to end: a consumer budgeted far below its
+//! inbound rate keeps its delivery buffer bounded, every dropped byte
+//! is ledger-accounted (offered = delivered + shed, byte-exact), a
+//! budget above the peak is a pure witness, and all of it replays
+//! bit-for-bit.
 
-use cosmos::{Budget, Cosmos, CosmosConfig, MetricsConfig, OverloadConfig, OverloadPolicy};
+use cosmos::{Cosmos, CosmosConfig, MetricsConfig};
 use cosmos_overlay::Graph;
 use cosmos_query::{AttrStats, StreamStats};
 use cosmos_types::{AttrType, NodeId, QueryId, Schema, TimeDelta, Timestamp, Tuple, Value};
@@ -72,7 +71,7 @@ fn inbound_window_bytes() -> u64 {
 fn budgeted_consumer_sheds_boundedly_with_exact_conservation() {
     let budget = inbound_window_bytes() / 4; // 25% of the inbound rate
     let (mut sys, q) = chain_system();
-    sys.set_overload(Some(OverloadConfig::uniform_bytes(budget)));
+    sys.set_overload(Some(budget));
     feed(&mut sys);
     sys.close_streams();
 
@@ -81,7 +80,6 @@ fn budgeted_consumer_sheds_boundedly_with_exact_conservation() {
     assert!(ledger.conserved(), "identity broken: {ledger:?}");
     assert!(ledger.shed_tuples > 0, "a 4x overload must shed");
     assert!(ledger.delivered_tuples > 0, "under-budget windows deliver");
-    assert_eq!(ledger.staged_tuples, 0, "Shed policy never stages");
     assert_eq!(ledger.offered_tuples, 200, "every tuple was offered");
     assert_eq!(
         ledger.delivered_tuples as usize,
@@ -99,69 +97,11 @@ fn budgeted_consumer_sheds_boundedly_with_exact_conservation() {
 }
 
 #[test]
-fn coalesce_holds_overflow_and_delivers_everything_in_order() {
-    let budget = inbound_window_bytes() / 4;
-    let (mut sys, q) = chain_system();
-    sys.set_overload(Some(OverloadConfig {
-        budget: Budget::Bytes(budget),
-        policy: OverloadPolicy::Coalesce,
-        ..OverloadConfig::default()
-    }));
-    feed(&mut sys);
-    let mid = sys.overload().expect("armed").ledger(q);
-    assert!(mid.conserved(), "identity holds mid-run: {mid:?}");
-    assert!(mid.staged_tuples > 0, "overflow is pending, not dropped");
-    assert_eq!(mid.shed_tuples, 0, "Coalesce never sheds");
-
-    // Closure drains the pending batch: everything reaches the user.
-    sys.close_streams();
-    let ledger = sys.overload().expect("armed").ledger(q);
-    assert!(ledger.conserved());
-    assert_eq!(ledger.staged_tuples, 0);
-    assert_eq!(ledger.delivered_tuples, 200);
-    assert_eq!(sys.results(q).len(), 200);
-    let ts: Vec<i64> = sys.results(q).iter().map(|t| t.timestamp.0).collect();
-    let mut sorted = ts.clone();
-    sorted.sort_unstable();
-    assert_eq!(ts, sorted, "coalesced delivery preserves arrival order");
-}
-
-#[test]
-fn throttle_notifies_the_origin_along_accounted_links() {
-    let budget = inbound_window_bytes() / 4;
-    let (mut sys, q) = chain_system();
-    sys.set_overload(Some(OverloadConfig {
-        budget: Budget::Bytes(budget),
-        policy: OverloadPolicy::Throttle,
-        ..OverloadConfig::default()
-    }));
-    feed(&mut sys);
-    sys.close_streams();
-
-    let ctl = sys.overload().expect("armed");
-    assert!(ctl.ledger(q).conserved());
-    assert!(ctl.ledger(q).shed_tuples > 0, "Throttle sheds like Shed");
-    let received = ctl.received();
-    assert!(!received.is_empty(), "the origin heard about the overload");
-    assert!(received.iter().all(|l| l.from == NodeId(2)));
-    assert!(received.iter().all(|l| l.budget_bytes == budget));
-    // At most one notice per (node, stream) per rate window: 20 s of
-    // feed crosses three 8 s windows.
-    assert!(received.len() <= 3, "{} notices", received.len());
-    let snap = sys.metrics();
-    assert_eq!(snap.throttles, received.len() as u64);
-    assert!(snap.throttle_bytes > 0, "notices crossed accounted links");
-    // Rate-limit link traffic is accounted exactly like data: the
-    // metrics ledger and the driver's byte ledger must still agree.
-    assert_eq!(snap.link_bytes_total(), sys.total_bytes());
-}
-
-#[test]
 fn shed_decisions_replay_bit_for_bit() {
     let budget = inbound_window_bytes() / 4;
     let run = || {
         let (mut sys, q) = chain_system();
-        sys.set_overload(Some(OverloadConfig::uniform_bytes(budget)));
+        sys.set_overload(Some(budget));
         feed(&mut sys);
         sys.close_streams();
         let ledger = sys.overload().unwrap().ledger(q);
@@ -183,9 +123,7 @@ fn above_peak_budget_never_interferes() {
 
     let (mut budgeted, q) = chain_system();
     // Twice the observed peak: the controller must be a pure witness.
-    budgeted.set_overload(Some(OverloadConfig::uniform_bytes(
-        inbound_window_bytes() * 2,
-    )));
+    budgeted.set_overload(Some(inbound_window_bytes() * 2));
     feed(&mut budgeted);
     budgeted.close_streams();
 
@@ -193,7 +131,6 @@ fn above_peak_budget_never_interferes() {
     let ledger = budgeted.overload().unwrap().ledger(q);
     assert!(ledger.conserved());
     assert_eq!(ledger.shed_tuples, 0);
-    assert_eq!(ledger.staged_tuples, 0);
     assert_eq!(ledger.delivered_tuples, 200);
     // The metrics documents agree except for the (zero-valued, hence
     // omitted) overload counters: byte-identical serialization.
@@ -202,71 +139,4 @@ fn above_peak_budget_never_interferes() {
         plain.metrics().to_json().unwrap()
     );
     assert_eq!(budgeted.total_bytes(), plain.total_bytes());
-}
-
-#[test]
-fn per_query_policy_overrides_apply() {
-    let budget = inbound_window_bytes() / 4;
-    let (mut sys, q) = chain_system();
-    let mut cfg = OverloadConfig::uniform_bytes(budget);
-    cfg.query_policies.insert(q, OverloadPolicy::Coalesce);
-    sys.set_overload(Some(cfg));
-    feed(&mut sys);
-    sys.close_streams();
-    let ledger = sys.overload().unwrap().ledger(q);
-    assert!(ledger.conserved());
-    assert_eq!(ledger.shed_tuples, 0, "override says coalesce");
-    assert_eq!(ledger.delivered_tuples, 200, "closure drained the rest");
-}
-
-#[test]
-fn disarming_drains_pending_batches() {
-    let budget = inbound_window_bytes() / 4;
-    let (mut sys, q) = chain_system();
-    sys.set_overload(Some(OverloadConfig {
-        budget: Budget::Bytes(budget),
-        policy: OverloadPolicy::Coalesce,
-        ..OverloadConfig::default()
-    }));
-    feed(&mut sys);
-    assert!(sys.results(q).len() < 200, "overflow pending");
-    sys.set_overload(None);
-    assert_eq!(sys.results(q).len(), 200, "disarm released the backlog");
-    assert!(sys.overload().is_none());
-}
-
-/// A query withdrawn while Coalesce holds a batch for it gets that batch
-/// at withdrawal — not a ledger entry saying "delivered" for tuples that
-/// were dropped at the next drain.
-#[test]
-fn withdrawal_delivers_the_pending_coalesce_batch() {
-    let budget = inbound_window_bytes() / 4;
-    let (mut sys, q) = chain_system();
-    sys.set_overload(Some(OverloadConfig {
-        budget: Budget::Bytes(budget),
-        policy: OverloadPolicy::Coalesce,
-        ..OverloadConfig::default()
-    }));
-    feed(&mut sys);
-    let staged = sys.overload().expect("armed").staged_len(q);
-    assert!(staged > 0, "the budget must be tight enough to stage");
-    let before = sys.results(q).len();
-
-    sys.unsubscribe(q).unwrap();
-    assert_eq!(sys.results(q).len(), before + staged, "released at once");
-    sys.close_streams();
-
-    let ctl = sys.overload().expect("armed");
-    let ledger = ctl.ledger(q);
-    assert!(ledger.conserved(), "identity broken: {ledger:?}");
-    assert_eq!(ctl.staged_len(q), 0);
-    assert_eq!(ledger.staged_tuples, 0);
-    assert_eq!(ledger.delivered_tuples as usize, sys.results(q).len());
-    let hub = sys.metrics();
-    let counted = hub.queries.iter().find(|m| m.query == q);
-    assert_eq!(
-        counted.map(|m| m.delivered_tuples),
-        Some(ledger.delivered_tuples),
-        "the hub counted what the ledger calls delivered"
-    );
 }

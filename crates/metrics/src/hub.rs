@@ -149,16 +149,10 @@ pub struct MetricsHub {
     punctuations: u64,
     /// Link bytes spent on punctuations (also counted by `on_link`).
     punctuation_bytes: u64,
-    /// Result tuples dropped by the overload controller's `Shed` policy.
+    /// Result tuples dropped by the overload gate.
     shed_tuples: u64,
-    /// Result bytes dropped by the `Shed` policy.
+    /// Result bytes dropped by the overload gate.
     shed_bytes: u64,
-    /// Pending batches merged by the `Coalesce` policy before delivery.
-    coalesced_batches: u64,
-    /// Upstream rate-limit datagrams disseminated by `Throttle`.
-    throttles: u64,
-    /// Link bytes spent on rate-limits (also counted by `on_link`).
-    throttle_bytes: u64,
 }
 
 impl MetricsHub {
@@ -174,9 +168,6 @@ impl MetricsHub {
             punctuation_bytes: 0,
             shed_tuples: 0,
             shed_bytes: 0,
-            coalesced_batches: 0,
-            throttles: 0,
-            throttle_bytes: 0,
         }
     }
 
@@ -306,30 +297,12 @@ impl MetricsHub {
         (self.punctuations, self.punctuation_bytes)
     }
 
-    /// The overload controller's `Shed` policy dropped a batch at the
-    /// delivery point. Shedding is never silent: the dropped mass lands
-    /// in these ledger counters and the conservation oracle checks
-    /// published = delivered + shed + staged against them.
+    /// The overload gate shed a batch at the delivery point. Shedding
+    /// is never silent: the dropped mass lands in these counters and
+    /// in the query's ledger, which holds offered = delivered + shed.
     pub fn on_shed(&mut self, tuples: u64, bytes: u64) {
         self.shed_tuples += tuples;
         self.shed_bytes += bytes;
-    }
-
-    /// The `Coalesce` policy merged one pending batch into a staged
-    /// buffer instead of delivering it immediately.
-    pub fn on_coalesce(&mut self) {
-        self.coalesced_batches += 1;
-    }
-
-    /// A rate-limit notice reached its stream's origin: called once per
-    /// notice, with `bytes` the link bytes of its whole path, so
-    /// `throttles` counts notices and `throttle_bytes` their traffic.
-    /// Each link the notice crossed was accounted by its own
-    /// [`MetricsHub::on_link`] call. Like punctuations, rate-limits
-    /// carry no tuple timestamp, so virtual time does not advance.
-    pub fn on_throttle(&mut self, bytes: usize) {
-        self.throttles += 1;
-        self.throttle_bytes += bytes as u64;
     }
 
     /// Tuples and bytes consumed at `node` inside the current live
@@ -512,9 +485,6 @@ impl MetricsHub {
             punctuation_bytes: self.punctuation_bytes,
             shed_tuples: self.shed_tuples,
             shed_bytes: self.shed_bytes,
-            coalesced_batches: self.coalesced_batches,
-            throttles: self.throttles,
-            throttle_bytes: self.throttle_bytes,
         }
     }
 }

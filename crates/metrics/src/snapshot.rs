@@ -166,19 +166,12 @@ pub struct MetricsSnapshot {
     /// Link bytes spent on punctuation datagrams (included in the
     /// per-link totals above; broken out for the disorder sweep).
     pub punctuation_bytes: u64,
-    /// Result tuples dropped by the overload controller's `Shed` policy.
-    /// Never silent: the conservation oracle checks
-    /// published = delivered + shed + staged against these ledgers.
+    /// Result tuples dropped by the overload gate. Never silent: each
+    /// is also counted in its query's ledger, which holds
+    /// offered = delivered + shed.
     pub shed_tuples: u64,
-    /// Result bytes dropped by the `Shed` policy.
+    /// Result bytes dropped by the overload gate.
     pub shed_bytes: u64,
-    /// Pending batches merged by the `Coalesce` policy before delivery.
-    pub coalesced_batches: u64,
-    /// Upstream rate-limit datagrams disseminated by `Throttle`.
-    pub throttles: u64,
-    /// Link bytes spent on rate-limit datagrams (included in the
-    /// per-link totals above; broken out for the overload sweep).
-    pub throttle_bytes: u64,
 }
 
 impl serde::Serialize for MetricsSnapshot {
@@ -203,15 +196,6 @@ impl serde::Serialize for MetricsSnapshot {
         }
         if self.shed_bytes != 0 {
             entries.push(("shed_bytes", self.shed_bytes.to_content()));
-        }
-        if self.coalesced_batches != 0 {
-            entries.push(("coalesced_batches", self.coalesced_batches.to_content()));
-        }
-        if self.throttles != 0 {
-            entries.push(("throttles", self.throttles.to_content()));
-        }
-        if self.throttle_bytes != 0 {
-            entries.push(("throttle_bytes", self.throttle_bytes.to_content()));
         }
         serde::Content::Map(
             entries
@@ -242,9 +226,6 @@ impl serde::Deserialize for MetricsSnapshot {
             punctuation_bytes: opt_u64("punctuation_bytes")?,
             shed_tuples: opt_u64("shed_tuples")?,
             shed_bytes: opt_u64("shed_bytes")?,
-            coalesced_batches: opt_u64("coalesced_batches")?,
-            throttles: opt_u64("throttles")?,
-            throttle_bytes: opt_u64("throttle_bytes")?,
         })
     }
 }
@@ -303,9 +284,6 @@ mod tests {
             punctuation_bytes: 0,
             shed_tuples: 0,
             shed_bytes: 0,
-            coalesced_batches: 0,
-            throttles: 0,
-            throttle_bytes: 0,
         };
         let mut json = snap.to_json().expect("serialize");
         assert!(MetricsSnapshot::from_json(&json).is_ok());
@@ -313,12 +291,10 @@ mod tests {
             !json.contains("punctuation"),
             "zero punctuation counters must not appear in JSON: {json}"
         );
-        for key in ["shed", "coalesced", "throttle"] {
-            assert!(
-                !json.contains(key),
-                "zero overload counters must not appear in JSON: {json}"
-            );
-        }
+        assert!(
+            !json.contains("shed"),
+            "zero overload counters must not appear in JSON: {json}"
+        );
         json = json.replace("\"version\":1", "\"version\":999");
         let err = MetricsSnapshot::from_json(&json).expect_err("bad version");
         assert!(err.to_string().contains("999"), "{err}");

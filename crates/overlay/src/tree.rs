@@ -150,11 +150,6 @@ impl Tree {
             .collect()
     }
 
-    /// Number of links on the path `u → v`.
-    pub fn path_len(&self, u: NodeId, v: NodeId) -> usize {
-        self.path(u, v).len().saturating_sub(1)
-    }
-
     /// Nodes of the subtree rooted at `u` (preorder, including `u`).
     pub fn subtree(&self, u: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
@@ -248,8 +243,6 @@ mod tests {
         );
         assert_eq!(t.path(NodeId(1), NodeId(3)), vec![NodeId(1), NodeId(3)]);
         assert_eq!(t.path(NodeId(2), NodeId(2)), vec![NodeId(2)]);
-        assert_eq!(t.path_len(NodeId(3), NodeId(5)), 4);
-        assert_eq!(t.path_len(NodeId(2), NodeId(2)), 0);
     }
 
     #[test]

@@ -43,12 +43,12 @@
 //! bound-soundness oracle off for `run`/`sweep`, so a canary failure is
 //! attributed to the end-of-run semantic oracles instead.
 //!
-//! `--overload` arms the adaptive overload controller with a uniform
-//! per-node delivery budget of `--budget` bytes per rate window
-//! (default `u64::MAX / 4`, far above any generated scenario's peak —
-//! a pure accounting witness). Every run then also checks the ledger
-//! conservation identity `offered = delivered + shed + staged`
-//! byte-exactly after every event.
+//! `--overload` arms the overload controller with a uniform per-node
+//! delivery budget of `--budget` bytes per rate window (default
+//! `u64::MAX / 4`, far above any generated scenario's peak — a pure
+//! accounting witness); a delivery that would cross it is shed. Every
+//! run then also checks the ledger conservation identity
+//! `offered = delivered + shed` byte-exactly after every event.
 //!
 //! That the oracles catch real bugs is shown on deliberately broken
 //! builds, not by flags: each patch under `ci/mutants/` plants one bug

@@ -58,11 +58,11 @@ pub struct RunOptions {
     /// [`RunOutcome::bound_violations`].
     pub bound_checks: bool,
     /// Arm the overload controller with this uniform per-node byte
-    /// budget per rate window ([`cosmos::Cosmos::set_overload`], Shed
-    /// policy). The runner then checks the conservation identity
-    /// `offered = delivered + shed + staged` (tuples *and* bytes) for
-    /// every query's ledger after every event, and that nothing stays
-    /// staged after closure. `None` leaves the controller unarmed.
+    /// budget per rate window ([`cosmos::Cosmos::set_overload`]). The
+    /// runner then checks the conservation identity
+    /// `offered = delivered + shed` (tuples *and* bytes) for every
+    /// query's ledger after every event and after closure. `None`
+    /// leaves the controller unarmed.
     pub overload_budget: Option<u64>,
 }
 
@@ -214,7 +214,7 @@ fn overload_conservation(
                 ev_idx,
                 format!(
                     "overload shed-ledger conservation broken for query #{}: offered \
-                     {}t/{}b != delivered {}t/{}b + shed {}t/{}b + staged {}t/{}b",
+                     {}t/{}b != delivered {}t/{}b + shed {}t/{}b",
                     q.label,
                     l.offered_tuples,
                     l.offered_bytes,
@@ -222,8 +222,6 @@ fn overload_conservation(
                     l.delivered_bytes,
                     l.shed_tuples,
                     l.shed_bytes,
-                    l.staged_tuples,
-                    l.staged_bytes,
                 ),
             ));
         }
@@ -262,9 +260,7 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> Result<RunOutcome
             policy: LatePolicy::Revise { grace: bound },
         }));
     }
-    if let Some(budget) = opts.overload_budget {
-        sys.set_overload(Some(cosmos::OverloadConfig::uniform_bytes(budget)));
-    }
+    sys.set_overload(opts.overload_budget);
     let sensors = sensor_catalog();
 
     let mut queries: Vec<QueryRun> = Vec::new();
@@ -468,7 +464,7 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> Result<RunOutcome
             }
         }
         // Overload accounting: every armed query's ledger must balance
-        // (`offered = delivered + shed + staged`, byte-exact) at every
+        // (`offered = delivered + shed`, byte-exact) at every
         // event boundary — a tuple dropped without a shed-ledger entry
         // surfaces here, attributed to the shed ledger.
         overload_conservation(&sys, &queries, ev_idx, &mut metrics_violations);
@@ -611,26 +607,13 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> Result<RunOutcome
         }
     }
 
-    // Overload post-closure: the ledgers must still balance, nothing
-    // may remain staged (closure drains every pending coalesce batch),
-    // and total shed is carried out so the semantic oracles know when
-    // to back off.
+    // Overload post-closure: the ledgers must still balance, and total
+    // shed is carried out so the semantic oracles know when to back off.
     let mut overload_shed_tuples = 0u64;
     if let Some(ctl) = sys.overload() {
         let ev_idx = scenario.events.len();
         overload_conservation(&sys, &queries, ev_idx, &mut metrics_violations);
-        for (qid, l) in ctl.ledgers() {
-            overload_shed_tuples += l.shed_tuples;
-            if l.staged_tuples != 0 {
-                metrics_violations.push((
-                    ev_idx,
-                    format!(
-                        "{} overload tuples still staged for {qid} after stream closure",
-                        l.staged_tuples
-                    ),
-                ));
-            }
-        }
+        overload_shed_tuples = ctl.ledgers().values().map(|l| l.shed_tuples).sum();
     }
 
     for q in queries.iter_mut() {

@@ -17,7 +17,6 @@
 //! Everything here is deliberately free of I/O and of any dependency on the
 //! networking or query layers so that all higher crates can share it.
 
-mod control;
 mod error;
 mod ids;
 mod num;
@@ -27,7 +26,6 @@ mod time;
 mod tuple;
 mod value;
 
-pub use control::RateLimit;
 pub use error::{CosmosError, Result};
 pub use ids::{GroupId, LinkId, NodeId, ProfileId, QueryId, SubscriberId};
 pub use num::NeumaierSum;

@@ -21,7 +21,7 @@
 //! | V5 split-filter exactness | `V0501`, `V0502` | `member ≡ representative ∘ re-tightened filter`, checked as mutual semantic implication (Lemma 1 window re-tightening included); a query the CBN serves alone has its user's profile equal the query: its filter equivalent to the selection, its projection exactly the output attributes |
 //! | V6 abstraction consistency | `V0601`–`V0604` | the interval abstractions (`cosmos_bound::absint`) of the filters along every delivery path meet non-emptily — no statically-dead delivery — and no deployed representative has provably unbounded executor state |
 //! | V7 closure pruning | `V0701` | a stream closed by its final watermark has no routing state left at any router |
-//! | V8 overload accounting | `V0801` | every overload ledger satisfies `offered = delivered + shed + staged` (tuples *and* bytes), and every query with ledger traffic still has its user subscription installed — shedding never silently black-holes a retained query |
+//! | V8 overload accounting | `V0801` | every overload ledger satisfies `offered = delivered + shed` (tuples *and* bytes), and every query with ledger traffic still has its user subscription installed — shedding never silently black-holes a retained query |
 //!
 //! `V0001` marks a snapshot too inconsistent to analyze (unparseable
 //! query text, dangling subscriber, missing advertisement for a result
@@ -89,7 +89,7 @@ pub mod codes {
     /// the watermark-driven pruning leaked.
     pub const CLOSED_LEAK: &str = "V0701";
     /// V8: an overload ledger breaks the conservation identity
-    /// (`offered = delivered + shed + staged`, tuples and bytes), or a
+    /// (`offered = delivered + shed`, tuples and bytes), or a
     /// query with ledger traffic has lost its user subscription — load
     /// shedding black-holed a retained query.
     pub const SHED_UNACCOUNTED: &str = "V0801";
@@ -124,22 +124,22 @@ pub fn verify_snapshot(snap: &NetworkSnapshot) -> Vec<Diagnostic> {
 // V8: overload accounting
 // ---------------------------------------------------------------------
 
-/// Every overload ledger must balance — `offered = delivered + shed +
-/// staged`, tuples and bytes — and a query the controller is still
+/// Every overload ledger must balance — `offered = delivered + shed`,
+/// tuples and bytes — and a query the controller is still
 /// accounting for must still have its user subscription installed
 /// somewhere. A missing subscription with a live ledger means load
 /// shedding black-holed a retained query: tuples are being dropped for
 /// a consumer that can no longer receive the survivors.
 fn check_overload_ledgers(snap: &NetworkSnapshot, diags: &mut Vec<Diagnostic>) {
     for l in &snap.overload {
-        let tuples_ok = l.offered_tuples == l.delivered_tuples + l.shed_tuples + l.staged_tuples;
-        let bytes_ok = l.offered_bytes == l.delivered_bytes + l.shed_bytes + l.staged_bytes;
+        let tuples_ok = l.offered_tuples == l.delivered_tuples + l.shed_tuples;
+        let bytes_ok = l.offered_bytes == l.delivered_bytes + l.shed_bytes;
         if !tuples_ok || !bytes_ok {
             diags.push(Diagnostic::error(
                 codes::SHED_UNACCOUNTED,
                 format!(
                     "overload ledger for {} violates conservation: offered \
-                     {}t/{}b != delivered {}t/{}b + shed {}t/{}b + staged {}t/{}b",
+                     {}t/{}b != delivered {}t/{}b + shed {}t/{}b",
                     l.query,
                     l.offered_tuples,
                     l.offered_bytes,
@@ -147,8 +147,6 @@ fn check_overload_ledgers(snap: &NetworkSnapshot, diags: &mut Vec<Diagnostic>) {
                     l.delivered_bytes,
                     l.shed_tuples,
                     l.shed_bytes,
-                    l.staged_tuples,
-                    l.staged_bytes,
                 ),
                 None,
             ));

@@ -1,10 +1,10 @@
 //! V8 integration tests: overload accounting. A budgeted deployment's
 //! snapshot carries its per-query shed ledgers; the verifier proves
-//! conservation (`offered = delivered + shed + staged`, byte-exact)
-//! and that shedding never black-holed a query that still exists. A
-//! tampered ledger (simulated shed leak) must be flagged.
+//! conservation (`offered = delivered + shed`, byte-exact) and that
+//! shedding never black-holed a query that still exists. A tampered
+//! ledger (simulated shed leak) must be flagged.
 
-use cosmos::{Cosmos, CosmosConfig, MetricsConfig, OverloadConfig};
+use cosmos::{Cosmos, CosmosConfig, MetricsConfig, NetworkSnapshot};
 use cosmos_query::{AttrStats, StreamStats};
 use cosmos_types::{AttrType, NodeId, Schema, TimeDelta, Timestamp, Tuple, Value};
 use cosmos_verify::{codes, has_violations, verify_snapshot};
@@ -37,7 +37,7 @@ fn budgeted_system_with(text: &str) -> Cosmos {
     .unwrap();
     sys.submit_query(text, NodeId(5)).unwrap();
     // A tight budget guarantees real shed traffic in the ledger.
-    sys.set_overload(Some(OverloadConfig::uniform_bytes(64)));
+    sys.set_overload(Some(64));
     for i in 0..100i64 {
         sys.publish(&Tuple::new(
             "S",
@@ -62,6 +62,21 @@ fn budgeted_deployment_verifies_clean() {
         diags.iter().all(|d| d.code != codes::SHED_UNACCOUNTED),
         "accounting is exact: {diags:?}"
     );
+
+    // Ledgers written before the identity lost its `staged` term carry
+    // two more keys, always zero: such documents still parse, to the
+    // same snapshot, and verify clean.
+    let json = snap.to_json().unwrap();
+    let (head, ledgers) = json.split_at(json.find("\"overload\":").expect("ledger section"));
+    let legacy = ledgers.replace(
+        "\"shed_bytes\":",
+        "\"staged_tuples\":0,\"staged_bytes\":0,\"shed_bytes\":",
+    );
+    assert_eq!(legacy.matches("staged_tuples").count(), snap.overload.len());
+    let parsed = NetworkSnapshot::from_json(&format!("{head}{legacy}")).expect("legacy keys parse");
+    assert_eq!(parsed, snap);
+    let diags = verify_snapshot(&parsed);
+    assert!(!has_violations(&diags), "legacy ledgers: {diags:?}");
 }
 
 #[test]
