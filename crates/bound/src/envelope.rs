@@ -7,14 +7,13 @@
 //! expression over these three per-stream quantities, so the same
 //! formulas serve two instantiations:
 //!
-//! * **Rate envelopes** ([`Envelope::from_catalog`]) — from registered
-//!   catalog statistics, for capacity planning and the CLI report.
+//! * **Rate envelopes** ([`StreamEnvelope::Rate`]) — from a declared
+//!   arrival rate, for capacity planning and the `cosmos-bound` report.
 //! * **Trace envelopes** ([`Envelope::record`]) — from the tuples
 //!   actually published, which the testkit's soundness oracle uses so
 //!   that measured metrics check the *formulas*, independent of
 //!   catalog accuracy.
 
-use cosmos_query::estimate::{StatsCatalog, TUPLE_HEADER_BYTES};
 use cosmos_types::{StreamName, TimeDelta};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -232,35 +231,6 @@ impl Envelope {
         self.reorder_slack = slack;
     }
 
-    /// The declared reorder slack, if any.
-    pub fn reorder_slack(&self) -> Option<TimeDelta> {
-        self.reorder_slack
-    }
-
-    /// A rate envelope over every stream of a statistics catalog, using
-    /// the registered mean rates and estimated schema widths. With
-    /// `horizon_secs: None`, total-row bounds are unbounded and only
-    /// window-state bounds are finite — the steady-state view.
-    pub fn from_catalog(catalog: &StatsCatalog, horizon_secs: Option<f64>) -> Envelope {
-        let mut env = Envelope::new();
-        for stream in catalog.streams() {
-            let rate = catalog.stats(stream).map(|s| s.rate).unwrap_or(0.0);
-            let bytes = catalog
-                .schema(stream)
-                .map_or(0.0, |s| s.estimated_tuple_bytes() as f64)
-                + TUPLE_HEADER_BYTES;
-            env.set(
-                *stream,
-                StreamEnvelope::Rate {
-                    tuples_per_sec: rate,
-                    horizon_secs,
-                    tuple_bytes: bytes,
-                },
-            );
-        }
-        env
-    }
-
     /// Install or replace one stream's envelope.
     pub fn set(&mut self, stream: StreamName, envelope: StreamEnvelope) {
         self.streams.insert(stream, envelope);
@@ -382,7 +352,6 @@ mod tests {
             env.record(&s, ts, 20);
         }
         env.set_reorder_slack(Some(TimeDelta::from_millis(400)));
-        assert_eq!(env.reorder_slack(), Some(TimeDelta::from_millis(400)));
         // Sorted processing order is [0, 100, 500]; width 1 + 400 fits
         // {0, 100} and {100, 500} but never all three — tighter than
         // the slack-free degradation to the total (3).

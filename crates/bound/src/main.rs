@@ -17,6 +17,7 @@
 
 use cosmos_bound::{check_query, query_bounds, Bound, Envelope, QueryBounds, StreamEnvelope};
 use cosmos_lint::{codes, Diagnostic, JsonDiagnostic, Severity};
+use cosmos_query::estimate::TUPLE_HEADER_BYTES;
 use cosmos_spe::analyze::AnalyzedQuery;
 use std::process::ExitCode;
 
@@ -33,13 +34,13 @@ fn main() -> ExitCode {
                 Some(path) => schemas = Some(path),
                 None => return usage("--schemas needs a file argument"),
             },
-            "--rate" => match args.next().and_then(|v| v.parse().ok()) {
+            "--rate" => match args.next().as_deref().and_then(non_negative) {
                 Some(v) => rate = v,
-                None => return usage("--rate needs a numeric argument"),
+                None => return usage("--rate needs a finite, non-negative number"),
             },
-            "--horizon" => match args.next().and_then(|v| v.parse().ok()) {
+            "--horizon" => match args.next().as_deref().and_then(non_negative) {
                 Some(v) => horizon = Some(v),
-                None => return usage("--horizon needs a numeric argument"),
+                None => return usage("--horizon needs a finite, non-negative number"),
             },
             "--json" => json = true,
             "--help" | "-h" => {
@@ -146,9 +147,13 @@ fn main() -> ExitCode {
     }
 }
 
-/// Wire bytes of a tuple before its values, matching
-/// [`cosmos_query::estimate::TUPLE_HEADER_BYTES`].
-const TUPLE_HEADER_BYTES: f64 = 10.0;
+/// `arg` as a finite, non-negative number: a negative or non-finite
+/// rate or horizon would print negative or NaN bounds.
+fn non_negative(arg: &str) -> Option<f64> {
+    arg.parse()
+        .ok()
+        .filter(|v: &f64| v.is_finite() && *v >= 0.0)
+}
 
 fn num(b: Bound) -> serde_json::Value {
     match b.as_finite() {

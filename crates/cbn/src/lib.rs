@@ -47,6 +47,4 @@ pub use predicate::{AttrConstraint, Conjunction, DiffRange, Interval};
 pub use profile::{Profile, ProfileEntry, Projection};
 pub use registry::{RegisteredStream, RegistryMode, SchemaRegistry};
 pub use router::{BatchForward, Destination, Router, RouterCounters};
-pub use sat::{
-    conjunction_implies, conjunction_range, conjunction_unsat, filters_imply, filters_intersect,
-};
+pub use sat::{conjunction_implies, conjunction_range, conjunction_unsat, filters_imply};

@@ -13,7 +13,6 @@
 //! messages per stream, the DHT costs `O(replicas)` plus per-lookup
 //! traffic).
 
-use crate::dht::HashRing;
 use cosmos_types::{CosmosError, FxHashMap, NodeId, Result, Schema, StreamName};
 
 /// How schema metadata is distributed across nodes.
@@ -42,13 +41,11 @@ pub struct RegisteredStream {
 /// The system-wide schema registry.
 ///
 /// This is a logically centralized view; the `mode` determines the
-/// *accounted cost* of registration and lookup, and — in DHT mode — which
-/// nodes physically hold each entry (exposed via [`SchemaRegistry::holders`]).
+/// *accounted cost* of registration and lookup.
 #[derive(Debug, Clone)]
 pub struct SchemaRegistry {
     mode: RegistryMode,
     node_count: usize,
-    ring: HashRing,
     streams: FxHashMap<StreamName, RegisteredStream>,
     control_messages: u64,
 }
@@ -56,11 +53,9 @@ pub struct SchemaRegistry {
 impl SchemaRegistry {
     /// A registry for a network of `nodes` overlay nodes.
     pub fn new(mode: RegistryMode, nodes: impl IntoIterator<Item = NodeId>) -> SchemaRegistry {
-        let nodes: Vec<NodeId> = nodes.into_iter().collect();
         SchemaRegistry {
             mode,
-            node_count: nodes.len(),
-            ring: HashRing::of(nodes),
+            node_count: nodes.into_iter().count(),
             streams: FxHashMap::default(),
             control_messages: 0,
         }
@@ -145,15 +140,6 @@ impl SchemaRegistry {
         self.streams.get(name).map(|r| r.origin)
     }
 
-    /// Nodes physically holding the entry for `name` under the current
-    /// mode (every node for flooding; the ring replicas for DHT).
-    pub fn holders(&self, name: &StreamName) -> Vec<NodeId> {
-        match self.mode {
-            RegistryMode::Flooding => (0..self.node_count as u32).map(NodeId).collect(),
-            RegistryMode::Dht { replicas } => self.ring.lookup_replicas(name.as_str(), replicas),
-        }
-    }
-
     /// Total control messages accounted so far.
     pub fn control_messages(&self) -> u64 {
         self.control_messages
@@ -236,19 +222,6 @@ mod tests {
         // peek never accounts
         assert!(r.peek(&StreamName::from("S")).is_some());
         assert_eq!(r.control_messages(), 5);
-    }
-
-    #[test]
-    fn holders_match_mode() {
-        let mut flood = SchemaRegistry::new(RegistryMode::Flooding, nodes(5));
-        flood.register("S", schema(), NodeId(0)).unwrap();
-        assert_eq!(flood.holders(&StreamName::from("S")).len(), 5);
-
-        let mut dht = SchemaRegistry::new(RegistryMode::Dht { replicas: 2 }, nodes(5));
-        dht.register("S", schema(), NodeId(0)).unwrap();
-        let h = dht.holders(&StreamName::from("S"));
-        assert_eq!(h.len(), 2);
-        assert!(h.iter().all(|n| n.raw() < 5));
     }
 
     #[test]

@@ -413,21 +413,6 @@ pub fn filters_imply(antecedent: &[Conjunction], consequent: &[Conjunction]) -> 
         .all(|a| conjunction_unsat(a) || consequent.iter().any(|c| conjunction_implies(a, c)))
 }
 
-/// Whether the two disjunctive filters (empty = accept-all) can admit a
-/// common tuple description. **`false` is the proven direction**: the
-/// filters are certainly disjoint; `true` merely means no disjointness
-/// proof was found.
-pub fn filters_intersect(a: &[Conjunction], b: &[Conjunction]) -> bool {
-    match (a.is_empty(), b.is_empty()) {
-        (true, true) => true,
-        (true, false) => b.iter().any(|c| !conjunction_unsat(c)),
-        (false, true) => a.iter().any(|c| !conjunction_unsat(c)),
-        (false, false) => a
-            .iter()
-            .any(|x| b.iter().any(|y| !conjunction_unsat(&x.and(y)))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,38 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_intersection_is_refuted_only_when_provably_disjoint() {
-        let lo = {
-            let mut c = Conjunction::always();
-            c.upper("a", 0, false);
-            c
-        };
-        let hi = {
-            let mut c = Conjunction::always();
-            c.lower("a", 0, true);
-            c
-        };
-        assert!(!filters_intersect(
-            std::slice::from_ref(&lo),
-            std::slice::from_ref(&hi)
-        ));
-        assert!(filters_intersect(
-            &[lo.clone(), hi.clone()],
-            std::slice::from_ref(&hi)
-        ));
-        // Accept-all intersects anything satisfiable…
-        assert!(filters_intersect(&[], &[hi]));
-        assert!(filters_intersect(&[], &[]));
-        // …but not a filter whose every disjunct is empty.
-        let dead = {
-            let mut c = Conjunction::always();
-            c.lower("a", 5, true).upper("a", 5, false);
-            c
-        };
-        assert!(!filters_intersect(&[], &[dead]));
-    }
-
-    #[test]
     fn empty_conjunction_degenerate_cases() {
         let always = Conjunction::always();
         assert!(!conjunction_unsat(&always));
@@ -698,20 +651,13 @@ mod tests {
             c.lower("a", 5, true).upper("a", 5, false);
             c
         };
-        // Every-disjunct-dead antecedent implies anything (vacuous) and
-        // intersects nothing — including accept-all.
+        // Every-disjunct-dead antecedent implies anything (vacuous).
         let mut restrictive = Conjunction::always();
         restrictive.lower("b", 0, true);
         assert!(filters_imply(
             &[dead.clone(), dead.clone()],
             std::slice::from_ref(&restrictive)
         ));
-        assert!(!filters_intersect(
-            std::slice::from_ref(&dead),
-            &[restrictive]
-        ));
-        assert!(!filters_intersect(std::slice::from_ref(&dead), &[]));
-        assert!(!filters_intersect(&[], &[dead]));
     }
 
     #[test]
@@ -934,33 +880,6 @@ mod tests {
                                         ATTRS[i]
                                     );
                                 }
-                            }
-                        }
-                    }
-                }
-            }
-
-            /// Disjointness soundness: when `filters_intersect` returns
-            /// false, no sampled point may satisfy a disjunct of each.
-            #[test]
-            fn refuted_intersections_share_no_sampled_point(
-                aa in proptest::collection::vec(arb_atom(), 1..5),
-                bb in proptest::collection::vec(arb_atom(), 1..5),
-            ) {
-                // Two-disjunct filters: each half of the atoms.
-                let fa = [build(&aa[..aa.len() / 2]), build(&aa[aa.len() / 2..])];
-                let fb = [build(&bb[..bb.len() / 2]), build(&bb[bb.len() / 2..])];
-                if !filters_intersect(&fa, &fb) {
-                    for x in -5i64..=5 {
-                        for y in -5i64..=5 {
-                            for z in -5i64..=5 {
-                                let p = [x, y, z];
-                                let in_a = fa.iter().any(|c| satisfied_at(c, p));
-                                let in_b = fb.iter().any(|c| satisfied_at(c, p));
-                                prop_assert!(
-                                    !(in_a && in_b),
-                                    "claimed disjoint but ({x},{y},{z}) is in both"
-                                );
                             }
                         }
                     }

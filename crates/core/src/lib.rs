@@ -42,7 +42,7 @@ pub mod overload;
 pub mod snapshot;
 pub mod system;
 
-pub use autotune::{AutotuneOptions, AutotunePass, AutotunePolicy, AutotuneStatus};
+pub use autotune::{AutotuneOptions, AutotunePass};
 pub use cosmos_metrics::{MetricsConfig, MetricsSnapshot, RouterTotals, METRICS_VERSION};
 pub use cosmos_spe::{DisorderStats, LatePolicy};
 pub use overload::{OverloadController, QueryLedger};

@@ -6,14 +6,14 @@
 //! routers, the dissemination loops, delivery, traffic, metrics and the
 //! overload gate) and the query plane (`system/query.rs`: queries,
 //! group managers, representative executors, the catalog). `Cosmos`
-//! holds the two and the autotune scheduler; a public call that spans
-//! both hands the query plane to a data-plane loop, or the data plane
-//! to a query-plane control operation.
+//! holds the two and nothing else; a public call that spans both hands
+//! the query plane to a data-plane loop, or the data plane to a
+//! query-plane control operation.
 
 mod data;
 mod query;
 
-use crate::autotune::{AutotuneOptions, AutotunePass, AutotunePolicy, AutotuneStatus};
+use crate::autotune::{AutotuneOptions, AutotunePass};
 use crate::overload::OverloadController;
 use cosmos_cbn::{RegistryMode, Router, SchemaRegistry};
 use cosmos_metrics::{MetricsConfig, MetricsHub, MetricsSnapshot, RouterTotals};
@@ -104,21 +104,6 @@ pub struct DisorderRuntime {
     pub policy: LatePolicy,
 }
 
-/// Book-keeping of an armed [`AutotunePolicy`]: the public readout
-/// (policy, lifetime pass/rollback counters, last pass) plus when the
-/// last pass ran and how many consecutive rate windows exceeded the
-/// drift threshold.
-#[derive(Debug)]
-struct AutotuneSched {
-    status: AutotuneStatus,
-    /// Virtual time of the last scheduled pass.
-    last_run_ms: i64,
-    /// Last rate-window ordinal the drift trigger evaluated.
-    last_window: i64,
-    /// Consecutive windows with drift above the threshold so far.
-    over_windows: u32,
-}
-
 /// Read-only view of one running representative executor's identity and
 /// retained-state occupancy (see [`Cosmos::rep_states`]).
 #[derive(Debug, Clone, Copy)]
@@ -185,9 +170,6 @@ pub struct Cosmos {
     pub(crate) data: DataPlane,
     /// The query layer: queries, groups, executors, catalog.
     query: QueryPlane,
-    /// Armed self-tuning scheduler (`None` = manual
-    /// [`Cosmos::autotune`] calls only; see [`Cosmos::set_autotune`]).
-    autotune_sched: Option<AutotuneSched>,
 }
 
 impl Cosmos {
@@ -206,7 +188,6 @@ impl Cosmos {
         Ok(Cosmos {
             data: DataPlane::new(&cfg, graph)?,
             query: QueryPlane::new(&cfg),
-            autotune_sched: None,
         })
     }
 
@@ -338,9 +319,7 @@ impl Cosmos {
         if tuples.is_empty() {
             return Ok(());
         }
-        self.data.publish(&mut self.query, tuples)?;
-        self.autotune_tick();
-        Ok(())
+        self.data.publish(&mut self.query, tuples)
     }
 
     /// Switch the deployment into (or out of) out-of-order operation.
@@ -478,17 +457,6 @@ impl Cosmos {
     /// Below the threshold this is read-only and returns a pass with
     /// `triggered: false`.
     pub fn autotune(&mut self, opts: &AutotuneOptions) -> Result<AutotunePass> {
-        // A direct call runs without a hysteresis band: the optimizer
-        // only reports strict improvements, so nothing rolls back.
-        self.autotune_gated(opts, 0.0)
-    }
-
-    /// [`Cosmos::autotune`] with a hysteresis band: a tree
-    /// re-organization whose fractional improvement does not *exceed*
-    /// `hysteresis` is rolled back (tree restored, routes rebuilt) and
-    /// reported with `tree_rolled_back: true`, so near-equal plans
-    /// cannot oscillate across scheduled passes.
-    fn autotune_gated(&mut self, opts: &AutotuneOptions, hysteresis: f64) -> Result<AutotunePass> {
         let (stream_drift, group_drift) = self.measured_drift();
         let drift = stream_drift.max(group_drift);
         let mut pass = AutotunePass {
@@ -500,7 +468,6 @@ impl Cosmos {
             adopted_streams: 0,
             groups_improved: 0,
             tree: None,
-            tree_rolled_back: false,
         };
         if !drift.is_finite() || drift <= opts.drift_threshold {
             return Ok(pass);
@@ -514,77 +481,8 @@ impl Cosmos {
         let demand: Vec<f64> = (0..self.data.routers.len())
             .map(|i| self.data.metrics.consumed_byte_rate(NodeId(i as u32)))
             .collect();
-        let saved = (hysteresis > 0.0).then(|| self.data.topology.tree.clone());
-        let report = self.optimize_tree_with_demand(opts.optimizer, &demand);
-        if let Some(saved) = saved {
-            if report.moves > 0 && report.improvement() <= hysteresis {
-                self.data.topology.tree = saved;
-                self.rebuild_routes();
-                pass.tree_rolled_back = true;
-            }
-        }
-        pass.tree = Some(report);
+        pass.tree = Some(self.optimize_tree_with_demand(opts.optimizer, &demand));
         Ok(pass)
-    }
-
-    /// Arm (or disarm) the self-tuning scheduler. With a policy set,
-    /// the publish driver evaluates the policy's triggers after every
-    /// publish (in virtual time — wall clocks never participate) and
-    /// runs a hysteresis-gated autotune pass when one fires; see
-    /// [`AutotunePolicy`] for the trigger semantics. A pass that fails
-    /// (e.g. a regrouping error) is skipped, never propagated into the
-    /// publish path. Arming resets the scheduler's phase to "a pass
-    /// just ran now".
-    pub fn set_autotune(&mut self, policy: Option<AutotunePolicy>) {
-        let now = self.data.metrics.now_ms();
-        self.autotune_sched = policy.map(|policy| AutotuneSched {
-            status: AutotuneStatus {
-                policy,
-                runs: 0,
-                rollbacks: 0,
-                last: None,
-            },
-            last_run_ms: now,
-            last_window: now.div_euclid(self.data.metrics.window_ms()),
-            over_windows: 0,
-        });
-    }
-
-    /// The armed scheduler's policy, lifetime pass and rollback
-    /// counters, and most recent pass; `None` when no policy is armed.
-    pub fn autotune_status(&self) -> Option<AutotuneStatus> {
-        self.autotune_sched.as_ref().map(|s| s.status)
-    }
-
-    /// Evaluate the armed scheduling policy at the current virtual
-    /// time. Called by the publish driver after each publish completes.
-    fn autotune_tick(&mut self) {
-        let Some(mut sched) = self.autotune_sched.take() else {
-            return;
-        };
-        let policy = sched.status.policy;
-        let now = self.data.metrics.now_ms();
-        let period = policy.period_virtual.millis();
-        let mut due = period > 0 && now - sched.last_run_ms >= period;
-        let win = now.div_euclid(self.data.metrics.window_ms());
-        if policy.trigger_after_k_windows > 0 && win > sched.last_window {
-            // Evaluate drift once per rate window, on entry.
-            sched.last_window = win;
-            let (sd, gd) = self.measured_drift();
-            let over = sd.max(gd) > policy.options.drift_threshold;
-            sched.over_windows = if over { sched.over_windows + 1 } else { 0 };
-            due |= sched.over_windows >= policy.trigger_after_k_windows;
-        }
-        if due {
-            if let Ok(pass) = self.autotune_gated(&policy.options, policy.hysteresis) {
-                sched.status.runs += 1;
-                sched.status.rollbacks += u64::from(pass.tree_rolled_back);
-                sched.status.last = Some(pass);
-            }
-            sched.last_run_ms = now;
-            sched.over_windows = 0;
-        }
-        self.autotune_sched = Some(sched);
     }
 
     /// A deterministic digest of the routing state: dissemination-tree

@@ -7,10 +7,11 @@ use std::fmt;
 /// Stable diagnostic codes.
 ///
 /// Codes are grouped by the hundred: `C00xx` tooling, `C01xx`
-/// satisfiability, `C02xx` schema/types, `C03xx` windows, `C04xx`
-/// profiles, `C05xx` merge safety. A code's meaning never changes once
-/// published; retired codes are not reused (nor are the `D` codes of the
-/// retired determinism lint, whose rules `crates/clippy.toml` now holds).
+/// satisfiability, `C02xx` schema/types, `C03xx` windows. A code's
+/// meaning never changes once published; retired codes are not reused
+/// (nor are the `C04xx` profile and `C05xx` split-filter codes of the
+/// retired profile lints, nor the `D` codes of the retired determinism
+/// lint, whose rules `crates/clippy.toml` now holds).
 pub mod codes {
     /// A statement failed to lex or parse (CLI only).
     pub const PARSE: &str = "C0001";
@@ -34,13 +35,6 @@ pub mod codes {
     /// One stream appears under different windows, foreclosing the
     /// paper's Theorem-2 merging (which needs equal per-stream windows).
     pub const WINDOW_MISMATCH: &str = "C0303";
-    /// A profile disjunct is subsumed by another disjunct (redundant).
-    pub const REDUNDANT_DISJUNCT: &str = "C0401";
-    /// A profile disjunct is unsatisfiable and can never match.
-    pub const UNSAT_DISJUNCT: &str = "C0402";
-    /// A member's re-tightened split filter is unsatisfiable: after
-    /// merging, its result stream would always be empty.
-    pub const UNSAT_SPLIT_FILTER: &str = "C0501";
 }
 
 /// How bad a finding is.
@@ -73,8 +67,8 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// Human-readable explanation.
     pub message: String,
-    /// Byte span into the source statement, when one exists (profile
-    /// lints have no source text to point into).
+    /// Byte span into the source statement, when one exists (findings
+    /// over a network snapshot have no source text to point into).
     pub span: Option<Span>,
 }
 
@@ -184,8 +178,8 @@ mod tests {
 
     #[test]
     fn render_without_span_is_just_the_headline() {
-        let d = Diagnostic::warning(codes::UNSAT_DISJUNCT, "dead disjunct", None);
-        assert_eq!(d.render("whatever"), "warning[C0402]: dead disjunct");
+        let d = Diagnostic::warning(codes::UNBOUNDED_JOIN, "unbounded join", None);
+        assert_eq!(d.render("whatever"), "warning[C0301]: unbounded join");
     }
 
     #[test]
@@ -196,7 +190,7 @@ mod tests {
         assert!(j.contains("\"span\":[3,7]"), "{j}");
         let back: JsonDiagnostic = serde_json::from_str(&j).unwrap();
         assert_eq!(back, JsonDiagnostic::from(&d));
-        let spanless = Diagnostic::warning(codes::UNSAT_DISJUNCT, "dead", None);
+        let spanless = Diagnostic::warning(codes::UNBOUNDED_JOIN, "unbounded", None);
         let j = serde_json::to_string(&JsonDiagnostic::from(&spanless)).unwrap();
         assert!(j.contains("\"span\":null"), "{j}");
     }

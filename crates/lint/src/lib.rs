@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-//! `cosmos-lint`: static analysis of continuous queries and CBN profiles.
+//! `cosmos-lint`: static analysis of continuous queries.
 //!
 //! A registered continuous query runs forever; a malformed one fails
 //! forever. Where a one-shot SQL query that returns nothing is merely
@@ -21,9 +21,6 @@
 //! * **Window lints**: joins over `[Unbounded]`, aggregates over
 //!   zero-width `[Now]` windows, and one stream under two windows
 //!   (which forecloses the paper's Theorem-2 merging).
-//! * **Profile lints** ([`check_profile`]): unsatisfiable and subsumed
-//!   disjuncts in CBN profiles; [`check_split`] flags members whose
-//!   re-tightened split filter would be empty after merging.
 //!
 //! Findings are [`Diagnostic`]s with stable codes (see [`codes`]),
 //! severities, and byte spans into the statement text (threaded from
@@ -33,10 +30,8 @@
 
 mod catalog;
 mod diag;
-mod profile;
 mod query;
 
 pub use catalog::parse_catalog;
 pub use diag::{codes, has_errors, Diagnostic, JsonDiagnostic, Severity};
-pub use profile::{check_profile, check_split};
 pub use query::{check_query, check_query_with};

@@ -2,14 +2,9 @@
 //! finding and (where spans exist) the exact source text the span
 //! underlines.
 
-use cosmos_cbn::{Conjunction, Profile, Projection};
 use cosmos_cql::parse_query_spanned;
-use cosmos_lint::{
-    check_profile, check_query, check_query_with, check_split, codes, has_errors, Severity,
-};
-use cosmos_query::merge::merge;
-use cosmos_spe::analyze::AnalyzedQuery;
-use cosmos_types::{AttrType, Schema, StreamName};
+use cosmos_lint::{check_query, check_query_with, codes, Severity};
+use cosmos_types::{AttrType, Schema};
 
 fn catalog(name: &str) -> Option<Schema> {
     match name {
@@ -261,105 +256,4 @@ fn c0303_same_stream_under_two_windows() {
     let src = "SELECT A.itemID FROM OpenAuction [Range 1 Hour] A, OpenAuction [Range 1 Hour] B \
                WHERE A.itemID = B.itemID";
     assert!(lint(src).is_empty());
-}
-
-#[test]
-fn c0401_redundant_profile_disjunct() {
-    let mut narrow = Conjunction::always();
-    narrow.between("price", 10, 20);
-    let mut wide = Conjunction::always();
-    wide.between("price", 0, 100);
-    let mut p = Profile::new();
-    p.add_entry(
-        "S",
-        cosmos_cbn::ProfileEntry {
-            projection: Projection::All,
-            filters: vec![wide, narrow],
-        },
-    );
-    let diags = check_profile(&p);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].code, codes::REDUNDANT_DISJUNCT);
-    assert_eq!(diags[0].severity, Severity::Warning);
-    assert!(
-        diags[0].message.contains("disjunct #1"),
-        "{}",
-        diags[0].message
-    );
-    assert!(
-        diags[0].message.contains("disjunct #0"),
-        "{}",
-        diags[0].message
-    );
-    assert!(!has_errors(&check_profile(&p)));
-}
-
-#[test]
-fn c0401_identical_disjuncts_flag_only_the_later_one() {
-    let mut f = Conjunction::always();
-    f.equals("id", 7);
-    let mut p = Profile::new();
-    p.add_entry(
-        "S",
-        cosmos_cbn::ProfileEntry {
-            projection: Projection::All,
-            filters: vec![f.clone(), f],
-        },
-    );
-    let diags = check_profile(&p);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(
-        diags[0].message.contains("disjunct #1"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn c0402_unsat_profile_disjunct() {
-    // Deep-unsat through a difference constraint: invisible to the
-    // shallow emptiness checks that Profile::union already applies.
-    let mut dead = Conjunction::always();
-    dead.diff("a", "b", cosmos_cbn::DiffRange::new(0.0, f64::INFINITY))
-        .lower("b", 5, true)
-        .upper("a", 5, false);
-    let mut live = Conjunction::always();
-    live.equals("a", 1);
-    let mut p = Profile::new();
-    p.add_entry(
-        "S",
-        cosmos_cbn::ProfileEntry {
-            projection: Projection::All,
-            filters: vec![dead, live],
-        },
-    );
-    let diags = check_profile(&p);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].code, codes::UNSAT_DISJUNCT);
-    assert_eq!(diags[0].severity, Severity::Warning);
-    assert!(
-        diags[0].message.contains("disjunct #0"),
-        "{}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn c0501_unsat_split_filter_after_merging() {
-    let q = |text: &str| {
-        AnalyzedQuery::analyze(&cosmos_cql::parse_query(text).unwrap(), catalog).unwrap()
-    };
-    let member = q("SELECT station, temperature, timestamp FROM Sensors [Now] \
-                    WHERE temperature >= timestamp AND timestamp >= 30.0 \
-                    AND temperature < 30.0");
-    let other = q("SELECT station, temperature, timestamp FROM Sensors [Now] \
-                   WHERE temperature >= 100.0");
-    let rep = merge(&member, &other).unwrap();
-    let s = StreamName::from("r");
-    let diags = check_split(&member, &rep, &s);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].code, codes::UNSAT_SPLIT_FILTER);
-    assert_eq!(diags[0].severity, Severity::Warning);
-    // The healthy member splits cleanly.
-    assert!(check_split(&other, &rep, &s).is_empty());
 }

@@ -17,9 +17,9 @@
 //! buckets when it does not ([`RateWindow::record`]);
 //! `on_publish` and `on_delivery` also walk the batch for
 //! its bytes, and sampled tuples cost O(arity) in the attribute
-//! observers. The hub always records: overload budgets and the autotune
-//! scheduler read it, so there is no "off" state for them to disagree
-//! with.
+//! observers. The hub always records: overload budgets and
+//! `Cosmos::autotune` read it, so there is no "off" state for them to
+//! disagree with.
 
 use crate::observe::AttrObserver;
 use crate::snapshot::{
@@ -174,13 +174,6 @@ impl MetricsHub {
     /// Current virtual time in milliseconds.
     pub fn now_ms(&self) -> i64 {
         self.now_ms
-    }
-
-    /// Configured sliding-window span in milliseconds (never zero) —
-    /// the budget period of the overload controller and the scheduling
-    /// quantum of autotune policies.
-    pub fn window_ms(&self) -> i64 {
-        self.cfg.window.millis().max(1)
     }
 
     /// Advance virtual time to at least `ts` (time never goes backward).

@@ -56,15 +56,6 @@ impl Value {
         }
     }
 
-    /// The value as an `i64` when it is an integer.
-    #[inline]
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice when it is a string.
     #[inline]
     pub fn as_str(&self) -> Option<&str> {
@@ -362,6 +353,5 @@ mod tests {
         assert_eq!(Value::from("hi").as_str(), Some("hi"));
         assert_eq!(Value::from(true), Value::Bool(true));
         assert_eq!(Value::from(2.5f64).as_f64(), Some(2.5));
-        assert_eq!(Value::Int(9).as_i64(), Some(9));
     }
 }

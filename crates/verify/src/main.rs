@@ -19,16 +19,20 @@ use std::io::Read;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quiet = args.iter().any(|a| a == "--quiet" || a == "-q");
-    let json = args.iter().any(|a| a == "--json");
-    let paths: Vec<&String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--") && a.as_str() != "-q")
-        .collect();
+    let (mut quiet, mut json) = (false, false);
+    let mut paths: Vec<String> = Vec::new();
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quiet" | "-q" => quiet = true,
+            "--json" => json = true,
+            flag if flag.starts_with('-') && flag != "-" => {
+                return usage(&format!("unknown flag '{flag}'"));
+            }
+            _ => paths.push(arg),
+        }
+    }
     let [path] = paths.as_slice() else {
-        eprintln!("usage: cosmos-verify <snapshot.json | -> [--quiet] [--json]");
-        return ExitCode::from(2);
+        return usage("exactly one snapshot path is needed");
     };
 
     let text = if path.as_str() == "-" {
@@ -96,4 +100,9 @@ fn main() -> ExitCode {
         }
         ExitCode::SUCCESS
     }
+}
+
+fn usage(msg: &str) -> ExitCode {
+    eprintln!("cosmos-verify: {msg}\nusage: cosmos-verify <snapshot.json | -> [--quiet] [--json]");
+    ExitCode::from(2)
 }

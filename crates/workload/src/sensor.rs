@@ -185,7 +185,9 @@ mod tests {
         for _ in 0..200 {
             let t = g.next_tuple();
             assert_eq!(t.arity(), schema.arity());
-            let node = t.get_by_name(&schema, "node_id").unwrap().as_i64().unwrap();
+            let Some(&Value::Int(node)) = t.get_by_name(&schema, "node_id") else {
+                panic!("node_id is an INT: {t:?}");
+            };
             assert!((0..NODES_PER_DEPLOYMENT).contains(&node));
             for (name, lo, hi, _) in MEASUREMENTS {
                 let v = t.get_by_name(&schema, name).unwrap().as_f64().unwrap();
@@ -193,11 +195,8 @@ mod tests {
             }
             // embedded timestamp equals tuple timestamp
             assert_eq!(
-                t.get_by_name(&schema, "timestamp")
-                    .unwrap()
-                    .as_i64()
-                    .unwrap(),
-                t.timestamp.millis()
+                t.get_by_name(&schema, "timestamp"),
+                Some(&Value::Int(t.timestamp.millis()))
             );
         }
     }
