@@ -27,14 +27,12 @@
 //!   counting-based engine with an equality fast path, each counting
 //!   the constraints it evaluates (ablation A1 of the experiment
 //!   report compares the counts).
-//! * [`registry`] — the stream schema registry with the paper's two
-//!   modes: flooding for small systems and a consistent-hashing DHT
-//!   otherwise.
+//! * [`registry`] — the stream schema registry: each stream's schema
+//!   and advertising origin.
 //! * [`router`] — the per-node routing state: neighbor interests, local
 //!   subscribers, reverse-path subscription propagation helpers and
 //!   datagram forwarding with early projection.
 
-pub mod dht;
 pub mod matcher;
 pub mod predicate;
 pub mod profile;
@@ -45,6 +43,6 @@ pub mod sat;
 pub use matcher::{CountingMatcher, MatchEngine, MatchScratch, NaiveMatcher};
 pub use predicate::{AttrConstraint, Conjunction, DiffRange, Interval};
 pub use profile::{Profile, ProfileEntry, Projection};
-pub use registry::{RegisteredStream, RegistryMode, SchemaRegistry};
+pub use registry::{RegisteredStream, SchemaRegistry};
 pub use router::{BatchForward, Destination, Router, RouterCounters};
 pub use sat::{conjunction_implies, conjunction_range, conjunction_unsat, filters_imply};

@@ -1,31 +1,18 @@
 //! The stream schema registry.
 //!
 //! Every stream in COSMOS has a unique name; nodes need the schema of a
-//! stream to evaluate filters and projections on its datagrams. The paper
-//! prescribes two storage modes (Section 3): **flooding** the schema to
-//! every node when streams are few, and a **DHT** keyed by stream name
-//! otherwise. The registry also records each stream's *advertisement* —
-//! the origin node that publishes it — which the routing layer uses to
-//! anchor dissemination.
+//! stream to evaluate filters and projections on its datagrams. The
+//! registry also records each stream's *advertisement* — the origin node
+//! that publishes it — which the routing layer uses to anchor
+//! dissemination.
 //!
-//! The registry tracks the number of control messages each mode would
-//! send so tests and ablation A8 can compare the two (flooding costs `O(N)`
-//! messages per stream, the DHT costs `O(replicas)` plus per-lookup
-//! traffic).
+//! It is one logical registry. The paper's two ways of storing it
+//! (Section 3: flooding the schema to every node when streams are few, a
+//! DHT keyed by stream name otherwise) differ only in the control
+//! messages they send; ablation A8 of the experiment report compares them
+//! as a closed-form cost model.
 
 use cosmos_types::{CosmosError, FxHashMap, NodeId, Result, Schema, StreamName};
-
-/// How schema metadata is distributed across nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegistryMode {
-    /// Every node stores every schema; registration floods the network.
-    Flooding,
-    /// Schemas live on `replicas` ring nodes; lookups are remote.
-    Dht {
-        /// Number of replica nodes storing each schema.
-        replicas: usize,
-    },
-}
 
 /// Metadata registered for one stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,32 +25,16 @@ pub struct RegisteredStream {
     pub origin: NodeId,
 }
 
-/// The system-wide schema registry.
-///
-/// This is a logically centralized view; the `mode` determines the
-/// *accounted cost* of registration and lookup.
-#[derive(Debug, Clone)]
+/// The system-wide schema registry: a logically centralized view.
+#[derive(Debug, Clone, Default)]
 pub struct SchemaRegistry {
-    mode: RegistryMode,
-    node_count: usize,
     streams: FxHashMap<StreamName, RegisteredStream>,
-    control_messages: u64,
 }
 
 impl SchemaRegistry {
-    /// A registry for a network of `nodes` overlay nodes.
-    pub fn new(mode: RegistryMode, nodes: impl IntoIterator<Item = NodeId>) -> SchemaRegistry {
-        SchemaRegistry {
-            mode,
-            node_count: nodes.into_iter().count(),
-            streams: FxHashMap::default(),
-            control_messages: 0,
-        }
-    }
-
-    /// The registry's distribution mode.
-    pub fn mode(&self) -> RegistryMode {
-        self.mode
+    /// An empty registry.
+    pub fn new() -> SchemaRegistry {
+        SchemaRegistry::default()
     }
 
     /// Register a stream. Fails on duplicate names (stream names must be
@@ -80,10 +51,6 @@ impl SchemaRegistry {
                 "stream '{name}' is already registered"
             )));
         }
-        self.control_messages += match self.mode {
-            RegistryMode::Flooding => self.node_count as u64,
-            RegistryMode::Dht { replicas } => replicas.min(self.node_count) as u64,
-        };
         self.streams.insert(
             name,
             RegisteredStream {
@@ -102,31 +69,18 @@ impl SchemaRegistry {
 
     /// Replace the schema of an already-registered stream (a processor
     /// re-advertising a representative result stream whose column set
-    /// grew after a merge). Costs the same control traffic as a fresh
-    /// registration.
+    /// grew after a merge).
     pub fn update_schema(&mut self, name: &StreamName, schema: Schema) -> Result<()> {
         let entry = self
             .streams
             .get_mut(name)
             .ok_or_else(|| CosmosError::Network(format!("stream '{name}' is not registered")))?;
         entry.schema = schema;
-        self.control_messages += match self.mode {
-            RegistryMode::Flooding => self.node_count as u64,
-            RegistryMode::Dht { replicas } => replicas.min(self.node_count) as u64,
-        };
         Ok(())
     }
 
-    /// Look up a stream (accounts a remote round-trip in DHT mode).
-    pub fn lookup(&mut self, name: &StreamName) -> Option<&RegisteredStream> {
-        if matches!(self.mode, RegistryMode::Dht { .. }) && self.streams.contains_key(name) {
-            self.control_messages += 2; // request + response
-        }
-        self.streams.get(name)
-    }
-
-    /// Look up without cost accounting (local cache hit).
-    pub fn peek(&self, name: &StreamName) -> Option<&RegisteredStream> {
+    /// Look up a stream.
+    pub fn get(&self, name: &StreamName) -> Option<&RegisteredStream> {
         self.streams.get(name)
     }
 
@@ -138,11 +92,6 @@ impl SchemaRegistry {
     /// The origin (advertising) node of a stream, if registered.
     pub fn origin(&self, name: &StreamName) -> Option<NodeId> {
         self.streams.get(name).map(|r| r.origin)
-    }
-
-    /// Total control messages accounted so far.
-    pub fn control_messages(&self) -> u64 {
-        self.control_messages
     }
 
     /// Number of registered streams.
@@ -173,16 +122,13 @@ mod tests {
         Schema::of(&[("a", AttrType::Int)])
     }
 
-    fn nodes(n: u32) -> impl Iterator<Item = NodeId> {
-        (0..n).map(NodeId)
-    }
-
     #[test]
     fn register_and_lookup() {
-        let mut r = SchemaRegistry::new(RegistryMode::Flooding, nodes(4));
+        let mut r = SchemaRegistry::new();
         r.register("S", schema(), NodeId(2)).unwrap();
         let name = StreamName::from("S");
-        assert_eq!(r.lookup(&name).unwrap().origin, NodeId(2));
+        assert_eq!(r.get(&name).unwrap().origin, NodeId(2));
+        assert!(r.get(&StreamName::from("missing")).is_none());
         assert_eq!(r.schema(&name), Some(&schema()));
         assert_eq!(r.origin(&name), Some(NodeId(2)));
         assert_eq!(r.len(), 1);
@@ -192,41 +138,15 @@ mod tests {
 
     #[test]
     fn duplicate_registration_rejected() {
-        let mut r = SchemaRegistry::new(RegistryMode::Flooding, nodes(4));
+        let mut r = SchemaRegistry::new();
         r.register("S", schema(), NodeId(0)).unwrap();
         let err = r.register("S", schema(), NodeId(1)).unwrap_err();
         assert_eq!(err.kind(), "network");
     }
 
     #[test]
-    fn flooding_costs_n_messages_per_stream() {
-        let mut r = SchemaRegistry::new(RegistryMode::Flooding, nodes(10));
-        r.register("S", schema(), NodeId(0)).unwrap();
-        r.register("T", schema(), NodeId(0)).unwrap();
-        assert_eq!(r.control_messages(), 20);
-        // flooding lookups are free (every node has a local copy)
-        r.lookup(&StreamName::from("S"));
-        assert_eq!(r.control_messages(), 20);
-    }
-
-    #[test]
-    fn dht_costs_replicas_plus_lookups() {
-        let mut r = SchemaRegistry::new(RegistryMode::Dht { replicas: 3 }, nodes(10));
-        r.register("S", schema(), NodeId(0)).unwrap();
-        assert_eq!(r.control_messages(), 3);
-        r.lookup(&StreamName::from("S"));
-        assert_eq!(r.control_messages(), 5);
-        // missing lookups do not panic and cost nothing
-        assert!(r.lookup(&StreamName::from("missing")).is_none());
-        assert_eq!(r.control_messages(), 5);
-        // peek never accounts
-        assert!(r.peek(&StreamName::from("S")).is_some());
-        assert_eq!(r.control_messages(), 5);
-    }
-
-    #[test]
     fn unregister_removes() {
-        let mut r = SchemaRegistry::new(RegistryMode::Flooding, nodes(2));
+        let mut r = SchemaRegistry::new();
         r.register("S", schema(), NodeId(0)).unwrap();
         assert!(r.unregister(&StreamName::from("S")).is_some());
         assert!(r.unregister(&StreamName::from("S")).is_none());

@@ -116,6 +116,12 @@ impl Cosmos {
     /// repaired independently (the same reattach procedure per tree).
     pub fn fail_tree_link(&mut self, a: NodeId, b: NodeId) -> Result<()> {
         let topo = &mut self.data.topology;
+        let n = topo.graph.node_count();
+        if a.index() >= n || b.index() >= n {
+            return Err(CosmosError::Overlay(format!(
+                "link {a}-{b} references unknown node (n={n})"
+            )));
+        }
         // Identify every tree that carries this link before mutating
         // anything (origin order keeps the repair order deterministic).
         let shared_child = child_of(&topo.tree, a, b);
@@ -257,6 +263,25 @@ mod tests {
         assert!(sys.fail_tree_link(NodeId(0), NodeId(3)).is_err());
         // arbitrary non-adjacent pair
         assert!(sys.fail_tree_link(NodeId(0), NodeId(2)).is_err());
+    }
+
+    #[test]
+    fn links_to_unknown_nodes_are_refused() {
+        // A default deployment (16 nodes, in both tree modes): the
+        // refusal comes before any tree is indexed by the unknown node.
+        for per_source_trees in [false, true] {
+            let mut sys = Cosmos::new(CosmosConfig {
+                per_source_trees,
+                ..CosmosConfig::default()
+            })
+            .unwrap();
+            let before = sys.routing_digest();
+            for (a, b) in [(999, 0), (0, 999), (16, 15)] {
+                let err = sys.fail_tree_link(NodeId(a), NodeId(b)).unwrap_err();
+                assert_eq!(err.kind(), "overlay", "{a} - {b}: {err}");
+            }
+            assert_eq!(sys.routing_digest(), before, "no tree changed");
+        }
     }
 
     #[test]

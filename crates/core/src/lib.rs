@@ -43,7 +43,7 @@ pub mod snapshot;
 pub mod system;
 
 pub use autotune::{AutotuneOptions, AutotunePass};
-pub use cosmos_metrics::{MetricsConfig, MetricsSnapshot, RouterTotals, METRICS_VERSION};
+pub use cosmos_metrics::{MetricsSnapshot, RouterTotals, METRICS_VERSION};
 pub use cosmos_spe::{DisorderStats, LatePolicy};
 pub use overload::{OverloadController, QueryLedger};
 pub use snapshot::NetworkSnapshot;

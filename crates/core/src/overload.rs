@@ -1,15 +1,15 @@
 //! Per-node overload control: a bounded delivery budget whose
 //! over-budget batches are shed, ledger-exact.
 //!
-//! Every node gets the same intake *budget* — bytes per metrics rate
-//! window. The controller is data-plane state: it sits on the single
-//! delivery point of the dissemination loop (the data plane's
-//! `deliver_local`; the crossing to the query plane and the loop's
-//! watermark hops deliver to no user), so a user delivery that would
-//! push the node's measured in-window intake past its budget is shed
-//! *before* it lands in the delivery buffer. Shedding is never silent:
-//! the dropped batch is counted tuple- and byte-exact in the query's
-//! [`QueryLedger`], which maintains the **conservation identity**
+//! Every node gets the same intake *budget* — bytes per 60 s
+//! virtual-time window (the metrics hub's). The controller is data-plane
+//! state: it sits on the single delivery point of the dissemination loop
+//! (the data plane's `deliver_local`; the crossing to the query plane and
+//! the loop's watermark hops deliver to no user), so a user delivery
+//! that would push the node's measured in-window intake past its budget
+//! is shed *before* it lands in the delivery buffer. Shedding is never
+//! silent: the dropped batch is counted tuple- and byte-exact in the
+//! query's [`QueryLedger`], which maintains the **conservation identity**
 //!
 //! ```text
 //! offered == delivered + shed        (tuples AND bytes)
@@ -68,7 +68,8 @@ pub enum Action {
 /// [`Cosmos::set_overload`]: crate::Cosmos::set_overload
 #[derive(Debug)]
 pub struct OverloadController {
-    /// Intake budget of every node, in bytes per rate window.
+    /// Intake budget of every node, in bytes per 60 s virtual-time
+    /// window.
     budget: u64,
     ledgers: BTreeMap<QueryId, QueryLedger>,
     /// Per-node high-water mark: the largest in-window intake (bytes)
@@ -79,7 +80,7 @@ pub struct OverloadController {
 
 impl OverloadController {
     /// A controller holding every node to `budget` bytes of user
-    /// delivery per rate window.
+    /// delivery per 60 s virtual-time window.
     pub fn new(budget: u64) -> OverloadController {
         OverloadController {
             budget,
@@ -90,7 +91,7 @@ impl OverloadController {
 
     /// Decide what happens to a batch offered to `qid`'s user
     /// subscription at `node`. `in_window` is the node's measured
-    /// intake in bytes in the live rate window (the metrics hub's
+    /// intake in bytes in the live 60 s window (the metrics hub's
     /// `consumed_in_window`). Deterministic: the verdict is a pure
     /// function of the budget and the two sizes.
     pub fn admit(

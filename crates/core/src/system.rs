@@ -15,8 +15,8 @@ mod query;
 
 use crate::autotune::{AutotuneOptions, AutotunePass};
 use crate::overload::OverloadController;
-use cosmos_cbn::{RegistryMode, Router, SchemaRegistry};
-use cosmos_metrics::{MetricsConfig, MetricsHub, MetricsSnapshot, RouterTotals};
+use cosmos_cbn::{Router, SchemaRegistry};
+use cosmos_metrics::{MetricsHub, MetricsSnapshot, RouterTotals};
 use cosmos_overlay::{generate, Graph, TopologyKind, Tree};
 use cosmos_query::{GroupManager, StreamStats};
 use cosmos_spe::{AnalyzedQuery, DisorderStats, LatePolicy, StateSize};
@@ -47,8 +47,6 @@ pub struct CosmosConfig {
     pub topology: TopologyKind,
     /// Fraction of nodes equipped with an SPE.
     pub processor_fraction: f64,
-    /// Schema registry mode (flooding vs DHT).
-    pub registry_mode: RegistryMode,
     /// Master seed (topology, placement).
     pub seed: u64,
     /// Number of candidate processors per stream set considered by the
@@ -74,7 +72,6 @@ impl Default for CosmosConfig {
             nodes: 16,
             topology: TopologyKind::BarabasiAlbert { m: 2 },
             processor_fraction: 0.25,
-            registry_mode: RegistryMode::Flooding,
             seed: 0,
             affinity_candidates: 1,
             merging_enabled: true,
@@ -213,33 +210,34 @@ impl Cosmos {
         let demand: Vec<f64> = (self.data.routers.iter())
             .map(|r| r.local_subscribers().count() as f64)
             .collect();
-        self.optimize_tree_with_demand(cfg, &demand)
+        self.data.optimize_tree(cfg, &demand)
     }
 
     /// [`Cosmos::optimize_tree`] with an explicit per-node demand vector
     /// instead of subscription counts — [`Cosmos::autotune`] passes the
-    /// *measured* per-node consumed byte rates here.
+    /// *measured* per-node consumed byte rates here. Refuses, in either
+    /// tree mode, a vector that does not hold one finite, non-negative
+    /// entry per node.
     pub fn optimize_tree_with_demand(
         &mut self,
         cfg: cosmos_overlay::OptimizerConfig,
         demand: &[f64],
-    ) -> cosmos_overlay::OptimizeReport {
-        let optimizer = cosmos_overlay::TreeOptimizer::new(cfg);
-        let topo = &mut self.data.topology;
-        if topo.per_source_trees {
-            let idle = vec![0.0; topo.graph.node_count()];
-            let cost = optimizer.cost(&topo.graph, &topo.tree, &idle);
-            return cosmos_overlay::OptimizeReport {
-                cost_before: cost,
-                cost_after: cost,
-                moves: 0,
-            };
+    ) -> Result<cosmos_overlay::OptimizeReport> {
+        let n = self.data.routers.len();
+        if demand.len() != n {
+            return Err(CosmosError::Overlay(format!(
+                "demand has {} entries for {n} nodes",
+                demand.len()
+            )));
         }
-        let report = optimizer.optimize(&topo.graph, &mut topo.tree, demand);
-        if report.moves > 0 {
-            self.rebuild_routes();
+        if let Some(i) = demand.iter().position(|d| !(d.is_finite() && *d >= 0.0)) {
+            return Err(CosmosError::Overlay(format!(
+                "demand of {} is {}, not a finite non-negative rate",
+                NodeId(i as u32),
+                demand[i]
+            )));
         }
-        report
+        Ok(self.data.optimize_tree(cfg, demand))
     }
 
     /// The role of a node.
@@ -377,15 +375,15 @@ impl Cosmos {
 
     /// Arm (or disarm) the per-node overload controller. With a budget
     /// set, every user delivery is admission-checked against the
-    /// node's intake of `budget` bytes per metrics rate window, and an
-    /// over-budget batch is shed — ledger-accounted so that
+    /// node's intake of `budget` bytes per 60 s virtual-time window, and
+    /// an over-budget batch is shed — ledger-accounted so that
     /// `offered == delivered + shed` holds tuple- and byte-exact per
     /// query at any instant (cosmos-testkit checks the identity after
     /// every event).
     ///
-    /// Budgets are measured against the metrics hub's virtual-time
-    /// windows. Disarming (or replacing) a controller drops its
-    /// ledgers; nothing it shed comes back.
+    /// Budgets are measured against the metrics hub's 60 s
+    /// virtual-time windows. Disarming (or replacing) a controller drops
+    /// its ledgers; nothing it shed comes back.
     pub fn set_overload(&mut self, budget: Option<u64>) {
         self.data.overload = budget.map(OverloadController::new);
     }
@@ -425,12 +423,6 @@ impl Cosmos {
     /// The live metrics hub (read access for diagnostics and tests).
     pub fn metrics_hub(&self) -> &MetricsHub {
         &self.data.metrics
-    }
-
-    /// Replace the metrics configuration. Resets all recorded history
-    /// (windows of a different span are not comparable).
-    pub fn set_metrics_config(&mut self, cfg: MetricsConfig) {
-        self.data.metrics = MetricsHub::new(cfg);
     }
 
     /// A deterministic snapshot of every runtime metric: per-link and
@@ -481,7 +473,7 @@ impl Cosmos {
         let demand: Vec<f64> = (0..self.data.routers.len())
             .map(|i| self.data.metrics.consumed_byte_rate(NodeId(i as u32)))
             .collect();
-        pass.tree = Some(self.optimize_tree_with_demand(opts.optimizer, &demand));
+        pass.tree = Some(self.optimize_tree_with_demand(opts.optimizer, &demand)?);
         Ok(pass)
     }
 

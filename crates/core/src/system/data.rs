@@ -26,7 +26,9 @@ use super::{CosmosConfig, NodeRole};
 use crate::overload::{Action, OverloadController};
 use cosmos_cbn::{BatchForward, Destination, Profile, ProfileEntry, Router, SchemaRegistry};
 use cosmos_metrics::{MetricsConfig, MetricsHub};
-use cosmos_overlay::{minimum_spanning_tree, Graph, Tree};
+use cosmos_overlay::{
+    minimum_spanning_tree, Graph, OptimizeReport, OptimizerConfig, Tree, TreeOptimizer,
+};
 use cosmos_spe::{AnalyzedQuery, Executor};
 use cosmos_types::{
     CosmosError, FxHashMap, NeumaierSum, NodeId, Punctuation, QueryId, Result, Schema, StreamName,
@@ -330,12 +332,12 @@ pub(crate) struct DataPlane {
     /// Delivered results; they outlive the query (`Cosmos::results`).
     pub(super) delivered: FxHashMap<QueryId, Vec<Tuple>>,
     /// The driver's own traffic accounting: bytes per undirected link
-    /// and their delay-weighted sum (the metrics hub keeps a second,
-    /// windowed ledger the conservation oracle compares against this
-    /// one; `Cosmos::set_metrics_config` replaces the hub mid-life, so
-    /// this one cannot be read back from it). The sum is compensated:
-    /// the `compensated_sums` test of `cosmos-types` holds every
-    /// oracle-feeding float accumulation to this standard.
+    /// and their delay-weighted sum. The metrics hub keeps a second,
+    /// windowed ledger, and the conservation oracle holds it to this
+    /// independent count, so this one is not read back from the hub
+    /// (the oracle would then compare the hub with itself). The sum is
+    /// compensated: the `compensated_sums` test of `cosmos-types` holds
+    /// every oracle-feeding float accumulation to this standard.
     pub(super) link_bytes: BTreeMap<(NodeId, NodeId), u64>,
     pub(super) weighted_cost: NeumaierSum,
     pub(super) tuples_published: u64,
@@ -374,7 +376,7 @@ impl DataPlane {
                 roles,
                 processors,
             },
-            registry: SchemaRegistry::new(cfg.registry_mode, (0..n as u32).map(NodeId)),
+            registry: SchemaRegistry::new(),
             routers: (0..n as u32).map(|i| Router::new(NodeId(i))).collect(),
             ledger: RouteLedger::default(),
             subs: FxHashMap::default(),
@@ -481,6 +483,29 @@ impl DataPlane {
         self.refold_routes();
     }
 
+    /// Reorganize the shared tree for `demand`, one finite non-negative
+    /// entry per node (the `Cosmos` callers build or check it), and
+    /// rebuild the routes if a node moved. A zero-move report in
+    /// per-source-tree mode.
+    pub(super) fn optimize_tree(&mut self, cfg: OptimizerConfig, demand: &[f64]) -> OptimizeReport {
+        let optimizer = TreeOptimizer::new(cfg);
+        let topo = &mut self.topology;
+        if topo.per_source_trees {
+            let idle = vec![0.0; topo.graph.node_count()];
+            let cost = optimizer.cost(&topo.graph, &topo.tree, &idle);
+            return OptimizeReport {
+                cost_before: cost,
+                cost_after: cost,
+                moves: 0,
+            };
+        }
+        let report = optimizer.optimize(&topo.graph, &mut topo.tree, demand);
+        if report.moves > 0 {
+            self.rebuild_routes();
+        }
+        report
+    }
+
     /// Put `payload` on the link `from → to`, the one way a datagram
     /// crosses a link: one entry in each of the two ledgers (and the
     /// hub's punctuation counters for a watermark), and its hop queued.
@@ -520,7 +545,7 @@ impl DataPlane {
                 "publish_batch requires a single-stream batch".into(),
             ));
         }
-        let reg = self.registry.peek(&first.stream).ok_or_else(|| {
+        let reg = self.registry.get(&first.stream).ok_or_else(|| {
             CosmosError::System(format!("stream '{}' is not advertised", first.stream))
         })?;
         // Every router downstream indexes columns by the advertised layout.
@@ -1153,6 +1178,37 @@ mod tests {
         let report = sys.optimize_tree(cosmos_overlay::OptimizerConfig::default());
         assert_eq!(report.moves, 0);
         assert_eq!(report.cost_before, report.cost_after);
+    }
+
+    #[test]
+    fn malformed_demand_is_refused_in_both_tree_modes() {
+        let cfg = cosmos_overlay::OptimizerConfig::default();
+        for per_source_trees in [false, true] {
+            let mut sys = Cosmos::new(CosmosConfig {
+                per_source_trees,
+                ..CosmosConfig::default()
+            })
+            .unwrap();
+            let n = sys.graph().node_count();
+            let before = sys.routing_digest();
+            let with = |i: usize, d: f64| {
+                let mut v = vec![1.0; n];
+                v[i] = d;
+                v
+            };
+            for demand in [
+                vec![1.0],
+                vec![1.0; n + 1],
+                with(3, f64::NAN),
+                with(0, f64::INFINITY),
+                with(n - 1, -1.0),
+            ] {
+                let err = sys.optimize_tree_with_demand(cfg, &demand).unwrap_err();
+                assert_eq!(err.kind(), "overlay", "{demand:?}: {err}");
+            }
+            assert_eq!(sys.routing_digest(), before, "no tree changed");
+            assert!(sys.optimize_tree_with_demand(cfg, &vec![0.0; n]).is_ok());
+        }
     }
 
     #[test]

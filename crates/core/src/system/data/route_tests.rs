@@ -887,7 +887,7 @@ fn relay_verdict_reads_the_upstream_router(wide: &str, narrow: &str) {
     let mut entry = sent.entry(&stream).unwrap().clone();
     let filtered: BTreeSet<&str> = entry.filters.iter().flat_map(|f| f.referenced()).collect();
     assert!(!filtered.is_empty(), "{entry:?}");
-    let schema = &sys.data.registry.peek(&stream).unwrap().schema;
+    let schema = &sys.data.registry.get(&stream).unwrap().schema;
     let kept = schema.names().filter(|a| !filtered.contains(a));
     entry.projection = cosmos_cbn::Projection::of(kept);
     sys.data.routers[2].set_neighbor_entry(NodeId(3), &stream, Some(entry));

@@ -1,7 +1,8 @@
 //! DESIGN §8's "Census of shipped options" stays true: every public
-//! `set_*` option of `Cosmos` has a row, and every `Cosmos::set_*` a
-//! row names still exists. An option that no whole-system run arms
-//! must at least be written down, with the item that will arm it.
+//! `set_*` option of `Cosmos` and every `pub` field of `CosmosConfig`
+//! has a row, and every `Cosmos::set_*` or `CosmosConfig::*` a row names
+//! still exists. An option that no whole-system run arms must at least
+//! be written down, with the item that will arm it.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -21,16 +22,35 @@ fn census_rows() -> Vec<&'static str> {
         .collect()
 }
 
-/// Every `Cosmos::set_NAME` a piece of text mentions.
-fn setters_named(text: &str) -> BTreeSet<String> {
-    text.match_indices("Cosmos::set_")
+/// Every identifier a piece of text mentions right after `prefix`
+/// (`Cosmos::set_` names setters, `CosmosConfig::` fields), with the
+/// part of the prefix after its last `::`.
+fn names_after(text: &str, prefix: &str) -> BTreeSet<String> {
+    let kept = &prefix[prefix.rfind("::").map_or(0, |i| i + 2)..];
+    text.match_indices(prefix)
         .map(|(i, m)| {
             let rest = &text[i + m.len()..];
             let end = rest
                 .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
                 .unwrap_or(rest.len());
-            format!("set_{}", &rest[..end])
+            format!("{kept}{}", &rest[..end])
         })
+        .collect()
+}
+
+/// The `pub` fields of `pub struct CosmosConfig` in `system.rs`. rustfmt
+/// puts the struct's closing brace at column 0 and its fields at four
+/// spaces.
+fn config_fields() -> BTreeSet<String> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/system.rs");
+    let src = std::fs::read_to_string(path).expect("system.rs reads");
+    let (_, body) = src
+        .split_once("pub struct CosmosConfig {\n")
+        .expect("system.rs defines CosmosConfig");
+    let body = body.split("\n}").next().unwrap_or(body);
+    body.lines()
+        .filter_map(|l| l.strip_prefix("    pub "))
+        .map(|l| l.split(':').next().expect("a field").to_string())
         .collect()
 }
 
@@ -68,7 +88,9 @@ fn setters_defined(dir: &Path, out: &mut BTreeSet<String>) {
 fn every_cosmos_setter_has_a_census_row_and_every_row_a_setter() {
     let rows = census_rows();
     assert!(!rows.is_empty(), "the census table has rows");
-    let listed: BTreeSet<String> = rows.iter().flat_map(|r| setters_named(r)).collect();
+    let listed: BTreeSet<String> = (rows.iter())
+        .flat_map(|r| names_after(r, "Cosmos::set_"))
+        .collect();
     let mut defined = BTreeSet::new();
     setters_defined(
         &Path::new(env!("CARGO_MANIFEST_DIR")).join("src"),
@@ -84,5 +106,24 @@ fn every_cosmos_setter_has_a_census_row_and_every_row_a_setter() {
     assert!(
         stale.is_empty(),
         "DESIGN §8 census rows naming no Cosmos setter: {stale:?}"
+    );
+}
+
+#[test]
+fn every_config_field_has_a_census_row_and_every_row_a_field() {
+    let listed: BTreeSet<String> = (census_rows().iter())
+        .flat_map(|r| names_after(r, "CosmosConfig::"))
+        .collect();
+    let defined = config_fields();
+    assert!(defined.contains("merging_enabled"), "the scan finds fields");
+    let missing: Vec<_> = defined.difference(&listed).collect();
+    assert!(
+        missing.is_empty(),
+        "CosmosConfig fields without a DESIGN §8 census row: {missing:?}"
+    );
+    let stale: Vec<_> = listed.difference(&defined).collect();
+    assert!(
+        stale.is_empty(),
+        "DESIGN §8 census rows naming no CosmosConfig field: {stale:?}"
     );
 }

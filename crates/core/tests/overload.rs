@@ -4,13 +4,13 @@
 //! budget above the peak is a pure witness, and all of it replays
 //! bit-for-bit.
 
-use cosmos::{Cosmos, CosmosConfig, MetricsConfig};
+use cosmos::{Cosmos, CosmosConfig};
 use cosmos_overlay::Graph;
 use cosmos_query::{AttrStats, StreamStats};
-use cosmos_types::{AttrType, NodeId, QueryId, Schema, TimeDelta, Timestamp, Tuple, Value};
+use cosmos_types::{AttrType, NodeId, QueryId, Schema, Timestamp, Tuple, Value};
 
 /// The 3-node chain 0 — 1 — 2: stream `S` at node 0, one consumer
-/// query at node 2, an 8 s metrics window.
+/// query at node 2.
 fn chain_system() -> (Cosmos, QueryId) {
     let mut g = Graph::new(3);
     g.set_position(NodeId(0), 0.0, 0.0);
@@ -27,10 +27,6 @@ fn chain_system() -> (Cosmos, QueryId) {
         g,
     )
     .unwrap();
-    sys.set_metrics_config(MetricsConfig {
-        window: TimeDelta::from_secs(8),
-        ..MetricsConfig::default()
-    });
     sys.register_stream(
         "S",
         Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]),
@@ -44,9 +40,13 @@ fn chain_system() -> (Cosmos, QueryId) {
     (sys, q)
 }
 
-/// 200 tuples at 10/s of virtual time (t = 0..20 s).
+/// Tuples fed at 10/s of virtual time: 150 s, so the metrics hub's 60 s
+/// window is saturated long before the feed ends.
+const TUPLES: u64 = 1500;
+
+/// [`TUPLES`] tuples at 10/s of virtual time (t = 0..150 s).
 fn feed(sys: &mut Cosmos) {
-    for i in 0..200i64 {
+    for i in 0..TUPLES as i64 {
         sys.publish(&Tuple::new(
             "S",
             Timestamp(i * 100),
@@ -56,7 +56,7 @@ fn feed(sys: &mut Cosmos) {
     }
 }
 
-/// The consumer's inbound bytes per 8 s metrics window, measured on an
+/// The consumer's inbound bytes per 60 s metrics window, measured on an
 /// unbudgeted probe run (the window is saturated well before the feed
 /// ends).
 fn inbound_window_bytes() -> u64 {
@@ -80,7 +80,7 @@ fn budgeted_consumer_sheds_boundedly_with_exact_conservation() {
     assert!(ledger.conserved(), "identity broken: {ledger:?}");
     assert!(ledger.shed_tuples > 0, "a 4x overload must shed");
     assert!(ledger.delivered_tuples > 0, "under-budget windows deliver");
-    assert_eq!(ledger.offered_tuples, 200, "every tuple was offered");
+    assert_eq!(ledger.offered_tuples, TUPLES, "every tuple was offered");
     assert_eq!(
         ledger.delivered_tuples as usize,
         sys.results(q).len(),
@@ -131,7 +131,7 @@ fn above_peak_budget_never_interferes() {
     let ledger = budgeted.overload().unwrap().ledger(q);
     assert!(ledger.conserved());
     assert_eq!(ledger.shed_tuples, 0);
-    assert_eq!(ledger.delivered_tuples, 200);
+    assert_eq!(ledger.delivered_tuples, TUPLES);
     // The metrics documents agree except for the (zero-valued, hence
     // omitted) overload counters: byte-identical serialization.
     assert_eq!(

@@ -44,7 +44,7 @@
 //! attributed to the end-of-run semantic oracles instead.
 //!
 //! `--overload` arms the overload controller with a uniform per-node
-//! delivery budget of `--budget` bytes per rate window (default
+//! delivery budget of `--budget` bytes per 60 s virtual-time window (default
 //! `u64::MAX / 4`, far above any generated scenario's peak — a pure
 //! accounting witness); a delivery that would cross it is shed. Every
 //! run then also checks the ledger conservation identity

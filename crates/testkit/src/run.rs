@@ -23,7 +23,6 @@
 
 use crate::scenario::{Event, Scenario};
 use cosmos::{Cosmos, CosmosConfig, DisorderRuntime, DisorderStats, LatePolicy};
-use cosmos_cbn::RegistryMode;
 use cosmos_spe::AnalyzedQuery;
 use cosmos_types::{NodeId, QueryId, Result, StreamName, Tuple};
 use cosmos_workload::sensor_catalog;
@@ -58,7 +57,8 @@ pub struct RunOptions {
     /// [`RunOutcome::bound_violations`].
     pub bound_checks: bool,
     /// Arm the overload controller with this uniform per-node byte
-    /// budget per rate window ([`cosmos::Cosmos::set_overload`]). The
+    /// budget per 60 s virtual-time window
+    /// ([`cosmos::Cosmos::set_overload`]). The
     /// runner then checks the conservation identity
     /// `offered = delivered + shed` (tuples *and* bytes) for every
     /// query's ledger after every event and after closure. `None`
@@ -236,13 +236,6 @@ pub fn run_scenario(scenario: &Scenario, opts: &RunOptions) -> Result<RunOutcome
         nodes: sc.nodes,
         topology: sc.topology.kind(),
         processor_fraction: sc.processor_fraction,
-        registry_mode: if sc.dht_replicas == 0 {
-            RegistryMode::Flooding
-        } else {
-            RegistryMode::Dht {
-                replicas: sc.dht_replicas,
-            }
-        },
         seed: sc.cosmos_seed,
         affinity_candidates: sc.affinity_candidates,
         merging_enabled: opts.merging,

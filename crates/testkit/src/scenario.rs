@@ -54,6 +54,8 @@ impl TopologySpec {
 /// supports no field attributes): `disorder` is omitted from JSON when
 /// `None` and defaults to `None` when absent, so in-order scenarios
 /// keep the exact pre-disorder file format and old files still load.
+/// Fields are read by name and other keys are ignored, so files that
+/// still carry the retired `dht_replicas` key load too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Overlay size.
@@ -66,8 +68,6 @@ pub struct ScenarioConfig {
     pub processor_fraction: f64,
     /// Query-distribution candidate set size.
     pub affinity_candidates: usize,
-    /// DHT registry replica count; `0` selects flooding mode.
-    pub dht_replicas: usize,
     /// Per-source dissemination trees instead of the shared MST.
     pub per_source_trees: bool,
     /// Disorder transform applied to the publish sequence (recorded so
@@ -83,7 +83,6 @@ impl serde::Serialize for ScenarioConfig {
             ("cosmos_seed", self.cosmos_seed.to_content()),
             ("processor_fraction", self.processor_fraction.to_content()),
             ("affinity_candidates", self.affinity_candidates.to_content()),
-            ("dht_replicas", self.dht_replicas.to_content()),
             ("per_source_trees", self.per_source_trees.to_content()),
         ];
         if let Some(d) = &self.disorder {
@@ -112,7 +111,6 @@ impl serde::Deserialize for ScenarioConfig {
                 c,
                 "affinity_candidates",
             )?)?,
-            dht_replicas: Deserialize::from_content(serde::map_get(c, "dht_replicas")?)?,
             per_source_trees: Deserialize::from_content(serde::map_get(c, "per_source_trees")?)?,
             disorder: match serde::map_get(c, "disorder") {
                 Ok(v) => Some(Deserialize::from_content(v)?),

@@ -120,6 +120,25 @@ fn full_run_makes_zero_runtime_determinism_violations() {
     }
 }
 
+/// A scenario file written while scenarios still carried a registry
+/// replica count (`cosmos-sim run --seed 3 --no-shrink --out F` on a
+/// build the merge mutant broke; its config holds `"dht_replicas":2`)
+/// still loads: the retired key is ignored, the file parses to the
+/// scenario seed 3 expands to today, and it replays to seed 3's golden
+/// digest.
+#[test]
+fn a_file_with_the_retired_replica_key_replays_unchanged() {
+    let text = include_str!("fixtures/seed3_with_dht_replicas.json");
+    assert!(
+        text.contains("\"dht_replicas\":2"),
+        "the fixture has the key"
+    );
+    let scenario = Scenario::from_json(text).expect("the retired key is ignored");
+    assert_eq!(scenario, gen::generate(3));
+    let report = check_scenario(&scenario).unwrap_or_else(|f| panic!("{f}"));
+    assert_eq!(format!("{:016x}", report.digest), "c3309989aeb5f53d");
+}
+
 /// Failure files replay: JSON round-trips losslessly and version
 /// mismatches are rejected instead of silently misinterpreted.
 #[test]

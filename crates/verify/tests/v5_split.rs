@@ -9,7 +9,7 @@
 
 use cosmos::snapshot::NetworkSnapshot;
 use cosmos::{Cosmos, CosmosConfig};
-use cosmos_cbn::{Conjunction, RegistryMode};
+use cosmos_cbn::Conjunction;
 use cosmos_overlay::TopologyKind;
 use cosmos_types::{NodeId, StreamName};
 use cosmos_verify::{codes, has_violations, verify_snapshot};
@@ -27,7 +27,6 @@ fn grouped_system() -> Cosmos {
             alpha: 0.6,
             beta: 0.4,
         },
-        registry_mode: RegistryMode::Dht { replicas: 2 },
         seed: 42406,
         ..CosmosConfig::default()
     };

@@ -186,7 +186,9 @@ fn control_operations_after_closure_do_not_resurrect_closed_streams() {
     assert_s_stays_closed(&sys, "reoptimize_groups");
     let mut demand = vec![0.0; sys.graph().node_count()];
     demand[7] = 1e6;
-    let report = sys.optimize_tree_with_demand(cosmos_overlay::OptimizerConfig::default(), &demand);
+    let report = sys
+        .optimize_tree_with_demand(cosmos_overlay::OptimizerConfig::default(), &demand)
+        .unwrap();
     assert!(
         report.moves > 0,
         "the tree moved, so every route was rebuilt"

@@ -4,9 +4,9 @@
 //! shedding never black-holed a query that still exists. A tampered
 //! ledger (simulated shed leak) must be flagged.
 
-use cosmos::{Cosmos, CosmosConfig, MetricsConfig, NetworkSnapshot};
+use cosmos::{Cosmos, CosmosConfig, NetworkSnapshot};
 use cosmos_query::{AttrStats, StreamStats};
-use cosmos_types::{AttrType, NodeId, Schema, TimeDelta, Timestamp, Tuple, Value};
+use cosmos_types::{AttrType, NodeId, Schema, Timestamp, Tuple, Value};
 use cosmos_verify::{codes, has_violations, verify_snapshot};
 
 /// A selection: the CBN serves it alone.
@@ -24,10 +24,6 @@ fn budgeted_system_with(text: &str) -> Cosmos {
         ..CosmosConfig::default()
     };
     let mut sys = Cosmos::new(cfg).unwrap();
-    sys.set_metrics_config(MetricsConfig {
-        window: TimeDelta::from_secs(8),
-        ..MetricsConfig::default()
-    });
     sys.register_stream(
         "S",
         Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]),
@@ -36,9 +32,10 @@ fn budgeted_system_with(text: &str) -> Cosmos {
     )
     .unwrap();
     sys.submit_query(text, NodeId(5)).unwrap();
-    // A tight budget guarantees real shed traffic in the ledger.
+    // A tight budget guarantees real shed traffic in the ledger; 90 s
+    // of virtual time at 10/s saturate the hub's 60 s window.
     sys.set_overload(Some(64));
-    for i in 0..100i64 {
+    for i in 0..900i64 {
         sys.publish(&Tuple::new(
             "S",
             Timestamp(i * 100),

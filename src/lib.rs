@@ -18,7 +18,7 @@
 //! |---|---|---|
 //! | [`types`] | `cosmos-types` | values, tuples, schemas, time |
 //! | [`cql`] | `cosmos-cql` | the CQL-subset parser |
-//! | [`cbn`] | `cosmos-cbn` | profiles, matching, routing, registry/DHT |
+//! | [`cbn`] | `cosmos-cbn` | profiles, matching, routing, schema registry |
 //! | [`overlay`] | `cosmos-overlay` | topologies, MST dissemination trees, optimizer |
 //! | [`spe`] | `cosmos-spe` | the stream processing engine |
 //! | [`query`] | `cosmos-query` | containment, merging, grouping, estimation |

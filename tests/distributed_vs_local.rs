@@ -11,7 +11,6 @@
 //! proptest below, see `crates/testkit` and the CI `sim-sweep` job.
 
 use cosmos::{Cosmos, CosmosConfig};
-use cosmos_cbn::RegistryMode;
 use cosmos_query::{AttrStats, StatsCatalog, StreamStats};
 use cosmos_testkit::assert_results_match_oracle;
 use cosmos_types::{AttrType, NodeId, QueryId, Schema, StreamName, Timestamp, Tuple, Value};
@@ -47,13 +46,12 @@ fn catalog() -> StatsCatalog {
 }
 
 /// Deploy a system with both streams advertised.
-fn deploy(nodes: usize, seed: u64, merging: bool, registry: RegistryMode) -> Cosmos {
+fn deploy(nodes: usize, seed: u64, merging: bool) -> Cosmos {
     let mut sys = Cosmos::new(CosmosConfig {
         nodes,
         seed,
         processor_fraction: 0.2,
         merging_enabled: merging,
-        registry_mode: registry,
         ..CosmosConfig::default()
     })
     .unwrap();
@@ -121,7 +119,7 @@ const QUERY_SET: &[&str] = &[
 
 #[test]
 fn merged_deployment_matches_local_evaluation() {
-    let mut sys = deploy(24, 11, true, RegistryMode::Flooding);
+    let mut sys = deploy(24, 11, true);
     let mut rng = StdRng::seed_from_u64(5);
     let queries: Vec<(QueryId, String)> = QUERY_SET
         .iter()
@@ -135,7 +133,7 @@ fn merged_deployment_matches_local_evaluation() {
 
 #[test]
 fn baseline_deployment_matches_local_evaluation() {
-    let mut sys = deploy(24, 11, false, RegistryMode::Flooding);
+    let mut sys = deploy(24, 11, false);
     let mut rng = StdRng::seed_from_u64(5);
     let queries: Vec<(QueryId, String)> = QUERY_SET
         .iter()
@@ -148,20 +146,19 @@ fn baseline_deployment_matches_local_evaluation() {
 }
 
 #[test]
-fn dht_registry_mode_works_end_to_end() {
-    let mut sys = deploy(24, 19, true, RegistryMode::Dht { replicas: 3 });
+fn registry_serves_a_selection_end_to_end() {
+    let mut sys = deploy(24, 19, true);
     let q = sys
         .submit_query("SELECT k, x FROM L [Now] WHERE x > 20", NodeId(13))
         .unwrap();
     sys.run((0..30).map(|i| l(i * 500, i % 4, i % 40))).unwrap();
     let expected = (0..30).filter(|i| (i % 40) > 20).count();
     assert_eq!(sys.results(q).len(), expected);
-    assert!(sys.registry().control_messages() > 0);
 }
 
 #[test]
 fn duplicate_queries_from_many_users_share_everything() {
-    let mut sys = deploy(30, 23, true, RegistryMode::Flooding);
+    let mut sys = deploy(30, 23, true);
     let text = "SELECT x, COUNT(*) FROM L [Range 5 Second] WHERE x >= 0 GROUP BY x";
     let qids: Vec<QueryId> = (0..10)
         .map(|i| sys.submit_query(text, NodeId(3 * i as u32)).unwrap())
@@ -221,7 +218,7 @@ fn per_source_tree_deployment_matches_local_evaluation() {
 
 #[test]
 fn reoptimized_deployment_matches_local_evaluation() {
-    let mut sys = deploy(20, 41, true, RegistryMode::Flooding);
+    let mut sys = deploy(20, 41, true);
     let mut rng = StdRng::seed_from_u64(3);
     // adversarial order: narrow selections first, wide one last
     let order = [2usize, 1, 0, 3, 4, 6, 7];
@@ -243,7 +240,7 @@ fn reoptimized_deployment_matches_local_evaluation() {
 /// value), projection, merging and a `GROUP BY` on it.
 #[test]
 fn string_attributes_filter_and_group_end_to_end() {
-    let mut sys = deploy(16, 29, true, RegistryMode::Flooding);
+    let mut sys = deploy(16, 29, true);
     sys.register_stream(
         "Tags",
         Schema::of(&[
@@ -303,7 +300,7 @@ proptest! {
         picks in proptest::collection::vec(0usize..8, 1..6),
         n_inputs in 40i64..120,
     ) {
-        let mut sys = deploy(16, seed, true, RegistryMode::Flooding);
+        let mut sys = deploy(16, seed, true);
         let mut rng = StdRng::seed_from_u64(seed);
         let queries: Vec<(QueryId, String)> = picks
             .iter()

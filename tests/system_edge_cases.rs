@@ -1,9 +1,8 @@
 //! System-level edge cases: query distribution policy, accounting
-//! consistency, registry modes under load, and determinism of whole
-//! deployments.
+//! consistency, the registry under many result streams, and determinism
+//! of whole deployments.
 
 use cosmos::{Cosmos, CosmosConfig, NodeRole};
-use cosmos_cbn::RegistryMode;
 use cosmos_query::{AttrStats, StreamStats};
 use cosmos_types::{AttrType, NodeId, Schema, Timestamp, Tuple, Value};
 
@@ -137,11 +136,10 @@ fn whole_deployments_are_deterministic() {
 }
 
 #[test]
-fn dht_registry_with_many_result_streams() {
+fn registry_advertises_many_result_streams() {
     let mut sys = Cosmos::new(CosmosConfig {
         nodes: 30,
         seed: 4,
-        registry_mode: RegistryMode::Dht { replicas: 3 },
         merging_enabled: false, // one result stream per query
         ..CosmosConfig::default()
     })
@@ -165,9 +163,6 @@ fn dht_registry_with_many_result_streams() {
     for q in qids.into_iter().chain([direct]) {
         assert_eq!(sys.results(q).len(), 10);
     }
-    // registrations: 1 source + 12 result streams, 3 replicas each,
-    // plus lookups — all accounted
-    assert!(sys.registry().control_messages() >= 13 * 3);
 }
 
 #[test]
